@@ -23,7 +23,16 @@ from .bandit import (
     update_posterior,
     utility_density_table,
 )
-from .gp import GpModel, KernelParams, Posterior, build_gp, fit, matern_kernel, posterior_at
+from .gp import (
+    GpModel,
+    KernelParams,
+    Posterior,
+    build_gp,
+    fit,
+    matern_kernel,
+    posterior,
+    posterior_at,
+)
 from .acquisition import (
     ACQUISITIONS,
     HedgeState,
@@ -84,6 +93,7 @@ __all__ = [
     "initial_arms",
     "make_environment",
     "matern_kernel",
+    "posterior",
     "posterior_at",
     "probability_of_improvement",
     "propose_next",

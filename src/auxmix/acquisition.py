@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
-from .gp import GpModel, Posterior, posterior_at
+from .gp import GpModel, Posterior, posterior
 
 PI = "pi"
 EI = "ei"
@@ -25,34 +25,56 @@ ACQUISITIONS: tuple[str, ...] = (PI, EI, UCB)
 
 DEFAULT_UCB_LAMBDA = 2.0
 
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-def probability_of_improvement(posterior: Posterior, best_so_far: float) -> float:
+# Each acquisition works elementwise: a Posterior of floats gives a float, a
+# Posterior of arrays (from gp.posterior) scores a whole candidate pool in one
+# call.  Where the posterior is deterministic (std == 0) the closed forms
+# degenerate; those entries take the limit instead of the NaN of z = 0/0.
+
+
+def _scores(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
+def _standardize(posterior: Posterior, best_so_far: float):
+    mean = np.asarray(posterior.mean, dtype=float)
+    std = np.asarray(posterior.std, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = (mean - best_so_far) / std
+    return mean, std, z
+
+
+def probability_of_improvement(
+    posterior: Posterior, best_so_far: float
+) -> float | np.ndarray:
     """Probability the candidate beats the incumbent, ``Phi((mu - tau) / sigma)``.
 
-    Degenerates to an indicator when the posterior is deterministic.
+    Degenerates to an indicator where the posterior is deterministic.
     """
-    if posterior.std == 0.0:
-        return 1.0 if posterior.mean > best_so_far else 0.0
-    z = (posterior.mean - best_so_far) / posterior.std
-    return float(norm.cdf(z))
+    mean, std, z = _standardize(posterior, best_so_far)
+    return _scores(np.where(std == 0.0, mean > best_so_far, ndtr(z)))
 
 
-def expected_improvement(posterior: Posterior, best_so_far: float) -> float:
+def expected_improvement(posterior: Posterior, best_so_far: float) -> float | np.ndarray:
     """Expected gain over the incumbent, ``sigma (z Phi(z) + phi(z))``.
 
     With a deterministic posterior this collapses to ``max(mu - tau, 0)``.
     """
-    if posterior.std == 0.0:
-        return max(posterior.mean - best_so_far, 0.0)
-    z = (posterior.mean - best_so_far) / posterior.std
-    return float(posterior.std * (z * norm.cdf(z) + norm.pdf(z)))
+    mean, std, z = _standardize(posterior, best_so_far)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ei = std * (z * ndtr(z) + np.exp(-(z**2) / 2.0) / SQRT_2PI)
+    return _scores(np.where(std == 0.0, np.maximum(mean - best_so_far, 0.0), ei))
 
 
-def upper_confidence_bound(posterior: Posterior, lam: float = DEFAULT_UCB_LAMBDA) -> float:
+def upper_confidence_bound(
+    posterior: Posterior, lam: float = DEFAULT_UCB_LAMBDA
+) -> float | np.ndarray:
     """Optimistic score ``mu + lam * sigma``."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    return posterior.mean + lam * posterior.std
+    mean, std = np.asarray(posterior.mean, dtype=float), np.asarray(posterior.std, dtype=float)
+    return _scores(mean + lam * std)
 
 
 @dataclass(frozen=True)
@@ -100,7 +122,5 @@ def hedge_update(
     """
     if len(nominees) != len(ACQUISITIONS):
         raise ValueError(f"expected {len(ACQUISITIONS)} nominees, got {len(nominees)}")
-    gains = list(state.gains)
-    for i, x in enumerate(nominees):
-        gains[i] += posterior_at(model, x).mean
-    return replace(state, gains=tuple(gains))
+    means = posterior(model, np.asarray(nominees, dtype=float)).mean
+    return replace(state, gains=tuple(g + float(m) for g, m in zip(state.gains, means)))

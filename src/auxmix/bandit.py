@@ -195,6 +195,13 @@ def select_tasks(arms: Sequence[BetaArm], config: BanditConfig) -> TaskSelection
     )
 
 
+def _finite_metric(env: Environment) -> float:
+    metric = float(env.validation_metric())
+    if not math.isfinite(metric):
+        raise ValueError(f"validation_metric returned {metric!r}")
+    return metric
+
+
 def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, RunLog]:
     """Run the Thompson-sampling loop and return the surviving task subset.
 
@@ -206,20 +213,23 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     Raises
     ------
     RunAborted
-        If the environment fails mid-run; the partial log rides along on
-        the exception.
+        If the environment raises or reports a non-finite metric, from
+        ``reset`` on; the partial log rides along on the exception.
     """
     arms = initial_arms(config)
     log = RunLog()
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
-    env.reset(derive_seed(config.rng_seed, "stage1-env"))
-    metric_prev = env.validation_metric()
+    try:
+        env.reset(derive_seed(config.rng_seed, "stage1-env"))
+        metric_prev = _finite_metric(env)
+    except Exception as exc:
+        raise RunAborted(f"environment failed before stage-1 round 0: {exc}", log=log) from exc
     for t in range(config.n_rounds):
         thetas = sample_utilities(arms, rng)
         k = select_arm(thetas)
         try:
             env.step(k)
-            metric_now = float(env.validation_metric())
+            metric_now = _finite_metric(env)
         except Exception as exc:
             raise RunAborted(f"environment failed at stage-1 round {t}: {exc}", log=log) from exc
         reward = compute_reward(metric_now, metric_prev)

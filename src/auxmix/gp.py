@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -54,28 +54,39 @@ class KernelParams:
             raise ValueError(f"jitter must be positive, got {self.jitter}")
 
 
-@dataclass(frozen=True)
-class Posterior:
-    """Predictive mean and standard deviation at a single point."""
+class Posterior(NamedTuple):
+    """Predictive mean and standard deviation.
 
-    mean: float
-    std: float
+    Floats at one point (:func:`posterior_at`), or arrays of shape ``(n,)``
+    over a block of query points (:func:`posterior`).
+    """
+
+    mean: float | np.ndarray
+    std: float | np.ndarray
 
 
 def _scaled_distances(x1: np.ndarray, x2: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
-    """Pairwise length-scale-weighted Euclidean distances, shape (n1, n2)."""
+    """Pairwise length-scale-weighted Euclidean distances, shape (n1, n2).
+
+    ``length_scales`` of shape ``(C, 1, d)`` gives a ``(C, n1, n2)`` stack,
+    one distance matrix per row of length scales.
+    """
     a = np.atleast_2d(x1) / length_scales
     b = np.atleast_2d(x2) / length_scales
-    sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * (a @ b.T)
+    sq = (
+        np.sum(a**2, axis=-1)[..., :, None]
+        + np.sum(b**2, axis=-1)[..., None, :]
+        - 2.0 * (a @ np.swapaxes(b, -1, -2))
+    )
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _matern_of_distance(d: np.ndarray, params: KernelParams) -> np.ndarray:
-    if params.nu == 1.5:
+def _matern_of_distance(d: np.ndarray, nu: float, signal_variance) -> np.ndarray:
+    if nu == 1.5:
         t = SQRT3 * d
-        return params.signal_variance * (1.0 + t) * np.exp(-t)
+        return signal_variance * (1.0 + t) * np.exp(-t)
     t = SQRT5 * d
-    return params.signal_variance * (1.0 + t + t**2 / 3.0) * np.exp(-t)
+    return signal_variance * (1.0 + t + t**2 / 3.0) * np.exp(-t)
 
 
 def matern_kernel(x1: Sequence[float], x2: Sequence[float], params: KernelParams) -> float:
@@ -93,9 +104,7 @@ def matern_kernel(x1: Sequence[float], x2: Sequence[float], params: KernelParams
         raise ValueError(
             f"points must match kernel dimension {d}, got shapes {a.shape} and {b.shape}"
         )
-    ls = np.asarray(params.length_scales, dtype=float)
-    dist = _scaled_distances(a[None, :], b[None, :], ls)[0, 0]
-    return float(_matern_of_distance(np.asarray(dist), params))
+    return float(gram_matrix(a, b, params)[0, 0])
 
 
 def gram_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -108,7 +117,7 @@ def gram_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndar
             f"points must match kernel dimension {ls.size}, "
             f"got {x1.shape[1]} and {x2.shape[1]}"
         )
-    return _matern_of_distance(_scaled_distances(x1, x2, ls), params)
+    return _matern_of_distance(_scaled_distances(x1, x2, ls), params.nu, params.signal_variance)
 
 
 @dataclass(frozen=True)
@@ -186,26 +195,35 @@ def build_gp(
     )
 
 
-def posterior_at(model: GpModel, x: Sequence[float]) -> Posterior:
-    """Exact posterior mean and standard deviation at one query point.
+def posterior(model: GpModel, x: np.ndarray) -> Posterior:
+    """Exact posterior mean and standard deviation over a block of query points.
 
-    Numerical round-off can push the predictive variance slightly negative;
-    it is clamped at zero before the square root.
+    ``x`` has shape ``(n, d)``; mean and std come back with shape ``(n,)``.
+    The whole block costs one cross-covariance matrix and one Cholesky
+    solve.  Numerical round-off can push a predictive variance slightly
+    negative; it is clamped at zero before the square root.
     """
     d = len(model.kernel.length_scales)
-    q = np.asarray(x, dtype=float).reshape(-1)
-    if q.shape != (d,):
-        raise ValueError(f"query must have dimension {d}, got shape {q.shape}")
+    q = np.asarray(x, dtype=float)
+    if q.ndim != 2 or q.shape[1] != d:
+        raise ValueError(f"queries must have shape (n, {d}), got {q.shape}")
     prior_var = model.kernel.signal_variance
     if model.n_observations == 0:
-        return Posterior(mean=model.mean_offset, std=math.sqrt(prior_var))
+        n = q.shape[0]
+        return Posterior(mean=np.full(n, model.mean_offset), std=np.full(n, math.sqrt(prior_var)))
     if model.chol is None or model.dual is None:
         raise RuntimeError("model was constructed without a factorization; use build_gp or fit")
-    kx = gram_matrix(q[None, :], model.points, model.kernel)[0]
-    mean = model.mean_offset + float(kx @ model.dual)
-    v = cho_solve(model.chol, kx)
-    var = prior_var - float(kx @ v)
-    return Posterior(mean=mean, std=math.sqrt(max(var, 0.0)))
+    kx = gram_matrix(q, model.points, model.kernel)
+    mean = model.mean_offset + kx @ model.dual
+    v = cho_solve(model.chol, kx.T)
+    var = prior_var - np.einsum("ij,ji->i", kx, v)
+    return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
+
+
+def posterior_at(model: GpModel, x: Sequence[float]) -> Posterior:
+    """Exact posterior mean and standard deviation at one query point."""
+    mean, std = posterior(model, np.asarray(x, dtype=float).reshape(1, -1))
+    return Posterior(mean=float(mean[0]), std=float(std[0]))
 
 
 def log_marginal_likelihood(
@@ -243,7 +261,9 @@ def fit(
     [1e-2, 10], signal variance in [1e-2, 1e2], noise variance in [1e-6, 1]);
     the geometric midpoint of the box is always evaluated too, so the search
     never does worse than that default.  The search seed is fixed, making
-    the whole fit a deterministic function of its inputs.
+    the whole fit a deterministic function of its inputs.  All candidates
+    are scored through one stacked Cholesky factorization; only when one of
+    them fails to factor are they scored one by one, with jitter escalation.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim == 1:
@@ -277,11 +297,51 @@ def fit(
                 nu=nu,
             )
         )
+    return build_gp(x, y, _best_candidate(x, y, candidates))
+
+
+def _stacked_lml(
+    x: np.ndarray, y: np.ndarray, candidates: Sequence[KernelParams]
+) -> np.ndarray | None:
+    """:func:`log_marginal_likelihood` of every candidate from one batched Cholesky.
+
+    All candidates must share ``nu``.  Returns ``None`` when any covariance
+    fails to factor at its starting jitter, because only the one-by-one path
+    escalates jitter.  NumPy's and SciPy's Cholesky may disagree on a matrix
+    at the very edge of factorability; the noise floor of fit's search box
+    (1e-6, four decades above the starting jitter) keeps its candidates far
+    from that edge.
+    """
+    n = y.size
+    yc = y - np.mean(y)
+    ls = np.array([c.length_scales for c in candidates])[:, None, :]
+    s2, noise, jitter = np.array(
+        [(c.signal_variance, c.noise_variance, c.jitter) for c in candidates]
+    ).T[:, :, None, None]
+    eye = np.eye(n)
+    k = _matern_of_distance(_scaled_distances(x, x, ls), candidates[0].nu, s2)
+    # Same summation order as log_marginal_likelihood: noise first, then jitter.
+    k = k + noise * eye + jitter * eye
+    try:
+        chol = np.linalg.cholesky(k)
+    except LinAlgError:
+        return None
+    w = np.linalg.solve(chol, np.broadcast_to(yc[:, None], (len(candidates), n, 1)))[..., 0]
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return -0.5 * np.sum(w**2, axis=-1) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
+
+
+def _best_candidate(
+    x: np.ndarray, y: np.ndarray, candidates: Sequence[KernelParams]
+) -> KernelParams:
+    """The candidate of highest log marginal likelihood; ties go to the earliest."""
+    lmls = _stacked_lml(x, y, candidates)
+    if lmls is None:
+        lmls = [log_marginal_likelihood(x, y, cand) for cand in candidates]
     best_params, best_lml = None, -math.inf
-    for cand in candidates:
-        lml = log_marginal_likelihood(x, y, cand)
+    for cand, lml in zip(candidates, lmls):
         if lml > best_lml:
             best_params, best_lml = cand, lml
     if best_params is None:
         raise LinAlgError("no hyperparameter candidate produced a factorable covariance")
-    return build_gp(x, y, best_params)
+    return best_params

@@ -26,7 +26,7 @@ from .acquisition import (
     upper_confidence_bound,
 )
 from .bandit import TaskSelection
-from .gp import GpModel, fit, posterior_at
+from .gp import GpModel, fit, posterior, posterior_at
 from .runlog import RunAborted, RunLog, derive_seed
 
 DEFAULT_RATIO_MAX = 20
@@ -210,18 +210,42 @@ def propose_next(
     pool = rng.random((pool_size, model.points.shape[1]))
     pool = np.vstack([pool, _neighbor_points(incumbent_x, ratio_max)])
 
-    posteriors = [posterior_at(model, x) for x in pool]
-    scores = {
-        "pi": np.array([probability_of_improvement(p, tau) for p in posteriors]),
-        "ei": np.array([expected_improvement(p, tau) for p in posteriors]),
-        "ucb": np.array([upper_confidence_bound(p, ucb_lambda) for p in posteriors]),
-    }
-    nominees = [pool[int(np.argmax(scores[name]))] for name in ACQUISITIONS]
+    post = posterior(model, pool)
+    scores = (  # in ACQUISITIONS order
+        probability_of_improvement(post, tau),
+        expected_improvement(post, tau),
+        upper_confidence_bound(post, ucb_lambda),
+    )
+    nominees = [pool[int(np.argmax(s))] for s in scores]
 
     chosen = hedge_select(hedge, rng)
     new_hedge = hedge_update(hedge, nominees, model)
     nominee = nominees[ACQUISITIONS.index(chosen)]
     return decode(nominee, ratio_max), chosen, new_hedge
+
+
+def train_score(
+    env: Stage2Environment,
+    ratio: MixingRatio,
+    seed: int,
+    where: str,
+    log: RunLog,
+    records: Sequence[EvaluationRecord],
+) -> float:
+    """Score of one full training under ``ratio``, inside the abort boundary.
+
+    An exception from the environment, or a score that is not finite, ends
+    the run as :class:`RunAborted` carrying ``log`` and ``records``.
+    """
+    try:
+        score = float(env.train_full(ratio, seed))
+    except Exception as exc:
+        raise RunAborted(f"environment failed {where}: {exc}", log=log, records=records) from exc
+    if not math.isfinite(score):
+        raise RunAborted(
+            f"environment failed {where}: train_full returned {score!r}", log=log, records=records
+        )
+    return score
 
 
 def run_stage2(
@@ -239,8 +263,8 @@ def run_stage2(
     Raises
     ------
     RunAborted
-        On environment failure; partial records and log ride on the
-        exception.
+        On environment failure or a non-finite score; partial records and
+        log ride on the exception.
     """
     task_ids = tasks.selected_task_ids
     k = len(task_ids)
@@ -270,12 +294,7 @@ def run_stage2(
             post_mean, post_std = post.mean, post.std
         seed = derive_seed(config.rng_seed, "eval", t)
         env_ratio = expand_to_tasks(ratio, task_ids, env.n_tasks)
-        try:
-            score = float(env.train_full(env_ratio, seed))
-        except Exception as exc:
-            raise RunAborted(
-                f"environment failed at stage-2 round {t}: {exc}", log=log, records=records
-            ) from exc
+        score = train_score(env, env_ratio, seed, f"at stage-2 round {t}", log, records)
         records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
         xs.append(encode(ratio, config.ratio_max))
         ys.append(score)

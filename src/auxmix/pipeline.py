@@ -33,6 +33,7 @@ from .mixing import (
     Stage2Config,
     expand_to_tasks,
     run_stage2,
+    train_score,
     validate_ratio,
 )
 from .runlog import RunAborted, RunLog, derive_seed, jsonable, make_header
@@ -133,12 +134,7 @@ def _grid_stage2(
         validate_ratio(ratio, config.ratio_max)
         seed = derive_seed(config.rng_seed, "eval", t)
         env_ratio = expand_to_tasks(ratio, tasks.selected_task_ids, env.n_tasks)
-        try:
-            score = float(env.train_full(env_ratio, seed))
-        except Exception as exc:
-            raise RunAborted(
-                f"environment failed at grid round {t}: {exc}", log=log, records=records
-            ) from exc
+        score = train_score(env, env_ratio, seed, f"at grid round {t}", log, records)
         records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
         best_score = max(best_score, score)
         log.append(
@@ -183,30 +179,26 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             exc.stage_logs = {"stage1": exc.log, "stage2": RunLog()}
             raise
 
-    try:
-        if config.mode == "no_stage2":
-            best, records, stage2_log = _grid_stage2(env, selection, config.stage2)
-        else:
-            best, records, stage2_log = run_stage2(env, selection, config.stage2)
-    except RunAborted as exc:
-        exc.stage_logs = {"stage1": stage1_log, "stage2": exc.log}
-        raise
-
     baseline_ratio = MixingRatio(tuple([1] + [0] * (len(selection.selected_task_ids) - 1)))
     baseline_env_ratio = expand_to_tasks(
         baseline_ratio, selection.selected_task_ids, env.n_tasks
     )
     try:
-        baseline_score = float(
-            env.train_full(baseline_env_ratio, derive_seed(config.stage2.rng_seed, "baseline"))
+        if config.mode == "no_stage2":
+            best, records, stage2_log = _grid_stage2(env, selection, config.stage2)
+        else:
+            best, records, stage2_log = run_stage2(env, selection, config.stage2)
+        baseline_score = train_score(
+            env,
+            baseline_env_ratio,
+            derive_seed(config.stage2.rng_seed, "baseline"),
+            "on the baseline run",
+            stage2_log,
+            records,
         )
-    except Exception as exc:
-        raise RunAborted(
-            f"environment failed on the baseline run: {exc}",
-            log=stage2_log,
-            records=records,
-            stage_logs={"stage1": stage1_log, "stage2": stage2_log},
-        ) from exc
+    except RunAborted as exc:
+        exc.stage_logs = {"stage1": stage1_log, "stage2": exc.log}
+        raise
 
     return PipelineReport(
         mode=config.mode,

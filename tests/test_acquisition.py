@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from auxmix.acquisition import (
     ACQUISITIONS,
@@ -79,6 +80,55 @@ def test_pi_and_ei_match_monte_carlo():
 
 
 # --------------------------------------------------------------------- UCB
+
+def _pi_reference(mean: float, std: float, tau: float) -> float:
+    """One-point PI as computed before pool scoring was batched."""
+    if std == 0.0:
+        return 1.0 if mean > tau else 0.0
+    return float(norm.cdf((mean - tau) / std))
+
+
+def _ei_reference(mean: float, std: float, tau: float) -> float:
+    """One-point EI as computed before pool scoring was batched."""
+    if std == 0.0:
+        return max(mean - tau, 0.0)
+    z = (mean - tau) / std
+    return float(std * (z * norm.cdf(z) + norm.pdf(z)))
+
+
+def _pool_posterior(seed=0, size=400, tau=0.3):
+    """Posteriors with |z| up to 40, a block of deterministic ones among them."""
+    rng = np.random.default_rng(seed)
+    std = np.exp(rng.uniform(-6, 1, size))
+    mean = tau + rng.uniform(-40, 40, size) * std
+    std[:40] = 0.0
+    mean[:20] = tau + rng.uniform(-1, 1, 20)
+    mean[20:25] = tau  # z = 0/0 where the limit applies
+    return Posterior(mean, std), tau
+
+
+@pytest.mark.parametrize(
+    "acquisition, reference",
+    [(probability_of_improvement, _pi_reference), (expected_improvement, _ei_reference)],
+)
+def test_pool_scores_equal_pointwise_reference(acquisition, reference):
+    post, tau = _pool_posterior()
+    scores = acquisition(post, tau)
+    assert isinstance(scores, np.ndarray) and scores.shape == post.mean.shape
+    expected = [reference(m, s, tau) for m, s in zip(post.mean, post.std)]
+    np.testing.assert_array_equal(scores, expected)
+    for m, s, value in zip(post.mean, post.std, scores):
+        single = acquisition(Posterior(float(m), float(s)), tau)
+        assert isinstance(single, float) and single == value
+
+
+def test_ucb_pool_scores_are_elementwise():
+    post, _ = _pool_posterior()
+    scores = upper_confidence_bound(post, 1.5)
+    np.testing.assert_array_equal(scores, post.mean + 1.5 * post.std)
+    single = upper_confidence_bound(Posterior(float(post.mean[7]), float(post.std[7])), 1.5)
+    assert isinstance(single, float) and single == scores[7]
+
 
 def test_ucb_values():
     assert upper_confidence_bound(Posterior(0.4, 0.2), 2.0) == pytest.approx(0.8)

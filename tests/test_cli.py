@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
+import unittest.mock as mock
 from pathlib import Path
 
 import pytest
 import yaml
 
+import auxmix
 from auxmix.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from auxmix.config import normalize
+from auxmix.config import load_config, normalize, to_pipeline_config
+from auxmix.environments import PlantedBanditEnv
+from auxmix.pipeline import run_pipeline
+from auxmix.runlog import RunAborted, read_jsonl
 
 SMALL_CONFIG = """\
 mode: full
@@ -34,6 +43,22 @@ def config_file(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+# ------------------------------------------------------------- start-up
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    """scipy.stats would be the largest single import of the CLI's start-up,
+    and nothing in the package needs it."""
+    src = str(Path(auxmix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, auxmix.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --------------------------------------------------------- validate-config
@@ -165,6 +190,59 @@ def test_run_grid_size_guard(config_file, tmp_path, capsys):
     rc = run_cli("run", config_file, "--out", tmp_path / "g", "--grid-size", "0")
     assert rc == EXIT_USAGE
     assert "grid-size" in capsys.readouterr().err
+
+
+# --------------------------------------------------------- aborted runs
+
+def _fail_on_call(method: str, call: int, bad):
+    """Patch one PlantedBanditEnv method so its ``call``-th call (1-based)
+    raises ``bad`` when it is an exception, or returns it otherwise."""
+    original = getattr(PlantedBanditEnv, method)
+    calls = {"n": 0}
+
+    def patched(self, *args):
+        calls["n"] += 1
+        if calls["n"] != call:
+            return original(self, *args)
+        if isinstance(bad, Exception):
+            raise bad
+        return bad
+
+    return mock.patch.object(PlantedBanditEnv, method, patched)
+
+
+# SMALL_CONFIG runs 8 stage-1 rounds, then 4 stage-2 rounds (2 random, 2 GP
+# or grid), then the baseline.  Stage-1 round r makes validation_metric call
+# r + 2 (the first follows reset); stage-2 round r makes train_full call
+# r + 1, and the baseline makes call 5.
+ABORT_SITES = [
+    pytest.param("full", "reset", 1, RuntimeError("no device"), "stage1", 0, id="stage1-reset"),
+    pytest.param("full", "validation_metric", 1, math.nan, "stage1", 0, id="stage1-first-metric"),
+    pytest.param("full", "validation_metric", 5, math.inf, "stage1", 3, id="stage1-round-metric"),
+    pytest.param("full", "train_full", 4, math.nan, "stage2", 3, id="gp-loop-score"),
+    pytest.param("no_stage2", "train_full", 3, -math.inf, "stage2", 2, id="grid-loop-score"),
+    pytest.param("full", "train_full", 5, math.nan, "stage2", 4, id="baseline-score"),
+]
+
+
+@pytest.mark.parametrize("mode, method, call, bad, stage, failing_round", ABORT_SITES)
+def test_environment_failure_aborts_with_partial_logs(
+    config_file, tmp_path, capsys, mode, method, call, bad, stage, failing_round
+):
+    with _fail_on_call(method, call, bad):
+        with pytest.raises(RunAborted) as info:
+            run_pipeline(to_pipeline_config(load_config(config_file, {"mode": mode})))
+    assert len(info.value.stage_logs[stage]) == failing_round
+    if stage == "stage2":
+        assert len(info.value.stage_logs["stage1"]) == 8
+
+    out_dir = tmp_path / "aborted"
+    with _fail_on_call(method, call, bad):
+        assert run_cli("run", config_file, "--out", out_dir, "--mode", mode) == EXIT_RUNTIME
+    assert "run aborted, partial logs kept" in capsys.readouterr().err
+    _, records = read_jsonl(out_dir / f"{stage}.log.jsonl")
+    assert len(records) == failing_round
+    assert (out_dir / "stage1.log.jsonl").exists() and (out_dir / "stage2.log.jsonl").exists()
 
 
 # ---------------------------------------------------------------- replay

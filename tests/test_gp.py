@@ -7,15 +7,21 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import cho_solve
+
+from auxmix import gp
 from auxmix.gp import (
     GpModel,
     KernelParams,
     Posterior,
+    _best_candidate,
+    _stacked_lml,
     build_gp,
     fit,
     gram_matrix,
     log_marginal_likelihood,
     matern_kernel,
+    posterior,
     posterior_at,
 )
 
@@ -138,6 +144,53 @@ def test_posterior_matches_dense_inverse_oracle():
             mean_ref, std_ref = dense_posterior(model, q)
             assert post.mean == pytest.approx(mean_ref, abs=1e-8)
             assert post.std == pytest.approx(std_ref, abs=1e-8)
+
+
+def _posterior_at_reference(model: GpModel, q: np.ndarray) -> tuple[float, float]:
+    """The one-point posterior as computed before block queries: one
+    cross-covariance row and one cho_solve per point."""
+    kx = gram_matrix(q[None, :], model.points, model.kernel)[0]
+    mean = model.mean_offset + float(kx @ model.dual)
+    var = model.kernel.signal_variance - float(kx @ cho_solve(model.chol, kx))
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def test_block_posterior_matches_pointwise_posterior():
+    rng = np.random.default_rng(17)
+    for trial in range(25):
+        n = int(rng.integers(1, 21))
+        d = int(rng.integers(1, 5))
+        params = KernelParams(
+            length_scales=tuple(np.exp(rng.uniform(-1.5, 1.5, size=d))),
+            signal_variance=float(np.exp(rng.uniform(-1, 2))),
+            noise_variance=float(np.exp(rng.uniform(-6, -1))),
+            nu=1.5 if trial % 2 else 2.5,
+        )
+        model = build_gp(rng.random((n, d)), rng.normal(size=n), params)
+        queries = rng.random((int(rng.integers(1, 40)), d))
+        mean, std = posterior(model, queries)
+        assert mean.shape == std.shape == (queries.shape[0],)
+        for i, q in enumerate(queries):
+            post = posterior_at(model, q)
+            ref_mean, ref_std = _posterior_at_reference(model, q)
+            assert mean[i] == pytest.approx(post.mean, abs=1e-12)
+            assert std[i] == pytest.approx(post.std, abs=1e-12)
+            assert mean[i] == pytest.approx(ref_mean, abs=1e-12)
+            assert std[i] == pytest.approx(ref_std, abs=1e-12)
+
+
+def test_block_posterior_of_prior_model():
+    model = build_gp(np.empty((0, 2)), [], unit_params(2.5, d=2, signal_variance=4.0))
+    mean, std = posterior(model, np.random.default_rng(0).random((5, 2)))
+    assert np.array_equal(mean, np.zeros(5))
+    assert np.array_equal(std, np.full(5, 2.0))
+
+
+def test_block_posterior_shape_check():
+    model = build_gp([[0.0, 0.0]], [1.0], unit_params(2.5, d=2))
+    for bad in ([0.0, 1.0], np.zeros((3, 1)), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError):
+            posterior(model, bad)
 
 
 def test_posterior_interpolates_with_tiny_noise():
@@ -298,3 +351,56 @@ def test_fit_accepts_1d_points():
     model = fit([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
     assert model.points.shape == (3, 1)
     assert math.isfinite(posterior_at(model, [0.25]).mean)
+
+
+def _random_candidates(rng, d, nu, count=33):
+    return [
+        KernelParams(
+            length_scales=tuple(np.exp(rng.uniform(math.log(1e-2), math.log(10.0), size=d))),
+            signal_variance=float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2)))),
+            noise_variance=float(np.exp(rng.uniform(math.log(1e-6), 0.0))),
+            nu=nu,
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_stacked_lml_matches_per_candidate_lml(nu):
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        n, d = int(rng.integers(1, 20)), int(rng.integers(1, 5))
+        x, y = rng.random((n, d)), rng.normal(size=n)
+        candidates = _random_candidates(rng, d, nu)
+        stacked = _stacked_lml(x, y, candidates)
+        loop = [log_marginal_likelihood(x, y, c) for c in candidates]
+        np.testing.assert_allclose(stacked, loop, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_fit_picks_what_the_per_candidate_loop_picks(nu, monkeypatch):
+    rng = np.random.default_rng(32)
+    data = []
+    for _ in range(10):
+        n, d = int(rng.integers(1, 20)), int(rng.integers(1, 5))
+        data.append((rng.random((n, d)), rng.normal(size=n)))
+    stacked = [fit(x, y, nu=nu).kernel for x, y in data]
+    monkeypatch.setattr(gp, "_stacked_lml", lambda *args: None)
+    looped = [fit(x, y, nu=nu).kernel for x, y in data]
+    assert stacked == looped
+
+
+def test_candidate_needing_jitter_escalation_takes_the_per_candidate_path():
+    # Three coincident points under signal variance 1e8: every entry of the
+    # Gram matrix is exactly 1e8, and the starting jitter 1e-10 is below half
+    # an ulp of it, so the matrix stays exactly singular until the jitter is
+    # escalated.
+    x = np.full((3, 1), 0.5)
+    y = np.full(3, 0.7)
+    rng = np.random.default_rng(33)
+    needs_jitter = KernelParams(length_scales=(1.0,), signal_variance=1e8, noise_variance=0.0)
+    candidates = _random_candidates(rng, 1, 2.5, count=5) + [needs_jitter]
+    assert _stacked_lml(x, y, candidates) is None
+    loop = [log_marginal_likelihood(x, y, c) for c in candidates]
+    assert math.isfinite(loop[-1])
+    assert _best_candidate(x, y, candidates) == candidates[int(np.argmax(loop))]

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from auxmix.acquisition import ACQUISITIONS, HedgeState
+from auxmix.acquisition import (
+    ACQUISITIONS,
+    HedgeState,
+    expected_improvement,
+    hedge_select,
+    probability_of_improvement,
+    upper_confidence_bound,
+)
 from auxmix.bandit import TaskSelection
 from auxmix.gp import fit, posterior_at
 from auxmix.mixing import (
@@ -191,6 +198,42 @@ def test_ucb_lambda_zero_nominates_posterior_mean_argmax():
     pool = np.vstack([pool, _neighbor_points(model.points[best_idx], 20)])
     means = np.array([posterior_at(model, x).mean for x in pool])
     assert ratio == decode(pool[int(np.argmax(means))], 20)
+
+
+def _propose_next_reference(model, hedge, pool_size, rng, ratio_max=20, ucb_lambda=2.0):
+    """propose_next as it scored the pool before batching: one posterior_at
+    and three scalar acquisition calls per pool point."""
+    best_idx = int(np.argmax(model.observations))
+    tau = float(model.observations[best_idx])
+    pool = rng.random((pool_size, model.points.shape[1]))
+    pool = np.vstack([pool, _neighbor_points(model.points[best_idx], ratio_max)])
+    posts = [posterior_at(model, x) for x in pool]
+    scores = [
+        [probability_of_improvement(p, tau) for p in posts],
+        [expected_improvement(p, tau) for p in posts],
+        [upper_confidence_bound(p, ucb_lambda) for p in posts],
+    ]
+    nominees = [pool[int(np.argmax(sc))] for sc in scores]
+    chosen = hedge_select(hedge, rng)
+    gains = [g + posterior_at(model, x).mean for g, x in zip(hedge.gains, nominees)]
+    return decode(nominees[ACQUISITIONS.index(chosen)], ratio_max), chosen, gains
+
+
+def test_propose_next_matches_pointwise_reference():
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(1, 5)), int(rng.integers(3, 20))
+        xs = rng.integers(0, 21, size=(n, d)) / 20.0
+        ys = 0.5 + 0.1 * np.sin(3.0 * xs.sum(axis=1)) + 0.01 * rng.normal(size=n)
+        model = fit(xs, ys, nu=2.5 if seed % 2 else 1.5)
+        hedge = HedgeState(gains=tuple(rng.normal(size=3)))
+        ratio, acq, new_hedge = propose_next(model, hedge, 256, np.random.default_rng(seed))
+        ref_ratio, ref_acq, ref_gains = _propose_next_reference(
+            model, hedge, 256, np.random.default_rng(seed)
+        )
+        assert ratio == ref_ratio
+        assert acq == ref_acq
+        np.testing.assert_allclose(new_hedge.gains, ref_gains, rtol=0, atol=1e-12)
 
 
 def test_propose_next_credits_all_three_gains():
