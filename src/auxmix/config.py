@@ -17,6 +17,7 @@ from typing import Any, Callable
 import yaml
 
 from .bandit import BanditConfig
+from .environments import make_environment
 from .mixing import Stage2Config
 from .pipeline import PIPELINE_MODES, PipelineConfig
 
@@ -248,19 +249,14 @@ def _build_stage_configs(normalized: dict) -> tuple[BanditConfig, Stage2Config]:
             "bandit.primary_task_id",
             "the synthetic environments define task 0 as primary; must be 0",
         )
-    env = dict(normalized["environment"])
-    if env["family"] == "planted":
-        if any(not (0.0 <= t <= 1.0) for t in env["theta_star"]):
-            raise ConfigError("environment.theta_star", "entries must lie in [0, 1]")
-        if env["score_noise"] < 0:
-            raise ConfigError("environment.score_noise", "must be >= 0")
-    else:
-        if env["task_profile"][0] != "primary":
-            raise ConfigError("environment.task_profile", "first entry must be 'primary'")
-        if any(k not in ("useful", "harmful") for k in env["task_profile"][1:]):
-            raise ConfigError(
-                "environment.task_profile", "auxiliary entries must be 'useful' or 'harmful'"
-            )
+    # Building the environment runs its constructor's checks, so a bad
+    # setting fails here, named, instead of part-way through a run.
+    env = normalized["environment"]
+    try:
+        make_environment(env, bandit.batches_per_round)
+    except ValueError as exc:
+        key = _invariant_key("environment", _ENV_FIELDS[env["family"]], str(exc))
+        raise ConfigError(key, str(exc)) from exc
     return bandit, stage2
 
 

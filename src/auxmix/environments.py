@@ -127,11 +127,24 @@ class SharedParamMtlEnv:
         if len(profile) < 1 or profile[0] != "primary":
             raise ValueError(f"task_profile must start with 'primary', got {profile}")
         if any(k not in ("useful", "harmful") for k in profile[1:]):
-            raise ValueError(f"auxiliary kinds must be 'useful' or 'harmful', got {profile}")
-        if dim < 1 or n_primary_train < 1 or n_primary_heldout < 1 or n_aux < 1:
-            raise ValueError("dim and dataset sizes must be positive")
-        if total_batches < 1 or batch_size < 1 or batches_per_round < 1:
-            raise ValueError("batch budget knobs must be positive")
+            raise ValueError(
+                f"task_profile auxiliary kinds must be 'useful' or 'harmful', got {profile}"
+            )
+        positive = {
+            "dim": dim,
+            "n_primary_train": n_primary_train,
+            "n_aux": n_aux,
+            "total_batches": total_batches,
+            "batch_size": batch_size,
+            "batches_per_round": batches_per_round,
+        }
+        for name, value in positive.items():
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if n_primary_heldout < 2:
+            # The metric divides by the held-out label variance, which is 0
+            # for a single row.
+            raise ValueError(f"n_primary_heldout must be at least 2, got {n_primary_heldout}")
         if not (math.isfinite(learning_rate) and learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.task_profile = profile
@@ -143,8 +156,8 @@ class SharedParamMtlEnv:
 
         data_rng = np.random.default_rng(derive_seed(data_seed, "mtl-data"))
         self.w_star = data_rng.standard_normal(dim)
-        self._x: list[np.ndarray] = []
-        self._y: list[np.ndarray] = []
+        xs: list[np.ndarray] = []
+        ys: list[np.ndarray] = []
         for k, kind in enumerate(profile):
             if kind == "primary":
                 n = n_primary_train
@@ -160,8 +173,14 @@ class SharedParamMtlEnv:
                 label_noise = aux_label_noise
             x = data_rng.standard_normal((n, dim))
             y = x @ w_task + label_noise * data_rng.standard_normal(n)
-            self._x.append(x)
-            self._y.append(y)
+            xs.append(x)
+            ys.append(y)
+        # Every task's training set stacked into one array; task k owns rows
+        # _offsets[k] : _offsets[k] + _sizes[k].
+        self._x = np.concatenate(xs)
+        self._y = np.concatenate(ys)
+        self._sizes = np.array([len(y) for y in ys])
+        self._offsets = np.cumsum(self._sizes) - self._sizes
         self._x_heldout = data_rng.standard_normal((n_primary_heldout, dim))
         self._y_heldout = self._x_heldout @ self.w_star
         self._heldout_var = float(np.var(self._y_heldout))
@@ -177,19 +196,28 @@ class SharedParamMtlEnv:
         self._w = np.zeros(self.dim)
         self._rng = np.random.default_rng(seed)
 
-    def _sgd_batch(self, task_id: int, rng: np.random.Generator, w: np.ndarray) -> None:
-        x, y = self._x[task_id], self._y[task_id]
-        idx = rng.integers(0, x.shape[0], size=self.batch_size)
-        xb, yb = x[idx], y[idx]
-        grad = xb.T @ (xb @ w - yb) / self.batch_size
-        w -= self.learning_rate * grad
+    def _sgd(self, task_ids: np.ndarray, rng: np.random.Generator, w: np.ndarray) -> None:
+        """Run one mini-batch of task ``task_ids[b]`` for each b, updating ``w``.
+
+        Every batch's row indices come from one ``integers`` call with
+        per-element bounds, which consumes ``rng`` exactly as one call per
+        batch would, and one fancy index gathers them; the update itself
+        stays one batch at a time.
+        """
+        bs, lr = self.batch_size, self.learning_rate
+        idx = rng.integers(0, np.repeat(self._sizes[task_ids], bs))
+        idx += np.repeat(self._offsets[task_ids], bs)
+        xs = self._x[idx].reshape(len(task_ids), bs, self.dim)
+        ys = self._y[idx].reshape(len(task_ids), bs)
+        for xb, yb in zip(xs, ys):
+            grad = xb.T @ (xb @ w - yb) / bs
+            w -= lr * grad
 
     def step(self, task_id: int) -> None:
         """Train one round (``batches_per_round`` mini-batches) of one task."""
         if not (0 <= task_id < self.n_tasks):
             raise ValueError(f"task_id {task_id} out of range for {self.n_tasks} tasks")
-        for _ in range(self.batches_per_round):
-            self._sgd_batch(task_id, self._rng, self._w)
+        self._sgd(np.full(self.batches_per_round, task_id), self._rng, self._w)
 
     def _metric_of(self, w: np.ndarray) -> float:
         mse = float(np.mean((self._x_heldout @ w - self._y_heldout) ** 2))
@@ -207,11 +235,9 @@ class SharedParamMtlEnv:
         """
         if ratio.n_tasks != self.n_tasks:
             raise ValueError(f"ratio has {ratio.n_tasks} entries for {self.n_tasks} tasks")
-        cycle = ratio_cycle(ratio.counts)
-        rng = np.random.default_rng(seed)
+        task_ids = np.resize(ratio_cycle(ratio.counts), self.total_batches)
         w = np.zeros(self.dim)
-        for b in range(self.total_batches):
-            self._sgd_batch(cycle[b % len(cycle)], rng, w)
+        self._sgd(task_ids, np.random.default_rng(seed), w)
         return self._metric_of(w)
 
 

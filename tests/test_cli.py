@@ -124,6 +124,19 @@ def test_run_bad_override_is_usage_error(config_file, tmp_path, capsys):
     assert "bandit.gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override", ["total_batches=0", "learning_rate=-1", "n_primary_heldout=1"]
+)
+def test_run_bad_shared_linear_override_is_usage_error(tmp_path, capsys, override):
+    config_file = tmp_path / "linear.yaml"
+    config_file.write_text("environment:\n  family: shared-linear\n", encoding="utf-8")
+    out_dir = tmp_path / "x"
+    rc = run_cli("run", config_file, "--out", out_dir, "--set", f"environment.{override}")
+    assert rc == EXIT_USAGE
+    assert f"environment.{override.split('=')[0]}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_refuses_non_empty_dir_without_force(config_file, tmp_path, capsys):
     out_dir = tmp_path / "busy"
     out_dir.mkdir()

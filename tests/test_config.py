@@ -105,6 +105,26 @@ def test_invariant_errors_name_the_dotted_key():
         normalize({"environment": {"family": "planted", "theta_star": [0.5, 1.5]}})
 
 
+@pytest.mark.parametrize(
+    "family, key, value",
+    [
+        ("planted", "score_noise", -0.1),
+        ("shared-linear", "task_profile", ["useful", "primary"]),
+        ("shared-linear", "task_profile", ["primary", "mystery"]),
+        ("shared-linear", "dim", 0),
+        ("shared-linear", "n_primary_train", 0),
+        ("shared-linear", "n_primary_heldout", 1),
+        ("shared-linear", "n_aux", 0),
+        ("shared-linear", "total_batches", 0),
+        ("shared-linear", "batch_size", 0),
+        ("shared-linear", "learning_rate", -1),
+    ],
+)
+def test_environment_invariant_errors_name_the_key(family, key, value):
+    with pytest.raises(ConfigError, match=f"'environment.{key}'"):
+        normalize({"environment": {"family": family, key: value}})
+
+
 def test_bool_is_not_an_int():
     with pytest.raises(ConfigError, match="'bandit.n_rounds'"):
         normalize({"bandit": {"n_rounds": True}})

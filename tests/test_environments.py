@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from auxmix.environments import (
     PLANTED_METRIC_INCREMENT,
@@ -14,7 +16,7 @@ from auxmix.environments import (
     SharedParamMtlEnv,
     make_environment,
 )
-from auxmix.mixing import MixingRatio
+from auxmix.mixing import MixingRatio, ratio_cycle
 
 # ----------------------------------------------------------------- planted
 
@@ -143,6 +145,8 @@ def test_shared_linear_validates_profile():
         SharedParamMtlEnv(learning_rate=0.0)
     with pytest.raises(ValueError):
         SharedParamMtlEnv(total_batches=0)
+    with pytest.raises(ValueError, match="n_primary_heldout"):
+        SharedParamMtlEnv(n_primary_heldout=1)
 
 
 def test_shared_linear_metric_zero_at_reset():
@@ -196,15 +200,113 @@ class _RecordingEnv(SharedParamMtlEnv):
         super().__init__(**kw)
         self.batches = []
 
-    def _sgd_batch(self, task_id, rng, w):
-        self.batches.append(task_id)
-        super()._sgd_batch(task_id, rng, w)
+    def _sgd(self, task_ids, rng, w):
+        self.batches.extend(task_ids.tolist())
+        super()._sgd(task_ids, rng, w)
 
 
 def test_shared_linear_cycle_order_is_blockwise():
     env = _RecordingEnv(task_profile=("primary", "useful"), total_batches=8)
     env.train_full(MixingRatio(counts=(2, 1)), seed=0)
     assert env.batches == [0, 0, 1, 0, 0, 1, 0, 0]
+
+
+# The per-batch loop the batched ``_sgd`` replaced, kept as the oracle: one
+# ``integers`` call, one gather and one update per mini-batch.
+def _reference_batch(x, y, batch_size, learning_rate, rng, w):
+    idx = rng.integers(0, x.shape[0], size=batch_size)
+    xb, yb = x[idx], y[idx]
+    grad = xb.T @ (xb @ w - yb) / batch_size
+    w -= learning_rate * grad
+
+
+class _WeightsEnv(SharedParamMtlEnv):
+    """Records the weights each metric is computed from."""
+
+    def _metric_of(self, w):
+        self.last_w = w.copy()
+        return super()._metric_of(w)
+
+
+_ORACLE_KW = dict(
+    task_profile=("primary", "useful", "harmful", "useful"),
+    n_primary_train=48,
+    n_aux=256,
+    total_batches=97,
+    batch_size=5,
+    batches_per_round=7,
+)
+
+
+def _oracle_env():
+    env = _WeightsEnv(**_ORACLE_KW)
+    # Per-task training sets, split by the sizes the constructor was given
+    # rather than by the environment's own offsets.
+    sizes = [_ORACLE_KW["n_primary_train"]] + [_ORACLE_KW["n_aux"]] * (env.n_tasks - 1)
+    cuts = np.cumsum(sizes)[:-1]
+    return env, np.split(env._x, cuts), np.split(env._y, cuts)
+
+
+def _oracle_ratios():
+    rng = np.random.default_rng(2024)
+    ratios = [
+        (1, 0, 0, 0),  # primary only
+        (3, 0, 2, 0),  # a single auxiliary
+        (40, 30, 20, 10),  # one cycle is longer than total_batches
+        (5, 5, 5, 5),  # 97 batches end inside the fifth cycle
+    ]
+    while len(ratios) < 30:
+        ratios.append((int(rng.integers(1, 21)), *(int(c) for c in rng.integers(0, 21, size=3))))
+    return ratios
+
+
+@pytest.mark.parametrize("seed, counts", list(enumerate(_oracle_ratios())))
+def test_train_full_equals_per_batch_reference(seed, counts):
+    env, xs, ys = _oracle_env()
+    score = env.train_full(MixingRatio(counts=counts), seed)
+
+    cycle = ratio_cycle(counts)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(env.dim)
+    for b in range(env.total_batches):
+        k = cycle[b % len(cycle)]
+        _reference_batch(xs[k], ys[k], env.batch_size, env.learning_rate, rng, w)
+    assert env.last_w.tobytes() == w.tobytes()
+    assert score == env._metric_of(w)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_step_sequence_equals_per_batch_reference(seed):
+    env, xs, ys = _oracle_env()
+    env.reset(seed)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(env.dim)
+    tasks = np.random.default_rng(seed + 100).integers(0, env.n_tasks, size=30)
+    for k in tasks:
+        env.step(int(k))
+        for _ in range(env.batches_per_round):
+            _reference_batch(xs[k], ys[k], env.batch_size, env.learning_rate, rng, w)
+        assert env._w.tobytes() == w.tobytes()
+    assert env.validation_metric() == env._metric_of(w)
+
+
+@given(
+    bounds=st.lists(
+        st.one_of(st.integers(1, 300), st.integers(1, 2**40)), min_size=1, max_size=12
+    ),
+    batch_size=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_element_bounds_consume_the_stream_like_per_batch_calls(bounds, batch_size, seed):
+    """``_sgd`` rests on this: one draw with per-element bounds is the
+    concatenation of one draw per batch, and leaves the generator in the
+    same state."""
+    batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    one_call = batched.integers(0, np.repeat(bounds, batch_size))
+    per_batch = np.concatenate([looped.integers(0, b, size=batch_size) for b in bounds])
+    assert np.array_equal(one_call, per_batch)
+    assert batched.bit_generator.state == looped.bit_generator.state
+    assert batched.integers(0, 48) == looped.integers(0, 48)
 
 
 def test_shared_linear_useful_aux_is_nearly_free():
