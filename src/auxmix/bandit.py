@@ -148,6 +148,18 @@ def compute_reward(metric_now: float, metric_prev: float) -> int:
     return 1 if metric_now >= metric_prev else 0
 
 
+def _posterior_step(
+    alpha: np.ndarray, beta: np.ndarray, selected_arm: int, reward: int, config: BanditConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`update_posterior`; returns new ``(alpha, beta)`` arrays."""
+    g = config.gamma
+    alpha = (1.0 - g) * alpha + g * config.alpha0
+    beta = (1.0 - g) * beta + g * config.beta0
+    alpha[selected_arm] += reward
+    beta[selected_arm] += 1 - reward
+    return alpha, beta
+
+
 def update_posterior(
     arms: Sequence[BetaArm], selected_arm: int, reward: int, config: BanditConfig
 ) -> list[BetaArm]:
@@ -161,16 +173,17 @@ def update_posterior(
         raise ValueError(f"selected_arm {selected_arm} out of range for {len(arms)} arms")
     if reward not in (0, 1):
         raise ValueError(f"reward must be 0 or 1, got {reward!r}")
-    g = config.gamma
-    out = []
-    for k, arm in enumerate(arms):
-        alpha = (1.0 - g) * arm.alpha + g * config.alpha0
-        beta = (1.0 - g) * arm.beta + g * config.beta0
-        if k == selected_arm:
-            alpha += reward
-            beta += 1 - reward
-        out.append(BetaArm(alpha=alpha, beta=beta, task_id=arm.task_id))
-    return out
+    alpha, beta = _posterior_step(
+        np.array([a.alpha for a in arms], dtype=float),
+        np.array([a.beta for a in arms], dtype=float),
+        selected_arm,
+        reward,
+        config,
+    )
+    return [
+        BetaArm(alpha=a, beta=b, task_id=arm.task_id)
+        for a, b, arm in zip(alpha.tolist(), beta.tolist(), arms)
+    ]
 
 
 def select_tasks(arms: Sequence[BetaArm], config: BanditConfig) -> TaskSelection:
@@ -208,7 +221,9 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     Each round: sample a utility per arm, train one round of the winning
     task, score the primary validation metric, convert it to the binary
     improved-or-maintained reward, and update all arms.  With
-    ``n_rounds == 0`` the selection falls out of the priors alone.
+    ``n_rounds == 0`` the selection falls out of the priors alone.  The
+    beliefs live in two arrays for the whole loop; the :class:`BetaArm`
+    objects are built once, for :func:`select_tasks`.
 
     Raises
     ------
@@ -217,6 +232,8 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
         ``reset`` on; the partial log rides along on the exception.
     """
     arms = initial_arms(config)
+    alpha = np.array([a.alpha for a in arms], dtype=float)
+    beta = np.array([a.beta for a in arms], dtype=float)
     log = RunLog()
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
     try:
@@ -225,24 +242,26 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     except Exception as exc:
         raise RunAborted(f"environment failed before stage-1 round 0: {exc}", log=log) from exc
     for t in range(config.n_rounds):
-        thetas = sample_utilities(arms, rng)
-        k = select_arm(thetas)
+        thetas = rng.beta(alpha, beta)
+        k = int(np.argmax(thetas))
         try:
             env.step(k)
             metric_now = _finite_metric(env)
         except Exception as exc:
             raise RunAborted(f"environment failed at stage-1 round {t}: {exc}", log=log) from exc
         reward = compute_reward(metric_now, metric_prev)
-        arms = update_posterior(arms, k, reward, config)
+        alpha, beta = _posterior_step(alpha, beta, k, reward, config)
         log.append(
             round=t,
-            sampled_thetas=[float(x) for x in thetas],
+            sampled_thetas=thetas.tolist(),
             selected_arm=k,
             reward=reward,
             metric=metric_now,
-            arms_after=[[a.alpha, a.beta] for a in arms],
+            arms_after=np.column_stack((alpha, beta)).tolist(),
         )
         metric_prev = metric_now
+    final = zip(alpha.tolist(), beta.tolist())
+    arms = [BetaArm(alpha=a, beta=b, task_id=k) for k, (a, b) in enumerate(final)]
     return select_tasks(arms, config), log
 
 

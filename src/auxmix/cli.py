@@ -17,7 +17,7 @@ from pathlib import Path
 from .bandit import BetaArm
 from .config import ConfigError, dump_config, load_config, to_pipeline_config
 from .pipeline import run_pipeline, write_density_csv, write_outputs
-from .runlog import RunAborted, make_header, read_jsonl
+from .runlog import RunAborted, loads_line, make_header, read_jsonl, split_log
 
 OUTPUT_ROOT_ENV = "AUTOSEM_OUT"
 
@@ -218,10 +218,20 @@ def _regenerate_log_lines(header: dict, kind: str) -> list[str]:
     return report.stage2_log.lines(new_header)
 
 
+def _divergence_site(found: list[str], i: int, path: str) -> str:
+    """Name the first differing line ``i``; only that line is decoded."""
+    if i == 0:
+        return "header"
+    if i >= len(found):
+        return f"round {i - 1}"  # line missing from a truncated file
+    record = loads_line(found[i], i + 1, path)
+    logged = record.get("round", i - 1) if isinstance(record, dict) else i - 1
+    return f"round {logged}"
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
-        raw = Path(args.runlog).read_text(encoding="utf-8")
-        header, records = read_jsonl(args.runlog)
+        header, found = split_log(Path(args.runlog).read_text(encoding="utf-8"), args.runlog)
     except (OSError, ValueError) as exc:
         print(f"error: cannot replay {args.runlog}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -238,18 +248,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"replay aborted mid-run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    found = [ln for ln in raw.split("\n") if ln.strip()]
     n = max(len(found), len(expected))
     for i in range(n):
         got = found[i] if i < len(found) else "<missing line>"
         want = expected[i] if i < len(expected) else "<missing line>"
         if got != want:
-            if i == 0:
-                where = "header"
-            elif i - 1 < len(records):
-                where = f"round {records[i - 1].get('round', i - 1)}"
-            else:
-                where = f"round {i - 1}"  # line missing from a truncated file
+            try:
+                where = _divergence_site(found, i, args.runlog)
+            except ValueError as exc:
+                print(f"error: cannot replay {args.runlog}: {exc}", file=sys.stderr)
+                return EXIT_USAGE
             print(f"divergence at {where} (line {i + 1} of {args.runlog})", file=sys.stderr)
             return EXIT_RUNTIME
     print(f"replay ok: {len(found)} lines reproduced bit-identically")

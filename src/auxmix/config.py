@@ -138,10 +138,12 @@ def _normalize_section(
     return out
 
 
+# The key whose length fixes each family's task count, and so bandit.n_tasks.
+_TASK_LIST_KEY = {"planted": "theta_star", "shared-linear": "task_profile"}
+
+
 def _env_n_tasks(env: dict) -> int:
-    if env["family"] == "planted":
-        return len(env["theta_star"])
-    return len(env["task_profile"])
+    return len(env[_TASK_LIST_KEY[env["family"]]])
 
 
 def normalize(raw: dict | None) -> dict:
@@ -213,9 +215,10 @@ def normalize(raw: dict | None) -> dict:
         "bandit": bandit,
         "stage2": stage2,
     }
-    # Constructing the dataclasses runs their own invariant checks; translate
-    # failures into key-named diagnostics.
-    _build_stage_configs(normalized)
+    # Constructing the dataclasses and the environment runs their own
+    # invariant checks; translate failures into key-named diagnostics.
+    bandit_config, _ = _build_stage_configs(normalized)
+    _check_environment(environment, bandit_config.batches_per_round)
     return normalized
 
 
@@ -239,7 +242,14 @@ def _build_stage_configs(normalized: dict) -> tuple[BanditConfig, Stage2Config]:
     try:
         bandit = BanditConfig(**normalized["bandit"])
     except ValueError as exc:
-        raise ConfigError(_invariant_key("bandit", _BANDIT_FIELDS, str(exc)), str(exc)) from exc
+        key, problem = _invariant_key("bandit", _BANDIT_FIELDS, str(exc)), str(exc)
+        if key == "bandit.n_tasks":
+            # n_tasks equals the environment's task count by now, so the
+            # environment's task list is what has to change.
+            env = normalized["environment"]
+            key = f"environment.{_TASK_LIST_KEY[env['family']]}"
+            problem = f"the environment defines {_env_n_tasks(env)} task(s): {problem}"
+        raise ConfigError(key, problem) from exc
     try:
         stage2 = Stage2Config(**normalized["stage2"])
     except ValueError as exc:
@@ -249,15 +259,19 @@ def _build_stage_configs(normalized: dict) -> tuple[BanditConfig, Stage2Config]:
             "bandit.primary_task_id",
             "the synthetic environments define task 0 as primary; must be 0",
         )
-    # Building the environment runs its constructor's checks, so a bad
-    # setting fails here, named, instead of part-way through a run.
-    env = normalized["environment"]
+    return bandit, stage2
+
+
+def _check_environment(env: dict, batches_per_round: int) -> None:
+    """Build the environment once so its constructor's checks run at load time.
+
+    A bad setting then fails here, named, instead of part-way through a run.
+    """
     try:
-        make_environment(env, bandit.batches_per_round)
+        make_environment(env, batches_per_round)
     except ValueError as exc:
         key = _invariant_key("environment", _ENV_FIELDS[env["family"]], str(exc))
         raise ConfigError(key, str(exc)) from exc
-    return bandit, stage2
 
 
 def to_pipeline_config(normalized: dict) -> PipelineConfig:

@@ -42,12 +42,23 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
+_LEAVES = (float, int, str, bool, type(None))
+
+
 def jsonable(obj: Any) -> Any:
-    """Recursively convert numpy scalars and arrays to plain Python values."""
+    """Recursively convert numpy scalars and arrays to plain Python values.
+
+    Leaves whose exact type is ``float``, ``int``, ``str``, ``bool`` or
+    ``None`` come back as they are.  The check is on the exact type because
+    ``np.float64`` subclasses ``float`` and must still be converted.
+    """
+    if type(obj) in _LEAVES:
+        return obj
+    # Containers test their leaves inline, saving a call per float.
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {str(k): v if type(v) in _LEAVES else jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return [v if type(v) in _LEAVES else jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating,)):
@@ -59,13 +70,17 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
+def _dumps(plain: Any) -> str:
+    return json.dumps(plain, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(record: dict) -> str:
     """Serialize ``record`` to the canonical JSON form used in run logs.
 
     Keys are sorted and separators carry no whitespace, so equal records
     always serialize to equal byte strings.
     """
-    return json.dumps(jsonable(record), sort_keys=True, separators=(",", ":"))
+    return _dumps(jsonable(record))
 
 
 class RunAborted(RuntimeError):
@@ -92,9 +107,14 @@ class RunAborted(RuntimeError):
 
 @dataclass
 class RunLog:
-    """Ordered collection of per-round records for one controller stage."""
+    """Ordered collection of per-round records for one controller stage.
 
-    records: list[dict] = field(default_factory=list)
+    :meth:`append` is the only way in: it normalizes each record once with
+    :func:`jsonable`, so :meth:`lines` can serialize the stored records
+    without walking them again.
+    """
+
+    records: list[dict] = field(default_factory=list, init=False)
 
     def append(self, **fields: Any) -> dict:
         record = jsonable(fields)
@@ -113,7 +133,7 @@ class RunLog:
         out = []
         if header is not None:
             out.append(canonical_dumps(header))
-        out.extend(canonical_dumps(r) for r in self.records)
+        out.extend(map(_dumps, self.records))
         return out
 
     def write_jsonl(self, path: str | Path, header: dict | None = None) -> Path:
@@ -133,6 +153,36 @@ def make_header(kind: str, config: dict, **extra: Any) -> dict:
     return jsonable(header)
 
 
+def loads_line(text: str, lineno: int, path: str | Path) -> Any:
+    """Decode one line of a run log; ``lineno`` counts from 1 and names it in errors."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON on line {lineno} of {path}: {exc}") from exc
+
+
+def split_log(raw: str, path: str | Path) -> tuple[dict, list[str]]:
+    """Parse and check a run log's header; return it with all non-blank lines.
+
+    Only the first line is parsed, so callers that compare lines as text
+    (replay) never decode the records.  The returned lines include the
+    header line.
+
+    Raises
+    ------
+    ValueError
+        If the text holds no line, the first line is not valid JSON, or it
+        is not a header record.
+    """
+    lines = [ln for ln in raw.split("\n") if ln.strip()]
+    if not lines:
+        raise ValueError(f"empty run log: {path}")
+    header = loads_line(lines[0], 1, path)
+    if not isinstance(header, dict) or "schema_version" not in header or "kind" not in header:
+        raise ValueError(f"missing log header on line 1 of {path}")
+    return header, lines
+
+
 def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
     """Read a run log, returning ``(header, records)``.
 
@@ -142,17 +192,5 @@ def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
         If the file is empty, a line is not valid JSON, or the first line is
         not a header record.
     """
-    raw = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in raw.split("\n") if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty run log: {path}")
-    docs = []
-    for i, ln in enumerate(lines):
-        try:
-            docs.append(json.loads(ln))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON on line {i + 1} of {path}: {exc}") from exc
-    header = docs[0]
-    if not isinstance(header, dict) or "schema_version" not in header or "kind" not in header:
-        raise ValueError(f"missing log header on line 1 of {path}")
-    return header, docs[1:]
+    header, lines = split_log(Path(path).read_text(encoding="utf-8"), path)
+    return header, [loads_line(ln, i, path) for i, ln in enumerate(lines[1:], 2)]

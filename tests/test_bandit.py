@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -23,8 +24,8 @@ from auxmix.bandit import (
     update_posterior,
     utility_density_table,
 )
-from auxmix.environments import PlantedBanditEnv
-from auxmix.runlog import RunAborted
+from auxmix.environments import PlantedBanditEnv, SharedParamMtlEnv
+from auxmix.runlog import RunAborted, RunLog, derive_seed
 
 
 def make_config(**kw):
@@ -308,6 +309,76 @@ def test_run_stage1_two_tasks_keeps_useless_auxiliary_via_top_two():
     sel, _ = run_stage1(PlantedBanditEnv([0.8, 0.0]), cfg)
     assert sel.selected_task_ids == (0, 1)
     assert sel.expected_utilities[1] < 0.5
+
+
+def _reference_stage1(env, config):
+    """The stage-1 loop over BetaArm lists, as it was before the array-backed
+    loop: one sample, selection and posterior update per round through the
+    public scalar API."""
+    arms = initial_arms(config)
+    log = RunLog()
+    rng = np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
+    env.reset(derive_seed(config.rng_seed, "stage1-env"))
+    metric_prev = float(env.validation_metric())
+    for t in range(config.n_rounds):
+        thetas = sample_utilities(arms, rng)
+        k = select_arm(thetas)
+        env.step(k)
+        metric_now = float(env.validation_metric())
+        reward = compute_reward(metric_now, metric_prev)
+        arms = update_posterior(arms, k, reward, config)
+        log.append(
+            round=t,
+            sampled_thetas=[float(x) for x in thetas],
+            selected_arm=k,
+            reward=reward,
+            metric=metric_now,
+            arms_after=[[a.alpha, a.beta] for a in arms],
+        )
+        metric_prev = metric_now
+    return select_tasks(arms, config), log
+
+
+def _oracle_env(family, n_tasks):
+    if family == "planted":
+        return PlantedBanditEnv(np.linspace(0.9, 0.1, n_tasks).tolist(), score_noise=0.05)
+    kinds = itertools.cycle(["useful", "harmful"])
+    profile = ["primary"] + [next(kinds) for _ in range(n_tasks - 1)]
+    return SharedParamMtlEnv(
+        profile, dim=4, n_primary_train=32, n_primary_heldout=16, n_aux=32,
+        primary_label_noise=0.3, batches_per_round=2,
+    )
+
+
+@pytest.mark.parametrize("family", ["planted", "shared-linear"])
+@pytest.mark.parametrize("n_tasks", [2, 10])
+@pytest.mark.parametrize("n_rounds", [0, 1, 300])
+@pytest.mark.parametrize("gamma", [0.0, 0.02, 1.0])
+@pytest.mark.parametrize("boost", [0.0, 2.0])
+def test_run_stage1_matches_reference_loop(family, n_tasks, n_rounds, gamma, boost):
+    cfg = make_config(
+        n_tasks=n_tasks, n_rounds=n_rounds, gamma=gamma, primary_prior_boost=boost,
+        batches_per_round=2, rng_seed=n_tasks * 1000 + n_rounds,
+    )
+    want_sel, want_log = _reference_stage1(_oracle_env(family, n_tasks), cfg)
+    got_sel, got_log = run_stage1(_oracle_env(family, n_tasks), cfg)
+    assert got_log.records == want_log.records
+    assert got_log.lines() == want_log.lines()
+    assert got_sel == want_sel
+    assert len(got_log) == n_rounds
+
+
+@pytest.mark.parametrize("reward", [0, 1])
+def test_update_posterior_matches_scalar_formula(reward):
+    cfg = make_config(n_tasks=4, gamma=0.3, alpha0=1.5, beta0=0.5)
+    arms = [BetaArm(2.0 + k, 1.0 + 0.5 * k, task_id=k) for k in range(4)]
+    out = update_posterior(arms, 2, reward, cfg)
+    for k, (old, new) in enumerate(zip(arms, out)):
+        hit = k == 2
+        assert new.alpha == (1.0 - 0.3) * old.alpha + 0.3 * 1.5 + (reward if hit else 0)
+        assert new.beta == (1.0 - 0.3) * old.beta + 0.3 * 0.5 + (1 - reward if hit else 0)
+        assert new.task_id == old.task_id
+        assert type(new.alpha) is float and type(new.beta) is float
 
 
 class FailingEnv:

@@ -137,6 +137,24 @@ def test_run_bad_shared_linear_override_is_usage_error(tmp_path, capsys, overrid
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("environment.theta_star=[0.9]", "environment.theta_star"),
+        ("environment.task_profile=[primary]", "environment.task_profile"),
+    ],
+)
+def test_run_single_task_environment_names_its_task_list(tmp_path, capsys, override, key):
+    family = "planted" if "theta_star" in key else "shared-linear"
+    config_file = tmp_path / "one-task.yaml"
+    config_file.write_text(f"environment:\n  family: {family}\n", encoding="utf-8")
+    out_dir = tmp_path / "x"
+    assert run_cli("run", config_file, "--out", out_dir, "--set", override) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "bandit.n_tasks" not in err
+    assert not out_dir.exists()
+
+
 def test_run_refuses_non_empty_dir_without_force(config_file, tmp_path, capsys):
     out_dir = tmp_path / "busy"
     out_dir.mkdir()
@@ -285,6 +303,36 @@ def test_replay_detects_flipped_record(finished_run, capsys):
     err = capsys.readouterr().err
     assert "divergence at round 2" in err
     assert "line 4" in err
+
+
+def test_replay_names_malformed_first_divergent_line(finished_run, capsys):
+    log = finished_run / "stage1.log.jsonl"
+    lines = log.read_text(encoding="utf-8").strip().split("\n")
+    lines[5] = lines[5][:-1]  # cut the closing brace
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("replay", log) == EXIT_USAGE
+    assert "malformed JSON on line 6" in capsys.readouterr().err
+
+
+def test_replay_reports_divergence_before_a_later_malformed_line(finished_run, capsys):
+    log = finished_run / "stage1.log.jsonl"
+    lines = log.read_text(encoding="utf-8").strip().split("\n")
+    record = json.loads(lines[2])
+    record["reward"] = 1 - record["reward"]
+    lines[2] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    lines[6] = "not json"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("replay", log) == EXIT_RUNTIME
+    assert "divergence at round 1 (line 3" in capsys.readouterr().err
+
+
+def test_replay_header_only_log(config_file, tmp_path, capsys):
+    out_dir = tmp_path / "prior-only"
+    assert run_cli("run", config_file, "--out", out_dir, "--set", "bandit.n_rounds=0") == EXIT_OK
+    log = out_dir / "stage1.log.jsonl"
+    assert len(log.read_text(encoding="utf-8").strip().split("\n")) == 1
+    assert run_cli("replay", log) == EXIT_OK
+    assert "replay ok: 1 lines" in capsys.readouterr().out
 
 
 def test_replay_detects_truncated_log(finished_run, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 import yaml
 
+from auxmix import config as config_module
 from auxmix.config import (
     CONFIG_SCHEMA_VERSION,
     ConfigError,
@@ -162,6 +163,44 @@ def test_n_tasks_explicit_match_accepted():
         }
     )
     assert cfg["bandit"]["n_tasks"] == 2
+
+
+@pytest.mark.parametrize(
+    "environment, key",
+    [
+        ({"family": "planted", "theta_star": [0.9]}, "environment.theta_star"),
+        ({"family": "shared-linear", "task_profile": ["primary"]}, "environment.task_profile"),
+    ],
+)
+def test_single_task_environment_blames_its_task_list(environment, key):
+    """n_tasks is derived from the environment, so a one-task environment is
+    the key to fix, also when n_tasks is restated to agree with it."""
+    for bandit in ({}, {"n_tasks": 1}):
+        with pytest.raises(ConfigError, match=f"'{key}'") as info:
+            normalize({"environment": environment, "bandit": bandit})
+        assert info.value.key == key
+        assert "defines 1 task" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "environment",
+    [
+        {"family": "planted"},
+        {"family": "shared-linear", "dim": 4, "n_primary_train": 16, "n_aux": 16},
+    ],
+)
+def test_loading_builds_the_environment_once(monkeypatch, environment):
+    built = []
+    real = config_module.make_environment
+
+    def counting(settings, batches_per_round=10):
+        built.append(settings["family"])
+        return real(settings, batches_per_round)
+
+    monkeypatch.setattr(config_module, "make_environment", counting)
+    pc = to_pipeline_config(normalize({"environment": environment}))
+    assert built == [environment["family"]]
+    assert pc.environment["family"] == environment["family"]
 
 
 # -------------------------------------------------------------- overrides

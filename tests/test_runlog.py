@@ -15,6 +15,7 @@ from auxmix.runlog import (
     jsonable,
     make_header,
     read_jsonl,
+    split_log,
 )
 
 # Frozen against the protocol definition (first 8 bytes, little-endian, of
@@ -87,6 +88,64 @@ def test_runlog_append_and_lines():
     assert lines == ['{"reward":1,"round":0}', '{"reward":0,"round":1}']
 
 
+def _numpy_fields(i):
+    return dict(
+        round=np.int64(i),
+        metric=np.float64(0.1 * i + 1e-17),
+        reward=np.bool_(i % 2),
+        thetas=np.linspace(0.0, 1.0, 3) + i,
+        arms_after=np.column_stack((np.arange(3.0), np.ones(3))),
+        nested=(np.float32(0.5), (np.int32(i), [np.float64(2.5), "tag", None]), True),
+        plain=[1, 2.25, False],
+    )
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _leaves(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+def test_runlog_lines_equal_canonical_dumps_of_numpy_records():
+    log = RunLog()
+    raw = [_numpy_fields(i) for i in range(4)]
+    for fields in raw:
+        log.append(**fields)
+    assert log.lines() == [canonical_dumps(r) for r in log.records]
+    assert log.lines() == [canonical_dumps(f) for f in raw]
+    header = make_header("stage1", {"seed": np.int64(3)})
+    assert log.lines(header) == [canonical_dumps(header)] + log.lines()
+
+
+def test_runlog_stores_only_plain_python_leaves():
+    log = RunLog()
+    for i in range(3):
+        log.append(**_numpy_fields(i))
+    leaf_types = {type(x) for r in log.records for x in _leaves(r)}
+    assert leaf_types <= {float, int, bool, str, type(None)}
+    assert {float, int, bool} <= leaf_types
+    assert all(type(v) is list for r in log.records for v in r.values() if isinstance(v, list))
+
+
+def test_jsonable_keeps_plain_leaves_and_converts_numpy_subclasses():
+    for leaf in (0.25, 7, "s", True, None):
+        assert jsonable(leaf) is leaf
+    out = jsonable(np.float64(0.1))
+    assert type(out) is float and out == 0.1
+    assert type(jsonable(np.int64(2**40))) is int
+    assert type(jsonable(np.bool_(False))) is bool
+
+
+def test_runlog_records_come_only_through_append():
+    with pytest.raises(TypeError):
+        RunLog(records=[{"round": np.int64(0)}])
+
+
 def test_runlog_write_and_read_roundtrip(tmp_path):
     log = RunLog()
     log.append(round=0, metric=0.5)
@@ -115,6 +174,16 @@ def test_read_jsonl_rejects_empty_and_malformed(tmp_path):
     headerless.write_text('{"round":0}\n')
     with pytest.raises(ValueError, match="header"):
         read_jsonl(headerless)
+
+
+def test_split_log_parses_only_the_header(tmp_path):
+    text = '{"kind":"stage1","schema_version":1}\n\nnot json\n{"round":0}\n'
+    header, lines = split_log(text, "log.jsonl")
+    assert header == {"kind": "stage1", "schema_version": 1}
+    assert lines == ['{"kind":"stage1","schema_version":1}', "not json", '{"round":0}']
+    for bad, match in (("", "empty"), ("{oops\n", "line 1"), ('{"round":0}\n', "header")):
+        with pytest.raises(ValueError, match=match):
+            split_log(bad, "log.jsonl")
 
 
 def test_run_aborted_carries_partial_state():
