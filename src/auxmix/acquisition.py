@@ -83,7 +83,6 @@ class HedgeState:
 
     gains: tuple[float, float, float] = (0.0, 0.0, 0.0)
     eta: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if len(self.gains) != len(ACQUISITIONS):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bandit import BetaArm
 from .config import ConfigError, dump_config, load_config, to_pipeline_config
-from .pipeline import run_pipeline, write_density_csv, write_outputs
+from .pipeline import PIPELINE_MODES, run_pipeline, write_density_csv, write_outputs
 from .runlog import RunAborted, loads_line, make_header, read_jsonl, split_log
 
 OUTPUT_ROOT_ENV = "AUTOSEM_OUT"
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory for this run")
     p_run.add_argument(
         "--mode",
-        choices=("full", "no_stage1", "no_stage2"),
+        choices=PIPELINE_MODES,
         default=None,
         help="override the config's pipeline mode",
     )

@@ -9,17 +9,19 @@ serialization unchanged.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import yaml
 
 from .bandit import BanditConfig
-from .environments import make_environment
+from .environments import ENVIRONMENT_CLASSES, make_environment
 from .mixing import Stage2Config
-from .pipeline import PIPELINE_MODES, PipelineConfig
+from .pipeline import PipelineConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -65,56 +67,46 @@ def _str_list(key: str, value: Any) -> list[str]:
     return [_as_str(f"{key}[{i}]", v) for i, v in enumerate(value)]
 
 
-# Each field: (default, coercer). Key order here is the canonical order of
-# the normalized form. A default of _REQUIRED means the key must be present.
-_REQUIRED = object()
-
+# Each field: (default, coercer); key order is the canonical order of the
+# normalized form.  A default of None means the key is omitted unless given.
 Field = tuple[Any, Callable[[str, Any], Any]]
 
-_BANDIT_FIELDS: dict[str, Field] = {
-    "n_tasks": (None, _as_int),  # derived from the environment when omitted
-    "alpha0": (1.0, _as_float),
-    "beta0": (1.0, _as_float),
-    "gamma": (0.02, _as_float),
-    "primary_prior_boost": (2.0, _as_float),
-    "primary_task_id": (0, _as_int),
-    "n_rounds": (200, _as_int),
-    "batches_per_round": (10, _as_int),
-    "rng_seed": (0, _as_int),
+# Coercer per annotation, as the string that ``from __future__ import
+# annotations`` leaves on the dataclasses and environment constructors.
+_COERCERS: dict[str, Callable[[str, Any], Any]] = {
+    "int": _as_int,
+    "float": _as_float,
+    "Sequence[float]": _float_list,
+    "Sequence[str]": _str_list,
 }
 
-_STAGE2_FIELDS: dict[str, Field] = {
-    "n_samples": (20, _as_int),
-    "n_initial": (5, _as_int),
-    "ratio_max": (20, _as_int),
-    "rng_seed": (0, _as_int),
-    "nu": (2.5, _as_float),
-    "ucb_lambda": (2.0, _as_float),
-    "hedge_eta": (1.0, _as_float),
-    "pool_size": (256, _as_int),
-}
 
-_ENV_FIELDS: dict[str, dict[str, Field]] = {
-    "planted": {
-        "theta_star": ([0.8, 0.9, 0.1], _float_list),
-        "score_noise": (0.01, _as_float),
-    },
-    "shared-linear": {
-        "task_profile": (["primary", "useful", "harmful"], _str_list),
-        "dim": (16, _as_int),
-        "n_primary_train": (256, _as_int),
-        "n_primary_heldout": (256, _as_int),
-        "n_aux": (128, _as_int),
-        "total_batches": (2000, _as_int),
-        "batch_size": (8, _as_int),
-        "learning_rate": (0.05, _as_float),
-        "primary_label_noise": (0.0, _as_float),
-        "aux_label_noise": (0.0, _as_float),
-        "useful_shift": (0.1, _as_float),
-        "harmful_scale": (1.5, _as_float),
-        "data_seed": (0, _as_int),
-    },
-}
+def _field(owner: type, name: str, annotation: Any, default: Any) -> Field:
+    if annotation not in _COERCERS:
+        raise TypeError(f"{owner.__name__}.{name}: no config coercer for {annotation!r}")
+    return default, _COERCERS[annotation]
+
+
+def _dataclass_fields(cls: type) -> dict[str, Field]:
+    return {
+        f.name: _field(cls, f.name, f.type, None if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _constructor_fields(cls: type) -> dict[str, Field]:
+    """The constructor's parameters, less ``batches_per_round``, which
+    :func:`make_environment` takes from the bandit section."""
+    return {
+        p.name: _field(cls, p.name, p.annotation, None if p.default is p.empty else p.default)
+        for p in inspect.signature(cls).parameters.values()
+        if p.name != "batches_per_round"
+    }
+
+
+_BANDIT_FIELDS = _dataclass_fields(BanditConfig)  # n_tasks: derived from the environment
+_STAGE2_FIELDS = _dataclass_fields(Stage2Config)
+_ENV_FIELDS = {family: _constructor_fields(cls) for family, cls in ENVIRONMENT_CLASSES.items()}
 
 
 def _normalize_section(
@@ -131,8 +123,6 @@ def _normalize_section(
     for key, (default, coerce) in fields.items():
         if key in raw:
             out[key] = coerce(f"{prefix}.{key}", raw[key])
-        elif default is _REQUIRED:
-            raise ConfigError(f"{prefix}.{key}", "required key is missing")
         elif default is not None:
             out[key] = coerce(f"{prefix}.{key}", default)
     return out
@@ -171,10 +161,7 @@ def normalize(raw: dict | None) -> dict:
             "schema_version", f"unsupported version {version}; this build reads {CONFIG_SCHEMA_VERSION}"
         )
 
-    mode = raw.get("mode", "full")
-    mode = _as_str("mode", mode)
-    if mode not in PIPELINE_MODES:
-        raise ConfigError("mode", f"must be one of {list(PIPELINE_MODES)}, got {mode!r}")
+    mode = _as_str("mode", raw.get("mode", "full"))
 
     output_dir = raw.get("output_dir")
     if output_dir is not None:
@@ -217,49 +204,28 @@ def normalize(raw: dict | None) -> dict:
     }
     # Constructing the dataclasses and the environment runs their own
     # invariant checks; translate failures into key-named diagnostics.
-    bandit_config, _ = _build_stage_configs(normalized)
-    _check_environment(environment, bandit_config.batches_per_round)
+    pipeline_config = to_pipeline_config(normalized)
+    _check_environment(environment, pipeline_config.bandit.batches_per_round)
     return normalized
 
 
-def _invariant_key(section: str, fields: dict[str, Field], message: str) -> str:
-    """Best-effort dotted key for a dataclass invariant failure.
+def _invariant_key(keys: Iterable[str], message: str, default: str) -> str:
+    """Best-effort dotted key for an invariant failure.
 
-    Blames the field whose name appears earliest in the message, matched on
-    word boundaries so short names cannot hit inside longer words.
+    Blames the key whose last component appears earliest in the message,
+    matched on word boundaries so short names cannot hit inside longer
+    words; ``default`` when none appears.
     """
     hits = []
-    for name in fields:
-        m = re.search(rf"\b{re.escape(name)}\b", message)
+    for key in keys:
+        m = re.search(rf"\b{re.escape(key.rpartition('.')[2])}\b", message)
         if m:
-            hits.append((m.start(), name))
-    if hits:
-        return f"{section}.{min(hits)[1]}"
-    return section
+            hits.append((m.start(), key))
+    return min(hits)[1] if hits else default
 
 
-def _build_stage_configs(normalized: dict) -> tuple[BanditConfig, Stage2Config]:
-    try:
-        bandit = BanditConfig(**normalized["bandit"])
-    except ValueError as exc:
-        key, problem = _invariant_key("bandit", _BANDIT_FIELDS, str(exc)), str(exc)
-        if key == "bandit.n_tasks":
-            # n_tasks equals the environment's task count by now, so the
-            # environment's task list is what has to change.
-            env = normalized["environment"]
-            key = f"environment.{_TASK_LIST_KEY[env['family']]}"
-            problem = f"the environment defines {_env_n_tasks(env)} task(s): {problem}"
-        raise ConfigError(key, problem) from exc
-    try:
-        stage2 = Stage2Config(**normalized["stage2"])
-    except ValueError as exc:
-        raise ConfigError(_invariant_key("stage2", _STAGE2_FIELDS, str(exc)), str(exc)) from exc
-    if bandit.primary_task_id != 0:
-        raise ConfigError(
-            "bandit.primary_task_id",
-            "the synthetic environments define task 0 as primary; must be 0",
-        )
-    return bandit, stage2
+def _section_keys(section: str, fields: dict[str, Field]) -> list[str]:
+    return [f"{section}.{name}" for name in fields]
 
 
 def _check_environment(env: dict, batches_per_round: int) -> None:
@@ -270,21 +236,47 @@ def _check_environment(env: dict, batches_per_round: int) -> None:
     try:
         make_environment(env, batches_per_round)
     except ValueError as exc:
-        key = _invariant_key("environment", _ENV_FIELDS[env["family"]], str(exc))
-        raise ConfigError(key, str(exc)) from exc
+        keys = _section_keys("environment", _ENV_FIELDS[env["family"]])
+        raise ConfigError(_invariant_key(keys, str(exc), "environment"), str(exc)) from exc
 
 
 def to_pipeline_config(normalized: dict) -> PipelineConfig:
-    """Turn a normalized config dict into the runnable dataclass."""
-    bandit, stage2 = _build_stage_configs(normalized)
-    return PipelineConfig(
-        bandit=bandit,
-        stage2=stage2,
-        environment=dict(normalized["environment"]),
-        mode=normalized["mode"],
-        output_dir=normalized["output_dir"],
-        normalized=normalized,
-    )
+    """Turn a normalized config dict into the runnable dataclass.
+
+    Raises
+    ------
+    ConfigError
+        Naming the key whose dataclass invariant fails.
+    """
+    try:
+        bandit = BanditConfig(**normalized["bandit"])
+    except ValueError as exc:
+        key = _invariant_key(_section_keys("bandit", _BANDIT_FIELDS), str(exc), "bandit")
+        problem = str(exc)
+        if key == "bandit.n_tasks":
+            # n_tasks equals the environment's task count by now, so the
+            # environment's task list is what has to change.
+            env = normalized["environment"]
+            key = f"environment.{_TASK_LIST_KEY[env['family']]}"
+            problem = f"the environment defines {_env_n_tasks(env)} task(s): {problem}"
+        raise ConfigError(key, problem) from exc
+    try:
+        stage2 = Stage2Config(**normalized["stage2"])
+    except ValueError as exc:
+        key = _invariant_key(_section_keys("stage2", _STAGE2_FIELDS), str(exc), "stage2")
+        raise ConfigError(key, str(exc)) from exc
+    try:
+        return PipelineConfig(
+            bandit=bandit,
+            stage2=stage2,
+            environment=dict(normalized["environment"]),
+            mode=normalized["mode"],
+            output_dir=normalized["output_dir"],
+            normalized=normalized,
+        )
+    except ValueError as exc:
+        key = _invariant_key(("mode", "bandit.primary_task_id"), str(exc), "<root>")
+        raise ConfigError(key, str(exc)) from exc
 
 
 def apply_overrides(raw: dict, overrides: dict[str, str]) -> dict:

@@ -33,7 +33,7 @@ class PlantedBanditEnv:
 
     def __init__(
         self,
-        theta_star: Sequence[float],
+        theta_star: Sequence[float] = (0.8, 0.9, 0.1),
         score_noise: float = 0.01,
     ):
         theta = [float(t) for t in theta_star]
@@ -241,7 +241,8 @@ class SharedParamMtlEnv:
         return self._metric_of(w)
 
 
-ENVIRONMENT_FAMILIES = ("planted", "shared-linear")
+ENVIRONMENT_CLASSES = {"planted": PlantedBanditEnv, "shared-linear": SharedParamMtlEnv}
+ENVIRONMENT_FAMILIES = tuple(ENVIRONMENT_CLASSES)
 
 
 def make_environment(settings: dict, batches_per_round: int = 10):
@@ -253,10 +254,11 @@ def make_environment(settings: dict, batches_per_round: int = 10):
     """
     settings = dict(settings)
     family = settings.pop("family", None)
-    if family == "planted":
-        return PlantedBanditEnv(**settings)
-    if family == "shared-linear":
-        return SharedParamMtlEnv(batches_per_round=batches_per_round, **settings)
-    raise ValueError(
-        f"unknown environment family {family!r}; expected one of {ENVIRONMENT_FAMILIES}"
-    )
+    if family not in ENVIRONMENT_FAMILIES:
+        raise ValueError(
+            f"unknown environment family {family!r}; expected one of {ENVIRONMENT_FAMILIES}"
+        )
+    cls = ENVIRONMENT_CLASSES[family]
+    if cls is SharedParamMtlEnv:
+        settings["batches_per_round"] = batches_per_round
+    return cls(**settings)

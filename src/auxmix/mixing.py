@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -227,6 +227,7 @@ def propose_next(
 def train_score(
     env: Stage2Environment,
     ratio: MixingRatio,
+    task_ids: Sequence[int],
     seed: int,
     where: str,
     log: RunLog,
@@ -234,11 +235,14 @@ def train_score(
 ) -> float:
     """Score of one full training under ``ratio``, inside the abort boundary.
 
-    An exception from the environment, or a score that is not finite, ends
-    the run as :class:`RunAborted` carrying ``log`` and ``records``.
+    ``ratio`` covers ``task_ids`` and is spread onto the environment's full
+    task vector first.  An exception from the environment, or a score that
+    is not finite, ends the run as :class:`RunAborted` carrying ``log`` and
+    ``records``.
     """
+    env_ratio = expand_to_tasks(ratio, task_ids, env.n_tasks)
     try:
-        score = float(env.train_full(ratio, seed))
+        score = float(env.train_full(env_ratio, seed))
     except Exception as exc:
         raise RunAborted(f"environment failed {where}: {exc}", log=log, records=records) from exc
     if not math.isfinite(score):
@@ -248,13 +252,51 @@ def train_score(
     return score
 
 
-def run_stage2(
-    env: Stage2Environment, tasks: TaskSelection, config: Stage2Config
-) -> tuple[EvaluationRecord, list[EvaluationRecord], RunLog]:
-    """Evaluate ``n_samples`` mixing ratios and return the best one found.
+# One stage-2 proposal: the ratio, the acquisition that chose it, and the GP
+# posterior mean and std at it (None when no model proposed it).
+Proposal = tuple[MixingRatio, str, float | None, float | None]
 
-    The first ``n_initial`` ratios are uniform random draws from the valid
-    grid; the rest come from :func:`propose_next` against a GP refitted on
+
+def _gp_proposals(
+    n_tasks: int, config: Stage2Config, records: Sequence[EvaluationRecord]
+) -> Iterator[Proposal]:
+    """Uniform random ratios for ``n_initial`` rounds, then GP-Hedge proposals.
+
+    Each proposal comes from a GP refitted on ``records``, the evaluation
+    history that :func:`run_stage2` extends before asking for the next one.
+    """
+    rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
+    for _ in range(config.n_initial):
+        yield random_ratio(n_tasks, config.ratio_max, rng), "random", None, None
+    hedge = HedgeState(eta=config.hedge_eta)
+    for _ in range(config.n_initial, config.n_samples):
+        xs = np.array([encode(r.ratio, config.ratio_max) for r in records])
+        model = fit(xs, np.array([r.score for r in records]), nu=config.nu)
+        ratio, acq, hedge = propose_next(
+            model,
+            hedge,
+            config.pool_size,
+            rng,
+            ratio_max=config.ratio_max,
+            ucb_lambda=config.ucb_lambda,
+        )
+        post = posterior_at(model, encode(ratio, config.ratio_max))
+        yield ratio, acq, post.mean, post.std
+
+
+def run_stage2(
+    env: Stage2Environment,
+    tasks: TaskSelection,
+    config: Stage2Config,
+    proposals: Iterable[Proposal] | None = None,
+) -> tuple[EvaluationRecord, list[EvaluationRecord], RunLog]:
+    """Evaluate a budget of mixing ratios and return the best one found.
+
+    ``proposals`` yields ``(ratio, acquisition, posterior_mean,
+    posterior_std)`` per round, each ratio over the selected tasks; every
+    one is evaluated and logged.  By default the first ``n_initial`` ratios
+    are uniform random draws from the valid grid and the rest, up to
+    ``n_samples``, come from :func:`propose_next` against a GP refitted on
     the full history before each proposal.  Every evaluation trains from
     scratch under a fresh seed derived from ``(rng_seed, "eval", round)``,
     so a duplicate ratio is genuinely re-evaluated.  Best record ties break
@@ -262,42 +304,23 @@ def run_stage2(
 
     Raises
     ------
+    ValueError
+        For a proposed ratio above ``ratio_max`` or of the wrong width.
     RunAborted
         On environment failure or a non-finite score; partial records and
         log ride on the exception.
     """
     task_ids = tasks.selected_task_ids
-    k = len(task_ids)
-    rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
-    hedge = HedgeState(eta=config.hedge_eta, rng_seed=config.rng_seed)
     records: list[EvaluationRecord] = []
     log = RunLog()
-    xs: list[np.ndarray] = []
-    ys: list[float] = []
+    if proposals is None:
+        proposals = _gp_proposals(len(task_ids), config, records)
     best_score = -math.inf
-    for t in range(config.n_samples):
-        if t < config.n_initial:
-            ratio = random_ratio(k, config.ratio_max, rng)
-            acq = "random"
-            post_mean = post_std = None
-        else:
-            model = fit(np.array(xs), np.array(ys), nu=config.nu)
-            ratio, acq, hedge = propose_next(
-                model,
-                hedge,
-                config.pool_size,
-                rng,
-                ratio_max=config.ratio_max,
-                ucb_lambda=config.ucb_lambda,
-            )
-            post = posterior_at(model, encode(ratio, config.ratio_max))
-            post_mean, post_std = post.mean, post.std
+    for t, (ratio, acq, post_mean, post_std) in enumerate(proposals):
+        validate_ratio(ratio, config.ratio_max)
         seed = derive_seed(config.rng_seed, "eval", t)
-        env_ratio = expand_to_tasks(ratio, task_ids, env.n_tasks)
-        score = train_score(env, env_ratio, seed, f"at stage-2 round {t}", log, records)
+        score = train_score(env, ratio, task_ids, seed, f"at stage-2 round {t}", log, records)
         records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
-        xs.append(encode(ratio, config.ratio_max))
-        ys.append(score)
         best_score = max(best_score, score)
         log.append(
             round=t,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -31,10 +30,8 @@ from .mixing import (
     EvaluationRecord,
     MixingRatio,
     Stage2Config,
-    expand_to_tasks,
     run_stage2,
     train_score,
-    validate_ratio,
 )
 from .runlog import RunAborted, RunLog, derive_seed, jsonable, make_header
 
@@ -122,34 +119,6 @@ def _arms_from_log(log: RunLog, config: BanditConfig) -> tuple[tuple[float, floa
     return tuple((arm.alpha, arm.beta) for arm in initial_arms(config))
 
 
-def _grid_stage2(
-    env, tasks: TaskSelection, config: Stage2Config
-) -> tuple[EvaluationRecord, list[EvaluationRecord], RunLog]:
-    """Evaluate the manual grid under the same seed protocol as the GP loop."""
-    grid = manual_ratio_grid(len(tasks.selected_task_ids) - 1, config.n_samples, config.ratio_max)
-    records: list[EvaluationRecord] = []
-    log = RunLog()
-    best_score = -math.inf
-    for t, ratio in enumerate(grid):
-        validate_ratio(ratio, config.ratio_max)
-        seed = derive_seed(config.rng_seed, "eval", t)
-        env_ratio = expand_to_tasks(ratio, tasks.selected_task_ids, env.n_tasks)
-        score = train_score(env, env_ratio, seed, f"at grid round {t}", log, records)
-        records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
-        best_score = max(best_score, score)
-        log.append(
-            round=t,
-            proposed_ratio=list(ratio.counts),
-            acquisition_used="grid",
-            posterior_mean=None,
-            posterior_std=None,
-            score=score,
-            incumbent=best_score,
-        )
-    best = max(records, key=lambda r: r.score)
-    return best, records, log
-
-
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Execute one full run and return its report.
 
@@ -179,18 +148,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             exc.stage_logs = {"stage1": exc.log, "stage2": RunLog()}
             raise
 
-    baseline_ratio = MixingRatio(tuple([1] + [0] * (len(selection.selected_task_ids) - 1)))
-    baseline_env_ratio = expand_to_tasks(
-        baseline_ratio, selection.selected_task_ids, env.n_tasks
-    )
+    task_ids = selection.selected_task_ids
+    proposals = None
+    if config.mode == "no_stage2":
+        stage2 = config.stage2
+        grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
+        proposals = ((ratio, "grid", None, None) for ratio in grid)
     try:
-        if config.mode == "no_stage2":
-            best, records, stage2_log = _grid_stage2(env, selection, config.stage2)
-        else:
-            best, records, stage2_log = run_stage2(env, selection, config.stage2)
+        best, records, stage2_log = run_stage2(env, selection, config.stage2, proposals)
         baseline_score = train_score(
             env,
-            baseline_env_ratio,
+            MixingRatio(tuple([1] + [0] * (len(task_ids) - 1))),
+            task_ids,
             derive_seed(config.stage2.rng_seed, "baseline"),
             "on the baseline run",
             stage2_log,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -15,6 +18,7 @@ from auxmix.config import (
     normalize,
     to_pipeline_config,
 )
+from auxmix.environments import ENVIRONMENT_FAMILIES
 from auxmix.pipeline import run_pipeline
 
 
@@ -35,6 +39,69 @@ def test_normalize_is_idempotent():
     assert normalize(cfg) == cfg
 
 
+BANDIT_DEFAULTS = {
+    "n_tasks": 3,
+    "alpha0": 1.0,
+    "beta0": 1.0,
+    "gamma": 0.02,
+    "primary_prior_boost": 2.0,
+    "primary_task_id": 0,
+    "n_rounds": 200,
+    "batches_per_round": 10,
+    "rng_seed": 0,
+}
+STAGE2_DEFAULTS = {
+    "n_samples": 20,
+    "n_initial": 5,
+    "ratio_max": 20,
+    "rng_seed": 0,
+    "nu": 2.5,
+    "ucb_lambda": 2.0,
+    "hedge_eta": 1.0,
+    "pool_size": 256,
+}
+NORMALIZED_DEFAULTS = {
+    "planted": {
+        "schema_version": 1,
+        "mode": "full",
+        "output_dir": None,
+        "environment": {"family": "planted", "theta_star": [0.8, 0.9, 0.1], "score_noise": 0.01},
+        "bandit": BANDIT_DEFAULTS,
+        "stage2": STAGE2_DEFAULTS,
+    },
+    "shared-linear": {
+        "schema_version": 1,
+        "mode": "full",
+        "output_dir": None,
+        "environment": {
+            "family": "shared-linear",
+            "task_profile": ["primary", "useful", "harmful"],
+            "dim": 16,
+            "n_primary_train": 256,
+            "n_primary_heldout": 256,
+            "n_aux": 128,
+            "total_batches": 2000,
+            "batch_size": 8,
+            "learning_rate": 0.05,
+            "primary_label_noise": 0.0,
+            "aux_label_noise": 0.0,
+            "useful_shift": 0.1,
+            "harmful_scale": 1.5,
+            "data_seed": 0,
+        },
+        "bandit": BANDIT_DEFAULTS,
+        "stage2": STAGE2_DEFAULTS,
+    },
+}
+
+
+def _ordered(value):
+    """Nested dicts as item lists, so == also compares key order."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    return value
+
+
 def test_normalize_orders_keys_canonically():
     cfg = normalize({"stage2": {"rng_seed": 7, "n_samples": 10}})
     assert list(cfg) == ["schema_version", "mode", "output_dir", "environment", "bandit", "stage2"]
@@ -48,6 +115,51 @@ def test_normalize_orders_keys_canonically():
         "hedge_eta",
         "pool_size",
     ]
+    # Every default, key order included, of both families' empty configs.
+    assert _ordered(normalize({})) == _ordered(NORMALIZED_DEFAULTS["planted"])
+    for family, expected in NORMALIZED_DEFAULTS.items():
+        cfg = normalize({"environment": {"family": family}})
+        assert _ordered(cfg) == _ordered(expected)
+        assert [type(v) for v in cfg["environment"].values()] == [
+            type(v) for v in expected["environment"].values()
+        ]
+
+
+def test_schema_refuses_an_annotation_without_a_coercer():
+    @dataclasses.dataclass(frozen=True)
+    class Knobs:
+        depth: int = 3
+        table: dict = None
+
+    with pytest.raises(TypeError, match="Knobs.table"):
+        config_module._dataclass_fields(Knobs)
+
+
+def _readme_config_block() -> dict:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1]
+    return yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("family", ENVIRONMENT_FAMILIES)
+def test_readme_config_reference_matches_the_defaults(family):
+    """The README documents each key once with its default; both environment
+    families share its one ``environment`` block."""
+    documented = _readme_config_block()
+    documented_env = documented.pop("environment")
+    cfg = normalize({"environment": {"family": family}})
+    env = cfg.pop("environment")
+    assert documented == cfg
+    assert documented_env["family"] == normalize({})["environment"]["family"]
+    for key, value in env.items():
+        if key != "family":
+            assert documented_env[key] == value, key
+    every_family_key = {
+        key
+        for f in ENVIRONMENT_FAMILIES
+        for key in normalize({"environment": {"family": f}})["environment"]
+    }
+    assert set(documented_env) == every_family_key
 
 
 def test_normalized_config_round_trips_through_yaml():
@@ -81,6 +193,15 @@ def test_schema_version_mismatch_rejected():
 def test_bad_mode_rejected():
     with pytest.raises(ConfigError, match="'mode'"):
         normalize({"mode": "both"})
+    with pytest.raises(ConfigError, match="'mode'"):
+        normalize({"mode": "primary_task_id"})
+
+
+@pytest.mark.parametrize("primary", [1, 2, 5])
+def test_primary_task_other_than_zero_rejected(primary):
+    with pytest.raises(ConfigError, match="'bandit.primary_task_id'") as info:
+        normalize({"bandit": {"primary_task_id": primary}})
+    assert info.value.key == "bandit.primary_task_id"
 
 
 def test_bad_family_rejected():

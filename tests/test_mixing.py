@@ -360,6 +360,42 @@ def test_run_stage2_is_deterministic():
     assert lines1 == lines2
 
 
+def test_run_stage2_evaluates_explicit_proposals_in_order():
+    env = SeedEchoEnv(n_tasks=4)
+    tasks = TaskSelection(selected_task_ids=(0, 3), expected_utilities=(1.0, 0.6))
+    cfg = Stage2Config(n_samples=20, n_initial=5, ratio_max=6, rng_seed=31)
+    proposals = [
+        (MixingRatio((2, 0)), "grid", None, None),
+        (MixingRatio((6, 6)), "ei", 0.25, 0.5),
+        (MixingRatio((1, 3)), "grid", None, None),
+        (MixingRatio((1, 3)), "grid", None, None),
+    ]
+    best, records, log = run_stage2(env, tasks, cfg, iter(proposals))
+    assert [r.ratio for r in records] == [p[0] for p in proposals]
+    assert [r.seed for r in records] == [derive_seed(31, "eval", t) for t in range(4)]
+    assert [s for _, s in env.seen] == [r.seed for r in records]
+    assert [r.counts for r, _ in env.seen] == [(2, 0, 0, 0), (6, 0, 0, 6)] + [(1, 0, 0, 3)] * 2
+    assert [
+        (line["acquisition_used"], line["posterior_mean"], line["posterior_std"])
+        for line in log.records
+    ] == [p[1:] for p in proposals]
+    assert [line["round"] for line in log.records] == [0, 1, 2, 3]
+    assert best is max(records, key=lambda r: r.score)
+
+
+def test_run_stage2_rejects_a_proposal_above_ratio_max():
+    env = SeedEchoEnv(n_tasks=2)
+    tasks = TaskSelection(selected_task_ids=(0, 1), expected_utilities=(1.0, 0.6))
+    cfg = Stage2Config(n_samples=6, n_initial=2, ratio_max=5)
+    proposals = [
+        (MixingRatio((1, 5)), "grid", None, None),
+        (MixingRatio((1, 6)), "grid", None, None),
+    ]
+    with pytest.raises(ValueError, match="exceeds ratio_max=5"):
+        run_stage2(env, tasks, cfg, proposals)
+    assert [r.counts for r, _ in env.seen] == [(1, 5)]
+
+
 def test_run_stage2_aborts_with_partial_history():
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=0)
     with pytest.raises(RunAborted) as info:

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from auxmix.bandit import BanditConfig
-from auxmix.mixing import MixingRatio, Stage2Config
+from auxmix.environments import make_environment
+from auxmix.mixing import (
+    EvaluationRecord,
+    MixingRatio,
+    Stage2Config,
+    expand_to_tasks,
+    validate_ratio,
+)
 from auxmix.pipeline import (
     PIPELINE_MODES,
     PipelineConfig,
@@ -17,7 +25,7 @@ from auxmix.pipeline import (
     run_pipeline,
     write_outputs,
 )
-from auxmix.runlog import RunAborted, read_jsonl
+from auxmix.runlog import RunAborted, RunLog, derive_seed, read_jsonl
 
 PLANTED2 = {"family": "planted", "theta_star": [0.9, 0.1]}
 PLANTED3 = {"family": "planted", "theta_star": [0.9, 0.8, 0.1]}
@@ -136,6 +144,77 @@ def test_no_stage2_grid_matches_selection_width():
         assert rec.ratio.n_tasks == n_sel
 
 
+def _reference_grid_stage2(env, tasks, config):
+    """The separate grid loop ``no_stage2`` ran before it became a proposal
+    list for ``run_stage2``; kept as the oracle for that path."""
+    grid = manual_ratio_grid(len(tasks.selected_task_ids) - 1, config.n_samples, config.ratio_max)
+    records = []
+    log = RunLog()
+    best_score = -math.inf
+    for t, ratio in enumerate(grid):
+        validate_ratio(ratio, config.ratio_max)
+        seed = derive_seed(config.rng_seed, "eval", t)
+        env_ratio = expand_to_tasks(ratio, tasks.selected_task_ids, env.n_tasks)
+        score = float(env.train_full(env_ratio, seed))
+        records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
+        best_score = max(best_score, score)
+        log.append(
+            round=t,
+            proposed_ratio=list(ratio.counts),
+            acquisition_used="grid",
+            posterior_mean=None,
+            posterior_std=None,
+            score=score,
+            incumbent=best_score,
+        )
+    best = max(records, key=lambda r: r.score)
+    return best, records, log
+
+
+@pytest.mark.parametrize(
+    "env, ratio_max",
+    [
+        (PLANTED2, 20),
+        (PLANTED3, 20),
+        (PLANTED3, 4),
+        ({"family": "planted", "theta_star": [0.9, 0.9, 0.8, 0.7, 0.6, 0.1]}, 20),
+        ({"family": "planted", "theta_star": [0.9, 0.9, 0.8, 0.7, 0.6, 0.1]}, 7),
+        (
+            {
+                "family": "shared-linear",
+                "task_profile": ["primary", "useful", "harmful", "useful"],
+                "dim": 4,
+                "n_primary_train": 32,
+                "n_aux": 32,
+                "total_batches": 120,
+            },
+            20,
+        ),
+    ],
+)
+def test_no_stage2_matches_the_reference_grid_loop(env, ratio_max):
+    widths = set()
+    for seed in (0, 1, 2, 7):
+        n_tasks = len(env.get("theta_star") or env["task_profile"])
+        cfg = PipelineConfig(
+            bandit=BanditConfig(n_tasks=n_tasks, n_rounds=40, rng_seed=seed),
+            stage2=Stage2Config(n_samples=9, n_initial=3, ratio_max=ratio_max, rng_seed=seed),
+            environment=env,
+            mode="no_stage2",
+        )
+        report = run_pipeline(cfg)
+        widths.add(len(report.selection.selected_task_ids))
+        best, records, log = _reference_grid_stage2(
+            make_environment(env, cfg.bandit.batches_per_round), report.selection, cfg.stage2
+        )
+        assert list(report.evaluations) == records
+        assert report.stage2_log.records == log.records
+        assert report.stage2_log.lines() == log.lines()
+        assert (report.best_ratio, report.best_score) == (best.ratio, best.score)
+    if len(env.get("theta_star", ())) == 6:
+        assert len(widths) > 1  # the selection width varies with the seed
+
+
 # ------------------------------------------------------- budget accounting
 
 class CountingPlanted:
@@ -172,7 +251,7 @@ def test_baseline_is_primary_only_and_always_runs():
 
     import unittest.mock as mock
 
-    with mock.patch.object(environments, "PlantedBanditEnv", Spy):
+    with mock.patch.dict(environments.ENVIRONMENT_CLASSES, {"planted": Spy}):
         for mode in PIPELINE_MODES:
             seen.clear()
             report = run_pipeline(make_config(mode=mode))
