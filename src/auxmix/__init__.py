@@ -55,7 +55,7 @@ from .mixing import (
 )
 from .environments import PlantedBanditEnv, SharedParamMtlEnv, make_environment
 from .pipeline import PipelineConfig, PipelineReport, run_pipeline, write_outputs
-from .runlog import RunAborted, RunLog, canonical_dumps, derive_seed
+from .runlog import RunAborted, RunLog, SettingError, canonical_dumps, derive_seed
 
 __version__ = "0.1.0"
 
@@ -74,6 +74,7 @@ __all__ = [
     "Posterior",
     "RunAborted",
     "RunLog",
+    "SettingError",
     "SharedParamMtlEnv",
     "Stage2Config",
     "TaskSelection",

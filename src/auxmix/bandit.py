@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .runlog import RunAborted, RunLog, derive_seed
+from .runlog import RunAborted, RunLog, SettingError, derive_seed
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,29 @@ class BanditConfig:
 
     def __post_init__(self):
         if self.n_tasks < 2:
-            raise ValueError(f"n_tasks must be at least 2, got {self.n_tasks}")
+            raise SettingError("n_tasks", f"n_tasks must be at least 2, got {self.n_tasks}")
         if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
+            raise SettingError("alpha0", f"alpha0 must be positive, got {self.alpha0}")
         if not (math.isfinite(self.beta0) and self.beta0 > 0):
-            raise ValueError(f"beta0 must be positive, got {self.beta0}")
+            raise SettingError("beta0", f"beta0 must be positive, got {self.beta0}")
         if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+            raise SettingError("gamma", f"gamma must lie in [0, 1], got {self.gamma}")
         if self.primary_prior_boost < 0:
-            raise ValueError(f"primary_prior_boost must be >= 0, got {self.primary_prior_boost}")
+            raise SettingError(
+                "primary_prior_boost",
+                f"primary_prior_boost must be >= 0, got {self.primary_prior_boost}",
+            )
         if not (0 <= self.primary_task_id < self.n_tasks):
-            raise ValueError(
-                f"primary_task_id must lie in [0, {self.n_tasks}), got {self.primary_task_id}"
+            raise SettingError(
+                "primary_task_id",
+                f"primary_task_id must lie in [0, {self.n_tasks}), got {self.primary_task_id}",
             )
         if self.n_rounds < 0:
-            raise ValueError(f"n_rounds must be >= 0, got {self.n_rounds}")
+            raise SettingError("n_rounds", f"n_rounds must be >= 0, got {self.n_rounds}")
         if self.batches_per_round < 1:
-            raise ValueError(f"batches_per_round must be >= 1, got {self.batches_per_round}")
+            raise SettingError(
+                "batches_per_round", f"batches_per_round must be >= 1, got {self.batches_per_round}"
+            )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,14 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bandit import BetaArm
-from .config import ConfigError, dump_config, load_config, to_pipeline_config
+from .config import (
+    ConfigError,
+    apply_overrides,
+    dump_config,
+    load_config,
+    normalize,
+    to_pipeline_config,
+)
 from .pipeline import PIPELINE_MODES, run_pipeline, write_density_csv, write_outputs
 from .runlog import RunAborted, loads_line, make_header, read_jsonl, split_log
 
@@ -137,8 +144,6 @@ def _execute_run(normalized: dict, run_dir: Path, force: bool, grid_size: int) -
 
 def _run_one_seed(job: tuple) -> tuple[int, int, str]:
     normalized, seed, run_dir_text, force, grid_size = job
-    from .config import apply_overrides, normalize  # local import keeps workers lean
-
     seeded = normalize(
         apply_overrides(normalized, {"bandit.rng_seed": str(seed), "stage2.rng_seed": str(seed)})
     )
@@ -154,9 +159,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         normalized = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.grid_size < 1:
-        print("error: --grid-size must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     run_dir = _resolve_run_dir(args.out, normalized["output_dir"], args.config)
 
@@ -189,9 +191,6 @@ def _arms_from_runlog(header: dict, records: list[dict]) -> list[BetaArm]:
 
 
 def cmd_plot_utilities(args: argparse.Namespace) -> int:
-    if args.grid_size < 1:
-        print("error: --grid-size must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         header, records = read_jsonl(args.runlog)
         arms = _arms_from_runlog(header, records)
@@ -205,8 +204,6 @@ def cmd_plot_utilities(args: argparse.Namespace) -> int:
 
 
 def _regenerate_log_lines(header: dict, kind: str) -> list[str]:
-    from .config import normalize
-
     config = header.get("config")
     if not isinstance(config, dict):
         raise ValueError("log header carries no config; cannot replay")
@@ -277,6 +274,9 @@ def cmd_validate_config(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "grid_size", 1) < 1:
+        print("error: --grid-size must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     if args.command == "run":
         return cmd_run(args)
     if args.command == "plot-utilities":

@@ -12,9 +12,8 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
-import re
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, TypeVar
 
 import yaml
 
@@ -22,6 +21,7 @@ from .bandit import BanditConfig
 from .environments import ENVIRONMENT_CLASSES, make_environment
 from .mixing import Stage2Config
 from .pipeline import PipelineConfig
+from .runlog import SettingError
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -203,41 +203,39 @@ def normalize(raw: dict | None) -> dict:
         "stage2": stage2,
     }
     # Constructing the dataclasses and the environment runs their own
-    # invariant checks; translate failures into key-named diagnostics.
-    pipeline_config = to_pipeline_config(normalized)
-    _check_environment(environment, pipeline_config.bandit.batches_per_round)
+    # invariant checks.  The environment is built once here so that a bad
+    # setting fails at load time, named, instead of part-way through a run.
+    to_pipeline_config(normalized)
+    _build(normalized, "environment", make_environment, environment, bandit["batches_per_round"])
     return normalized
 
 
-def _invariant_key(keys: Iterable[str], message: str, default: str) -> str:
-    """Best-effort dotted key for an invariant failure.
-
-    Blames the key whose last component appears earliest in the message,
-    matched on word boundaries so short names cannot hit inside longer
-    words; ``default`` when none appears.
-    """
-    hits = []
-    for key in keys:
-        m = re.search(rf"\b{re.escape(key.rpartition('.')[2])}\b", message)
-        if m:
-            hits.append((m.start(), key))
-    return min(hits)[1] if hits else default
+T = TypeVar("T")
 
 
-def _section_keys(section: str, fields: dict[str, Field]) -> list[str]:
-    return [f"{section}.{name}" for name in fields]
+def _build(
+    normalized: dict, section: str, make: Callable[..., T], /, *args: Any, **kwargs: Any
+) -> T:
+    """``make(*args, **kwargs)``, with a rejected setting reported under its key.
 
-
-def _check_environment(env: dict, batches_per_round: int) -> None:
-    """Build the environment once so its constructor's checks run at load time.
-
-    A bad setting then fails here, named, instead of part-way through a run.
+    A :class:`SettingError` becomes a :class:`ConfigError` for
+    ``section.field``; the top-level section ``"<root>"`` names dotted keys
+    as its fields.  Any other ``ValueError`` is reported under ``section``.
     """
     try:
-        make_environment(env, batches_per_round)
+        return make(*args, **kwargs)
+    except SettingError as exc:
+        key = exc.field if section == "<root>" else f"{section}.{exc.field}"
+        problem = str(exc)
+        if exc.field == "n_tasks":
+            # n_tasks equals the environment's task count by now, so the
+            # environment's task list is what has to change.
+            env = normalized["environment"]
+            key = f"environment.{_TASK_LIST_KEY[env['family']]}"
+            problem = f"the environment defines {_env_n_tasks(env)} task(s): {problem}"
+        raise ConfigError(key, problem) from exc
     except ValueError as exc:
-        keys = _section_keys("environment", _ENV_FIELDS[env["family"]])
-        raise ConfigError(_invariant_key(keys, str(exc), "environment"), str(exc)) from exc
+        raise ConfigError(section, str(exc)) from exc
 
 
 def to_pipeline_config(normalized: dict) -> PipelineConfig:
@@ -248,35 +246,18 @@ def to_pipeline_config(normalized: dict) -> PipelineConfig:
     ConfigError
         Naming the key whose dataclass invariant fails.
     """
-    try:
-        bandit = BanditConfig(**normalized["bandit"])
-    except ValueError as exc:
-        key = _invariant_key(_section_keys("bandit", _BANDIT_FIELDS), str(exc), "bandit")
-        problem = str(exc)
-        if key == "bandit.n_tasks":
-            # n_tasks equals the environment's task count by now, so the
-            # environment's task list is what has to change.
-            env = normalized["environment"]
-            key = f"environment.{_TASK_LIST_KEY[env['family']]}"
-            problem = f"the environment defines {_env_n_tasks(env)} task(s): {problem}"
-        raise ConfigError(key, problem) from exc
-    try:
-        stage2 = Stage2Config(**normalized["stage2"])
-    except ValueError as exc:
-        key = _invariant_key(_section_keys("stage2", _STAGE2_FIELDS), str(exc), "stage2")
-        raise ConfigError(key, str(exc)) from exc
-    try:
-        return PipelineConfig(
-            bandit=bandit,
-            stage2=stage2,
-            environment=dict(normalized["environment"]),
-            mode=normalized["mode"],
-            output_dir=normalized["output_dir"],
-            normalized=normalized,
-        )
-    except ValueError as exc:
-        key = _invariant_key(("mode", "bandit.primary_task_id"), str(exc), "<root>")
-        raise ConfigError(key, str(exc)) from exc
+    bandit = _build(normalized, "bandit", BanditConfig, **normalized["bandit"])
+    stage2 = _build(normalized, "stage2", Stage2Config, **normalized["stage2"])
+    return _build(
+        normalized,
+        "<root>",
+        PipelineConfig,
+        bandit=bandit,
+        stage2=stage2,
+        environment=dict(normalized["environment"]),
+        mode=normalized["mode"],
+        normalized=normalized,
+    )
 
 
 def apply_overrides(raw: dict, overrides: dict[str, str]) -> dict:

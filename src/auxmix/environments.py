@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .mixing import MixingRatio, ratio_cycle
-from .runlog import derive_seed
+from .runlog import SettingError, derive_seed
 
 PLANTED_METRIC_INCREMENT = 1e-3
 
@@ -38,11 +38,11 @@ class PlantedBanditEnv:
     ):
         theta = [float(t) for t in theta_star]
         if len(theta) < 1:
-            raise ValueError("theta_star must have at least one entry")
+            raise SettingError("theta_star", "theta_star must have at least one entry")
         if any(not (0.0 <= t <= 1.0) for t in theta):
-            raise ValueError(f"theta_star entries must lie in [0, 1], got {theta}")
+            raise SettingError("theta_star", f"theta_star entries must lie in [0, 1], got {theta}")
         if score_noise < 0:
-            raise ValueError(f"score_noise must be >= 0, got {score_noise}")
+            raise SettingError("score_noise", f"score_noise must be >= 0, got {score_noise}")
         self.theta_star = tuple(theta)
         self.score_noise = float(score_noise)
         self._rng = np.random.default_rng(0)
@@ -125,10 +125,13 @@ class SharedParamMtlEnv:
     ):
         profile = tuple(str(k) for k in task_profile)
         if len(profile) < 1 or profile[0] != "primary":
-            raise ValueError(f"task_profile must start with 'primary', got {profile}")
+            raise SettingError(
+                "task_profile", f"task_profile must start with 'primary', got {profile}"
+            )
         if any(k not in ("useful", "harmful") for k in profile[1:]):
-            raise ValueError(
-                f"task_profile auxiliary kinds must be 'useful' or 'harmful', got {profile}"
+            raise SettingError(
+                "task_profile",
+                f"task_profile auxiliary kinds must be 'useful' or 'harmful', got {profile}",
             )
         positive = {
             "dim": dim,
@@ -140,13 +143,18 @@ class SharedParamMtlEnv:
         }
         for name, value in positive.items():
             if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+                raise SettingError(name, f"{name} must be positive, got {value}")
         if n_primary_heldout < 2:
             # The metric divides by the held-out label variance, which is 0
             # for a single row.
-            raise ValueError(f"n_primary_heldout must be at least 2, got {n_primary_heldout}")
+            raise SettingError(
+                "n_primary_heldout",
+                f"n_primary_heldout must be at least 2, got {n_primary_heldout}",
+            )
         if not (math.isfinite(learning_rate) and learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+            raise SettingError(
+                "learning_rate", f"learning_rate must be positive, got {learning_rate}"
+            )
         self.task_profile = profile
         self.dim = int(dim)
         self.total_batches = int(total_batches)

@@ -276,27 +276,27 @@ def fit(
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise ValueError("points and observations must be finite")
     d = x.shape[1]
-    rng = np.random.default_rng(search_seed)
-
-    def log_uniform(lo: float, hi: float, size=None):
-        return np.exp(rng.uniform(math.log(lo), math.log(hi), size=size))
-
     midpoint = KernelParams(
         length_scales=tuple([math.sqrt(LENGTH_SCALE_BOUNDS[0] * LENGTH_SCALE_BOUNDS[1])] * d),
         signal_variance=math.sqrt(SIGNAL_VARIANCE_BOUNDS[0] * SIGNAL_VARIANCE_BOUNDS[1]),
         noise_variance=math.sqrt(NOISE_VARIANCE_BOUNDS[0] * NOISE_VARIANCE_BOUNDS[1]),
         nu=nu,
     )
-    candidates = [midpoint]
-    for _ in range(n_starts):
-        candidates.append(
-            KernelParams(
-                length_scales=tuple(log_uniform(*LENGTH_SCALE_BOUNDS, size=d)),
-                signal_variance=float(log_uniform(*SIGNAL_VARIANCE_BOUNDS)),
-                noise_variance=float(log_uniform(*NOISE_VARIANCE_BOUNDS)),
-                nu=nu,
-            )
+    # One row per candidate: d length scales, then signal and noise variance,
+    # drawn log-uniformly in that order from one call.
+    bounds = [LENGTH_SCALE_BOUNDS] * d + [SIGNAL_VARIANCE_BOUNDS, NOISE_VARIANCE_BOUNDS]
+    rng = np.random.default_rng(search_seed)
+    draws = rng.uniform(
+        [math.log(lo) for lo, _ in bounds],
+        [math.log(hi) for _, hi in bounds],
+        size=(n_starts, d + 2),
+    )
+    candidates = [midpoint] + [
+        KernelParams(
+            length_scales=tuple(row[:d]), signal_variance=row[d], noise_variance=row[d + 1], nu=nu
         )
+        for row in np.exp(draws).tolist()
+    ]
     return build_gp(x, y, _best_candidate(x, y, candidates))
 
 

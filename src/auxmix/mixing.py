@@ -27,7 +27,7 @@ from .acquisition import (
 )
 from .bandit import TaskSelection
 from .gp import GpModel, fit, posterior, posterior_at
-from .runlog import RunAborted, RunLog, derive_seed
+from .runlog import RunAborted, RunLog, SettingError, derive_seed
 
 DEFAULT_RATIO_MAX = 20
 DEFAULT_POOL_SIZE = 256
@@ -75,20 +75,21 @@ class Stage2Config:
 
     def __post_init__(self):
         if not (1 <= self.n_initial < self.n_samples):
-            raise ValueError(
+            raise SettingError(
+                "n_initial",
                 f"need 1 <= n_initial < n_samples, got n_initial={self.n_initial} "
-                f"n_samples={self.n_samples}"
+                f"n_samples={self.n_samples}",
             )
         if self.ratio_max < 1:
-            raise ValueError(f"ratio_max must be >= 1, got {self.ratio_max}")
+            raise SettingError("ratio_max", f"ratio_max must be >= 1, got {self.ratio_max}")
         if self.pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
+            raise SettingError("pool_size", f"pool_size must be >= 1, got {self.pool_size}")
         if self.nu not in (1.5, 2.5):
-            raise ValueError(f"nu must be 1.5 or 2.5, got {self.nu}")
+            raise SettingError("nu", f"nu must be 1.5 or 2.5, got {self.nu}")
         if self.ucb_lambda < 0:
-            raise ValueError(f"ucb_lambda must be >= 0, got {self.ucb_lambda}")
+            raise SettingError("ucb_lambda", f"ucb_lambda must be >= 0, got {self.ucb_lambda}")
         if not (math.isfinite(self.hedge_eta) and self.hedge_eta > 0):
-            raise ValueError(f"hedge_eta must be positive, got {self.hedge_eta}")
+            raise SettingError("hedge_eta", f"hedge_eta must be positive, got {self.hedge_eta}")
 
 
 @dataclass(frozen=True)
@@ -231,24 +232,20 @@ def train_score(
     seed: int,
     where: str,
     log: RunLog,
-    records: Sequence[EvaluationRecord],
 ) -> float:
     """Score of one full training under ``ratio``, inside the abort boundary.
 
     ``ratio`` covers ``task_ids`` and is spread onto the environment's full
     task vector first.  An exception from the environment, or a score that
-    is not finite, ends the run as :class:`RunAborted` carrying ``log`` and
-    ``records``.
+    is not finite, ends the run as :class:`RunAborted` carrying ``log``.
     """
     env_ratio = expand_to_tasks(ratio, task_ids, env.n_tasks)
     try:
         score = float(env.train_full(env_ratio, seed))
     except Exception as exc:
-        raise RunAborted(f"environment failed {where}: {exc}", log=log, records=records) from exc
+        raise RunAborted(f"environment failed {where}: {exc}", log=log) from exc
     if not math.isfinite(score):
-        raise RunAborted(
-            f"environment failed {where}: train_full returned {score!r}", log=log, records=records
-        )
+        raise RunAborted(f"environment failed {where}: train_full returned {score!r}", log=log)
     return score
 
 
@@ -307,8 +304,8 @@ def run_stage2(
     ValueError
         For a proposed ratio above ``ratio_max`` or of the wrong width.
     RunAborted
-        On environment failure or a non-finite score; partial records and
-        log ride on the exception.
+        On environment failure or a non-finite score; the partial log rides
+        on the exception.
     """
     task_ids = tasks.selected_task_ids
     records: list[EvaluationRecord] = []
@@ -319,7 +316,7 @@ def run_stage2(
     for t, (ratio, acq, post_mean, post_std) in enumerate(proposals):
         validate_ratio(ratio, config.ratio_max)
         seed = derive_seed(config.rng_seed, "eval", t)
-        score = train_score(env, ratio, task_ids, seed, f"at stage-2 round {t}", log, records)
+        score = train_score(env, ratio, task_ids, seed, f"at stage-2 round {t}", log)
         records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
         best_score = max(best_score, score)
         log.append(

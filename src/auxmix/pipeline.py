@@ -33,7 +33,7 @@ from .mixing import (
     run_stage2,
     train_score,
 )
-from .runlog import RunAborted, RunLog, derive_seed, jsonable, make_header
+from .runlog import RunAborted, RunLog, SettingError, derive_seed, jsonable, make_header
 
 PIPELINE_MODES = ("full", "no_stage1", "no_stage2")
 
@@ -46,14 +46,14 @@ class PipelineConfig:
     stage2: Stage2Config
     environment: dict
     mode: str = "full"
-    output_dir: str | None = None
     normalized: dict | None = None
 
     def __post_init__(self):
         if self.mode not in PIPELINE_MODES:
-            raise ValueError(f"mode must be one of {PIPELINE_MODES}, got {self.mode!r}")
+            raise SettingError("mode", f"mode must be one of {PIPELINE_MODES}, got {self.mode!r}")
         if self.bandit.primary_task_id != 0:
-            raise ValueError(
+            raise SettingError(
+                "bandit.primary_task_id",
                 "the synthetic environments define task 0 as primary; "
                 f"primary_task_id must be 0, got {self.bandit.primary_task_id}"
             )
@@ -163,7 +163,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             derive_seed(config.stage2.rng_seed, "baseline"),
             "on the baseline run",
             stage2_log,
-            records,
         )
     except RunAborted as exc:
         exc.stage_logs = {"stage1": stage1_log, "stage2": exc.log}

@@ -83,25 +83,29 @@ def canonical_dumps(record: dict) -> str:
     return _dumps(jsonable(record))
 
 
+class SettingError(ValueError):
+    """A rejected setting; ``field`` names the constructor parameter at fault.
+
+    The config layer turns ``field`` into the dotted key it reports, so the
+    message text is free to say anything.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class RunAborted(RuntimeError):
     """Raised when an environment fails mid-run.
 
-    Carries whatever was logged up to the failure so callers can persist a
+    Carries the log written up to the failure so callers can persist a
     partial log before propagating the error.  The pipeline additionally
     fills ``stage_logs`` with every per-stage log it holds at failure time.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        log: "RunLog",
-        records: list | None = None,
-        stage_logs: dict | None = None,
-    ):
+    def __init__(self, message: str, *, log: "RunLog", stage_logs: dict | None = None):
         super().__init__(message)
         self.log = log
-        self.records = list(records) if records is not None else []
         self.stage_logs = dict(stage_logs) if stage_logs is not None else {}
 
 

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 from pathlib import Path
 
 import pytest
 import yaml
 
+from auxmix import SettingError
 from auxmix import config as config_module
+from auxmix.bandit import BanditConfig
 from auxmix.config import (
     CONFIG_SCHEMA_VERSION,
     ConfigError,
@@ -18,8 +22,9 @@ from auxmix.config import (
     normalize,
     to_pipeline_config,
 )
-from auxmix.environments import ENVIRONMENT_FAMILIES
-from auxmix.pipeline import run_pipeline
+from auxmix.environments import ENVIRONMENT_FAMILIES, PlantedBanditEnv, SharedParamMtlEnv
+from auxmix.mixing import Stage2Config
+from auxmix.pipeline import PipelineConfig, run_pipeline
 
 
 def test_empty_config_fills_every_default():
@@ -135,31 +140,29 @@ def test_schema_refuses_an_annotation_without_a_coercer():
         config_module._dataclass_fields(Knobs)
 
 
-def _readme_config_block() -> dict:
+def _readme_config_blocks() -> dict[str, dict]:
+    """The YAML blocks of the README's Configuration section, by environment family."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text.split("\n## Configuration\n", 1)[1]
-    return yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [yaml.safe_load(b.split("```", 1)[0]) for b in section.split("```yaml\n")[1:]]
+    return {block["environment"]["family"]: block for block in blocks}
 
 
 @pytest.mark.parametrize("family", ENVIRONMENT_FAMILIES)
 def test_readme_config_reference_matches_the_defaults(family):
-    """The README documents each key once with its default; both environment
-    families share its one ``environment`` block."""
-    documented = _readme_config_block()
-    documented_env = documented.pop("environment")
-    cfg = normalize({"environment": {"family": family}})
-    env = cfg.pop("environment")
-    assert documented == cfg
-    assert documented_env["family"] == normalize({})["environment"]["family"]
-    for key, value in env.items():
-        if key != "family":
-            assert documented_env[key] == value, key
-    every_family_key = {
-        key
-        for f in ENVIRONMENT_FAMILIES
-        for key in normalize({"environment": {"family": f}})["environment"]
-    }
-    assert set(documented_env) == every_family_key
+    """The README has one config block per environment family, each key with
+    its default: the default family's block documents every section, the
+    others their environment section.  Each block loads as it stands."""
+    blocks = _readme_config_blocks()
+    assert set(blocks) == set(ENVIRONMENT_FAMILIES)
+    documented = blocks[family]
+    defaults = normalize({"environment": {"family": family}})
+    assert normalize(documented) == defaults
+    assert documented == {key: defaults[key] for key in documented}
+    if family == normalize({})["environment"]["family"]:
+        assert list(documented) == list(defaults)
+    else:
+        assert list(documented) == ["environment"]
 
 
 def test_normalized_config_round_trips_through_yaml():
@@ -245,6 +248,81 @@ def test_invariant_errors_name_the_dotted_key():
 def test_environment_invariant_errors_name_the_key(family, key, value):
     with pytest.raises(ConfigError, match=f"'environment.{key}'"):
         normalize({"environment": {"family": family, key: value}})
+
+
+_PIPELINE = functools.partial(
+    PipelineConfig, bandit=BanditConfig(n_tasks=3), stage2=Stage2Config(), environment={}
+)
+_SHARED = functools.partial(SharedParamMtlEnv, dim=2, n_primary_train=4, n_aux=4)
+
+# One rejected value per check of each constructor, with the field it names.
+_REJECTIONS = [
+    (BanditConfig, {"n_tasks": 1}, "n_tasks"),
+    (BanditConfig, {"n_tasks": 3, "alpha0": 0.0}, "alpha0"),
+    (BanditConfig, {"n_tasks": 3, "beta0": float("inf")}, "beta0"),
+    (BanditConfig, {"n_tasks": 3, "gamma": 1.5}, "gamma"),
+    (BanditConfig, {"n_tasks": 3, "primary_prior_boost": -1.0}, "primary_prior_boost"),
+    (BanditConfig, {"n_tasks": 3, "primary_task_id": 3}, "primary_task_id"),
+    (BanditConfig, {"n_tasks": 3, "n_rounds": -1}, "n_rounds"),
+    (BanditConfig, {"n_tasks": 3, "batches_per_round": 0}, "batches_per_round"),
+    (Stage2Config, {"n_initial": 20}, "n_initial"),
+    (Stage2Config, {"ratio_max": 0}, "ratio_max"),
+    (Stage2Config, {"pool_size": 0}, "pool_size"),
+    (Stage2Config, {"nu": 0.5}, "nu"),
+    (Stage2Config, {"ucb_lambda": -1.0}, "ucb_lambda"),
+    (Stage2Config, {"hedge_eta": 0.0}, "hedge_eta"),
+    (_PIPELINE, {"mode": "both"}, "mode"),
+    (_PIPELINE, {"bandit": BanditConfig(n_tasks=3, primary_task_id=1)}, "bandit.primary_task_id"),
+    (PlantedBanditEnv, {"theta_star": []}, "theta_star"),
+    (PlantedBanditEnv, {"theta_star": [0.5, 1.5]}, "theta_star"),
+    (PlantedBanditEnv, {"score_noise": -0.1}, "score_noise"),
+    (_SHARED, {"task_profile": ["useful", "primary"]}, "task_profile"),
+    (_SHARED, {"task_profile": ["primary", "mystery"]}, "task_profile"),
+    (_SHARED, {"dim": 0}, "dim"),
+    (_SHARED, {"n_primary_train": 0}, "n_primary_train"),
+    (_SHARED, {"n_aux": 0}, "n_aux"),
+    (_SHARED, {"total_batches": 0}, "total_batches"),
+    (_SHARED, {"batch_size": 0}, "batch_size"),
+    (_SHARED, {"batches_per_round": 0}, "batches_per_round"),
+    (_SHARED, {"n_primary_heldout": 1}, "n_primary_heldout"),
+    (_SHARED, {"learning_rate": 0.0}, "learning_rate"),
+]
+
+
+@pytest.mark.parametrize("make, kwargs, field", _REJECTIONS)
+def test_every_constructor_check_names_a_parameter(make, kwargs, field):
+    """The config key comes from ``SettingError.field``, so a field that is
+    not a constructor parameter would name a key that does not exist."""
+    with pytest.raises(SettingError) as info:
+        make(**kwargs)
+    assert info.value.field == field
+    if make is _PIPELINE:
+        assert field in ("mode", "bandit.primary_task_id")
+    else:
+        assert field in inspect.signature(getattr(make, "func", make)).parameters
+
+
+@pytest.mark.parametrize(
+    "name, section",
+    [
+        ("BanditConfig", "bandit"),
+        ("Stage2Config", "stage2"),
+        ("PipelineConfig", "<root>"),
+        ("make_environment", "environment"),
+    ],
+)
+def test_a_value_error_without_a_field_names_its_section(monkeypatch, name, section):
+    """The key never comes from the message: this one names two fields."""
+    problem = "gamma and dim cannot both be read from this message"
+
+    def refuse(*args, **kwargs):
+        raise ValueError(problem)
+
+    monkeypatch.setattr(config_module, name, refuse)
+    with pytest.raises(ConfigError) as info:
+        normalize({})
+    assert info.value.key == section
+    assert str(info.value) == f"config key '{section}': {problem}"
 
 
 def test_bool_is_not_an_int():

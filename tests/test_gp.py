@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from auxmix import gp
@@ -351,6 +352,54 @@ def test_fit_accepts_1d_points():
     model = fit([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
     assert model.points.shape == (3, 1)
     assert math.isfinite(posterior_at(model, [0.25]).mean)
+
+
+def _per_candidate_draws(rng, d, n_starts):
+    """The draws of fit's former candidate loop, one row per candidate: one
+    call for the d length scales, then one scalar call each for the signal
+    and the noise variance."""
+
+    def log_uniform(bounds, size=None):
+        return np.exp(rng.uniform(math.log(bounds[0]), math.log(bounds[1]), size=size))
+
+    return [
+        [
+            *log_uniform(gp.LENGTH_SCALE_BOUNDS, size=d),
+            float(log_uniform(gp.SIGNAL_VARIANCE_BOUNDS)),
+            float(log_uniform(gp.NOISE_VARIANCE_BOUNDS)),
+        ]
+        for _ in range(n_starts)
+    ]
+
+
+@given(d=st.integers(1, 8), n_starts=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_one_uniform_call_draws_like_the_per_candidate_calls(d, n_starts, seed):
+    """``fit`` rests on this: one draw with per-column log bounds, rows in
+    candidate order, equals the per-candidate draws bitwise and leaves the
+    generator in the same state."""
+    batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    bounds = [gp.LENGTH_SCALE_BOUNDS] * d + [gp.SIGNAL_VARIANCE_BOUNDS, gp.NOISE_VARIANCE_BOUNDS]
+    one_call = batched.uniform(
+        [math.log(lo) for lo, _ in bounds],
+        [math.log(hi) for _, hi in bounds],
+        size=(n_starts, d + 2),
+    )
+    assert np.exp(one_call).tolist() == _per_candidate_draws(looped, d, n_starts)
+    assert batched.bit_generator.state == looped.bit_generator.state
+    assert batched.random() == looped.random()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_fit_searches_the_candidates_of_the_per_candidate_draws(d, monkeypatch):
+    searched = []
+    monkeypatch.setattr(gp, "_best_candidate", lambda x, y, c: searched.append(c) or c[0])
+    fit(np.linspace(0.0, 1.0, 4 * d).reshape(4, d), [0.1, 0.4, 0.3, 0.8], nu=1.5)
+    (candidates,) = searched
+    rng = np.random.default_rng(gp.FIT_SEARCH_SEED)
+    rows = _per_candidate_draws(rng, d, gp.N_SEARCH_STARTS)
+    assert [[*c.length_scales, c.signal_variance, c.noise_variance] for c in candidates[1:]] == rows
+    assert {c.nu for c in candidates} == {1.5}
+    assert candidates[0].length_scales == (math.sqrt(math.prod(gp.LENGTH_SCALE_BOUNDS)),) * d
 
 
 def _random_candidates(rng, d, nu, count=33):

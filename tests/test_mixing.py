@@ -400,7 +400,6 @@ def test_run_stage2_aborts_with_partial_history():
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=0)
     with pytest.raises(RunAborted) as info:
         run_stage2(FailingEnv(fail_at=2), PRIMARY_ONLY, cfg)
-    assert len(info.value.records) == 2
     assert len(info.value.log.records) == 2
 
 

@@ -189,7 +189,6 @@ def test_split_log_parses_only_the_header(tmp_path):
 def test_run_aborted_carries_partial_state():
     log = RunLog()
     log.append(round=0)
-    exc = RunAborted("boom", log=log, records=[1, 2], stage_logs={"stage1": log})
+    exc = RunAborted("boom", log=log, stage_logs={"stage1": log})
     assert exc.log is log
-    assert exc.records == [1, 2]
     assert exc.stage_logs["stage1"] is log
