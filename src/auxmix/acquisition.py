@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gp import GpModel, Posterior, posterior
 
@@ -26,6 +25,19 @@ ACQUISITIONS: tuple[str, ...] = (PI, EI, UCB)
 DEFAULT_UCB_LAMBDA = 2.0
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SQRT2 = math.sqrt(2.0)
+
+# The normal CDF as Phi(z) = erfc(-z / sqrt 2) / 2, elementwise through libm's
+# erfc.  Against 50-digit mpmath values at 20 001 points of z in [-37, 9] its
+# worst relative error is 1.8e-13, SciPy's ndtr's 2.3e-13; both come from
+# rounding -z / sqrt 2, which the tail's slope amplifies.  On z in
+# [-38.5, -37.7], where Phi is subnormal, ndtr flushes to 0 and erfc does not.
+# It costs about 14 us more than ndtr per 262-point pool (x86-64, glibc).
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    return 0.5 * np.asarray(_erfc(-z / SQRT2), dtype=float)
 
 # Each acquisition works elementwise: a Posterior of floats gives a float, a
 # Posterior of arrays (from gp.posterior) scores a whole candidate pool in one
@@ -53,7 +65,7 @@ def probability_of_improvement(
     Degenerates to an indicator where the posterior is deterministic.
     """
     mean, std, z = _standardize(posterior, best_so_far)
-    return _scores(np.where(std == 0.0, mean > best_so_far, ndtr(z)))
+    return _scores(np.where(std == 0.0, mean > best_so_far, _normal_cdf(z)))
 
 
 def expected_improvement(posterior: Posterior, best_so_far: float) -> float | np.ndarray:
@@ -63,7 +75,7 @@ def expected_improvement(posterior: Posterior, best_so_far: float) -> float | np
     """
     mean, std, z = _standardize(posterior, best_so_far)
     with np.errstate(over="ignore", invalid="ignore"):
-        ei = std * (z * ndtr(z) + np.exp(-(z**2) / 2.0) / SQRT_2PI)
+        ei = std * (z * _normal_cdf(z) + np.exp(-(z**2) / 2.0) / SQRT_2PI)
     return _scores(np.where(std == 0.0, np.maximum(mean - best_so_far, 0.0), ei))
 
 

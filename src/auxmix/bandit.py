@@ -65,7 +65,7 @@ class BanditConfig:
             raise SettingError("beta0", f"beta0 must be positive, got {self.beta0}")
         if not (0.0 <= self.gamma <= 1.0):
             raise SettingError("gamma", f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.primary_prior_boost < 0:
+        if not (math.isfinite(self.primary_prior_boost) and self.primary_prior_boost >= 0):
             raise SettingError(
                 "primary_prior_boost",
                 f"primary_prior_boost must be >= 0, got {self.primary_prior_boost}",

@@ -41,7 +41,7 @@ class PlantedBanditEnv:
             raise SettingError("theta_star", "theta_star must have at least one entry")
         if any(not (0.0 <= t <= 1.0) for t in theta):
             raise SettingError("theta_star", f"theta_star entries must lie in [0, 1], got {theta}")
-        if score_noise < 0:
+        if not (math.isfinite(score_noise) and score_noise >= 0):
             raise SettingError("score_noise", f"score_noise must be >= 0, got {score_noise}")
         self.theta_star = tuple(theta)
         self.score_noise = float(score_noise)
@@ -155,6 +155,15 @@ class SharedParamMtlEnv:
             raise SettingError(
                 "learning_rate", f"learning_rate must be positive, got {learning_rate}"
             )
+        finite = {
+            "primary_label_noise": primary_label_noise,
+            "aux_label_noise": aux_label_noise,
+            "useful_shift": useful_shift,
+            "harmful_scale": harmful_scale,
+        }
+        for name, value in finite.items():
+            if not math.isfinite(value):
+                raise SettingError(name, f"{name} must be finite, got {value}")
         self.task_profile = profile
         self.dim = int(dim)
         self.total_batches = int(total_batches)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -124,16 +124,16 @@ def gram_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndar
 class GpModel:
     """Immutable fitted model: training data, kernel, and cached factorization.
 
-    ``kernel.jitter`` records the diagonal jitter actually used by the
-    factorization (after any escalation), so downstream consumers can
-    rebuild ``K + (noise + jitter) I`` exactly.
+    ``chol`` is the lower Cholesky factor ``L`` (an ndarray) of
+    ``K + (noise + jitter) I``, where ``kernel.jitter`` is the jitter actually
+    used after any escalation; ``dual`` is ``(L L^T)^-1 (y - mean_offset)``.
     """
 
     points: np.ndarray
     observations: np.ndarray
     kernel: KernelParams
     mean_offset: float
-    chol: tuple | None
+    chol: np.ndarray | None
     dual: np.ndarray | None
 
     @property
@@ -141,14 +141,13 @@ class GpModel:
         return int(self.points.shape[0])
 
 
-def _factor_with_jitter(k_noisy: np.ndarray, jitter_start: float) -> tuple[tuple, float]:
-    """Cholesky-factor ``k_noisy + jitter I``, escalating jitter tenfold on failure."""
+def _factor_with_jitter(k_noisy: np.ndarray, jitter_start: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``k_noisy + jitter I``, escalating jitter tenfold on failure."""
     n = k_noisy.shape[0]
     jitter = jitter_start
     while jitter <= JITTER_MAX:
         try:
-            c = cho_factor(k_noisy + jitter * np.eye(n), lower=True)
-            return c, jitter
+            return np.linalg.cholesky(k_noisy + jitter * np.eye(n)), jitter
         except LinAlgError:
             jitter *= 10.0
     raise LinAlgError(
@@ -184,7 +183,7 @@ def build_gp(
         )
     k = gram_matrix(x, x, params) + params.noise_variance * np.eye(y.size)
     chol, jitter_used = _factor_with_jitter(k, params.jitter)
-    dual = cho_solve(chol, y - mean_offset)
+    dual = np.linalg.solve(chol.T, np.linalg.solve(chol, y - mean_offset))
     return GpModel(
         points=x,
         observations=y,
@@ -199,9 +198,10 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
     """Exact posterior mean and standard deviation over a block of query points.
 
     ``x`` has shape ``(n, d)``; mean and std come back with shape ``(n,)``.
-    The whole block costs one cross-covariance matrix and one Cholesky
-    solve.  Numerical round-off can push a predictive variance slightly
-    negative; it is clamped at zero before the square root.
+    The block costs one cross-covariance matrix ``k_x`` and one solve
+    ``v = L^-1 k_x^T``, with ``var = s2 - sum(v^2)`` (Rasmussen & Williams,
+    *GPML*, Alg. 2.1).  Round-off can push a variance slightly negative; it
+    is clamped at zero before the square root.
     """
     d = len(model.kernel.length_scales)
     q = np.asarray(x, dtype=float)
@@ -215,8 +215,8 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
         raise RuntimeError("model was constructed without a factorization; use build_gp or fit")
     kx = gram_matrix(q, model.points, model.kernel)
     mean = model.mean_offset + kx @ model.dual
-    v = cho_solve(model.chol, kx.T)
-    var = prior_var - np.einsum("ij,ji->i", kx, v)
+    v = np.linalg.solve(model.chol, kx.T)
+    var = prior_var - np.sum(v**2, axis=0)
     return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
 
 
@@ -224,6 +224,15 @@ def posterior_at(model: GpModel, x: Sequence[float]) -> Posterior:
     """Exact posterior mean and standard deviation at one query point."""
     mean, std = posterior(model, np.asarray(x, dtype=float).reshape(1, -1))
     return Posterior(mean=float(mean[0]), std=float(std[0]))
+
+
+def _lml_from_factor(chol: np.ndarray, yc: np.ndarray):
+    """Log evidence of centered ``yc`` given one lower factor ``L`` (n, n) or a
+    stack (C, n, n): ``-|w|^2 / 2 - sum(log diag L) - n log(2 pi) / 2``, ``w = L^-1 yc``."""
+    n = yc.size
+    w = np.linalg.solve(chol, np.broadcast_to(yc[:, None], chol.shape[:-1] + (1,)))[..., 0]
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return -0.5 * np.sum(w**2, axis=-1) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
 
 
 def log_marginal_likelihood(
@@ -236,16 +245,12 @@ def log_marginal_likelihood(
     """
     x = np.asarray(points, dtype=float)
     y = np.asarray(observations, dtype=float).reshape(-1)
-    n = y.size
-    yc = y - np.mean(y)
-    k = gram_matrix(x, x, params) + params.noise_variance * np.eye(n)
+    k = gram_matrix(x, x, params) + params.noise_variance * np.eye(y.size)
     try:
         chol, _ = _factor_with_jitter(k, params.jitter)
     except LinAlgError:
         return -math.inf
-    alpha = cho_solve(chol, yc)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    return float(-0.5 * yc @ alpha - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi))
+    return float(_lml_from_factor(chol, y - np.mean(y)))
 
 
 def fit(
@@ -307,18 +312,13 @@ def _stacked_lml(
 
     All candidates must share ``nu``.  Returns ``None`` when any covariance
     fails to factor at its starting jitter, because only the one-by-one path
-    escalates jitter.  NumPy's and SciPy's Cholesky may disagree on a matrix
-    at the very edge of factorability; the noise floor of fit's search box
-    (1e-6, four decades above the starting jitter) keeps its candidates far
-    from that edge.
+    escalates jitter.
     """
-    n = y.size
-    yc = y - np.mean(y)
     ls = np.array([c.length_scales for c in candidates])[:, None, :]
     s2, noise, jitter = np.array(
         [(c.signal_variance, c.noise_variance, c.jitter) for c in candidates]
     ).T[:, :, None, None]
-    eye = np.eye(n)
+    eye = np.eye(y.size)
     k = _matern_of_distance(_scaled_distances(x, x, ls), candidates[0].nu, s2)
     # Same summation order as log_marginal_likelihood: noise first, then jitter.
     k = k + noise * eye + jitter * eye
@@ -326,9 +326,7 @@ def _stacked_lml(
         chol = np.linalg.cholesky(k)
     except LinAlgError:
         return None
-    w = np.linalg.solve(chol, np.broadcast_to(yc[:, None], (len(candidates), n, 1)))[..., 0]
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * np.sum(w**2, axis=-1) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
+    return _lml_from_factor(chol, y - np.mean(y))
 
 
 def _best_candidate(

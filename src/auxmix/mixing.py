@@ -86,7 +86,7 @@ class Stage2Config:
             raise SettingError("pool_size", f"pool_size must be >= 1, got {self.pool_size}")
         if self.nu not in (1.5, 2.5):
             raise SettingError("nu", f"nu must be 1.5 or 2.5, got {self.nu}")
-        if self.ucb_lambda < 0:
+        if not (math.isfinite(self.ucb_lambda) and self.ucb_lambda >= 0):
             raise SettingError("ucb_lambda", f"ucb_lambda must be >= 0, got {self.ucb_lambda}")
         if not (math.isfinite(self.hedge_eta) and self.hedge_eta > 0):
             raise SettingError("hedge_eta", f"hedge_eta must be positive, got {self.hedge_eta}")

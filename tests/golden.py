@@ -1,0 +1,105 @@
+"""Platform-independent projection of six tiny CLI runs, and its regeneration.
+
+The runs use CI's tiny budgets (20 stage-1 rounds, 4 stage-2 evaluations of
+which 2 are random, a 32-point pool, ``--grid-size 10``) in each of the three
+modes, for one planted and one shared-linear config.  The projection keeps
+what replay across machines can promise:
+
+* ``EXACT`` fields come from the seeded generators, scalar arithmetic and
+  comparisons, so they are equal on every platform;
+* ``CLOSE`` fields, and every score and metric of the shared-linear family,
+  pass through BLAS, LAPACK or libm and are compared within ``RTOL``.
+
+``tests/test_golden.py`` reruns the runs and compares them with the fixture.
+A deliberate change to any of these fields regenerates the fixture with::
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+import yaml
+
+from auxmix.cli import EXIT_OK, main
+from auxmix.runlog import read_jsonl
+
+FIXTURE = Path(__file__).with_name("golden_projection.json")
+MODES = ("full", "no_stage1", "no_stage2")
+GRID_SIZE = 10
+RTOL = 1e-9
+
+_BUDGETS = {
+    "bandit": {"n_rounds": 20},
+    "stage2": {"n_samples": 4, "n_initial": 2, "pool_size": 32},
+}
+CONFIGS = {
+    "planted": {"environment": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]}, **_BUDGETS},
+    "shared-linear": {
+        "environment": {"family": "shared-linear", "total_batches": 200},
+        **_BUDGETS,
+    },
+}
+
+# Projected fields, as (log, field); "report" is report.json.
+EXACT = (
+    ("report", "selected_tasks"),
+    ("report", "best_ratio"),
+    ("stage1", "selected_arm"),
+    ("stage1", "reward"),
+    ("stage2", "proposed_ratio"),
+    ("stage2", "acquisition_used"),
+)
+SCORES = (
+    ("report", "best_score"),
+    ("report", "baseline_score"),
+    ("stage1", "metric"),
+    ("stage2", "score"),
+    ("stage2", "incumbent"),
+)
+CLOSE = (("stage2", "posterior_mean"), ("stage2", "posterior_std"))
+
+
+def project(run_dir: Path) -> dict:
+    """The projected fields of one run directory, one list per log field."""
+    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    logs = {
+        kind: read_jsonl(run_dir / f"{kind}.log.jsonl")[1] for kind in ("stage1", "stage2")
+    }
+    out: dict = {}
+    for log, field in EXACT + SCORES + CLOSE:
+        if log == "report":
+            value = report[field]
+        else:
+            value = [record[field] for record in logs[log]]
+        out[f"{log}.{field}"] = value
+    return out
+
+
+def run_projection(family: str, mode: str, work_dir: Path) -> dict:
+    """Run one config through ``auxmix run`` and project its outputs."""
+    config_path = work_dir / f"{family}.yaml"
+    config_path.write_text(yaml.safe_dump(CONFIGS[family]), encoding="utf-8")
+    run_dir = work_dir / f"{family}-{mode}"
+    argv = ["run", str(config_path), "--mode", mode, "--out", str(run_dir)]
+    code = main(argv + ["--grid-size", str(GRID_SIZE)])
+    if code != EXIT_OK:
+        raise RuntimeError(f"auxmix run exited {code} for {family} {mode}")
+    return project(run_dir)
+
+
+def regenerate() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {
+            f"{family}/{mode}": run_projection(family, mode, Path(tmp))
+            for family in CONFIGS
+            for mode in MODES
+        }
+    FIXTURE.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -1,4 +1,7 @@
-"""Acquisition closed forms against frozen constants, Monte Carlo, and Hedge."""
+"""Acquisition closed forms against frozen constants, Monte Carlo, and Hedge.
+
+SciPy appears here only as an oracle; the package computes Phi itself.
+"""
 
 from __future__ import annotations
 
@@ -24,12 +27,56 @@ from auxmix.gp import KernelParams, Posterior, build_gp, posterior_at
 PHI_AT_ONE = 0.8413447460685429  # Phi(1)
 PDF_AT_ZERO = 0.3989422804014327  # phi(0)
 
+# Phi(z), frozen from 50-digit evaluation, from the far tail to near 1.
+PHI_TABLE = {
+    -37.0: 5.725571222524577e-300,
+    -30.0: 4.906713927148187e-198,
+    -20.0: 2.7536241186062337e-89,
+    -10.0: 7.619853024160525e-24,
+    -5.0: 2.866515718791939e-07,
+    -1.0: 0.15865525393145705,
+    0.0: 0.5,
+    1.0: 0.8413447460685429,
+    5.0: 0.9999997133484281,
+    8.0: 0.9999999999999993,
+}
+# z Phi(z) + phi(z), the expected improvement at unit std, frozen likewise.
+EI_UNIT_TABLE = {
+    -30.0: 1.631956734091401e-199,
+    -20.0: 1.3700124947295798e-90,
+    -10.0: 7.474560254589328e-25,
+    -5.0: 5.346165533832815e-08,
+    -2.0: 0.008490702616829637,
+    -1.0: 0.0833154705876863,
+    0.0: 0.3989422804014327,
+    1.0: 1.0833154705876864,
+    2.0: 2.0084907026168297,
+    5.0: 5.0000000534616555,
+}
+
 
 # ------------------------------------------------------------------ PI / EI
 
 def test_pi_frozen_value_one_sigma_above():
     assert probability_of_improvement(Posterior(1.0, 1.0), 0.0) == pytest.approx(
         PHI_AT_ONE, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("z", sorted(PHI_TABLE))
+def test_pi_matches_the_frozen_normal_cdf(z):
+    """Rounding -z / sqrt 2 costs up to about 2 z^2 ulp of Phi in the tail."""
+    assert probability_of_improvement(Posterior(z, 1.0), 0.0) == pytest.approx(
+        PHI_TABLE[z], rel=3e-13, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("z", sorted(EI_UNIT_TABLE))
+def test_ei_matches_the_frozen_table(z):
+    """z Phi(z) + phi(z) cancels in the tail: up to about 1e-10 relative at
+    z = -30.  A log-EI form would avoid it."""
+    assert expected_improvement(Posterior(z, 1.0), 0.0) == pytest.approx(
+        EI_UNIT_TABLE[z], rel=3e-10, abs=0.0
     )
 
 
@@ -112,11 +159,18 @@ def _pool_posterior(seed=0, size=400, tau=0.3):
     [(probability_of_improvement, _pi_reference), (expected_improvement, _ei_reference)],
 )
 def test_pool_scores_equal_pointwise_reference(acquisition, reference):
+    """Against scipy.stats within a stated tolerance, since SciPy is an oracle
+    here, not the implementation; pool and single point agree bitwise."""
     post, tau = _pool_posterior()
     scores = acquisition(post, tau)
     assert isinstance(scores, np.ndarray) and scores.shape == post.mean.shape
-    expected = [reference(m, s, tau) for m, s in zip(post.mean, post.std)]
-    np.testing.assert_array_equal(scores, expected)
+    expected = np.array([reference(m, s, tau) for m, s in zip(post.mean, post.std)])
+    if acquisition is probability_of_improvement:
+        # About 2.3e-13 apart on the normal range; below z = -37.7 SciPy
+        # flushes to 0 where erfc keeps a subnormal value.
+        np.testing.assert_allclose(scores, expected, rtol=5e-13, atol=1e-300)
+    else:
+        assert np.all(np.abs(scores - expected) <= 1e-15 * post.std)
     for m, s, value in zip(post.mean, post.std, scores):
         single = acquisition(Posterior(float(m), float(s)), tau)
         assert isinstance(single, float) and single == value

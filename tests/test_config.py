@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,19 @@ _REJECTIONS = [
     (_SHARED, {"batches_per_round": 0}, "batches_per_round"),
     (_SHARED, {"n_primary_heldout": 1}, "n_primary_heldout"),
     (_SHARED, {"learning_rate": 0.0}, "learning_rate"),
+] + [
+    # A NaN or an infinity slips past a bare range comparison.
+    (make, {**base, field: value}, field)
+    for make, base, field in [
+        (BanditConfig, {"n_tasks": 3}, "primary_prior_boost"),
+        (Stage2Config, {}, "ucb_lambda"),
+        (PlantedBanditEnv, {}, "score_noise"),
+        (_SHARED, {}, "primary_label_noise"),
+        (_SHARED, {}, "aux_label_noise"),
+        (_SHARED, {}, "useful_shift"),
+        (_SHARED, {}, "harmful_scale"),
+    ]
+    for value in (math.nan, math.inf)
 ]
 
 

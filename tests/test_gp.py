@@ -149,10 +149,11 @@ def test_posterior_matches_dense_inverse_oracle():
 
 def _posterior_at_reference(model: GpModel, q: np.ndarray) -> tuple[float, float]:
     """The one-point posterior as computed before block queries: one
-    cross-covariance row and one cho_solve per point."""
+    cross-covariance row and one cho_solve per point.  ``model.chol`` is the
+    plain lower factor, so SciPy gets it as ``(L, True)``."""
     kx = gram_matrix(q[None, :], model.points, model.kernel)[0]
     mean = model.mean_offset + float(kx @ model.dual)
-    var = model.kernel.signal_variance - float(kx @ cho_solve(model.chol, kx))
+    var = model.kernel.signal_variance - float(kx @ cho_solve((model.chol, True), kx))
     return mean, math.sqrt(max(var, 0.0))
 
 
@@ -263,7 +264,7 @@ def test_jitter_escalation_rescues_mildly_indefinite_matrix():
     k = np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]])
     chol, jitter_used = _factor_with_jitter(k, 1e-10)
     assert jitter_used == pytest.approx(1e-4)
-    solved = cho_solve(chol, np.ones(2))
+    solved = cho_solve((chol, True), np.ones(2))
     assert np.all(np.isfinite(solved))
 
 
