@@ -10,6 +10,11 @@ what replay across machines can promise:
 * ``CLOSE`` fields, and every score and metric of the shared-linear family,
   pass through BLAS, LAPACK or libm and are compared within ``RTOL``.
 
+The stage-1 beliefs are projected too: the final arms of the stage-1 log
+header and ``report.json``'s expected utilities are ``EXACT``, and the
+densities of ``utilities.csv``, which go through ``lgamma``, ``log`` and
+``exp``, are ``CLOSE``.
+
 ``tests/test_golden.py`` reruns the runs and compares them with the fixture.
 A deliberate change to any of these fields regenerates the fixture with::
 
@@ -18,6 +23,7 @@ A deliberate change to any of these fields regenerates the fixture with::
 
 from __future__ import annotations
 
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -44,9 +50,13 @@ CONFIGS = {
     },
 }
 
-# Projected fields, as (log, field); "report" is report.json.
+# Projected fields, as (source, field): "report" is report.json, "header" the
+# stage-1 log header, "utilities" the density column of utilities.csv, and
+# "stage1" or "stage2" a field of every record of that log.
 EXACT = (
     ("report", "selected_tasks"),
+    ("report", "expected_utilities"),
+    ("header", "final_arms"),
     ("report", "best_ratio"),
     ("stage1", "selected_arm"),
     ("stage1", "reward"),
@@ -60,19 +70,28 @@ SCORES = (
     ("stage2", "score"),
     ("stage2", "incumbent"),
 )
-CLOSE = (("stage2", "posterior_mean"), ("stage2", "posterior_std"))
+CLOSE = (
+    ("stage2", "posterior_mean"),
+    ("stage2", "posterior_std"),
+    ("utilities", "density"),
+)
 
 
 def project(run_dir: Path) -> dict:
     """The projected fields of one run directory, one list per log field."""
-    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
-    logs = {
-        kind: read_jsonl(run_dir / f"{kind}.log.jsonl")[1] for kind in ("stage1", "stage2")
+    header, stage1 = read_jsonl(run_dir / "stage1.log.jsonl")
+    with (run_dir / "utilities.csv").open(encoding="utf-8", newline="") as fh:
+        densities = [float(row["density"]) for row in csv.DictReader(fh)]
+    sources = {
+        "report": json.loads((run_dir / "report.json").read_text(encoding="utf-8")),
+        "header": header,
+        "utilities": {"density": densities},
     }
+    logs = {"stage1": stage1, "stage2": read_jsonl(run_dir / "stage2.log.jsonl")[1]}
     out: dict = {}
     for log, field in EXACT + SCORES + CLOSE:
-        if log == "report":
-            value = report[field]
+        if log in sources:
+            value = sources[log][field]
         else:
             value = [record[field] for record in logs[log]]
         out[f"{log}.{field}"] = value
