@@ -7,7 +7,7 @@ in the selection, the rest should not.
 
 import numpy as np
 
-from auxmix.bandit import BanditConfig, expected_utility, initial_arms, run_stage1
+from auxmix.bandit import BanditConfig, initial_arms, run_stage1
 from auxmix.environments import PlantedBanditEnv
 
 # Ground truth: task 0 is the primary, tasks 1-2 genuinely help (theta 0.9),
@@ -18,9 +18,9 @@ config = BanditConfig(n_tasks=5, n_rounds=200, rng_seed=0)
 env = PlantedBanditEnv(THETA)
 
 print("priors:")
-for arm in initial_arms(config):
-    print(f"  task {arm.task_id}: Beta({arm.alpha:.0f}, {arm.beta:.0f})"
-          f"  E[theta] = {expected_utility(arm):.3f}")
+alpha, beta = initial_arms(config)
+for k, (a, b) in enumerate(zip(alpha, beta)):
+    print(f"  task {k}: Beta({a:.0f}, {b:.0f})  E[theta] = {a / (a + b):.3f}")
 
 selection, log = run_stage1(env, config)
 
@@ -35,6 +35,10 @@ print("\nhow often each arm was trained:")
 counts = np.bincount([r["selected_arm"] for r in log.records], minlength=5)
 for k, c in enumerate(counts):
     print(f"  task {k}: {c:3d} rounds   (theta* = {THETA[k]})")
+
+print("\nfinal beliefs:")
+for k, (a, b) in enumerate(selection.final_arms):
+    print(f"  task {k}: Beta({a:.2f}, {b:.2f})")
 
 print(f"\nselected tasks: {list(selection.selected_task_ids)}")
 print("expected utilities:",

@@ -10,15 +10,10 @@ from __future__ import annotations
 
 from .bandit import (
     BanditConfig,
-    BetaArm,
     TaskSelection,
-    beta_pdf,
     compute_reward,
-    expected_utility,
     initial_arms,
     run_stage1,
-    sample_utilities,
-    select_arm,
     select_tasks,
     update_posterior,
     utility_density_table,
@@ -62,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACQUISITIONS",
     "BanditConfig",
-    "BetaArm",
     "EvaluationRecord",
     "GpModel",
     "HedgeState",
@@ -78,7 +72,6 @@ __all__ = [
     "SharedParamMtlEnv",
     "Stage2Config",
     "TaskSelection",
-    "beta_pdf",
     "build_gp",
     "canonical_dumps",
     "compute_reward",
@@ -86,7 +79,6 @@ __all__ = [
     "derive_seed",
     "encode",
     "expected_improvement",
-    "expected_utility",
     "fit",
     "hedge_probabilities",
     "hedge_select",
@@ -102,8 +94,6 @@ __all__ = [
     "run_pipeline",
     "run_stage1",
     "run_stage2",
-    "sample_utilities",
-    "select_arm",
     "select_tasks",
     "update_posterior",
     "upper_confidence_bound",

@@ -5,6 +5,9 @@ that one more mini-batch of that task improves (or at least maintains) the
 primary task's validation metric.  Thompson sampling picks the task to train
 each round; after the reward is observed every arm decays toward its prior,
 which lets the controller track utilities that drift as training progresses.
+
+The beliefs of all arms are two float arrays, ``alpha`` and ``beta``, indexed
+by task id, from the prior to the density table.
 """
 
 from __future__ import annotations
@@ -15,22 +18,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .runlog import RunAborted, RunLog, SettingError, derive_seed
-
-
-@dataclass(frozen=True)
-class BetaArm:
-    """Beta(alpha, beta) belief over one task's utility."""
-
-    alpha: float
-    beta: float
-    task_id: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_ints
 
 
 @dataclass(frozen=True)
@@ -57,8 +45,9 @@ class BanditConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_tasks < 2:
-            raise SettingError("n_tasks", f"n_tasks must be at least 2, got {self.n_tasks}")
+        require_ints(2, n_tasks=self.n_tasks)
+        require_ints(0, primary_task_id=self.primary_task_id, n_rounds=self.n_rounds)
+        require_ints(1, batches_per_round=self.batches_per_round)
         if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
             raise SettingError("alpha0", f"alpha0 must be positive, got {self.alpha0}")
         if not (math.isfinite(self.beta0) and self.beta0 > 0):
@@ -70,25 +59,25 @@ class BanditConfig:
                 "primary_prior_boost",
                 f"primary_prior_boost must be >= 0, got {self.primary_prior_boost}",
             )
-        if not (0 <= self.primary_task_id < self.n_tasks):
+        if self.primary_task_id >= self.n_tasks:
             raise SettingError(
                 "primary_task_id",
                 f"primary_task_id must lie in [0, {self.n_tasks}), got {self.primary_task_id}",
-            )
-        if self.n_rounds < 0:
-            raise SettingError("n_rounds", f"n_rounds must be >= 0, got {self.n_rounds}")
-        if self.batches_per_round < 1:
-            raise SettingError(
-                "batches_per_round", f"batches_per_round must be >= 1, got {self.batches_per_round}"
             )
 
 
 @dataclass(frozen=True)
 class TaskSelection:
-    """Outcome of stage 1: ordered task ids plus per-task expected utilities."""
+    """Outcome of stage 1: ordered task ids plus per-task expected utilities.
+
+    ``final_arms`` holds the ``(alpha, beta)`` belief of every task that the
+    utilities were read from; a selection made by hand may leave it empty,
+    since stage 2 reads only the ids.
+    """
 
     selected_task_ids: tuple[int, ...]
     expected_utilities: tuple[float, ...]
+    final_arms: tuple[tuple[float, float], ...] = ()
 
 
 class Environment(Protocol):
@@ -101,48 +90,11 @@ class Environment(Protocol):
     def validation_metric(self) -> float: ...
 
 
-def expected_utility(arm: BetaArm) -> float:
-    """Posterior mean of the arm's utility, ``alpha / (alpha + beta)``."""
-    return arm.alpha / (arm.alpha + arm.beta)
-
-
-def beta_pdf(theta: float, arm: BetaArm) -> float:
-    """Density of Beta(alpha, beta) at ``theta``.
-
-    Evaluated through ``lgamma`` so large shape parameters stay finite.
-    ``theta`` must lie in the open interval (0, 1).
-    """
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    a, b = arm.alpha, arm.beta
-    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    return math.exp(log_norm + (a - 1.0) * math.log(theta) + (b - 1.0) * math.log1p(-theta))
-
-
-def initial_arms(config: BanditConfig) -> list[BetaArm]:
-    """Prior arms for every task; the primary task gets boosted pseudo-successes."""
-    arms = []
-    for k in range(config.n_tasks):
-        alpha = config.alpha0
-        if k == config.primary_task_id:
-            alpha = config.alpha0 + config.primary_prior_boost
-        arms.append(BetaArm(alpha=alpha, beta=config.beta0, task_id=k))
-    return arms
-
-
-def sample_utilities(arms: Sequence[BetaArm], rng: np.random.Generator) -> np.ndarray:
-    """Draw one Thompson sample per arm, in arm order."""
-    alphas = np.array([a.alpha for a in arms], dtype=float)
-    betas = np.array([a.beta for a in arms], dtype=float)
-    return rng.beta(alphas, betas)
-
-
-def select_arm(sampled_utilities: Sequence[float]) -> int:
-    """Index of the largest sampled utility; ties go to the lowest index."""
-    sampled = np.asarray(sampled_utilities, dtype=float)
-    if sampled.size == 0:
-        raise ValueError("cannot select from an empty utility vector")
-    return int(np.argmax(sampled))
+def initial_arms(config: BanditConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Prior ``(alpha, beta)`` arrays; the primary task gets boosted pseudo-successes."""
+    alpha = np.full(config.n_tasks, config.alpha0, dtype=float)
+    alpha[config.primary_task_id] += config.primary_prior_boost
+    return alpha, np.full(config.n_tasks, config.beta0, dtype=float)
 
 
 def compute_reward(metric_now: float, metric_prev: float) -> int:
@@ -154,55 +106,38 @@ def compute_reward(metric_now: float, metric_prev: float) -> int:
     return 1 if metric_now >= metric_prev else 0
 
 
-def _posterior_step(
-    alpha: np.ndarray, beta: np.ndarray, selected_arm: int, reward: int, config: BanditConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`update_posterior`; returns new ``(alpha, beta)`` arrays."""
-    g = config.gamma
-    alpha = (1.0 - g) * alpha + g * config.alpha0
-    beta = (1.0 - g) * beta + g * config.beta0
-    alpha[selected_arm] += reward
-    beta[selected_arm] += 1 - reward
-    return alpha, beta
-
-
 def update_posterior(
-    arms: Sequence[BetaArm], selected_arm: int, reward: int, config: BanditConfig
-) -> list[BetaArm]:
-    """Decay every arm toward its prior, then credit the selected arm.
+    alpha: np.ndarray, beta: np.ndarray, arm: int, reward: int, config: BanditConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decay every arm toward its prior, then credit ``arm``; returns new arrays.
 
     All arms first shrink toward (alpha0, beta0) at rate ``gamma``; the
     selected arm then absorbs the observation as ``(reward, 1 - reward)``
     pseudo-counts.  Unselected arms only decay, so long-unused arms forget.
     """
-    if not (0 <= selected_arm < len(arms)):
-        raise ValueError(f"selected_arm {selected_arm} out of range for {len(arms)} arms")
+    if not (0 <= arm < len(alpha)):
+        raise ValueError(f"arm {arm} out of range for {len(alpha)} arms")
     if reward not in (0, 1):
         raise ValueError(f"reward must be 0 or 1, got {reward!r}")
-    alpha, beta = _posterior_step(
-        np.array([a.alpha for a in arms], dtype=float),
-        np.array([a.beta for a in arms], dtype=float),
-        selected_arm,
-        reward,
-        config,
-    )
-    return [
-        BetaArm(alpha=a, beta=b, task_id=arm.task_id)
-        for a, b, arm in zip(alpha.tolist(), beta.tolist(), arms)
-    ]
+    g = config.gamma
+    alpha = (1.0 - g) * alpha + g * config.alpha0
+    beta = (1.0 - g) * beta + g * config.beta0
+    alpha[arm] += reward
+    beta[arm] += 1 - reward
+    return alpha, beta
 
 
-def select_tasks(arms: Sequence[BetaArm], config: BanditConfig) -> TaskSelection:
+def select_tasks(alpha: np.ndarray, beta: np.ndarray, config: BanditConfig) -> TaskSelection:
     """Final task subset: primary plus the promising auxiliaries.
 
-    Auxiliaries qualify by being in the top two by expected utility or by
-    clearing an expected utility of 0.5.  Ranking ties break toward the
-    lower task id.  The primary task always opens the list; the auxiliaries
-    follow in ascending task id order.
+    Auxiliaries qualify by being in the top two by expected utility
+    ``alpha / (alpha + beta)`` or by clearing an expected utility of 0.5.
+    Ranking ties break toward the lower task id.  The primary task always
+    opens the list; the auxiliaries follow in ascending task id order.
     """
-    if len(arms) != config.n_tasks:
-        raise ValueError(f"expected {config.n_tasks} arms, got {len(arms)}")
-    utils = [expected_utility(a) for a in arms]
+    if not (len(alpha) == len(beta) == config.n_tasks):
+        raise ValueError(f"expected {config.n_tasks} arms, got {len(alpha)} and {len(beta)}")
+    utils = (alpha / (alpha + beta)).tolist()
     aux_ids = [k for k in range(config.n_tasks) if k != config.primary_task_id]
     ranked = sorted(aux_ids, key=lambda k: (-utils[k], k))
     chosen = set(ranked[:2])
@@ -211,6 +146,7 @@ def select_tasks(arms: Sequence[BetaArm], config: BanditConfig) -> TaskSelection
     return TaskSelection(
         selected_task_ids=tuple(selected),
         expected_utilities=tuple(utils),
+        final_arms=tuple(zip(alpha.tolist(), beta.tolist())),
     )
 
 
@@ -228,8 +164,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     task, score the primary validation metric, convert it to the binary
     improved-or-maintained reward, and update all arms.  With
     ``n_rounds == 0`` the selection falls out of the priors alone.  The
-    beliefs live in two arrays for the whole loop; the :class:`BetaArm`
-    objects are built once, for :func:`select_tasks`.
+    final beliefs ride out on the selection's ``final_arms``.
 
     Raises
     ------
@@ -237,9 +172,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
         If the environment raises or reports a non-finite metric, from
         ``reset`` on; the partial log rides along on the exception.
     """
-    arms = initial_arms(config)
-    alpha = np.array([a.alpha for a in arms], dtype=float)
-    beta = np.array([a.beta for a in arms], dtype=float)
+    alpha, beta = initial_arms(config)
     log = RunLog()
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
     try:
@@ -256,7 +189,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
         except Exception as exc:
             raise RunAborted(f"environment failed at stage-1 round {t}: {exc}", log=log) from exc
         reward = compute_reward(metric_now, metric_prev)
-        alpha, beta = _posterior_step(alpha, beta, k, reward, config)
+        alpha, beta = update_posterior(alpha, beta, k, reward, config)
         log.append(
             round=t,
             sampled_thetas=thetas.tolist(),
@@ -266,26 +199,38 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
             arms_after=np.column_stack((alpha, beta)).tolist(),
         )
         metric_prev = metric_now
-    final = zip(alpha.tolist(), beta.tolist())
-    arms = [BetaArm(alpha=a, beta=b, task_id=k) for k, (a, b) in enumerate(final)]
-    return select_tasks(arms, config), log
+    return select_tasks(alpha, beta, config), log
+
+
+# The scalar density went through libm; NumPy's own log1p and exp differ from
+# it in the last ulp on about one density in ten, so the table keeps libm.
+_log = np.frompyfunc(math.log, 1, 1)
+_log1p = np.frompyfunc(math.log1p, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 def utility_density_table(
-    arms: Sequence[BetaArm], grid_size: int = 1000
-) -> list[tuple[int, float, float]]:
+    arms: Sequence[Sequence[float]], grid_size: int = 1000
+) -> tuple[np.ndarray, np.ndarray]:
     """Tabulate each arm's Beta density on an interior grid of (0, 1).
 
-    Grid points are ``theta_j = (j + 1) / (grid_size + 1)`` for
+    ``arms`` holds one ``(alpha, beta)`` pair per task, each finite and
+    positive.  Grid points are ``theta_j = (j + 1) / (grid_size + 1)`` for
     ``j = 0 .. grid_size - 1``, so endpoints where the density may diverge
-    are excluded.  Rows come out as ``(task_id, theta, density)`` ordered by
-    task then theta, ready to be written as CSV.
+    are excluded.  Returns ``(theta, density)``, where row ``k`` of the
+    ``(n_arms, grid_size)`` density holds task ``k``.  The normaliser goes
+    through ``lgamma`` so large shape parameters stay finite.
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    thetas = [(j + 1) / (grid_size + 1) for j in range(grid_size)]
-    rows = []
-    for arm in arms:
-        for theta in thetas:
-            rows.append((arm.task_id, theta, beta_pdf(theta, arm)))
-    return rows
+    shapes = np.array(arms, dtype=float)
+    if shapes.ndim != 2 or shapes.shape[1] != 2 or not np.all(np.isfinite(shapes) & (shapes > 0)):
+        raise ValueError("every arm must be an (alpha, beta) pair of finite positive numbers")
+    log_norm = [[math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)] for a, b in shapes.tolist()]
+    theta = np.arange(1, grid_size + 1) / (grid_size + 1)
+    log_density = (
+        np.array(log_norm)
+        + (shapes[:, :1] - 1.0) * _log(theta).astype(float)
+        + (shapes[:, 1:] - 1.0) * _log1p(-theta).astype(float)
+    )
+    return theta, _exp(log_density).astype(float)

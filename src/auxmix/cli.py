@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .bandit import BetaArm
+from .bandit import utility_density_table
 from .config import (
     ConfigError,
     apply_overrides,
@@ -23,7 +23,7 @@ from .config import (
     normalize,
     to_pipeline_config,
 )
-from .pipeline import PIPELINE_MODES, run_pipeline, write_density_csv, write_outputs
+from .pipeline import PIPELINE_MODES, run_pipeline, stage_log, write_density_csv, write_outputs
 from .runlog import RunAborted, loads_line, make_header, read_jsonl, split_log
 
 OUTPUT_ROOT_ENV = "AUTOSEM_OUT"
@@ -180,25 +180,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     return worst
 
 
-def _arms_from_runlog(header: dict, records: list[dict]) -> list[BetaArm]:
-    if records:
-        raw = records[-1].get("arms_after")
-    else:
-        raw = header.get("final_arms")
-    if not raw:
-        raise ValueError("log contains no arm states")
-    return [BetaArm(alpha=float(a), beta=float(b), task_id=k) for k, (a, b) in enumerate(raw)]
-
-
 def cmd_plot_utilities(args: argparse.Namespace) -> int:
     try:
         header, records = read_jsonl(args.runlog)
-        arms = _arms_from_runlog(header, records)
+        arms = records[-1]["arms_after"] if records else header.get("final_arms")
+        if not arms:
+            raise ValueError("log contains no arm states")
+        table = utility_density_table(arms, args.grid_size)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: malformed run log {args.runlog}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out) if args.out else Path(args.runlog).parent / "utilities.csv"
-    write_density_csv(arms, out, args.grid_size)
+    try:
+        write_density_csv(table, out)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(str(out))
     return EXIT_OK
 
@@ -207,12 +204,8 @@ def _regenerate_log_lines(header: dict, kind: str) -> list[str]:
     config = header.get("config")
     if not isinstance(config, dict):
         raise ValueError("log header carries no config; cannot replay")
-    report = run_pipeline(to_pipeline_config(normalize(config)))
-    if kind == "stage1":
-        new_header = make_header("stage1", report.config, final_arms=list(report.final_arms))
-        return report.stage1_log.lines(new_header)
-    new_header = make_header("stage2", report.config)
-    return report.stage2_log.lines(new_header)
+    log, new_header = stage_log(run_pipeline(to_pipeline_config(normalize(config))), kind)
+    return log.lines(new_header)
 
 
 def _divergence_site(found: list[str], i: int, path: str) -> str:

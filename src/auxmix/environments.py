@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .mixing import MixingRatio, ratio_cycle
-from .runlog import SettingError, derive_seed
+from .runlog import SettingError, derive_seed, require_ints
 
 PLANTED_METRIC_INCREMENT = 1e-3
 
@@ -133,24 +133,12 @@ class SharedParamMtlEnv:
                 "task_profile",
                 f"task_profile auxiliary kinds must be 'useful' or 'harmful', got {profile}",
             )
-        positive = {
-            "dim": dim,
-            "n_primary_train": n_primary_train,
-            "n_aux": n_aux,
-            "total_batches": total_batches,
-            "batch_size": batch_size,
-            "batches_per_round": batches_per_round,
-        }
-        for name, value in positive.items():
-            if value < 1:
-                raise SettingError(name, f"{name} must be positive, got {value}")
-        if n_primary_heldout < 2:
-            # The metric divides by the held-out label variance, which is 0
-            # for a single row.
-            raise SettingError(
-                "n_primary_heldout",
-                f"n_primary_heldout must be at least 2, got {n_primary_heldout}",
-            )
+        require_ints(
+            1, dim=dim, n_primary_train=n_primary_train, n_aux=n_aux, total_batches=total_batches,
+            batch_size=batch_size, batches_per_round=batches_per_round,
+        )
+        # The metric divides by the held-out label variance, which is 0 for a single row.
+        require_ints(2, n_primary_heldout=n_primary_heldout)
         if not (math.isfinite(learning_rate) and learning_rate > 0):
             raise SettingError(
                 "learning_rate", f"learning_rate must be positive, got {learning_rate}"

@@ -27,7 +27,7 @@ from .acquisition import (
 )
 from .bandit import TaskSelection
 from .gp import GpModel, fit, posterior, posterior_at
-from .runlog import RunAborted, RunLog, SettingError, derive_seed
+from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_ints
 
 DEFAULT_RATIO_MAX = 20
 DEFAULT_POOL_SIZE = 256
@@ -74,16 +74,16 @@ class Stage2Config:
     pool_size: int = DEFAULT_POOL_SIZE
 
     def __post_init__(self):
-        if not (1 <= self.n_initial < self.n_samples):
+        require_ints(
+            1, n_initial=self.n_initial, ratio_max=self.ratio_max, pool_size=self.pool_size
+        )
+        require_ints(2, n_samples=self.n_samples)
+        if self.n_initial >= self.n_samples:
             raise SettingError(
                 "n_initial",
-                f"need 1 <= n_initial < n_samples, got n_initial={self.n_initial} "
+                f"need n_initial < n_samples, got n_initial={self.n_initial} "
                 f"n_samples={self.n_samples}",
             )
-        if self.ratio_max < 1:
-            raise SettingError("ratio_max", f"ratio_max must be >= 1, got {self.ratio_max}")
-        if self.pool_size < 1:
-            raise SettingError("pool_size", f"pool_size must be >= 1, got {self.pool_size}")
         if self.nu not in (1.5, 2.5):
             raise SettingError("nu", f"nu must be 1.5 or 2.5, got {self.nu}")
         if not (math.isfinite(self.ucb_lambda) and self.ucb_lambda >= 0):

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from .bandit import (
     BanditConfig,
-    BetaArm,
     TaskSelection,
-    expected_utility,
     initial_arms,
     run_stage1,
+    select_tasks,
     utility_density_table,
 )
 from .environments import make_environment
@@ -104,19 +104,10 @@ def manual_ratio_grid(n_aux: int, budget: int, ratio_max: int) -> list[MixingRat
 
 
 def _all_task_selection(config: BanditConfig) -> TaskSelection:
-    """Selection covering every task (primary first), utilities from the priors."""
-    arms = initial_arms(config)
+    """Selection covering every task (primary first), beliefs from the priors."""
     aux = [k for k in range(config.n_tasks) if k != config.primary_task_id]
-    return TaskSelection(
-        selected_task_ids=tuple([config.primary_task_id] + aux),
-        expected_utilities=tuple(expected_utility(a) for a in arms),
-    )
-
-
-def _arms_from_log(log: RunLog, config: BanditConfig) -> tuple[tuple[float, float], ...]:
-    if log.records:
-        return tuple((a, b) for a, b in log.records[-1]["arms_after"])
-    return tuple((arm.alpha, arm.beta) for arm in initial_arms(config))
+    prior = select_tasks(*initial_arms(config), config)
+    return replace(prior, selected_task_ids=tuple([config.primary_task_id] + aux))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -171,7 +162,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     return PipelineReport(
         mode=config.mode,
         selection=selection,
-        final_arms=_arms_from_log(stage1_log, config.bandit),
+        final_arms=selection.final_arms,
         best_ratio=best.ratio,
         best_score=best.score,
         baseline_score=baseline_score,
@@ -200,18 +191,25 @@ def report_summary(report: PipelineReport) -> dict:
     )
 
 
-def write_density_csv(
-    arms: Sequence[BetaArm], path: str | Path, grid_size: int = 1000
-) -> Path:
-    """Write the per-task utility density table as ``task_id,theta,density``."""
+def stage_log(report: PipelineReport, kind: str) -> tuple[RunLog, dict]:
+    """One stage's log with its header; stage 1's header carries the final arms."""
+    if kind == "stage1":
+        final_arms = list(report.final_arms)
+        return report.stage1_log, make_header(kind, report.config, final_arms=final_arms)
+    return report.stage2_log, make_header(kind, report.config)
+
+
+def write_density_csv(table: tuple[np.ndarray, np.ndarray], path: str | Path) -> Path:
+    """Write a :func:`utility_density_table` as ``task_id,theta,density`` rows."""
+    theta, density = table
+    thetas = theta.tolist()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = utility_density_table(arms, grid_size)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task_id", "theta", "density"])
-        for task_id, theta, density in rows:
-            writer.writerow([task_id, repr(theta), repr(density)])
+        for task_id, row in enumerate(density.tolist()):
+            writer.writerows((task_id, t, d) for t, d in zip(thetas, row))
     return path
 
 
@@ -226,22 +224,13 @@ def write_outputs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    report_path = out / "report.json"
-    report_path.write_text(
+    paths = {"report": out / "report.json"}
+    paths["report"].write_text(
         json.dumps(report_summary(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-    stage1_header = make_header("stage1", report.config, final_arms=list(report.final_arms))
-    stage1_path = report.stage1_log.write_jsonl(out / "stage1.log.jsonl", stage1_header)
-    stage2_header = make_header("stage2", report.config)
-    stage2_path = report.stage2_log.write_jsonl(out / "stage2.log.jsonl", stage2_header)
-
-    arms = [BetaArm(alpha=a, beta=b, task_id=k) for k, (a, b) in enumerate(report.final_arms)]
-    csv_path = write_density_csv(arms, out / "utilities.csv", grid_size)
-
-    return {
-        "report": report_path,
-        "stage1_log": stage1_path,
-        "stage2_log": stage2_path,
-        "utilities": csv_path,
-    }
+    for kind in ("stage1", "stage2"):
+        log, header = stage_log(report, kind)
+        paths[f"{kind}_log"] = log.write_jsonl(out / f"{kind}.log.jsonl", header)
+    table = utility_density_table(report.final_arms, grid_size)
+    paths["utilities"] = write_density_csv(table, out / "utilities.csv")
+    return paths

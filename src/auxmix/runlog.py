@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -93,6 +94,16 @@ class SettingError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def require_ints(low: int, **settings: Any) -> None:
+    """Raise :class:`SettingError` for the first setting that is not an integer >= ``low``.
+
+    Python and NumPy integers pass; a bool, a float, NaN and inf do not.
+    """
+    for name, value in settings.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise SettingError(name, f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class RunAborted(RuntimeError):

@@ -21,7 +21,13 @@ import pytest
 
 import conftest
 from auxmix.acquisition import expected_improvement, probability_of_improvement
-from auxmix.bandit import BanditConfig, BetaArm, initial_arms, run_stage1, update_posterior
+from auxmix.bandit import (
+    BanditConfig,
+    initial_arms,
+    run_stage1,
+    update_posterior,
+    utility_density_table,
+)
 from auxmix.cli import EXIT_OK, main
 from auxmix.environments import PlantedBanditEnv, SharedParamMtlEnv
 from auxmix.gp import (
@@ -52,21 +58,19 @@ def test_criterion_01_stationary_conjugacy_is_exact():
     for _ in range(n_sequences):
         n_arms = int(rng.integers(2, 7))
         cfg = BanditConfig(n_tasks=n_arms, gamma=0.0)
-        arms = initial_arms(cfg)
-        init = [(a.alpha, a.beta) for a in arms]
+        alpha, beta = initial_arms(cfg)
+        init = list(zip(alpha.tolist(), beta.tolist()))
         totals = [[0, 0] for _ in range(n_arms)]
         for _ in range(int(rng.integers(0, 41))):
             arm = int(rng.integers(0, n_arms))
             reward = int(rng.integers(0, 2))
-            arms = update_posterior(arms, arm, reward, cfg)
+            alpha, beta = update_posterior(alpha, beta, arm, reward, cfg)
             totals[arm][0] += reward
             totals[arm][1] += 1 - reward
         expected = [
             (init[k][0] + totals[k][0], init[k][1] + totals[k][1]) for k in range(n_arms)
         ]
-        exact += all(
-            (a.alpha, a.beta) == expected[k] for k, a in enumerate(arms)
-        )
+        exact += list(zip(alpha.tolist(), beta.tolist())) == expected
     elapsed = time.perf_counter() - start
     ok = exact == n_sequences and elapsed < 1.0
     verdict(
@@ -362,13 +366,11 @@ def test_criterion_10_density_csv_integrates_to_one(tmp_path):
         environment={"family": "planted", "theta_star": [0.8, 0.9, 0.1]},
     )
     report = run_pipeline(cfg)
-    arms = [
-        BetaArm(alpha=a, beta=b, task_id=k) for k, (a, b) in enumerate(report.final_arms)
-    ]
-    prior_arms = initial_arms(BanditConfig(n_tasks=2))
+    prior_arms = np.column_stack(initial_arms(BanditConfig(n_tasks=2)))
     worst = 0.0
-    for label, arm_set in (("trained", arms), ("prior", prior_arms)):
-        path = write_density_csv(arm_set, tmp_path / f"{label}.csv", grid_size=1000)
+    for label, arm_set in (("trained", report.final_arms), ("prior", prior_arms)):
+        table = utility_density_table(arm_set, grid_size=1000)
+        path = write_density_csv(table, tmp_path / f"{label}.csv")
         columns = defaultdict(lambda: ([], []))
         with path.open() as fh:
             next(fh)

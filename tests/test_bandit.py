@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -12,19 +13,15 @@ from hypothesis import strategies as st
 
 from auxmix.bandit import (
     BanditConfig,
-    BetaArm,
-    beta_pdf,
     compute_reward,
-    expected_utility,
     initial_arms,
     run_stage1,
-    sample_utilities,
-    select_arm,
     select_tasks,
     update_posterior,
     utility_density_table,
 )
 from auxmix.environments import PlantedBanditEnv, SharedParamMtlEnv
+from auxmix.pipeline import write_density_csv
 from auxmix.runlog import RunAborted, RunLog, derive_seed
 
 
@@ -34,65 +31,142 @@ def make_config(**kw):
     return BanditConfig(**base)
 
 
-# ---------------------------------------------------------------- beta_pdf
+def arrays(*arms):
+    """``(alpha, beta)`` arrays from ``(alpha, beta)`` pairs."""
+    alpha, beta = zip(*arms)
+    return np.array(alpha, dtype=float), np.array(beta, dtype=float)
+
+
+def pairs(alpha, beta):
+    return list(zip(alpha.tolist(), beta.tolist()))
+
+
+def _beta_pdf(theta: float, a: float, b: float) -> float:
+    """The scalar Beta density the table was once built from, one call per point."""
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return math.exp(log_norm + (a - 1.0) * math.log(theta) + (b - 1.0) * math.log1p(-theta))
+
+
+# ------------------------------------------------------------- Beta density
 
 def test_beta_pdf_frozen_values():
-    assert beta_pdf(0.5, BetaArm(1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
-    assert beta_pdf(0.5, BetaArm(2.0, 2.0)) == pytest.approx(1.5, abs=1e-12)
-    assert beta_pdf(0.25, BetaArm(2.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+    theta, density = utility_density_table([(1.0, 1.0), (2.0, 2.0), (2.0, 1.0)], grid_size=3)
+    assert theta.tolist() == [0.25, 0.5, 0.75]
+    assert density[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert density[1, 1] == pytest.approx(1.5, abs=1e-12)
+    assert density[2, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_beta_pdf_integrates_to_one():
-    # midpoint rule on a fine grid; the density is smooth for these shapes
-    arm = BetaArm(3.5, 1.7)
-    grid = (np.arange(20000) + 0.5) / 20000
-    total = np.mean([beta_pdf(t, arm) for t in grid])
-    assert total == pytest.approx(1.0, abs=1e-3)
+    # midpoint-like rule on a fine interior grid; the density is smooth here
+    theta, density = utility_density_table([(3.5, 1.7)], grid_size=20000)
+    assert density.mean() == pytest.approx(1.0, abs=1e-3)
+    assert theta.shape == (20000,)
 
 
 def test_beta_pdf_domain_error():
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            beta_pdf(bad, BetaArm(1.0, 1.0))
+    # The grid never reaches the endpoints, where the density may diverge.
+    for grid_size in (1, 2, 1000, 10**6):
+        theta, density = utility_density_table([(0.5, 0.5)], grid_size)
+        assert 0.0 < theta.min() and theta.max() < 1.0
+        assert np.all(np.isfinite(density))
 
 
 def test_beta_arm_invariants():
-    with pytest.raises(ValueError):
-        BetaArm(0.0, 1.0)
-    with pytest.raises(ValueError):
-        BetaArm(1.0, -2.0)
-    with pytest.raises(ValueError):
-        BetaArm(math.inf, 1.0)
+    for bad in ((0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            utility_density_table([(1.0, 1.0), bad], grid_size=3)
+    for bad_shape in ([], [1.0, 2.0], [(1.0, 2.0, 3.0)]):
+        with pytest.raises(ValueError):
+            utility_density_table(bad_shape, grid_size=3)
 
 
-# --------------------------------------------------------- expected_utility
+@pytest.mark.parametrize("grid_size", [1, 7, 1000])
+def test_density_csv_is_byte_identical_to_the_scalar_density(grid_size, tmp_path):
+    """Random shapes from 0.01 to 1e6, one scalar ``_beta_pdf`` call per point,
+    written the way the scalar table was: the batched CSV matches byte for byte."""
+    rng = np.random.default_rng(grid_size)
+    arms = (10.0 ** rng.uniform(-2.0, 6.0, size=(12, 2))).tolist()
+    arms += [[0.01, 0.01], [1e6, 1e6], [0.01, 1e6], [1e6, 0.01], [1.0, 1.0]]
+    want = tmp_path / "scalar.csv"
+    with want.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["task_id", "theta", "density"])
+        for k, (a, b) in enumerate(arms):
+            for j in range(grid_size):
+                theta = (j + 1) / (grid_size + 1)
+                writer.writerow([k, repr(theta), repr(_beta_pdf(theta, a, b))])
+    got = write_density_csv(utility_density_table(arms, grid_size), tmp_path / "table.csv")
+    assert got.read_bytes() == want.read_bytes()
+
+
+# --------------------------------------------------------- expected utility
 
 def test_expected_utility_values():
-    assert expected_utility(BetaArm(1.0, 1.0)) == 0.5
-    assert expected_utility(BetaArm(3.0, 1.0)) == 0.75
-    assert expected_utility(BetaArm(1.0, 3.0)) == 0.25
+    cfg = make_config(n_tasks=3)
+    sel = select_tasks(*arrays((1.0, 1.0), (3.0, 1.0), (1.0, 3.0)), cfg)
+    assert sel.expected_utilities == (0.5, 0.75, 0.25)
 
 
-# -------------------------------------------------------------- select_arm
+# ----------------------------------------------------- Thompson selection
 
 def test_select_arm_examples():
-    assert select_arm([0.2, 0.9, 0.5]) == 1
-    assert select_arm([0.7, 0.7]) == 0
-    assert select_arm([0.3]) == 0
+    """Every round trains the arm with the largest sampled utility; a tie
+    goes to the lowest index."""
+    cfg = make_config(n_tasks=4, n_rounds=200, rng_seed=4)
+    _, log = run_stage1(PlantedBanditEnv([0.8, 0.6, 0.4, 0.2]), cfg)
+    for rec in log.records:
+        thetas = rec["sampled_thetas"]
+        assert rec["selected_arm"] == thetas.index(max(thetas))
 
 
-def test_select_arm_empty_is_error():
-    with pytest.raises(ValueError):
-        select_arm([])
+def test_sample_utilities_deterministic_and_in_range():
+    cfg = make_config(n_tasks=2, n_rounds=20, rng_seed=5)
+    _, one = run_stage1(PlantedBanditEnv([0.5, 0.5]), cfg)
+    _, two = run_stage1(PlantedBanditEnv([0.5, 0.5]), cfg)
+    draws = np.array([rec["sampled_thetas"] for rec in one.records])
+    assert draws.tolist() == [rec["sampled_thetas"] for rec in two.records]
+    assert draws.shape == (20, 2)
+    assert np.all((draws > 0) & (draws < 1))
 
 
-@given(
-    utilities=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=8),
-    scale=st.floats(min_value=1e-3, max_value=1e3),
-)
-def test_select_arm_scale_invariance(utilities, scale):
-    base = select_arm(utilities)
-    assert select_arm([scale * u for u in utilities]) == base
+def test_sample_utilities_mean_within_three_se():
+    # With gamma = 1 every arm returns to the Beta(2, 5) prior each round and
+    # only the arm trained last holds a credit, so the other arms' draws are
+    # Beta(2, 5) samples: 99 per round over 1000 rounds, plus all of round 0.
+    a, b = 2.0, 5.0
+    cfg = make_config(
+        n_tasks=100, n_rounds=1000, gamma=1.0, alpha0=a, beta0=b,
+        primary_prior_boost=0.0, rng_seed=7,
+    )
+    _, log = run_stage1(PlantedBanditEnv([0.5] * 100), cfg)
+    draws = np.array([rec["sampled_thetas"] for rec in log.records])
+    last = [None] + [rec["selected_arm"] for rec in log.records[:-1]]
+    keep = np.ones(draws.shape, dtype=bool)
+    for t, k in enumerate(last):
+        if k is not None:
+            keep[t, k] = False
+    draws = draws[keep]
+    mean = a / (a + b)
+    var = a * b / ((a + b) ** 2 * (a + b + 1))
+    se = math.sqrt(var / draws.size)
+    assert draws.size == 100 + 999 * 99
+    assert abs(draws.mean() - mean) < 3 * se
+
+
+def test_sample_utilities_extreme_arms():
+    # A 1000-round run moves no pseudo-count by more than 1000, so every
+    # belief stays within 1e-3 of its prior mean.
+    n = 100_000
+    for (alpha0, beta0), near in (((1e6, 1.0), lambda d: d > 0.99), ((1.0, 1e6), lambda d: d < 0.01)):
+        cfg = make_config(
+            n_tasks=100, n_rounds=1000, gamma=0.0, alpha0=alpha0, beta0=beta0,
+            primary_prior_boost=0.0, rng_seed=11,
+        )
+        _, log = run_stage1(PlantedBanditEnv([0.5] * 100), cfg)
+        draws = np.array([rec["sampled_thetas"] for rec in log.records])
+        assert draws.size == n
+        assert near(draws).mean() > 0.999 - 3 * math.sqrt(0.001 * 0.999 / n)
 
 
 # ----------------------------------------------------------- compute_reward
@@ -114,35 +188,32 @@ def test_compute_reward_nonfinite_is_error():
 
 def test_update_selected_arm_stationary():
     cfg = make_config(n_tasks=2, gamma=0.0)
-    arms = [BetaArm(2.0, 3.0, 0), BetaArm(1.0, 1.0, 1)]
-    out = update_posterior(arms, 0, 1, cfg)
-    assert (out[0].alpha, out[0].beta) == (3.0, 3.0)
-    assert (out[1].alpha, out[1].beta) == (1.0, 1.0)
+    alpha, beta = update_posterior(*arrays((2.0, 3.0), (1.0, 1.0)), 0, 1, cfg)
+    assert pairs(alpha, beta) == [(3.0, 3.0), (1.0, 1.0)]
 
 
 def test_update_unselected_arm_decays():
     cfg = make_config(n_tasks=2, gamma=0.1, alpha0=1.0, beta0=1.0)
-    arms = [BetaArm(1.0, 1.0, 0), BetaArm(2.0, 3.0, 1)]
-    out = update_posterior(arms, 0, 0, cfg)
-    assert out[1].alpha == pytest.approx(1.9, abs=1e-12)
-    assert out[1].beta == pytest.approx(2.8, abs=1e-12)
+    alpha, beta = update_posterior(*arrays((1.0, 1.0), (2.0, 3.0)), 0, 0, cfg)
+    assert alpha[1] == pytest.approx(1.9, abs=1e-12)
+    assert beta[1] == pytest.approx(2.8, abs=1e-12)
 
 
 def test_update_gamma_one_resets_unselected():
     cfg = make_config(n_tasks=2, gamma=1.0, alpha0=1.0, beta0=1.0)
-    arms = [BetaArm(7.0, 9.0, 0), BetaArm(5.0, 2.0, 1)]
-    out = update_posterior(arms, 1, 1, cfg)
-    assert (out[0].alpha, out[0].beta) == (1.0, 1.0)
-    assert (out[1].alpha, out[1].beta) == (2.0, 1.0)  # reset then +reward
+    alpha, beta = update_posterior(*arrays((7.0, 9.0), (5.0, 2.0)), 1, 1, cfg)
+    assert pairs(alpha, beta) == [(1.0, 1.0), (2.0, 1.0)]  # reset then +reward
 
 
 def test_update_posterior_argument_errors():
     cfg = make_config(n_tasks=2)
-    arms = [BetaArm(1.0, 1.0, 0), BetaArm(1.0, 1.0, 1)]
+    prior = arrays((1.0, 1.0), (1.0, 1.0))
     with pytest.raises(ValueError):
-        update_posterior(arms, 5, 1, cfg)
+        update_posterior(*prior, 5, 1, cfg)
     with pytest.raises(ValueError):
-        update_posterior(arms, 0, 2, cfg)
+        update_posterior(*prior, -1, 1, cfg)
+    with pytest.raises(ValueError):
+        update_posterior(*prior, 0, 2, cfg)
 
 
 def test_conjugacy_exact_under_gamma_zero():
@@ -154,22 +225,18 @@ def test_conjugacy_exact_under_gamma_zero():
     for _ in range(1000):
         n = int(rng.integers(1, 40))
         rewards = rng.integers(0, 2, size=n)
-        arms = initial_arms(cfg)
+        alpha, beta = initial_arms(cfg)
         for r in rewards:
-            arms = update_posterior(arms, 1, int(r), cfg)
+            alpha, beta = update_posterior(alpha, beta, 1, int(r), cfg)
         total_r = int(rewards.sum())
-        assert arms[1].alpha == 1.0 + total_r
-        assert arms[1].beta == 1.0 + (n - total_r)
-        assert (arms[0].alpha, arms[0].beta) == (3.0, 1.0)
-        assert (arms[2].alpha, arms[2].beta) == (1.0, 1.0)
+        assert pairs(alpha, beta) == [(3.0, 1.0), (1.0 + total_r, 1.0 + n - total_r), (1.0, 1.0)]
 
 
 @given(gamma=st.floats(min_value=0.0, max_value=1.0))
 def test_decay_fixed_point(gamma):
     cfg = make_config(n_tasks=2, gamma=gamma, alpha0=1.0, beta0=1.0)
-    arms = [BetaArm(1.0, 1.0, 0), BetaArm(1.0, 1.0, 1)]
-    out = update_posterior(arms, 0, 1, cfg)
-    assert (out[1].alpha, out[1].beta) == (1.0, 1.0)
+    alpha, beta = update_posterior(*arrays((1.0, 1.0), (1.0, 1.0)), 0, 1, cfg)
+    assert (alpha[1], beta[1]) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5])
@@ -177,50 +244,26 @@ def test_pseudo_count_boundedness(gamma):
     cfg = make_config(n_tasks=3, gamma=gamma, alpha0=1.0, beta0=1.0, primary_prior_boost=2.0)
     bound = max(3.0, 1.0) + 1.0 / gamma + 1.0
     rng = np.random.default_rng(99)
-    arms = initial_arms(cfg)
+    alpha, beta = initial_arms(cfg)
     for _ in range(500):
         k = int(rng.integers(0, 3))
         r = int(rng.integers(0, 2))
-        arms = update_posterior(arms, k, r, cfg)
-        for arm in arms:
-            assert arm.alpha <= bound
-            assert arm.beta <= bound
+        alpha, beta = update_posterior(alpha, beta, k, r, cfg)
+        assert np.all(alpha <= bound) and np.all(beta <= bound)
 
 
-# --------------------------------------------------------- sample_utilities
-
-def test_sample_utilities_deterministic_and_in_range():
-    arms = [BetaArm(1.0, 1.0, 0), BetaArm(1.0, 1.0, 1)]
-    one = sample_utilities(arms, np.random.default_rng(5))
-    two = sample_utilities(arms, np.random.default_rng(5))
-    assert np.array_equal(one, two)
-    assert one.shape == (2,)
-    assert np.all((one > 0) & (one < 1))
-
-
-def test_sample_utilities_mean_within_three_se():
-    # 10^5 draws through the API (batched as 100 identical arms per call).
-    a, b = 2.0, 5.0
-    arms = [BetaArm(a, b, i) for i in range(100)]
-    draws = np.concatenate(
-        [sample_utilities(arms, np.random.default_rng(1000 + j)) for j in range(1000)]
-    )
-    mean = a / (a + b)
-    var = a * b / ((a + b) ** 2 * (a + b + 1))
-    se = math.sqrt(var / draws.size)
-    assert draws.size == 100_000
-    assert abs(draws.mean() - mean) < 3 * se
-
-
-def test_sample_utilities_extreme_arms():
-    rng = np.random.default_rng(11)
-    heavy = [BetaArm(1e6, 1.0, 0)]
-    light = [BetaArm(1.0, 1e6, 1)]
-    n = 100_000
-    hi = np.concatenate([sample_utilities(heavy * 100, rng) for _ in range(n // 100)])
-    lo = np.concatenate([sample_utilities(light * 100, rng) for _ in range(n // 100)])
-    assert np.mean(hi > 0.99) > 0.999 - 3 * math.sqrt(0.001 * 0.999 / n)
-    assert np.mean(lo < 0.01) > 0.999 - 3 * math.sqrt(0.001 * 0.999 / n)
+@pytest.mark.parametrize("reward", [0, 1])
+def test_update_posterior_matches_scalar_formula(reward):
+    cfg = make_config(n_tasks=4, gamma=0.3, alpha0=1.5, beta0=0.5)
+    old = arrays(*[(2.0 + k, 1.0 + 0.5 * k) for k in range(4)])
+    before = pairs(*old)
+    alpha, beta = update_posterior(*old, 2, reward, cfg)
+    assert pairs(*old) == before  # the inputs are left as they were
+    assert alpha.dtype == beta.dtype == np.float64
+    for k, ((a_old, b_old), (a_new, b_new)) in enumerate(zip(before, pairs(alpha, beta))):
+        hit = k == 2
+        assert a_new == (1.0 - 0.3) * a_old + 0.3 * 1.5 + (reward if hit else 0)
+        assert b_new == (1.0 - 0.3) * b_old + 0.3 * 0.5 + (1 - reward if hit else 0)
 
 
 # ------------------------------------------------------------- select_tasks
@@ -228,26 +271,22 @@ def test_sample_utilities_extreme_arms():
 def test_select_tasks_top_two_plus_threshold():
     cfg = make_config(n_tasks=5)
     arms = [
-        BetaArm(3.0, 1.0, 0),  # primary
-        BetaArm(9.0, 1.0, 1),  # 0.9
-        BetaArm(8.0, 2.0, 2),  # 0.8
-        BetaArm(6.0, 4.0, 3),  # 0.6 -> in via threshold
-        BetaArm(1.0, 9.0, 4),  # 0.1 -> out
+        (3.0, 1.0),  # primary
+        (9.0, 1.0),  # 0.9
+        (8.0, 2.0),  # 0.8
+        (6.0, 4.0),  # 0.6 -> in via threshold
+        (1.0, 9.0),  # 0.1 -> out
     ]
-    sel = select_tasks(arms, cfg)
+    sel = select_tasks(*arrays(*arms), cfg)
     assert sel.selected_task_ids == (0, 1, 2, 3)
     assert sel.expected_utilities == pytest.approx((0.75, 0.9, 0.8, 0.6, 0.1))
+    assert sel.final_arms == tuple(arms)
 
 
 def test_select_tasks_tie_goes_to_lower_id():
     cfg = make_config(n_tasks=4)
-    arms = [
-        BetaArm(3.0, 1.0, 0),
-        BetaArm(2.0, 8.0, 1),  # 0.2
-        BetaArm(1.0, 4.0, 2),  # 0.2 exact tie with task 1 and 3
-        BetaArm(2.0, 8.0, 3),  # 0.2
-    ]
-    sel = select_tasks(arms, cfg)
+    # 0.2 for tasks 1, 2 and 3: an exact three-way tie
+    sel = select_tasks(*arrays((3.0, 1.0), (2.0, 8.0), (1.0, 4.0), (2.0, 8.0)), cfg)
     assert sel.selected_task_ids == (0, 1, 2)
 
 
@@ -255,15 +294,16 @@ def test_select_tasks_primary_not_counted_in_top_two():
     # Primary has the highest expected utility but the top-2 rule applies to
     # auxiliaries only, so two auxiliaries still come along.
     cfg = make_config(n_tasks=3)
-    arms = [BetaArm(99.0, 1.0, 0), BetaArm(1.0, 9.0, 1), BetaArm(1.0, 9.0, 2)]
-    sel = select_tasks(arms, cfg)
+    sel = select_tasks(*arrays((99.0, 1.0), (1.0, 9.0), (1.0, 9.0)), cfg)
     assert sel.selected_task_ids == (0, 1, 2)
 
 
 def test_select_tasks_arm_count_mismatch():
     cfg = make_config(n_tasks=3)
     with pytest.raises(ValueError):
-        select_tasks([BetaArm(1.0, 1.0, 0)], cfg)
+        select_tasks(*arrays((1.0, 1.0)), cfg)
+    with pytest.raises(ValueError):
+        select_tasks(np.ones(3), np.ones(2), cfg)
 
 
 # --------------------------------------------------------------- run_stage1
@@ -312,31 +352,36 @@ def test_run_stage1_two_tasks_keeps_useless_auxiliary_via_top_two():
 
 
 def _reference_stage1(env, config):
-    """The stage-1 loop over BetaArm lists, as it was before the array-backed
-    loop: one sample, selection and posterior update per round through the
-    public scalar API."""
-    arms = initial_arms(config)
+    """The stage-1 loop one arm at a time in Python floats: its own prior,
+    scalar Thompson draws, first-maximum rule, reward and decay, sharing no
+    code with :func:`run_stage1`.  Returns the log and the final arms."""
+    n, g = config.n_tasks, config.gamma
+    alphas = [config.alpha0] * n
+    alphas[config.primary_task_id] = config.alpha0 + config.primary_prior_boost
+    betas = [config.beta0] * n
     log = RunLog()
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
     env.reset(derive_seed(config.rng_seed, "stage1-env"))
     metric_prev = float(env.validation_metric())
     for t in range(config.n_rounds):
-        thetas = sample_utilities(arms, rng)
-        k = select_arm(thetas)
+        thetas = [float(rng.beta(a, b)) for a, b in zip(alphas, betas)]
+        k = thetas.index(max(thetas))
         env.step(k)
         metric_now = float(env.validation_metric())
-        reward = compute_reward(metric_now, metric_prev)
-        arms = update_posterior(arms, k, reward, config)
+        reward = 1 if metric_now >= metric_prev else 0
+        hits = [1 if j == k else 0 for j in range(n)]
+        alphas = [(1.0 - g) * a + g * config.alpha0 + reward * h for a, h in zip(alphas, hits)]
+        betas = [(1.0 - g) * b + g * config.beta0 + (1 - reward) * h for b, h in zip(betas, hits)]
         log.append(
             round=t,
-            sampled_thetas=[float(x) for x in thetas],
+            sampled_thetas=thetas,
             selected_arm=k,
             reward=reward,
             metric=metric_now,
-            arms_after=[[a.alpha, a.beta] for a in arms],
+            arms_after=[[a, b] for a, b in zip(alphas, betas)],
         )
         metric_prev = metric_now
-    return select_tasks(arms, config), log
+    return log, tuple(zip(alphas, betas))
 
 
 def _oracle_env(family, n_tasks):
@@ -360,25 +405,14 @@ def test_run_stage1_matches_reference_loop(family, n_tasks, n_rounds, gamma, boo
         n_tasks=n_tasks, n_rounds=n_rounds, gamma=gamma, primary_prior_boost=boost,
         batches_per_round=2, rng_seed=n_tasks * 1000 + n_rounds,
     )
-    want_sel, want_log = _reference_stage1(_oracle_env(family, n_tasks), cfg)
+    want_log, want_arms = _reference_stage1(_oracle_env(family, n_tasks), cfg)
     got_sel, got_log = run_stage1(_oracle_env(family, n_tasks), cfg)
     assert got_log.records == want_log.records
     assert got_log.lines() == want_log.lines()
-    assert got_sel == want_sel
+    assert got_sel.final_arms == want_arms
+    assert got_sel.expected_utilities == tuple(a / (a + b) for a, b in want_arms)
+    assert got_sel == select_tasks(*arrays(*want_arms), cfg)
     assert len(got_log) == n_rounds
-
-
-@pytest.mark.parametrize("reward", [0, 1])
-def test_update_posterior_matches_scalar_formula(reward):
-    cfg = make_config(n_tasks=4, gamma=0.3, alpha0=1.5, beta0=0.5)
-    arms = [BetaArm(2.0 + k, 1.0 + 0.5 * k, task_id=k) for k in range(4)]
-    out = update_posterior(arms, 2, reward, cfg)
-    for k, (old, new) in enumerate(zip(arms, out)):
-        hit = k == 2
-        assert new.alpha == (1.0 - 0.3) * old.alpha + 0.3 * 1.5 + (reward if hit else 0)
-        assert new.beta == (1.0 - 0.3) * old.beta + 0.3 * 0.5 + (1 - reward if hit else 0)
-        assert new.task_id == old.task_id
-        assert type(new.alpha) is float and type(new.beta) is float
 
 
 class FailingEnv:
@@ -412,23 +446,21 @@ def test_run_stage1_abort_preserves_partial_log():
 # ------------------------------------------------- utility_density_table
 
 def test_density_table_uniform_arm():
-    rows = utility_density_table([BetaArm(1.0, 1.0, 0)], grid_size=3)
-    assert [(t, th) for t, th, _ in rows] == [(0, 0.25), (0, 0.5), (0, 0.75)]
-    assert all(d == pytest.approx(1.0) for _, _, d in rows)
+    theta, density = utility_density_table([(1.0, 1.0)], grid_size=3)
+    assert theta.tolist() == [0.25, 0.5, 0.75]
+    assert density.shape == (1, 3)
+    assert density.tolist()[0] == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_density_table_shape_and_peak():
-    arms = [BetaArm(2.0, 2.0, k) for k in range(4)]
-    rows = utility_density_table(arms, grid_size=101)
-    assert len(rows) == 4 * 101
-    task0 = [(th, d) for t, th, d in rows if t == 0]
-    peak_theta = max(task0, key=lambda p: p[1])[0]
-    assert peak_theta == pytest.approx(0.5, abs=0.01)
+    theta, density = utility_density_table([(2.0, 2.0)] * 4, grid_size=101)
+    assert density.shape == (4, 101)
+    assert theta[np.argmax(density[0])] == pytest.approx(0.5, abs=0.01)
 
 
 def test_density_table_rejects_bad_grid():
     with pytest.raises(ValueError):
-        utility_density_table([BetaArm(1.0, 1.0, 0)], grid_size=0)
+        utility_density_table([(1.0, 1.0)], grid_size=0)
 
 
 # ----------------------------------------------------------- config checks
@@ -452,6 +484,6 @@ def test_bandit_config_validation():
 
 def test_initial_arms_boosts_primary():
     cfg = make_config(n_tasks=3, alpha0=1.0, beta0=1.0, primary_prior_boost=2.0)
-    arms = initial_arms(cfg)
-    assert [(a.alpha, a.beta) for a in arms] == [(3.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
-    assert [a.task_id for a in arms] == [0, 1, 2]
+    alpha, beta = initial_arms(cfg)
+    assert pairs(alpha, beta) == [(3.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
+    assert alpha.dtype == beta.dtype == np.float64

@@ -451,6 +451,31 @@ def test_plot_utilities_malformed_log(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.5, math.nan])
+def test_plot_utilities_rejects_invalid_arms(finished_run, tmp_path, capsys, bad):
+    """An arm that is not a Beta belief makes the log malformed; no CSV is written."""
+    lines = (finished_run / "stage1.log.jsonl").read_text(encoding="utf-8").splitlines()
+    last = json.loads(lines[-1])
+    last["arms_after"][1][0] = bad
+    log = tmp_path / "bad.jsonl"
+    log.write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n", encoding="utf-8")
+    target = tmp_path / "bad.csv"
+    assert run_cli("plot-utilities", log, "--out", target) == EXIT_USAGE
+    assert "malformed run log" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_plot_utilities_write_failure_is_not_a_malformed_log(finished_run, tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()  # a directory where the CSV file should go
+    assert run_cli("plot-utilities", finished_run / "stage1.log.jsonl", "--out", target) == (
+        EXIT_RUNTIME
+    )
+    err = capsys.readouterr().err
+    assert "cannot write" in err
+    assert "malformed" not in err
+
+
 def test_plot_utilities_grid_size_guard(finished_run, capsys):
     rc = run_cli("plot-utilities", finished_run / "stage1.log.jsonl", "--grid-size", "0")
     assert rc == EXIT_USAGE

@@ -8,6 +8,7 @@ import inspect
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -300,7 +301,38 @@ _REJECTIONS = [
         (_SHARED, {}, "harmful_scale"),
     ]
     for value in (math.nan, math.inf)
+] + [
+    # An integer setting rejects every float, NaN and infinity included.
+    (make, {**base, field: value}, field)
+    for make, base, field in [
+        (BanditConfig, {}, "n_tasks"),
+        (BanditConfig, {"n_tasks": 3}, "n_rounds"),
+        (BanditConfig, {"n_tasks": 3}, "batches_per_round"),
+        (BanditConfig, {"n_tasks": 3}, "primary_task_id"),
+        (Stage2Config, {}, "n_samples"),
+        (Stage2Config, {}, "n_initial"),
+        (Stage2Config, {}, "ratio_max"),
+        (Stage2Config, {}, "pool_size"),
+        (_SHARED, {}, "dim"),
+        (_SHARED, {}, "n_primary_train"),
+        (_SHARED, {}, "n_primary_heldout"),
+        (_SHARED, {}, "n_aux"),
+        (_SHARED, {}, "total_batches"),
+        (_SHARED, {}, "batch_size"),
+        (_SHARED, {}, "batches_per_round"),
+    ]
+    for value in (math.nan, math.inf, 2.5)
 ]
+
+
+def test_integer_settings_take_numpy_integers_but_not_bools():
+    three, five = np.int64(3), np.int32(5)
+    assert BanditConfig(n_tasks=three, n_rounds=five).n_rounds == 5
+    assert Stage2Config(n_samples=np.int64(6), pool_size=np.int16(8)).pool_size == 8
+    assert _SHARED(dim=np.int64(3), batch_size=np.uint8(2)).dim == 3
+    with pytest.raises(SettingError) as info:
+        BanditConfig(n_tasks=3, n_rounds=True)
+    assert info.value.field == "n_rounds"
 
 
 @pytest.mark.parametrize("make, kwargs, field", _REJECTIONS)
