@@ -48,6 +48,7 @@ class BanditConfig:
         require_ints(2, n_tasks=self.n_tasks)
         require_ints(0, primary_task_id=self.primary_task_id, n_rounds=self.n_rounds)
         require_ints(1, batches_per_round=self.batches_per_round)
+        require_ints(None, rng_seed=self.rng_seed)
         if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
             raise SettingError("alpha0", f"alpha0 must be positive, got {self.alpha0}")
         if not (math.isfinite(self.beta0) and self.beta0 > 0):

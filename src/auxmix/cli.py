@@ -124,7 +124,13 @@ def _write_partial_logs(exc: RunAborted, normalized: dict, run_dir: Path) -> Non
 
 
 def _execute_run(normalized: dict, run_dir: Path, force: bool, grid_size: int) -> tuple[int, str]:
-    if run_dir.exists() and any(run_dir.iterdir()) and not force:
+    try:
+        busy = any(run_dir.iterdir())
+    except FileNotFoundError:
+        busy = False
+    except OSError as exc:  # a regular file at, or on the way to, the run directory
+        return EXIT_USAGE, f"error: cannot write {run_dir}: {exc}"
+    if busy and not force:
         return EXIT_USAGE, f"refusing to overwrite non-empty {run_dir} (use --force)"
     try:
         report = run_pipeline(to_pipeline_config(normalized))

@@ -139,6 +139,7 @@ class SharedParamMtlEnv:
         )
         # The metric divides by the held-out label variance, which is 0 for a single row.
         require_ints(2, n_primary_heldout=n_primary_heldout)
+        require_ints(None, data_seed=data_seed)
         if not (math.isfinite(learning_rate) and learning_rate > 0):
             raise SettingError(
                 "learning_rate", f"learning_rate must be positive, got {learning_rate}"

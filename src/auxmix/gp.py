@@ -142,8 +142,12 @@ class GpModel:
 
 
 def _factor_with_jitter(k_noisy: np.ndarray, jitter_start: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``k_noisy + jitter I``, escalating jitter tenfold on failure."""
-    n = k_noisy.shape[0]
+    """Lower Cholesky factor of ``k_noisy + jitter I``, escalating jitter tenfold on failure.
+
+    ``k_noisy`` is one matrix ``(n, n)`` or a stack ``(C, n, n)``; a stack
+    escalates as a whole, so every factor in it carries the returned jitter.
+    """
+    n = k_noisy.shape[-1]
     jitter = jitter_start
     while jitter <= JITTER_MAX:
         try:
@@ -155,17 +159,28 @@ def _factor_with_jitter(k_noisy: np.ndarray, jitter_start: float) -> tuple[np.nd
     )
 
 
+def _factored_model(
+    x: np.ndarray, y: np.ndarray, params: KernelParams, chol: np.ndarray
+) -> GpModel:
+    """The model of ``y`` at ``x`` from the lower factor ``chol`` of its covariance
+    under ``params``, whose ``jitter`` is the one the factor was taken with."""
+    mean_offset = float(np.mean(y))
+    dual = np.linalg.solve(chol.T, np.linalg.solve(chol, y - mean_offset))
+    return GpModel(
+        points=x, observations=y, kernel=params, mean_offset=mean_offset, chol=chol, dual=dual
+    )
+
+
 def build_gp(
     points: Sequence[Sequence[float]],
     observations: Sequence[float],
     params: KernelParams,
-    mean_offset: float | None = None,
 ) -> GpModel:
     """Assemble a model with fixed hyperparameters.
 
-    ``mean_offset`` defaults to the sample mean of the observations (zero
-    when there are none).  With zero observations the model reduces to the
-    prior, which still yields posteriors.
+    The prior mean is the sample mean of the observations.  With zero
+    observations the model reduces to the zero-mean prior, which still
+    yields posteriors.
     """
     d = len(params.length_scales)
     x = np.asarray(points, dtype=float).reshape(-1, d)
@@ -174,24 +189,13 @@ def build_gp(
         raise ValueError(f"got {x.shape[0]} points but {y.shape[0]} observations")
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise ValueError("points and observations must be finite")
-    if mean_offset is None:
-        mean_offset = float(np.mean(y)) if y.size else 0.0
     if y.size == 0:
         return GpModel(
-            points=x, observations=y, kernel=params, mean_offset=mean_offset,
-            chol=None, dual=None,
+            points=x, observations=y, kernel=params, mean_offset=0.0, chol=None, dual=None
         )
     k = gram_matrix(x, x, params) + params.noise_variance * np.eye(y.size)
     chol, jitter_used = _factor_with_jitter(k, params.jitter)
-    dual = np.linalg.solve(chol.T, np.linalg.solve(chol, y - mean_offset))
-    return GpModel(
-        points=x,
-        observations=y,
-        kernel=replace(params, jitter=jitter_used),
-        mean_offset=float(mean_offset),
-        chol=chol,
-        dual=dual,
-    )
+    return _factored_model(x, y, replace(params, jitter=jitter_used), chol)
 
 
 def posterior(model: GpModel, x: np.ndarray) -> Posterior:
@@ -254,11 +258,7 @@ def log_marginal_likelihood(
 
 
 def fit(
-    points: Sequence[Sequence[float]],
-    observations: Sequence[float],
-    nu: float = 2.5,
-    n_starts: int = N_SEARCH_STARTS,
-    search_seed: int = FIT_SEARCH_SEED,
+    points: Sequence[Sequence[float]], observations: Sequence[float], nu: float = 2.5
 ) -> GpModel:
     """Fit hyperparameters by random search over the log marginal likelihood.
 
@@ -267,8 +267,9 @@ def fit(
     the geometric midpoint of the box is always evaluated too, so the search
     never does worse than that default.  The search seed is fixed, making
     the whole fit a deterministic function of its inputs.  All candidates
-    are scored through one stacked Cholesky factorization; only when one of
-    them fails to factor are they scored one by one, with jitter escalation.
+    are factored as one stack, which escalates its jitter as a whole; the
+    first candidate of highest log marginal likelihood wins, and its factor
+    from the stack becomes the model's.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim == 1:
@@ -281,65 +282,25 @@ def fit(
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise ValueError("points and observations must be finite")
     d = x.shape[1]
-    midpoint = KernelParams(
-        length_scales=tuple([math.sqrt(LENGTH_SCALE_BOUNDS[0] * LENGTH_SCALE_BOUNDS[1])] * d),
-        signal_variance=math.sqrt(SIGNAL_VARIANCE_BOUNDS[0] * SIGNAL_VARIANCE_BOUNDS[1]),
-        noise_variance=math.sqrt(NOISE_VARIANCE_BOUNDS[0] * NOISE_VARIANCE_BOUNDS[1]),
-        nu=nu,
-    )
-    # One row per candidate: d length scales, then signal and noise variance,
-    # drawn log-uniformly in that order from one call.
+    # One row per candidate: d length scales, then signal and noise variance.
+    # Row 0 is the midpoint; the others are drawn log-uniformly in one call.
     bounds = [LENGTH_SCALE_BOUNDS] * d + [SIGNAL_VARIANCE_BOUNDS, NOISE_VARIANCE_BOUNDS]
-    rng = np.random.default_rng(search_seed)
-    draws = rng.uniform(
+    draws = np.random.default_rng(FIT_SEARCH_SEED).uniform(
         [math.log(lo) for lo, _ in bounds],
         [math.log(hi) for _, hi in bounds],
-        size=(n_starts, d + 2),
+        size=(N_SEARCH_STARTS, d + 2),
     )
-    candidates = [midpoint] + [
-        KernelParams(
-            length_scales=tuple(row[:d]), signal_variance=row[d], noise_variance=row[d + 1], nu=nu
-        )
-        for row in np.exp(draws).tolist()
-    ]
-    return build_gp(x, y, _best_candidate(x, y, candidates))
-
-
-def _stacked_lml(
-    x: np.ndarray, y: np.ndarray, candidates: Sequence[KernelParams]
-) -> np.ndarray | None:
-    """:func:`log_marginal_likelihood` of every candidate from one batched Cholesky.
-
-    All candidates must share ``nu``.  Returns ``None`` when any covariance
-    fails to factor at its starting jitter, because only the one-by-one path
-    escalates jitter.
-    """
-    ls = np.array([c.length_scales for c in candidates])[:, None, :]
-    s2, noise, jitter = np.array(
-        [(c.signal_variance, c.noise_variance, c.jitter) for c in candidates]
-    ).T[:, :, None, None]
-    eye = np.eye(y.size)
-    k = _matern_of_distance(_scaled_distances(x, x, ls), candidates[0].nu, s2)
-    # Same summation order as log_marginal_likelihood: noise first, then jitter.
-    k = k + noise * eye + jitter * eye
-    try:
-        chol = np.linalg.cholesky(k)
-    except LinAlgError:
-        return None
-    return _lml_from_factor(chol, y - np.mean(y))
-
-
-def _best_candidate(
-    x: np.ndarray, y: np.ndarray, candidates: Sequence[KernelParams]
-) -> KernelParams:
-    """The candidate of highest log marginal likelihood; ties go to the earliest."""
-    lmls = _stacked_lml(x, y, candidates)
-    if lmls is None:
-        lmls = [log_marginal_likelihood(x, y, cand) for cand in candidates]
-    best_params, best_lml = None, -math.inf
-    for cand, lml in zip(candidates, lmls):
-        if lml > best_lml:
-            best_params, best_lml = cand, lml
-    if best_params is None:
-        raise LinAlgError("no hyperparameter candidate produced a factorable covariance")
-    return best_params
+    rows = np.vstack([[math.sqrt(lo * hi) for lo, hi in bounds], np.exp(draws)])
+    k = _matern_of_distance(_scaled_distances(x, x, rows[:, None, :d]), nu, rows[:, d, None, None])
+    k = k + rows[:, d + 1, None, None] * np.eye(y.size)
+    chol, jitter = _factor_with_jitter(k, JITTER_START)
+    best = int(np.argmax(_lml_from_factor(chol, y - np.mean(y))))
+    *length_scales, signal_variance, noise_variance = rows[best].tolist()
+    params = KernelParams(
+        length_scales=tuple(length_scales),
+        signal_variance=signal_variance,
+        noise_variance=noise_variance,
+        nu=nu,
+        jitter=jitter,
+    )
+    return _factored_model(x, y, params, chol[best].copy())  # not a view pinning the stack

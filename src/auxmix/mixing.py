@@ -78,6 +78,7 @@ class Stage2Config:
             1, n_initial=self.n_initial, ratio_max=self.ratio_max, pool_size=self.pool_size
         )
         require_ints(2, n_samples=self.n_samples)
+        require_ints(None, rng_seed=self.rng_seed)
         if self.n_initial >= self.n_samples:
             raise SettingError(
                 "n_initial",

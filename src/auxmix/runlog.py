@@ -96,14 +96,20 @@ class SettingError(ValueError):
         self.field = field
 
 
-def require_ints(low: int, **settings: Any) -> None:
+def require_ints(low: int | None, **settings: Any) -> None:
     """Raise :class:`SettingError` for the first setting that is not an integer >= ``low``.
 
     Python and NumPy integers pass; a bool, a float, NaN and inf do not.
+    With ``low=None`` every integer passes, as a seed must.
     """
+    bound = "" if low is None else f" >= {low}"
     for name, value in settings.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise SettingError(name, f"{name} must be an integer >= {low}, got {value!r}")
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or (low is not None and value < low)
+        ):
+            raise SettingError(name, f"{name} must be an integer{bound}, got {value!r}")
 
 
 class RunAborted(RuntimeError):

@@ -204,6 +204,24 @@ def test_run_refuses_non_empty_dir_without_force(config_file, tmp_path, capsys):
     assert run_cli("run", config_file, "--out", out_dir, "--force") == EXIT_OK
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("seeds", [[], ["--seeds", "0..1"]], ids=["one-run", "seeds"])
+def test_run_out_at_or_under_a_regular_file_is_usage_error(
+    config_file, tmp_path, capsys, monkeypatch, under, seeds
+):
+    blocker = tmp_path / "taken"
+    blocker.write_text("data", encoding="utf-8")
+    out = blocker / "run" if under else blocker
+    if not seeds:  # the check comes before the pipeline starts
+        monkeypatch.setattr("auxmix.cli.run_pipeline", mock.Mock(side_effect=AssertionError))
+    for force in ([], ["--force"]):
+        assert run_cli("run", config_file, "--out", out, *seeds, *force) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}" in err
+        assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "data"
+
+
 def test_run_output_dir_resolution(config_file, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("AUTOSEM_OUT", raising=False)

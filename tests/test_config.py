@@ -322,6 +322,15 @@ _REJECTIONS = [
         (_SHARED, {}, "batches_per_round"),
     ]
     for value in (math.nan, math.inf, 2.5)
+] + [
+    # A seed may be any integer, but not a bool, a float, NaN or infinity.
+    (make, {**base, field: value}, field)
+    for make, base, field in [
+        (BanditConfig, {"n_tasks": 3}, "rng_seed"),
+        (Stage2Config, {}, "rng_seed"),
+        (_SHARED, {}, "data_seed"),
+    ]
+    for value in (True, math.nan, math.inf, 2.5)
 ]
 
 
@@ -333,6 +342,22 @@ def test_integer_settings_take_numpy_integers_but_not_bools():
     with pytest.raises(SettingError) as info:
         BanditConfig(n_tasks=3, n_rounds=True)
     assert info.value.field == "n_rounds"
+
+
+def test_seeds_take_every_integer_a_config_file_takes():
+    for seed in (-7, 0, 2**70, np.int64(-3)):
+        assert BanditConfig(n_tasks=3, rng_seed=seed).rng_seed == seed
+        assert Stage2Config(rng_seed=seed).rng_seed == seed
+        _SHARED(data_seed=seed)
+    cfg = normalize(
+        {
+            "environment": {"family": "shared-linear", "data_seed": -1},
+            "bandit": {"rng_seed": -5},
+            "stage2": {"rng_seed": 2**64},
+        }
+    )
+    assert (cfg["environment"]["data_seed"], cfg["bandit"]["rng_seed"]) == (-1, -5)
+    assert cfg["stage2"]["rng_seed"] == 2**64
 
 
 @pytest.mark.parametrize("make, kwargs, field", _REJECTIONS)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError
 from scipy.linalg import cho_solve
 
 from auxmix import gp
@@ -15,8 +16,8 @@ from auxmix.gp import (
     GpModel,
     KernelParams,
     Posterior,
-    _best_candidate,
-    _stacked_lml,
+    _factor_with_jitter,
+    _lml_from_factor,
     build_gp,
     fit,
     gram_matrix,
@@ -219,17 +220,18 @@ def test_posterior_variance_shrinks_with_more_data():
     q = [0.42]
     stds = []
     for n in (0, 3, 6, 12):
-        model = build_gp(x[:n], y[:n], params, mean_offset=0.0)
+        model = build_gp(x[:n], y[:n], params)
         stds.append(posterior_at(model, q).std)
     assert all(stds[i + 1] <= stds[i] + 1e-9 for i in range(len(stds) - 1))
 
 
 def test_posterior_mean_reverts_to_offset_far_away():
-    x = np.array([[0.0]])
-    y = np.array([5.0])
-    model = build_gp(x, y, unit_params(2.5, signal_variance=1.0), mean_offset=1.0)
+    x = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([6.0, 0.0, 0.0])  # the mean, 2, is neither the median nor an observation
+    model = build_gp(x, y, unit_params(2.5, signal_variance=1.0))
+    assert model.mean_offset == 2.0
     post = posterior_at(model, [500.0])
-    assert post.mean == pytest.approx(1.0, abs=1e-6)
+    assert post.mean == pytest.approx(2.0, abs=1e-6)
     assert post.std == pytest.approx(1.0, abs=1e-6)
 
 
@@ -256,10 +258,6 @@ def test_duplicate_points_with_zero_noise_still_factor():
 
 
 def test_jitter_escalation_rescues_mildly_indefinite_matrix():
-    from scipy.linalg import LinAlgError, cho_solve
-
-    from auxmix.gp import _factor_with_jitter
-
     eps = 3e-5  # smallest eigenvalue is -eps: only the final 1e-4 step rescues it
     k = np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]])
     chol, jitter_used = _factor_with_jitter(k, 1e-10)
@@ -269,10 +267,6 @@ def test_jitter_escalation_rescues_mildly_indefinite_matrix():
 
 
 def test_jitter_escalation_gives_up_beyond_cap():
-    from scipy.linalg import LinAlgError
-
-    from auxmix.gp import _factor_with_jitter
-
     k = np.array([[1.0, 1.1], [1.1, 1.0]])  # eigenvalues 2.1 and -0.1
     with pytest.raises(LinAlgError):
         _factor_with_jitter(k, 1e-10)
@@ -390,17 +384,50 @@ def test_one_uniform_call_draws_like_the_per_candidate_calls(d, n_starts, seed):
     assert batched.random() == looped.random()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_fit_searches_the_candidates_of_the_per_candidate_draws(d, monkeypatch):
-    searched = []
-    monkeypatch.setattr(gp, "_best_candidate", lambda x, y, c: searched.append(c) or c[0])
-    fit(np.linspace(0.0, 1.0, 4 * d).reshape(4, d), [0.1, 0.4, 0.3, 0.8], nu=1.5)
-    (candidates,) = searched
-    rng = np.random.default_rng(gp.FIT_SEARCH_SEED)
-    rows = _per_candidate_draws(rng, d, gp.N_SEARCH_STARTS)
-    assert [[*c.length_scales, c.signal_variance, c.noise_variance] for c in candidates[1:]] == rows
-    assert {c.nu for c in candidates} == {1.5}
-    assert candidates[0].length_scales == (math.sqrt(math.prod(gp.LENGTH_SCALE_BOUNDS)),) * d
+def _per_candidate_fit(x, y, nu):
+    """The fit as a loop over candidates, the reference for the stacked one:
+    the per-candidate draws, one ``KernelParams`` and one
+    ``log_marginal_likelihood`` per candidate, the first maximum, then
+    ``build_gp`` factoring the winner afresh."""
+    d = x.shape[1]
+    midpoint = KernelParams(
+        length_scales=(math.sqrt(math.prod(gp.LENGTH_SCALE_BOUNDS)),) * d,
+        signal_variance=math.sqrt(math.prod(gp.SIGNAL_VARIANCE_BOUNDS)),
+        noise_variance=math.sqrt(math.prod(gp.NOISE_VARIANCE_BOUNDS)),
+        nu=nu,
+    )
+    rows = _per_candidate_draws(np.random.default_rng(gp.FIT_SEARCH_SEED), d, gp.N_SEARCH_STARTS)
+    candidates = [midpoint] + [
+        KernelParams(
+            length_scales=tuple(row[:d]), signal_variance=row[d], noise_variance=row[d + 1], nu=nu
+        )
+        for row in rows
+    ]
+    best, best_lml = None, -math.inf
+    for cand in candidates:
+        lml = log_marginal_likelihood(x, y, cand)
+        if lml > best_lml:
+            best, best_lml = cand, lml
+    return build_gp(x, y, best)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_fit_picks_what_the_per_candidate_loop_picks(nu):
+    """The stacked search builds the very model of the per-candidate loop:
+    the same kernel, and bitwise the same offset, factor and dual."""
+    rng = np.random.default_rng(32 if nu == 1.5 else 33)
+    for case in range(110):
+        n, d = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+        if case % 3 == 0:
+            x = rng.integers(0, 3, size=(n, d)).astype(float)  # duplicated grid points
+        else:
+            x = rng.random((n, d))
+        y = rng.normal(size=n) * [1e-3, 1.0, 10.0][case % 3]
+        got, want = fit(x, y, nu=nu), _per_candidate_fit(x, y, nu)
+        assert got.kernel == want.kernel
+        assert got.mean_offset == want.mean_offset
+        assert np.array_equal(got.chol, want.chol)
+        assert np.array_equal(got.dual, want.dual)
 
 
 def _random_candidates(rng, d, nu, count=33):
@@ -415,6 +442,14 @@ def _random_candidates(rng, d, nu, count=33):
     ]
 
 
+def _stacked_gram(x, candidates):
+    """``K + noise I`` of every candidate at once, the way ``fit`` builds its stack."""
+    ls = np.array([c.length_scales for c in candidates])[:, None, :]
+    s2, noise = np.array([(c.signal_variance, c.noise_variance) for c in candidates]).T
+    k = gp._matern_of_distance(gp._scaled_distances(x, x, ls), candidates[0].nu, s2[:, None, None])
+    return k + noise[:, None, None] * np.eye(x.shape[0])
+
+
 @pytest.mark.parametrize("nu", [1.5, 2.5])
 def test_stacked_lml_matches_per_candidate_lml(nu):
     rng = np.random.default_rng(31)
@@ -422,35 +457,47 @@ def test_stacked_lml_matches_per_candidate_lml(nu):
         n, d = int(rng.integers(1, 20)), int(rng.integers(1, 5))
         x, y = rng.random((n, d)), rng.normal(size=n)
         candidates = _random_candidates(rng, d, nu)
-        stacked = _stacked_lml(x, y, candidates)
+        chol, jitter = _factor_with_jitter(_stacked_gram(x, candidates), gp.JITTER_START)
+        assert jitter == gp.JITTER_START
+        stacked = _lml_from_factor(chol, y - np.mean(y))
         loop = [log_marginal_likelihood(x, y, c) for c in candidates]
         np.testing.assert_allclose(stacked, loop, rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("nu", [1.5, 2.5])
-def test_fit_picks_what_the_per_candidate_loop_picks(nu, monkeypatch):
-    rng = np.random.default_rng(32)
-    data = []
-    for _ in range(10):
-        n, d = int(rng.integers(1, 20)), int(rng.integers(1, 5))
-        data.append((rng.random((n, d)), rng.normal(size=n)))
-    stacked = [fit(x, y, nu=nu).kernel for x, y in data]
-    monkeypatch.setattr(gp, "_stacked_lml", lambda *args: None)
-    looped = [fit(x, y, nu=nu).kernel for x, y in data]
-    assert stacked == looped
-
-
-def test_candidate_needing_jitter_escalation_takes_the_per_candidate_path():
+def test_a_stack_escalates_its_jitter_as_a_whole():
     # Three coincident points under signal variance 1e8: every entry of the
     # Gram matrix is exactly 1e8, and the starting jitter 1e-10 is below half
     # an ulp of it, so the matrix stays exactly singular until the jitter is
     # escalated.
     x = np.full((3, 1), 0.5)
-    y = np.full(3, 0.7)
     rng = np.random.default_rng(33)
     needs_jitter = KernelParams(length_scales=(1.0,), signal_variance=1e8, noise_variance=0.0)
-    candidates = _random_candidates(rng, 1, 2.5, count=5) + [needs_jitter]
-    assert _stacked_lml(x, y, candidates) is None
-    loop = [log_marginal_likelihood(x, y, c) for c in candidates]
-    assert math.isfinite(loop[-1])
-    assert _best_candidate(x, y, candidates) == candidates[int(np.argmax(loop))]
+    k = _stacked_gram(x, _random_candidates(rng, 1, 2.5, count=5) + [needs_jitter])
+    _, alone = _factor_with_jitter(k[-1], gp.JITTER_START)
+    assert alone > gp.JITTER_START
+    chol, jitter = _factor_with_jitter(k, gp.JITTER_START)
+    assert jitter == alone
+    for k_i, chol_i in zip(k, chol):
+        single, single_jitter = _factor_with_jitter(k_i, jitter)
+        assert single_jitter == jitter
+        assert np.array_equal(chol_i, single)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_the_worst_corner_of_the_fit_box_factors_at_the_starting_jitter(nu):
+    """``fit`` escalates only as a whole stack, which is sound because no
+    candidate in its box needs it.  The eigenvalues of ``K + noise I`` lie
+    between the noise and ``n`` times the signal variance; coincident points
+    reach both ends, so the largest signal over the smallest noise is the
+    worst conditioning the box allows, and it factors at the starting jitter."""
+    params = KernelParams(
+        length_scales=(gp.LENGTH_SCALE_BOUNDS[1],),
+        signal_variance=gp.SIGNAL_VARIANCE_BOUNDS[1],
+        noise_variance=gp.NOISE_VARIANCE_BOUNDS[0],
+        nu=nu,
+    )
+    for n in (2, 3, 30, 300, 2000):
+        x = np.full((n, 1), 0.5)
+        k = gram_matrix(x, x, params) + params.noise_variance * np.eye(n)
+        _, jitter = _factor_with_jitter(k, gp.JITTER_START)
+        assert jitter == gp.JITTER_START
