@@ -384,6 +384,24 @@ def test_one_uniform_call_draws_like_the_per_candidate_calls(d, n_starts, seed):
     assert batched.random() == looped.random()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_fit_searches_the_candidates_of_the_per_candidate_draws(d, monkeypatch):
+    """Let each candidate of the stack win in turn, by scoring it alone
+    above the rest, and read back the kernel ``fit`` builds: the winners are
+    the midpoint and then the per-candidate draws, in order."""
+    x = np.linspace(0.0, 1.0, 4 * d).reshape(4, d)
+    y = [0.1, 0.4, 0.3, 0.8]
+    searched = []
+    for winner in range(gp.N_SEARCH_STARTS + 1):
+        monkeypatch.setattr(gp, "_lml_from_factor", lambda chol, yc, i=winner: np.eye(chol.shape[0])[i])
+        searched.append(fit(x, y, nu=1.5).kernel)
+    rng = np.random.default_rng(gp.FIT_SEARCH_SEED)
+    rows = _per_candidate_draws(rng, d, gp.N_SEARCH_STARTS)
+    assert [[*c.length_scales, c.signal_variance, c.noise_variance] for c in searched[1:]] == rows
+    assert {c.nu for c in searched} == {1.5}
+    assert searched[0].length_scales == (math.sqrt(math.prod(gp.LENGTH_SCALE_BOUNDS)),) * d
+
+
 def _per_candidate_fit(x, y, nu):
     """The fit as a loop over candidates, the reference for the stacked one:
     the per-candidate draws, one ``KernelParams`` and one
