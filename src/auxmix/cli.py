@@ -115,12 +115,8 @@ def _resolve_run_dir(out_flag: str | None, output_dir: str | None, config_path: 
 
 
 def _write_partial_logs(exc: RunAborted, normalized: dict, run_dir: Path) -> None:
-    stage1 = exc.stage_logs.get("stage1")
-    stage2 = exc.stage_logs.get("stage2")
-    if stage1 is not None:
-        stage1.write_jsonl(run_dir / "stage1.log.jsonl", make_header("stage1", normalized))
-    if stage2 is not None:
-        stage2.write_jsonl(run_dir / "stage2.log.jsonl", make_header("stage2", normalized))
+    for kind, log in exc.stage_logs.items():
+        log.write_jsonl(run_dir / f"{kind}.log.jsonl", make_header(kind, normalized))
 
 
 def _execute_run(normalized: dict, run_dir: Path, force: bool, grid_size: int) -> tuple[int, str]:

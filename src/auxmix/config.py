@@ -167,7 +167,9 @@ def normalize(raw: dict | None) -> dict:
     if output_dir is not None:
         output_dir = _as_str("output_dir", output_dir)
 
-    env_raw = raw.get("environment") or {}
+    env_raw = raw.get("environment")
+    if env_raw is None:
+        env_raw = {}
     if not isinstance(env_raw, dict):
         raise ConfigError("environment", f"expected a mapping, got {env_raw!r}")
     family = env_raw.get("family", "planted")

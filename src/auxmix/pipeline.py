@@ -33,7 +33,7 @@ from .mixing import (
     run_stage2,
     train_score,
 )
-from .runlog import RunAborted, RunLog, SettingError, derive_seed, jsonable, make_header
+from .runlog import RunAborted, RunLog, SettingError, derive_seed, make_header
 
 PIPELINE_MODES = ("full", "no_stage1", "no_stage2")
 
@@ -176,25 +176,23 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
 def report_summary(report: PipelineReport) -> dict:
     """The report.json payload."""
-    return jsonable(
-        {
-            "schema_version": 1,
-            "mode": report.mode,
-            "selected_tasks": list(report.selection.selected_task_ids),
-            "expected_utilities": list(report.selection.expected_utilities),
-            "best_ratio": list(report.best_ratio.counts),
-            "best_score": report.best_score,
-            "baseline_score": report.baseline_score,
-            "n_evaluations": report.n_evaluations,
-            "config": report.config,
-        }
-    )
+    return {
+        "schema_version": 1,
+        "mode": report.mode,
+        "selected_tasks": list(report.selection.selected_task_ids),
+        "expected_utilities": list(report.selection.expected_utilities),
+        "best_ratio": list(report.best_ratio.counts),
+        "best_score": report.best_score,
+        "baseline_score": report.baseline_score,
+        "n_evaluations": report.n_evaluations,
+        "config": report.config,
+    }
 
 
 def stage_log(report: PipelineReport, kind: str) -> tuple[RunLog, dict]:
     """One stage's log with its header; stage 1's header carries the final arms."""
     if kind == "stage1":
-        final_arms = list(report.final_arms)
+        final_arms = [list(arm) for arm in report.final_arms]
         return report.stage1_log, make_header(kind, report.config, final_arms=final_arms)
     return report.stage2_log, make_header(kind, report.config)
 

@@ -12,9 +12,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
-
-import numpy as np
+from typing import Any
 
 SCHEMA_VERSION = 1
 
@@ -43,45 +41,16 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
-_LEAVES = (float, int, str, bool, type(None))
-
-
-def jsonable(obj: Any) -> Any:
-    """Recursively convert numpy scalars and arrays to plain Python values.
-
-    Leaves whose exact type is ``float``, ``int``, ``str``, ``bool`` or
-    ``None`` come back as they are.  The check is on the exact type because
-    ``np.float64`` subclasses ``float`` and must still be converted.
-    """
-    if type(obj) in _LEAVES:
-        return obj
-    # Containers test their leaves inline, saving a call per float.
-    if isinstance(obj, dict):
-        return {str(k): v if type(v) in _LEAVES else jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [v if type(v) in _LEAVES else jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def _dumps(plain: Any) -> str:
-    return json.dumps(plain, sort_keys=True, separators=(",", ":"))
-
-
 def canonical_dumps(record: dict) -> str:
     """Serialize ``record`` to the canonical JSON form used in run logs.
 
     Keys are sorted and separators carry no whitespace, so equal records
-    always serialize to equal byte strings.
+    always serialize to equal byte strings.  Records hold plain values
+    built by their producers; a NumPy integer, bool or array raises
+    ``TypeError`` here, while an ``np.float64`` (a ``float`` subclass)
+    serializes as the equal ``float``.
     """
-    return _dumps(jsonable(record))
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 class SettingError(ValueError):
@@ -130,17 +99,15 @@ class RunAborted(RuntimeError):
 class RunLog:
     """Ordered collection of per-round records for one controller stage.
 
-    :meth:`append` is the only way in: it normalizes each record once with
-    :func:`jsonable`, so :meth:`lines` can serialize the stored records
-    without walking them again.
+    :meth:`append` is the only way in; it stores the fields as given, so
+    producers pass plain values (see :func:`canonical_dumps`).
     """
 
     records: list[dict] = field(default_factory=list, init=False)
 
     def append(self, **fields: Any) -> dict:
-        record = jsonable(fields)
-        self.records.append(record)
-        return record
+        self.records.append(fields)
+        return fields
 
     def __len__(self) -> int:
         return len(self.records)
@@ -151,11 +118,8 @@ class RunLog:
         When ``header`` is given it becomes the first line; replay relies on
         the header to reconstruct the run configuration.
         """
-        out = []
-        if header is not None:
-            out.append(canonical_dumps(header))
-        out.extend(map(_dumps, self.records))
-        return out
+        records = self.records if header is None else [header, *self.records]
+        return list(map(canonical_dumps, records))
 
     def write_jsonl(self, path: str | Path, header: dict | None = None) -> Path:
         path = Path(path)
@@ -171,7 +135,7 @@ def make_header(kind: str, config: dict, **extra: Any) -> dict:
     """Build the first-line header record for a run log."""
     header = {"schema_version": SCHEMA_VERSION, "kind": kind, "config": config}
     header.update(extra)
-    return jsonable(header)
+    return header
 
 
 def loads_line(text: str, lineno: int, path: str | Path) -> Any:

@@ -190,6 +190,18 @@ def test_unknown_section_key_rejected():
         normalize({"environment": {"family": "planted", "volume": 11}})
 
 
+@pytest.mark.parametrize("value", [[], 0, "", False, 0.0])
+@pytest.mark.parametrize("section", ["environment", "bandit", "stage2"])
+def test_a_falsy_section_that_is_not_a_mapping_is_rejected(section, value):
+    with pytest.raises(ConfigError, match="expected a mapping") as info:
+        normalize({section: value})
+    assert info.value.key == section
+
+
+def test_a_null_section_takes_the_defaults():
+    assert normalize({"environment": None, "bandit": None, "stage2": None}) == normalize({})
+
+
 def test_schema_version_mismatch_rejected():
     with pytest.raises(ConfigError, match="schema_version"):
         normalize({"schema_version": 2})

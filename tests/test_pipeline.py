@@ -8,6 +8,7 @@ import math
 import pytest
 
 from auxmix.bandit import BanditConfig
+from auxmix.config import normalize, to_pipeline_config
 from auxmix.environments import make_environment
 from auxmix.mixing import (
     EvaluationRecord,
@@ -23,6 +24,7 @@ from auxmix.pipeline import (
     manual_ratio_grid,
     report_summary,
     run_pipeline,
+    stage_log,
     write_outputs,
 )
 from auxmix.runlog import RunAborted, RunLog, derive_seed, read_jsonl
@@ -313,6 +315,42 @@ def test_run_aborted_carries_stage_logs():
     assert set(info.value.stage_logs) == {"stage1", "stage2"}
     assert len(info.value.stage_logs["stage1"].records) == 60
     assert len(info.value.stage_logs["stage2"].records) == 2
+
+
+_PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
+_TINY = {"bandit": {"n_rounds": 20}, "stage2": {"n_samples": 4, "n_initial": 2, "pool_size": 32}}
+_FAMILIES = {
+    "planted": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]},
+    "shared-linear": {"family": "shared-linear", "total_batches": 200},
+}
+
+
+def _non_plain(value, path="$"):
+    """Yield the path of every value whose exact type is not a plain JSON type."""
+    if type(value) not in _PLAIN_TYPES:
+        yield f"{path}: {type(value).__name__}"
+    elif type(value) is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                yield f"{path} key {key!r}: {type(key).__name__}"
+            yield from _non_plain(item, f"{path}.{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            yield from _non_plain(item, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("mode", PIPELINE_MODES)
+def test_run_artifacts_hold_only_plain_values(mode, family):
+    raw = {"mode": mode, "environment": _FAMILIES[family], **_TINY}
+    report = run_pipeline(to_pipeline_config(normalize(raw)))
+    payloads = {"report": report_summary(report)}
+    for kind in ("stage1", "stage2"):
+        log, payloads[f"{kind}_header"] = stage_log(report, kind)
+        payloads[f"{kind}_records"] = log.records
+    assert len(payloads["stage2_records"]) == 4
+    assert len(payloads["stage1_records"]) == (0 if mode == "no_stage1" else 20)
+    assert [p for name, v in payloads.items() for p in _non_plain(v, name)] == []
 
 
 # -------------------------------------------------------------- artifacts

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from auxmix.runlog import (
     RunLog,
     canonical_dumps,
     derive_seed,
-    jsonable,
     make_header,
     read_jsonl,
     split_log,
@@ -65,80 +62,58 @@ def test_canonical_dumps_equal_dicts_equal_bytes():
     assert one == two
 
 
-def test_jsonable_converts_numpy():
-    out = jsonable(
-        {
-            "f": np.float64(0.5),
-            "i": np.int64(3),
-            "b": np.bool_(True),
-            "arr": np.array([1.0, 2.0]),
-            "nested": [np.float32(1.0), (np.int32(2),)],
-        }
-    )
-    assert out == {"f": 0.5, "i": 3, "b": True, "arr": [1.0, 2.0], "nested": [1.0, [2]]}
-    json.dumps(out)  # must be serializable with the stock encoder
-
-
 def test_runlog_append_and_lines():
     log = RunLog()
-    log.append(round=0, reward=1)
-    log.append(round=1, reward=np.int64(0))
+    first = log.append(round=0, reward=1)
+    log.append(round=1, reward=0)
     assert len(log) == 2
+    assert log.records[0] is first
     lines = log.lines()
     assert lines == ['{"reward":1,"round":0}', '{"reward":0,"round":1}']
 
 
-def _numpy_fields(i):
+def _fields(i, real=float):
     return dict(
-        round=np.int64(i),
-        metric=np.float64(0.1 * i + 1e-17),
-        reward=np.bool_(i % 2),
-        thetas=np.linspace(0.0, 1.0, 3) + i,
-        arms_after=np.column_stack((np.arange(3.0), np.ones(3))),
-        nested=(np.float32(0.5), (np.int32(i), [np.float64(2.5), "tag", None]), True),
+        round=i,
+        metric=real(0.1 * i + 1e-17),
+        reward=bool(i % 2),
+        thetas=[real(0.0 + i), real(0.5 + i), 1.0 + i],
+        arms_after=[[0.0, 1.0], [1.0, real(1.0)], [2.0, 1.0]],
+        nested=[0.5, [i, [real(2.5), "tag", None]], True],
         plain=[1, 2.25, False],
     )
 
 
-def _leaves(obj):
-    if isinstance(obj, dict):
-        for v in obj.values():
-            yield from _leaves(v)
-    elif isinstance(obj, list):
-        for v in obj:
-            yield from _leaves(v)
-    else:
-        yield obj
-
-
 def test_runlog_lines_equal_canonical_dumps_of_numpy_records():
+    # np.float64 is the one NumPy type a record may hold: it is a float.
     log = RunLog()
-    raw = [_numpy_fields(i) for i in range(4)]
-    for fields in raw:
-        log.append(**fields)
-    assert log.lines() == [canonical_dumps(r) for r in log.records]
-    assert log.lines() == [canonical_dumps(f) for f in raw]
-    header = make_header("stage1", {"seed": np.int64(3)})
+    for i in range(4):
+        log.append(**_fields(i, np.float64))
+    plain = [_fields(i) for i in range(4)]
+    assert log.records == plain
+    assert log.lines() == [canonical_dumps(f) for f in plain]
+    header = make_header("stage1", {"seed": 3}, final_arms=[[1.0, 2.0]])
     assert log.lines(header) == [canonical_dumps(header)] + log.lines()
 
 
-def test_runlog_stores_only_plain_python_leaves():
+@pytest.mark.parametrize(
+    "value", [np.int64(3), np.bool_(True), np.array([1.0, 2.0]), [np.int32(2)], {"a": np.int64(1)}]
+)
+def test_numpy_integers_bools_and_arrays_fail_to_serialize(value):
     log = RunLog()
-    for i in range(3):
-        log.append(**_numpy_fields(i))
-    leaf_types = {type(x) for r in log.records for x in _leaves(r)}
-    assert leaf_types <= {float, int, bool, str, type(None)}
-    assert {float, int, bool} <= leaf_types
-    assert all(type(v) is list for r in log.records for v in r.values() if isinstance(v, list))
+    log.append(round=0, value=value)
+    with pytest.raises(TypeError):
+        log.lines()
+    with pytest.raises(TypeError):
+        RunLog().lines(make_header("stage1", {"seed": value}))
 
 
-def test_jsonable_keeps_plain_leaves_and_converts_numpy_subclasses():
-    for leaf in (0.25, 7, "s", True, None):
-        assert jsonable(leaf) is leaf
-    out = jsonable(np.float64(0.1))
-    assert type(out) is float and out == 0.1
-    assert type(jsonable(np.int64(2**40))) is int
-    assert type(jsonable(np.bool_(False))) is bool
+def test_np_float64_serializes_like_the_equal_float():
+    for x in (0.1, 1e-17, -2.5e300, 1.0 / 3.0, 0.0, 12345.678):
+        assert canonical_dumps({"metric": np.float64(x)}) == canonical_dumps({"metric": x})
+        log = RunLog()
+        log.append(metric=np.float64(x), nested=[np.float64(x)])
+        assert log.lines() == [canonical_dumps({"metric": x, "nested": [x]})]
 
 
 def test_runlog_records_come_only_through_append():
