@@ -7,7 +7,7 @@ in the selection, the rest should not.
 
 import numpy as np
 
-from auxmix.bandit import BanditConfig, initial_arms, run_stage1
+from auxmix.bandit import BanditConfig, belief_path, initial_arms, run_stage1
 from auxmix.environments import PlantedBanditEnv
 
 # Ground truth: task 0 is the primary, tasks 1-2 genuinely help (theta 0.9),
@@ -24,11 +24,14 @@ for k, (a, b) in enumerate(zip(alpha, beta)):
 
 selection, log = run_stage1(env, config)
 
-# A few snapshots of the posterior as the run progresses.
+# A few snapshots of the posterior as the run progresses.  The log keeps
+# each round's choice and reward; folding the update over them gives the
+# beliefs after every round (index 0 is the prior).
 print("\nposterior means over time:")
+path = list(belief_path(log.records, config))
 for t in (0, 9, 49, 99, 199):
-    arms = log.records[t]["arms_after"]
-    means = [a / (a + b) for a, b in arms]
+    alpha, beta = path[t + 1]
+    means = alpha / (alpha + beta)
     print(f"  round {t + 1:3d}: " + "  ".join(f"{m:.3f}" for m in means))
 
 print("\nhow often each arm was trained:")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .bandit import (
     BanditConfig,
     TaskSelection,
+    belief_path,
     compute_reward,
     initial_arms,
     run_stage1,
@@ -72,6 +73,7 @@ __all__ = [
     "SharedParamMtlEnv",
     "Stage2Config",
     "TaskSelection",
+    "belief_path",
     "build_gp",
     "canonical_dumps",
     "compute_reward",

@@ -7,18 +7,21 @@ each round; after the reward is observed every arm decays toward its prior,
 which lets the controller track utilities that drift as training progresses.
 
 The beliefs of all arms are two float arrays, ``alpha`` and ``beta``, indexed
-by task id, from the prior to the density table.
+by task id, from the prior to the density table.  The log records each
+round's draw, choice and reward but not the beliefs, which
+:func:`belief_path` recovers from the config and the choices and rewards.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_ints
+from .runlog import RunAborted, RunLog, SettingError, derive_seed, is_int, require_ints
 
 
 @dataclass(frozen=True)
@@ -116,9 +119,9 @@ def update_posterior(
     selected arm then absorbs the observation as ``(reward, 1 - reward)``
     pseudo-counts.  Unselected arms only decay, so long-unused arms forget.
     """
-    if not (0 <= arm < len(alpha)):
-        raise ValueError(f"arm {arm} out of range for {len(alpha)} arms")
-    if reward not in (0, 1):
+    if not (is_int(arm) and 0 <= arm < len(alpha)):
+        raise ValueError(f"arm must be an integer in [0, {len(alpha)}), got {arm!r}")
+    if not (is_int(reward) and reward in (0, 1)):
         raise ValueError(f"reward must be 0 or 1, got {reward!r}")
     g = config.gamma
     alpha = (1.0 - g) * alpha + g * config.alpha0
@@ -126,6 +129,22 @@ def update_posterior(
     alpha[arm] += reward
     beta[arm] += 1 - reward
     return alpha, beta
+
+
+def belief_path(
+    records: Iterable[Mapping], config: BanditConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The prior, then the ``(alpha, beta)`` beliefs after each logged round.
+
+    Folds :func:`update_posterior` over the records' ``selected_arm`` and
+    ``reward`` in log order, the calls :func:`run_stage1` made, so every
+    belief equals the run's bit for bit, for a whole log or a partial one.
+    """
+    return itertools.accumulate(
+        records,
+        lambda arms, rec: update_posterior(*arms, rec["selected_arm"], rec["reward"], config),
+        initial=initial_arms(config),
+    )
 
 
 def select_tasks(alpha: np.ndarray, beta: np.ndarray, config: BanditConfig) -> TaskSelection:
@@ -197,7 +216,6 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
             selected_arm=k,
             reward=reward,
             metric=metric_now,
-            arms_after=np.column_stack((alpha, beta)).tolist(),
         )
         metric_prev = metric_now
     return select_tasks(alpha, beta, config), log

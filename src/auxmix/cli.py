@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .bandit import utility_density_table
+from .bandit import BanditConfig, belief_path, utility_density_table
 from .config import (
     ConfigError,
     apply_overrides,
@@ -24,7 +24,7 @@ from .config import (
     to_pipeline_config,
 )
 from .pipeline import PIPELINE_MODES, run_pipeline, stage_log, write_density_csv, write_outputs
-from .runlog import RunAborted, loads_line, make_header, read_jsonl, split_log
+from .runlog import SCHEMA_VERSION, RunAborted, loads_line, make_header, read_jsonl, split_log
 
 OUTPUT_ROOT_ENV = "AUTOSEM_OUT"
 
@@ -185,10 +185,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_plot_utilities(args: argparse.Namespace) -> int:
     try:
         header, records = read_jsonl(args.runlog)
-        arms = records[-1]["arms_after"] if records else header.get("final_arms")
-        if not arms:
-            raise ValueError("log contains no arm states")
-        table = utility_density_table(arms, args.grid_size)
+        config = BanditConfig(**header["config"]["bandit"])
+        *_, (alpha, beta) = belief_path(records, config)
+        table = utility_density_table(list(zip(alpha, beta)), args.grid_size)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: malformed run log {args.runlog}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -230,6 +229,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     kind = header.get("kind")
     if kind not in ("stage1", "stage2"):
         print(f"error: cannot replay log of kind {kind!r}", file=sys.stderr)
+        return EXIT_USAGE
+    version = header["schema_version"]
+    if version != SCHEMA_VERSION:
+        print(
+            f"error: cannot replay {args.runlog}: log schema version {version!r}, "
+            f"this build replays version {SCHEMA_VERSION}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     try:
         expected = _regenerate_log_lines(header, kind)

@@ -200,7 +200,7 @@ def stage_log(report: PipelineReport, kind: str) -> tuple[RunLog, dict]:
 def write_density_csv(table: tuple[np.ndarray, np.ndarray], path: str | Path) -> Path:
     """Write a :func:`utility_density_table` as ``task_id,theta,density`` rows."""
     theta, density = table
-    thetas = theta.tolist()
+    thetas = list(map(repr, theta.tolist()))  # formatted once for every task's rows
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-SCHEMA_VERSION = 1
+# Version 2 dropped each stage-1 record's beliefs, ``arms_after``, which the
+# config and the logged choices and rewards determine (``bandit.belief_path``).
+SCHEMA_VERSION = 2
 
 
 def derive_seed(*parts: object) -> int:
@@ -65,19 +67,22 @@ class SettingError(ValueError):
         self.field = field
 
 
+def is_int(value: object) -> bool:
+    """True for a Python or NumPy integer; a bool, a float, NaN and inf are not."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
 def require_ints(low: int | None, **settings: Any) -> None:
     """Raise :class:`SettingError` for the first setting that is not an integer >= ``low``.
 
-    Python and NumPy integers pass; a bool, a float, NaN and inf do not.
-    With ``low=None`` every integer passes, as a seed must.
+    Integers pass as :func:`is_int` tells them.  With ``low=None`` every
+    integer passes, as a seed must.
     """
     bound = "" if low is None else f" >= {low}"
     for name, value in settings.items():
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Integral)
-            or (low is not None and value < low)
-        ):
+        if not is_int(value) or (low is not None and value < low):
             raise SettingError(name, f"{name} must be an integer{bound}, got {value!r}")
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from auxmix.bandit import (
     BanditConfig,
+    belief_path,
     compute_reward,
     initial_arms,
     run_stage1,
@@ -214,6 +215,13 @@ def test_update_posterior_argument_errors():
         update_posterior(*prior, -1, 1, cfg)
     with pytest.raises(ValueError):
         update_posterior(*prior, 0, 2, cfg)
+    for bad in (1.0, 0.5, True, "1", None):
+        with pytest.raises(ValueError, match="arm must be an integer"):
+            update_posterior(*prior, bad, 1, cfg)
+        with pytest.raises(ValueError, match="reward must be 0 or 1"):
+            update_posterior(*prior, 1, bad, cfg)
+    got = update_posterior(*prior, np.int64(1), np.int64(1), cfg)
+    assert pairs(*got) == [(1.0, 1.0), (2.0, 1.0)]
 
 
 def test_conjugacy_exact_under_gamma_zero():
@@ -322,18 +330,10 @@ def test_run_stage1_record_schema():
     cfg = make_config(n_tasks=3, n_rounds=3, rng_seed=2)
     _, log = run_stage1(PlantedBanditEnv([0.5, 0.5, 0.5]), cfg)
     for t, rec in enumerate(log.records):
-        assert sorted(rec) == [
-            "arms_after",
-            "metric",
-            "reward",
-            "round",
-            "sampled_thetas",
-            "selected_arm",
-        ]
+        assert sorted(rec) == ["metric", "reward", "round", "sampled_thetas", "selected_arm"]
         assert rec["round"] == t
         assert rec["reward"] in (0, 1)
         assert len(rec["sampled_thetas"]) == 3
-        assert len(rec["arms_after"]) == 3
 
 
 def test_run_stage1_zero_rounds_selects_from_priors():
@@ -354,12 +354,14 @@ def test_run_stage1_two_tasks_keeps_useless_auxiliary_via_top_two():
 def _reference_stage1(env, config):
     """The stage-1 loop one arm at a time in Python floats: its own prior,
     scalar Thompson draws, first-maximum rule, reward and decay, sharing no
-    code with :func:`run_stage1`.  Returns the log and the final arms."""
+    code with :func:`run_stage1`.  Returns the log and the arms of the prior
+    and after each round, which the log does not hold."""
     n, g = config.n_tasks, config.gamma
     alphas = [config.alpha0] * n
     alphas[config.primary_task_id] = config.alpha0 + config.primary_prior_boost
     betas = [config.beta0] * n
     log = RunLog()
+    arms_path = [tuple(zip(alphas, betas))]
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
     env.reset(derive_seed(config.rng_seed, "stage1-env"))
     metric_prev = float(env.validation_metric())
@@ -378,10 +380,10 @@ def _reference_stage1(env, config):
             selected_arm=k,
             reward=reward,
             metric=metric_now,
-            arms_after=[[a, b] for a, b in zip(alphas, betas)],
         )
+        arms_path.append(tuple(zip(alphas, betas)))
         metric_prev = metric_now
-    return log, tuple(zip(alphas, betas))
+    return log, arms_path
 
 
 def _oracle_env(family, n_tasks):
@@ -405,10 +407,14 @@ def test_run_stage1_matches_reference_loop(family, n_tasks, n_rounds, gamma, boo
         n_tasks=n_tasks, n_rounds=n_rounds, gamma=gamma, primary_prior_boost=boost,
         batches_per_round=2, rng_seed=n_tasks * 1000 + n_rounds,
     )
-    want_log, want_arms = _reference_stage1(_oracle_env(family, n_tasks), cfg)
+    want_log, want_path = _reference_stage1(_oracle_env(family, n_tasks), cfg)
     got_sel, got_log = run_stage1(_oracle_env(family, n_tasks), cfg)
     assert got_log.records == want_log.records
     assert got_log.lines() == want_log.lines()
+    # The beliefs the log implies, round by round, are the reference's.
+    got_path = [pairs(alpha, beta) for alpha, beta in belief_path(got_log.records, cfg)]
+    assert got_path == [list(arms) for arms in want_path]
+    want_arms = want_path[-1]
     assert got_sel.final_arms == want_arms
     assert got_sel.expected_utilities == tuple(a / (a + b) for a, b in want_arms)
     assert got_sel == select_tasks(*arrays(*want_arms), cfg)

@@ -18,7 +18,8 @@ from auxmix.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from auxmix.config import load_config, normalize, to_pipeline_config
 from auxmix.environments import PlantedBanditEnv
 from auxmix.pipeline import run_pipeline
-from auxmix.runlog import RunAborted, read_jsonl
+from auxmix.bandit import BanditConfig, belief_path
+from auxmix.runlog import SCHEMA_VERSION, RunAborted, canonical_dumps, read_jsonl
 
 SMALL_CONFIG = """\
 mode: full
@@ -408,9 +409,8 @@ def test_replay_missing_file(tmp_path, capsys):
 
 def test_replay_rejects_log_without_config(tmp_path, capsys):
     log = tmp_path / "bare.jsonl"
-    log.write_text(
-        '{"schema_version":1,"kind":"stage1"}\n{"round":0}\n', encoding="utf-8"
-    )
+    header = canonical_dumps({"schema_version": SCHEMA_VERSION, "kind": "stage1"})
+    log.write_text(header + '\n{"round":0}\n', encoding="utf-8")
     assert run_cli("replay", log) == EXIT_USAGE
     assert "config" in capsys.readouterr().err
 
@@ -420,6 +420,24 @@ def test_replay_rejects_unknown_kind(tmp_path, capsys):
     log.write_text('{"schema_version":1,"kind":"stage9","config":{}}\n', encoding="utf-8")
     assert run_cli("replay", log) == EXIT_USAGE
     assert "stage9" in capsys.readouterr().err
+
+
+def _rewrite_header(log: Path, edit) -> None:
+    """Apply ``edit`` to the parsed header of ``log`` and write it back canonically."""
+    lines = log.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    log.write_text("\n".join([canonical_dumps(header), *lines[1:]]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["stage1.log.jsonl", "stage2.log.jsonl"])
+def test_replay_refuses_a_log_of_another_schema_version(finished_run, capsys, name):
+    log = finished_run / name
+    _rewrite_header(log, lambda header: header.update(schema_version=1))
+    assert run_cli("replay", log) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"log schema version 1, this build replays version {SCHEMA_VERSION}" in err
+    assert "divergence" not in err
 
 
 # ---------------------------------------------------------- plot-utilities
@@ -469,18 +487,111 @@ def test_plot_utilities_malformed_log(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.5, math.nan])
-def test_plot_utilities_rejects_invalid_arms(finished_run, tmp_path, capsys, bad):
-    """An arm that is not a Beta belief makes the log malformed; no CSV is written."""
-    lines = (finished_run / "stage1.log.jsonl").read_text(encoding="utf-8").splitlines()
-    last = json.loads(lines[-1])
-    last["arms_after"][1][0] = bad
-    log = tmp_path / "bad.jsonl"
-    log.write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n", encoding="utf-8")
-    target = tmp_path / "bad.csv"
+def _assert_rejected(log: Path, target: Path, capsys) -> None:
     assert run_cli("plot-utilities", log, "--out", target) == EXIT_USAGE
     assert "malformed run log" in capsys.readouterr().err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.5, math.nan])
+def test_plot_utilities_rejects_invalid_arms(finished_run, tmp_path, capsys, bad):
+    """A prior that is not a Beta belief makes the log malformed; no CSV is written."""
+    for key in ("alpha0", "beta0"):
+        log = tmp_path / f"bad-{key}.jsonl"
+        log.write_bytes((finished_run / "stage1.log.jsonl").read_bytes())
+        _rewrite_header(log, lambda header: header["config"]["bandit"].update({key: bad}))
+        _assert_rejected(log, tmp_path / f"bad-{key}.csv", capsys)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("reward", 2),
+        ("reward", math.nan),
+        ("reward", 1.0),
+        ("reward", True),
+        ("reward", None),
+        pytest.param("reward", MISSING, id="reward-missing"),
+        ("selected_arm", 2),
+        ("selected_arm", -1),
+        ("selected_arm", 1.0),
+        ("selected_arm", 0.5),
+        ("selected_arm", True),
+        ("selected_arm", "1"),
+        pytest.param("selected_arm", MISSING, id="selected_arm-missing"),
+    ],
+)
+def test_plot_utilities_rejects_records_the_fold_cannot_read(
+    finished_run, tmp_path, capsys, field, bad
+):
+    """The beliefs are folded from each record's ``selected_arm`` (one of the
+    two tasks) and 0/1 ``reward``; any other value is a malformed log."""
+    lines = (finished_run / "stage1.log.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[4])
+    if bad is MISSING:
+        del record[field]
+    else:
+        record[field] = bad
+    lines[4] = json.dumps(record)
+    log = tmp_path / "bad.jsonl"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_rejected(log, tmp_path / "bad.csv", capsys)
+
+
+def test_plot_utilities_rejects_header_without_bandit_config(finished_run, tmp_path, capsys):
+    log = finished_run / "stage1.log.jsonl"
+    _rewrite_header(log, lambda header: header["config"].pop("bandit"))
+    _assert_rejected(log, tmp_path / "bad.csv", capsys)
+
+
+# (method, call, bad, rounds logged) of SMALL_CONFIG runs that abort in stage 1.
+STAGE1_ABORTS = [
+    pytest.param("reset", 1, RuntimeError("no device"), 0, id="reset"),
+    pytest.param("validation_metric", 5, math.inf, 3, id="round-3-metric"),
+    pytest.param("step", 8, RuntimeError("lost device"), 7, id="round-7-step"),
+]
+
+
+@pytest.mark.parametrize("method, call, bad, rounds", STAGE1_ABORTS)
+def test_plot_utilities_reads_the_partial_log_of_an_aborted_run(
+    config_file, tmp_path, capsys, method, call, bad, rounds
+):
+    """The partial log's header has no final arms; folding its records gives
+    the CSV of a clean run that stops where the aborted one failed."""
+    aborted = tmp_path / "aborted"
+    with _fail_on_call(method, call, bad):
+        assert run_cli("run", config_file, "--out", aborted) == EXIT_RUNTIME
+    header, records = read_jsonl(aborted / "stage1.log.jsonl")
+    assert "final_arms" not in header and len(records) == rounds
+    target = tmp_path / "aborted.csv"
+    argv = ["plot-utilities", aborted / "stage1.log.jsonl", "--out", target]
+    assert run_cli(*argv, "--grid-size", "25") == EXIT_OK
+
+    clean = tmp_path / "clean"
+    argv = ["run", config_file, "--out", clean, "--set", f"bandit.n_rounds={rounds}"]
+    assert run_cli(*argv, "--grid-size", "25") == EXIT_OK
+    assert target.read_bytes() == (clean / "utilities.csv").read_bytes()
+
+
+def test_plot_utilities_reads_a_v1_log(finished_run, tmp_path):
+    """A schema-1 log holds each round's beliefs as ``arms_after``; the fold
+    reads only ``selected_arm`` and ``reward`` and gives the same CSV."""
+    log = finished_run / "stage1.log.jsonl"
+    header, records = read_jsonl(log)
+    path = belief_path(records, BanditConfig(**header["config"]["bandit"]))
+    next(path)  # the prior
+    header["schema_version"] = 1
+    v1 = [
+        canonical_dumps({**record, "arms_after": [[a, b] for a, b in zip(*arms)]})
+        for record, arms in zip(records, path)
+    ]
+    old = tmp_path / "v1.log.jsonl"
+    old.write_text("\n".join([canonical_dumps(header), *v1]) + "\n", encoding="utf-8")
+    assert run_cli("plot-utilities", old, "--out", tmp_path / "v1.csv") == EXIT_OK
+    assert (tmp_path / "v1.csv").read_bytes() == (finished_run / "utilities.csv").read_bytes()
 
 
 def test_plot_utilities_write_failure_is_not_a_malformed_log(finished_run, tmp_path, capsys):

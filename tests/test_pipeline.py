@@ -27,7 +27,7 @@ from auxmix.pipeline import (
     stage_log,
     write_outputs,
 )
-from auxmix.runlog import RunAborted, RunLog, derive_seed, read_jsonl
+from auxmix.runlog import SCHEMA_VERSION, RunAborted, RunLog, derive_seed, read_jsonl
 
 PLANTED2 = {"family": "planted", "theta_star": [0.9, 0.1]}
 PLANTED3 = {"family": "planted", "theta_star": [0.9, 0.8, 0.1]}
@@ -367,7 +367,7 @@ def test_write_outputs_produces_all_artifacts(tmp_path):
 
     header, records = read_jsonl(paths["stage1_log"])
     assert header["kind"] == "stage1"
-    assert header["schema_version"] == 1
+    assert header["schema_version"] == SCHEMA_VERSION == 2
     assert "final_arms" in header
     assert len(records) == 60
 
