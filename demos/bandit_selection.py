@@ -7,7 +7,7 @@ in the selection, the rest should not.
 
 import numpy as np
 
-from auxmix.bandit import BanditConfig, belief_path, initial_arms, run_stage1
+from auxmix.bandit import BanditConfig, belief_path, initial_arms, run_stage1, thompson_draws
 from auxmix.environments import PlantedBanditEnv
 
 # Ground truth: task 0 is the primary, tasks 1-2 genuinely help (theta 0.9),
@@ -33,6 +33,13 @@ for t in (0, 9, 49, 99, 199):
     alpha, beta = path[t + 1]
     means = alpha / (alpha + beta)
     print(f"  round {t + 1:3d}: " + "  ".join(f"{m:.3f}" for m in means))
+
+# The log keeps no draws either: the seeded generator redraws them from the
+# beliefs before each round, and each round trains the arm of the largest.
+t = 9
+draws = thompson_draws(log.records, config)
+print(f"\nround {t + 1} redrawn utilities: " + "  ".join(f"{d:.3f}" for d in draws[t]))
+print(f"  largest at task {int(np.argmax(draws[t]))}, logged choice task {log.records[t]['selected_arm']}")
 
 print("\nhow often each arm was trained:")
 counts = np.bincount([r["selected_arm"] for r in log.records], minlength=5)

@@ -16,6 +16,7 @@ from .bandit import (
     initial_arms,
     run_stage1,
     select_tasks,
+    thompson_draws,
     update_posterior,
     utility_density_table,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "run_stage1",
     "run_stage2",
     "select_tasks",
+    "thompson_draws",
     "update_posterior",
     "upper_confidence_bound",
     "utility_density_table",

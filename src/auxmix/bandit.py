@@ -8,8 +8,10 @@ which lets the controller track utilities that drift as training progresses.
 
 The beliefs of all arms are two float arrays, ``alpha`` and ``beta``, indexed
 by task id, from the prior to the density table.  The log records each
-round's draw, choice and reward but not the beliefs, which
-:func:`belief_path` recovers from the config and the choices and rewards.
+round's choice, reward and metric but neither the beliefs nor the draws:
+:func:`belief_path` recovers the beliefs from the config and the choices
+and rewards, and :func:`thompson_draws` redraws each round's utilities
+from those beliefs.
 """
 
 from __future__ import annotations
@@ -147,6 +149,25 @@ def belief_path(
     )
 
 
+def _thompson_rng(config: BanditConfig) -> np.random.Generator:
+    """The generator of the run's Thompson draws, seeded from ``rng_seed`` alone."""
+    return np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
+
+
+def thompson_draws(records: Sequence[Mapping], config: BanditConfig) -> np.ndarray:
+    """The utilities :func:`run_stage1` drew in each logged round, bit for bit.
+
+    The draws depend only on the generator, which :func:`_thompson_rng`
+    seeds from the config, and on the beliefs before each round, which
+    :func:`belief_path` folds from the records.  ``n`` records give an
+    ``(n, n_tasks)`` array; for a log the run wrote, row ``t`` has its first
+    maximum at record ``t``'s ``selected_arm``.
+    """
+    rng = _thompson_rng(config)
+    draws = [rng.beta(*arms) for _, arms in zip(records, belief_path(records, config))]
+    return np.array(draws).reshape(len(draws), config.n_tasks)
+
+
 def select_tasks(alpha: np.ndarray, beta: np.ndarray, config: BanditConfig) -> TaskSelection:
     """Final task subset: primary plus the promising auxiliaries.
 
@@ -184,7 +205,9 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     task, score the primary validation metric, convert it to the binary
     improved-or-maintained reward, and update all arms.  With
     ``n_rounds == 0`` the selection falls out of the priors alone.  The
-    final beliefs ride out on the selection's ``final_arms``.
+    final beliefs ride out on the selection's ``final_arms``.  The log keeps
+    each round's choice, reward and metric; :func:`thompson_draws` redraws
+    its utilities.
 
     Raises
     ------
@@ -194,7 +217,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     """
     alpha, beta = initial_arms(config)
     log = RunLog()
-    rng = np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
+    rng = _thompson_rng(config)
     try:
         env.reset(derive_seed(config.rng_seed, "stage1-env"))
         metric_prev = _finite_metric(env)
@@ -210,13 +233,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
             raise RunAborted(f"environment failed at stage-1 round {t}: {exc}", log=log) from exc
         reward = compute_reward(metric_now, metric_prev)
         alpha, beta = update_posterior(alpha, beta, k, reward, config)
-        log.append(
-            round=t,
-            sampled_thetas=thetas.tolist(),
-            selected_arm=k,
-            reward=reward,
-            metric=metric_now,
-        )
+        log.append(round=t, selected_arm=k, reward=reward, metric=metric_now)
         metric_prev = metric_now
     return select_tasks(alpha, beta, config), log
 

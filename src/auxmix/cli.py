@@ -9,6 +9,7 @@ root; an explicit ``--out`` beats both it and the config file.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,15 @@ from .config import (
     to_pipeline_config,
 )
 from .pipeline import PIPELINE_MODES, run_pipeline, stage_log, write_density_csv, write_outputs
-from .runlog import SCHEMA_VERSION, RunAborted, loads_line, make_header, read_jsonl, split_log
+from .runlog import (
+    SCHEMA_VERSION,
+    RunAborted,
+    canonical_dumps,
+    loads_line,
+    make_header,
+    read_jsonl,
+    split_log,
+)
 
 OUTPUT_ROOT_ENV = "AUTOSEM_OUT"
 
@@ -209,15 +218,35 @@ def _regenerate_log_lines(header: dict, kind: str) -> list[str]:
     return log.lines(new_header)
 
 
-def _divergence_site(found: list[str], i: int, path: str) -> str:
-    """Name the first differing line ``i``; only that line is decoded."""
-    if i == 0:
-        return "header"
+def _first_differing_field(got: object, want: object) -> str:
+    """``: field 'KEY'`` for the first key, in sorted order, whose value
+    differs between two decoded lines (a missing key differs), else ``""``."""
+    if not (isinstance(got, dict) and isinstance(want, dict)):
+        return ""
+    for key in sorted(got.keys() | want.keys()):
+        both = key in got and key in want
+        if not both or canonical_dumps(got[key]) != canonical_dumps(want[key]):
+            return f": field {key!r}"
+    return ""
+
+
+def _divergence_site(found: list[str], expected: list[str], i: int, path: str) -> tuple[str, str]:
+    """Name the first differing line ``i`` and its first differing field.
+
+    Only the two lines at ``i`` are decoded; a line that one side lacks
+    names no field.
+    """
     if i >= len(found):
-        return f"round {i - 1}"  # line missing from a truncated file
-    record = loads_line(found[i], i + 1, path)
-    logged = record.get("round", i - 1) if isinstance(record, dict) else i - 1
-    return f"round {logged}"
+        return f"round {i - 1}", ""  # line missing from a truncated file
+    got = loads_line(found[i], i + 1, path)
+    if i == 0:
+        where = "header"
+    else:
+        logged = got.get("round", i - 1) if isinstance(got, dict) else i - 1
+        where = f"round {logged}"
+    if i >= len(expected):
+        return where, ""
+    return where, _first_differing_field(got, json.loads(expected[i]))
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -253,11 +282,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
         want = expected[i] if i < len(expected) else "<missing line>"
         if got != want:
             try:
-                where = _divergence_site(found, i, args.runlog)
+                where, field = _divergence_site(found, expected, i, args.runlog)
             except ValueError as exc:
                 print(f"error: cannot replay {args.runlog}: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            print(f"divergence at {where} (line {i + 1} of {args.runlog})", file=sys.stderr)
+            print(f"divergence at {where} (line {i + 1} of {args.runlog}){field}", file=sys.stderr)
             return EXIT_RUNTIME
     print(f"replay ok: {len(found)} lines reproduced bit-identically")
     return EXIT_OK

@@ -239,24 +239,6 @@ def _lml_from_factor(chol: np.ndarray, yc: np.ndarray):
     return -0.5 * np.sum(w**2, axis=-1) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
 
 
-def log_marginal_likelihood(
-    points: np.ndarray, observations: np.ndarray, params: KernelParams
-) -> float:
-    """Log evidence of the observations under the kernel, mean-centered.
-
-    Returns ``-inf`` when the covariance cannot be factored even after
-    jitter escalation, which lets hyperparameter search skip bad candidates.
-    """
-    x = np.asarray(points, dtype=float)
-    y = np.asarray(observations, dtype=float).reshape(-1)
-    k = gram_matrix(x, x, params) + params.noise_variance * np.eye(y.size)
-    try:
-        chol, _ = _factor_with_jitter(k, params.jitter)
-    except LinAlgError:
-        return -math.inf
-    return float(_lml_from_factor(chol, y - np.mean(y)))
-
-
 def fit(
     points: Sequence[Sequence[float]], observations: Sequence[float], nu: float = 2.5
 ) -> GpModel:

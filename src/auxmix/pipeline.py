@@ -10,7 +10,6 @@ the stage-2 budget.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -201,13 +200,15 @@ def write_density_csv(table: tuple[np.ndarray, np.ndarray], path: str | Path) ->
     """Write a :func:`utility_density_table` as ``task_id,theta,density`` rows."""
     theta, density = table
     thetas = list(map(repr, theta.tolist()))  # formatted once for every task's rows
+    # The dialect csv.writer emits for ints and float reprs: no quoting, CRLF.
+    rows = (
+        f"{task_id},{t},{d!r}\r\n"
+        for task_id, row in enumerate(density.tolist())
+        for t, d in zip(thetas, row)
+    )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task_id", "theta", "density"])
-        for task_id, row in enumerate(density.tolist()):
-            writer.writerows((task_id, t, d) for t, d in zip(thetas, row))
+    path.write_text("task_id,theta,density\r\n" + "".join(rows), encoding="utf-8", newline="")
     return path
 
 

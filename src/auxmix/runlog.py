@@ -16,7 +16,9 @@ from typing import Any
 
 # Version 2 dropped each stage-1 record's beliefs, ``arms_after``, which the
 # config and the logged choices and rewards determine (``bandit.belief_path``).
-SCHEMA_VERSION = 2
+# Version 3 dropped its Thompson draws, ``sampled_thetas``, which the same
+# generator redraws from those beliefs (``bandit.thompson_draws``).
+SCHEMA_VERSION = 3
 
 
 def derive_seed(*parts: object) -> int:

@@ -18,6 +18,7 @@ from auxmix.bandit import (
     initial_arms,
     run_stage1,
     select_tasks,
+    thompson_draws,
     update_posterior,
     utility_density_table,
 )
@@ -82,7 +83,7 @@ def test_beta_arm_invariants():
             utility_density_table(bad_shape, grid_size=3)
 
 
-@pytest.mark.parametrize("grid_size", [1, 7, 1000])
+@pytest.mark.parametrize("grid_size", [1, 7, 37, 1000])
 def test_density_csv_is_byte_identical_to_the_scalar_density(grid_size, tmp_path):
     """Random shapes from 0.01 to 1e6, one scalar ``_beta_pdf`` call per point,
     written the way the scalar table was: the batched CSV matches byte for byte."""
@@ -116,8 +117,7 @@ def test_select_arm_examples():
     goes to the lowest index."""
     cfg = make_config(n_tasks=4, n_rounds=200, rng_seed=4)
     _, log = run_stage1(PlantedBanditEnv([0.8, 0.6, 0.4, 0.2]), cfg)
-    for rec in log.records:
-        thetas = rec["sampled_thetas"]
+    for rec, thetas in zip(log.records, thompson_draws(log.records, cfg).tolist(), strict=True):
         assert rec["selected_arm"] == thetas.index(max(thetas))
 
 
@@ -125,8 +125,8 @@ def test_sample_utilities_deterministic_and_in_range():
     cfg = make_config(n_tasks=2, n_rounds=20, rng_seed=5)
     _, one = run_stage1(PlantedBanditEnv([0.5, 0.5]), cfg)
     _, two = run_stage1(PlantedBanditEnv([0.5, 0.5]), cfg)
-    draws = np.array([rec["sampled_thetas"] for rec in one.records])
-    assert draws.tolist() == [rec["sampled_thetas"] for rec in two.records]
+    draws = thompson_draws(one.records, cfg)
+    assert draws.tolist() == thompson_draws(two.records, cfg).tolist()
     assert draws.shape == (20, 2)
     assert np.all((draws > 0) & (draws < 1))
 
@@ -141,7 +141,7 @@ def test_sample_utilities_mean_within_three_se():
         primary_prior_boost=0.0, rng_seed=7,
     )
     _, log = run_stage1(PlantedBanditEnv([0.5] * 100), cfg)
-    draws = np.array([rec["sampled_thetas"] for rec in log.records])
+    draws = thompson_draws(log.records, cfg)
     last = [None] + [rec["selected_arm"] for rec in log.records[:-1]]
     keep = np.ones(draws.shape, dtype=bool)
     for t, k in enumerate(last):
@@ -165,7 +165,7 @@ def test_sample_utilities_extreme_arms():
             primary_prior_boost=0.0, rng_seed=11,
         )
         _, log = run_stage1(PlantedBanditEnv([0.5] * 100), cfg)
-        draws = np.array([rec["sampled_thetas"] for rec in log.records])
+        draws = thompson_draws(log.records, cfg)
         assert draws.size == n
         assert near(draws).mean() > 0.999 - 3 * math.sqrt(0.001 * 0.999 / n)
 
@@ -330,10 +330,10 @@ def test_run_stage1_record_schema():
     cfg = make_config(n_tasks=3, n_rounds=3, rng_seed=2)
     _, log = run_stage1(PlantedBanditEnv([0.5, 0.5, 0.5]), cfg)
     for t, rec in enumerate(log.records):
-        assert sorted(rec) == ["metric", "reward", "round", "sampled_thetas", "selected_arm"]
+        assert sorted(rec) == ["metric", "reward", "round", "selected_arm"]
         assert rec["round"] == t
         assert rec["reward"] in (0, 1)
-        assert len(rec["sampled_thetas"]) == 3
+    assert thompson_draws(log.records, cfg).shape == (3, 3)
 
 
 def test_run_stage1_zero_rounds_selects_from_priors():
@@ -354,14 +354,15 @@ def test_run_stage1_two_tasks_keeps_useless_auxiliary_via_top_two():
 def _reference_stage1(env, config):
     """The stage-1 loop one arm at a time in Python floats: its own prior,
     scalar Thompson draws, first-maximum rule, reward and decay, sharing no
-    code with :func:`run_stage1`.  Returns the log and the arms of the prior
-    and after each round, which the log does not hold."""
+    code with :func:`run_stage1`.  Returns the log, the arms of the prior
+    and after each round, and each round's draws; the log holds neither."""
     n, g = config.n_tasks, config.gamma
     alphas = [config.alpha0] * n
     alphas[config.primary_task_id] = config.alpha0 + config.primary_prior_boost
     betas = [config.beta0] * n
     log = RunLog()
     arms_path = [tuple(zip(alphas, betas))]
+    draws = []
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
     env.reset(derive_seed(config.rng_seed, "stage1-env"))
     metric_prev = float(env.validation_metric())
@@ -374,16 +375,11 @@ def _reference_stage1(env, config):
         hits = [1 if j == k else 0 for j in range(n)]
         alphas = [(1.0 - g) * a + g * config.alpha0 + reward * h for a, h in zip(alphas, hits)]
         betas = [(1.0 - g) * b + g * config.beta0 + (1 - reward) * h for b, h in zip(betas, hits)]
-        log.append(
-            round=t,
-            sampled_thetas=thetas,
-            selected_arm=k,
-            reward=reward,
-            metric=metric_now,
-        )
+        log.append(round=t, selected_arm=k, reward=reward, metric=metric_now)
         arms_path.append(tuple(zip(alphas, betas)))
+        draws.append(thetas)
         metric_prev = metric_now
-    return log, arms_path
+    return log, arms_path, draws
 
 
 def _oracle_env(family, n_tasks):
@@ -407,13 +403,17 @@ def test_run_stage1_matches_reference_loop(family, n_tasks, n_rounds, gamma, boo
         n_tasks=n_tasks, n_rounds=n_rounds, gamma=gamma, primary_prior_boost=boost,
         batches_per_round=2, rng_seed=n_tasks * 1000 + n_rounds,
     )
-    want_log, want_path = _reference_stage1(_oracle_env(family, n_tasks), cfg)
+    want_log, want_path, want_draws = _reference_stage1(_oracle_env(family, n_tasks), cfg)
     got_sel, got_log = run_stage1(_oracle_env(family, n_tasks), cfg)
     assert got_log.records == want_log.records
     assert got_log.lines() == want_log.lines()
     # The beliefs the log implies, round by round, are the reference's.
     got_path = [pairs(alpha, beta) for alpha, beta in belief_path(got_log.records, cfg)]
     assert got_path == [list(arms) for arms in want_path]
+    # So are the draws redrawn from those beliefs, bit for bit in every round.
+    got_draws = thompson_draws(got_log.records, cfg)
+    assert got_draws.shape == (n_rounds, n_tasks)
+    assert got_draws.tobytes() == np.array(want_draws, dtype=float).tobytes()
     want_arms = want_path[-1]
     assert got_sel.final_arms == want_arms
     assert got_sel.expected_utilities == tuple(a / (a + b) for a, b in want_arms)

@@ -18,7 +18,7 @@ from auxmix.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from auxmix.config import load_config, normalize, to_pipeline_config
 from auxmix.environments import PlantedBanditEnv
 from auxmix.pipeline import run_pipeline
-from auxmix.bandit import BanditConfig, belief_path
+from auxmix.bandit import BanditConfig, belief_path, thompson_draws
 from auxmix.runlog import SCHEMA_VERSION, RunAborted, canonical_dumps, read_jsonl
 
 SMALL_CONFIG = """\
@@ -385,6 +385,47 @@ def test_replay_reports_divergence_before_a_later_malformed_line(finished_run, c
     assert "divergence at round 1 (line 3" in capsys.readouterr().err
 
 
+def _edit_record(log: Path, index: int, edit) -> None:
+    """Apply ``edit`` to the record on line ``index + 1`` of ``log`` and write it back canonically."""
+    lines = log.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = canonical_dumps(record)
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda rec: rec.update(reward=1 - rec["reward"]), "reward"),
+        (lambda rec: rec.update(metric=rec["metric"] + 1e-9), "metric"),
+        (lambda rec: rec.update(note="extra"), "note"),
+        (lambda rec: rec.pop("selected_arm"), "selected_arm"),
+        (lambda rec: rec.update(reward=float(rec["reward"])), "reward"),
+        (lambda rec: rec.update(reward=1 - rec["reward"], selected_arm=7), "reward"),
+    ],
+    ids=[
+        "flipped-reward", "changed-metric", "extra-key", "missing-key", "reward-as-float",
+        "first-in-sorted-order",
+    ],
+)
+def test_replay_names_the_first_differing_field(finished_run, capsys, edit, field):
+    log = finished_run / "stage1.log.jsonl"
+    _edit_record(log, 3, edit)
+    assert run_cli("replay", log) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"divergence at round 2 (line 4 of {log}): field {field!r}\n" in err
+
+
+def test_replay_names_a_changed_header_field(finished_run, capsys):
+    """A header config missing a defaulted key replays, but the regenerated
+    header carries the normalized config, so the header diverges at it."""
+    log = finished_run / "stage1.log.jsonl"
+    _rewrite_header(log, lambda header: header["config"]["stage2"].pop("hedge_eta"))
+    assert run_cli("replay", log) == EXIT_RUNTIME
+    assert f"divergence at header (line 1 of {log}): field 'config'\n" in capsys.readouterr().err
+
+
 def test_replay_header_only_log(config_file, tmp_path, capsys):
     out_dir = tmp_path / "prior-only"
     assert run_cli("run", config_file, "--out", out_dir, "--set", "bandit.n_rounds=0") == EXIT_OK
@@ -399,7 +440,9 @@ def test_replay_detects_truncated_log(finished_run, capsys):
     lines = log.read_text(encoding="utf-8").strip().split("\n")
     log.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
     assert run_cli("replay", log) == EXIT_RUNTIME
-    assert "divergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "divergence" in err
+    assert f"(line {len(lines)} of {log})\n" in err  # a missing line names no field
 
 
 def test_replay_missing_file(tmp_path, capsys):
@@ -437,6 +480,16 @@ def test_replay_refuses_a_log_of_another_schema_version(finished_run, capsys, na
     assert run_cli("replay", log) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"log schema version 1, this build replays version {SCHEMA_VERSION}" in err
+    assert "divergence" not in err
+
+
+def test_replay_refuses_a_v2_log(finished_run, capsys):
+    """A v3 run relabelled as version 2 is refused before any regeneration."""
+    log = finished_run / "stage1.log.jsonl"
+    _rewrite_header(log, lambda header: header.update(schema_version=2))
+    assert run_cli("replay", log) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "log schema version 2, this build replays version 3" in err
     assert "divergence" not in err
 
 
@@ -592,6 +645,20 @@ def test_plot_utilities_reads_a_v1_log(finished_run, tmp_path):
     old.write_text("\n".join([canonical_dumps(header), *v1]) + "\n", encoding="utf-8")
     assert run_cli("plot-utilities", old, "--out", tmp_path / "v1.csv") == EXIT_OK
     assert (tmp_path / "v1.csv").read_bytes() == (finished_run / "utilities.csv").read_bytes()
+
+
+def test_plot_utilities_reads_a_v2_log(finished_run, tmp_path):
+    """A schema-2 log also holds each round's Thompson draws as
+    ``sampled_thetas``; the fold skips them and gives the same CSV."""
+    log = finished_run / "stage1.log.jsonl"
+    header, records = read_jsonl(log)
+    draws = thompson_draws(records, BanditConfig(**header["config"]["bandit"])).tolist()
+    header["schema_version"] = 2
+    v2 = [canonical_dumps({**record, "sampled_thetas": d}) for record, d in zip(records, draws)]
+    old = tmp_path / "v2.log.jsonl"
+    old.write_text("\n".join([canonical_dumps(header), *v2]) + "\n", encoding="utf-8")
+    assert run_cli("plot-utilities", old, "--out", tmp_path / "v2.csv") == EXIT_OK
+    assert (tmp_path / "v2.csv").read_bytes() == (finished_run / "utilities.csv").read_bytes()
 
 
 def test_plot_utilities_write_failure_is_not_a_malformed_log(finished_run, tmp_path, capsys):

@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
-from auxmix.bandit import BanditConfig
+from auxmix.bandit import BanditConfig, thompson_draws
 from auxmix.config import normalize, to_pipeline_config
 from auxmix.environments import make_environment
 from auxmix.mixing import (
@@ -353,6 +354,20 @@ def test_run_artifacts_hold_only_plain_values(mode, family):
     assert [p for name, v in payloads.items() for p in _non_plain(v, name)] == []
 
 
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("mode", PIPELINE_MODES)
+def test_thompson_draws_explain_every_logged_choice(mode, family):
+    """The draws redrawn from a run's stage-1 log have their first maximum,
+    round by round, at the task the run trained."""
+    raw = {"mode": mode, "environment": _FAMILIES[family], **_TINY, "bandit": {"n_rounds": 150}}
+    config = to_pipeline_config(normalize(raw))
+    log, _ = stage_log(run_pipeline(config), "stage1")
+    records = [json.loads(line) for line in log.lines()]  # as a reader of the file sees them
+    draws = thompson_draws(records, config.bandit)
+    assert draws.shape == (0 if mode == "no_stage1" else 150, config.bandit.n_tasks)
+    assert np.argmax(draws, axis=1).tolist() == [rec["selected_arm"] for rec in records]
+
+
 # -------------------------------------------------------------- artifacts
 
 def test_write_outputs_produces_all_artifacts(tmp_path):
@@ -367,7 +382,7 @@ def test_write_outputs_produces_all_artifacts(tmp_path):
 
     header, records = read_jsonl(paths["stage1_log"])
     assert header["kind"] == "stage1"
-    assert header["schema_version"] == SCHEMA_VERSION == 2
+    assert header["schema_version"] == SCHEMA_VERSION == 3
     assert "final_arms" in header
     assert len(records) == 60
 

@@ -129,7 +129,7 @@ def test_runlog_write_and_read_roundtrip(tmp_path):
     path = log.write_jsonl(tmp_path / "deep" / "log.jsonl", header)
     got_header, got_records = read_jsonl(path)
     assert got_header["kind"] == "stage1"
-    assert got_header["schema_version"] == SCHEMA_VERSION == 2
+    assert got_header["schema_version"] == SCHEMA_VERSION == 3
     assert got_header["config"] == {"rng_seed": 3}
     assert got_header["final_arms"] == [[1.0, 2.0]]
     assert got_records == [{"round": 0, "metric": 0.5}]
