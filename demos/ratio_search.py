@@ -39,8 +39,10 @@ print("note the harmful last entry: the search drives it to zero.")
 # Equal-budget random search on the same landscape for contrast.
 rng = np.random.default_rng(derive_seed(7, "random-search"))
 random_best = max(
-    env.train_full(random_ratio(4, 20, rng), derive_seed(7, "rs-eval", t))
-    for t in range(config.n_samples)
+    env.train_full(
+        [random_ratio(4, 20, rng) for _ in range(config.n_samples)],
+        [derive_seed(7, "rs-eval", t) for t in range(config.n_samples)],
+    )
 )
 print(f"\nrandom search, same budget: {random_best:.4f}")
 print(f"guided search advantage:    {best.score - random_best:+.4f}")

@@ -2,8 +2,9 @@
 
 Both families satisfy the same contract: ``step(task_id)`` trains a round of
 mini-batches on one task, ``validation_metric()`` scores the primary task in
-[0, 1], ``train_full(ratio, seed)`` runs a complete training under a cyclic
-mixing schedule, and ``reset(seed)`` restarts the episode.  Everything is
+[0, 1], ``train_full(ratios, seeds)`` runs one complete training per ratio,
+each under its own seed and cyclic mixing schedule, and returns their scores
+in order, and ``reset(seed)`` restarts the episode.  Everything is
 deterministic given the seeds, which is what makes replay a byte-level
 contract further up the stack.
 """
@@ -19,6 +20,18 @@ from .mixing import MixingRatio, ratio_cycle
 from .runlog import SettingError, derive_seed, require_ints
 
 PLANTED_METRIC_INCREMENT = 1e-3
+
+# Rows gathered per block of lockstep SGD steps.  It caps the memory a block
+# takes however many trainings run together: 384 KB at 16 features.
+_GATHER_ROWS = 3072
+
+
+def _check_batch(ratios: Sequence[MixingRatio], seeds: Sequence[int], n_tasks: int) -> None:
+    if len(ratios) != len(seeds):
+        raise ValueError(f"got {len(ratios)} ratios but {len(seeds)} seeds")
+    for ratio in ratios:
+        if ratio.n_tasks != n_tasks:
+            raise ValueError(f"ratio has {ratio.n_tasks} entries for {n_tasks} tasks")
 
 
 class PlantedBanditEnv:
@@ -76,21 +89,23 @@ class PlantedBanditEnv:
     def validation_metric(self) -> float:
         return self._metric
 
-    def train_full(self, ratio: MixingRatio, seed: int) -> float:
-        """Share-weighted utility score, pure in (ratio, seed).
+    def train_full(self, ratios: Sequence[MixingRatio], seeds: Sequence[int]) -> list[float]:
+        """Share-weighted utility score of each ratio, pure in (ratio, seed).
 
         ``0.5 + sum_k share_k (theta_k - 0.5)`` plus small seeded Gaussian
         noise, clamped to [0, 1]; ``share_k`` is task k's fraction of the
         cycle.  Maximized by concentrating the ratio on high-utility tasks
         and zeroing low-utility ones.
         """
-        if ratio.n_tasks != self.n_tasks:
-            raise ValueError(f"ratio has {ratio.n_tasks} entries for {self.n_tasks} tasks")
-        counts = np.asarray(ratio.counts, dtype=float)
-        shares = counts / counts.sum()
-        base = 0.5 + float(shares @ (np.asarray(self.theta_star) - 0.5))
-        noise = self.score_noise * float(np.random.default_rng(seed).standard_normal())
-        return float(min(max(base + noise, 0.0), 1.0))
+        _check_batch(ratios, seeds, self.n_tasks)
+        centered = np.asarray(self.theta_star) - 0.5
+        scores = []
+        for ratio, seed in zip(ratios, seeds):
+            counts = np.asarray(ratio.counts, dtype=float)
+            base = 0.5 + float(counts / counts.sum() @ centered)
+            noise = self.score_noise * float(np.random.default_rng(seed).standard_normal())
+            scores.append(float(min(max(base + noise, 0.0), 1.0)))
+        return scores
 
 
 class SharedParamMtlEnv:
@@ -202,28 +217,45 @@ class SharedParamMtlEnv:
         self._w = np.zeros(self.dim)
         self._rng = np.random.default_rng(seed)
 
-    def _sgd(self, task_ids: np.ndarray, rng: np.random.Generator, w: np.ndarray) -> None:
-        """Run one mini-batch of task ``task_ids[b]`` for each b, updating ``w``.
+    def _sgd(
+        self, task_ids: np.ndarray, rngs: Sequence[np.random.Generator], w: np.ndarray
+    ) -> None:
+        """Run K trainings in lockstep, updating the ``(K, dim)`` weight stack ``w``.
 
-        Every batch's row indices come from one ``integers`` call with
-        per-element bounds, which consumes ``rng`` exactly as one call per
-        batch would, and one fancy index gathers them; the update itself
-        stays one batch at a time.
+        Training k runs one mini-batch of task ``task_ids[k, b]`` at each step
+        b, with row indices drawn from ``rngs[k]``.  One stacked ``matmul``
+        per product advances all K at once; it applies the same kernel to
+        each training as the 2-D product of one, so every row of ``w`` ends
+        bitwise where training it alone would.  Indices are drawn and rows
+        gathered a block of steps at a time, at most ``_GATHER_ROWS`` rows per
+        block: per training and block, one ``integers`` call with per-element
+        bounds consumes the generator exactly as one call per batch would.
         """
+        block = max(1, _GATHER_ROWS // (max(len(rngs), 1) * self.batch_size))
+        cols = w[:, :, None]  # each training's weights as a column, a view of w
+        for start in range(0, task_ids.shape[1], block):
+            self._sgd_block(task_ids[:, start : start + block], rngs, cols)
+
+    def _sgd_block(
+        self, task_ids: np.ndarray, rngs: Sequence[np.random.Generator], cols: np.ndarray
+    ) -> None:
+        """One block of :meth:`_sgd`; its gathered rows are freed on return."""
         bs, lr = self.batch_size, self.learning_rate
-        idx = rng.integers(0, np.repeat(self._sizes[task_ids], bs))
-        idx += np.repeat(self._offsets[task_ids], bs)
-        xs = self._x[idx].reshape(len(task_ids), bs, self.dim)
-        ys = self._y[idx].reshape(len(task_ids), bs)
-        for xb, yb in zip(xs, ys):
-            grad = xb.T @ (xb @ w - yb) / bs
-            w -= lr * grad
+        idx = np.repeat(self._offsets[task_ids], bs, axis=1)
+        for row, rng, bound in zip(idx, rngs, np.repeat(self._sizes[task_ids], bs, axis=1)):
+            row += rng.integers(0, bound)
+        shape = (len(rngs), task_ids.shape[1], bs)
+        xs = self._x[idx].reshape(*shape, self.dim).swapaxes(0, 1)
+        ys = self._y[idx].reshape(*shape, 1).swapaxes(0, 1)
+        for xb, xb_t, yb in zip(xs, xs.swapaxes(2, 3), ys):
+            grad = xb_t @ (xb @ cols - yb) / bs
+            cols -= lr * grad
 
     def step(self, task_id: int) -> None:
         """Train one round (``batches_per_round`` mini-batches) of one task."""
         if not (0 <= task_id < self.n_tasks):
             raise ValueError(f"task_id {task_id} out of range for {self.n_tasks} tasks")
-        self._sgd(np.full(self.batches_per_round, task_id), self._rng, self._w)
+        self._sgd(np.full((1, self.batches_per_round), task_id), [self._rng], self._w[None])
 
     def _metric_of(self, w: np.ndarray) -> float:
         mse = float(np.mean((self._x_heldout @ w - self._y_heldout) ** 2))
@@ -232,19 +264,21 @@ class SharedParamMtlEnv:
     def validation_metric(self) -> float:
         return self._metric_of(self._w)
 
-    def train_full(self, ratio: MixingRatio, seed: int) -> float:
-        """Train fresh weights under the cyclic schedule; pure in (ratio, seed).
+    def train_full(self, ratios: Sequence[MixingRatio], seeds: Sequence[int]) -> list[float]:
+        """Train fresh weights for each ratio, all in lockstep; pure in (ratio, seed).
 
-        The cycle (count_0 batches of task 0, count_1 of task 1, ...) repeats
-        until ``total_batches`` mini-batches have run, truncating the final
-        cycle if needed.  Episode state is untouched.
+        Training k repeats the cycle of ``ratios[k]`` (count_0 batches of
+        task 0, count_1 of task 1, ...) until ``total_batches`` mini-batches
+        have run, truncating the final cycle if needed, and draws its
+        indices from ``default_rng(seeds[k])``.  Each score is bitwise the
+        one that training its ratio alone gives.  Episode state is untouched.
         """
-        if ratio.n_tasks != self.n_tasks:
-            raise ValueError(f"ratio has {ratio.n_tasks} entries for {self.n_tasks} tasks")
-        task_ids = np.resize(ratio_cycle(ratio.counts), self.total_batches)
-        w = np.zeros(self.dim)
-        self._sgd(task_ids, np.random.default_rng(seed), w)
-        return self._metric_of(w)
+        _check_batch(ratios, seeds, self.n_tasks)
+        cycles = [np.resize(ratio_cycle(r.counts), self.total_batches) for r in ratios]
+        task_ids = np.array(cycles, dtype=np.intp).reshape(len(ratios), self.total_batches)
+        w = np.zeros((len(ratios), self.dim))
+        self._sgd(task_ids, [np.random.default_rng(seed) for seed in seeds], w)
+        return [self._metric_of(row) for row in w]
 
 
 ENVIRONMENT_CLASSES = {"planted": PlantedBanditEnv, "shared-linear": SharedParamMtlEnv}

@@ -107,9 +107,16 @@ class EvaluationRecord:
 
 
 class Stage2Environment(Protocol):
+    """What stage 2 needs of an environment.
+
+    ``train_full`` trains once per ratio, training k under ``seeds[k]``,
+    and returns the K scores in order.  The trainings may run in lockstep,
+    so none of them need finish before the last one does.
+    """
+
     n_tasks: int
 
-    def train_full(self, ratio: MixingRatio, seed: int) -> float: ...
+    def train_full(self, ratios: Sequence[MixingRatio], seeds: Sequence[int]) -> list[float]: ...
 
 
 def encode(ratio: MixingRatio, ratio_max: int = DEFAULT_RATIO_MAX) -> np.ndarray:
@@ -226,28 +233,35 @@ def propose_next(
     return decode(nominee, ratio_max), chosen, new_hedge
 
 
-def train_score(
+def train_scores(
     env: Stage2Environment,
-    ratio: MixingRatio,
+    ratios: Sequence[MixingRatio],
     task_ids: Sequence[int],
-    seed: int,
-    where: str,
+    seeds: Sequence[int],
+    wheres: Sequence[str],
     log: RunLog,
-) -> float:
-    """Score of one full training under ``ratio``, inside the abort boundary.
+) -> Iterator[float]:
+    """Scores of one batch of full trainings, inside the abort boundary.
 
-    ``ratio`` covers ``task_ids`` and is spread onto the environment's full
-    task vector first.  An exception from the environment, or a score that
-    is not finite, ends the run as :class:`RunAborted` carrying ``log``.
+    Each ratio covers ``task_ids`` and is spread onto the environment's
+    full task vector first; ``wheres[k]`` names ratio k's place in the run.
+    The whole batch trains in one ``train_full`` call, and the scores are
+    yielded in order.  An exception from the environment ends the run as
+    :class:`RunAborted` at the batch's first place; a score that is not
+    finite ends it when it is reached, so the caller has logged every
+    score before it.  Either way the exception carries ``log``.
     """
-    env_ratio = expand_to_tasks(ratio, task_ids, env.n_tasks)
+    env_ratios = [expand_to_tasks(ratio, task_ids, env.n_tasks) for ratio in ratios]
     try:
-        score = float(env.train_full(env_ratio, seed))
+        scores = [float(score) for score in env.train_full(env_ratios, list(seeds))]
+        if len(scores) != len(ratios):
+            raise ValueError(f"train_full returned {len(scores)} scores for {len(ratios)} ratios")
     except Exception as exc:
-        raise RunAborted(f"environment failed {where}: {exc}", log=log) from exc
-    if not math.isfinite(score):
-        raise RunAborted(f"environment failed {where}: train_full returned {score!r}", log=log)
-    return score
+        raise RunAborted(f"environment failed {wheres[0]}: {exc}", log=log) from exc
+    for where, score in zip(wheres, scores):
+        if not math.isfinite(score):
+            raise RunAborted(f"environment failed {where}: train_full returned {score!r}", log=log)
+        yield score
 
 
 # One stage-2 proposal: the ratio, the acquisition that chose it, and the GP
@@ -257,15 +271,17 @@ Proposal = tuple[MixingRatio, str, float | None, float | None]
 
 def _gp_proposals(
     n_tasks: int, config: Stage2Config, records: Sequence[EvaluationRecord]
-) -> Iterator[Proposal]:
-    """Uniform random ratios for ``n_initial`` rounds, then GP-Hedge proposals.
+) -> Iterator[list[Proposal]]:
+    """One batch of ``n_initial`` uniform random ratios, then GP-Hedge proposals one at a time.
 
     Each proposal comes from a GP refitted on ``records``, the evaluation
-    history that :func:`run_stage2` extends before asking for the next one.
+    history that :func:`run_stage2` extends before asking for the next batch.
     """
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
-    for _ in range(config.n_initial):
-        yield random_ratio(n_tasks, config.ratio_max, rng), "random", None, None
+    yield [
+        (random_ratio(n_tasks, config.ratio_max, rng), "random", None, None)
+        for _ in range(config.n_initial)
+    ]
     hedge = HedgeState(eta=config.hedge_eta)
     for _ in range(config.n_initial, config.n_samples):
         xs = np.array([encode(r.ratio, config.ratio_max) for r in records])
@@ -279,23 +295,24 @@ def _gp_proposals(
             ucb_lambda=config.ucb_lambda,
         )
         post = posterior_at(model, encode(ratio, config.ratio_max))
-        yield ratio, acq, post.mean, post.std
+        yield [(ratio, acq, post.mean, post.std)]
 
 
 def run_stage2(
     env: Stage2Environment,
     tasks: TaskSelection,
     config: Stage2Config,
-    proposals: Iterable[Proposal] | None = None,
+    proposals: Iterable[Sequence[Proposal]] | None = None,
 ) -> tuple[EvaluationRecord, list[EvaluationRecord], RunLog]:
     """Evaluate a budget of mixing ratios and return the best one found.
 
-    ``proposals`` yields ``(ratio, acquisition, posterior_mean,
-    posterior_std)`` per round, each ratio over the selected tasks; every
-    one is evaluated and logged.  By default the first ``n_initial`` ratios
-    are uniform random draws from the valid grid and the rest, up to
-    ``n_samples``, come from :func:`propose_next` against a GP refitted on
-    the full history before each proposal.  Every evaluation trains from
+    ``proposals`` yields batches of ``(ratio, acquisition, posterior_mean,
+    posterior_std)``, one per round, each ratio over the selected tasks;
+    every batch is validated, trained in one ``train_full`` call, and
+    logged round by round.  By default the first batch holds the
+    ``n_initial`` uniform random draws from the valid grid, and each later
+    one, up to ``n_samples`` rounds, holds one :func:`propose_next` ratio
+    from a GP refitted on the full history.  Every evaluation trains from
     scratch under a fresh seed derived from ``(rng_seed, "eval", round)``,
     so a duplicate ratio is genuinely re-evaluated.  Best record ties break
     toward the earliest evaluation.
@@ -306,7 +323,9 @@ def run_stage2(
         For a proposed ratio above ``ratio_max`` or of the wrong width.
     RunAborted
         On environment failure or a non-finite score; the partial log rides
-        on the exception.
+        on the exception.  A non-finite score at round t leaves rounds
+        before t in the log; an exception inside a batch leaves the rounds
+        before the batch.
     """
     task_ids = tasks.selected_task_ids
     records: list[EvaluationRecord] = []
@@ -314,20 +333,25 @@ def run_stage2(
     if proposals is None:
         proposals = _gp_proposals(len(task_ids), config, records)
     best_score = -math.inf
-    for t, (ratio, acq, post_mean, post_std) in enumerate(proposals):
-        validate_ratio(ratio, config.ratio_max)
-        seed = derive_seed(config.rng_seed, "eval", t)
-        score = train_score(env, ratio, task_ids, seed, f"at stage-2 round {t}", log)
-        records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
-        best_score = max(best_score, score)
-        log.append(
-            round=t,
-            proposed_ratio=list(ratio.counts),
-            acquisition_used=acq,
-            posterior_mean=post_mean,
-            posterior_std=post_std,
-            score=score,
-            incumbent=best_score,
-        )
+    for batch in proposals:
+        ratios = [ratio for ratio, *_ in batch]
+        for ratio in ratios:
+            validate_ratio(ratio, config.ratio_max)
+        rounds = range(len(records), len(records) + len(batch))
+        seeds = [derive_seed(config.rng_seed, "eval", t) for t in rounds]
+        wheres = [f"at stage-2 round {t}" for t in rounds]
+        scores = train_scores(env, ratios, task_ids, seeds, wheres, log)
+        for t, (ratio, acq, post_mean, post_std), seed, score in zip(rounds, batch, seeds, scores):
+            records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
+            best_score = max(best_score, score)
+            log.append(
+                round=t,
+                proposed_ratio=list(ratio.counts),
+                acquisition_used=acq,
+                posterior_mean=post_mean,
+                posterior_std=post_std,
+                score=score,
+                incumbent=best_score,
+            )
     best = max(records, key=lambda r: r.score)  # max() keeps the earliest on ties
     return best, records, log

@@ -30,7 +30,7 @@ from .mixing import (
     MixingRatio,
     Stage2Config,
     run_stage2,
-    train_score,
+    train_scores,
 )
 from .runlog import RunAborted, RunLog, SettingError, derive_seed, make_header
 
@@ -143,15 +143,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     if config.mode == "no_stage2":
         stage2 = config.stage2
         grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
-        proposals = ((ratio, "grid", None, None) for ratio in grid)
+        proposals = [[(ratio, "grid", None, None) for ratio in grid]]
     try:
         best, records, stage2_log = run_stage2(env, selection, config.stage2, proposals)
-        baseline_score = train_score(
+        (baseline_score,) = train_scores(
             env,
-            MixingRatio(tuple([1] + [0] * (len(task_ids) - 1))),
+            [MixingRatio(tuple([1] + [0] * (len(task_ids) - 1)))],
             task_ids,
-            derive_seed(config.stage2.rng_seed, "baseline"),
-            "on the baseline run",
+            [derive_seed(config.stage2.rng_seed, "baseline")],
+            ["on the baseline run"],
             stage2_log,
         )
     except RunAborted as exc:

@@ -218,8 +218,10 @@ def test_criterion_06_stage2_beats_random_search():
         best, _, _ = run_stage2(env, sel, cfg)
         rng = np.random.default_rng(derive_seed(seed, "random-search"))
         random_best = max(
-            env.train_full(random_ratio(4, 20, rng), derive_seed(seed, "rs-eval", t))
-            for t in range(20)
+            env.train_full(
+                [random_ratio(4, 20, rng) for _ in range(20)],
+                [derive_seed(seed, "rs-eval", t) for t in range(20)],
+            )
         )
         wins += best.score > random_best
     elapsed = time.perf_counter() - start

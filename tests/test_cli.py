@@ -286,25 +286,35 @@ def test_run_grid_size_guard(config_file, tmp_path, capsys):
 
 def _fail_on_call(method: str, call: int, bad):
     """Patch one PlantedBanditEnv method so its ``call``-th call (1-based)
-    raises ``bad`` when it is an exception, or returns it otherwise."""
+    raises ``bad`` when it is an exception, or returns it otherwise.
+
+    ``train_full`` counts ratios instead of calls: the batch holding the
+    ``call``-th ratio raises ``bad``, or returns ``bad`` as that ratio's
+    score and the true scores of the others."""
     original = getattr(PlantedBanditEnv, method)
     calls = {"n": 0}
 
     def patched(self, *args):
-        calls["n"] += 1
-        if calls["n"] != call:
+        width = len(args[0]) if method == "train_full" else 1
+        calls["n"] += width
+        pos = call - (calls["n"] - width) - 1  # the bad call's place in this batch
+        if not 0 <= pos < width:
             return original(self, *args)
         if isinstance(bad, Exception):
             raise bad
-        return bad
+        if method != "train_full":
+            return bad
+        scores = original(self, *args)
+        scores[pos] = bad
+        return scores
 
     return mock.patch.object(PlantedBanditEnv, method, patched)
 
 
 # SMALL_CONFIG runs 8 stage-1 rounds, then 4 stage-2 rounds (2 random, 2 GP
 # or grid), then the baseline.  Stage-1 round r makes validation_metric call
-# r + 2 (the first follows reset); stage-2 round r makes train_full call
-# r + 1, and the baseline makes call 5.
+# r + 2 (the first follows reset); stage-2 round r trains train_full's ratio
+# r + 1, and the baseline trains ratio 5.
 ABORT_SITES = [
     pytest.param("full", "reset", 1, RuntimeError("no device"), "stage1", 0, id="stage1-reset"),
     pytest.param("full", "validation_metric", 1, math.nan, "stage1", 0, id="stage1-first-metric"),

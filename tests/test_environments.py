@@ -101,35 +101,41 @@ def test_planted_reset_gives_identical_trajectories():
 
 def test_planted_train_full_share_formula_exact():
     env = PlantedBanditEnv([0.9, 0.5, 0.1], score_noise=0.0)
-    score = env.train_full(MixingRatio(counts=(10, 5, 5)), seed=0)
+    score, primary_only = env.train_full(
+        [MixingRatio(counts=(10, 5, 5)), MixingRatio(counts=(10, 0, 0))], [0, 0]
+    )
     # shares (0.5, 0.25, 0.25) against centered utilities (0.4, 0.0, -0.4)
     assert score == pytest.approx(0.6, abs=1e-12)
-    assert env.train_full(MixingRatio(counts=(10, 0, 0)), seed=0) == pytest.approx(0.9)
+    assert primary_only == pytest.approx(0.9)
 
 
 def test_planted_train_full_clamps_to_unit_interval():
     env = PlantedBanditEnv([1.0, 1.0], score_noise=0.5)
-    for seed in range(20):
-        assert 0.0 <= env.train_full(MixingRatio(counts=(1, 1)), seed) <= 1.0
+    scores = env.train_full([MixingRatio(counts=(1, 1))] * 20, list(range(20)))
+    assert len(scores) == 20
+    assert all(0.0 <= s <= 1.0 for s in scores)
 
 
 def test_planted_train_full_pure_and_seeded():
     env = PlantedBanditEnv([0.6, 0.4])
     ratio = MixingRatio(counts=(3, 2))
-    a = env.train_full(ratio, seed=11)
+    (a,) = env.train_full([ratio], [11])
     env.reset(0)
     env.step(0)
     mid_metric = env.validation_metric()
-    b = env.train_full(ratio, seed=11)
+    b, other_seed = env.train_full([ratio, ratio], [11, 12])
     assert a == b
     assert env.validation_metric() == mid_metric  # episode state untouched
-    assert env.train_full(ratio, seed=12) != a
+    assert other_seed != a
+    assert env.train_full([], []) == []
 
 
 def test_planted_train_full_rejects_width_mismatch():
     env = PlantedBanditEnv([0.6, 0.4])
     with pytest.raises(ValueError):
-        env.train_full(MixingRatio(counts=(1,)), seed=0)
+        env.train_full([MixingRatio(counts=(1, 1)), MixingRatio(counts=(1,))], [0, 1])
+    with pytest.raises(ValueError, match="2 ratios but 1 seeds"):
+        env.train_full([MixingRatio(counts=(1, 1))] * 2, [0])
 
 
 # ----------------------------------------------------------- shared-linear
@@ -178,20 +184,20 @@ def test_shared_linear_step_determinism():
 def test_shared_linear_train_full_pure_in_ratio_and_seed():
     env = SharedParamMtlEnv(total_batches=300)
     ratio = MixingRatio(counts=(2, 1, 0))
-    a = env.train_full(ratio, seed=5)
-    b = env.train_full(ratio, seed=5)
-    assert a == b
+    (a,) = env.train_full([ratio], [5])
+    b, c = env.train_full([ratio, ratio], [5, 5])
+    assert a == b == c
     env.reset(9)
     before = env.validation_metric()
-    env.train_full(ratio, seed=5)
+    env.train_full([ratio], [5])
     assert env.validation_metric() == before
+    assert env.train_full([], []) == []
 
 
 def test_shared_linear_equivalent_all_primary_schedules_tie():
     """(1, 0, 0) and (5, 0, 0) lay down the same batch sequence."""
     env = SharedParamMtlEnv(total_batches=300)
-    a = env.train_full(MixingRatio(counts=(1, 0, 0)), seed=2)
-    b = env.train_full(MixingRatio(counts=(5, 0, 0)), seed=2)
+    a, b = env.train_full([MixingRatio(counts=(1, 0, 0)), MixingRatio(counts=(5, 0, 0))], [2, 2])
     assert a == b
 
 
@@ -200,15 +206,15 @@ class _RecordingEnv(SharedParamMtlEnv):
         super().__init__(**kw)
         self.batches = []
 
-    def _sgd(self, task_ids, rng, w):
+    def _sgd(self, task_ids, rngs, w):
         self.batches.extend(task_ids.tolist())
-        super()._sgd(task_ids, rng, w)
+        super()._sgd(task_ids, rngs, w)
 
 
 def test_shared_linear_cycle_order_is_blockwise():
     env = _RecordingEnv(task_profile=("primary", "useful"), total_batches=8)
-    env.train_full(MixingRatio(counts=(2, 1)), seed=0)
-    assert env.batches == [0, 0, 1, 0, 0, 1, 0, 0]
+    env.train_full([MixingRatio(counts=(2, 1)), MixingRatio(counts=(1, 3))], [0, 0])
+    assert env.batches == [[0, 0, 1, 0, 0, 1, 0, 0], [0, 1, 1, 1, 0, 1, 1, 1]]
 
 
 # The per-batch loop the batched ``_sgd`` replaced, kept as the oracle: one
@@ -221,10 +227,14 @@ def _reference_batch(x, y, batch_size, learning_rate, rng, w):
 
 
 class _WeightsEnv(SharedParamMtlEnv):
-    """Records the weights each metric is computed from."""
+    """Records the weights each metric is computed from, in order."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.weights = []
 
     def _metric_of(self, w):
-        self.last_w = w.copy()
+        self.weights.append(w.copy())
         return super()._metric_of(w)
 
 
@@ -247,6 +257,17 @@ def _oracle_env():
     return env, np.split(env._x, cuts), np.split(env._y, cuts)
 
 
+def _reference_train_full(env, xs, ys, counts, seed):
+    """Final weights of one training, one ``_reference_batch`` at a time."""
+    cycle = ratio_cycle(counts)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(env.dim)
+    for b in range(env.total_batches):
+        k = cycle[b % len(cycle)]
+        _reference_batch(xs[k], ys[k], env.batch_size, env.learning_rate, rng, w)
+    return w
+
+
 def _oracle_ratios():
     rng = np.random.default_rng(2024)
     ratios = [
@@ -263,16 +284,38 @@ def _oracle_ratios():
 @pytest.mark.parametrize("seed, counts", list(enumerate(_oracle_ratios())))
 def test_train_full_equals_per_batch_reference(seed, counts):
     env, xs, ys = _oracle_env()
-    score = env.train_full(MixingRatio(counts=counts), seed)
+    (score,) = env.train_full([MixingRatio(counts=counts)], [seed])
 
-    cycle = ratio_cycle(counts)
-    rng = np.random.default_rng(seed)
-    w = np.zeros(env.dim)
-    for b in range(env.total_batches):
-        k = cycle[b % len(cycle)]
-        _reference_batch(xs[k], ys[k], env.batch_size, env.learning_rate, rng, w)
-    assert env.last_w.tobytes() == w.tobytes()
+    w = _reference_train_full(env, xs, ys, counts, seed)
+    assert env.weights[-1].tobytes() == w.tobytes()
     assert score == env._metric_of(w)
+
+
+# A cycle sums up to 1 + 3 * 40 = 121 batches, longer than the 97 of the oracle env.
+_oracle_counts = st.one_of(
+    st.just((1, 0, 0, 0)),
+    st.tuples(st.integers(1, 20), st.just(0), st.just(0), st.just(0)),
+    st.tuples(st.integers(1, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)),
+)
+
+
+@given(
+    batch=st.lists(
+        st.tuples(_oracle_counts, st.integers(0, 2**63 - 1)), min_size=1, max_size=25
+    )
+)
+def test_lockstep_train_full_equals_each_ratio_trained_alone(batch):
+    """Every training in a lockstep batch keeps its own generator, schedule
+    and weights: its final weights are bitwise a lone per-batch loop's."""
+    env, xs, ys = _oracle_env()
+    ratios = [MixingRatio(counts=counts) for counts, _ in batch]
+    seeds = [seed for _, seed in batch]
+    scores = env.train_full(ratios, seeds)
+    assert len(env.weights) == len(scores) == len(batch)
+    for (counts, seed), got, score in zip(batch, env.weights, scores):
+        w = _reference_train_full(env, xs, ys, counts, seed)
+        assert got.tobytes() == w.tobytes()
+        assert score == env._metric_of(w)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -311,16 +354,18 @@ def test_per_element_bounds_consume_the_stream_like_per_batch_calls(bounds, batc
 
 def test_shared_linear_useful_aux_is_nearly_free():
     env = SharedParamMtlEnv(task_profile=("primary", "useful"), total_batches=300)
-    base = env.train_full(MixingRatio(counts=(1, 0)), seed=0)
-    for counts in [(1, 1), (1, 5)]:
-        assert env.train_full(MixingRatio(counts=counts), seed=0) >= base - 0.05
+    base, *mixed = env.train_full(
+        [MixingRatio(counts=c) for c in [(1, 0), (1, 1), (1, 5)]], [0] * 3
+    )
+    for score in mixed:
+        assert score >= base - 0.05
 
 
 def test_shared_linear_harmful_aux_destroys_the_metric():
     env = SharedParamMtlEnv(task_profile=("primary", "harmful"), total_batches=300)
-    base = env.train_full(MixingRatio(counts=(1, 0)), seed=0)
-    heavy = env.train_full(MixingRatio(counts=(1, 5)), seed=0)
-    diluted = env.train_full(MixingRatio(counts=(5, 1)), seed=0)
+    base, heavy, diluted = env.train_full(
+        [MixingRatio(counts=c) for c in [(1, 0), (1, 5), (5, 1)]], [0] * 3
+    )
     assert heavy <= base - 0.5
     assert diluted <= base - 0.1
     assert diluted > heavy
@@ -328,8 +373,7 @@ def test_shared_linear_harmful_aux_destroys_the_metric():
 
 def test_shared_linear_scores_stay_in_unit_interval():
     env = SharedParamMtlEnv(task_profile=("primary", "harmful"), total_batches=200)
-    for seed in range(5):
-        s = env.train_full(MixingRatio(counts=(1, 20)), seed)
+    for s in env.train_full([MixingRatio(counts=(1, 20))] * 5, list(range(5))):
         assert 0.0 <= s <= 1.0
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -252,10 +254,9 @@ class QuadraticEnv:
     def __init__(self):
         self.calls = 0
 
-    def train_full(self, ratio, seed):
-        self.calls += 1
-        x = ratio.counts[0] / 20.0
-        return -((x - 0.6) ** 2)
+    def train_full(self, ratios, seeds):
+        self.calls += len(ratios)
+        return [-((ratio.counts[0] / 20.0 - 0.6) ** 2) for ratio in ratios]
 
 
 class SeedEchoEnv:
@@ -264,24 +265,28 @@ class SeedEchoEnv:
     def __init__(self, n_tasks=4):
         self.n_tasks = n_tasks
         self.seen = []
+        self.batch_sizes = []
 
-    def train_full(self, ratio, seed):
-        self.seen.append((ratio, seed))
-        return (seed % 1000) / 1000.0
+    def train_full(self, ratios, seeds):
+        self.seen.extend(zip(ratios, seeds))
+        self.batch_sizes.append(len(ratios))
+        return [(seed % 1000) / 1000.0 for seed in seeds]
 
 
 class FailingEnv:
+    """Raises in the batch that holds ratio ``fail_at``, counting ratios from 0."""
+
     n_tasks = 1
 
     def __init__(self, fail_at):
         self.fail_at = fail_at
         self.calls = 0
 
-    def train_full(self, ratio, seed):
-        if self.calls == self.fail_at:
+    def train_full(self, ratios, seeds):
+        if self.calls <= self.fail_at < self.calls + len(ratios):
             raise RuntimeError("solver exploded")
-        self.calls += 1
-        return 0.5
+        self.calls += len(ratios)
+        return [0.5] * len(ratios)
 
 
 def test_run_stage2_spends_exactly_the_budget():
@@ -341,8 +346,8 @@ def test_run_stage2_best_ties_break_earliest():
     class ConstantEnv:
         n_tasks = 1
 
-        def train_full(self, ratio, seed):
-            return 0.25
+        def train_full(self, ratios, seeds):
+            return [0.25] * len(ratios)
 
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=9)
     best, records, _ = run_stage2(ConstantEnv(), PRIMARY_ONLY, cfg)
@@ -370,7 +375,9 @@ def test_run_stage2_evaluates_explicit_proposals_in_order():
         (MixingRatio((1, 3)), "grid", None, None),
         (MixingRatio((1, 3)), "grid", None, None),
     ]
-    best, records, log = run_stage2(env, tasks, cfg, iter(proposals))
+    batches = [proposals[:1], proposals[1:3], proposals[3:]]
+    best, records, log = run_stage2(env, tasks, cfg, iter(batches))
+    assert env.batch_sizes == [1, 2, 1]
     assert [r.ratio for r in records] == [p[0] for p in proposals]
     assert [r.seed for r in records] == [derive_seed(31, "eval", t) for t in range(4)]
     assert [s for _, s in env.seen] == [r.seed for r in records]
@@ -392,7 +399,11 @@ def test_run_stage2_rejects_a_proposal_above_ratio_max():
         (MixingRatio((1, 6)), "grid", None, None),
     ]
     with pytest.raises(ValueError, match="exceeds ratio_max=5"):
-        run_stage2(env, tasks, cfg, proposals)
+        run_stage2(env, tasks, cfg, [proposals[:1], proposals[1:]])
+    assert [r.counts for r, _ in env.seen] == [(1, 5)]
+    # A batch is checked whole before any of it trains.
+    with pytest.raises(ValueError, match="exceeds ratio_max=5"):
+        run_stage2(env, tasks, cfg, [proposals])
     assert [r.counts for r, _ in env.seen] == [(1, 5)]
 
 
@@ -401,6 +412,63 @@ def test_run_stage2_aborts_with_partial_history():
     with pytest.raises(RunAborted) as info:
         run_stage2(FailingEnv(fail_at=2), PRIMARY_ONLY, cfg)
     assert len(info.value.log.records) == 2
+
+
+def test_run_stage2_trains_the_initial_design_as_one_batch():
+    env = SeedEchoEnv(n_tasks=1)
+    cfg = Stage2Config(n_samples=7, n_initial=4, rng_seed=3)
+    _, records, log = run_stage2(env, PRIMARY_ONLY, cfg)
+    assert env.batch_sizes == [4, 1, 1, 1]
+    rng = np.random.default_rng(derive_seed(3, "stage2"))
+    assert [r.ratio for r in records[:4]] == [random_ratio(1, cfg.ratio_max, rng) for _ in range(4)]
+    assert [line["round"] for line in log.records] == list(range(7))
+
+
+def test_run_stage2_exception_in_a_batch_aborts_at_its_first_round():
+    cfg = Stage2Config(n_samples=9, n_initial=2, rng_seed=4)
+    proposals = [[(MixingRatio((1,)), "grid", None, None)] * size for size in (2, 3, 1)]
+    with pytest.raises(RunAborted, match="at stage-2 round 2: solver exploded") as info:
+        run_stage2(FailingEnv(fail_at=3), PRIMARY_ONLY, cfg, proposals)
+    assert [line["round"] for line in info.value.log.records] == [0, 1]
+
+
+class NonFiniteAtEnv:
+    """Scores every ratio 0.5, except ratio ``at`` (counted from 0), which gets ``bad``."""
+
+    n_tasks = 1
+
+    def __init__(self, at, bad):
+        self.at, self.bad = at, bad
+        self.done = 0
+
+    def train_full(self, ratios, seeds):
+        scores = [self.bad if self.done + i == self.at else 0.5 for i in range(len(ratios))]
+        self.done += len(ratios)
+        return scores
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", range(5))
+def test_run_stage2_non_finite_score_in_a_batch_logs_the_rounds_before_it(at, bad):
+    cfg = Stage2Config(n_samples=9, n_initial=2, rng_seed=4)
+    proposals = [[(MixingRatio((1,)), "grid", None, None)] * 5]
+    with pytest.raises(RunAborted, match=f"at stage-2 round {at}: train_full returned") as info:
+        run_stage2(NonFiniteAtEnv(at, bad), PRIMARY_ONLY, cfg, proposals)
+    assert [line["round"] for line in info.value.log.records] == list(range(at))
+
+
+@pytest.mark.parametrize("returned", [[0.5], [0.5, 0.5, 0.5], 0.5, ["x", 0.5]])
+def test_run_stage2_aborts_on_a_malformed_score_batch(returned):
+    class Malformed:
+        n_tasks = 1
+
+        def train_full(self, ratios, seeds):
+            return returned
+
+    cfg = Stage2Config(n_samples=9, n_initial=2, rng_seed=4)
+    with pytest.raises(RunAborted, match="at stage-2 round 0") as info:
+        run_stage2(Malformed(), PRIMARY_ONLY, cfg)
+    assert info.value.log.records == []
 
 
 def test_run_stage2_finds_quadratic_peak_on_most_seeds():

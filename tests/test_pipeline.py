@@ -158,7 +158,7 @@ def _reference_grid_stage2(env, tasks, config):
         validate_ratio(ratio, config.ratio_max)
         seed = derive_seed(config.rng_seed, "eval", t)
         env_ratio = expand_to_tasks(ratio, tasks.selected_task_ids, env.n_tasks)
-        score = float(env.train_full(env_ratio, seed))
+        (score,) = env.train_full([env_ratio], [seed])
         records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
         best_score = max(best_score, score)
         log.append(
@@ -220,21 +220,15 @@ def test_no_stage2_matches_the_reference_grid_loop(env, ratio_max):
 
 # ------------------------------------------------------- budget accounting
 
-class CountingPlanted:
-    """Wrap the planted env class to count train_full calls."""
-
-    calls = 0
-
-
 def test_budget_is_n_samples_plus_baseline(monkeypatch):
     from auxmix import environments
 
     counter = {"train_full": 0}
     orig = environments.PlantedBanditEnv.train_full
 
-    def counting(self, ratio, seed):
-        counter["train_full"] += 1
-        return orig(self, ratio, seed)
+    def counting(self, ratios, seeds):
+        counter["train_full"] += len(ratios)
+        return orig(self, ratios, seeds)
 
     monkeypatch.setattr(environments.PlantedBanditEnv, "train_full", counting)
     run_pipeline(make_config(n_samples=8))
@@ -248,9 +242,9 @@ def test_baseline_is_primary_only_and_always_runs():
     orig = environments.PlantedBanditEnv.train_full
 
     class Spy(environments.PlantedBanditEnv):
-        def train_full(self, ratio, seed):
-            seen.append(ratio.counts)
-            return orig(self, ratio, seed)
+        def train_full(self, ratios, seeds):
+            seen.extend(ratio.counts for ratio in ratios)
+            return orig(self, ratios, seeds)
 
     import unittest.mock as mock
 
@@ -293,29 +287,57 @@ def test_report_summary_fields():
     assert summary["config"] is None  # no normalized config attached here
 
 
-def test_run_aborted_carries_stage_logs():
-    class Bomb(Exception):
-        pass
+class Bomb(Exception):
+    pass
 
+
+def _bomb_at_ratio(n):
+    """Patch the planted ``train_full`` to raise in the batch holding its
+    ``n``-th ratio (1-based, counted over every batch)."""
     from auxmix import environments
 
     orig = environments.PlantedBanditEnv.train_full
-    calls = {"n": 0}
+    done = {"n": 0}
 
-    def failing(self, ratio, seed):
-        calls["n"] += 1
-        if calls["n"] == 3:
+    def failing(self, ratios, seeds):
+        done["n"] += len(ratios)
+        if done["n"] - len(ratios) < n <= done["n"]:
             raise Bomb("meltdown")
-        return orig(self, ratio, seed)
+        return orig(self, ratios, seeds)
 
     import unittest.mock as mock
 
-    with mock.patch.object(environments.PlantedBanditEnv, "train_full", failing):
+    return mock.patch.object(environments.PlantedBanditEnv, "train_full", failing)
+
+
+def test_run_aborted_carries_stage_logs():
+    # The third ratio is the last of the three-ratio initial batch.
+    with _bomb_at_ratio(3):
         with pytest.raises(RunAborted) as info:
             run_pipeline(make_config())
     assert set(info.value.stage_logs) == {"stage1", "stage2"}
     assert len(info.value.stage_logs["stage1"].records) == 60
-    assert len(info.value.stage_logs["stage2"].records) == 2
+    assert len(info.value.stage_logs["stage2"].records) == 0
+
+
+def test_run_aborted_at_a_gp_round_keeps_the_earlier_records():
+    # Ratios 1-3 form the initial batch; ratio 5 is GP round 4, alone in its batch.
+    with _bomb_at_ratio(5):
+        with pytest.raises(RunAborted, match="at stage-2 round 4: meltdown") as info:
+            run_pipeline(make_config())
+    assert len(info.value.stage_logs["stage1"].records) == 60
+    assert [r["round"] for r in info.value.stage_logs["stage2"].records] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_no_stage2_exception_in_the_grid_batch_aborts_at_round_0(n):
+    """The whole grid is one batch, so an exception anywhere in it names
+    round 0 and leaves the stage-2 log empty."""
+    with _bomb_at_ratio(n):
+        with pytest.raises(RunAborted, match="at stage-2 round 0: meltdown") as info:
+            run_pipeline(make_config(mode="no_stage2"))
+    assert len(info.value.stage_logs["stage1"].records) == 60
+    assert info.value.stage_logs["stage2"].records == []
 
 
 _PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
