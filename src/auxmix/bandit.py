@@ -213,16 +213,17 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     ------
     RunAborted
         If the environment raises or reports a non-finite metric, from
-        ``reset`` on; the partial log rides along on the exception.
+        ``reset`` on; the partial log rides along as its ``"stage1"`` log.
     """
     alpha, beta = initial_arms(config)
     log = RunLog()
+    partial = {"stage1": log}
     rng = _thompson_rng(config)
     try:
         env.reset(derive_seed(config.rng_seed, "stage1-env"))
         metric_prev = _finite_metric(env)
     except Exception as exc:
-        raise RunAborted(f"environment failed before stage-1 round 0: {exc}", log=log) from exc
+        raise RunAborted(f"environment failed before stage-1 round 0: {exc}", partial) from exc
     for t in range(config.n_rounds):
         thetas = rng.beta(alpha, beta)
         k = int(np.argmax(thetas))
@@ -230,7 +231,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
             env.step(k)
             metric_now = _finite_metric(env)
         except Exception as exc:
-            raise RunAborted(f"environment failed at stage-1 round {t}: {exc}", log=log) from exc
+            raise RunAborted(f"environment failed at stage-1 round {t}: {exc}", partial) from exc
         reward = compute_reward(metric_now, metric_prev)
         alpha, beta = update_posterior(alpha, beta, k, reward, config)
         log.append(round=t, selected_arm=k, reward=reward, metric=metric_now)

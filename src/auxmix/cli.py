@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import zip_longest
 from pathlib import Path
 
 from .bandit import BanditConfig, belief_path, utility_density_table
@@ -24,7 +25,8 @@ from .config import (
     normalize,
     to_pipeline_config,
 )
-from .pipeline import PIPELINE_MODES, run_pipeline, stage_log, write_density_csv, write_outputs
+from .pipeline import PIPELINE_MODES, run_pipeline, write_density_csv, write_outputs
+from .pipeline import write_stage_logs
 from .runlog import (
     SCHEMA_VERSION,
     RunAborted,
@@ -123,11 +125,6 @@ def _resolve_run_dir(out_flag: str | None, output_dir: str | None, config_path: 
     return Path(name)
 
 
-def _write_partial_logs(exc: RunAborted, normalized: dict, run_dir: Path) -> None:
-    for kind, log in exc.stage_logs.items():
-        log.write_jsonl(run_dir / f"{kind}.log.jsonl", make_header(kind, normalized))
-
-
 def _execute_run(normalized: dict, run_dir: Path, force: bool, grid_size: int) -> tuple[int, str]:
     try:
         busy = any(run_dir.iterdir())
@@ -140,8 +137,9 @@ def _execute_run(normalized: dict, run_dir: Path, force: bool, grid_size: int) -
     try:
         report = run_pipeline(to_pipeline_config(normalized))
     except RunAborted as exc:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_partial_logs(exc, normalized, run_dir)
+        for name in ("report.json", "utilities.csv"):  # an earlier run's, kept by --force
+            (run_dir / name).unlink(missing_ok=True)
+        write_stage_logs(exc.stage_logs, normalized, run_dir)
         return EXIT_RUNTIME, f"run aborted, partial logs kept in {run_dir}: {exc}"
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into exit codes
         return EXIT_RUNTIME, f"run failed: {exc}"
@@ -210,12 +208,18 @@ def cmd_plot_utilities(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _regenerate_log_lines(header: dict, kind: str) -> list[str]:
+def _regenerate_log_text(header: dict, kind: str) -> tuple[str, RunAborted | None]:
+    """The text the run of the header's config writes to its ``kind`` log,
+    and the :class:`RunAborted` that ends the run, if it aborts."""
     config = header.get("config")
     if not isinstance(config, dict):
         raise ValueError("log header carries no config; cannot replay")
-    log, new_header = stage_log(run_pipeline(to_pipeline_config(normalize(config))), kind)
-    return log.lines(new_header)
+    normalized = normalize(config)
+    try:
+        stage_logs, aborted = run_pipeline(to_pipeline_config(normalized)).stage_logs, None
+    except RunAborted as exc:
+        stage_logs, aborted = exc.stage_logs, exc
+    return stage_logs[kind].text(make_header(kind, normalized)), aborted
 
 
 def _first_differing_field(got: object, want: object) -> str:
@@ -230,28 +234,36 @@ def _first_differing_field(got: object, want: object) -> str:
     return ""
 
 
-def _divergence_site(found: list[str], expected: list[str], i: int, path: str) -> tuple[str, str]:
-    """Name the first differing line ``i`` and its first differing field.
+def _divergence(raw: str, expected: str, path: str) -> str:
+    """Say where a log's text ``raw`` first departs from the ``expected`` text.
 
-    Only the two lines at ``i`` are decoded; a line that one side lacks
-    names no field.
+    Lines are compared without the final newline, whose absence is a
+    divergence of its own.  Only the two lines where they first differ are
+    decoded, and a line that one side lacks names no field.  A found line
+    there that is not valid JSON, a blank one included, raises ``ValueError``.
     """
-    if i >= len(found):
-        return f"round {i - 1}", ""  # line missing from a truncated file
+    found, want = raw.removesuffix("\n").split("\n"), expected.removesuffix("\n").split("\n")
+    if found == want:
+        return f"divergence at end of file (line {len(found)} of {path}): no final newline"
+    i = next(i for i, (got, line) in enumerate(zip_longest(found, want)) if got != line)
+    if i >= len(found):  # a line missing from a truncated file
+        return f"divergence at round {i - 1} (line {i + 1} of {path})"
     got = loads_line(found[i], i + 1, path)
-    if i == 0:
-        where = "header"
-    else:
-        logged = got.get("round", i - 1) if isinstance(got, dict) else i - 1
-        where = f"round {logged}"
-    if i >= len(expected):
-        return where, ""
-    return where, _first_differing_field(got, json.loads(expected[i]))
+    logged = got.get("round", i - 1) if isinstance(got, dict) else i - 1
+    where = "header" if i == 0 else f"round {logged}"
+    field = _first_differing_field(got, json.loads(want[i]) if i < len(want) else None)
+    return f"divergence at {where} (line {i + 1} of {path}){field}"
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    """Rerun the log's config; exit 0 only if the file is the text the run writes.
+
+    A rerun that aborts writes partial logs, so a reproduced partial log
+    passes too.  A divergence exits 1; an unreadable, malformed or
+    other-version log exits 2."""
     try:
-        header, found = split_log(Path(args.runlog).read_text(encoding="utf-8"), args.runlog)
+        raw = Path(args.runlog).read_bytes().decode("utf-8")  # no newline translation
+        header, _ = split_log(raw, args.runlog)
     except (OSError, ValueError) as exc:
         print(f"error: cannot replay {args.runlog}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -268,27 +280,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     try:
-        expected = _regenerate_log_lines(header, kind)
+        expected, aborted = _regenerate_log_text(header, kind)
+        if raw != expected:
+            print(_divergence(raw, expected, args.runlog), file=sys.stderr)
+            return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:
         print(f"error: cannot replay {args.runlog}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RunAborted as exc:
-        print(f"replay aborted mid-run: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-
-    n = max(len(found), len(expected))
-    for i in range(n):
-        got = found[i] if i < len(found) else "<missing line>"
-        want = expected[i] if i < len(expected) else "<missing line>"
-        if got != want:
-            try:
-                where, field = _divergence_site(found, expected, i, args.runlog)
-            except ValueError as exc:
-                print(f"error: cannot replay {args.runlog}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            print(f"divergence at {where} (line {i + 1} of {args.runlog}){field}", file=sys.stderr)
-            return EXIT_RUNTIME
-    print(f"replay ok: {len(found)} lines reproduced bit-identically")
+    n, until = raw.count("\n"), f", up to the abort: {aborted}" if aborted else ""
+    print(f"replay ok: {n} lines reproduced bit-identically{until}")
     return EXIT_OK
 
 

@@ -249,18 +249,19 @@ def train_scores(
     yielded in order.  An exception from the environment ends the run as
     :class:`RunAborted` at the batch's first place; a score that is not
     finite ends it when it is reached, so the caller has logged every
-    score before it.  Either way the exception carries ``log``.
+    score before it.  Either way the exception carries ``{"stage2": log}``.
     """
     env_ratios = [expand_to_tasks(ratio, task_ids, env.n_tasks) for ratio in ratios]
+    partial = {"stage2": log}
     try:
         scores = [float(score) for score in env.train_full(env_ratios, list(seeds))]
         if len(scores) != len(ratios):
             raise ValueError(f"train_full returned {len(scores)} scores for {len(ratios)} ratios")
     except Exception as exc:
-        raise RunAborted(f"environment failed {wheres[0]}: {exc}", log=log) from exc
+        raise RunAborted(f"environment failed {wheres[0]}: {exc}", partial) from exc
     for where, score in zip(wheres, scores):
         if not math.isfinite(score):
-            raise RunAborted(f"environment failed {where}: train_full returned {score!r}", log=log)
+            raise RunAborted(f"environment failed {where}: train_full returned {score!r}", partial)
         yield score
 
 
@@ -323,9 +324,9 @@ def run_stage2(
         For a proposed ratio above ``ratio_max`` or of the wrong width.
     RunAborted
         On environment failure or a non-finite score; the partial log rides
-        on the exception.  A non-finite score at round t leaves rounds
-        before t in the log; an exception inside a batch leaves the rounds
-        before the batch.
+        on the exception as its ``"stage2"`` log.  A non-finite score at
+        round t leaves rounds before t in the log; an exception inside a
+        batch leaves the rounds before the batch.
     """
     task_ids = tasks.selected_task_ids
     records: list[EvaluationRecord] = []

@@ -64,15 +64,18 @@ class PipelineReport:
 
     mode: str
     selection: TaskSelection
-    final_arms: tuple[tuple[float, float], ...]
     best_ratio: MixingRatio
     best_score: float
     baseline_score: float
-    n_evaluations: int
     evaluations: tuple[EvaluationRecord, ...]
     stage1_log: RunLog
     stage2_log: RunLog
     config: dict | None
+
+    @property
+    def stage_logs(self) -> dict[str, RunLog]:
+        """Both stage logs by kind, as :class:`RunAborted` carries them."""
+        return {"stage1": self.stage1_log, "stage2": self.stage2_log}
 
 
 def manual_ratio_grid(n_aux: int, budget: int, ratio_max: int) -> list[MixingRatio]:
@@ -119,8 +122,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     Raises
     ------
     RunAborted
-        On environment failure, with ``stage_logs`` holding every partial
-        per-stage log accumulated so far.
+        On environment failure, with ``stage_logs`` holding both stage logs
+        up to the failure (a stage that never started has an empty log).
     """
     env = make_environment(config.environment, config.bandit.batches_per_round)
     if env.n_tasks != config.bandit.n_tasks:
@@ -128,23 +131,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             f"environment has {env.n_tasks} tasks but bandit config says {config.bandit.n_tasks}"
         )
 
-    if config.mode == "no_stage1":
-        selection = _all_task_selection(config.bandit)
-        stage1_log = RunLog()
-    else:
-        try:
-            selection, stage1_log = run_stage1(env, config.bandit)
-        except RunAborted as exc:
-            exc.stage_logs = {"stage1": exc.log, "stage2": RunLog()}
-            raise
-
-    task_ids = selection.selected_task_ids
-    proposals = None
-    if config.mode == "no_stage2":
-        stage2 = config.stage2
-        grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
-        proposals = [[(ratio, "grid", None, None) for ratio in grid]]
+    stage1_log = RunLog()
     try:
+        if config.mode == "no_stage1":
+            selection = _all_task_selection(config.bandit)
+        else:
+            selection, stage1_log = run_stage1(env, config.bandit)
+        task_ids = selection.selected_task_ids
+        proposals = None
+        if config.mode == "no_stage2":
+            stage2 = config.stage2
+            grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
+            proposals = [[(ratio, "grid", None, None) for ratio in grid]]
         best, records, stage2_log = run_stage2(env, selection, config.stage2, proposals)
         (baseline_score,) = train_scores(
             env,
@@ -154,18 +152,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             ["on the baseline run"],
             stage2_log,
         )
-    except RunAborted as exc:
-        exc.stage_logs = {"stage1": stage1_log, "stage2": exc.log}
+    except RunAborted as exc:  # the failing stage filled in its own log
+        exc.stage_logs = {"stage1": stage1_log, "stage2": RunLog(), **exc.stage_logs}
         raise
 
     return PipelineReport(
         mode=config.mode,
         selection=selection,
-        final_arms=selection.final_arms,
         best_ratio=best.ratio,
         best_score=best.score,
         baseline_score=baseline_score,
-        n_evaluations=len(records),
         evaluations=tuple(records),
         stage1_log=stage1_log,
         stage2_log=stage2_log,
@@ -183,17 +179,19 @@ def report_summary(report: PipelineReport) -> dict:
         "best_ratio": list(report.best_ratio.counts),
         "best_score": report.best_score,
         "baseline_score": report.baseline_score,
-        "n_evaluations": report.n_evaluations,
+        "n_evaluations": len(report.evaluations),
         "config": report.config,
     }
 
 
-def stage_log(report: PipelineReport, kind: str) -> tuple[RunLog, dict]:
-    """One stage's log with its header; stage 1's header carries the final arms."""
-    if kind == "stage1":
-        final_arms = [list(arm) for arm in report.final_arms]
-        return report.stage1_log, make_header(kind, report.config, final_arms=final_arms)
-    return report.stage2_log, make_header(kind, report.config)
+def write_stage_logs(stage_logs: dict[str, RunLog], config: dict, out: Path) -> dict[str, Path]:
+    """The one writer of run logs, of a finished run (``PipelineReport.stage_logs``)
+    or an aborted one (``RunAborted.stage_logs``): each ``<kind>.log.jsonl``
+    under a ``config`` header.  Returns the paths keyed ``<kind>_log``."""
+    return {
+        f"{kind}_log": log.write_jsonl(out / f"{kind}.log.jsonl", make_header(kind, config))
+        for kind, log in stage_logs.items()
+    }
 
 
 def write_density_csv(table: tuple[np.ndarray, np.ndarray], path: str | Path) -> Path:
@@ -227,9 +225,7 @@ def write_outputs(
     paths["report"].write_text(
         json.dumps(report_summary(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    for kind in ("stage1", "stage2"):
-        log, header = stage_log(report, kind)
-        paths[f"{kind}_log"] = log.write_jsonl(out / f"{kind}.log.jsonl", header)
-    table = utility_density_table(report.final_arms, grid_size)
+    paths.update(write_stage_logs(report.stage_logs, report.config, out))
+    table = utility_density_table(report.selection.final_arms, grid_size)
     paths["utilities"] = write_density_csv(table, out / "utilities.csv")
     return paths

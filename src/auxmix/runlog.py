@@ -18,7 +18,10 @@ from typing import Any
 # config and the logged choices and rewards determine (``bandit.belief_path``).
 # Version 3 dropped its Thompson draws, ``sampled_thetas``, which the same
 # generator redraws from those beliefs (``bandit.thompson_draws``).
-SCHEMA_VERSION = 3
+# Version 4 dropped the stage-1 header's final beliefs, ``final_arms``, the
+# last of ``belief_path``; every header is ``schema_version``, ``kind`` and
+# ``config``, so finished and aborted runs write the same record.
+SCHEMA_VERSION = 4
 
 
 def derive_seed(*parts: object) -> int:
@@ -91,15 +94,14 @@ def require_ints(low: int | None, **settings: Any) -> None:
 class RunAborted(RuntimeError):
     """Raised when an environment fails mid-run.
 
-    Carries the log written up to the failure so callers can persist a
-    partial log before propagating the error.  The pipeline additionally
-    fills ``stage_logs`` with every per-stage log it holds at failure time.
+    ``stage_logs`` maps a stage kind to its log up to the failure.  The
+    stage that fails fills in its own log; the pipeline adds the other, so
+    an aborted run writes, and replay regenerates, both partial logs.
     """
 
-    def __init__(self, message: str, *, log: "RunLog", stage_logs: dict | None = None):
+    def __init__(self, message: str, stage_logs: dict[str, "RunLog"]):
         super().__init__(message)
-        self.log = log
-        self.stage_logs = dict(stage_logs) if stage_logs is not None else {}
+        self.stage_logs = stage_logs
 
 
 @dataclass
@@ -128,21 +130,20 @@ class RunLog:
         records = self.records if header is None else [header, *self.records]
         return list(map(canonical_dumps, records))
 
+    def text(self, header: dict | None = None) -> str:
+        """The exact file text: every line of :meth:`lines` ends with a newline."""
+        return "".join(line + "\n" for line in self.lines(header))
+
     def write_jsonl(self, path: str | Path, header: dict | None = None) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = "\n".join(self.lines(header))
-        if text:
-            text += "\n"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(self.text(header), encoding="utf-8", newline="")
         return path
 
 
-def make_header(kind: str, config: dict, **extra: Any) -> dict:
+def make_header(kind: str, config: dict) -> dict:
     """Build the first-line header record for a run log."""
-    header = {"schema_version": SCHEMA_VERSION, "kind": kind, "config": config}
-    header.update(extra)
-    return header
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "config": config}
 
 
 def loads_line(text: str, lineno: int, path: str | Path) -> Any:

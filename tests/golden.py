@@ -10,8 +10,9 @@ what replay across machines can promise:
 * ``CLOSE`` fields, and every score and metric of the shared-linear family,
   pass through BLAS, LAPACK or libm and are compared within ``RTOL``.
 
-The stage-1 beliefs are projected too: the final arms of the stage-1 log
-header and ``report.json``'s expected utilities are ``EXACT``, and the
+The stage-1 beliefs are projected too: the final arms, the last beliefs of
+``belief_path`` over the stage-1 records under the header config's bandit
+section, and ``report.json``'s expected utilities are ``EXACT``, and the
 densities of ``utilities.csv``, which go through ``lgamma``, ``log`` and
 ``exp``, are ``CLOSE``.
 
@@ -30,6 +31,7 @@ from pathlib import Path
 
 import yaml
 
+from auxmix.bandit import BanditConfig, belief_path
 from auxmix.cli import EXIT_OK, main
 from auxmix.runlog import read_jsonl
 
@@ -50,13 +52,13 @@ CONFIGS = {
     },
 }
 
-# Projected fields, as (source, field): "report" is report.json, "header" the
-# stage-1 log header, "utilities" the density column of utilities.csv, and
-# "stage1" or "stage2" a field of every record of that log.
+# Projected fields, as (source, field): "report" is report.json, "beliefs" the
+# final beliefs folded from the stage-1 log, "utilities" the density column of
+# utilities.csv, and "stage1" or "stage2" a field of every record of that log.
 EXACT = (
     ("report", "selected_tasks"),
     ("report", "expected_utilities"),
-    ("header", "final_arms"),
+    ("beliefs", "final_arms"),
     ("report", "best_ratio"),
     ("stage1", "selected_arm"),
     ("stage1", "reward"),
@@ -80,11 +82,12 @@ CLOSE = (
 def project(run_dir: Path) -> dict:
     """The projected fields of one run directory, one list per log field."""
     header, stage1 = read_jsonl(run_dir / "stage1.log.jsonl")
+    *_, (alpha, beta) = belief_path(stage1, BanditConfig(**header["config"]["bandit"]))
     with (run_dir / "utilities.csv").open(encoding="utf-8", newline="") as fh:
         densities = [float(row["density"]) for row in csv.DictReader(fh)]
     sources = {
         "report": json.loads((run_dir / "report.json").read_text(encoding="utf-8")),
-        "header": header,
+        "beliefs": {"final_arms": [list(arm) for arm in zip(alpha.tolist(), beta.tolist())]},
         "utilities": {"density": densities},
     }
     logs = {"stage1": stage1, "stage2": read_jsonl(run_dir / "stage2.log.jsonl")[1]}

@@ -370,7 +370,7 @@ def test_criterion_10_density_csv_integrates_to_one(tmp_path):
     report = run_pipeline(cfg)
     prior_arms = np.column_stack(initial_arms(BanditConfig(n_tasks=2)))
     worst = 0.0
-    for label, arm_set in (("trained", report.final_arms), ("prior", prior_arms)):
+    for label, arm_set in (("trained", report.selection.final_arms), ("prior", prior_arms)):
         table = utility_density_table(arm_set, grid_size=1000)
         path = write_density_csv(table, tmp_path / f"{label}.csv")
         columns = defaultdict(lambda: ([], []))

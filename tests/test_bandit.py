@@ -445,7 +445,7 @@ def test_run_stage1_abort_preserves_partial_log():
     cfg = make_config(n_tasks=3, n_rounds=50, rng_seed=1)
     with pytest.raises(RunAborted) as info:
         run_stage1(FailingEnv(fail_at=7), cfg)
-    assert len(info.value.log) == 7
+    assert len(info.value.stage_logs["stage1"]) == 7
     assert "round 7" in str(info.value)
 
 

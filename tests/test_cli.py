@@ -344,6 +344,73 @@ def test_environment_failure_aborts_with_partial_logs(
     assert len(records) == failing_round
     assert (out_dir / "stage1.log.jsonl").exists() and (out_dir / "stage2.log.jsonl").exists()
 
+    # Under the same failure the rerun aborts where the run did and
+    # regenerates both partial logs.
+    for kind in ("stage1", "stage2"):
+        with _fail_on_call(method, call, bad):
+            assert run_cli("replay", out_dir / f"{kind}.log.jsonl") == EXIT_OK
+        assert ", up to the abort: environment failed" in capsys.readouterr().out
+    # Without it the rerun finishes, so the failing stage's log lacks its
+    # rounds from the failing one on.  The baseline, which no record logs,
+    # is the exception: its abort leaves a log equal to a finished run's.
+    log = out_dir / f"{stage}.log.jsonl"
+    if stage == "stage2" and failing_round == 4:  # the baseline
+        assert run_cli("replay", log) == EXIT_OK
+        assert "up to the abort" not in capsys.readouterr().out
+    else:
+        assert run_cli("replay", log) == EXIT_RUNTIME
+        expected = f"divergence at round {failing_round} (line {failing_round + 2} of {log})\n"
+        assert expected in capsys.readouterr().err
+
+
+# A shared-linear run whose learning rate makes SGD overflow, so it aborts
+# from its config alone: with 20 stage-1 rounds the metric is NaN at round 15,
+# and with none the first stage-2 score is NaN.
+DIVERGING_CONFIG = """\
+environment:
+  family: shared-linear
+  task_profile: [primary, useful, harmful]
+  learning_rate: 50
+  total_batches: 2000
+bandit:
+  n_rounds: 20
+stage2:
+  n_samples: 4
+  n_initial: 2
+"""
+
+# NumPy warns on the way to the NaN that these runs abort on.
+quiet_overflow = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+
+
+@pytest.fixture()
+def diverging_config(tmp_path):
+    p = tmp_path / "diverging.yaml"
+    p.write_text(DIVERGING_CONFIG, encoding="utf-8")
+    return p
+
+
+@quiet_overflow
+def test_an_aborted_forced_run_removes_the_earlier_report(
+    config_file, diverging_config, tmp_path, capsys
+):
+    """``--force`` over a finished run, then an abort: the old report.json and
+    utilities.csv go, the new partial logs replace the old logs, and any
+    other file stays as it was."""
+    out_dir = tmp_path / "reused"
+    assert run_cli("run", config_file, "--out", out_dir) == EXIT_OK
+    (out_dir / "notes.txt").write_text("keep", encoding="utf-8")
+    assert run_cli("run", diverging_config, "--out", out_dir, "--force") == EXIT_RUNTIME
+    assert "run aborted, partial logs kept" in capsys.readouterr().err
+    names = sorted(path.name for path in out_dir.iterdir())
+    assert names == ["notes.txt", "stage1.log.jsonl", "stage2.log.jsonl"]
+    assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "keep"
+    for kind in ("stage1", "stage2"):
+        header, _ = read_jsonl(out_dir / f"{kind}.log.jsonl")
+        assert header["config"]["environment"]["family"] == "shared-linear"
+
 
 # ---------------------------------------------------------------- replay
 
@@ -455,6 +522,79 @@ def test_replay_detects_truncated_log(finished_run, capsys):
     assert f"(line {len(lines)} of {log})\n" in err  # a missing line names no field
 
 
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (lambda lines: lines.insert(2, ""), EXIT_USAGE, "malformed JSON on line 3"),
+        (lambda lines: lines.insert(2, "  \t "), EXIT_USAGE, "malformed JSON on line 3"),
+        (lambda lines: lines.insert(0, ""), EXIT_USAGE, "malformed JSON on line 1"),
+        (lambda lines: lines.append(""), EXIT_USAGE, "malformed JSON on line 6"),
+        (lambda lines: lines.pop(), EXIT_RUNTIME, "(line 5 of {log}): no final newline\n"),
+        (
+            lambda lines: lines.__setitem__(slice(None), [ln + "\r" for ln in lines]),
+            EXIT_RUNTIME,
+            "divergence at header (line 1 of {log})\n",
+        ),
+    ],
+    ids=["blank-line", "whitespace-line", "leading-blank-line", "trailing-blank-line",
+         "no-final-newline", "crlf"],
+)
+def test_replay_compares_the_whole_file_as_bytes(finished_run, capsys, edit, code, message):
+    """A file that differs from the writer's output only in its line breaks
+    or blank lines is not a reproduction; a blank line is malformed."""
+    log = finished_run / "stage2.log.jsonl"
+    lines = log.read_bytes().decode("utf-8").split("\n")  # five lines, then ""
+    edit(lines)
+    log.write_bytes("\n".join(lines).encode("utf-8"))
+    assert run_cli("replay", log) == code
+    captured = capsys.readouterr()
+    assert message.format(log=log) in captured.err
+    assert "replay ok" not in captured.out
+
+
+@quiet_overflow
+@pytest.mark.parametrize(
+    "n_rounds, message",
+    [
+        (20, "environment failed at stage-1 round 15: validation_metric returned nan"),
+        (0, "environment failed at stage-2 round 0: train_full returned nan"),
+    ],
+    ids=["stage1-round-15", "stage2-round-0"],
+)
+def test_replay_reproduces_the_partial_logs_of_a_diverging_run(
+    diverging_config, tmp_path, capsys, n_rounds, message
+):
+    out_dir = tmp_path / "diverged"
+    argv = ["run", diverging_config, "--out", out_dir, "--set", f"bandit.n_rounds={n_rounds}"]
+    assert run_cli(*argv) == EXIT_RUNTIME
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+    for kind in ("stage1", "stage2"):
+        assert run_cli("replay", out_dir / f"{kind}.log.jsonl") == EXIT_OK
+        assert f"bit-identically, up to the abort: {message}\n" in capsys.readouterr().out
+
+
+@quiet_overflow
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda rec: rec.update(reward=1 - rec["reward"]), "reward"),
+        (lambda rec: rec.update(metric=rec["metric"] + 1e-9), "metric"),
+    ],
+    ids=["flipped-reward", "changed-metric"],
+)
+def test_replay_names_the_changed_field_of_a_partial_log(
+    diverging_config, tmp_path, capsys, edit, field
+):
+    out_dir = tmp_path / "diverged"
+    assert run_cli("run", diverging_config, "--out", out_dir) == EXIT_RUNTIME
+    log = out_dir / "stage1.log.jsonl"
+    _edit_record(log, 15, edit)  # round 14, the last one logged
+    assert run_cli("replay", log) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"divergence at round 14 (line 16 of {log}): field {field!r}\n" in err
+
+
 def test_replay_missing_file(tmp_path, capsys):
     assert run_cli("replay", tmp_path / "ghost.jsonl") == EXIT_USAGE
     assert "error" in capsys.readouterr().err
@@ -494,13 +634,27 @@ def test_replay_refuses_a_log_of_another_schema_version(finished_run, capsys, na
 
 
 def test_replay_refuses_a_v2_log(finished_run, capsys):
-    """A v3 run relabelled as version 2 is refused before any regeneration."""
+    """A current run relabelled as version 2 is refused before any regeneration."""
     log = finished_run / "stage1.log.jsonl"
     _rewrite_header(log, lambda header: header.update(schema_version=2))
     assert run_cli("replay", log) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "log schema version 2, this build replays version 3" in err
+    assert f"log schema version 2, this build replays version {SCHEMA_VERSION}" in err
     assert "divergence" not in err
+
+
+def test_replay_refuses_a_v3_log(finished_run, capsys):
+    """A version-3 stage-1 header also carried ``final_arms``; such a log,
+    with or without that field, is refused before any regeneration."""
+    log = finished_run / "stage1.log.jsonl"
+    header, records = read_jsonl(log)
+    *_, (alpha, beta) = belief_path(records, BanditConfig(**header["config"]["bandit"]))
+    for extra in ({}, {"final_arms": [list(arm) for arm in zip(alpha.tolist(), beta.tolist())]}):
+        _rewrite_header(log, lambda header: header.update(schema_version=3, **extra))
+        assert run_cli("replay", log) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"log schema version 3, this build replays version {SCHEMA_VERSION}" in err
+        assert "divergence" not in err
 
 
 # ---------------------------------------------------------- plot-utilities
@@ -669,6 +823,16 @@ def test_plot_utilities_reads_a_v2_log(finished_run, tmp_path):
     old.write_text("\n".join([canonical_dumps(header), *v2]) + "\n", encoding="utf-8")
     assert run_cli("plot-utilities", old, "--out", tmp_path / "v2.csv") == EXIT_OK
     assert (tmp_path / "v2.csv").read_bytes() == (finished_run / "utilities.csv").read_bytes()
+
+
+def test_plot_utilities_reads_a_v3_log(finished_run, tmp_path):
+    """A schema-3 stage-1 header also held the final beliefs as
+    ``final_arms``; the fold ignores them and gives the same CSV."""
+    log = tmp_path / "v3.log.jsonl"
+    log.write_bytes((finished_run / "stage1.log.jsonl").read_bytes())
+    _rewrite_header(log, lambda header: header.update(schema_version=3, final_arms=[[1.0, 1.0]]))
+    assert run_cli("plot-utilities", log, "--out", tmp_path / "v3.csv") == EXIT_OK
+    assert (tmp_path / "v3.csv").read_bytes() == (finished_run / "utilities.csv").read_bytes()
 
 
 def test_plot_utilities_write_failure_is_not_a_malformed_log(finished_run, tmp_path, capsys):

@@ -563,4 +563,4 @@ def test_to_pipeline_config_builds_and_runs():
     assert pc.normalized == cfg
     report = run_pipeline(pc)
     assert report.config == cfg
-    assert report.n_evaluations == 5
+    assert len(report.evaluations) == 5

@@ -411,7 +411,7 @@ def test_run_stage2_aborts_with_partial_history():
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=0)
     with pytest.raises(RunAborted) as info:
         run_stage2(FailingEnv(fail_at=2), PRIMARY_ONLY, cfg)
-    assert len(info.value.log.records) == 2
+    assert len(info.value.stage_logs["stage2"].records) == 2
 
 
 def test_run_stage2_trains_the_initial_design_as_one_batch():
@@ -429,7 +429,7 @@ def test_run_stage2_exception_in_a_batch_aborts_at_its_first_round():
     proposals = [[(MixingRatio((1,)), "grid", None, None)] * size for size in (2, 3, 1)]
     with pytest.raises(RunAborted, match="at stage-2 round 2: solver exploded") as info:
         run_stage2(FailingEnv(fail_at=3), PRIMARY_ONLY, cfg, proposals)
-    assert [line["round"] for line in info.value.log.records] == [0, 1]
+    assert [line["round"] for line in info.value.stage_logs["stage2"].records] == [0, 1]
 
 
 class NonFiniteAtEnv:
@@ -454,7 +454,7 @@ def test_run_stage2_non_finite_score_in_a_batch_logs_the_rounds_before_it(at, ba
     proposals = [[(MixingRatio((1,)), "grid", None, None)] * 5]
     with pytest.raises(RunAborted, match=f"at stage-2 round {at}: train_full returned") as info:
         run_stage2(NonFiniteAtEnv(at, bad), PRIMARY_ONLY, cfg, proposals)
-    assert [line["round"] for line in info.value.log.records] == list(range(at))
+    assert [line["round"] for line in info.value.stage_logs["stage2"].records] == list(range(at))
 
 
 @pytest.mark.parametrize("returned", [[0.5], [0.5, 0.5, 0.5], 0.5, ["x", 0.5]])
@@ -468,7 +468,7 @@ def test_run_stage2_aborts_on_a_malformed_score_batch(returned):
     cfg = Stage2Config(n_samples=9, n_initial=2, rng_seed=4)
     with pytest.raises(RunAborted, match="at stage-2 round 0") as info:
         run_stage2(Malformed(), PRIMARY_ONLY, cfg)
-    assert info.value.log.records == []
+    assert info.value.stage_logs["stage2"].records == []
 
 
 def test_run_stage2_finds_quadratic_peak_on_most_seeds():

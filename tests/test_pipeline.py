@@ -25,10 +25,9 @@ from auxmix.pipeline import (
     manual_ratio_grid,
     report_summary,
     run_pipeline,
-    stage_log,
     write_outputs,
 )
-from auxmix.runlog import SCHEMA_VERSION, RunAborted, RunLog, derive_seed, read_jsonl
+from auxmix.runlog import SCHEMA_VERSION, RunAborted, RunLog, derive_seed, make_header, read_jsonl
 
 PLANTED2 = {"family": "planted", "theta_star": [0.9, 0.1]}
 PLANTED3 = {"family": "planted", "theta_star": [0.9, 0.8, 0.1]}
@@ -119,7 +118,7 @@ def test_full_mode_selects_and_optimizes():
     report = run_pipeline(make_config())
     assert report.mode == "full"
     assert report.selection.selected_task_ids[0] == 0
-    assert report.n_evaluations == 8
+    assert len(report.evaluations) == 8
     assert len(report.stage1_log.records) == 60
     assert len(report.stage2_log.records) == 8
     assert 0.0 <= report.best_score <= 1.0
@@ -129,12 +128,12 @@ def test_no_stage1_mode_keeps_every_task():
     report = run_pipeline(make_config(mode="no_stage1"))
     assert report.selection.selected_task_ids == (0, 1, 2)
     assert report.stage1_log.records == []
-    assert report.final_arms == ((3.0, 1.0), (1.0, 1.0), (1.0, 1.0))
+    assert report.selection.final_arms == ((3.0, 1.0), (1.0, 1.0), (1.0, 1.0))
 
 
 def test_no_stage2_mode_runs_the_manual_grid():
     report = run_pipeline(make_config(mode="no_stage2"))
-    assert report.n_evaluations == 8
+    assert len(report.evaluations) == 8
     used = {r["acquisition_used"] for r in report.stage2_log.records}
     assert used == {"grid"}
     assert len(report.stage1_log.records) == 60
@@ -368,8 +367,8 @@ def test_run_artifacts_hold_only_plain_values(mode, family):
     raw = {"mode": mode, "environment": _FAMILIES[family], **_TINY}
     report = run_pipeline(to_pipeline_config(normalize(raw)))
     payloads = {"report": report_summary(report)}
-    for kind in ("stage1", "stage2"):
-        log, payloads[f"{kind}_header"] = stage_log(report, kind)
+    for kind, log in report.stage_logs.items():
+        payloads[f"{kind}_header"] = make_header(kind, report.config)
         payloads[f"{kind}_records"] = log.records
     assert len(payloads["stage2_records"]) == 4
     assert len(payloads["stage1_records"]) == (0 if mode == "no_stage1" else 20)
@@ -383,7 +382,7 @@ def test_thompson_draws_explain_every_logged_choice(mode, family):
     round by round, at the task the run trained."""
     raw = {"mode": mode, "environment": _FAMILIES[family], **_TINY, "bandit": {"n_rounds": 150}}
     config = to_pipeline_config(normalize(raw))
-    log, _ = stage_log(run_pipeline(config), "stage1")
+    log = run_pipeline(config).stage1_log
     records = [json.loads(line) for line in log.lines()]  # as a reader of the file sees them
     draws = thompson_draws(records, config.bandit)
     assert draws.shape == (0 if mode == "no_stage1" else 150, config.bandit.n_tasks)
@@ -404,8 +403,8 @@ def test_write_outputs_produces_all_artifacts(tmp_path):
 
     header, records = read_jsonl(paths["stage1_log"])
     assert header["kind"] == "stage1"
-    assert header["schema_version"] == SCHEMA_VERSION == 3
-    assert "final_arms" in header
+    assert header["schema_version"] == SCHEMA_VERSION == 4
+    assert set(header) == {"schema_version", "kind", "config"}
     assert len(records) == 60
 
     header2, records2 = read_jsonl(paths["stage2_log"])

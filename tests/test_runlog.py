@@ -93,7 +93,7 @@ def test_runlog_lines_equal_canonical_dumps_of_numpy_records():
     plain = [_fields(i) for i in range(4)]
     assert log.records == plain
     assert log.lines() == [canonical_dumps(f) for f in plain]
-    header = make_header("stage1", {"seed": 3}, final_arms=[[1.0, 2.0]])
+    header = make_header("stage1", {"seed": 3})
     assert log.lines(header) == [canonical_dumps(header)] + log.lines()
 
 
@@ -125,13 +125,13 @@ def test_runlog_records_come_only_through_append():
 def test_runlog_write_and_read_roundtrip(tmp_path):
     log = RunLog()
     log.append(round=0, metric=0.5)
-    header = make_header("stage1", {"rng_seed": 3}, final_arms=[[1.0, 2.0]])
+    header = make_header("stage1", {"rng_seed": 3})
     path = log.write_jsonl(tmp_path / "deep" / "log.jsonl", header)
     got_header, got_records = read_jsonl(path)
     assert got_header["kind"] == "stage1"
-    assert got_header["schema_version"] == SCHEMA_VERSION == 3
+    assert got_header["schema_version"] == SCHEMA_VERSION == 4
     assert got_header["config"] == {"rng_seed": 3}
-    assert got_header["final_arms"] == [[1.0, 2.0]]
+    assert set(got_header) == {"schema_version", "kind", "config"}
     assert got_records == [{"round": 0, "metric": 0.5}]
 
 
@@ -165,6 +165,5 @@ def test_split_log_parses_only_the_header(tmp_path):
 def test_run_aborted_carries_partial_state():
     log = RunLog()
     log.append(round=0)
-    exc = RunAborted("boom", log=log, stage_logs={"stage1": log})
-    assert exc.log is log
+    exc = RunAborted("boom", stage_logs={"stage1": log})
     assert exc.stage_logs["stage1"] is log
