@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 from auxmix.cli import main
-from auxmix.config import dump_config, normalize, to_pipeline_config
+from auxmix.config import dump_config, to_pipeline_config
 from auxmix.pipeline import run_pipeline, write_outputs
 
 RAW = {
@@ -18,13 +18,14 @@ RAW = {
     "stage2": {"n_samples": 20, "n_initial": 5, "rng_seed": 0},
 }
 
-normalized = normalize(RAW)
 print("normalized config:")
-print(dump_config(normalized))
+print(dump_config(to_pipeline_config(RAW).normalized))
 
+# to_pipeline_config loads a raw config dict: it fills the defaults,
+# validates every setting, and builds the environment the run uses.
 reports = {}
 for mode in ("full", "no_stage1", "no_stage2"):
-    cfg = to_pipeline_config(normalize({**RAW, "mode": mode}))
+    cfg = to_pipeline_config({**RAW, "mode": mode})
     reports[mode] = run_pipeline(cfg)
 
 print("mode        selected      best ratio     best    baseline")

@@ -22,11 +22,11 @@ from .config import (
     apply_overrides,
     dump_config,
     load_config,
-    normalize,
+    read_config,
     to_pipeline_config,
 )
-from .pipeline import PIPELINE_MODES, run_pipeline, write_density_csv, write_outputs
-from .pipeline import write_stage_logs
+from .pipeline import PIPELINE_MODES, PipelineConfig, run_pipeline, write_density_csv
+from .pipeline import write_outputs, write_stage_logs
 from .runlog import (
     SCHEMA_VERSION,
     RunAborted,
@@ -125,7 +125,7 @@ def _resolve_run_dir(out_flag: str | None, output_dir: str | None, config_path: 
     return Path(name)
 
 
-def _execute_run(normalized: dict, run_dir: Path, force: bool, grid_size: int) -> tuple[int, str]:
+def _execute_run(config: PipelineConfig, run_dir: Path, force: bool, grid_size: int) -> tuple[int, str]:
     try:
         busy = any(run_dir.iterdir())
     except FileNotFoundError:
@@ -135,11 +135,11 @@ def _execute_run(normalized: dict, run_dir: Path, force: bool, grid_size: int) -
     if busy and not force:
         return EXIT_USAGE, f"refusing to overwrite non-empty {run_dir} (use --force)"
     try:
-        report = run_pipeline(to_pipeline_config(normalized))
+        report = run_pipeline(config)
     except RunAborted as exc:
         for name in ("report.json", "utilities.csv"):  # an earlier run's, kept by --force
             (run_dir / name).unlink(missing_ok=True)
-        write_stage_logs(exc.stage_logs, normalized, run_dir)
+        write_stage_logs(exc.stage_logs, config.normalized, run_dir)
         return EXIT_RUNTIME, f"run aborted, partial logs kept in {run_dir}: {exc}"
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into exit codes
         return EXIT_RUNTIME, f"run failed: {exc}"
@@ -153,10 +153,8 @@ def _execute_run(normalized: dict, run_dir: Path, force: bool, grid_size: int) -
 
 def _run_one_seed(job: tuple) -> tuple[int, int, str]:
     normalized, seed, run_dir_text, force, grid_size = job
-    seeded = normalize(
-        apply_overrides(normalized, {"bandit.rng_seed": str(seed), "stage2.rng_seed": str(seed)})
-    )
-    code, message = _execute_run(seeded, Path(run_dir_text), force, grid_size)
+    seeded = apply_overrides(normalized, {"bandit.rng_seed": str(seed), "stage2.rng_seed": str(seed)})
+    code, message = _execute_run(to_pipeline_config(seeded), Path(run_dir_text), force, grid_size)
     return seed, code, message
 
 
@@ -165,20 +163,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.mode:
         overrides["mode"] = args.mode
     try:
-        normalized = load_config(args.config, overrides)
+        config = to_pipeline_config(read_config(args.config, overrides))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    run_dir = _resolve_run_dir(args.out, normalized["output_dir"], args.config)
+    run_dir = _resolve_run_dir(args.out, config.normalized["output_dir"], args.config)
 
     if args.seeds is None:
-        code, message = _execute_run(normalized, run_dir, args.force, args.grid_size)
+        code, message = _execute_run(config, run_dir, args.force, args.grid_size)
         print(message, file=sys.stderr if code else sys.stdout)
         return code
 
     lo, hi = args.seeds
     jobs = [
-        (normalized, seed, str(run_dir / f"seed-{seed}"), args.force, args.grid_size)
+        (config.normalized, seed, str(run_dir / f"seed-{seed}"), args.force, args.grid_size)
         for seed in range(lo, hi + 1)
     ]
     worst = EXIT_OK
@@ -214,12 +212,12 @@ def _regenerate_log_text(header: dict, kind: str) -> tuple[str, RunAborted | Non
     config = header.get("config")
     if not isinstance(config, dict):
         raise ValueError("log header carries no config; cannot replay")
-    normalized = normalize(config)
+    pipeline_config = to_pipeline_config(config)
     try:
-        stage_logs, aborted = run_pipeline(to_pipeline_config(normalized)).stage_logs, None
+        stage_logs, aborted = run_pipeline(pipeline_config).stage_logs, None
     except RunAborted as exc:
         stage_logs, aborted = exc.stage_logs, exc
-    return stage_logs[kind].text(make_header(kind, normalized)), aborted
+    return stage_logs[kind].text(make_header(kind, pipeline_config.normalized)), aborted
 
 
 def _first_differing_field(got: object, want: object) -> str:

@@ -1,10 +1,10 @@
 """Run configuration files: YAML schema, validation, and normalization.
 
 A config file is a declarative mirror of :class:`PipelineConfig`.  Loading
-fills documented defaults, rejects unknown keys, validates every value, and
-produces a normalized dict whose key order and value types are canonical,
-so normalization is idempotent and the normalized form round-trips through
-serialization unchanged.
+fills documented defaults, rejects unknown keys, validates every value,
+builds the environment, and keeps a normalized dict whose key order and
+value types are canonical, so normalization is idempotent and the
+normalized form round-trips through serialization unchanged.
 """
 
 from __future__ import annotations
@@ -136,15 +136,8 @@ def _env_n_tasks(env: dict) -> int:
     return len(env[_TASK_LIST_KEY[env["family"]]])
 
 
-def normalize(raw: dict | None) -> dict:
-    """Fill defaults, validate, and order keys canonically.
-
-    Raises
-    ------
-    ConfigError
-        Naming the offending key, for any unknown key, type mismatch, or
-        invariant violation.
-    """
+def _normal_form(raw: dict | None) -> dict:
+    """Fill defaults, check keys and types, and order keys canonically; idempotent."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -154,8 +147,7 @@ def normalize(raw: dict | None) -> dict:
         if key not in known_top:
             raise ConfigError(key, "unknown key")
 
-    version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
-    version = _as_int("schema_version", version)
+    version = _as_int("schema_version", raw.get("schema_version", CONFIG_SCHEMA_VERSION))
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             "schema_version", f"unsupported version {version}; this build reads {CONFIG_SCHEMA_VERSION}"
@@ -172,8 +164,7 @@ def normalize(raw: dict | None) -> dict:
         env_raw = {}
     if not isinstance(env_raw, dict):
         raise ConfigError("environment", f"expected a mapping, got {env_raw!r}")
-    family = env_raw.get("family", "planted")
-    family = _as_str("environment.family", family)
+    family = _as_str("environment.family", env_raw.get("family", "planted"))
     if family not in _ENV_FIELDS:
         raise ConfigError(
             "environment.family",
@@ -183,20 +174,15 @@ def normalize(raw: dict | None) -> dict:
     environment = {"family": family}
     environment.update(_normalize_section(env_rest, _ENV_FIELDS[family], "environment"))
 
-    bandit = _normalize_section(raw.get("bandit"), _BANDIT_FIELDS, "bandit")
-    derived_n_tasks = _env_n_tasks(environment)
-    if "n_tasks" in bandit and bandit["n_tasks"] != derived_n_tasks:
-        raise ConfigError(
-            "bandit.n_tasks",
-            f"disagrees with the environment: config says {bandit['n_tasks']}, "
-            f"environment defines {derived_n_tasks} tasks",
-        )
-    bandit["n_tasks"] = derived_n_tasks
-    bandit = {k: bandit[k] for k in _BANDIT_FIELDS}  # restore canonical order
+    # n_tasks, BanditConfig's first field, defaults to the environment's task count.
+    bandit = {
+        "n_tasks": _env_n_tasks(environment),
+        **_normalize_section(raw.get("bandit"), _BANDIT_FIELDS, "bandit"),
+    }
 
     stage2 = _normalize_section(raw.get("stage2"), _STAGE2_FIELDS, "stage2")
 
-    normalized = {
+    return {
         "schema_version": version,
         "mode": mode,
         "output_dir": output_dir,
@@ -204,12 +190,6 @@ def normalize(raw: dict | None) -> dict:
         "bandit": bandit,
         "stage2": stage2,
     }
-    # Constructing the dataclasses and the environment runs their own
-    # invariant checks.  The environment is built once here so that a bad
-    # setting fails at load time, named, instead of part-way through a run.
-    to_pipeline_config(normalized)
-    _build(normalized, "environment", make_environment, environment, bandit["batches_per_round"])
-    return normalized
 
 
 T = TypeVar("T")
@@ -229,10 +209,10 @@ def _build(
     except SettingError as exc:
         key = exc.field if section == "<root>" else f"{section}.{exc.field}"
         problem = str(exc)
-        if exc.field == "n_tasks":
-            # n_tasks equals the environment's task count by now, so the
+        env = normalized["environment"]
+        if exc.field == "n_tasks" and normalized["bandit"]["n_tasks"] == _env_n_tasks(env):
+            # n_tasks is the environment's own task count, so the
             # environment's task list is what has to change.
-            env = normalized["environment"]
             key = f"environment.{_TASK_LIST_KEY[env['family']]}"
             problem = f"the environment defines {_env_n_tasks(env)} task(s): {problem}"
         raise ConfigError(key, problem) from exc
@@ -240,26 +220,36 @@ def _build(
         raise ConfigError(section, str(exc)) from exc
 
 
-def to_pipeline_config(normalized: dict) -> PipelineConfig:
-    """Turn a normalized config dict into the runnable dataclass.
+def to_pipeline_config(raw: dict | None) -> PipelineConfig:
+    """The config loader: a raw or normalized config dict as a runnable
+    :class:`PipelineConfig`, with its normal form and its environment, built once.
 
     Raises
     ------
     ConfigError
-        Naming the key whose dataclass invariant fails.
+        Naming the offending key, for any unknown key, type mismatch, or
+        invariant violation.
     """
+    normalized = _normal_form(raw)
     bandit = _build(normalized, "bandit", BanditConfig, **normalized["bandit"])
     stage2 = _build(normalized, "stage2", Stage2Config, **normalized["stage2"])
+    environment = normalized["environment"]
+    env = _build(normalized, "environment", make_environment, environment, bandit.batches_per_round)
     return _build(
         normalized,
         "<root>",
         PipelineConfig,
         bandit=bandit,
         stage2=stage2,
-        environment=dict(normalized["environment"]),
+        env=env,
         mode=normalized["mode"],
         normalized=normalized,
     )
+
+
+def normalize(raw: dict | None) -> dict:
+    """Fill defaults, validate, and order keys canonically; raises as :func:`to_pipeline_config`."""
+    return to_pipeline_config(raw).normalized
 
 
 def apply_overrides(raw: dict, overrides: dict[str, str]) -> dict:
@@ -286,13 +276,13 @@ def apply_overrides(raw: dict, overrides: dict[str, str]) -> dict:
     return out
 
 
-def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> dict:
-    """Read a YAML config file, apply overrides, and normalize.
+def read_config(path: str | Path, overrides: dict[str, str] | None = None) -> dict:
+    """Read a YAML config file and apply overrides, without normalizing.
 
     Raises
     ------
     ConfigError
-        For unreadable files, YAML syntax errors, or schema violations.
+        For unreadable files, YAML syntax errors, or bad overrides.
     """
     path = Path(path)
     try:
@@ -307,9 +297,12 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> di
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top level of the config must be a mapping")
-    if overrides:
-        raw = apply_overrides(raw, overrides)
-    return normalize(raw)
+    return apply_overrides(raw, overrides) if overrides else raw
+
+
+def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> dict:
+    """Read a YAML config file, apply overrides, and normalize."""
+    return normalize(read_config(path, overrides))
 
 
 def dump_config(normalized: dict) -> str:

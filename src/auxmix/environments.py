@@ -217,6 +217,9 @@ class SharedParamMtlEnv:
         self._w = np.zeros(self.dim)
         self._rng = np.random.default_rng(seed)
 
+    # A diverging training overflows to the NaN that the run aborts on; ignoring
+    # the overflow keeps the run the same under any warnings filter.
+    @np.errstate(over="ignore", invalid="ignore")
     def _sgd(
         self, task_ids: np.ndarray, rngs: Sequence[np.random.Generator], w: np.ndarray
     ) -> None:
@@ -257,6 +260,7 @@ class SharedParamMtlEnv:
             raise ValueError(f"task_id {task_id} out of range for {self.n_tasks} tasks")
         self._sgd(np.full((1, self.batches_per_round), task_id), [self._rng], self._w[None])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _metric_of(self, w: np.ndarray) -> float:
         mse = float(np.mean((self._x_heldout @ w - self._y_heldout) ** 2))
         return float(min(max(1.0 - mse / self._heldout_var, 0.0), 1.0))

@@ -4,8 +4,8 @@ Mode ``full`` runs bandit task selection and then GP ratio search over the
 survivors.  Mode ``no_stage1`` skips selection and searches ratios over all
 tasks.  Mode ``no_stage2`` keeps selection but replaces the GP with a
 manually enumerated ratio grid of the same evaluation budget.  Every mode
-also trains the primary-only baseline, which is the one evaluation outside
-the stage-2 budget.
+also trains the primary-only baseline, right after stage 1; it is the one
+evaluation outside the stage-2 budget.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import numpy as np
 
 from .bandit import (
     BanditConfig,
+    Environment,
     TaskSelection,
     initial_arms,
     run_stage1,
     select_tasks,
     utility_density_table,
 )
-from .environments import make_environment
 from .mixing import (
     EvaluationRecord,
     MixingRatio,
@@ -39,15 +39,25 @@ PIPELINE_MODES = ("full", "no_stage1", "no_stage2")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one run needs: stage knobs, mode, and the environment recipe."""
+    """Everything one run needs: stage knobs, mode, and the environment.
+
+    ``env`` keeps state, but no run reads what an earlier one left: stage 1
+    resets it and ``train_full`` is pure, so one config reruns identically.
+    """
 
     bandit: BanditConfig
     stage2: Stage2Config
-    environment: dict
+    env: Environment
     mode: str = "full"
     normalized: dict | None = None
 
     def __post_init__(self):
+        if self.env.n_tasks != self.bandit.n_tasks:
+            raise SettingError(
+                "bandit.n_tasks",
+                f"disagrees with the environment: config says {self.bandit.n_tasks}, "
+                f"environment defines {self.env.n_tasks} tasks",
+            )
         if self.mode not in PIPELINE_MODES:
             raise SettingError("mode", f"mode must be one of {PIPELINE_MODES}, got {self.mode!r}")
         if self.bandit.primary_task_id != 0:
@@ -88,9 +98,6 @@ def manual_ratio_grid(n_aux: int, budget: int, ratio_max: int) -> list[MixingRat
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if n_aux == 0:
-        ratios = [MixingRatio((min(j + 1, ratio_max),)) for j in range(budget)]
-        return ratios
     if n_aux == 1:
         return [MixingRatio((1, min(j + 1, ratio_max))) for j in range(budget)]
     levels = [lv for lv in (0, 5, 10, 20) if lv <= ratio_max]
@@ -115,9 +122,9 @@ def _all_task_selection(config: BanditConfig) -> TaskSelection:
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Execute one full run and return its report.
 
-    The baseline (primary-only ratio) is always trained, under a seed
-    derived from ``(stage2.rng_seed, "baseline")``, so stage-2 scores and
-    the baseline are comparable across modes and seeds.
+    The baseline (primary-only ratio) is always trained, right after stage
+    1, under a seed derived from ``(stage2.rng_seed, "baseline")``, so
+    stage-2 scores and the baseline are comparable across modes and seeds.
 
     Raises
     ------
@@ -125,33 +132,27 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         On environment failure, with ``stage_logs`` holding both stage logs
         up to the failure (a stage that never started has an empty log).
     """
-    env = make_environment(config.environment, config.bandit.batches_per_round)
-    if env.n_tasks != config.bandit.n_tasks:
-        raise ValueError(
-            f"environment has {env.n_tasks} tasks but bandit config says {config.bandit.n_tasks}"
-        )
-
-    stage1_log = RunLog()
+    env, stage1_log = config.env, RunLog()
     try:
         if config.mode == "no_stage1":
             selection = _all_task_selection(config.bandit)
         else:
             selection, stage1_log = run_stage1(env, config.bandit)
         task_ids = selection.selected_task_ids
-        proposals = None
-        if config.mode == "no_stage2":
-            stage2 = config.stage2
-            grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
-            proposals = [[(ratio, "grid", None, None) for ratio in grid]]
-        best, records, stage2_log = run_stage2(env, selection, config.stage2, proposals)
         (baseline_score,) = train_scores(
             env,
             [MixingRatio(tuple([1] + [0] * (len(task_ids) - 1)))],
             task_ids,
             [derive_seed(config.stage2.rng_seed, "baseline")],
             ["on the baseline run"],
-            stage2_log,
+            RunLog(),
         )
+        proposals = None
+        if config.mode == "no_stage2":
+            stage2 = config.stage2
+            grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
+            proposals = [[(ratio, "grid", None, None) for ratio in grid]]
+        best, records, stage2_log = run_stage2(env, selection, config.stage2, proposals)
     except RunAborted as exc:  # the failing stage filled in its own log
         exc.stage_logs = {"stage1": stage1_log, "stage2": RunLog(), **exc.stage_logs}
         raise

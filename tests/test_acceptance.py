@@ -29,7 +29,7 @@ from auxmix.bandit import (
     utility_density_table,
 )
 from auxmix.cli import EXIT_OK, main
-from auxmix.environments import PlantedBanditEnv, SharedParamMtlEnv
+from auxmix.environments import PlantedBanditEnv, SharedParamMtlEnv, make_environment
 from auxmix.gp import (
     KernelParams,
     Posterior,
@@ -254,6 +254,7 @@ def test_criterion_07_ablation_ordering():
         "harmful_scale": 1.0,
         "total_batches": 500,
     }
+    env = make_environment(environment)  # every run resets or does not read its state
     scores = {m: [] for m in ("full", "no_stage1", "no_stage2")}
     baselines = []
     for seed in range(20):
@@ -261,7 +262,7 @@ def test_criterion_07_ablation_ordering():
             cfg = PipelineConfig(
                 bandit=BanditConfig(n_tasks=7, n_rounds=200, rng_seed=seed),
                 stage2=Stage2Config(n_samples=20, n_initial=5, rng_seed=seed),
-                environment=environment,
+                env=env,
                 mode=mode,
             )
             report = run_pipeline(cfg)
@@ -290,7 +291,7 @@ def test_criterion_08_harmful_auxiliary_dropped_to_zero():
         cfg = PipelineConfig(
             bandit=BanditConfig(n_tasks=3, n_rounds=200, rng_seed=seed),
             stage2=Stage2Config(n_samples=20, n_initial=5, rng_seed=seed),
-            environment={"family": "planted", "theta_star": [0.8, 0.9, 0.1]},
+            env=PlantedBanditEnv(theta_star=[0.8, 0.9, 0.1]),
             mode="full",
         )
         report = run_pipeline(cfg)
@@ -365,7 +366,7 @@ def test_criterion_10_density_csv_integrates_to_one(tmp_path):
     cfg = PipelineConfig(
         bandit=BanditConfig(n_tasks=3, n_rounds=200, rng_seed=0),
         stage2=Stage2Config(n_samples=5, n_initial=2, rng_seed=0),
-        environment={"family": "planted", "theta_star": [0.8, 0.9, 0.1]},
+        env=PlantedBanditEnv(theta_star=[0.8, 0.9, 0.1]),
     )
     report = run_pipeline(cfg)
     prior_arms = np.column_stack(initial_arms(BanditConfig(n_tasks=2)))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import unittest.mock as mock
+import warnings
 from pathlib import Path
 
 import pytest
@@ -311,17 +312,17 @@ def _fail_on_call(method: str, call: int, bad):
     return mock.patch.object(PlantedBanditEnv, method, patched)
 
 
-# SMALL_CONFIG runs 8 stage-1 rounds, then 4 stage-2 rounds (2 random, 2 GP
-# or grid), then the baseline.  Stage-1 round r makes validation_metric call
-# r + 2 (the first follows reset); stage-2 round r trains train_full's ratio
-# r + 1, and the baseline trains ratio 5.
+# SMALL_CONFIG runs 8 stage-1 rounds, then the baseline, then 4 stage-2
+# rounds (2 random, 2 GP or grid).  Stage-1 round r makes validation_metric
+# call r + 2 (the first follows reset); the baseline trains train_full's
+# ratio 1, and stage-2 round r trains ratio r + 2.
 ABORT_SITES = [
     pytest.param("full", "reset", 1, RuntimeError("no device"), "stage1", 0, id="stage1-reset"),
     pytest.param("full", "validation_metric", 1, math.nan, "stage1", 0, id="stage1-first-metric"),
     pytest.param("full", "validation_metric", 5, math.inf, "stage1", 3, id="stage1-round-metric"),
-    pytest.param("full", "train_full", 4, math.nan, "stage2", 3, id="gp-loop-score"),
-    pytest.param("no_stage2", "train_full", 3, -math.inf, "stage2", 2, id="grid-loop-score"),
-    pytest.param("full", "train_full", 5, math.nan, "stage2", 4, id="baseline-score"),
+    pytest.param("full", "train_full", 5, math.nan, "stage2", 3, id="gp-loop-score"),
+    pytest.param("no_stage2", "train_full", 4, -math.inf, "stage2", 2, id="grid-loop-score"),
+    pytest.param("full", "train_full", 1, math.nan, "stage2", 0, id="baseline-score"),
 ]
 
 
@@ -351,21 +352,16 @@ def test_environment_failure_aborts_with_partial_logs(
             assert run_cli("replay", out_dir / f"{kind}.log.jsonl") == EXIT_OK
         assert ", up to the abort: environment failed" in capsys.readouterr().out
     # Without it the rerun finishes, so the failing stage's log lacks its
-    # rounds from the failing one on.  The baseline, which no record logs,
-    # is the exception: its abort leaves a log equal to a finished run's.
+    # rounds from the failing one on.
     log = out_dir / f"{stage}.log.jsonl"
-    if stage == "stage2" and failing_round == 4:  # the baseline
-        assert run_cli("replay", log) == EXIT_OK
-        assert "up to the abort" not in capsys.readouterr().out
-    else:
-        assert run_cli("replay", log) == EXIT_RUNTIME
-        expected = f"divergence at round {failing_round} (line {failing_round + 2} of {log})\n"
-        assert expected in capsys.readouterr().err
+    assert run_cli("replay", log) == EXIT_RUNTIME
+    expected = f"divergence at round {failing_round} (line {failing_round + 2} of {log})\n"
+    assert expected in capsys.readouterr().err
 
 
 # A shared-linear run whose learning rate makes SGD overflow, so it aborts
 # from its config alone: with 20 stage-1 rounds the metric is NaN at round 15,
-# and with none the first stage-2 score is NaN.
+# and with none the baseline's score is NaN.
 DIVERGING_CONFIG = """\
 environment:
   family: shared-linear
@@ -379,12 +375,6 @@ stage2:
   n_initial: 2
 """
 
-# NumPy warns on the way to the NaN that these runs abort on.
-quiet_overflow = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
-
-
 @pytest.fixture()
 def diverging_config(tmp_path):
     p = tmp_path / "diverging.yaml"
@@ -392,7 +382,6 @@ def diverging_config(tmp_path):
     return p
 
 
-@quiet_overflow
 def test_an_aborted_forced_run_removes_the_earlier_report(
     config_file, diverging_config, tmp_path, capsys
 ):
@@ -552,12 +541,11 @@ def test_replay_compares_the_whole_file_as_bytes(finished_run, capsys, edit, cod
     assert "replay ok" not in captured.out
 
 
-@quiet_overflow
 @pytest.mark.parametrize(
     "n_rounds, message",
     [
         (20, "environment failed at stage-1 round 15: validation_metric returned nan"),
-        (0, "environment failed at stage-2 round 0: train_full returned nan"),
+        (0, "environment failed on the baseline run: train_full returned nan"),
     ],
     ids=["stage1-round-15", "stage2-round-0"],
 )
@@ -574,7 +562,23 @@ def test_replay_reproduces_the_partial_logs_of_a_diverging_run(
         assert f"bit-identically, up to the abort: {message}\n" in capsys.readouterr().out
 
 
-@quiet_overflow
+@pytest.mark.parametrize("n_rounds, n_records", [(20, 15), (0, 0)], ids=["stage1", "baseline"])
+def test_a_diverging_run_is_the_same_under_any_warnings_filter(
+    diverging_config, tmp_path, n_rounds, n_records
+):
+    """The overflow on the way to the NaN neither warns nor raises, so the
+    run aborts at the same place when warnings are errors."""
+    argv = ["run", diverging_config, "--set", f"bandit.n_rounds={n_rounds}", "--out"]
+    assert run_cli(*argv, tmp_path / "default") == EXIT_RUNTIME
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, tmp_path / "strict") == EXIT_RUNTIME
+    for kind in ("stage1", "stage2"):
+        name = f"{kind}.log.jsonl"
+        assert (tmp_path / "strict" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    assert len(read_jsonl(tmp_path / "strict" / "stage1.log.jsonl")[1]) == n_records
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [

@@ -24,7 +24,13 @@ from auxmix.config import (
     normalize,
     to_pipeline_config,
 )
-from auxmix.environments import ENVIRONMENT_FAMILIES, PlantedBanditEnv, SharedParamMtlEnv
+from auxmix import cli
+from auxmix.environments import (
+    ENVIRONMENT_CLASSES,
+    ENVIRONMENT_FAMILIES,
+    PlantedBanditEnv,
+    SharedParamMtlEnv,
+)
 from auxmix.mixing import Stage2Config
 from auxmix.pipeline import PipelineConfig, run_pipeline
 
@@ -265,7 +271,7 @@ def test_environment_invariant_errors_name_the_key(family, key, value):
 
 
 _PIPELINE = functools.partial(
-    PipelineConfig, bandit=BanditConfig(n_tasks=3), stage2=Stage2Config(), environment={}
+    PipelineConfig, bandit=BanditConfig(n_tasks=3), stage2=Stage2Config(), env=PlantedBanditEnv()
 )
 _SHARED = functools.partial(SharedParamMtlEnv, dim=2, n_primary_train=4, n_aux=4)
 
@@ -343,6 +349,8 @@ _REJECTIONS = [
         (_SHARED, {}, "data_seed"),
     ]
     for value in (True, math.nan, math.inf, 2.5)
+] + [
+    (_PIPELINE, {"env": PlantedBanditEnv(theta_star=[0.9, 0.1])}, "bandit.n_tasks"),
 ]
 
 
@@ -380,7 +388,7 @@ def test_every_constructor_check_names_a_parameter(make, kwargs, field):
         make(**kwargs)
     assert info.value.field == field
     if make is _PIPELINE:
-        assert field in ("mode", "bandit.primary_task_id")
+        assert field in ("mode", "bandit.primary_task_id", "bandit.n_tasks")
     else:
         assert field in inspect.signature(getattr(make, "func", make)).parameters
 
@@ -468,21 +476,43 @@ def test_single_task_environment_blames_its_task_list(environment, key):
     "environment",
     [
         {"family": "planted"},
-        {"family": "shared-linear", "dim": 4, "n_primary_train": 16, "n_aux": 16},
+        {"family": "shared-linear", "dim": 4, "n_primary_train": 16, "n_aux": 16,
+         "total_batches": 100},
     ],
 )
-def test_loading_builds_the_environment_once(monkeypatch, environment):
+def test_loading_builds_the_environment_once(monkeypatch, tmp_path, environment):
+    """Every path from a config to a run builds its environment exactly once:
+    the loader builds it and the run reuses it."""
     built = []
-    real = config_module.make_environment
+    for cls in (PlantedBanditEnv, SharedParamMtlEnv):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
 
-    def counting(settings, batches_per_round=10):
-        built.append(settings["family"])
-        return real(settings, batches_per_round)
+        monkeypatch.setattr(cls, "__init__", counting)
 
-    monkeypatch.setattr(config_module, "make_environment", counting)
-    pc = to_pipeline_config(normalize({"environment": environment}))
-    assert built == [environment["family"]]
-    assert pc.environment["family"] == environment["family"]
+    def builds(action, *args) -> int:
+        built.clear()
+        action(*args)
+        return len(built)
+
+    raw = {"environment": environment, "bandit": {"n_rounds": 5},
+           "stage2": {"n_samples": 3, "n_initial": 2, "pool_size": 16}}
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "run"
+    assert builds(cli.main, ["run", str(path), "--out", str(out)]) == 1
+    assert built == [ENVIRONMENT_CLASSES[environment["family"]].__name__]
+    assert (out / "report.json").exists()
+    for kind in ("stage1", "stage2"):
+        assert builds(cli.main, ["replay", str(out / f"{kind}.log.jsonl")]) == 1
+    job = (normalize(raw), 3, str(tmp_path / "seed-3"), False, 10)
+    assert builds(cli._run_one_seed, job) == 1
+
+    assert builds(lambda: run_pipeline(to_pipeline_config(raw))) == 1
+    config = to_pipeline_config(raw)
+    assert builds(run_pipeline, config) == 0
+    assert config.normalized == normalize(raw) == normalize(config.normalized)
 
 
 # -------------------------------------------------------------- overrides

@@ -39,7 +39,7 @@ def make_config(mode="full", env=None, n_rounds=60, n_samples=8, n_initial=3, se
     return PipelineConfig(
         bandit=BanditConfig(n_tasks=n_tasks, n_rounds=n_rounds, rng_seed=seed),
         stage2=Stage2Config(n_samples=n_samples, n_initial=n_initial, rng_seed=seed),
-        environment=env,
+        env=make_environment(env),
         mode=mode,
     )
 
@@ -56,18 +56,17 @@ def test_pipeline_config_requires_primary_zero():
         PipelineConfig(
             bandit=BanditConfig(n_tasks=3, primary_task_id=1),
             stage2=Stage2Config(),
-            environment=PLANTED3,
+            env=make_environment(PLANTED3),
         )
 
 
 def test_pipeline_rejects_task_count_mismatch():
-    cfg = PipelineConfig(
-        bandit=BanditConfig(n_tasks=4),
-        stage2=Stage2Config(n_samples=4, n_initial=2),
-        environment=PLANTED3,
-    )
     with pytest.raises(ValueError, match="tasks"):
-        run_pipeline(cfg)
+        PipelineConfig(
+            bandit=BanditConfig(n_tasks=4),
+            stage2=Stage2Config(n_samples=4, n_initial=2),
+            env=make_environment(PLANTED3),
+        )
 
 
 # ------------------------------------------------------------ manual grid
@@ -201,7 +200,7 @@ def test_no_stage2_matches_the_reference_grid_loop(env, ratio_max):
         cfg = PipelineConfig(
             bandit=BanditConfig(n_tasks=n_tasks, n_rounds=40, rng_seed=seed),
             stage2=Stage2Config(n_samples=9, n_initial=3, ratio_max=ratio_max, rng_seed=seed),
-            environment=env,
+            env=make_environment(env),
             mode="no_stage2",
         )
         report = run_pipeline(cfg)
@@ -251,8 +250,8 @@ def test_baseline_is_primary_only_and_always_runs():
         for mode in PIPELINE_MODES:
             seen.clear()
             report = run_pipeline(make_config(mode=mode))
-            assert seen[-1][0] == 1
-            assert all(c == 0 for c in seen[-1][1:])
+            assert seen[0][0] == 1
+            assert all(c == 0 for c in seen[0][1:])
             assert 0.0 <= report.baseline_score <= 1.0
 
 
@@ -310,8 +309,8 @@ def _bomb_at_ratio(n):
 
 
 def test_run_aborted_carries_stage_logs():
-    # The third ratio is the last of the three-ratio initial batch.
-    with _bomb_at_ratio(3):
+    # Ratio 1 is the baseline; ratio 4 is the last of the three-ratio initial batch.
+    with _bomb_at_ratio(4):
         with pytest.raises(RunAborted) as info:
             run_pipeline(make_config())
     assert set(info.value.stage_logs) == {"stage1", "stage2"}
@@ -320,8 +319,9 @@ def test_run_aborted_carries_stage_logs():
 
 
 def test_run_aborted_at_a_gp_round_keeps_the_earlier_records():
-    # Ratios 1-3 form the initial batch; ratio 5 is GP round 4, alone in its batch.
-    with _bomb_at_ratio(5):
+    # Ratio 1 is the baseline and ratios 2-4 the initial batch; ratio 6 is GP
+    # round 4, alone in its batch.
+    with _bomb_at_ratio(6):
         with pytest.raises(RunAborted, match="at stage-2 round 4: meltdown") as info:
             run_pipeline(make_config())
     assert len(info.value.stage_logs["stage1"].records) == 60
@@ -330,9 +330,9 @@ def test_run_aborted_at_a_gp_round_keeps_the_earlier_records():
 
 @pytest.mark.parametrize("n", [1, 5, 8])
 def test_no_stage2_exception_in_the_grid_batch_aborts_at_round_0(n):
-    """The whole grid is one batch, so an exception anywhere in it names
-    round 0 and leaves the stage-2 log empty."""
-    with _bomb_at_ratio(n):
+    """The whole grid is one batch, so an exception at its ``n``-th ratio, or
+    anywhere else in it, names round 0 and leaves the stage-2 log empty."""
+    with _bomb_at_ratio(n + 1):  # ratio 1 is the baseline
         with pytest.raises(RunAborted, match="at stage-2 round 0: meltdown") as info:
             run_pipeline(make_config(mode="no_stage2"))
     assert len(info.value.stage_logs["stage1"].records) == 60
@@ -387,6 +387,22 @@ def test_thompson_draws_explain_every_logged_choice(mode, family):
     draws = thompson_draws(records, config.bandit)
     assert draws.shape == (0 if mode == "no_stage1" else 150, config.bandit.n_tasks)
     assert np.argmax(draws, axis=1).tolist() == [rec["selected_arm"] for rec in records]
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("mode", PIPELINE_MODES)
+def test_one_built_config_runs_repeatedly(mode, family):
+    """The config holds a stateful environment, yet its second run is its
+    first: stage 1 resets the environment and train_full is pure."""
+    raw = {"mode": mode, "environment": _FAMILIES[family], **_TINY}
+    config = to_pipeline_config(raw)
+    first, second = run_pipeline(config), run_pipeline(config)
+    for kind, log in first.stage_logs.items():
+        header = make_header(kind, config.normalized)
+        assert second.stage_logs[kind].text(header) == log.text(header)
+    assert report_summary(second) == report_summary(first)
+    assert second.evaluations == first.evaluations
+    assert second.selection == first.selection
 
 
 # -------------------------------------------------------------- artifacts
