@@ -1,4 +1,4 @@
-"""Command-line front end: run pipelines, replay logs, export density CSVs.
+"""Command-line front end: run pipelines, replay runs, export density CSVs.
 
 Subcommands: ``run``, ``plot-utilities``, ``replay``, ``validate-config``.
 Exit codes: 0 success, 1 runtime failure (partial logs are kept), 2 usage or
@@ -25,14 +25,13 @@ from .config import (
     read_config,
     to_pipeline_config,
 )
-from .pipeline import PIPELINE_MODES, PipelineConfig, run_pipeline, write_density_csv
-from .pipeline import write_outputs, write_stage_logs
+from .pipeline import PIPELINE_MODES, RUN_FILES, PipelineConfig, PipelineReport, run_pipeline
+from .pipeline import density_csv, run_files, write_run_files
 from .runlog import (
     SCHEMA_VERSION,
     RunAborted,
     canonical_dumps,
     loads_line,
-    make_header,
     read_jsonl,
     split_log,
 )
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--out", default=None, help="CSV path (default: utilities.csv next to the log)")
 
     p_replay = sub.add_parser("replay", help="re-execute a logged run and verify bit-identity")
-    p_replay.add_argument("runlog", help="stage-1 or stage-2 JSON-lines log")
+    p_replay.add_argument("path", help="run directory, or one stage-1 or stage-2 JSON-lines log")
 
     p_val = sub.add_parser("validate-config", help="validate a config file and print its normalized form")
     p_val.add_argument("config", help="path to the YAML run config")
@@ -125,6 +124,14 @@ def _resolve_run_dir(out_flag: str | None, output_dir: str | None, config_path: 
     return Path(name)
 
 
+def _outcome(config: PipelineConfig) -> PipelineReport | RunAborted:
+    """The run's report, or the :class:`RunAborted` that ends it."""
+    try:
+        return run_pipeline(config)
+    except RunAborted as exc:
+        return exc
+
+
 def _execute_run(config: PipelineConfig, run_dir: Path, force: bool, grid_size: int) -> tuple[int, str]:
     try:
         busy = any(run_dir.iterdir())
@@ -135,19 +142,16 @@ def _execute_run(config: PipelineConfig, run_dir: Path, force: bool, grid_size: 
     if busy and not force:
         return EXIT_USAGE, f"refusing to overwrite non-empty {run_dir} (use --force)"
     try:
-        report = run_pipeline(config)
-    except RunAborted as exc:
-        for name in ("report.json", "utilities.csv"):  # an earlier run's, kept by --force
-            (run_dir / name).unlink(missing_ok=True)
-        write_stage_logs(exc.stage_logs, config.normalized, run_dir)
-        return EXIT_RUNTIME, f"run aborted, partial logs kept in {run_dir}: {exc}"
+        outcome = _outcome(config)
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into exit codes
         return EXIT_RUNTIME, f"run failed: {exc}"
-    paths = write_outputs(report, run_dir, grid_size)
+    paths = write_run_files(run_files(outcome, config.normalized, grid_size), run_dir)
+    if isinstance(outcome, RunAborted):  # the writer removed an earlier run's report and CSV
+        return EXIT_RUNTIME, f"run aborted, partial logs kept in {run_dir}: {outcome}"
     return EXIT_OK, (
-        f"mode={report.mode} selected={list(report.selection.selected_task_ids)} "
-        f"best_ratio={list(report.best_ratio.counts)} best_score={report.best_score:.4f} "
-        f"baseline={report.baseline_score:.4f} -> {paths['report']}"
+        f"mode={outcome.mode} selected={list(outcome.selection.selected_task_ids)} "
+        f"best_ratio={list(outcome.best_ratio.counts)} best_score={outcome.best_score:.4f} "
+        f"baseline={outcome.baseline_score:.4f} -> {paths['report.json']}"
     )
 
 
@@ -198,26 +202,13 @@ def cmd_plot_utilities(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     out = Path(args.out) if args.out else Path(args.runlog).parent / "utilities.csv"
     try:
-        write_density_csv(table, out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(density_csv(table), encoding="utf-8", newline="")
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(str(out))
     return EXIT_OK
-
-
-def _regenerate_log_text(header: dict, kind: str) -> tuple[str, RunAborted | None]:
-    """The text the run of the header's config writes to its ``kind`` log,
-    and the :class:`RunAborted` that ends the run, if it aborts."""
-    config = header.get("config")
-    if not isinstance(config, dict):
-        raise ValueError("log header carries no config; cannot replay")
-    pipeline_config = to_pipeline_config(config)
-    try:
-        stage_logs, aborted = run_pipeline(pipeline_config).stage_logs, None
-    except RunAborted as exc:
-        stage_logs, aborted = exc.stage_logs, exc
-    return stage_logs[kind].text(make_header(kind, pipeline_config.normalized)), aborted
 
 
 def _first_differing_field(got: object, want: object) -> str:
@@ -232,18 +223,23 @@ def _first_differing_field(got: object, want: object) -> str:
     return ""
 
 
-def _divergence(raw: str, expected: str, path: str) -> str:
-    """Say where a log's text ``raw`` first departs from the ``expected`` text.
+def _divergence(raw: str | None, expected: str | None, path: Path, is_log: bool) -> str:
+    """Say where a run file's text ``raw`` first departs from the ``expected`` text.
 
-    Lines are compared without the final newline, whose absence is a
-    divergence of its own.  Only the two lines where they first differ are
-    decoded, and a line that one side lacks names no field.  A found line
-    there that is not valid JSON, a blank one included, raises ``ValueError``.
+    ``None`` is a file that side lacks.  Lines are compared without the
+    final newline, whose absence is a divergence of its own.  In a log
+    (``is_log``), only the two lines where they first differ are decoded,
+    and a line that one side lacks names no field.  A found line there that
+    is not valid JSON, a blank one included, raises ``ValueError``.
     """
+    if raw is None or expected is None:
+        return f"divergence: {path} is {'missing' if raw is None else 'not written by the rerun'}"
     found, want = raw.removesuffix("\n").split("\n"), expected.removesuffix("\n").split("\n")
     if found == want:
         return f"divergence at end of file (line {len(found)} of {path}): no final newline"
     i = next(i for i, (got, line) in enumerate(zip_longest(found, want)) if got != line)
+    if not is_log:
+        return f"divergence at line {i + 1} of {path}"
     if i >= len(found):  # a line missing from a truncated file
         return f"divergence at round {i - 1} (line {i + 1} of {path})"
     got = loads_line(found[i], i + 1, path)
@@ -254,39 +250,53 @@ def _divergence(raw: str, expected: str, path: str) -> str:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    """Rerun the log's config; exit 0 only if the file is the text the run writes.
+    """Rerun a run directory, or one log, from its config; compare byte for byte.
 
-    A rerun that aborts writes partial logs, so a reproduced partial log
-    passes too.  A divergence exits 1; an unreadable, malformed or
-    other-version log exits 2."""
+    A directory's config is its stage-1 log's, and each run file on either
+    side must be the one the rerun renders (:func:`run_files`).  A lone log
+    is checked alone.  A rerun that aborts renders partial logs, so a
+    reproduced aborted run passes too.  A divergence exits 1; an unreadable,
+    malformed or other-version log exits 2."""
+    target = Path(args.path)
+    whole = target.is_dir()
+    log = target / "stage1.log.jsonl" if whole else target
     try:
-        raw = Path(args.runlog).read_bytes().decode("utf-8")  # no newline translation
-        header, _ = split_log(raw, args.runlog)
+        raw = log.read_bytes().decode("utf-8")  # no newline translation
+        header, _ = split_log(raw, log)
+        kind, version = header.get("kind"), header["schema_version"]
+        if kind not in ("stage1", "stage2"):
+            raise ValueError(f"log of kind {kind!r}")
+        if version != SCHEMA_VERSION:
+            raise ValueError(
+                f"log schema version {version!r}, this build replays version {SCHEMA_VERSION}"
+            )
+        if not isinstance(header.get("config"), dict):
+            raise ValueError("log header carries no config")
+        paths = {name: target / name for name in RUN_FILES} if whole else {f"{kind}.log.jsonl": log}
+        found = {
+            name: raw if path == log else path.read_bytes().decode("utf-8")
+            for name, path in paths.items()
+            if path.exists()
+        }
+        config = to_pipeline_config(header["config"])
+        outcome = _outcome(config)
+        rows = found.get("utilities.csv", "").count("\n")  # a header, then a row per task and point
+        grid_size = max(1, (rows - 1) // config.bandit.n_tasks) if whole else None
+        expected = run_files(outcome, config.normalized, grid_size)
+        divergences = [
+            _divergence(found.get(name), expected.get(name), path, name.endswith(".jsonl"))
+            for name, path in paths.items()
+            if found.get(name) != expected.get(name)
+        ]
     except (OSError, ValueError) as exc:
-        print(f"error: cannot replay {args.runlog}: {exc}", file=sys.stderr)
+        print(f"error: cannot replay {target}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    kind = header.get("kind")
-    if kind not in ("stage1", "stage2"):
-        print(f"error: cannot replay log of kind {kind!r}", file=sys.stderr)
-        return EXIT_USAGE
-    version = header["schema_version"]
-    if version != SCHEMA_VERSION:
-        print(
-            f"error: cannot replay {args.runlog}: log schema version {version!r}, "
-            f"this build replays version {SCHEMA_VERSION}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        expected, aborted = _regenerate_log_text(header, kind)
-        if raw != expected:
-            print(_divergence(raw, expected, args.runlog), file=sys.stderr)
-            return EXIT_RUNTIME
-    except (ConfigError, ValueError) as exc:
-        print(f"error: cannot replay {args.runlog}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    n, until = raw.count("\n"), f", up to the abort: {aborted}" if aborted else ""
-    print(f"replay ok: {n} lines reproduced bit-identically{until}")
+    if divergences:
+        print("\n".join(divergences), file=sys.stderr)
+        return EXIT_RUNTIME
+    checked = ", ".join(found) if whole else str(raw.count("\n")) + " lines"
+    until = f", up to the abort: {outcome}" if isinstance(outcome, RunAborted) else ""
+    print(f"replay ok: {checked} reproduced bit-identically{until}")
     return EXIT_OK
 
 

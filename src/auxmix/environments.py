@@ -21,6 +21,12 @@ from .runlog import SettingError, derive_seed, require_ints
 
 PLANTED_METRIC_INCREMENT = 1e-3
 
+# The most floats a shared-linear environment generates, 1 GiB of float64:
+# its data hold (n_primary_train + n_aux * n_aux_tasks + n_primary_heldout) * dim.
+# A larger setting is rejected before anything is allocated.  This bounds
+# memory; it is not a setting.
+MAX_DATA_FLOATS = 2**27
+
 # Rows gathered per block of lockstep SGD steps.  It caps the memory a block
 # takes however many trainings run together: 384 KB at 16 features.
 _GATHER_ROWS = 3072
@@ -121,6 +127,9 @@ class SharedParamMtlEnv:
     the rest "useful" or "harmful".
     """
 
+    # A huge shift, scale or noise overflows while the data are built; the
+    # data are checked instead, so the outcome is the same under any warnings filter.
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(
         self,
         task_profile: Sequence[str] = ("primary", "useful", "harmful"),
@@ -168,6 +177,20 @@ class SharedParamMtlEnv:
         for name, value in finite.items():
             if not math.isfinite(value):
                 raise SettingError(name, f"{name} must be finite, got {value}")
+        rows = {
+            "n_primary_train": int(n_primary_train),
+            "n_aux": int(n_aux) * (len(profile) - 1),
+            "n_primary_heldout": int(n_primary_heldout),
+        }
+        n_floats = sum(rows.values()) * int(dim)
+        if n_floats > MAX_DATA_FLOATS:
+            sizes = {**rows, "dim": int(dim)}
+            name = max(sizes, key=sizes.get)  # the dominant size
+            raise SettingError(
+                name,
+                f"the data would hold {n_floats} floats, over the budget of "
+                f"{MAX_DATA_FLOATS} (MAX_DATA_FLOATS); reduce {name}",
+            )
         self.task_profile = profile
         self.dim = int(dim)
         self.total_batches = int(total_batches)
@@ -193,7 +216,14 @@ class SharedParamMtlEnv:
                 w_task = harmful_scale * data_rng.standard_normal(dim)
                 label_noise = aux_label_noise
             x = data_rng.standard_normal((n, dim))
-            y = x @ w_task + label_noise * data_rng.standard_normal(n)
+            signal = x @ w_task
+            y = signal + label_noise * data_rng.standard_normal(n)
+            if not np.isfinite(signal).all():  # never the primary's: w_task is w_star
+                name = "useful_shift" if kind == "useful" else "harmful_scale"
+                raise SettingError(name, f"{name} makes the generated data overflow")
+            if not np.isfinite(y).all():
+                name = "primary_label_noise" if kind == "primary" else "aux_label_noise"
+                raise SettingError(name, f"{name} makes the generated data overflow")
             xs.append(x)
             ys.append(y)
         # Every task's training set stacked into one array; task k owns rows

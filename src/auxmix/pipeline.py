@@ -185,18 +185,8 @@ def report_summary(report: PipelineReport) -> dict:
     }
 
 
-def write_stage_logs(stage_logs: dict[str, RunLog], config: dict, out: Path) -> dict[str, Path]:
-    """The one writer of run logs, of a finished run (``PipelineReport.stage_logs``)
-    or an aborted one (``RunAborted.stage_logs``): each ``<kind>.log.jsonl``
-    under a ``config`` header.  Returns the paths keyed ``<kind>_log``."""
-    return {
-        f"{kind}_log": log.write_jsonl(out / f"{kind}.log.jsonl", make_header(kind, config))
-        for kind, log in stage_logs.items()
-    }
-
-
-def write_density_csv(table: tuple[np.ndarray, np.ndarray], path: str | Path) -> Path:
-    """Write a :func:`utility_density_table` as ``task_id,theta,density`` rows."""
+def density_csv(table: tuple[np.ndarray, np.ndarray]) -> str:
+    """A :func:`utility_density_table` as ``task_id,theta,density`` rows."""
     theta, density = table
     thetas = list(map(repr, theta.tolist()))  # formatted once for every task's rows
     # The dialect csv.writer emits for ints and float reprs: no quoting, CRLF.
@@ -205,28 +195,49 @@ def write_density_csv(table: tuple[np.ndarray, np.ndarray], path: str | Path) ->
         for task_id, row in enumerate(density.tolist())
         for t, d in zip(thetas, row)
     )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("task_id,theta,density\r\n" + "".join(rows), encoding="utf-8", newline="")
-    return path
+    return "task_id,theta,density\r\n" + "".join(rows)
+
+
+# The files of a run directory.
+RUN_FILES = ("stage1.log.jsonl", "stage2.log.jsonl", "report.json", "utilities.csv")
+
+
+def run_files(
+    outcome: PipelineReport | RunAborted, config: dict, grid_size: int | None = None
+) -> dict[str, str]:
+    """The text of each file a run writes, by name: the one renderer of a run
+    directory, which ``auxmix run`` writes and ``auxmix replay`` checks.
+
+    A finished run's report, or the :class:`RunAborted` that ended the run,
+    gives both stage logs; a report adds ``report.json`` and, given
+    ``grid_size``, the density CSV.  Log headers carry ``config``."""
+    files = {
+        f"{kind}.log.jsonl": log.text(make_header(kind, config))
+        for kind, log in outcome.stage_logs.items()
+    }
+    if isinstance(outcome, PipelineReport):
+        files["report.json"] = json.dumps(report_summary(outcome), indent=2, sort_keys=True) + "\n"
+        if grid_size is not None:
+            table = utility_density_table(outcome.selection.final_arms, grid_size)
+            files["utilities.csv"] = density_csv(table)
+    return files
+
+
+def write_run_files(files: dict[str, str], out_dir: str | Path) -> dict[str, Path]:
+    """The one writer of run directories: write a :func:`run_files` render and
+    remove each run file it lacks that an earlier run left (under ``--force``).
+    Other files stay.  Returns the path of each written file by name."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in set(RUN_FILES) - set(files):
+        (out / name).unlink(missing_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8", newline="")
+    return {name: out / name for name in files}
 
 
 def write_outputs(
     report: PipelineReport, out_dir: str | Path, grid_size: int = 1000
 ) -> dict[str, Path]:
-    """Persist report.json, both stage logs, and the density CSV.
-
-    Returns the path of each artifact keyed by name.  Output is
-    deterministic byte for byte given the report.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    paths = {"report": out / "report.json"}
-    paths["report"].write_text(
-        json.dumps(report_summary(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    paths.update(write_stage_logs(report.stage_logs, report.config, out))
-    table = utility_density_table(report.selection.final_arms, grid_size)
-    paths["utilities"] = write_density_csv(table, out / "utilities.csv")
-    return paths
+    """Write a finished run's four files; returns their paths by name."""
+    return write_run_files(run_files(report, report.config, grid_size), out_dir)

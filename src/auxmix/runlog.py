@@ -134,12 +134,6 @@ class RunLog:
         """The exact file text: every line of :meth:`lines` ends with a newline."""
         return "".join(line + "\n" for line in self.lines(header))
 
-    def write_jsonl(self, path: str | Path, header: dict | None = None) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.text(header), encoding="utf-8", newline="")
-        return path
-
 
 def make_header(kind: str, config: dict) -> dict:
     """Build the first-line header record for a run log."""

@@ -39,7 +39,7 @@ from auxmix.gp import (
     posterior_at,
 )
 from auxmix.mixing import Stage2Config, expand_to_tasks, random_ratio, run_stage2
-from auxmix.pipeline import PipelineConfig, run_pipeline, write_density_csv
+from auxmix.pipeline import PipelineConfig, density_csv, run_pipeline
 from auxmix.runlog import derive_seed
 
 
@@ -362,7 +362,7 @@ def _trapezoid(theta: list[float], density: list[float]) -> float:
     return total
 
 
-def test_criterion_10_density_csv_integrates_to_one(tmp_path):
+def test_criterion_10_density_csv_integrates_to_one():
     cfg = PipelineConfig(
         bandit=BanditConfig(n_tasks=3, n_rounds=200, rng_seed=0),
         stage2=Stage2Config(n_samples=5, n_initial=2, rng_seed=0),
@@ -371,15 +371,12 @@ def test_criterion_10_density_csv_integrates_to_one(tmp_path):
     report = run_pipeline(cfg)
     prior_arms = np.column_stack(initial_arms(BanditConfig(n_tasks=2)))
     worst = 0.0
-    for label, arm_set in (("trained", report.selection.final_arms), ("prior", prior_arms)):
+    for arm_set in (report.selection.final_arms, prior_arms):
         table = utility_density_table(arm_set, grid_size=1000)
-        path = write_density_csv(table, tmp_path / f"{label}.csv")
         columns = defaultdict(lambda: ([], []))
-        with path.open() as fh:
-            next(fh)
-            for row in csv.reader(fh):
-                columns[int(row[0])][0].append(float(row[1]))
-                columns[int(row[0])][1].append(float(row[2]))
+        for row in csv.reader(density_csv(table).splitlines()[1:]):
+            columns[int(row[0])][0].append(float(row[1]))
+            columns[int(row[0])][1].append(float(row[2]))
         for theta, density in columns.values():
             worst = max(worst, abs(_trapezoid(theta, density) - 1.0))
     ok = worst <= 0.01

@@ -23,7 +23,7 @@ from auxmix.bandit import (
     utility_density_table,
 )
 from auxmix.environments import PlantedBanditEnv, SharedParamMtlEnv
-from auxmix.pipeline import write_density_csv
+from auxmix.pipeline import density_csv
 from auxmix.runlog import RunAborted, RunLog, derive_seed
 
 
@@ -98,8 +98,8 @@ def test_density_csv_is_byte_identical_to_the_scalar_density(grid_size, tmp_path
             for j in range(grid_size):
                 theta = (j + 1) / (grid_size + 1)
                 writer.writerow([k, repr(theta), repr(_beta_pdf(theta, a, b))])
-    got = write_density_csv(utility_density_table(arms, grid_size), tmp_path / "table.csv")
-    assert got.read_bytes() == want.read_bytes()
+    got = density_csv(utility_density_table(arms, grid_size))
+    assert got.encode("utf-8") == want.read_bytes()
 
 
 # --------------------------------------------------------- expected utility

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import unittest.mock as mock
 import warnings
 from pathlib import Path
@@ -18,7 +19,7 @@ import auxmix
 from auxmix.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from auxmix.config import load_config, normalize, to_pipeline_config
 from auxmix.environments import PlantedBanditEnv
-from auxmix.pipeline import run_pipeline
+from auxmix.pipeline import density_csv, run_pipeline
 from auxmix.bandit import BanditConfig, belief_path, thompson_draws
 from auxmix.runlog import SCHEMA_VERSION, RunAborted, canonical_dumps, read_jsonl
 
@@ -95,12 +96,12 @@ def test_run_and_replay_need_no_scipy(tmp_path):
         BLOCK_SCIPY
         + "from auxmix.cli import main\n"
         + "codes = [main(['run', 'small.yaml', '--out', 'run', '--grid-size', '10'])]\n"
-        + "codes += [main(['replay', f'run/{kind}.log.jsonl']) for kind in ('stage1', 'stage2')]\n"
+        + "codes += [main(['replay', p]) for p in ('run', 'run/stage1.log.jsonl', 'run/stage2.log.jsonl')]\n"
         + "print(codes)\n",
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0]"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 # --------------------------------------------------------- validate-config
@@ -118,6 +119,30 @@ def test_validate_config_rejects_bad_key(tmp_path, capsys):
     p.write_text("bandit:\n  gamma: 7\n", encoding="utf-8")
     assert run_cli("validate-config", p) == EXIT_USAGE
     assert "bandit.gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, "1.0e+308") for key in ("useful_shift", "harmful_scale", "primary_label_noise",
+                                   "aux_label_noise")]
+    + [(key, str(10**12)) for key in ("n_aux", "n_primary_train", "n_primary_heldout", "dim")],
+)
+def test_validate_config_rejects_shared_linear_data_it_cannot_build(tmp_path, capsys, key, value):
+    """Settings whose data overflow, or would exceed MAX_DATA_FLOATS, are
+    config errors naming their key, under any warnings filter; a size over
+    the budget is rejected before anything is allocated."""
+    p = tmp_path / "huge.yaml"
+    p.write_text(f"environment:\n  family: shared-linear\n  {key}: {value}\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("validate-config", p) == EXIT_USAGE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"config key 'environment.{key}'" in capsys.readouterr().err
+    assert peak < 2**24
 
 
 def test_validate_config_missing_file(tmp_path, capsys):
@@ -347,16 +372,19 @@ def test_environment_failure_aborts_with_partial_logs(
 
     # Under the same failure the rerun aborts where the run did and
     # regenerates both partial logs.
-    for kind in ("stage1", "stage2"):
+    for path in (out_dir / "stage1.log.jsonl", out_dir / "stage2.log.jsonl", out_dir):
         with _fail_on_call(method, call, bad):
-            assert run_cli("replay", out_dir / f"{kind}.log.jsonl") == EXIT_OK
+            assert run_cli("replay", path) == EXIT_OK
         assert ", up to the abort: environment failed" in capsys.readouterr().out
     # Without it the rerun finishes, so the failing stage's log lacks its
-    # rounds from the failing one on.
+    # rounds from the failing one on, and the directory lacks the report.
     log = out_dir / f"{stage}.log.jsonl"
-    assert run_cli("replay", log) == EXIT_RUNTIME
     expected = f"divergence at round {failing_round} (line {failing_round + 2} of {log})\n"
-    assert expected in capsys.readouterr().err
+    for path in (log, out_dir):
+        assert run_cli("replay", path) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert expected in err
+    assert f"divergence: {out_dir / 'report.json'} is missing\n" in err
 
 
 # A shared-linear run whose learning rate makes SGD overflow, so it aborts
@@ -399,6 +427,7 @@ def test_an_aborted_forced_run_removes_the_earlier_report(
     for kind in ("stage1", "stage2"):
         header, _ = read_jsonl(out_dir / f"{kind}.log.jsonl")
         assert header["config"]["environment"]["family"] == "shared-linear"
+    assert run_cli("replay", out_dir) == EXIT_OK  # a file that is not a run file is not checked
 
 
 # ---------------------------------------------------------------- replay
@@ -411,9 +440,116 @@ def finished_run(config_file, tmp_path):
 
 
 def test_replay_confirms_untouched_logs(finished_run, capsys):
-    for name in ("stage1.log.jsonl", "stage2.log.jsonl"):
+    for name in ("stage1.log.jsonl", "stage2.log.jsonl", ""):
         assert run_cli("replay", finished_run / name) == EXIT_OK
         assert "bit-identically" in capsys.readouterr().out
+
+
+def test_replay_checks_every_file_of_a_directory_in_one_rerun(finished_run, capsys, monkeypatch):
+    """One pipeline run regenerates all four files; a lone log is checked
+    alone, and its replay renders no density CSV."""
+    calls = {"run_pipeline": 0, "density_csv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("auxmix.cli.run_pipeline", counted("run_pipeline", run_pipeline))
+    monkeypatch.setattr("auxmix.pipeline.density_csv", counted("density_csv", density_csv))
+    assert run_cli("replay", finished_run) == EXIT_OK
+    assert calls == {"run_pipeline": 1, "density_csv": 1}
+    names = "stage1.log.jsonl, stage2.log.jsonl, report.json, utilities.csv"
+    assert f"replay ok: {names} reproduced bit-identically\n" == capsys.readouterr().out
+    assert run_cli("replay", finished_run / "stage1.log.jsonl") == EXIT_OK
+    assert calls == {"run_pipeline": 2, "density_csv": 1}
+
+
+def _leaves(node, path=()):
+    """``(path, value)`` for every leaf of a nested config, list items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+def _edited(value):
+    """A different value of the leaf's type, valid where the doubled or next one is."""
+    if value is None:
+        return "elsewhere"
+    if isinstance(value, str):
+        return {"full": "no_stage2", "planted": "shared-linear"}.get(value, value + "-edited")
+    return value + 1 if isinstance(value, int) else value * 2
+
+
+@pytest.mark.parametrize("kind", ["stage1", "stage2"])
+def test_replay_of_a_directory_catches_every_header_config_edit(finished_run, capsys, kind):
+    """Each header's config must be the run's: an edit to any leaf of either
+    log's header diverges, or is a config error, even where the edited log
+    reproduces.  A lone stage-1 log is not checked against the other files."""
+    log = finished_run / f"{kind}.log.jsonl"
+    original = log.read_bytes()
+    header = json.loads(original.decode("utf-8").split("\n", 1)[0])
+    leaves = list(_leaves(header["config"]))
+    assert len(leaves) == 24
+    for path, value in leaves:
+        def edit(header):
+            node = header["config"]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = _edited(value)
+            assert node[path[-1]] != value
+
+        _rewrite_header(log, edit)
+        code = run_cli("replay", finished_run)
+        err = capsys.readouterr().err
+        assert code != EXIT_OK, path
+        if path == ("stage2", "ucb_lambda"):
+            assert code == EXIT_RUNTIME
+            if kind == "stage1":  # the stage-1 log reproduces; the stage-2 header does not
+                stage2_log = finished_run / "stage2.log.jsonl"
+                assert f"divergence at header (line 1 of {stage2_log}): field 'config'" in err
+                assert run_cli("replay", log) == EXIT_OK
+                capsys.readouterr()
+        log.write_bytes(original)
+
+
+@pytest.mark.parametrize("name", ["stage2.log.jsonl", "report.json", "utilities.csv"])
+def test_replay_of_a_directory_missing_a_run_file_diverges(finished_run, capsys, name):
+    (finished_run / name).unlink()
+    assert run_cli("replay", finished_run) == EXIT_RUNTIME
+    assert f"divergence: {finished_run / name} is missing\n" in capsys.readouterr().err
+
+
+def test_replay_of_an_aborted_directory_with_a_stale_report_diverges(
+    finished_run, diverging_config, tmp_path, capsys
+):
+    out_dir = tmp_path / "diverged"
+    assert run_cli("run", diverging_config, "--out", out_dir) == EXIT_RUNTIME
+    for name in ("report.json", "utilities.csv"):
+        (out_dir / name).write_bytes((finished_run / name).read_bytes())
+        assert run_cli("replay", out_dir) == EXIT_RUNTIME
+        assert f"divergence: {out_dir / name} is not written by the rerun\n" in capsys.readouterr().err
+        (out_dir / name).unlink()
+    assert run_cli("replay", out_dir) == EXIT_OK
+
+
+@pytest.mark.parametrize("grid_size", [1, 10])
+def test_replay_of_a_directory_reads_the_grid_size_from_the_csv(
+    config_file, tmp_path, capsys, grid_size
+):
+    out_dir = tmp_path / "grid"
+    assert run_cli("run", config_file, "--out", out_dir, "--grid-size", grid_size) == EXIT_OK
+    assert run_cli("replay", out_dir) == EXIT_OK
+    csv_path = out_dir / "utilities.csv"
+    rows = csv_path.read_bytes().split(b"\r\n")
+    assert len(rows) == 1 + 2 * grid_size + 1  # a header, a row per task and point, then ""
+    csv_path.write_bytes(b"\r\n".join(rows[:-2] + [b""]))  # one row short
+    assert run_cli("replay", out_dir) == EXIT_RUNTIME
+    assert f"of {csv_path}\n" in capsys.readouterr().err
 
 
 def test_replay_detects_flipped_record(finished_run, capsys):
@@ -557,8 +693,8 @@ def test_replay_reproduces_the_partial_logs_of_a_diverging_run(
     assert run_cli(*argv) == EXIT_RUNTIME
     assert message in capsys.readouterr().err
     assert not (out_dir / "report.json").exists()
-    for kind in ("stage1", "stage2"):
-        assert run_cli("replay", out_dir / f"{kind}.log.jsonl") == EXIT_OK
+    for path in (out_dir / "stage1.log.jsonl", out_dir / "stage2.log.jsonl", out_dir):
+        assert run_cli("replay", path) == EXIT_OK
         assert f"bit-identically, up to the abort: {message}\n" in capsys.readouterr().out
 
 

@@ -20,6 +20,7 @@ from auxmix.mixing import (
 )
 from auxmix.pipeline import (
     PIPELINE_MODES,
+    RUN_FILES,
     PipelineConfig,
     PipelineReport,
     manual_ratio_grid,
@@ -410,24 +411,26 @@ def test_one_built_config_runs_repeatedly(mode, family):
 def test_write_outputs_produces_all_artifacts(tmp_path):
     report = run_pipeline(make_config())
     paths = write_outputs(report, tmp_path / "run", grid_size=50)
-    assert set(paths) == {"report", "stage1_log", "stage2_log", "utilities"}
+    assert set(paths) == set(RUN_FILES) == {
+        "report.json", "stage1.log.jsonl", "stage2.log.jsonl", "utilities.csv"
+    }
     for p in paths.values():
         assert p.exists()
 
-    payload = json.loads(paths["report"].read_text())
+    payload = json.loads(paths["report.json"].read_text())
     assert payload == report_summary(report)
 
-    header, records = read_jsonl(paths["stage1_log"])
+    header, records = read_jsonl(paths["stage1.log.jsonl"])
     assert header["kind"] == "stage1"
     assert header["schema_version"] == SCHEMA_VERSION == 4
     assert set(header) == {"schema_version", "kind", "config"}
     assert len(records) == 60
 
-    header2, records2 = read_jsonl(paths["stage2_log"])
+    header2, records2 = read_jsonl(paths["stage2.log.jsonl"])
     assert header2["kind"] == "stage2"
     assert len(records2) == 8
 
-    lines = paths["utilities"].read_text().strip().split("\n")
+    lines = paths["utilities.csv"].read_text().strip().split("\n")
     assert lines[0] == "task_id,theta,density"
     assert len(lines) == 1 + 3 * 50
 

