@@ -23,7 +23,10 @@ from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .runlog import RunAborted, RunLog, SettingError, derive_seed, is_int, require_ints
+from .runlog import RunAborted, RunLog, SettingError, derive_seed, is_int, require_ints, require_work
+
+# Points of the theta grid in a utility density table, unless asked otherwise.
+DENSITY_GRID_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,7 @@ class BanditConfig:
         require_ints(0, primary_task_id=self.primary_task_id, n_rounds=self.n_rounds)
         require_ints(1, batches_per_round=self.batches_per_round)
         require_ints(None, rng_seed=self.rng_seed)
+        require_work({"n_rounds": self.n_rounds, "batches_per_round": self.batches_per_round})
         if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
             raise SettingError("alpha0", f"alpha0 must be positive, got {self.alpha0}")
         if not (math.isfinite(self.beta0) and self.beta0 > 0):
@@ -247,7 +251,7 @@ _exp = np.frompyfunc(math.exp, 1, 1)
 
 
 def utility_density_table(
-    arms: Sequence[Sequence[float]], grid_size: int = 1000
+    arms: Sequence[Sequence[float]], grid_size: int = DENSITY_GRID_SIZE
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tabulate each arm's Beta density on an interior grid of (0, 1).
 

@@ -16,10 +16,9 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import zip_longest
 from pathlib import Path
 
-from .bandit import BanditConfig, belief_path, utility_density_table
+from .bandit import DENSITY_GRID_SIZE, BanditConfig, belief_path, utility_density_table
 from .config import (
     ConfigError,
-    apply_overrides,
     dump_config,
     load_config,
     read_config,
@@ -98,11 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one pipeline per seed in the inclusive range, in parallel",
     )
     p_run.add_argument("--force", action="store_true", help="allow overwriting a non-empty run directory")
-    p_run.add_argument("--grid-size", type=int, default=1000, help="theta grid for the density CSV")
+    p_run.add_argument(
+        "--grid-size", type=int, default=DENSITY_GRID_SIZE, help="theta grid for the density CSV"
+    )
 
     p_plot = sub.add_parser("plot-utilities", help="export the utility density table as CSV")
     p_plot.add_argument("runlog", help="stage-1 JSON-lines log")
-    p_plot.add_argument("--grid-size", type=int, default=1000)
+    p_plot.add_argument("--grid-size", type=int, default=DENSITY_GRID_SIZE)
     p_plot.add_argument("--out", default=None, help="CSV path (default: utilities.csv next to the log)")
 
     p_replay = sub.add_parser("replay", help="re-execute a logged run and verify bit-identity")
@@ -157,7 +158,7 @@ def _execute_run(config: PipelineConfig, run_dir: Path, force: bool, grid_size: 
 
 def _run_one_seed(job: tuple) -> tuple[int, int, str]:
     normalized, seed, run_dir_text, force, grid_size = job
-    seeded = apply_overrides(normalized, {"bandit.rng_seed": str(seed), "stage2.rng_seed": str(seed)})
+    seeded = {**normalized, **{s: {**normalized[s], "rng_seed": seed} for s in ("bandit", "stage2")}}
     code, message = _execute_run(to_pipeline_config(seeded), Path(run_dir_text), force, grid_size)
     return seed, code, message
 

@@ -107,6 +107,7 @@ def _constructor_fields(cls: type) -> dict[str, Field]:
 _BANDIT_FIELDS = _dataclass_fields(BanditConfig)  # n_tasks: derived from the environment
 _STAGE2_FIELDS = _dataclass_fields(Stage2Config)
 _ENV_FIELDS = {family: _constructor_fields(cls) for family, cls in ENVIRONMENT_CLASSES.items()}
+_DEFAULT_MODE = PipelineConfig.mode
 
 
 def _normalize_section(
@@ -153,7 +154,7 @@ def _normal_form(raw: dict | None) -> dict:
             "schema_version", f"unsupported version {version}; this build reads {CONFIG_SCHEMA_VERSION}"
         )
 
-    mode = _as_str("mode", raw.get("mode", "full"))
+    mode = _as_str("mode", raw.get("mode", _DEFAULT_MODE))
 
     output_dir = raw.get("output_dir")
     if output_dir is not None:

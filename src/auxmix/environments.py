@@ -316,7 +316,6 @@ class SharedParamMtlEnv:
 
 
 ENVIRONMENT_CLASSES = {"planted": PlantedBanditEnv, "shared-linear": SharedParamMtlEnv}
-ENVIRONMENT_FAMILIES = tuple(ENVIRONMENT_CLASSES)
 
 
 def make_environment(settings: dict, batches_per_round: int = 10):
@@ -328,9 +327,9 @@ def make_environment(settings: dict, batches_per_round: int = 10):
     """
     settings = dict(settings)
     family = settings.pop("family", None)
-    if family not in ENVIRONMENT_FAMILIES:
+    if family not in ENVIRONMENT_CLASSES:
         raise ValueError(
-            f"unknown environment family {family!r}; expected one of {ENVIRONMENT_FAMILIES}"
+            f"unknown environment family {family!r}; expected one of {tuple(ENVIRONMENT_CLASSES)}"
         )
     cls = ENVIRONMENT_CLASSES[family]
     if cls is SharedParamMtlEnv:

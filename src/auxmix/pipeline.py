@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandit import (
+    DENSITY_GRID_SIZE,
     BanditConfig,
     Environment,
     TaskSelection,
@@ -32,7 +33,7 @@ from .mixing import (
     run_stage2,
     train_scores,
 )
-from .runlog import RunAborted, RunLog, SettingError, derive_seed, make_header
+from .runlog import RunAborted, RunLog, SettingError, derive_seed, make_header, require_work
 
 PIPELINE_MODES = ("full", "no_stage1", "no_stage2")
 
@@ -66,6 +67,9 @@ class PipelineConfig:
                 "the synthetic environments define task 0 as primary; "
                 f"primary_task_id must be 0, got {self.bandit.primary_task_id}"
             )
+        # The stage-2 trainings and the baseline; a planted environment trains no batches.
+        work = {"environment.total_batches": getattr(self.env, "total_batches", 0)}
+        require_work({**work, "stage2.n_samples": self.stage2.n_samples + 1})
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,7 @@ def write_run_files(files: dict[str, str], out_dir: str | Path) -> dict[str, Pat
 
 
 def write_outputs(
-    report: PipelineReport, out_dir: str | Path, grid_size: int = 1000
+    report: PipelineReport, out_dir: str | Path, grid_size: int = DENSITY_GRID_SIZE
 ) -> dict[str, Path]:
     """Write a finished run's four files; returns their paths by name."""
     return write_run_files(run_files(report, report.config, grid_size), out_dir)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,12 @@ from typing import Any
 # last of ``belief_path``; every header is ``schema_version``, ``kind`` and
 # ``config``, so finished and aborted runs write the same record.
 SCHEMA_VERSION = 4
+
+# The most mini-batches a config may ask for, in each of stage 1
+# (n_rounds * batches_per_round) and the stage-2 trainings with their baseline
+# (total_batches * (n_samples + 1)).  A larger setting is rejected at load
+# time.  This bounds run time; it is not a setting.
+MAX_WORK_BATCHES = 2**26
 
 
 def derive_seed(*parts: object) -> int:
@@ -89,6 +96,16 @@ def require_ints(low: int | None, **settings: Any) -> None:
     for name, value in settings.items():
         if not is_int(value) or (low is not None and value < low):
             raise SettingError(name, f"{name} must be an integer{bound}, got {value!r}")
+
+
+def require_work(factors: dict[str, int]) -> None:
+    """Raise :class:`SettingError`, naming the largest factor, when the
+    product of ``factors`` exceeds :data:`MAX_WORK_BATCHES`."""
+    work = math.prod(int(v) for v in factors.values())
+    if work > MAX_WORK_BATCHES:
+        name = max(factors, key=factors.get)
+        problem = f"the run would train {work} mini-batches, over the budget of {MAX_WORK_BATCHES}"
+        raise SettingError(name, f"{problem} (MAX_WORK_BATCHES); reduce {name}")
 
 
 class RunAborted(RuntimeError):

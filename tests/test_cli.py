@@ -61,11 +61,13 @@ def _python(code: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     )
 
 
-def test_importing_the_cli_loads_no_scipy_module():
-    """SciPy is a test-only oracle; the package's numerics are NumPy's."""
+@pytest.mark.parametrize("module, package", [("auxmix.cli", "scipy"), ("auxmix.runlog", "numpy")])
+def test_importing_a_module_loads_no_package_it_does_not_use(module, package):
+    """SciPy is a test-only oracle; the package's numerics are NumPy's.  The
+    package root imports nothing, so the run-log layer loads no NumPy."""
     proc = _python(
-        "import sys, auxmix.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"import sys, {module}\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -291,6 +293,16 @@ def test_run_seed_fanout(config_file, tmp_path):
     assert reports[1]["config"]["bandit"]["rng_seed"] == 1
     assert reports[1]["config"]["stage2"]["rng_seed"] == 1
     assert len({json.dumps(r, sort_keys=True) for r in reports}) == 3
+    for s in (0, 1, 2):
+        # A worker's run is the one-run command with both seeds set.
+        single = tmp_path / f"single-{s}"
+        seeds = [f"--set={section}.rng_seed={s}" for section in ("bandit", "stage2")]
+        assert run_cli("run", config_file, "--out", single, *seeds) == EXIT_OK
+        swept = out_dir / f"seed-{s}"
+        assert sorted(p.name for p in swept.iterdir()) == sorted(p.name for p in single.iterdir())
+        for path in single.iterdir():
+            assert (swept / path.name).read_bytes() == path.read_bytes()
+        assert run_cli("replay", swept) == EXIT_OK
 
 
 def test_run_seed_range_syntax_errors(config_file):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from auxmix import SettingError
+from auxmix.runlog import SettingError
 from auxmix import config as config_module
 from auxmix.bandit import BanditConfig
 from auxmix.config import (
@@ -27,7 +27,6 @@ from auxmix.config import (
 from auxmix import cli
 from auxmix.environments import (
     ENVIRONMENT_CLASSES,
-    ENVIRONMENT_FAMILIES,
     PlantedBanditEnv,
     SharedParamMtlEnv,
 )
@@ -156,13 +155,13 @@ def _readme_config_blocks() -> dict[str, dict]:
     return {block["environment"]["family"]: block for block in blocks}
 
 
-@pytest.mark.parametrize("family", ENVIRONMENT_FAMILIES)
+@pytest.mark.parametrize("family", ENVIRONMENT_CLASSES)
 def test_readme_config_reference_matches_the_defaults(family):
     """The README has one config block per environment family, each key with
     its default: the default family's block documents every section, the
     others their environment section.  Each block loads as it stands."""
     blocks = _readme_config_blocks()
-    assert set(blocks) == set(ENVIRONMENT_FAMILIES)
+    assert set(blocks) == set(ENVIRONMENT_CLASSES)
     documented = blocks[family]
     defaults = normalize({"environment": {"family": family}})
     assert normalize(documented) == defaults
@@ -351,6 +350,9 @@ _REJECTIONS = [
     for value in (True, math.nan, math.inf, 2.5)
 ] + [
     (_PIPELINE, {"env": PlantedBanditEnv(theta_star=[0.9, 0.1])}, "bandit.n_tasks"),
+    # Work over MAX_WORK_BATCHES, named by its larger factor.
+    (BanditConfig, {"n_tasks": 3, "n_rounds": 10**12}, "n_rounds"),
+    (_PIPELINE, {"env": _SHARED(total_batches=10**12)}, "environment.total_batches"),
 ]
 
 
@@ -388,7 +390,9 @@ def test_every_constructor_check_names_a_parameter(make, kwargs, field):
         make(**kwargs)
     assert info.value.field == field
     if make is _PIPELINE:
-        assert field in ("mode", "bandit.primary_task_id", "bandit.n_tasks")
+        assert field in (
+            "mode", "bandit.primary_task_id", "bandit.n_tasks", "environment.total_batches"
+        )
     else:
         assert field in inspect.signature(getattr(make, "func", make)).parameters
 
@@ -414,6 +418,33 @@ def test_a_value_error_without_a_field_names_its_section(monkeypatch, name, sect
         normalize({})
     assert info.value.key == section
     assert str(info.value) == f"config key '{section}': {problem}"
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"bandit": {"n_rounds": 10**12}}, "bandit.n_rounds"),
+        ({"bandit": {"n_rounds": 2, "batches_per_round": 10**12}}, "bandit.batches_per_round"),
+        ({"environment": {"family": "shared-linear", "total_batches": 10**12}},
+         "environment.total_batches"),
+        ({"environment": {"family": "shared-linear", "total_batches": 2},
+          "stage2": {"n_samples": 2**26}}, "stage2.n_samples"),
+    ],
+)
+def test_work_over_the_budget_names_its_larger_factor(raw, key):
+    with pytest.raises(ConfigError) as info:
+        normalize(raw)
+    assert info.value.key == key
+    assert f"over the budget of {2**26} (MAX_WORK_BATCHES)" in str(info.value)
+
+
+def test_the_work_budget_admits_its_bound():
+    BanditConfig(n_tasks=3, n_rounds=2**25, batches_per_round=2)
+    with pytest.raises(SettingError):
+        BanditConfig(n_tasks=3, n_rounds=2**25 + 1, batches_per_round=2)
+    _PIPELINE(env=_SHARED(total_batches=2**26 // 21))  # the default stage 2 trains 21 times
+    with pytest.raises(SettingError):
+        _PIPELINE(env=_SHARED(total_batches=2**26 // 21 + 1))
 
 
 def test_bool_is_not_an_int():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from auxmix.environments import (
     PLANTED_METRIC_INCREMENT,
-    ENVIRONMENT_FAMILIES,
+    ENVIRONMENT_CLASSES,
     PlantedBanditEnv,
     SharedParamMtlEnv,
     make_environment,
@@ -395,7 +395,7 @@ def test_make_environment_dispatch():
 def test_make_environment_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown environment family"):
         make_environment({"family": "tabular"})
-    assert "planted" in ENVIRONMENT_FAMILIES and "shared-linear" in ENVIRONMENT_FAMILIES
+    assert "planted" in ENVIRONMENT_CLASSES and "shared-linear" in ENVIRONMENT_CLASSES
 
 
 def test_make_environment_does_not_mutate_settings():
