@@ -6,12 +6,17 @@ primary task's validation metric.  Thompson sampling picks the task to train
 each round; after the reward is observed every arm decays toward its prior,
 which lets the controller track utilities that drift as training progresses.
 
-The beliefs of all arms are two float arrays, ``alpha`` and ``beta``, indexed
-by task id, from the prior to the density table.  The log records each
-round's choice, reward and metric but neither the beliefs nor the draws:
-:func:`belief_path` recovers the beliefs from the config and the choices
-and rewards, and :func:`thompson_draws` redraws each round's utilities
-from those beliefs.
+The beliefs of all arms are two float sequences, ``alpha`` and ``beta``,
+indexed by task id.  The public functions take and return arrays; inside
+:func:`run_stage1` they are Python lists, since on a handful of arms NumPy's
+fixed cost per call outweighs the arithmetic.  Each round draws every arm
+with a scalar ``rng.beta(a, b)`` in task order, the per-element sampler and
+order of the array draw ``rng.beta(alpha, beta)``, so the bits are the
+same; one list kernel does the decay and credit for the loop and for
+:func:`update_posterior` alike.  The log records each round's choice,
+reward and metric but neither the beliefs nor the draws: :func:`belief_path`
+recovers the beliefs from the config and the choices and rewards, and
+:func:`thompson_draws` redraws each round's utilities from those beliefs.
 """
 
 from __future__ import annotations
@@ -129,9 +134,19 @@ def update_posterior(
         raise ValueError(f"arm must be an integer in [0, {len(alpha)}), got {arm!r}")
     if not (is_int(reward) and reward in (0, 1)):
         raise ValueError(f"reward must be 0 or 1, got {reward!r}")
-    g = config.gamma
-    alpha = (1.0 - g) * alpha + g * config.alpha0
-    beta = (1.0 - g) * beta + g * config.beta0
+    alpha, beta = _decay_credit(alpha.tolist(), beta.tolist(), arm, reward, config)
+    return np.array(alpha), np.array(beta)
+
+
+def _decay_credit(
+    alpha: list[float], beta: list[float], arm: int, reward: int, config: BanditConfig
+) -> tuple[list[float], list[float]]:
+    """:func:`update_posterior`'s arithmetic on float lists, unchecked: the
+    operations of ``(1 - g) * alpha + g * alpha0`` in the same order."""
+    keep, g = 1.0 - config.gamma, config.gamma
+    alpha0, beta0 = g * config.alpha0, g * config.beta0
+    alpha = [keep * a + alpha0 for a in alpha]
+    beta = [keep * b + beta0 for b in beta]
     alpha[arm] += reward
     beta[arm] += 1 - reward
     return alpha, beta
@@ -158,6 +173,11 @@ def _thompson_rng(config: BanditConfig) -> np.random.Generator:
     return np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
 
 
+def _draw(rng: np.random.Generator, alpha: Sequence[float], beta: Sequence[float]) -> list[float]:
+    """One utility per arm, in task order, bit for bit ``rng.beta(alpha, beta)``."""
+    return list(map(rng.beta, alpha, beta))
+
+
 def thompson_draws(records: Sequence[Mapping], config: BanditConfig) -> np.ndarray:
     """The utilities :func:`run_stage1` drew in each logged round, bit for bit.
 
@@ -168,7 +188,7 @@ def thompson_draws(records: Sequence[Mapping], config: BanditConfig) -> np.ndarr
     maximum at record ``t``'s ``selected_arm``.
     """
     rng = _thompson_rng(config)
-    draws = [rng.beta(*arms) for _, arms in zip(records, belief_path(records, config))]
+    draws = [_draw(rng, *arms) for _, arms in zip(records, belief_path(records, config))]
     return np.array(draws).reshape(len(draws), config.n_tasks)
 
 
@@ -219,7 +239,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
         If the environment raises or reports a non-finite metric, from
         ``reset`` on; the partial log rides along as its ``"stage1"`` log.
     """
-    alpha, beta = initial_arms(config)
+    alpha, beta = (arms.tolist() for arms in initial_arms(config))
     log = RunLog()
     partial = {"stage1": log}
     rng = _thompson_rng(config)
@@ -229,18 +249,18 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     except Exception as exc:
         raise RunAborted(f"environment failed before stage-1 round 0: {exc}", partial) from exc
     for t in range(config.n_rounds):
-        thetas = rng.beta(alpha, beta)
-        k = int(np.argmax(thetas))
+        thetas = _draw(rng, alpha, beta)
+        k = thetas.index(max(thetas))
         try:
             env.step(k)
             metric_now = _finite_metric(env)
         except Exception as exc:
             raise RunAborted(f"environment failed at stage-1 round {t}: {exc}", partial) from exc
         reward = compute_reward(metric_now, metric_prev)
-        alpha, beta = update_posterior(alpha, beta, k, reward, config)
+        alpha, beta = _decay_credit(alpha, beta, k, reward, config)
         log.append(round=t, selected_arm=k, reward=reward, metric=metric_now)
         metric_prev = metric_now
-    return select_tasks(alpha, beta, config), log
+    return select_tasks(np.array(alpha), np.array(beta), config), log
 
 
 # The scalar density went through libm; NumPy's own log1p and exp differ from

@@ -32,6 +32,16 @@ from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_ints
 DEFAULT_RATIO_MAX = 20
 DEFAULT_POOL_SIZE = 256
 
+# The largest evaluation budget and candidate pool a config may ask for.  A GP
+# fit over n evaluations factors a (gp.N_SEARCH_STARTS + 1, n, n) stack, 69 MB
+# at n = 512, and a proposal scores its pool through a (pool_size, n)
+# cross-covariance, 64 MiB at both bounds.  Stage2Config rejects a larger
+# pool_size and PipelineConfig a larger n_samples, after the training work
+# that n_samples also multiplies.  This bounds memory and run time; it is not
+# a setting.
+MAX_N_SAMPLES = 512
+MAX_POOL_SIZE = 2**14
+
 
 @dataclass(frozen=True)
 class MixingRatio:
@@ -79,6 +89,10 @@ class Stage2Config:
         )
         require_ints(2, n_samples=self.n_samples)
         require_ints(None, rng_seed=self.rng_seed)
+        if self.pool_size > MAX_POOL_SIZE:
+            raise SettingError(
+                "pool_size", f"pool_size must be at most {MAX_POOL_SIZE}, got {self.pool_size}"
+            )
         if self.n_initial >= self.n_samples:
             raise SettingError(
                 "n_initial",

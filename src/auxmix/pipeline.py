@@ -27,6 +27,7 @@ from .bandit import (
     utility_density_table,
 )
 from .mixing import (
+    MAX_N_SAMPLES,
     EvaluationRecord,
     MixingRatio,
     Stage2Config,
@@ -70,6 +71,11 @@ class PipelineConfig:
         # The stage-2 trainings and the baseline; a planted environment trains no batches.
         work = {"environment.total_batches": getattr(self.env, "total_batches", 0)}
         require_work({**work, "stage2.n_samples": self.stage2.n_samples + 1})
+        if self.stage2.n_samples > MAX_N_SAMPLES:
+            raise SettingError(
+                "stage2.n_samples",
+                f"n_samples must be at most {MAX_N_SAMPLES}, got {self.stage2.n_samples}",
+            )
 
 
 @dataclass(frozen=True)

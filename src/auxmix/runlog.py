@@ -55,6 +55,9 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(record: dict) -> str:
     """Serialize ``record`` to the canonical JSON form used in run logs.
 
@@ -62,9 +65,10 @@ def canonical_dumps(record: dict) -> str:
     always serialize to equal byte strings.  Records hold plain values
     built by their producers; a NumPy integer, bool or array raises
     ``TypeError`` here, while an ``np.float64`` (a ``float`` subclass)
-    serializes as the equal ``float``.
+    serializes as the equal ``float``.  One module-level encoder serves
+    every call; ``json.dumps`` would build the same one for each record.
     """
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(record)
 
 
 class SettingError(ValueError):

@@ -398,10 +398,12 @@ def _oracle_env(family, n_tasks):
 @pytest.mark.parametrize("n_rounds", [0, 1, 300])
 @pytest.mark.parametrize("gamma", [0.0, 0.02, 1.0])
 @pytest.mark.parametrize("boost", [0.0, 2.0])
-def test_run_stage1_matches_reference_loop(family, n_tasks, n_rounds, gamma, boost):
+def test_run_stage1_matches_reference_loop(
+    family, n_tasks, n_rounds, gamma, boost, prior=(1.0, 1.0)
+):
     cfg = make_config(
         n_tasks=n_tasks, n_rounds=n_rounds, gamma=gamma, primary_prior_boost=boost,
-        batches_per_round=2, rng_seed=n_tasks * 1000 + n_rounds,
+        batches_per_round=2, rng_seed=n_tasks * 1000 + n_rounds, alpha0=prior[0], beta0=prior[1],
     )
     want_log, want_path, want_draws = _reference_stage1(_oracle_env(family, n_tasks), cfg)
     got_sel, got_log = run_stage1(_oracle_env(family, n_tasks), cfg)
@@ -419,6 +421,29 @@ def test_run_stage1_matches_reference_loop(family, n_tasks, n_rounds, gamma, boo
     assert got_sel.expected_utilities == tuple(a / (a + b) for a, b in want_arms)
     assert got_sel == select_tasks(*arrays(*want_arms), cfg)
     assert len(got_log) == n_rounds
+
+
+@pytest.mark.parametrize("family", ["planted", "shared-linear"])
+@pytest.mark.parametrize("n_tasks", [2, 10])
+@pytest.mark.parametrize("gamma", [0.0, 0.02, 1.0])
+def test_run_stage1_matches_reference_loop_with_a_prior_below_one(family, n_tasks, gamma):
+    """Shapes at or below 1 take NumPy's Johnk branch of the Beta sampler,
+    which the unit prior reaches only at exactly (1, 1)."""
+    test_run_stage1_matches_reference_loop(family, n_tasks, 300, gamma, 2.0, prior=(0.5, 0.7))
+
+
+def test_thompson_draws_equal_array_draws_over_beliefs_on_both_sides_of_one():
+    """Each round's arm-by-arm draws are the bits of one ``rng.beta(alpha,
+    beta)`` array draw from the same generator state, the call that logs
+    were once written with; they replay only while NumPy keeps the two equal."""
+    cfg = make_config(n_tasks=6, n_rounds=400, alpha0=0.5, beta0=0.7, rng_seed=13)
+    env = PlantedBanditEnv([0.9, 0.8, 0.6, 0.4, 0.2, 0.1], score_noise=0.05)
+    _, log = run_stage1(env, cfg)
+    beliefs = list(belief_path(log.records, cfg))[:-1]
+    assert (np.array(beliefs) < 1).any() and (np.array(beliefs) > 1).any()
+    rng = np.random.default_rng(derive_seed(cfg.rng_seed, "stage1-ts"))
+    want = np.array([rng.beta(alpha, beta) for alpha, beta in beliefs])
+    assert thompson_draws(log.records, cfg).tobytes() == want.tobytes()
 
 
 class FailingEnv:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from auxmix.runlog import SettingError
+from auxmix.runlog import RunAborted, SettingError
 from auxmix import config as config_module
 from auxmix.bandit import BanditConfig
 from auxmix.config import (
@@ -30,7 +30,7 @@ from auxmix.environments import (
     PlantedBanditEnv,
     SharedParamMtlEnv,
 )
-from auxmix.mixing import Stage2Config
+from auxmix.mixing import MAX_N_SAMPLES, MAX_POOL_SIZE, Stage2Config
 from auxmix.pipeline import PipelineConfig, run_pipeline
 
 
@@ -353,6 +353,9 @@ _REJECTIONS = [
     # Work over MAX_WORK_BATCHES, named by its larger factor.
     (BanditConfig, {"n_tasks": 3, "n_rounds": 10**12}, "n_rounds"),
     (_PIPELINE, {"env": _SHARED(total_batches=10**12)}, "environment.total_batches"),
+    # A candidate pool over MAX_POOL_SIZE.
+    (Stage2Config, {"pool_size": MAX_POOL_SIZE + 1}, "pool_size"),
+    (Stage2Config, {"pool_size": 10**9}, "pool_size"),
 ]
 
 
@@ -445,6 +448,24 @@ def test_the_work_budget_admits_its_bound():
     _PIPELINE(env=_SHARED(total_batches=2**26 // 21))  # the default stage 2 trains 21 times
     with pytest.raises(SettingError):
         _PIPELINE(env=_SHARED(total_batches=2**26 // 21 + 1))
+
+
+@pytest.mark.parametrize(
+    "environment", [{"family": "planted"}, {"family": "shared-linear", "total_batches": 1}]
+)
+@pytest.mark.parametrize("n_samples", [MAX_N_SAMPLES + 1, 10**7])
+def test_stage2_budget_over_its_bound_names_stage2_n_samples(environment, n_samples):
+    """A planted environment trains no batches, so the work budget alone
+    would let any GP budget through; the bound is loaded, never run."""
+    with pytest.raises(ConfigError) as info:
+        normalize({"environment": environment, "stage2": {"n_samples": n_samples}})
+    assert info.value.key == "stage2.n_samples"
+    assert f"at most {MAX_N_SAMPLES}" in str(info.value)
+
+
+def test_stage2_budget_admits_its_bounds():
+    stage2 = Stage2Config(n_samples=MAX_N_SAMPLES, pool_size=MAX_POOL_SIZE)
+    assert _PIPELINE(stage2=stage2).stage2.n_samples == MAX_N_SAMPLES
 
 
 def test_bool_is_not_an_int():
@@ -625,3 +646,56 @@ def test_to_pipeline_config_builds_and_runs():
     report = run_pipeline(pc)
     assert report.config == cfg
     assert len(report.evaluations) == 5
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_FUZZ_BASES = {
+    "planted": {
+        "environment": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]},
+        "bandit": {"n_rounds": 8},
+        "stage2": {"n_samples": 4, "n_initial": 2, "pool_size": 16},
+    },
+    "shared-linear": {
+        "environment": {
+            "family": "shared-linear", "dim": 3, "n_primary_train": 12,
+            "n_primary_heldout": 6, "n_aux": 12, "total_batches": 12, "batch_size": 4,
+        },
+        "bandit": {"n_rounds": 8, "batches_per_round": 2},
+        "stage2": {"n_samples": 4, "n_initial": 2, "pool_size": 16},
+    },
+}
+# Wrong types, non-finite numbers, bools, 0 and -1 run when they load; huge
+# numbers are only loaded, since one that loads may still ask for a long run.
+_SMALL_VALUES = ("x", [1], {"k": 1}, None, math.nan, math.inf, -math.inf, True, False, 0, -1, 0.5)
+_HUGE_VALUES = (10**12, 2**64, 1e308, -1e308)
+
+
+def _fuzz_keys(family):
+    normal = normalize(_FUZZ_BASES[family])
+    keys = [(family, key) for key in normal]
+    keys += [(family, f"{key}.{sub}") for key, v in normal.items() if isinstance(v, dict) for sub in v]
+    return keys
+
+
+@pytest.mark.parametrize("family, key", _fuzz_keys("planted") + _fuzz_keys("shared-linear"))
+def test_a_mutated_key_ends_as_config_error_run_or_abort(family, key):
+    """Each bad value of one key is a ConfigError, a finished run or a RunAborted."""
+    *section, name = key.split(".")
+    for value in _SMALL_VALUES + _HUGE_VALUES:
+        raw = normalize(_FUZZ_BASES[family])
+        node = raw[section[0]] if section else raw
+        node[name] = value
+        try:
+            config = to_pipeline_config(raw)
+        except ConfigError as exc:
+            assert exc.key
+            continue
+        if value in _HUGE_VALUES:
+            continue
+        try:
+            report = run_pipeline(config)
+        except RunAborted as exc:
+            assert set(exc.stage_logs) == {"stage1", "stage2"}
+            continue
+        assert math.isfinite(report.best_score)
