@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gp import GpModel, Posterior, posterior
+from .gp import GpModel, Posterior, posterior_mean
 
 PI = "pi"
 EI = "ei"
@@ -57,6 +57,18 @@ def _standardize(posterior: Posterior, best_so_far: float):
     return mean, std, z
 
 
+def _improvement_scores(posterior: Posterior, best_so_far: float):
+    """Probability and expected size of improvement, from one pass of ``Phi(z)``."""
+    mean, std, z = _standardize(posterior, best_so_far)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cdf = _normal_cdf(z)
+        ei = std * (z * cdf + np.exp(-(z**2) / 2.0) / SQRT_2PI)
+    return (
+        _scores(np.where(std == 0.0, mean > best_so_far, cdf)),
+        _scores(np.where(std == 0.0, np.maximum(mean - best_so_far, 0.0), ei)),
+    )
+
+
 def probability_of_improvement(
     posterior: Posterior, best_so_far: float
 ) -> float | np.ndarray:
@@ -64,8 +76,7 @@ def probability_of_improvement(
 
     Degenerates to an indicator where the posterior is deterministic.
     """
-    mean, std, z = _standardize(posterior, best_so_far)
-    return _scores(np.where(std == 0.0, mean > best_so_far, _normal_cdf(z)))
+    return _improvement_scores(posterior, best_so_far)[0]
 
 
 def expected_improvement(posterior: Posterior, best_so_far: float) -> float | np.ndarray:
@@ -73,10 +84,7 @@ def expected_improvement(posterior: Posterior, best_so_far: float) -> float | np
 
     With a deterministic posterior this collapses to ``max(mu - tau, 0)``.
     """
-    mean, std, z = _standardize(posterior, best_so_far)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ei = std * (z * _normal_cdf(z) + np.exp(-(z**2) / 2.0) / SQRT_2PI)
-    return _scores(np.where(std == 0.0, np.maximum(mean - best_so_far, 0.0), ei))
+    return _improvement_scores(posterior, best_so_far)[1]
 
 
 def upper_confidence_bound(
@@ -133,5 +141,5 @@ def hedge_update(
     """
     if len(nominees) != len(ACQUISITIONS):
         raise ValueError(f"expected {len(ACQUISITIONS)} nominees, got {len(nominees)}")
-    means = posterior(model, np.asarray(nominees, dtype=float)).mean
+    means = posterior_mean(model, np.asarray(nominees, dtype=float))
     return replace(state, gains=tuple(g + float(m) for g, m in zip(state.gains, means)))

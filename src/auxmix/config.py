@@ -9,6 +9,7 @@ normalized form round-trips through serialization unchanged.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -255,7 +256,7 @@ def normalize(raw: dict | None) -> dict:
 
 def apply_overrides(raw: dict, overrides: dict[str, str]) -> dict:
     """Apply dotted-key overrides (values parsed as YAML scalars) to a raw config."""
-    out = yaml.safe_load(yaml.safe_dump(raw)) if raw else {}
+    out = copy.deepcopy(raw) if raw else {}
     for dotted, text in overrides.items():
         parts = dotted.split(".")
         if not all(parts):

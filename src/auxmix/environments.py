@@ -27,9 +27,16 @@ PLANTED_METRIC_INCREMENT = 1e-3
 # memory; it is not a setting.
 MAX_DATA_FLOATS = 2**27
 
-# Rows gathered per block of lockstep SGD steps.  It caps the memory a block
-# takes however many trainings run together: 384 KB at 16 features.
+# Rows gathered per block of lockstep SGD steps: 384 KB at 16 features.  A
+# block of K trainings takes max(1, _GATHER_ROWS // (K * batch_size)) steps,
+# so it gathers at most _GATHER_ROWS rows while K * batch_size fits in that;
+# past it a block is one step of K * batch_size rows.
 _GATHER_ROWS = 3072
+
+# The largest mini-batch a shared-linear environment takes, so that one
+# training's mini-batch fits in one gather block.  A larger batch_size is
+# rejected; this bounds the rows a step gathers, it is not a setting.
+MAX_BATCH_SIZE = _GATHER_ROWS
 
 
 def _check_batch(ratios: Sequence[MixingRatio], seeds: Sequence[int], n_tasks: int) -> None:
@@ -161,6 +168,11 @@ class SharedParamMtlEnv:
             1, dim=dim, n_primary_train=n_primary_train, n_aux=n_aux, total_batches=total_batches,
             batch_size=batch_size, batches_per_round=batches_per_round,
         )
+        if batch_size > MAX_BATCH_SIZE:
+            raise SettingError(
+                "batch_size",
+                f"batch_size must be at most {MAX_BATCH_SIZE} (MAX_BATCH_SIZE), got {batch_size}",
+            )
         # The metric divides by the held-out label variance, which is 0 for a single row.
         require_ints(2, n_primary_heldout=n_primary_heldout)
         require_ints(None, data_seed=data_seed)

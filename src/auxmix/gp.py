@@ -7,6 +7,7 @@ The prior mean is the constant sample mean of the observed values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -198,29 +199,40 @@ def build_gp(
     return _factored_model(x, y, replace(params, jitter=jitter_used), chol)
 
 
-def posterior(model: GpModel, x: np.ndarray) -> Posterior:
-    """Exact posterior mean and standard deviation over a block of query points.
-
-    ``x`` has shape ``(n, d)``; mean and std come back with shape ``(n,)``.
-    The block costs one cross-covariance matrix ``k_x`` and one solve
-    ``v = L^-1 k_x^T``, with ``var = s2 - sum(v^2)`` (Rasmussen & Williams,
-    *GPML*, Alg. 2.1).  Round-off can push a variance slightly negative; it
-    is clamped at zero before the square root.
-    """
+def _mean_and_cross(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Posterior mean over a block of query points, with the cross-covariance
+    ``k_x`` it came from (None for a model without observations)."""
     d = len(model.kernel.length_scales)
     q = np.asarray(x, dtype=float)
     if q.ndim != 2 or q.shape[1] != d:
         raise ValueError(f"queries must have shape (n, {d}), got {q.shape}")
-    prior_var = model.kernel.signal_variance
     if model.n_observations == 0:
-        n = q.shape[0]
-        return Posterior(mean=np.full(n, model.mean_offset), std=np.full(n, math.sqrt(prior_var)))
+        return np.full(q.shape[0], model.mean_offset), None
     if model.chol is None or model.dual is None:
         raise RuntimeError("model was constructed without a factorization; use build_gp or fit")
     kx = gram_matrix(q, model.points, model.kernel)
-    mean = model.mean_offset + kx @ model.dual
+    return model.mean_offset + kx @ model.dual, kx
+
+
+def posterior_mean(model: GpModel, x: np.ndarray) -> np.ndarray:
+    """Posterior mean alone: bitwise ``posterior(model, x).mean``, without the variance's solve."""
+    return _mean_and_cross(model, x)[0]
+
+
+def posterior(model: GpModel, x: np.ndarray) -> Posterior:
+    """Exact posterior mean and standard deviation over a block of query points.
+
+    ``x`` has shape ``(n, d)``; mean and std come back with shape ``(n,)``.
+    The block costs one cross-covariance matrix ``k_x`` and one LU solve
+    ``v = L^-1 k_x^T``, with ``var = s2 - sum(v^2)`` (Rasmussen & Williams,
+    *GPML*, Alg. 2.1).  Round-off can push a variance slightly negative; it
+    is clamped at zero before the square root.
+    """
+    mean, kx = _mean_and_cross(model, x)
+    if kx is None:
+        return Posterior(mean=mean, std=np.full(mean.size, math.sqrt(model.kernel.signal_variance)))
     v = np.linalg.solve(model.chol, kx.T)
-    var = prior_var - np.sum(v**2, axis=0)
+    var = model.kernel.signal_variance - np.sum(v**2, axis=0)
     return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
 
 
@@ -237,6 +249,22 @@ def _lml_from_factor(chol: np.ndarray, yc: np.ndarray):
     w = np.linalg.solve(chol, np.broadcast_to(yc[:, None], chol.shape[:-1] + (1,)))[..., 0]
     log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return -0.5 * np.sum(w**2, axis=-1) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
+
+
+@functools.lru_cache(maxsize=64)
+def _fit_candidates(d: int) -> np.ndarray:
+    """Read-only candidates of :func:`fit` at width ``d``, one row each: d length
+    scales, then signal and noise variance.  Row 0 is the midpoint; the other
+    ``N_SEARCH_STARTS`` are drawn log-uniformly in one call."""
+    bounds = [LENGTH_SCALE_BOUNDS] * d + [SIGNAL_VARIANCE_BOUNDS, NOISE_VARIANCE_BOUNDS]
+    draws = np.random.default_rng(FIT_SEARCH_SEED).uniform(
+        [math.log(lo) for lo, _ in bounds],
+        [math.log(hi) for _, hi in bounds],
+        size=(N_SEARCH_STARTS, d + 2),
+    )
+    rows = np.vstack([[math.sqrt(lo * hi) for lo, hi in bounds], np.exp(draws)])
+    rows.flags.writeable = False
+    return rows
 
 
 def fit(
@@ -264,15 +292,7 @@ def fit(
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise ValueError("points and observations must be finite")
     d = x.shape[1]
-    # One row per candidate: d length scales, then signal and noise variance.
-    # Row 0 is the midpoint; the others are drawn log-uniformly in one call.
-    bounds = [LENGTH_SCALE_BOUNDS] * d + [SIGNAL_VARIANCE_BOUNDS, NOISE_VARIANCE_BOUNDS]
-    draws = np.random.default_rng(FIT_SEARCH_SEED).uniform(
-        [math.log(lo) for lo, _ in bounds],
-        [math.log(hi) for _, hi in bounds],
-        size=(N_SEARCH_STARTS, d + 2),
-    )
-    rows = np.vstack([[math.sqrt(lo * hi) for lo, hi in bounds], np.exp(draws)])
+    rows = _fit_candidates(d)
     k = _matern_of_distance(_scaled_distances(x, x, rows[:, None, :d]), nu, rows[:, d, None, None])
     k = k + rows[:, d + 1, None, None] * np.eye(y.size)
     chol, jitter = _factor_with_jitter(k, JITTER_START)

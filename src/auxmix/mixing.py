@@ -19,10 +19,9 @@ from .acquisition import (
     ACQUISITIONS,
     DEFAULT_UCB_LAMBDA,
     HedgeState,
-    expected_improvement,
+    _improvement_scores,
     hedge_select,
     hedge_update,
-    probability_of_improvement,
     upper_confidence_bound,
 )
 from .bandit import TaskSelection
@@ -234,11 +233,8 @@ def propose_next(
     pool = np.vstack([pool, _neighbor_points(incumbent_x, ratio_max)])
 
     post = posterior(model, pool)
-    scores = (  # in ACQUISITIONS order
-        probability_of_improvement(post, tau),
-        expected_improvement(post, tau),
-        upper_confidence_bound(post, ucb_lambda),
-    )
+    pi, ei = _improvement_scores(post, tau)
+    scores = (pi, ei, upper_confidence_bound(post, ucb_lambda))  # in ACQUISITIONS order
     nominees = [pool[int(np.argmax(s))] for s in scores]
 
     chosen = hedge_select(hedge, rng)
@@ -299,7 +295,8 @@ def _gp_proposals(
     ]
     hedge = HedgeState(eta=config.hedge_eta)
     for _ in range(config.n_initial, config.n_samples):
-        xs = np.array([encode(r.ratio, config.ratio_max) for r in records])
+        # Row by row what encode() gives; run_stage2 has validated every ratio.
+        xs = np.array([r.ratio.counts for r in records], dtype=float) / float(config.ratio_max)
         model = fit(xs, np.array([r.score for r in records]), nu=config.nu)
         ratio, acq, hedge = propose_next(
             model,

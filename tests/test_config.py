@@ -27,6 +27,7 @@ from auxmix.config import (
 from auxmix import cli
 from auxmix.environments import (
     ENVIRONMENT_CLASSES,
+    MAX_BATCH_SIZE,
     PlantedBanditEnv,
     SharedParamMtlEnv,
 )
@@ -356,6 +357,9 @@ _REJECTIONS = [
     # A candidate pool over MAX_POOL_SIZE.
     (Stage2Config, {"pool_size": MAX_POOL_SIZE + 1}, "pool_size"),
     (Stage2Config, {"pool_size": 10**9}, "pool_size"),
+    # A mini-batch over MAX_BATCH_SIZE rows.
+    (_SHARED, {"batch_size": MAX_BATCH_SIZE + 1}, "batch_size"),
+    (_SHARED, {"batch_size": 10**8}, "batch_size"),
 ]
 
 
@@ -468,6 +472,20 @@ def test_stage2_budget_admits_its_bounds():
     assert _PIPELINE(stage2=stage2).stage2.n_samples == MAX_N_SAMPLES
 
 
+def test_batch_size_over_its_bound_names_environment_batch_size():
+    """Checked before any data are generated; the batch is never drawn."""
+    with pytest.raises(ConfigError) as info:
+        normalize({"environment": {"family": "shared-linear", "batch_size": 10**8}})
+    assert info.value.key == "environment.batch_size"
+    assert f"at most {MAX_BATCH_SIZE} (MAX_BATCH_SIZE)" in str(info.value)
+
+
+def test_batch_size_admits_its_bound():
+    env = _SHARED(batch_size=MAX_BATCH_SIZE)
+    env.step(0)  # one mini-batch of MAX_BATCH_SIZE rows, drawn with replacement
+    assert env.batch_size == MAX_BATCH_SIZE and 0.0 <= env.validation_metric() <= 1.0
+
+
 def test_bool_is_not_an_int():
     with pytest.raises(ConfigError, match="'bandit.n_rounds'"):
         normalize({"bandit": {"n_rounds": True}})
@@ -575,6 +593,13 @@ def test_apply_overrides_parses_yaml_scalars():
     assert out["bandit"]["gamma"] == 0.3
     assert out["mode"] == "no_stage1"
     assert raw == {"bandit": {"gamma": 0.02}}  # input untouched
+
+
+def test_apply_overrides_copies_nested_values():
+    raw = {"environment": {"family": "planted", "theta_star": [0.9, 0.1]}}
+    out = apply_overrides(raw, {"environment.score_noise": "0.02"})
+    out["environment"]["theta_star"].append(0.5)
+    assert raw == {"environment": {"family": "planted", "theta_star": [0.9, 0.1]}}
 
 
 def test_apply_overrides_creates_missing_sections():

@@ -17,6 +17,7 @@ from auxmix.gp import (
     KernelParams,
     Posterior,
     _factor_with_jitter,
+    _fit_candidates,
     _lml_from_factor,
     build_gp,
     fit,
@@ -24,6 +25,7 @@ from auxmix.gp import (
     matern_kernel,
     posterior,
     posterior_at,
+    posterior_mean,
 )
 
 # Closed forms at unit distance with unit scales, frozen from 50-digit
@@ -179,6 +181,42 @@ def test_block_posterior_matches_pointwise_posterior():
             assert std[i] == pytest.approx(post.std, abs=1e-12)
             assert mean[i] == pytest.approx(ref_mean, abs=1e-12)
             assert std[i] == pytest.approx(ref_std, abs=1e-12)
+
+
+@given(
+    n=st.integers(0, 25),
+    d=st.integers(1, 5),
+    n_queries=st.integers(1, 300),
+    nu=st.sampled_from([1.5, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_mean_is_bitwise_the_posterior_mean(n, d, n_queries, nu, seed):
+    """Hedge credit reads the mean alone; it must be the very bits of
+    ``posterior(...).mean``, for fitted, fixed-kernel and empty models."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 21, size=(n, d)) / 20.0 if seed % 2 else rng.random((n, d))
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+    if n and seed % 3:
+        model = fit(x, y, nu=nu)
+    else:
+        kernel = KernelParams(
+            length_scales=tuple(10.0 ** rng.uniform(-2, 1, size=d)),
+            signal_variance=float(10.0 ** rng.uniform(-2, 2)),
+            noise_variance=float(10.0 ** rng.uniform(-6, 0)),
+            nu=nu,
+        )
+        model = build_gp(x, y, kernel)
+    q = rng.random((n_queries, d))
+    got, want = posterior_mean(model, q), posterior(model, q).mean
+    assert got.shape == (n_queries,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_posterior_mean_checks_its_queries_like_posterior():
+    model = build_gp([[0.0, 0.0]], [1.0], unit_params(2.5, d=2))
+    for bad in (np.zeros(2), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="queries must have shape"):
+            posterior_mean(model, bad)
 
 
 def test_block_posterior_of_prior_model():
@@ -395,6 +433,17 @@ def test_one_uniform_call_draws_like_the_per_candidate_calls(d, n_starts, seed):
     assert np.exp(one_call).tolist() == _per_candidate_draws(looped, d, n_starts)
     assert batched.bit_generator.state == looped.bit_generator.state
     assert batched.random() == looped.random()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_fit_candidates_are_drawn_once_per_width_and_read_only(d):
+    draws = _per_candidate_draws(np.random.default_rng(gp.FIT_SEARCH_SEED), d, gp.N_SEARCH_STARTS)
+    rows = _fit_candidates(d)
+    assert rows.shape == (gp.N_SEARCH_STARTS + 1, d + 2) and rows[1:].tolist() == draws
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
+    fit(np.linspace(0.0, 1.0, 3 * d).reshape(3, d), [0.2, 0.9, 0.4])
+    assert _fit_candidates(d) is rows and rows[1:].tolist() == draws
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

@@ -18,7 +18,8 @@ from auxmix.acquisition import (
     upper_confidence_bound,
 )
 from auxmix.bandit import TaskSelection
-from auxmix.gp import fit, posterior_at
+from auxmix.environments import PlantedBanditEnv
+from auxmix.gp import fit, posterior, posterior_at
 from auxmix.mixing import (
     EvaluationRecord,
     MixingRatio,
@@ -238,6 +239,29 @@ def test_propose_next_matches_pointwise_reference():
         np.testing.assert_allclose(new_hedge.gains, ref_gains, rtol=0, atol=1e-12)
 
 
+def test_propose_next_credits_the_bits_of_the_nominees_posterior_mean():
+    """Hedge credit reads the mean alone, bitwise ``posterior(model,
+    nominees).mean``, not the pool posterior's entries at the nominees."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        d, n = 1 + seed % 5, int(rng.integers(3, 20))
+        xs = rng.integers(0, 21, size=(n, d)) / 20.0
+        model = fit(xs, rng.random(n), nu=2.5 if seed % 2 else 1.5)
+        hedge = HedgeState(gains=tuple(rng.normal(size=3)))
+        _, _, new_hedge = propose_next(model, hedge, 256, np.random.default_rng(seed))
+        pool_rng = np.random.default_rng(seed)
+        best = int(np.argmax(model.observations))
+        pool = np.vstack([pool_rng.random((256, d)), _neighbor_points(model.points[best], 20)])
+        post, tau = posterior(model, pool), float(model.observations[best])
+        scores = [
+            probability_of_improvement(post, tau),
+            expected_improvement(post, tau),
+            upper_confidence_bound(post),
+        ]
+        means = posterior(model, np.array([pool[int(np.argmax(sc))] for sc in scores])).mean
+        assert new_hedge.gains == tuple(g + float(m) for g, m in zip(hedge.gains, means))
+
+
 def test_propose_next_credits_all_three_gains():
     model = _toy_model()
     _, _, new_hedge = propose_next(model, HedgeState(), 16, np.random.default_rng(7))
@@ -363,6 +387,77 @@ def test_run_stage2_is_deterministic():
     lines1 = [canonical_dumps(r) for r in out1[2].records]
     lines2 = [canonical_dumps(r) for r in out2[2].records]
     assert lines1 == lines2
+
+
+def _run_stage2_reference(env, tasks, config):
+    """The log records of the default stage-2 loop, one quantity at a time
+    from public functions: the history encoded record by record, the pool
+    posterior, the three acquisitions called one by one, and Hedge credit
+    from the full posterior at the nominees."""
+    task_ids = tasks.selected_task_ids
+    rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
+
+    def train(ratios, rounds):
+        env_ratios = [expand_to_tasks(r, task_ids, env.n_tasks) for r in ratios]
+        return env.train_full(env_ratios, [derive_seed(config.rng_seed, "eval", t) for t in rounds])
+
+    history = [random_ratio(len(task_ids), config.ratio_max, rng) for _ in range(config.n_initial)]
+    scores = train(history, range(config.n_initial))
+    rows = [(ratio, "random", None, None) for ratio in history]
+    gains = (0.0, 0.0, 0.0)
+    for t in range(config.n_initial, config.n_samples):
+        xs = np.array([encode(r, config.ratio_max) for r in history])
+        model = fit(xs, np.array(scores), nu=config.nu)
+        best_idx = int(np.argmax(model.observations))
+        tau = float(model.observations[best_idx])
+        pool = rng.random((config.pool_size, xs.shape[1]))
+        pool = np.vstack([pool, _neighbor_points(model.points[best_idx], config.ratio_max)])
+        post = posterior(model, pool)
+        acquisition_scores = [
+            probability_of_improvement(post, tau),
+            expected_improvement(post, tau),
+            upper_confidence_bound(post, config.ucb_lambda),
+        ]
+        nominees = [pool[int(np.argmax(sc))] for sc in acquisition_scores]
+        chosen = hedge_select(HedgeState(gains=gains, eta=config.hedge_eta), rng)
+        means = posterior(model, np.asarray(nominees, dtype=float)).mean
+        gains = tuple(g + float(m) for g, m in zip(gains, means))
+        ratio = decode(nominees[ACQUISITIONS.index(chosen)], config.ratio_max)
+        at = posterior_at(model, encode(ratio, config.ratio_max))
+        history.append(ratio)
+        scores += train([ratio], [t])
+        rows.append((ratio, chosen, at.mean, at.std))
+    return [
+        {
+            "round": t,
+            "proposed_ratio": list(ratio.counts),
+            "acquisition_used": acq,
+            "posterior_mean": mean,
+            "posterior_std": std,
+            "score": score,
+            "incumbent": max(scores[: t + 1]),
+        }
+        for t, ((ratio, acq, mean, std), score) in enumerate(zip(rows, scores))
+    ]
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+@pytest.mark.parametrize("seed", range(10))
+def test_run_stage2_logs_bitwise_what_the_one_at_a_time_loop_logs(seed, nu):
+    """Each GP quantity of a round computed once (cached fit candidates, one
+    Phi pass for PI and EI, mean-only credit, the history as one array)
+    changes no logged bit.  Widths 1 to 5 over tasks with gaps in their ids."""
+    width = 1 + seed % 5
+    env = PlantedBanditEnv(theta_star=[0.9, 0.2, 0.7, 0.4, 0.8, 0.1, 0.6, 0.3, 0.5])
+    tasks = TaskSelection(
+        selected_task_ids=tuple(range(0, 2 * width, 2)), expected_utilities=(0.5,) * width
+    )
+    config = Stage2Config(
+        n_samples=14, n_initial=3, rng_seed=seed, nu=nu, ucb_lambda=0.5 + seed % 3,
+        hedge_eta=(0.5, 1.0, 4.0)[seed % 3], ratio_max=(20, 7)[seed % 2], pool_size=64 + seed,
+    )
+    _, _, log = run_stage2(env, tasks, config)
+    assert log.records == _run_stage2_reference(env, tasks, config)
 
 
 def test_run_stage2_evaluates_explicit_proposals_in_order():
