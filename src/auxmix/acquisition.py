@@ -57,18 +57,6 @@ def _standardize(posterior: Posterior, best_so_far: float):
     return mean, std, z
 
 
-def _improvement_scores(posterior: Posterior, best_so_far: float):
-    """Probability and expected size of improvement, from one pass of ``Phi(z)``."""
-    mean, std, z = _standardize(posterior, best_so_far)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cdf = _normal_cdf(z)
-        ei = std * (z * cdf + np.exp(-(z**2) / 2.0) / SQRT_2PI)
-    return (
-        _scores(np.where(std == 0.0, mean > best_so_far, cdf)),
-        _scores(np.where(std == 0.0, np.maximum(mean - best_so_far, 0.0), ei)),
-    )
-
-
 def probability_of_improvement(
     posterior: Posterior, best_so_far: float
 ) -> float | np.ndarray:
@@ -76,7 +64,8 @@ def probability_of_improvement(
 
     Degenerates to an indicator where the posterior is deterministic.
     """
-    return _improvement_scores(posterior, best_so_far)[0]
+    mean, std, z = _standardize(posterior, best_so_far)
+    return _scores(np.where(std == 0.0, mean > best_so_far, _normal_cdf(z)))
 
 
 def expected_improvement(posterior: Posterior, best_so_far: float) -> float | np.ndarray:
@@ -84,7 +73,10 @@ def expected_improvement(posterior: Posterior, best_so_far: float) -> float | np
 
     With a deterministic posterior this collapses to ``max(mu - tau, 0)``.
     """
-    return _improvement_scores(posterior, best_so_far)[1]
+    mean, std, z = _standardize(posterior, best_so_far)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ei = std * (z * _normal_cdf(z) + np.exp(-(z**2) / 2.0) / SQRT_2PI)
+    return _scores(np.where(std == 0.0, np.maximum(mean - best_so_far, 0.0), ei))
 
 
 def upper_confidence_bound(

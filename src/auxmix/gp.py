@@ -200,8 +200,7 @@ def build_gp(
 
 
 def _mean_and_cross(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Posterior mean over a block of query points, with the cross-covariance
-    ``k_x`` it came from (None for a model without observations)."""
+    """Posterior mean over a query block, and the ``k_x`` behind it (None without observations)."""
     d = len(model.kernel.length_scales)
     q = np.asarray(x, dtype=float)
     if q.ndim != 2 or q.shape[1] != d:
@@ -229,10 +228,11 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
     is clamped at zero before the square root.
     """
     mean, kx = _mean_and_cross(model, x)
+    prior_var = model.kernel.signal_variance
     if kx is None:
-        return Posterior(mean=mean, std=np.full(mean.size, math.sqrt(model.kernel.signal_variance)))
+        return Posterior(mean=mean, std=np.full(mean.size, math.sqrt(prior_var)))
     v = np.linalg.solve(model.chol, kx.T)
-    var = model.kernel.signal_variance - np.sum(v**2, axis=0)
+    var = prior_var - np.sum(v**2, axis=0)
     return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
 
 
@@ -253,9 +253,8 @@ def _lml_from_factor(chol: np.ndarray, yc: np.ndarray):
 
 @functools.lru_cache(maxsize=64)
 def _fit_candidates(d: int) -> np.ndarray:
-    """Read-only candidates of :func:`fit` at width ``d``, one row each: d length
-    scales, then signal and noise variance.  Row 0 is the midpoint; the other
-    ``N_SEARCH_STARTS`` are drawn log-uniformly in one call."""
+    """Read-only candidates of :func:`fit` at width ``d``: the midpoint, then ``N_SEARCH_STARTS``
+    log-uniform draws in one call; a row is d length scales, then signal and noise variance."""
     bounds = [LENGTH_SCALE_BOUNDS] * d + [SIGNAL_VARIANCE_BOUNDS, NOISE_VARIANCE_BOUNDS]
     draws = np.random.default_rng(FIT_SEARCH_SEED).uniform(
         [math.log(lo) for lo, _ in bounds],

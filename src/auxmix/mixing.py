@@ -19,9 +19,10 @@ from .acquisition import (
     ACQUISITIONS,
     DEFAULT_UCB_LAMBDA,
     HedgeState,
-    _improvement_scores,
+    expected_improvement,
     hedge_select,
     hedge_update,
+    probability_of_improvement,
     upper_confidence_bound,
 )
 from .bandit import TaskSelection
@@ -135,7 +136,12 @@ class Stage2Environment(Protocol):
 def encode(ratio: MixingRatio, ratio_max: int = DEFAULT_RATIO_MAX) -> np.ndarray:
     """Map integer counts to the unit box, ``x_k = count_k / ratio_max``."""
     validate_ratio(ratio, ratio_max)
-    return np.asarray(ratio.counts, dtype=float) / float(ratio_max)
+    return _unit_box(ratio.counts, ratio_max)
+
+
+def _unit_box(counts, ratio_max: int) -> np.ndarray:
+    """``counts / ratio_max`` as floats, for one ratio's counts or a list of them."""
+    return np.asarray(counts, dtype=float) / float(ratio_max)
 
 
 def decode(x: Sequence[float], ratio_max: int = DEFAULT_RATIO_MAX) -> MixingRatio:
@@ -233,8 +239,11 @@ def propose_next(
     pool = np.vstack([pool, _neighbor_points(incumbent_x, ratio_max)])
 
     post = posterior(model, pool)
-    pi, ei = _improvement_scores(post, tau)
-    scores = (pi, ei, upper_confidence_bound(post, ucb_lambda))  # in ACQUISITIONS order
+    scores = (  # in ACQUISITIONS order
+        probability_of_improvement(post, tau),
+        expected_improvement(post, tau),
+        upper_confidence_bound(post, ucb_lambda),
+    )
     nominees = [pool[int(np.argmax(s))] for s in scores]
 
     chosen = hedge_select(hedge, rng)
@@ -295,8 +304,8 @@ def _gp_proposals(
     ]
     hedge = HedgeState(eta=config.hedge_eta)
     for _ in range(config.n_initial, config.n_samples):
-        # Row by row what encode() gives; run_stage2 has validated every ratio.
-        xs = np.array([r.ratio.counts for r in records], dtype=float) / float(config.ratio_max)
+        # run_stage2 has validated every ratio, so encode()'s check is skipped.
+        xs = _unit_box([r.ratio.counts for r in records], config.ratio_max)
         model = fit(xs, np.array([r.score for r in records]), nu=config.nu)
         ratio, acq, hedge = propose_next(
             model,

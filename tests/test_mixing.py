@@ -444,9 +444,8 @@ def _run_stage2_reference(env, tasks, config):
 @pytest.mark.parametrize("nu", [1.5, 2.5])
 @pytest.mark.parametrize("seed", range(10))
 def test_run_stage2_logs_bitwise_what_the_one_at_a_time_loop_logs(seed, nu):
-    """Each GP quantity of a round computed once (cached fit candidates, one
-    Phi pass for PI and EI, mean-only credit, the history as one array)
-    changes no logged bit.  Widths 1 to 5 over tasks with gaps in their ids."""
+    """Each GP quantity of a round computed once (cached fit candidates,
+    mean-only credit, the history as one array) changes no logged bit.  Widths 1 to 5 over tasks with gaps in their ids."""
     width = 1 + seed % 5
     env = PlantedBanditEnv(theta_star=[0.9, 0.2, 0.7, 0.4, 0.8, 0.1, 0.6, 0.3, 0.5])
     tasks = TaskSelection(
