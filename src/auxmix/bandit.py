@@ -30,8 +30,10 @@ import numpy as np
 
 from .runlog import RunAborted, RunLog, SettingError, derive_seed, is_int, require_ints, require_work
 
-# Points of the theta grid in a utility density table, unless asked otherwise.
+# Points of the theta grid in a utility density table, unless asked otherwise,
+# and the most the CLI takes: a run renders its table before writing any file.
 DENSITY_GRID_SIZE = 1000
+MAX_DENSITY_GRID_SIZE = 2**16
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class BanditConfig:
     update, 1 keeps no history beyond the latest reward.  The default keeps
     a forgetting horizon of roughly ``1/gamma = 50`` rounds, long enough to
     pin down arms with extreme utilities yet short against the default
-    200-round run.  The primary task's prior is strengthened by
+    200-round run.  The primary task, task 0, has its prior strengthened by
     ``primary_prior_boost`` pseudo-successes so it is trained from the
     start and survives early noise.
     """
@@ -52,14 +54,13 @@ class BanditConfig:
     beta0: float = 1.0
     gamma: float = 0.02
     primary_prior_boost: float = 2.0
-    primary_task_id: int = 0
     n_rounds: int = 200
     batches_per_round: int = 10
     rng_seed: int = 0
 
     def __post_init__(self):
         require_ints(2, n_tasks=self.n_tasks)
-        require_ints(0, primary_task_id=self.primary_task_id, n_rounds=self.n_rounds)
+        require_ints(0, n_rounds=self.n_rounds)
         require_ints(1, batches_per_round=self.batches_per_round)
         require_ints(None, rng_seed=self.rng_seed)
         require_work({"n_rounds": self.n_rounds, "batches_per_round": self.batches_per_round})
@@ -73,11 +74,6 @@ class BanditConfig:
             raise SettingError(
                 "primary_prior_boost",
                 f"primary_prior_boost must be >= 0, got {self.primary_prior_boost}",
-            )
-        if self.primary_task_id >= self.n_tasks:
-            raise SettingError(
-                "primary_task_id",
-                f"primary_task_id must lie in [0, {self.n_tasks}), got {self.primary_task_id}",
             )
 
 
@@ -106,9 +102,9 @@ class Environment(Protocol):
 
 
 def initial_arms(config: BanditConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Prior ``(alpha, beta)`` arrays; the primary task gets boosted pseudo-successes."""
+    """Prior ``(alpha, beta)`` arrays; the primary task 0 gets boosted pseudo-successes."""
     alpha = np.full(config.n_tasks, config.alpha0, dtype=float)
-    alpha[config.primary_task_id] += config.primary_prior_boost
+    alpha[0] += config.primary_prior_boost
     return alpha, np.full(config.n_tasks, config.beta0, dtype=float)
 
 
@@ -197,17 +193,17 @@ def select_tasks(alpha: np.ndarray, beta: np.ndarray, config: BanditConfig) -> T
 
     Auxiliaries qualify by being in the top two by expected utility
     ``alpha / (alpha + beta)`` or by clearing an expected utility of 0.5.
-    Ranking ties break toward the lower task id.  The primary task always
+    Ranking ties break toward the lower task id.  The primary task 0 always
     opens the list; the auxiliaries follow in ascending task id order.
     """
     if not (len(alpha) == len(beta) == config.n_tasks):
         raise ValueError(f"expected {config.n_tasks} arms, got {len(alpha)} and {len(beta)}")
     utils = (alpha / (alpha + beta)).tolist()
-    aux_ids = [k for k in range(config.n_tasks) if k != config.primary_task_id]
+    aux_ids = range(1, config.n_tasks)
     ranked = sorted(aux_ids, key=lambda k: (-utils[k], k))
     chosen = set(ranked[:2])
     chosen.update(k for k in aux_ids if utils[k] > 0.5)
-    selected = [config.primary_task_id] + sorted(chosen)
+    selected = [0] + sorted(chosen)
     return TaskSelection(
         selected_task_ids=tuple(selected),
         expected_utilities=tuple(utils),

@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import zip_longest
 from pathlib import Path
 
-from .bandit import DENSITY_GRID_SIZE, BanditConfig, belief_path, utility_density_table
+from .bandit import DENSITY_GRID_SIZE, MAX_DENSITY_GRID_SIZE, BanditConfig, belief_path
+from .bandit import utility_density_table
 from .config import (
     ConfigError,
     dump_config,
@@ -195,7 +196,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_plot_utilities(args: argparse.Namespace) -> int:
     try:
         header, records = read_jsonl(args.runlog)
-        config = BanditConfig(**header["config"]["bandit"])
+        bandit = dict(header["config"]["bandit"])
+        if bandit.pop("primary_task_id", 0) != 0:  # a key of logs before schema 5, always 0
+            raise ValueError("the primary task must be task 0")
+        config = BanditConfig(**bandit)
         *_, (alpha, beta) = belief_path(records, config)
         table = utility_density_table(list(zip(alpha, beta)), args.grid_size)
     except (ValueError, TypeError, KeyError, OSError) as exc:
@@ -314,8 +318,8 @@ def cmd_validate_config(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "grid_size", 1) < 1:
-        print("error: --grid-size must be >= 1", file=sys.stderr)
+    if not 1 <= getattr(args, "grid_size", 1) <= MAX_DENSITY_GRID_SIZE:
+        print(f"error: --grid-size must lie in [1, {MAX_DENSITY_GRID_SIZE}]", file=sys.stderr)
         return EXIT_USAGE
     if args.command == "run":
         return cmd_run(args)

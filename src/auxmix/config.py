@@ -284,12 +284,12 @@ def read_config(path: str | Path, overrides: dict[str, str] | None = None) -> di
     Raises
     ------
     ConfigError
-        For unreadable files, YAML syntax errors, or bad overrides.
+        For unreadable or non-UTF-8 files, YAML syntax errors, or bad overrides.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config file: {exc}") from exc
     try:
         raw = yaml.safe_load(text)

@@ -125,17 +125,17 @@ def gram_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndar
 class GpModel:
     """Immutable fitted model: training data, kernel, and cached factorization.
 
-    ``chol`` is the lower Cholesky factor ``L`` (an ndarray) of
-    ``K + (noise + jitter) I``, where ``kernel.jitter`` is the jitter actually
-    used after any escalation; ``dual`` is ``(L L^T)^-1 (y - mean_offset)``.
+    ``chol`` is the lower Cholesky factor ``L`` of ``K + (noise + jitter) I``,
+    where ``kernel.jitter`` is the jitter actually used after any escalation;
+    ``dual`` is ``(L L^T)^-1 (y - mean_offset)``.
     """
 
     points: np.ndarray
     observations: np.ndarray
     kernel: KernelParams
     mean_offset: float
-    chol: np.ndarray | None
-    dual: np.ndarray | None
+    chol: np.ndarray
+    dual: np.ndarray
 
     @property
     def n_observations(self) -> int:
@@ -179,36 +179,29 @@ def build_gp(
 ) -> GpModel:
     """Assemble a model with fixed hyperparameters.
 
-    The prior mean is the sample mean of the observations.  With zero
-    observations the model reduces to the zero-mean prior, which still
-    yields posteriors.
+    The prior mean is the sample mean of the observations, of which there
+    must be at least one, as for :func:`fit`.
     """
     d = len(params.length_scales)
     x = np.asarray(points, dtype=float).reshape(-1, d)
     y = np.asarray(observations, dtype=float).reshape(-1)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"got {x.shape[0]} points but {y.shape[0]} observations")
+    if y.size == 0:
+        raise ValueError("build_gp requires at least one observation")
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise ValueError("points and observations must be finite")
-    if y.size == 0:
-        return GpModel(
-            points=x, observations=y, kernel=params, mean_offset=0.0, chol=None, dual=None
-        )
     k = gram_matrix(x, x, params) + params.noise_variance * np.eye(y.size)
     chol, jitter_used = _factor_with_jitter(k, params.jitter)
     return _factored_model(x, y, replace(params, jitter=jitter_used), chol)
 
 
-def _mean_and_cross(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Posterior mean over a query block, and the ``k_x`` behind it (None without observations)."""
+def _mean_and_cross(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean over a query block, and the ``k_x`` behind it."""
     d = len(model.kernel.length_scales)
     q = np.asarray(x, dtype=float)
     if q.ndim != 2 or q.shape[1] != d:
         raise ValueError(f"queries must have shape (n, {d}), got {q.shape}")
-    if model.n_observations == 0:
-        return np.full(q.shape[0], model.mean_offset), None
-    if model.chol is None or model.dual is None:
-        raise RuntimeError("model was constructed without a factorization; use build_gp or fit")
     kx = gram_matrix(q, model.points, model.kernel)
     return model.mean_offset + kx @ model.dual, kx
 
@@ -228,11 +221,8 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
     is clamped at zero before the square root.
     """
     mean, kx = _mean_and_cross(model, x)
-    prior_var = model.kernel.signal_variance
-    if kx is None:
-        return Posterior(mean=mean, std=np.full(mean.size, math.sqrt(prior_var)))
     v = np.linalg.solve(model.chol, kx.T)
-    var = prior_var - np.sum(v**2, axis=0)
+    var = model.kernel.signal_variance - np.sum(v**2, axis=0)
     return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
 
 

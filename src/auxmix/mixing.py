@@ -109,11 +109,10 @@ class Stage2Config:
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One completed full training: the ratio tried, its score, and the seed used."""
+    """One completed full training: the ratio tried and its score."""
 
     ratio: MixingRatio
     score: float
-    seed: int
 
     def __post_init__(self):
         if not math.isfinite(self.score):
@@ -198,15 +197,11 @@ def expand_to_tasks(ratio: MixingRatio, task_ids: Sequence[int], n_tasks: int) -
 
 
 def _neighbor_points(incumbent_x: np.ndarray, ratio_max: int) -> np.ndarray:
-    """All one-grid-step moves (±1/ratio_max per axis) from the incumbent, clipped."""
-    step = 1.0 / ratio_max
-    points = []
-    for j in range(incumbent_x.size):
-        for sign in (-1.0, 1.0):
-            p = incumbent_x.copy()
-            p[j] = min(max(p[j] + sign * step, 0.0), 1.0)
-            points.append(p)
-    return np.array(points)
+    """All one-grid-step moves (±1/ratio_max per axis) from the incumbent, clipped:
+    row ``2j`` moves axis ``j`` down a step, row ``2j + 1`` up."""
+    step, d = 1.0 / ratio_max, incumbent_x.size
+    moves = (np.eye(d)[:, None, :] * [[-step], [step]]).reshape(2 * d, d)
+    return np.clip(incumbent_x + moves, 0.0, 1.0)
 
 
 def propose_next(
@@ -229,8 +224,6 @@ def propose_next(
     Returns the decoded ratio, the acquisition that won, and the updated
     portfolio state.
     """
-    if model.n_observations == 0:
-        raise RuntimeError("propose_next requires a model fitted on at least one observation")
     best_idx = int(np.argmax(model.observations))
     incumbent_x = model.points[best_idx]
     tau = float(model.observations[best_idx])
@@ -362,8 +355,8 @@ def run_stage2(
         seeds = [derive_seed(config.rng_seed, "eval", t) for t in rounds]
         wheres = [f"at stage-2 round {t}" for t in rounds]
         scores = train_scores(env, ratios, task_ids, seeds, wheres, log)
-        for t, (ratio, acq, post_mean, post_std), seed, score in zip(rounds, batch, seeds, scores):
-            records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
+        for t, (ratio, acq, post_mean, post_std), score in zip(rounds, batch, scores):
+            records.append(EvaluationRecord(ratio=ratio, score=score))
             best_score = max(best_score, score)
             log.append(
                 round=t,

@@ -10,6 +10,7 @@ evaluation outside the stage-2 budget.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -62,12 +63,6 @@ class PipelineConfig:
             )
         if self.mode not in PIPELINE_MODES:
             raise SettingError("mode", f"mode must be one of {PIPELINE_MODES}, got {self.mode!r}")
-        if self.bandit.primary_task_id != 0:
-            raise SettingError(
-                "bandit.primary_task_id",
-                "the synthetic environments define task 0 as primary; "
-                f"primary_task_id must be 0, got {self.bandit.primary_task_id}"
-            )
         # The stage-2 trainings and the baseline; a planted environment trains no batches.
         work = {"environment.total_batches": getattr(self.env, "total_batches", 0)}
         require_work({**work, "stage2.n_samples": self.stage2.n_samples + 1})
@@ -111,22 +106,15 @@ def manual_ratio_grid(n_aux: int, budget: int, ratio_max: int) -> list[MixingRat
     if n_aux == 1:
         return [MixingRatio((1, min(j + 1, ratio_max))) for j in range(budget)]
     levels = [lv for lv in (0, 5, 10, 20) if lv <= ratio_max]
-    lattice = [[]]
-    for _ in range(n_aux):
-        lattice = [combo + [lv] for combo in lattice for lv in levels]
+    lattice = list(itertools.product(levels, repeat=n_aux))
     primary = min(10, ratio_max)
-    ratios = []
-    for j in range(budget):
-        combo = lattice[j % len(lattice)]
-        ratios.append(MixingRatio(tuple([primary] + combo)))
-    return ratios
+    return [MixingRatio((primary, *lattice[j % len(lattice)])) for j in range(budget)]
 
 
 def _all_task_selection(config: BanditConfig) -> TaskSelection:
-    """Selection covering every task (primary first), beliefs from the priors."""
-    aux = [k for k in range(config.n_tasks) if k != config.primary_task_id]
+    """Selection covering every task (primary 0 first), beliefs from the priors."""
     prior = select_tasks(*initial_arms(config), config)
-    return replace(prior, selected_task_ids=tuple([config.primary_task_id] + aux))
+    return replace(prior, selected_task_ids=tuple(range(config.n_tasks)))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:

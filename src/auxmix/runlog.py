@@ -22,7 +22,8 @@ from typing import Any
 # Version 4 dropped the stage-1 header's final beliefs, ``final_arms``, the
 # last of ``belief_path``; every header is ``schema_version``, ``kind`` and
 # ``config``, so finished and aborted runs write the same record.
-SCHEMA_VERSION = 4
+# Version 5 dropped the config's ``bandit.primary_task_id``; task 0 is the primary.
+SCHEMA_VERSION = 5
 
 # The most mini-batches a config may ask for, in each of stage 1
 # (n_rounds * batches_per_round) and the stage-2 trainings with their baseline

@@ -358,7 +358,7 @@ def _reference_stage1(env, config):
     and after each round, and each round's draws; the log holds neither."""
     n, g = config.n_tasks, config.gamma
     alphas = [config.alpha0] * n
-    alphas[config.primary_task_id] = config.alpha0 + config.primary_prior_boost
+    alphas[0] = config.alpha0 + config.primary_prior_boost
     betas = [config.beta0] * n
     log = RunLog()
     arms_path = [tuple(zip(alphas, betas))]
@@ -507,8 +507,6 @@ def test_bandit_config_validation():
         make_config(alpha0=0.0)
     with pytest.raises(ValueError):
         make_config(primary_prior_boost=-1.0)
-    with pytest.raises(ValueError):
-        make_config(primary_task_id=7)
     with pytest.raises(ValueError):
         make_config(n_rounds=-1)
 

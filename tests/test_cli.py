@@ -20,7 +20,7 @@ from auxmix.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from auxmix.config import load_config, normalize, to_pipeline_config
 from auxmix.environments import PlantedBanditEnv
 from auxmix.pipeline import density_csv, run_pipeline
-from auxmix.bandit import BanditConfig, belief_path, thompson_draws
+from auxmix.bandit import MAX_DENSITY_GRID_SIZE, BanditConfig, belief_path, thompson_draws
 from auxmix.runlog import SCHEMA_VERSION, RunAborted, canonical_dumps, read_jsonl
 
 SMALL_CONFIG = """\
@@ -315,9 +315,11 @@ def test_run_seed_range_syntax_errors(config_file):
 
 
 def test_run_grid_size_guard(config_file, tmp_path, capsys):
-    rc = run_cli("run", config_file, "--out", tmp_path / "g", "--grid-size", "0")
-    assert rc == EXIT_USAGE
-    assert "grid-size" in capsys.readouterr().err
+    for size in ("0", str(MAX_DENSITY_GRID_SIZE + 1)):
+        rc = run_cli("run", config_file, "--out", tmp_path / "g", "--grid-size", size)
+        assert rc == EXIT_USAGE
+        assert "grid-size" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
 
 # --------------------------------------------------------- aborted runs
@@ -506,7 +508,7 @@ def test_replay_of_a_directory_catches_every_header_config_edit(finished_run, ca
     original = log.read_bytes()
     header = json.loads(original.decode("utf-8").split("\n", 1)[0])
     leaves = list(_leaves(header["config"]))
-    assert len(leaves) == 24
+    assert len(leaves) == 23
     for path, value in leaves:
         def edit(header):
             node = header["config"]
@@ -809,6 +811,24 @@ def test_replay_refuses_a_v3_log(finished_run, capsys):
         assert "divergence" not in err
 
 
+def _as_v4(header: dict, **bandit) -> None:
+    """Relabel a header as schema version 4, with ``bandit`` added to its bandit config."""
+    header["schema_version"] = 4
+    header["config"]["bandit"].update(bandit)
+
+
+def test_replay_refuses_a_v4_log(finished_run, capsys):
+    """A version-4 header's config also carried ``bandit.primary_task_id``;
+    such a log, with or without that key, is refused before any regeneration."""
+    log = finished_run / "stage1.log.jsonl"
+    for extra in ({}, {"primary_task_id": 0}):
+        _rewrite_header(log, lambda header: _as_v4(header, **extra))
+        assert run_cli("replay", log) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"log schema version 4, this build replays version {SCHEMA_VERSION}" in err
+        assert "divergence" not in err
+
+
 # ---------------------------------------------------------- plot-utilities
 
 def test_plot_utilities_exports_csv(finished_run, capsys):
@@ -987,6 +1007,19 @@ def test_plot_utilities_reads_a_v3_log(finished_run, tmp_path):
     assert (tmp_path / "v3.csv").read_bytes() == (finished_run / "utilities.csv").read_bytes()
 
 
+def test_plot_utilities_reads_a_v4_log(finished_run, tmp_path, capsys):
+    """A schema-4 config also held ``bandit.primary_task_id``, always 0;
+    the fold drops it and gives the same CSV, and refuses any other value."""
+    log = tmp_path / "v4.log.jsonl"
+    log.write_bytes((finished_run / "stage1.log.jsonl").read_bytes())
+    _rewrite_header(log, lambda header: _as_v4(header, primary_task_id=0))
+    assert run_cli("plot-utilities", log, "--out", tmp_path / "v4.csv") == EXIT_OK
+    assert (tmp_path / "v4.csv").read_bytes() == (finished_run / "utilities.csv").read_bytes()
+    _rewrite_header(log, lambda header: _as_v4(header, primary_task_id=1))
+    assert run_cli("plot-utilities", log, "--out", tmp_path / "v4.csv") == EXIT_USAGE
+    assert "task 0" in capsys.readouterr().err
+
+
 def test_plot_utilities_write_failure_is_not_a_malformed_log(finished_run, tmp_path, capsys):
     target = tmp_path / "taken"
     target.mkdir()  # a directory where the CSV file should go
@@ -999,6 +1032,7 @@ def test_plot_utilities_write_failure_is_not_a_malformed_log(finished_run, tmp_p
 
 
 def test_plot_utilities_grid_size_guard(finished_run, capsys):
-    rc = run_cli("plot-utilities", finished_run / "stage1.log.jsonl", "--grid-size", "0")
-    assert rc == EXIT_USAGE
-    assert "grid-size" in capsys.readouterr().err
+    for size in ("0", str(MAX_DENSITY_GRID_SIZE + 1)):
+        rc = run_cli("plot-utilities", finished_run / "stage1.log.jsonl", "--grid-size", size)
+        assert rc == EXIT_USAGE
+        assert "grid-size" in capsys.readouterr().err

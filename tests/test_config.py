@@ -58,7 +58,6 @@ BANDIT_DEFAULTS = {
     "beta0": 1.0,
     "gamma": 0.02,
     "primary_prior_boost": 2.0,
-    "primary_task_id": 0,
     "n_rounds": 200,
     "batches_per_round": 10,
     "rng_seed": 0,
@@ -190,6 +189,8 @@ def test_unknown_top_level_key_rejected():
 def test_unknown_section_key_rejected():
     with pytest.raises(ConfigError, match="'bandit.momentum'"):
         normalize({"bandit": {"momentum": 0.9}})
+    with pytest.raises(ConfigError, match="'bandit.primary_task_id': unknown key"):
+        normalize({"bandit": {"primary_task_id": 0}})
     with pytest.raises(ConfigError, match="'stage2.jitter'"):
         normalize({"stage2": {"jitter": 1e-6}})
     with pytest.raises(ConfigError, match="'environment.volume'"):
@@ -276,13 +277,16 @@ _PIPELINE = functools.partial(
 _SHARED = functools.partial(SharedParamMtlEnv, dim=2, n_primary_train=4, n_aux=4)
 
 # One rejected value per check of each constructor, with the field it names.
+# A row's position is part of its test id, so a row whose check is gone
+# hands its slot to a new one rather than shifting the rows after it.
 _REJECTIONS = [
     (BanditConfig, {"n_tasks": 1}, "n_tasks"),
     (BanditConfig, {"n_tasks": 3, "alpha0": 0.0}, "alpha0"),
     (BanditConfig, {"n_tasks": 3, "beta0": float("inf")}, "beta0"),
     (BanditConfig, {"n_tasks": 3, "gamma": 1.5}, "gamma"),
     (BanditConfig, {"n_tasks": 3, "primary_prior_boost": -1.0}, "primary_prior_boost"),
-    (BanditConfig, {"n_tasks": 3, "primary_task_id": 3}, "primary_task_id"),
+    # Work over MAX_WORK_BATCHES, named by its larger factor.
+    (BanditConfig, {"n_tasks": 3, "batches_per_round": 10**12}, "batches_per_round"),
     (BanditConfig, {"n_tasks": 3, "n_rounds": -1}, "n_rounds"),
     (BanditConfig, {"n_tasks": 3, "batches_per_round": 0}, "batches_per_round"),
     (Stage2Config, {"n_initial": 20}, "n_initial"),
@@ -292,7 +296,7 @@ _REJECTIONS = [
     (Stage2Config, {"ucb_lambda": -1.0}, "ucb_lambda"),
     (Stage2Config, {"hedge_eta": 0.0}, "hedge_eta"),
     (_PIPELINE, {"mode": "both"}, "mode"),
-    (_PIPELINE, {"bandit": BanditConfig(n_tasks=3, primary_task_id=1)}, "bandit.primary_task_id"),
+    (_PIPELINE, {"stage2": Stage2Config(n_samples=MAX_N_SAMPLES + 1)}, "stage2.n_samples"),
     (PlantedBanditEnv, {"theta_star": []}, "theta_star"),
     (PlantedBanditEnv, {"theta_star": [0.5, 1.5]}, "theta_star"),
     (PlantedBanditEnv, {"score_noise": -0.1}, "score_noise"),
@@ -326,7 +330,16 @@ _REJECTIONS = [
         (BanditConfig, {}, "n_tasks"),
         (BanditConfig, {"n_tasks": 3}, "n_rounds"),
         (BanditConfig, {"n_tasks": 3}, "batches_per_round"),
-        (BanditConfig, {"n_tasks": 3}, "primary_task_id"),
+    ]
+    for value in (math.nan, math.inf, 2.5)
+] + [
+    # The other float settings of BanditConfig reject NaN too.
+    (BanditConfig, {"n_tasks": 3, field: math.nan}, field)
+    for field in ("alpha0", "beta0", "gamma")
+] + [
+    # The other integer settings, as above.
+    (make, {**base, field: value}, field)
+    for make, base, field in [
         (Stage2Config, {}, "n_samples"),
         (Stage2Config, {}, "n_initial"),
         (Stage2Config, {}, "ratio_max"),
@@ -398,7 +411,7 @@ def test_every_constructor_check_names_a_parameter(make, kwargs, field):
     assert info.value.field == field
     if make is _PIPELINE:
         assert field in (
-            "mode", "bandit.primary_task_id", "bandit.n_tasks", "environment.total_batches"
+            "mode", "stage2.n_samples", "bandit.n_tasks", "environment.total_batches"
         )
     else:
         assert field in inspect.signature(getattr(make, "func", make)).parameters
@@ -639,6 +652,14 @@ def test_load_config_with_overrides(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.yaml")
+
+
+def test_load_config_non_utf8_file(tmp_path):
+    p = tmp_path / "bad.yaml"
+    p.write_bytes(b"\xff\xfe\x00bad")
+    with pytest.raises(ConfigError, match="cannot read config file") as info:
+        load_config(p)
+    assert info.value.key == str(p)
 
 
 def test_load_config_invalid_yaml(tmp_path):

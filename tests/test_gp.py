@@ -15,7 +15,6 @@ from auxmix import gp
 from auxmix.gp import (
     GpModel,
     KernelParams,
-    Posterior,
     _factor_with_jitter,
     _fit_candidates,
     _lml_from_factor,
@@ -184,7 +183,7 @@ def test_block_posterior_matches_pointwise_posterior():
 
 
 @given(
-    n=st.integers(0, 25),
+    n=st.integers(1, 25),
     d=st.integers(1, 5),
     n_queries=st.integers(1, 300),
     nu=st.sampled_from([1.5, 2.5]),
@@ -192,11 +191,11 @@ def test_block_posterior_matches_pointwise_posterior():
 )
 def test_posterior_mean_is_bitwise_the_posterior_mean(n, d, n_queries, nu, seed):
     """Hedge credit reads the mean alone; it must be the very bits of
-    ``posterior(...).mean``, for fitted, fixed-kernel and empty models."""
+    ``posterior(...).mean``, for fitted and fixed-kernel models."""
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 21, size=(n, d)) / 20.0 if seed % 2 else rng.random((n, d))
     y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
-    if n and seed % 3:
+    if seed % 3:
         model = fit(x, y, nu=nu)
     else:
         kernel = KernelParams(
@@ -219,13 +218,6 @@ def test_posterior_mean_checks_its_queries_like_posterior():
             posterior_mean(model, bad)
 
 
-def test_block_posterior_of_prior_model():
-    model = build_gp(np.empty((0, 2)), [], unit_params(2.5, d=2, signal_variance=4.0))
-    mean, std = posterior(model, np.random.default_rng(0).random((5, 2)))
-    assert np.array_equal(mean, np.zeros(5))
-    assert np.array_equal(std, np.full(5, 2.0))
-
-
 def test_block_posterior_shape_check():
     model = build_gp([[0.0, 0.0]], [1.0], unit_params(2.5, d=2))
     for bad in ([0.0, 1.0], np.zeros((3, 1)), np.zeros((2, 3)), np.zeros((1, 2, 2))):
@@ -243,20 +235,14 @@ def test_posterior_interpolates_with_tiny_noise():
         assert post.std < 1e-3
 
 
-def test_posterior_prior_model_without_observations():
-    model = build_gp(np.empty((0, 2)), [], unit_params(2.5, d=2, signal_variance=4.0))
-    post = posterior_at(model, [0.3, 0.3])
-    assert post == Posterior(mean=0.0, std=2.0)
-
-
 def test_posterior_variance_shrinks_with_more_data():
     rng = np.random.default_rng(12)
     x = rng.random((12, 1))
     y = rng.normal(size=12)
     params = unit_params(2.5, noise_variance=1e-4)
     q = [0.42]
-    stds = []
-    for n in (0, 3, 6, 12):
+    stds = [math.sqrt(params.signal_variance)]  # the prior's
+    for n in (1, 3, 6, 12):
         model = build_gp(x[:n], y[:n], params)
         stds.append(posterior_at(model, q).std)
     assert all(stds[i + 1] <= stds[i] + 1e-9 for i in range(len(stds) - 1))
@@ -283,6 +269,8 @@ def test_build_gp_rejects_bad_shapes_and_values():
         build_gp([[0.0], [1.0]], [1.0], unit_params(2.5))
     with pytest.raises(ValueError):
         build_gp([[float("nan")]], [1.0], unit_params(2.5))
+    with pytest.raises(ValueError, match="at least one observation"):
+        build_gp(np.empty((0, 1)), [], unit_params(2.5))
 
 
 def test_duplicate_points_with_zero_noise_still_factor():

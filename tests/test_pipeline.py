@@ -52,15 +52,6 @@ def test_pipeline_config_rejects_unknown_mode():
         make_config(mode="stage3")
 
 
-def test_pipeline_config_requires_primary_zero():
-    with pytest.raises(ValueError, match="primary"):
-        PipelineConfig(
-            bandit=BanditConfig(n_tasks=3, primary_task_id=1),
-            stage2=Stage2Config(),
-            env=make_environment(PLANTED3),
-        )
-
-
 def test_pipeline_rejects_task_count_mismatch():
     with pytest.raises(ValueError, match="tasks"):
         PipelineConfig(
@@ -158,7 +149,7 @@ def _reference_grid_stage2(env, tasks, config):
         seed = derive_seed(config.rng_seed, "eval", t)
         env_ratio = expand_to_tasks(ratio, tasks.selected_task_ids, env.n_tasks)
         (score,) = env.train_full([env_ratio], [seed])
-        records.append(EvaluationRecord(ratio=ratio, score=score, seed=seed))
+        records.append(EvaluationRecord(ratio=ratio, score=score))
         best_score = max(best_score, score)
         log.append(
             round=t,
@@ -422,7 +413,7 @@ def test_write_outputs_produces_all_artifacts(tmp_path):
 
     header, records = read_jsonl(paths["stage1.log.jsonl"])
     assert header["kind"] == "stage1"
-    assert header["schema_version"] == SCHEMA_VERSION == 4
+    assert header["schema_version"] == SCHEMA_VERSION == 5
     assert set(header) == {"schema_version", "kind", "config"}
     assert len(records) == 60
 

@@ -130,7 +130,7 @@ def test_runlog_write_and_read_roundtrip(tmp_path):
     path.write_text(log.text(header), encoding="utf-8", newline="")
     got_header, got_records = read_jsonl(path)
     assert got_header["kind"] == "stage1"
-    assert got_header["schema_version"] == SCHEMA_VERSION == 4
+    assert got_header["schema_version"] == SCHEMA_VERSION == 5
     assert got_header["config"] == {"rng_seed": 3}
     assert set(got_header) == {"schema_version", "kind", "config"}
     assert got_records == [{"round": 0, "metric": 0.5}]
