@@ -30,9 +30,18 @@ CONFIG_SCHEMA_VERSION = 1
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
+    subject = "config key"
+
     def __init__(self, key: str, problem: str):
-        super().__init__(f"config key '{key}': {problem}")
+        super().__init__(f"{self.subject} '{key}': {problem}")
         self.key = key
+
+
+class ConfigFileError(ConfigError):
+    """A config file that cannot be read, is not YAML or is not a mapping;
+    no key is at fault, so the message names the file, and ``key`` is its path."""
+
+    subject = "config file"
 
 
 def _as_int(key: str, value: Any) -> int:
@@ -283,22 +292,25 @@ def read_config(path: str | Path, overrides: dict[str, str] | None = None) -> di
 
     Raises
     ------
+    ConfigFileError
+        For unreadable or non-UTF-8 files, YAML syntax errors, or a top level
+        that is not a mapping.
     ConfigError
-        For unreadable or non-UTF-8 files, YAML syntax errors, or bad overrides.
+        For bad overrides.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(str(path), f"cannot read config file: {exc}") from exc
+        raise ConfigFileError(str(path), f"cannot read it: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
+        raise ConfigFileError(str(path), f"invalid YAML: {exc}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
-        raise ConfigError(str(path), "top level of the config must be a mapping")
+        raise ConfigFileError(str(path), "top level of the config must be a mapping")
     return apply_overrides(raw, overrides) if overrides else raw
 
 

@@ -1,8 +1,11 @@
 """Gaussian-process regression with an anisotropic Matern kernel.
 
-Exact posteriors from noisy observations via Cholesky factorization, plus
-marginal-likelihood hyperparameter selection by log-uniform random search.
-The prior mean is the constant sample mean of the observed values.
+Exact posteriors from noisy observations through the inverse Cholesky
+factor ``L^-1`` of the covariance, plus marginal-likelihood hyperparameter
+selection by log-uniform random search.  The factor is built by a fold that
+adds one point at a time, so a fit can extend the fit of a prefix of its
+data at O(n^2) per new point.  The prior mean is the constant sample mean of
+the observed values.
 """
 
 from __future__ import annotations
@@ -121,55 +124,126 @@ def gram_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndar
     return _matern_of_distance(_scaled_distances(x1, x2, ls), params.nu, params.signal_variance)
 
 
+class Fold(NamedTuple):
+    """Every candidate's inverse Cholesky factor over the points folded so far.
+
+    ``rows`` holds the candidates, one per row: ``d`` length scales, then
+    signal and noise variance.  ``chol_inv[c]`` is ``L^-1`` for candidate
+    ``c``, where ``L`` is the lower factor of ``K + (noise + jitter) I``;
+    ``log_det[c]`` is its ``sum(log diag L)``.  The whole stack shares
+    ``jitter``.
+    """
+
+    rows: np.ndarray
+    jitter: float
+    chol_inv: np.ndarray
+    log_det: np.ndarray
+
+
 @dataclass(frozen=True)
 class GpModel:
-    """Immutable fitted model: training data, kernel, and cached factorization.
+    """Immutable fitted model: training data, kernel, and cached inverse factor.
 
-    ``chol`` is the lower Cholesky factor ``L`` of ``K + (noise + jitter) I``,
-    where ``kernel.jitter`` is the jitter actually used after any escalation;
-    ``dual`` is ``(L L^T)^-1 (y - mean_offset)``.
+    ``chol_inv`` is ``L^-1`` for the lower Cholesky factor ``L`` of
+    ``K + (noise + jitter) I``, where ``kernel.jitter`` is the jitter actually
+    used after any escalation.  ``dual`` is ``L^-T L^-1 (y - mean_offset)``.
+    ``fold`` holds every searched candidate's factor, which
+    ``fit(..., base=model)`` extends; ``chol_inv`` is the winner's row of it.
     """
 
     points: np.ndarray
     observations: np.ndarray
     kernel: KernelParams
     mean_offset: float
-    chol: np.ndarray
+    chol_inv: np.ndarray
     dual: np.ndarray
+    fold: Fold
 
     @property
     def n_observations(self) -> int:
         return int(self.points.shape[0])
 
 
-def _factor_with_jitter(k_noisy: np.ndarray, jitter_start: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``k_noisy + jitter I``, escalating jitter tenfold on failure.
+def _fold(x: np.ndarray, rows: np.ndarray, nu: float, jitter: float, base: Fold | None) -> Fold:
+    """Fold the points of ``x`` after the first ``base`` ones into every candidate of ``rows``.
 
-    ``k_noisy`` is one matrix ``(n, n)`` or a stack ``(C, n, n)``; a stack
-    escalates as a whole, so every factor in it carries the returned jitter.
+    Adding a point ``x_i`` to the factor of ``X``: ``l = L^-1 k(X, x_i)``,
+    ``delta^2 = k(x_i, x_i) + noise + jitter - |l|^2``, and the new row of
+    ``L^-1`` is ``[-l^T L^-1 / delta, 1 / delta]`` (Rasmussen & Williams,
+    *GPML*, App. A.3).  If any candidate's ``delta^2`` is not positive, the
+    whole stack's jitter goes up tenfold and the fold restarts from the
+    first point.  Each step reads only the points before it, through
+    arrays of the final shape, so extending ``base`` gives bitwise the
+    factor that folding every point from the first does.
     """
-    n = k_noisy.shape[-1]
-    jitter = jitter_start
+    n, d = x.shape
+    length_scales, s2 = rows[:, None, :d], rows[:, d, None, None]
     while jitter <= JITTER_MAX:
-        try:
-            return np.linalg.cholesky(k_noisy + jitter * np.eye(n)), jitter
-        except LinAlgError:
-            jitter *= 10.0
+        chol_inv = np.zeros((rows.shape[0], n, n))
+        start, log_det = 0, np.zeros(rows.shape[0])
+        if base is not None:
+            start, log_det = base.chol_inv.shape[-1], base.log_det
+            chol_inv[:, :start, :start] = base.chol_inv
+        pivot = rows[:, d] + rows[:, d + 1] + jitter  # k(x, x) + noise + jitter
+        for i in range(start, n):
+            dist = _scaled_distances(x[:i], x[i], length_scales)
+            l = (chol_inv[:, :i, :i] @ _matern_of_distance(dist, nu, s2))[..., 0]
+            delta_sq = pivot - np.sum(l**2, axis=-1)
+            if not np.all(delta_sq > 0):
+                break
+            delta = np.sqrt(delta_sq)
+            chol_inv[:, i, :i] = (l[:, None, :] @ chol_inv[:, :i, :i])[:, 0, :] / -delta[:, None]
+            chol_inv[:, i, i] = 1.0 / delta
+            log_det = log_det + np.log(delta)
+        else:
+            return Fold(rows=rows, jitter=jitter, chol_inv=chol_inv, log_det=log_det)
+        jitter, base = jitter * 10.0, None
     raise LinAlgError(
         f"covariance factorization failed with jitter escalated up to {JITTER_MAX:g}"
     )
 
 
-def _factored_model(
-    x: np.ndarray, y: np.ndarray, params: KernelParams, chol: np.ndarray
+def _whitened(fold: Fold, y: np.ndarray) -> np.ndarray:
+    """``w = L^-1 (y - mean(y))`` for every candidate of ``fold``, shape ``(C, n)``."""
+    return fold.chol_inv @ (y - np.mean(y))
+
+
+def _log_evidence(fold: Fold, w: np.ndarray) -> np.ndarray:
+    """Log marginal likelihood of every candidate from its whitened residual ``w``:
+    ``-|w|^2 / 2 - sum(log diag L) - n log(2 pi) / 2``."""
+    n = w.shape[-1]
+    return -0.5 * np.sum(w**2, axis=-1) - fold.log_det - 0.5 * n * math.log(2.0 * math.pi)
+
+
+def _model(
+    x: np.ndarray, y: np.ndarray, kernel: KernelParams, fold: Fold, best: int, w: np.ndarray
 ) -> GpModel:
-    """The model of ``y`` at ``x`` from the lower factor ``chol`` of its covariance
-    under ``params``, whose ``jitter`` is the one the factor was taken with."""
-    mean_offset = float(np.mean(y))
-    dual = np.linalg.solve(chol.T, np.linalg.solve(chol, y - mean_offset))
+    """The model of candidate ``best`` of ``fold``, whose whitened residual is ``w``."""
+    chol_inv = fold.chol_inv[best]
     return GpModel(
-        points=x, observations=y, kernel=params, mean_offset=mean_offset, chol=chol, dual=dual
+        points=x,
+        observations=y,
+        kernel=kernel,
+        mean_offset=float(np.mean(y)),
+        chol_inv=chol_inv,
+        dual=chol_inv.T @ w,
+        fold=fold,
     )
+
+
+def _checked_data(points, observations, d: int | None) -> tuple[np.ndarray, ...]:
+    """Points of shape ``(n, d)`` (1-D points are one column when ``d`` is
+    None) and observations of shape ``(n,)``, all finite, ``n >= 1``."""
+    x = np.asarray(points, dtype=float)
+    x = x.reshape(-1, d) if d is not None else (x[:, None] if x.ndim == 1 else x)
+    y = np.asarray(observations, dtype=float).reshape(-1)
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"got {x.shape[0]} points but {y.shape[0]} observations")
+    if y.size == 0:
+        raise ValueError("a GP model requires at least one observation")
+    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+        raise ValueError("points and observations must be finite")
+    return x, y
 
 
 def build_gp(
@@ -180,20 +254,14 @@ def build_gp(
     """Assemble a model with fixed hyperparameters.
 
     The prior mean is the sample mean of the observations, of which there
-    must be at least one, as for :func:`fit`.
+    must be at least one, as for :func:`fit`.  The factor is folded as in
+    :func:`fit`, over the one candidate ``params``, starting at
+    ``params.jitter``.
     """
-    d = len(params.length_scales)
-    x = np.asarray(points, dtype=float).reshape(-1, d)
-    y = np.asarray(observations, dtype=float).reshape(-1)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"got {x.shape[0]} points but {y.shape[0]} observations")
-    if y.size == 0:
-        raise ValueError("build_gp requires at least one observation")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-        raise ValueError("points and observations must be finite")
-    k = gram_matrix(x, x, params) + params.noise_variance * np.eye(y.size)
-    chol, jitter_used = _factor_with_jitter(k, params.jitter)
-    return _factored_model(x, y, replace(params, jitter=jitter_used), chol)
+    x, y = _checked_data(points, observations, len(params.length_scales))
+    rows = np.array([[*params.length_scales, params.signal_variance, params.noise_variance]])
+    fold = _fold(x, rows, params.nu, params.jitter, None)
+    return _model(x, y, replace(params, jitter=fold.jitter), fold, 0, _whitened(fold, y)[0])
 
 
 def _mean_and_cross(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,13 +283,13 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
     """Exact posterior mean and standard deviation over a block of query points.
 
     ``x`` has shape ``(n, d)``; mean and std come back with shape ``(n,)``.
-    The block costs one cross-covariance matrix ``k_x`` and one LU solve
+    The block costs one cross-covariance matrix ``k_x`` and one product
     ``v = L^-1 k_x^T``, with ``var = s2 - sum(v^2)`` (Rasmussen & Williams,
     *GPML*, Alg. 2.1).  Round-off can push a variance slightly negative; it
     is clamped at zero before the square root.
     """
     mean, kx = _mean_and_cross(model, x)
-    v = np.linalg.solve(model.chol, kx.T)
+    v = model.chol_inv @ kx.T
     var = model.kernel.signal_variance - np.sum(v**2, axis=0)
     return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
 
@@ -230,15 +298,6 @@ def posterior_at(model: GpModel, x: Sequence[float]) -> Posterior:
     """Exact posterior mean and standard deviation at one query point."""
     mean, std = posterior(model, np.asarray(x, dtype=float).reshape(1, -1))
     return Posterior(mean=float(mean[0]), std=float(std[0]))
-
-
-def _lml_from_factor(chol: np.ndarray, yc: np.ndarray):
-    """Log evidence of centered ``yc`` given one lower factor ``L`` (n, n) or a
-    stack (C, n, n): ``-|w|^2 / 2 - sum(log diag L) - n log(2 pi) / 2``, ``w = L^-1 yc``."""
-    n = yc.size
-    w = np.linalg.solve(chol, np.broadcast_to(yc[:, None], chol.shape[:-1] + (1,)))[..., 0]
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return -0.5 * np.sum(w**2, axis=-1) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
 
 
 @functools.lru_cache(maxsize=64)
@@ -257,7 +316,11 @@ def _fit_candidates(d: int) -> np.ndarray:
 
 
 def fit(
-    points: Sequence[Sequence[float]], observations: Sequence[float], nu: float = 2.5
+    points: Sequence[Sequence[float]],
+    observations: Sequence[float],
+    nu: float = 2.5,
+    *,
+    base: GpModel | None = None,
 ) -> GpModel:
     """Fit hyperparameters by random search over the log marginal likelihood.
 
@@ -265,33 +328,39 @@ def fit(
     [1e-2, 10], signal variance in [1e-2, 1e2], noise variance in [1e-6, 1]);
     the geometric midpoint of the box is always evaluated too, so the search
     never does worse than that default.  The search seed is fixed, making
-    the whole fit a deterministic function of its inputs.  All candidates
-    are factored as one stack, which escalates its jitter as a whole; the
-    first candidate of highest log marginal likelihood wins, and its factor
-    from the stack becomes the model's.
+    the whole fit a deterministic function of its inputs.  The points are
+    folded one at a time into every candidate's inverse factor at once,
+    and the stack escalates its jitter as a whole; the first candidate of
+    highest log marginal likelihood wins, and its factor from the stack
+    becomes the model's.
+
+    ``base``, a model that ``fit`` returned for a prefix of ``points`` and
+    ``observations`` with the same ``nu``, lets the fold start after that
+    prefix: O(n^2) per new point instead of O(n^3) per fit, and bitwise the
+    model a fit without ``base`` returns.  Any other ``base`` raises
+    ``ValueError``.
     """
-    x = np.asarray(points, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    y = np.asarray(observations, dtype=float).reshape(-1)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"got {x.shape[0]} points but {y.shape[0]} observations")
-    if x.shape[0] == 0:
-        raise ValueError("fit requires at least one observation")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-        raise ValueError("points and observations must be finite")
-    d = x.shape[1]
+    x, y = _checked_data(points, observations, None)
+    n, d = x.shape
     rows = _fit_candidates(d)
-    k = _matern_of_distance(_scaled_distances(x, x, rows[:, None, :d]), nu, rows[:, d, None, None])
-    k = k + rows[:, d + 1, None, None] * np.eye(y.size)
-    chol, jitter = _factor_with_jitter(k, JITTER_START)
-    best = int(np.argmax(_lml_from_factor(chol, y - np.mean(y))))
+    jitter, fold = JITTER_START, None
+    if base is not None:
+        k = base.n_observations
+        if not (base.kernel.nu == nu and np.array_equal(base.fold.rows, rows)):
+            raise ValueError("base must be a fit with the same nu and point width")
+        prefix = k <= n and np.array_equal(base.points, x[:k])
+        if not (prefix and np.array_equal(base.observations, y[:k])):
+            raise ValueError("base must be fitted to a prefix of the points and observations")
+        jitter, fold = base.fold.jitter, base.fold
+    fold = _fold(x, rows, nu, jitter, fold)
+    w = _whitened(fold, y)
+    best = int(np.argmax(_log_evidence(fold, w)))
     *length_scales, signal_variance, noise_variance = rows[best].tolist()
     params = KernelParams(
         length_scales=tuple(length_scales),
         signal_variance=signal_variance,
         noise_variance=noise_variance,
         nu=nu,
-        jitter=jitter,
+        jitter=fold.jitter,
     )
-    return _factored_model(x, y, params, chol[best].copy())  # not a view pinning the stack
+    return _model(x, y, params, fold, best, w[best])

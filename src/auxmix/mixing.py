@@ -33,12 +33,13 @@ DEFAULT_RATIO_MAX = 20
 DEFAULT_POOL_SIZE = 256
 
 # The largest evaluation budget and candidate pool a config may ask for.  A GP
-# fit over n evaluations factors a (gp.N_SEARCH_STARTS + 1, n, n) stack, 69 MB
-# at n = 512, and a proposal scores its pool through a (pool_size, n)
-# cross-covariance, 64 MiB at both bounds.  Stage2Config rejects a larger
-# pool_size and PipelineConfig a larger n_samples, after the training work
-# that n_samples also multiplies.  This bounds memory and run time; it is not
-# a setting.
+# fit over n evaluations keeps a (gp.N_SEARCH_STARTS + 1, n, n) stack of
+# inverse factors, 69 MB at n = 512, and the round that extends it by one
+# point allocates the next one, at O(33 n^2) work per round.  A proposal
+# scores its pool through a (pool_size, n) cross-covariance, 64 MiB at both
+# bounds.  Stage2Config rejects a larger pool_size and PipelineConfig a larger
+# n_samples, after the training work that n_samples also multiplies.  This
+# bounds memory and run time; it is not a setting.
 MAX_N_SAMPLES = 512
 MAX_POOL_SIZE = 2**14
 
@@ -288,18 +289,19 @@ def _gp_proposals(
     """One batch of ``n_initial`` uniform random ratios, then GP-Hedge proposals one at a time.
 
     Each proposal comes from a GP refitted on ``records``, the evaluation
-    history that :func:`run_stage2` extends before asking for the next batch.
+    history that :func:`run_stage2` extends before asking for the next batch;
+    each fit extends the last one's fold by the records added since.
     """
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
     yield [
         (random_ratio(n_tasks, config.ratio_max, rng), "random", None, None)
         for _ in range(config.n_initial)
     ]
-    hedge = HedgeState(eta=config.hedge_eta)
+    hedge, model = HedgeState(eta=config.hedge_eta), None
     for _ in range(config.n_initial, config.n_samples):
         # run_stage2 has validated every ratio, so encode()'s check is skipped.
         xs = _unit_box([r.ratio.counts for r in records], config.ratio_max)
-        model = fit(xs, np.array([r.score for r in records]), nu=config.nu)
+        model = fit(xs, np.array([r.score for r in records]), nu=config.nu, base=model)
         ratio, acq, hedge = propose_next(
             model,
             hedge,

@@ -18,6 +18,7 @@ from auxmix.bandit import BanditConfig
 from auxmix.config import (
     CONFIG_SCHEMA_VERSION,
     ConfigError,
+    ConfigFileError,
     apply_overrides,
     dump_config,
     load_config,
@@ -650,29 +651,30 @@ def test_load_config_with_overrides(tmp_path):
 
 
 def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(ConfigFileError, match="cannot read"):
         load_config(tmp_path / "absent.yaml")
 
 
 def test_load_config_non_utf8_file(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_bytes(b"\xff\xfe\x00bad")
-    with pytest.raises(ConfigError, match="cannot read config file") as info:
+    with pytest.raises(ConfigFileError) as info:
         load_config(p)
     assert info.value.key == str(p)
+    assert str(info.value).startswith(f"config file '{p}': cannot read it: ")
 
 
 def test_load_config_invalid_yaml(tmp_path):
     p = tmp_path / "broken.yaml"
     p.write_text("mode: [unclosed\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="invalid YAML"):
+    with pytest.raises(ConfigFileError, match="invalid YAML"):
         load_config(p)
 
 
 def test_load_config_non_mapping_top_level(tmp_path):
     p = tmp_path / "list.yaml"
     p.write_text("- a\n- b\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="mapping"):
+    with pytest.raises(ConfigFileError, match="mapping"):
         load_config(p)
 
 

@@ -15,9 +15,10 @@ from auxmix import gp
 from auxmix.gp import (
     GpModel,
     KernelParams,
-    _factor_with_jitter,
     _fit_candidates,
-    _lml_from_factor,
+    _fold,
+    _log_evidence,
+    _whitened,
     build_gp,
     fit,
     gram_matrix,
@@ -148,13 +149,22 @@ def test_posterior_matches_dense_inverse_oracle():
             assert post.std == pytest.approx(std_ref, abs=1e-8)
 
 
+def dense_factor(model: GpModel) -> np.ndarray:
+    """The lower Cholesky factor ``L`` of the model's covariance, by LAPACK."""
+    k = gram_matrix(model.points, model.points, model.kernel)
+    return np.linalg.cholesky(
+        k + (model.kernel.noise_variance + model.kernel.jitter) * np.eye(model.n_observations)
+    )
+
+
 def _posterior_at_reference(model: GpModel, q: np.ndarray) -> tuple[float, float]:
-    """The one-point posterior as computed before block queries: one
-    cross-covariance row and one cho_solve per point.  ``model.chol`` is the
-    plain lower factor, so SciPy gets it as ``(L, True)``."""
+    """The one-point posterior from the dense factor: one cross-covariance
+    row and one ``cho_solve`` for the mean's weights and one for the variance."""
+    chol = dense_factor(model)
     kx = gram_matrix(q[None, :], model.points, model.kernel)[0]
-    mean = model.mean_offset + float(kx @ model.dual)
-    var = model.kernel.signal_variance - float(kx @ cho_solve((model.chol, True), kx))
+    resid = model.observations - model.mean_offset
+    mean = model.mean_offset + float(kx @ cho_solve((chol, True), resid))
+    var = model.kernel.signal_variance - float(kx @ cho_solve((chol, True), kx))
     return mean, math.sqrt(max(var, 0.0))
 
 
@@ -283,44 +293,47 @@ def test_duplicate_points_with_zero_noise_still_factor():
 
 
 def test_jitter_escalation_rescues_mildly_indefinite_matrix():
-    eps = 3e-5  # smallest eigenvalue is -eps: only the final 1e-4 step rescues it
-    k = np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]])
-    chol, jitter_used = _factor_with_jitter(k, 1e-10)
-    assert jitter_used == pytest.approx(1e-4)
-    solved = cho_solve((chol, True), np.ones(2))
-    assert np.all(np.isfinite(solved))
+    """Two coincident points under signal variance 2^38, whose half ulp
+    (3e-5) swallows every jitter below 1e-4: the second pivot is exactly 0
+    until the final 1e-4 step rescues it."""
+    params = KernelParams(length_scales=(1.0,), signal_variance=2.0**38, noise_variance=0.0)
+    model = build_gp(np.full((2, 1), 0.5), [1.0, 2.0], params)
+    assert model.kernel.jitter == pytest.approx(1e-4)
+    post = posterior_at(model, [0.5])
+    assert math.isfinite(post.mean) and math.isfinite(post.std)
 
 
 def test_jitter_escalation_gives_up_beyond_cap():
-    k = np.array([[1.0, 1.1], [1.1, 1.0]])  # eigenvalues 2.1 and -0.1
+    # Under signal variance 2^42 half an ulp (5e-4) swallows every jitter up to the cap.
+    params = KernelParams(length_scales=(1.0,), signal_variance=2.0**42, noise_variance=0.0)
     with pytest.raises(LinAlgError):
-        _factor_with_jitter(k, 1e-10)
+        build_gp(np.full((2, 1), 0.5), [1.0, 2.0], params)
 
 
 # ------------------------------------------------- marginal likelihood, fit
 
 def dense_lml(x, y, params):
+    """The log evidence by the dense formula: ``slogdet`` and one ``solve``."""
     y = np.asarray(y, dtype=float)
     n = y.size
     yc = y - y.mean()
     k = gram_matrix(x, x, params) + (params.noise_variance + params.jitter) * np.eye(n)
     sign, logdet = np.linalg.slogdet(k)
     assert sign > 0
-    return float(-0.5 * yc @ np.linalg.inv(k) @ yc - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
+    quad = yc @ np.linalg.solve(k, yc)
+    return float(-0.5 * quad - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
 
 
 def log_marginal_likelihood(x, y, params: KernelParams) -> float:
-    """One candidate's log evidence, mean-centered, from its own factor: the
-    per-candidate oracle for the stack ``fit`` scores at once.  ``-inf``
-    when even the escalated jitter cannot factor the covariance."""
-    x = np.asarray(x, dtype=float)
+    """One candidate's log evidence, mean-centered, from its own fold: the
+    per-candidate form of what ``fit`` scores for its whole stack.
+    ``-inf`` when even the escalated jitter cannot factor the covariance."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    k = gram_matrix(x, x, params) + params.noise_variance * np.eye(y.size)
     try:
-        chol, _ = _factor_with_jitter(k, params.jitter)
+        fold = build_gp(x, y, params).fold
     except LinAlgError:
         return -math.inf
-    return float(_lml_from_factor(chol, y - np.mean(y)))
+    return float(_log_evidence(fold, _whitened(fold, y))[0])
 
 
 def test_log_marginal_likelihood_matches_dense_formula():
@@ -443,7 +456,7 @@ def test_fit_searches_the_candidates_of_the_per_candidate_draws(d, monkeypatch):
     y = [0.1, 0.4, 0.3, 0.8]
     searched = []
     for winner in range(gp.N_SEARCH_STARTS + 1):
-        monkeypatch.setattr(gp, "_lml_from_factor", lambda chol, yc, i=winner: np.eye(chol.shape[0])[i])
+        monkeypatch.setattr(gp, "_log_evidence", lambda fold, w, i=winner: np.eye(w.shape[0])[i])
         searched.append(fit(x, y, nu=1.5).kernel)
     rng = np.random.default_rng(gp.FIT_SEARCH_SEED)
     rows = _per_candidate_draws(rng, d, gp.N_SEARCH_STARTS)
@@ -452,28 +465,36 @@ def test_fit_searches_the_candidates_of_the_per_candidate_draws(d, monkeypatch):
     assert searched[0].length_scales == (math.sqrt(math.prod(gp.LENGTH_SCALE_BOUNDS)),) * d
 
 
+def _candidate_params(rows, nu, jitter=gp.JITTER_START):
+    """One ``KernelParams`` per candidate row: d length scales, then signal and noise variance."""
+    return [
+        KernelParams(
+            length_scales=tuple(row[:-2]),
+            signal_variance=row[-2],
+            noise_variance=row[-1],
+            nu=nu,
+            jitter=jitter,
+        )
+        for row in np.asarray(rows).tolist()
+    ]
+
+
 def _per_candidate_fit(x, y, nu):
     """The fit as a loop over candidates, the reference for the stacked one:
-    the per-candidate draws, one ``KernelParams`` and one
-    ``log_marginal_likelihood`` per candidate, the first maximum, then
-    ``build_gp`` factoring the winner afresh."""
+    the per-candidate draws, one ``KernelParams`` and one dense-formula
+    log evidence per candidate, the first maximum, then ``build_gp``
+    folding the winner alone."""
     d = x.shape[1]
-    midpoint = KernelParams(
-        length_scales=(math.sqrt(math.prod(gp.LENGTH_SCALE_BOUNDS)),) * d,
-        signal_variance=math.sqrt(math.prod(gp.SIGNAL_VARIANCE_BOUNDS)),
-        noise_variance=math.sqrt(math.prod(gp.NOISE_VARIANCE_BOUNDS)),
-        nu=nu,
-    )
-    rows = _per_candidate_draws(np.random.default_rng(gp.FIT_SEARCH_SEED), d, gp.N_SEARCH_STARTS)
-    candidates = [midpoint] + [
-        KernelParams(
-            length_scales=tuple(row[:d]), signal_variance=row[d], noise_variance=row[d + 1], nu=nu
-        )
-        for row in rows
+    midpoint = [math.sqrt(math.prod(gp.LENGTH_SCALE_BOUNDS))] * d + [
+        math.sqrt(math.prod(gp.SIGNAL_VARIANCE_BOUNDS)),
+        math.sqrt(math.prod(gp.NOISE_VARIANCE_BOUNDS)),
     ]
+    rows = [midpoint] + _per_candidate_draws(
+        np.random.default_rng(gp.FIT_SEARCH_SEED), d, gp.N_SEARCH_STARTS
+    )
     best, best_lml = None, -math.inf
-    for cand in candidates:
-        lml = log_marginal_likelihood(x, y, cand)
+    for cand in _candidate_params(rows, nu):
+        lml = dense_lml(x, y, cand)
         if lml > best_lml:
             best, best_lml = cand, lml
     return build_gp(x, y, best)
@@ -481,8 +502,9 @@ def _per_candidate_fit(x, y, nu):
 
 @pytest.mark.parametrize("nu", [1.5, 2.5])
 def test_fit_picks_what_the_per_candidate_loop_picks(nu):
-    """The stacked search builds the very model of the per-candidate loop:
-    the same kernel, and bitwise the same offset, factor and dual."""
+    """The winner is the first maximum of the dense-formula log evidence,
+    and the stacked fold gives bitwise the model of folding it alone: the
+    same kernel, offset, inverse factor and dual."""
     rng = np.random.default_rng(32 if nu == 1.5 else 33)
     for case in range(110):
         n, d = int(rng.integers(1, 30)), int(rng.integers(1, 8))
@@ -494,42 +516,79 @@ def test_fit_picks_what_the_per_candidate_loop_picks(nu):
         got, want = fit(x, y, nu=nu), _per_candidate_fit(x, y, nu)
         assert got.kernel == want.kernel
         assert got.mean_offset == want.mean_offset
-        assert np.array_equal(got.chol, want.chol)
+        assert np.array_equal(got.chol_inv, want.chol_inv)
         assert np.array_equal(got.dual, want.dual)
 
 
-def _random_candidates(rng, d, nu, count=33):
-    return [
-        KernelParams(
-            length_scales=tuple(np.exp(rng.uniform(math.log(1e-2), math.log(10.0), size=d))),
-            signal_variance=float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2)))),
-            noise_variance=float(np.exp(rng.uniform(math.log(1e-6), 0.0))),
-            nu=nu,
+def _random_rows(rng, d, count=33):
+    """Candidate rows drawn log-uniformly from fit's search box."""
+    return np.exp(
+        rng.uniform(
+            [math.log(1e-2)] * d + [math.log(1e-2), math.log(1e-6)],
+            [math.log(10.0)] * d + [math.log(1e2), 0.0],
+            size=(count, d + 2),
         )
-        for _ in range(count)
-    ]
+    )
 
 
-def _stacked_gram(x, candidates):
-    """``K + noise I`` of every candidate at once, the way ``fit`` builds its stack."""
-    ls = np.array([c.length_scales for c in candidates])[:, None, :]
-    s2, noise = np.array([(c.signal_variance, c.noise_variance) for c in candidates]).T
-    k = gp._matern_of_distance(gp._scaled_distances(x, x, ls), candidates[0].nu, s2[:, None, None])
-    return k + noise[:, None, None] * np.eye(x.shape[0])
+# Rows that need more than the starting jitter where points coincide: signal
+# variance 1e8, whose half ulp exceeds 1e-10, no noise, and a length scale
+# so short that distinct points of a grid of step 1/2 barely correlate.
+def _needs_jitter_row(d):
+    return [1e-2] * d + [1e8, 0.0]
+
+
+def dense_ladder_jitter(x, rows, nu):
+    """The smallest jitter of ``fit``'s ladder at which ``np.linalg.cholesky``
+    factors every candidate's ``K + (noise + jitter) I``, or ``None``."""
+    params = _candidate_params(rows, nu)
+    n = x.shape[0]
+    grams = [gram_matrix(x, x, p) + p.noise_variance * np.eye(n) for p in params]
+    jitter = gp.JITTER_START
+    while jitter <= gp.JITTER_MAX:
+        try:
+            for k in grams:
+                np.linalg.cholesky(k + jitter * np.eye(n))
+            return jitter
+        except LinAlgError:
+            jitter *= 10.0
+    return None
+
+
+def fold_covariance(x, params):
+    """``K + (noise + jitter) I`` with the kernel evaluated as the fold does,
+    one new point against the points before it, and ``k(x, x)`` the signal
+    variance.  Kernel values from ``gram_matrix`` of the whole block round
+    differently, and an ill-conditioned covariance amplifies that."""
+    n = x.shape[0]
+    k = np.full((n, n), params.signal_variance)
+    for i in range(1, n):
+        column = gram_matrix(x[:i], x[i : i + 1], params)[:, 0]
+        k[i, :i] = k[:i, i] = column
+    return k + (params.noise_variance + params.jitter) * np.eye(n)
 
 
 @pytest.mark.parametrize("nu", [1.5, 2.5])
 def test_stacked_lml_matches_per_candidate_lml(nu):
+    """The fold's log evidence of each candidate against the dense formula
+    (``slogdet`` plus ``solve``) on the same covariance.  Two methods that
+    round differently may differ by the covariance's condition number times
+    a few units of round-off, relative to the sizes of the two terms."""
     rng = np.random.default_rng(31)
     for _ in range(10):
         n, d = int(rng.integers(1, 20)), int(rng.integers(1, 5))
         x, y = rng.random((n, d)), rng.normal(size=n)
-        candidates = _random_candidates(rng, d, nu)
-        chol, jitter = _factor_with_jitter(_stacked_gram(x, candidates), gp.JITTER_START)
-        assert jitter == gp.JITTER_START
-        stacked = _lml_from_factor(chol, y - np.mean(y))
-        loop = [log_marginal_likelihood(x, y, c) for c in candidates]
-        np.testing.assert_allclose(stacked, loop, rtol=1e-10, atol=1e-10)
+        rows = _random_rows(rng, d)
+        fold = _fold(x, rows, nu, gp.JITTER_START, None)
+        assert fold.jitter == gp.JITTER_START
+        stacked = _log_evidence(fold, _whitened(fold, y))
+        for got, params in zip(stacked, _candidate_params(rows, nu)):
+            k, yc = fold_covariance(x, params), y - y.mean()
+            quad, (sign, log_det) = yc @ np.linalg.solve(k, yc), np.linalg.slogdet(k)
+            assert sign > 0
+            want = -0.5 * quad - 0.5 * log_det - 0.5 * n * math.log(2 * math.pi)
+            scale = 0.5 * abs(quad) + 0.5 * abs(log_det) + 1.0
+            assert abs(got - want) <= 4.0 * np.finfo(float).eps * np.linalg.cond(k) * scale
 
 
 def test_a_stack_escalates_its_jitter_as_a_whole():
@@ -538,17 +597,17 @@ def test_a_stack_escalates_its_jitter_as_a_whole():
     # an ulp of it, so the matrix stays exactly singular until the jitter is
     # escalated.
     x = np.full((3, 1), 0.5)
+    y = np.array([0.2, 0.5, 0.1])
     rng = np.random.default_rng(33)
-    needs_jitter = KernelParams(length_scales=(1.0,), signal_variance=1e8, noise_variance=0.0)
-    k = _stacked_gram(x, _random_candidates(rng, 1, 2.5, count=5) + [needs_jitter])
-    _, alone = _factor_with_jitter(k[-1], gp.JITTER_START)
+    rows = np.vstack([_random_rows(rng, 1, count=5), _needs_jitter_row(1)])
+    alone = build_gp(x, y, _candidate_params(rows[-1:], 2.5)[0]).kernel.jitter
     assert alone > gp.JITTER_START
-    chol, jitter = _factor_with_jitter(k, gp.JITTER_START)
-    assert jitter == alone
-    for k_i, chol_i in zip(k, chol):
-        single, single_jitter = _factor_with_jitter(k_i, jitter)
-        assert single_jitter == jitter
-        assert np.array_equal(chol_i, single)
+    fold = _fold(x, rows, 2.5, gp.JITTER_START, None)
+    assert fold.jitter == alone
+    for params, chol_inv in zip(_candidate_params(rows, 2.5, jitter=fold.jitter), fold.chol_inv):
+        single = build_gp(x, y, params)
+        assert single.kernel.jitter == fold.jitter
+        assert np.array_equal(chol_inv, single.chol_inv)
 
 
 @pytest.mark.parametrize("nu", [1.5, 2.5])
@@ -565,7 +624,114 @@ def test_the_worst_corner_of_the_fit_box_factors_at_the_starting_jitter(nu):
         nu=nu,
     )
     for n in (2, 3, 30, 300, 2000):
-        x = np.full((n, 1), 0.5)
-        k = gram_matrix(x, x, params) + params.noise_variance * np.eye(n)
-        _, jitter = _factor_with_jitter(k, gp.JITTER_START)
-        assert jitter == gp.JITTER_START
+        model = build_gp(np.full((n, 1), 0.5), np.zeros(n), params)
+        assert model.kernel.jitter == gp.JITTER_START
+
+
+# ------------------------------------------------------ the fold and base
+
+def _duplicate_heavy_design(rng, n, d):
+    """``n`` draws from three points of a grid of step 1/2, so most of them
+    repeat an earlier one."""
+    return (rng.integers(0, 3, size=(3, d)) / 2.0)[rng.integers(0, 3, size=n)]
+
+
+def _assert_same_model(got, want):
+    assert got.kernel == want.kernel
+    assert got.mean_offset == want.mean_offset
+    for a, b in [
+        (got.points, want.points),
+        (got.observations, want.observations),
+        (got.chol_inv, want.chol_inv),
+        (got.dual, want.dual),
+        (got.fold.chol_inv, want.fold.chol_inv),
+        (got.fold.log_det, want.fold.log_det),
+    ]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_fit_extending_a_base_is_bitwise_the_fit_from_scratch(d, nu, monkeypatch):
+    """Every prefix as ``base``, and a chain of bases one point apart, give
+    the very model of the fit from scratch.  With a candidate that needs
+    jitter at coincident points added to the stack, the escalation often
+    comes after the base's prefix and restarts the fold from the first point."""
+    rng = np.random.default_rng(100 * d + int(nu))
+    escalated = 0
+    for case in range(12):
+        n = int(rng.integers(2, 16))
+        x = _duplicate_heavy_design(rng, n, d) if case % 2 else rng.random((n, d))
+        y = rng.normal(size=n)
+        if case % 4 == 1:
+            rows = np.vstack([_fit_candidates(d), _needs_jitter_row(d)])
+            monkeypatch.setattr(gp, "_fit_candidates", lambda width, rows=rows: rows)
+        want = fit(x, y, nu=nu)
+        chained = None
+        for k in range(1, n + 1):
+            base = fit(x[:k], y[:k], nu=nu)
+            escalated += base.kernel.jitter < want.kernel.jitter
+            _assert_same_model(fit(x, y, nu=nu, base=base), want)
+            chained = fit(x[:k], y[:k], nu=nu, base=chained)
+        _assert_same_model(chained, want)
+        monkeypatch.undo()
+    assert escalated > 0
+
+
+def test_fit_rejects_a_base_it_cannot_extend():
+    rng = np.random.default_rng(41)
+    x, y = rng.random((6, 2)), rng.normal(size=6)
+    base = fit(x[:4], y[:4])
+    not_prefix = [
+        (x, y, fit(x[1:5], y[1:5])),  # other points
+        (x, y, fit(x[:4], y[:4] + 1.0)),  # other observations
+        (x[:3], y[:3], base),  # more points than the fit's
+    ]
+    for points, observations, bad in not_prefix:
+        with pytest.raises(ValueError, match="prefix"):
+            fit(points, observations, base=bad)
+    other_kind = [
+        fit(x[:4], y[:4], nu=1.5),  # other nu
+        fit(x[:4, :1], y[:4]),  # other width
+        build_gp(x[:4], y[:4], base.kernel),  # one fixed candidate
+    ]
+    for bad in other_kind:
+        with pytest.raises(ValueError, match="same nu and point width"):
+            fit(x, y, base=bad)
+    _assert_same_model(fit(x, y, base=base), fit(x, y))
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_fold_jitter_is_the_smallest_ladder_value_dense_cholesky_accepts(nu, monkeypatch):
+    rng = np.random.default_rng(51 if nu == 1.5 else 52)
+    escalated = 0
+    for case in range(40):
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        x = _duplicate_heavy_design(rng, n, d)
+        rows = _random_rows(rng, d, count=4)
+        if case % 2:
+            rows = np.vstack([rows, _needs_jitter_row(d)])
+        monkeypatch.setattr(gp, "_fit_candidates", lambda width, rows=rows: rows)
+        want = dense_ladder_jitter(x, rows, nu)
+        assert want is not None
+        assert fit(x, rng.normal(size=n), nu=nu).kernel.jitter == want
+        escalated += want > gp.JITTER_START
+    assert escalated > 0
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_fit_posterior_matches_the_cho_solve_oracle_on_duplicate_heavy_designs(nu):
+    """Fitted models, noise often at its floor, against the posterior from
+    LAPACK's dense factor and SciPy's ``cho_solve``."""
+    rng = np.random.default_rng(61 if nu == 1.5 else 62)
+    for _ in range(40):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        x = _duplicate_heavy_design(rng, n, d)
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+        model = fit(x, y, nu=nu)
+        queries = np.vstack([x[: min(n, 5)], rng.random((10, d))])
+        mean, std = posterior(model, queries)
+        for i, q in enumerate(queries):
+            ref_mean, ref_std = _posterior_at_reference(model, q)
+            assert mean[i] == pytest.approx(ref_mean, abs=1e-9)
+            assert std[i] == pytest.approx(ref_std, abs=1e-9)

@@ -17,6 +17,7 @@ from auxmix.acquisition import (
     probability_of_improvement,
     upper_confidence_bound,
 )
+from auxmix import gp
 from auxmix.bandit import TaskSelection
 from auxmix.environments import PlantedBanditEnv
 from auxmix.gp import fit, posterior, posterior_at
@@ -312,6 +313,23 @@ def test_run_stage2_spends_exactly_the_budget():
     assert env.calls == 9
     assert len(records) == 9
     assert len(log.records) == 9
+
+
+def test_run_stage2_folds_each_record_into_the_gp_exactly_once(monkeypatch):
+    """Each round's fit extends the last one's fold by the record added
+    since, so the 19 records that a proposal is fitted on are folded once
+    each, in order."""
+    folded, fold = [], gp._fold
+
+    def counting_fold(x, rows, nu, jitter, base):
+        folded.extend(range(0 if base is None else base.chol_inv.shape[-1], x.shape[0]))
+        return fold(x, rows, nu, jitter, base)
+
+    monkeypatch.setattr(gp, "_fold", counting_fold)
+    cfg = Stage2Config(n_samples=20, n_initial=5, rng_seed=3)
+    _, records, _ = run_stage2(SeedEchoEnv(n_tasks=2), TaskSelection((0, 1), (1.0, 0.8)), cfg)
+    assert len(records) == 20
+    assert folded == list(range(19))
 
 
 def test_run_stage2_initial_rounds_are_random_then_gp_takes_over():
