@@ -73,16 +73,18 @@ def _scaled_distances(x1: np.ndarray, x2: np.ndarray, length_scales: np.ndarray)
     """Pairwise length-scale-weighted Euclidean distances, shape (n1, n2).
 
     ``length_scales`` of shape ``(C, 1, d)`` gives a ``(C, n1, n2)`` stack,
-    one distance matrix per row of length scales.
+    one distance matrix per row of length scales.  Squared coordinate
+    differences are summed one coordinate at a time, so coincident points
+    are exactly 0 apart and an entry does not depend on the blocks it was
+    computed in: the fold's one column and a whole Gram matrix agree bitwise.
     """
     a = np.atleast_2d(x1) / length_scales
     b = np.atleast_2d(x2) / length_scales
-    sq = (
-        np.sum(a**2, axis=-1)[..., :, None]
-        + np.sum(b**2, axis=-1)[..., None, :]
-        - 2.0 * (a @ np.swapaxes(b, -1, -2))
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+    sq = np.square(a[..., :, 0, None] - b[..., None, :, 0])
+    for k in range(1, a.shape[-1]):
+        diff = a[..., :, k, None] - b[..., None, :, k]
+        sq += np.square(diff, out=diff)
+    return np.sqrt(sq, out=sq)
 
 
 def _matern_of_distance(d: np.ndarray, nu: float, signal_variance) -> np.ndarray:
@@ -127,15 +129,12 @@ def gram_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndar
 class Fold(NamedTuple):
     """Every candidate's inverse Cholesky factor over the points folded so far.
 
-    ``rows`` holds the candidates, one per row: ``d`` length scales, then
-    signal and noise variance.  ``chol_inv[c]`` is ``L^-1`` for candidate
-    ``c``, where ``L`` is the lower factor of ``K + (noise + jitter) I``;
-    ``log_det[c]`` is its ``sum(log diag L)``.  The whole stack shares
-    ``jitter``.
+    ``chol_inv[c]`` is ``L^-1`` for candidate ``c``, where ``L`` is the lower
+    factor of ``K + (noise + jitter) I``; ``log_det[c]`` is its
+    ``sum(log diag L)``.  The whole stack shares one jitter, the model's
+    ``kernel.jitter``.
     """
 
-    rows: np.ndarray
-    jitter: float
     chol_inv: np.ndarray
     log_det: np.ndarray
 
@@ -164,8 +163,13 @@ class GpModel:
         return int(self.points.shape[0])
 
 
-def _fold(x: np.ndarray, rows: np.ndarray, nu: float, jitter: float, base: Fold | None) -> Fold:
+def _fold(
+    x: np.ndarray, rows: np.ndarray, nu: float, jitter: float, base: Fold | None
+) -> tuple[float, Fold]:
     """Fold the points of ``x`` after the first ``base`` ones into every candidate of ``rows``.
+
+    A row is ``d`` length scales, then signal and noise variance.  Returns
+    the jitter the stack ended at and the fold.
 
     Adding a point ``x_i`` to the factor of ``X``: ``l = L^-1 k(X, x_i)``,
     ``delta^2 = k(x_i, x_i) + noise + jitter - |l|^2``, and the new row of
@@ -196,7 +200,7 @@ def _fold(x: np.ndarray, rows: np.ndarray, nu: float, jitter: float, base: Fold 
             chol_inv[:, i, i] = 1.0 / delta
             log_det = log_det + np.log(delta)
         else:
-            return Fold(rows=rows, jitter=jitter, chol_inv=chol_inv, log_det=log_det)
+            return jitter, Fold(chol_inv=chol_inv, log_det=log_det)
         jitter, base = jitter * 10.0, None
     raise LinAlgError(
         f"covariance factorization failed with jitter escalated up to {JITTER_MAX:g}"
@@ -260,8 +264,8 @@ def build_gp(
     """
     x, y = _checked_data(points, observations, len(params.length_scales))
     rows = np.array([[*params.length_scales, params.signal_variance, params.noise_variance]])
-    fold = _fold(x, rows, params.nu, params.jitter, None)
-    return _model(x, y, replace(params, jitter=fold.jitter), fold, 0, _whitened(fold, y)[0])
+    jitter, fold = _fold(x, rows, params.nu, params.jitter, None)
+    return _model(x, y, replace(params, jitter=jitter), fold, 0, _whitened(fold, y)[0])
 
 
 def _mean_and_cross(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,13 +350,14 @@ def fit(
     jitter, fold = JITTER_START, None
     if base is not None:
         k = base.n_observations
-        if not (base.kernel.nu == nu and np.array_equal(base.fold.rows, rows)):
+        same_kind = base.points.shape[1] == d and len(base.fold.chol_inv) == len(rows)
+        if not (base.kernel.nu == nu and same_kind):
             raise ValueError("base must be a fit with the same nu and point width")
         prefix = k <= n and np.array_equal(base.points, x[:k])
         if not (prefix and np.array_equal(base.observations, y[:k])):
             raise ValueError("base must be fitted to a prefix of the points and observations")
-        jitter, fold = base.fold.jitter, base.fold
-    fold = _fold(x, rows, nu, jitter, fold)
+        jitter, fold = base.kernel.jitter, base.fold
+    jitter, fold = _fold(x, rows, nu, jitter, fold)
     w = _whitened(fold, y)
     best = int(np.argmax(_log_evidence(fold, w)))
     *length_scales, signal_variance, noise_variance = rows[best].tolist()
@@ -361,6 +366,6 @@ def fit(
         signal_variance=signal_variance,
         noise_variance=noise_variance,
         nu=nu,
-        jitter=fold.jitter,
+        jitter=jitter,
     )
     return _model(x, y, params, fold, best, w[best])

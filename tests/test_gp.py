@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -555,35 +556,26 @@ def dense_ladder_jitter(x, rows, nu):
     return None
 
 
-def fold_covariance(x, params):
-    """``K + (noise + jitter) I`` with the kernel evaluated as the fold does,
-    one new point against the points before it, and ``k(x, x)`` the signal
-    variance.  Kernel values from ``gram_matrix`` of the whole block round
-    differently, and an ill-conditioned covariance amplifies that."""
-    n = x.shape[0]
-    k = np.full((n, n), params.signal_variance)
-    for i in range(1, n):
-        column = gram_matrix(x[:i], x[i : i + 1], params)[:, 0]
-        k[i, :i] = k[:i, i] = column
-    return k + (params.noise_variance + params.jitter) * np.eye(n)
-
-
 @pytest.mark.parametrize("nu", [1.5, 2.5])
 def test_stacked_lml_matches_per_candidate_lml(nu):
-    """The fold's log evidence of each candidate against the dense formula
-    (``slogdet`` plus ``solve``) on the same covariance.  Two methods that
-    round differently may differ by the covariance's condition number times
-    a few units of round-off, relative to the sizes of the two terms."""
+    """The stack's log evidence of each candidate against that candidate
+    folded alone, and against the dense formula (``slogdet`` plus ``solve``)
+    on the same covariance.  Two methods that round differently may differ
+    by the covariance's condition number times a few units of round-off,
+    relative to the sizes of the two terms."""
     rng = np.random.default_rng(31)
     for _ in range(10):
         n, d = int(rng.integers(1, 20)), int(rng.integers(1, 5))
         x, y = rng.random((n, d)), rng.normal(size=n)
         rows = _random_rows(rng, d)
-        fold = _fold(x, rows, nu, gp.JITTER_START, None)
-        assert fold.jitter == gp.JITTER_START
+        jitter, fold = _fold(x, rows, nu, gp.JITTER_START, None)
+        assert jitter == gp.JITTER_START
         stacked = _log_evidence(fold, _whitened(fold, y))
+        loop = [log_marginal_likelihood(x, y, p) for p in _candidate_params(rows, nu)]
+        np.testing.assert_allclose(stacked, loop, rtol=1e-10, atol=1e-10)
         for got, params in zip(stacked, _candidate_params(rows, nu)):
-            k, yc = fold_covariance(x, params), y - y.mean()
+            k = gram_matrix(x, x, params) + (params.noise_variance + params.jitter) * np.eye(n)
+            yc = y - y.mean()
             quad, (sign, log_det) = yc @ np.linalg.solve(k, yc), np.linalg.slogdet(k)
             assert sign > 0
             want = -0.5 * quad - 0.5 * log_det - 0.5 * n * math.log(2 * math.pi)
@@ -602,11 +594,11 @@ def test_a_stack_escalates_its_jitter_as_a_whole():
     rows = np.vstack([_random_rows(rng, 1, count=5), _needs_jitter_row(1)])
     alone = build_gp(x, y, _candidate_params(rows[-1:], 2.5)[0]).kernel.jitter
     assert alone > gp.JITTER_START
-    fold = _fold(x, rows, 2.5, gp.JITTER_START, None)
-    assert fold.jitter == alone
-    for params, chol_inv in zip(_candidate_params(rows, 2.5, jitter=fold.jitter), fold.chol_inv):
+    jitter, fold = _fold(x, rows, 2.5, gp.JITTER_START, None)
+    assert jitter == alone
+    for params, chol_inv in zip(_candidate_params(rows, 2.5, jitter=jitter), fold.chol_inv):
         single = build_gp(x, y, params)
-        assert single.kernel.jitter == fold.jitter
+        assert single.kernel.jitter == jitter
         assert np.array_equal(chol_inv, single.chol_inv)
 
 
@@ -735,3 +727,85 @@ def test_fit_posterior_matches_the_cho_solve_oracle_on_duplicate_heavy_designs(n
             ref_mean, ref_std = _posterior_at_reference(model, q)
             assert mean[i] == pytest.approx(ref_mean, abs=1e-9)
             assert std[i] == pytest.approx(ref_std, abs=1e-9)
+
+
+def _exact_posterior(model: GpModel, queries: np.ndarray) -> tuple[list[float], list[float]]:
+    """The posterior at 50 digits from the model's own hyperparameters, points
+    and observations, for a design that repeats a few distinct points: it is
+    the posterior of a GP on the distinct points, each observed at the mean of
+    its repeats with noise ``(noise + jitter) / count``."""
+    kernel = model.kernel
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = Decimal(3 if kernel.nu == 1.5 else 5).sqrt()
+
+        def k(a, b):
+            r = sum(
+                ((Decimal(u) - Decimal(v)) / Decimal(l)) ** 2
+                for u, v, l in zip(a, b, kernel.length_scales)
+            ).sqrt()
+            t = root * r
+            poly = 1 + t if kernel.nu == 1.5 else 1 + t + t * t / 3
+            return Decimal(kernel.signal_variance) * poly * (-t).exp()
+
+        offset = Decimal(model.mean_offset)
+        groups: dict[tuple[float, ...], list[Decimal]] = {}
+        for point, value in zip(model.points.tolist(), model.observations.tolist()):
+            groups.setdefault(tuple(point), []).append(Decimal(value) - offset)
+        z = list(groups)
+        tau = Decimal(kernel.noise_variance) + Decimal(kernel.jitter)
+        a = [
+            [k(zi, zj) + (tau / len(groups[zi]) if i == j else 0) for j, zj in enumerate(z)]
+            for i, zi in enumerate(z)
+        ]
+
+        def solve(rhs):
+            m = [row[:] + [b] for row, b in zip(a, rhs)]
+            for i in range(len(m)):
+                for j in range(i + 1, len(m)):
+                    f = m[j][i] / m[i][i]
+                    m[j] = [mj - f * mi for mj, mi in zip(m[j], m[i])]
+            out = [Decimal(0)] * len(m)
+            for i in reversed(range(len(m))):
+                out[i] = (m[i][-1] - sum(m[i][j] * out[j] for j in range(i + 1, len(m)))) / m[i][i]
+            return out
+
+        alpha = solve([sum(g) / len(g) for g in groups.values()])
+        means, stds = [], []
+        for q in queries.tolist():
+            kq = [k(q, zj) for zj in z]
+            var = Decimal(kernel.signal_variance) - sum(u * v for u, v in zip(kq, solve(kq)))
+            means.append(float(offset + sum(u * v for u, v in zip(kq, alpha))))
+            stds.append(float(max(var, Decimal(0)).sqrt()))
+    return means, stds
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_posterior_matches_the_exact_oracle_on_large_duplicate_heavy_designs(nu):
+    """Hundreds of repeats of three points, fitted and with the noise at the
+    floor of fit's box, against the exact posterior.  The std at a repeated
+    point is a difference of nearly equal terms (``s2`` and ``|L^-1 k_x|^2``);
+    it stays within 1e-9.  The mean stays within the round-off that a solve
+    of the covariance can promise: its condition number times the unit
+    round-off times the largest centred observation."""
+    rng = np.random.default_rng(71 if nu == 1.5 else 72)
+    for n in (100, 200, 400):
+        d = int(rng.integers(1, 5))
+        x = _duplicate_heavy_design(rng, n, d)
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+        row = _random_rows(rng, d, count=1)[0]
+        at_floor = KernelParams(
+            length_scales=tuple(row[:d]),
+            signal_variance=row[d],
+            noise_variance=gp.NOISE_VARIANCE_BOUNDS[0],
+            nu=nu,
+        )
+        queries = np.vstack([x[:5], rng.random((10, d))])
+        for model in (fit(x, y, nu=nu), build_gp(x, y, at_floor)):
+            mean, std = posterior(model, queries)
+            want_mean, want_std = _exact_posterior(model, queries)
+            np.testing.assert_allclose(std, want_std, rtol=0, atol=1e-9)
+            k = gram_matrix(x, x, model.kernel)
+            k += (model.kernel.noise_variance + model.kernel.jitter) * np.eye(n)
+            bound = np.finfo(float).eps * np.linalg.cond(k) * np.max(np.abs(y - y.mean()))
+            np.testing.assert_allclose(mean, want_mean, rtol=0, atol=bound)
