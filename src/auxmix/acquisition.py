@@ -2,9 +2,11 @@
 
 Three classic criteria (probability of improvement, expected improvement,
 upper confidence bound) ranked per round by a multiplicative-weights
-portfolio: each acquisition nominates a candidate, one nomination is chosen
-with probability proportional to ``exp(eta * gain)``, and every gain is then
-topped up with the posterior mean at its acquisition's nominee.
+portfolio (Hoffman, Brochu & de Freitas, UAI 2011, Alg. 1): each
+acquisition nominates a candidate, one nomination is chosen with probability
+proportional to ``exp(eta * gain)``, and every gain is then topped up with the
+posterior mean at its acquisition's nominee.  The portfolio reads nothing else
+of the model, so :func:`hedge_update` takes those three means, not the model.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gp import GpModel, Posterior, posterior_mean
+from .gp import Posterior
 
 PI = "pi"
 EI = "ei"
@@ -122,16 +124,12 @@ def hedge_select(state: HedgeState, rng: np.random.Generator) -> str:
     return ACQUISITIONS[idx]
 
 
-def hedge_update(
-    state: HedgeState, nominees: Sequence[Sequence[float]], model: GpModel
-) -> HedgeState:
-    """Credit each acquisition with the posterior mean at its nominee.
+def hedge_update(state: HedgeState, means: Sequence[float]) -> HedgeState:
+    """Add to each gain the posterior mean at its acquisition's nominee.
 
-    ``nominees`` holds one candidate point per acquisition, in ACQUISITIONS
-    order, each in the model's input space.  All three gains move every
-    round, whichever nomination was actually evaluated.
+    ``means`` holds one mean per acquisition, in ACQUISITIONS order.  All
+    three gains move every round, whichever nomination was actually evaluated.
     """
-    if len(nominees) != len(ACQUISITIONS):
-        raise ValueError(f"expected {len(ACQUISITIONS)} nominees, got {len(nominees)}")
-    means = posterior_mean(model, np.asarray(nominees, dtype=float))
+    if len(means) != len(ACQUISITIONS):
+        raise ValueError(f"expected {len(ACQUISITIONS)} means, got {len(means)}")
     return replace(state, gains=tuple(g + float(m) for g, m in zip(state.gains, means)))

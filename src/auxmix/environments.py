@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mixing import MixingRatio, ratio_cycle
+from .mixing import MixingRatio
 from .runlog import SettingError, derive_seed, require_ints
 
 PLANTED_METRIC_INCREMENT = 1e-3
@@ -320,8 +320,13 @@ class SharedParamMtlEnv:
         one that training its ratio alone gives.  Episode state is untouched.
         """
         _check_batch(ratios, seeds, self.n_tasks)
-        cycles = [np.resize(ratio_cycle(r.counts), self.total_batches) for r in ratios]
-        task_ids = np.array(cycles, dtype=np.intp).reshape(len(ratios), self.total_batches)
+        # Batch b runs the task whose block of the cycle holds b mod sum(counts):
+        # bitwise np.resize(ratio_cycle(counts), total_batches), without the cycle.
+        ends = [np.cumsum(r.counts) for r in ratios]
+        batches = np.arange(self.total_batches)
+        task_ids = np.array(
+            [np.searchsorted(end, batches % end[-1], side="right") for end in ends], dtype=np.intp
+        ).reshape(len(ratios), self.total_batches)
         w = np.zeros((len(ratios), self.dim))
         self._sgd(task_ids, [np.random.default_rng(seed) for seed in seeds], w)
         return [self._metric_of(row) for row in w]

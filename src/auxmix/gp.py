@@ -235,12 +235,14 @@ def _model(
     )
 
 
-def _checked_data(points, observations, d: int | None) -> tuple[np.ndarray, ...]:
-    """Points of shape ``(n, d)`` (1-D points are one column when ``d`` is
-    None) and observations of shape ``(n,)``, all finite, ``n >= 1``."""
+def _checked_data(points, observations) -> tuple[np.ndarray, ...]:
+    """Points of shape ``(n, d)``, where 1-D points are one column, and
+    observations of shape ``(n,)``, all finite, ``n >= 1``."""
     x = np.asarray(points, dtype=float)
-    x = x.reshape(-1, d) if d is not None else (x[:, None] if x.ndim == 1 else x)
+    x = x[:, None] if x.ndim == 1 else x
     y = np.asarray(observations, dtype=float).reshape(-1)
+    if x.ndim != 2:
+        raise ValueError(f"points must have shape (n, d), got {x.shape}")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"got {x.shape[0]} points but {y.shape[0]} observations")
     if y.size == 0:
@@ -262,25 +264,14 @@ def build_gp(
     :func:`fit`, over the one candidate ``params``, starting at
     ``params.jitter``.
     """
-    x, y = _checked_data(points, observations, len(params.length_scales))
+    x, y = _checked_data(points, observations)
+    if x.shape[1] != len(params.length_scales):
+        raise ValueError(
+            f"points must match kernel dimension {len(params.length_scales)}, got {x.shape[1]}"
+        )
     rows = np.array([[*params.length_scales, params.signal_variance, params.noise_variance]])
     jitter, fold = _fold(x, rows, params.nu, params.jitter, None)
     return _model(x, y, replace(params, jitter=jitter), fold, 0, _whitened(fold, y)[0])
-
-
-def _mean_and_cross(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean over a query block, and the ``k_x`` behind it."""
-    d = len(model.kernel.length_scales)
-    q = np.asarray(x, dtype=float)
-    if q.ndim != 2 or q.shape[1] != d:
-        raise ValueError(f"queries must have shape (n, {d}), got {q.shape}")
-    kx = gram_matrix(q, model.points, model.kernel)
-    return model.mean_offset + kx @ model.dual, kx
-
-
-def posterior_mean(model: GpModel, x: np.ndarray) -> np.ndarray:
-    """Posterior mean alone: bitwise ``posterior(model, x).mean``, without the variance's solve."""
-    return _mean_and_cross(model, x)[0]
 
 
 def posterior(model: GpModel, x: np.ndarray) -> Posterior:
@@ -292,7 +283,12 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
     *GPML*, Alg. 2.1).  Round-off can push a variance slightly negative; it
     is clamped at zero before the square root.
     """
-    mean, kx = _mean_and_cross(model, x)
+    d = len(model.kernel.length_scales)
+    q = np.asarray(x, dtype=float)
+    if q.ndim != 2 or q.shape[1] != d:
+        raise ValueError(f"queries must have shape (n, {d}), got {q.shape}")
+    kx = gram_matrix(q, model.points, model.kernel)
+    mean = model.mean_offset + kx @ model.dual
     v = model.chol_inv @ kx.T
     var = model.kernel.signal_variance - np.sum(v**2, axis=0)
     return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
@@ -344,7 +340,7 @@ def fit(
     model a fit without ``base`` returns.  Any other ``base`` raises
     ``ValueError``.
     """
-    x, y = _checked_data(points, observations, None)
+    x, y = _checked_data(points, observations)
     n, d = x.shape
     rows = _fit_candidates(d)
     jitter, fold = JITTER_START, None

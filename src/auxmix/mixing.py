@@ -29,19 +29,20 @@ from .bandit import TaskSelection
 from .gp import GpModel, fit, posterior, posterior_at
 from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_ints
 
-DEFAULT_RATIO_MAX = 20
-DEFAULT_POOL_SIZE = 256
-
-# The largest evaluation budget and candidate pool a config may ask for.  A GP
-# fit over n evaluations keeps a (gp.N_SEARCH_STARTS + 1, n, n) stack of
+# The largest evaluation budget, candidate pool and grid a config may ask for.
+# A GP fit over n evaluations keeps a (gp.N_SEARCH_STARTS + 1, n, n) stack of
 # inverse factors, 69 MB at n = 512, and the round that extends it by one
 # point allocates the next one, at O(33 n^2) work per round.  A proposal
 # scores its pool through a (pool_size, n) cross-covariance, 64 MiB at both
-# bounds.  Stage2Config rejects a larger pool_size and PipelineConfig a larger
-# n_samples, after the training work that n_samples also multiplies.  This
-# bounds memory and run time; it is not a setting.
+# bounds.  A ratio_max of at most 2^31 keeps every count, and the sum of a
+# ratio's counts, inside int64, for rng.integers and the training schedule's
+# cumulative sum.  Stage2Config rejects a larger pool_size or ratio_max, and
+# PipelineConfig a larger n_samples, after the training work that n_samples
+# also multiplies.  These bound memory, run time and integer range; they are
+# not settings.
 MAX_N_SAMPLES = 512
 MAX_POOL_SIZE = 2**14
+MAX_RATIO_MAX = 2**31
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,12 @@ class Stage2Config:
 
     n_samples: int = 20
     n_initial: int = 5
-    ratio_max: int = DEFAULT_RATIO_MAX
+    ratio_max: int = 20
     rng_seed: int = 0
     nu: float = 2.5
     ucb_lambda: float = DEFAULT_UCB_LAMBDA
     hedge_eta: float = 1.0
-    pool_size: int = DEFAULT_POOL_SIZE
+    pool_size: int = 256
 
     def __post_init__(self):
         require_ints(
@@ -90,10 +91,9 @@ class Stage2Config:
         )
         require_ints(2, n_samples=self.n_samples)
         require_ints(None, rng_seed=self.rng_seed)
-        if self.pool_size > MAX_POOL_SIZE:
-            raise SettingError(
-                "pool_size", f"pool_size must be at most {MAX_POOL_SIZE}, got {self.pool_size}"
-            )
+        for key, bound in (("pool_size", MAX_POOL_SIZE), ("ratio_max", MAX_RATIO_MAX)):
+            if getattr(self, key) > bound:
+                raise SettingError(key, f"{key} must be at most {bound}, got {getattr(self, key)}")
         if self.n_initial >= self.n_samples:
             raise SettingError(
                 "n_initial",
@@ -133,7 +133,7 @@ class Stage2Environment(Protocol):
     def train_full(self, ratios: Sequence[MixingRatio], seeds: Sequence[int]) -> list[float]: ...
 
 
-def encode(ratio: MixingRatio, ratio_max: int = DEFAULT_RATIO_MAX) -> np.ndarray:
+def encode(ratio: MixingRatio, ratio_max: int) -> np.ndarray:
     """Map integer counts to the unit box, ``x_k = count_k / ratio_max``."""
     validate_ratio(ratio, ratio_max)
     return _unit_box(ratio.counts, ratio_max)
@@ -144,7 +144,7 @@ def _unit_box(counts, ratio_max: int) -> np.ndarray:
     return np.asarray(counts, dtype=float) / float(ratio_max)
 
 
-def decode(x: Sequence[float], ratio_max: int = DEFAULT_RATIO_MAX) -> MixingRatio:
+def decode(x: Sequence[float], ratio_max: int) -> MixingRatio:
     """Round a unit-box point to the nearest grid ratio.
 
     The primary entry is clamped up to 1 afterwards; auxiliary entries may
@@ -206,21 +206,17 @@ def _neighbor_points(incumbent_x: np.ndarray, ratio_max: int) -> np.ndarray:
 
 
 def propose_next(
-    model: GpModel,
-    hedge: HedgeState,
-    pool_size: int,
-    rng: np.random.Generator,
-    *,
-    ratio_max: int = DEFAULT_RATIO_MAX,
-    ucb_lambda: float = DEFAULT_UCB_LAMBDA,
+    model: GpModel, hedge: HedgeState, config: Stage2Config, rng: np.random.Generator
 ) -> tuple[MixingRatio, str, HedgeState]:
-    """One round of portfolio-guided proposal.
+    """One round of portfolio-guided proposal under ``config``.
 
-    A candidate pool of ``pool_size`` uniform points in the unit box is
-    augmented with every grid neighbor of the incumbent (the best observed
-    point).  Each acquisition nominates its pool argmax, the portfolio picks
-    one nomination to evaluate, and all three gains are credited with the
-    posterior mean at their nominees.
+    A candidate pool of ``config.pool_size`` uniform points in the unit box
+    is augmented with every grid neighbor of the incumbent (the best
+    observed point) on the ``config.ratio_max`` grid.  Each acquisition
+    nominates its pool argmax, UCB at ``config.ucb_lambda``, the portfolio
+    picks one nomination to evaluate, and all three gains are credited with
+    ``posterior(model, nominees).mean``.  That is a query of its own: the
+    pool posterior's entries at the nominees may differ in their last bits.
 
     Returns the decoded ratio, the acquisition that won, and the updated
     portfolio state.
@@ -229,21 +225,21 @@ def propose_next(
     incumbent_x = model.points[best_idx]
     tau = float(model.observations[best_idx])
 
-    pool = rng.random((pool_size, model.points.shape[1]))
-    pool = np.vstack([pool, _neighbor_points(incumbent_x, ratio_max)])
+    pool = rng.random((config.pool_size, model.points.shape[1]))
+    pool = np.vstack([pool, _neighbor_points(incumbent_x, config.ratio_max)])
 
     post = posterior(model, pool)
     scores = (  # in ACQUISITIONS order
         probability_of_improvement(post, tau),
         expected_improvement(post, tau),
-        upper_confidence_bound(post, ucb_lambda),
+        upper_confidence_bound(post, config.ucb_lambda),
     )
     nominees = [pool[int(np.argmax(s))] for s in scores]
 
     chosen = hedge_select(hedge, rng)
-    new_hedge = hedge_update(hedge, nominees, model)
+    new_hedge = hedge_update(hedge, posterior(model, np.asarray(nominees)).mean)
     nominee = nominees[ACQUISITIONS.index(chosen)]
-    return decode(nominee, ratio_max), chosen, new_hedge
+    return decode(nominee, config.ratio_max), chosen, new_hedge
 
 
 def train_scores(
@@ -302,14 +298,7 @@ def _gp_proposals(
         # run_stage2 has validated every ratio, so encode()'s check is skipped.
         xs = _unit_box([r.ratio.counts for r in records], config.ratio_max)
         model = fit(xs, np.array([r.score for r in records]), nu=config.nu, base=model)
-        ratio, acq, hedge = propose_next(
-            model,
-            hedge,
-            config.pool_size,
-            rng,
-            ratio_max=config.ratio_max,
-            ucb_lambda=config.ucb_lambda,
-        )
+        ratio, acq, hedge = propose_next(model, hedge, config, rng)
         post = posterior_at(model, encode(ratio, config.ratio_max))
         yield [(ratio, acq, post.mean, post.std)]
 

@@ -252,17 +252,15 @@ def test_hedge_update_adds_posterior_means():
     model = build_gp(
         [[0.0], [1.0]], [1.0, 3.0], KernelParams(length_scales=(1.0,), noise_variance=1e-6)
     )
-    nominees = [[0.0], [1.0], [0.5]]
+    means = [posterior_at(model, x).mean for x in ([0.0], [1.0], [0.5])]
     state = HedgeState(gains=(0.1, 0.2, 0.3), eta=1.0)
-    new = hedge_update(state, nominees, model)
-    for i, x in enumerate(nominees):
-        expected = state.gains[i] + posterior_at(model, x).mean
-        assert new.gains[i] == pytest.approx(expected, abs=1e-12)
+    new = hedge_update(state, np.array(means))
+    assert new.gains == tuple(g + m for g, m in zip(state.gains, means))
+    assert all(type(g) is float for g in new.gains)
     assert new.eta == state.eta
     assert state.gains == (0.1, 0.2, 0.3)  # input state untouched
 
 
 def test_hedge_update_requires_three_nominees():
-    model = build_gp([[0.0]], [1.0], KernelParams(length_scales=(1.0,)))
-    with pytest.raises(ValueError):
-        hedge_update(HedgeState(), [[0.0]], model)
+    with pytest.raises(ValueError, match="expected 3 means"):
+        hedge_update(HedgeState(), [1.0])

@@ -32,7 +32,7 @@ from auxmix.environments import (
     PlantedBanditEnv,
     SharedParamMtlEnv,
 )
-from auxmix.mixing import MAX_N_SAMPLES, MAX_POOL_SIZE, Stage2Config
+from auxmix.mixing import MAX_N_SAMPLES, MAX_POOL_SIZE, MAX_RATIO_MAX, Stage2Config
 from auxmix.pipeline import PipelineConfig, run_pipeline
 
 
@@ -374,6 +374,8 @@ _REJECTIONS = [
     # A mini-batch over MAX_BATCH_SIZE rows.
     (_SHARED, {"batch_size": MAX_BATCH_SIZE + 1}, "batch_size"),
     (_SHARED, {"batch_size": 10**8}, "batch_size"),
+    # A grid over MAX_RATIO_MAX, whose counts would leave int64.
+    (Stage2Config, {"ratio_max": 10**30}, "ratio_max"),
 ]
 
 
@@ -484,6 +486,14 @@ def test_stage2_budget_over_its_bound_names_stage2_n_samples(environment, n_samp
 def test_stage2_budget_admits_its_bounds():
     stage2 = Stage2Config(n_samples=MAX_N_SAMPLES, pool_size=MAX_POOL_SIZE)
     assert _PIPELINE(stage2=stage2).stage2.n_samples == MAX_N_SAMPLES
+
+
+def test_ratio_max_over_its_bound_names_stage2_ratio_max():
+    """Loaded, never run: past int64 a random ratio's draw would fail after stage 1."""
+    with pytest.raises(ConfigError) as info:
+        normalize({"stage2": {"ratio_max": MAX_RATIO_MAX + 1}})
+    assert info.value.key == "stage2.ratio_max"
+    assert f"at most {MAX_RATIO_MAX}" in str(info.value)
 
 
 def test_batch_size_over_its_bound_names_environment_batch_size():

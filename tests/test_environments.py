@@ -217,6 +217,15 @@ def test_shared_linear_cycle_order_is_blockwise():
     assert env.batches == [[0, 0, 1, 0, 0, 1, 0, 0], [0, 1, 1, 1, 0, 1, 1, 1]]
 
 
+def test_shared_linear_huge_primary_count_trains_only_the_primary():
+    """A cycle of 10^9 + 1 batches is never built: its first 200 are all
+    primary, so the score is bitwise that of the primary-only ratio."""
+    env = SharedParamMtlEnv(task_profile=("primary", "useful"), total_batches=200)
+    (huge,) = env.train_full([MixingRatio(counts=(10**9, 1))], [3])
+    (alone,) = env.train_full([MixingRatio(counts=(1, 0))], [3])
+    assert huge == alone
+
+
 # The per-batch loop the batched ``_sgd`` replaced, kept as the oracle: one
 # ``integers`` call, one gather and one update per mini-batch.
 def _reference_batch(x, y, batch_size, learning_rate, rng, w):

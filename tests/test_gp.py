@@ -26,7 +26,6 @@ from auxmix.gp import (
     matern_kernel,
     posterior,
     posterior_at,
-    posterior_mean,
 )
 
 # Closed forms at unit distance with unit scales, frozen from 50-digit
@@ -193,42 +192,6 @@ def test_block_posterior_matches_pointwise_posterior():
             assert std[i] == pytest.approx(ref_std, abs=1e-12)
 
 
-@given(
-    n=st.integers(1, 25),
-    d=st.integers(1, 5),
-    n_queries=st.integers(1, 300),
-    nu=st.sampled_from([1.5, 2.5]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_posterior_mean_is_bitwise_the_posterior_mean(n, d, n_queries, nu, seed):
-    """Hedge credit reads the mean alone; it must be the very bits of
-    ``posterior(...).mean``, for fitted and fixed-kernel models."""
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, 21, size=(n, d)) / 20.0 if seed % 2 else rng.random((n, d))
-    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
-    if seed % 3:
-        model = fit(x, y, nu=nu)
-    else:
-        kernel = KernelParams(
-            length_scales=tuple(10.0 ** rng.uniform(-2, 1, size=d)),
-            signal_variance=float(10.0 ** rng.uniform(-2, 2)),
-            noise_variance=float(10.0 ** rng.uniform(-6, 0)),
-            nu=nu,
-        )
-        model = build_gp(x, y, kernel)
-    q = rng.random((n_queries, d))
-    got, want = posterior_mean(model, q), posterior(model, q).mean
-    assert got.shape == (n_queries,)
-    assert got.tobytes() == want.tobytes()
-
-
-def test_posterior_mean_checks_its_queries_like_posterior():
-    model = build_gp([[0.0, 0.0]], [1.0], unit_params(2.5, d=2))
-    for bad in (np.zeros(2), np.zeros((3, 1))):
-        with pytest.raises(ValueError, match="queries must have shape"):
-            posterior_mean(model, bad)
-
-
 def test_block_posterior_shape_check():
     model = build_gp([[0.0, 0.0]], [1.0], unit_params(2.5, d=2))
     for bad in ([0.0, 1.0], np.zeros((3, 1)), np.zeros((2, 3)), np.zeros((1, 2, 2))):
@@ -280,6 +243,11 @@ def test_build_gp_rejects_bad_shapes_and_values():
         build_gp([[0.0], [1.0]], [1.0], unit_params(2.5))
     with pytest.raises(ValueError):
         build_gp([[float("nan")]], [1.0], unit_params(2.5))
+    # Six 2-D points are not four 3-D ones, nor four 2-D points 3-D ones.
+    with pytest.raises(ValueError):
+        build_gp(np.zeros((6, 2)), np.zeros(4), unit_params(2.5, d=3))
+    with pytest.raises(ValueError, match="kernel dimension 3"):
+        build_gp(np.zeros((4, 2)), np.zeros(4), unit_params(2.5, d=3))
     with pytest.raises(ValueError, match="at least one observation"):
         build_gp(np.empty((0, 1)), [], unit_params(2.5))
 

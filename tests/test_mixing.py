@@ -158,8 +158,9 @@ def _toy_model(nu=2.5):
 
 def test_propose_next_is_deterministic_given_rng_state():
     model = _toy_model()
-    out1 = propose_next(model, HedgeState(), 32, np.random.default_rng(11))
-    out2 = propose_next(model, HedgeState(), 32, np.random.default_rng(11))
+    config = Stage2Config(pool_size=32)
+    out1 = propose_next(model, HedgeState(), config, np.random.default_rng(11))
+    out2 = propose_next(model, HedgeState(), config, np.random.default_rng(11))
     assert out1[0] == out2[0]
     assert out1[1] == out2[1]
     assert out1[2].gains == out2[2].gains
@@ -167,7 +168,9 @@ def test_propose_next_is_deterministic_given_rng_state():
 
 def test_propose_next_returns_valid_triple():
     model = _toy_model()
-    ratio, acq, new_hedge = propose_next(model, HedgeState(), 16, np.random.default_rng(5))
+    ratio, acq, new_hedge = propose_next(
+        model, HedgeState(), Stage2Config(pool_size=16), np.random.default_rng(5)
+    )
     assert isinstance(ratio, MixingRatio)
     assert ratio.n_tasks == 2
     validate_ratio(ratio, 20)
@@ -184,7 +187,7 @@ def test_ucb_lambda_zero_nominates_posterior_mean_argmax():
     forced = HedgeState(gains=(-1e9, -1e9, 0.0))
 
     ratio, acq, _ = propose_next(
-        model, forced, 64, np.random.default_rng(21), ucb_lambda=0.0
+        model, forced, Stage2Config(pool_size=64, ucb_lambda=0.0), np.random.default_rng(21)
     )
     assert acq == "ucb"
 
@@ -223,7 +226,9 @@ def test_propose_next_matches_pointwise_reference():
         ys = 0.5 + 0.1 * np.sin(3.0 * xs.sum(axis=1)) + 0.01 * rng.normal(size=n)
         model = fit(xs, ys, nu=2.5 if seed % 2 else 1.5)
         hedge = HedgeState(gains=tuple(rng.normal(size=3)))
-        ratio, acq, new_hedge = propose_next(model, hedge, 256, np.random.default_rng(seed))
+        ratio, acq, new_hedge = propose_next(
+            model, hedge, Stage2Config(pool_size=256), np.random.default_rng(seed)
+        )
         ref_ratio, ref_acq, ref_gains = _propose_next_reference(
             model, hedge, 256, np.random.default_rng(seed)
         )
@@ -241,7 +246,9 @@ def test_propose_next_credits_the_bits_of_the_nominees_posterior_mean():
         xs = rng.integers(0, 21, size=(n, d)) / 20.0
         model = fit(xs, rng.random(n), nu=2.5 if seed % 2 else 1.5)
         hedge = HedgeState(gains=tuple(rng.normal(size=3)))
-        _, _, new_hedge = propose_next(model, hedge, 256, np.random.default_rng(seed))
+        _, _, new_hedge = propose_next(
+            model, hedge, Stage2Config(pool_size=256), np.random.default_rng(seed)
+        )
         pool_rng = np.random.default_rng(seed)
         best = int(np.argmax(model.observations))
         pool = np.vstack([pool_rng.random((256, d)), _neighbor_points(model.points[best], 20)])
@@ -257,7 +264,9 @@ def test_propose_next_credits_the_bits_of_the_nominees_posterior_mean():
 
 def test_propose_next_credits_all_three_gains():
     model = _toy_model()
-    _, _, new_hedge = propose_next(model, HedgeState(), 16, np.random.default_rng(7))
+    _, _, new_hedge = propose_next(
+        model, HedgeState(), Stage2Config(pool_size=16), np.random.default_rng(7)
+    )
     assert all(g != 0.0 for g in new_hedge.gains)
 
 

@@ -12,6 +12,7 @@ from auxmix.bandit import BanditConfig, thompson_draws
 from auxmix.config import normalize, to_pipeline_config
 from auxmix.environments import make_environment
 from auxmix.mixing import (
+    MAX_RATIO_MAX,
     EvaluationRecord,
     MixingRatio,
     Stage2Config,
@@ -395,6 +396,18 @@ def test_one_built_config_runs_repeatedly(mode, family):
     assert report_summary(second) == report_summary(first)
     assert second.evaluations == first.evaluations
     assert second.selection == first.selection
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_a_run_at_the_largest_ratio_max_finishes(family):
+    """Counts up to 2^31 are drawn, encoded and trained without building a
+    cycle of their sum or leaving int64."""
+    stage2 = {**_TINY["stage2"], "ratio_max": MAX_RATIO_MAX}
+    raw = {"environment": _FAMILIES[family], **_TINY, "stage2": stage2}
+    report = run_pipeline(to_pipeline_config(raw))
+    assert len(report.evaluations) == 4
+    assert all(math.isfinite(r.score) for r in report.evaluations)
+    assert max(c for r in report.evaluations for c in r.ratio.counts) > 2**20
 
 
 # -------------------------------------------------------------- artifacts
