@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import zip_longest
 from pathlib import Path
 
@@ -185,6 +184,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         (config.normalized, seed, str(run_dir / f"seed-{seed}"), args.force, args.grid_size)
         for seed in range(lo, hi + 1)
     ]
+    # Imported here: the pool loads about 30 modules that no other command needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     worst = EXIT_OK
     with ProcessPoolExecutor() as pool:
         for seed, code, message in pool.map(_run_one_seed, jobs):

@@ -126,17 +126,36 @@ def gram_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndar
     return _matern_of_distance(_scaled_distances(x1, x2, ls), params.nu, params.signal_variance)
 
 
+class FoldBuffer:
+    """Room for a ``(C, capacity, capacity)`` stack of inverse factors, and
+    the number of its leading rows that a fold has claimed.
+
+    A fold over exactly the claimed rows appends its new rows in place, if
+    they fit, and claims them; any other fold copies its rows into a fresh
+    buffer.  So rows are only ever written past every claim, and no fold's
+    rows change.
+    """
+
+    __slots__ = ("stack", "claimed")
+
+    def __init__(self, n_candidates: int, capacity: int):
+        self.stack = np.zeros((n_candidates, capacity, capacity))
+        self.claimed = 0
+
+
 class Fold(NamedTuple):
     """Every candidate's inverse Cholesky factor over the points folded so far.
 
     ``chol_inv[c]`` is ``L^-1`` for candidate ``c``, where ``L`` is the lower
     factor of ``K + (noise + jitter) I``; ``log_det[c]`` is its
     ``sum(log diag L)``.  The whole stack shares one jitter, the model's
-    ``kernel.jitter``.
+    ``kernel.jitter``.  ``chol_inv`` is the leading ``(C, n, n)`` block of
+    ``buffer.stack``.
     """
 
     chol_inv: np.ndarray
     log_det: np.ndarray
+    buffer: FoldBuffer
 
 
 @dataclass(frozen=True)
@@ -148,6 +167,8 @@ class GpModel:
     used after any escalation.  ``dual`` is ``L^-T L^-1 (y - mean_offset)``.
     ``fold`` holds every searched candidate's factor, which
     ``fit(..., base=model)`` extends; ``chol_inv`` is the winner's row of it.
+    Both are views of ``fold.buffer``, whose later rows a later fit may
+    write; the rows a model shows never change.
     """
 
     points: np.ndarray
@@ -176,18 +197,28 @@ def _fold(
     ``L^-1`` is ``[-l^T L^-1 / delta, 1 / delta]`` (Rasmussen & Williams,
     *GPML*, App. A.3).  If any candidate's ``delta^2`` is not positive, the
     whole stack's jitter goes up tenfold and the fold restarts from the
-    first point.  Each step reads only the points before it, through
-    arrays of the final shape, so extending ``base`` gives bitwise the
-    factor that folding every point from the first does.
+    first point, in a fresh buffer.  Each step reads only the points before
+    it, so extending ``base`` gives bitwise the factor that folding every
+    point from the first does.
+
+    The new rows go into ``base``'s buffer in place when ``base`` holds its
+    latest claim and it has room; otherwise ``base``'s rows are copied into
+    a fresh buffer of at least twice the capacity.  A fold from the first
+    point gets a buffer of exactly ``n`` rows.
     """
     n, d = x.shape
     length_scales, s2 = rows[:, None, :d], rows[:, d, None, None]
     while jitter <= JITTER_MAX:
-        chol_inv = np.zeros((rows.shape[0], n, n))
         start, log_det = 0, np.zeros(rows.shape[0])
-        if base is not None:
-            start, log_det = base.chol_inv.shape[-1], base.log_det
-            chol_inv[:, :start, :start] = base.chol_inv
+        if base is None:
+            buffer = FoldBuffer(rows.shape[0], n)
+        else:
+            start, log_det, buffer = base.chol_inv.shape[-1], base.log_det, base.buffer
+            capacity = buffer.stack.shape[-1]
+            if buffer.claimed != start or capacity < n:
+                buffer = FoldBuffer(rows.shape[0], max(n, 2 * capacity))
+                buffer.stack[:, :start, :start] = base.chol_inv
+        chol_inv = buffer.stack
         pivot = rows[:, d] + rows[:, d + 1] + jitter  # k(x, x) + noise + jitter
         for i in range(start, n):
             dist = _scaled_distances(x[:i], x[i], length_scales)
@@ -200,7 +231,8 @@ def _fold(
             chol_inv[:, i, i] = 1.0 / delta
             log_det = log_det + np.log(delta)
         else:
-            return jitter, Fold(chol_inv=chol_inv, log_det=log_det)
+            buffer.claimed = n
+            return jitter, Fold(chol_inv=chol_inv[:, :n, :n], log_det=log_det, buffer=buffer)
         jitter, base = jitter * 10.0, None
     raise LinAlgError(
         f"covariance factorization failed with jitter escalated up to {JITTER_MAX:g}"
@@ -283,6 +315,16 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
     *GPML*, Alg. 2.1).  Round-off can push a variance slightly negative; it
     is clamped at zero before the square root.
     """
+    return _posterior_and_cross(model, x)[0]
+
+
+def _posterior_and_cross(model: GpModel, x: np.ndarray) -> tuple[Posterior, np.ndarray]:
+    """:func:`posterior` and the cross-covariance ``k_x`` it was computed from.
+
+    ``model.mean_offset + k_x[rows] @ model.dual`` is bitwise
+    ``posterior(model, x[rows]).mean``, since a kernel entry does not
+    depend on the block it is computed in.
+    """
     d = len(model.kernel.length_scales)
     q = np.asarray(x, dtype=float)
     if q.ndim != 2 or q.shape[1] != d:
@@ -291,7 +333,7 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
     mean = model.mean_offset + kx @ model.dual
     v = model.chol_inv @ kx.T
     var = model.kernel.signal_variance - np.sum(v**2, axis=0)
-    return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
+    return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0))), kx
 
 
 def posterior_at(model: GpModel, x: Sequence[float]) -> Posterior:

@@ -9,6 +9,7 @@ auxiliary that survived stage 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -26,13 +27,13 @@ from .acquisition import (
     upper_confidence_bound,
 )
 from .bandit import TaskSelection
-from .gp import GpModel, fit, posterior, posterior_at
+from .gp import GpModel, _posterior_and_cross, fit, posterior_at
 from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_ints
 
 # The largest evaluation budget, candidate pool and grid a config may ask for.
 # A GP fit over n evaluations keeps a (gp.N_SEARCH_STARTS + 1, n, n) stack of
-# inverse factors, 69 MB at n = 512, and the round that extends it by one
-# point allocates the next one, at O(33 n^2) work per round.  A proposal
+# inverse factors, 69 MB at n = 512, in a buffer of at most 2n rows that the
+# round after it extends in place by one point, at O(33 n^2) work.  A proposal
 # scores its pool through a (pool_size, n) cross-covariance, 64 MiB at both
 # bounds.  A ratio_max of at most 2^31 keeps every count, and the sum of a
 # ratio's counts, inside int64, for rng.integers and the training schedule's
@@ -153,9 +154,9 @@ def decode(x: Sequence[float], ratio_max: int) -> MixingRatio:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a 1-D point, got shape {arr.shape}")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
         raise ValueError(f"point must lie in the unit box, got {arr}")
-    counts = [int(c) for c in np.rint(arr * ratio_max)]
+    counts = np.rint(arr * ratio_max).astype(np.int64).tolist()
     counts[0] = max(counts[0], 1)
     return MixingRatio(counts=tuple(counts))
 
@@ -197,12 +198,22 @@ def expand_to_tasks(ratio: MixingRatio, task_ids: Sequence[int], n_tasks: int) -
     return MixingRatio(counts=tuple(counts))
 
 
-def _neighbor_points(incumbent_x: np.ndarray, ratio_max: int) -> np.ndarray:
-    """All one-grid-step moves (±1/ratio_max per axis) from the incumbent, clipped:
-    row ``2j`` moves axis ``j`` down a step, row ``2j + 1`` up."""
-    step, d = 1.0 / ratio_max, incumbent_x.size
+@functools.lru_cache(maxsize=64)
+def _grid_moves(d: int, ratio_max: int) -> np.ndarray:
+    """Read-only one-grid-step moves in ``d`` dimensions: row ``2j`` moves
+    axis ``j`` down ``1 / ratio_max``, row ``2j + 1`` up."""
+    step = 1.0 / ratio_max
     moves = (np.eye(d)[:, None, :] * [[-step], [step]]).reshape(2 * d, d)
-    return np.clip(incumbent_x + moves, 0.0, 1.0)
+    moves.flags.writeable = False
+    return moves
+
+
+def _neighbor_points(
+    incumbent_x: np.ndarray, ratio_max: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """All one-grid-step moves from the incumbent, clipped to the unit box,
+    in :func:`_grid_moves` order; written to ``out`` when it is given."""
+    return np.clip(incumbent_x + _grid_moves(incumbent_x.size, ratio_max), 0.0, 1.0, out=out)
 
 
 def propose_next(
@@ -215,30 +226,34 @@ def propose_next(
     observed point) on the ``config.ratio_max`` grid.  Each acquisition
     nominates its pool argmax, UCB at ``config.ucb_lambda``, the portfolio
     picks one nomination to evaluate, and all three gains are credited with
-    ``posterior(model, nominees).mean``.  That is a query of its own: the
-    pool posterior's entries at the nominees may differ in their last bits.
+    bitwise ``posterior(model, nominees).mean``.  The pool's cross-covariance
+    is computed once: a kernel entry does not depend on its block, so its
+    three nominee rows times ``model.dual`` give those means.  The pool
+    posterior's own means at the nominees, rows of a product over the whole
+    pool, may differ from them in their last bits.
 
     Returns the decoded ratio, the acquisition that won, and the updated
     portfolio state.
     """
     best_idx = int(np.argmax(model.observations))
-    incumbent_x = model.points[best_idx]
     tau = float(model.observations[best_idx])
 
-    pool = rng.random((config.pool_size, model.points.shape[1]))
-    pool = np.vstack([pool, _neighbor_points(incumbent_x, config.ratio_max)])
+    m, d = config.pool_size, model.points.shape[1]
+    pool = np.empty((m + 2 * d, d))
+    rng.random(out=pool[:m])  # the stream of rng.random((m, d))
+    _neighbor_points(model.points[best_idx], config.ratio_max, out=pool[m:])
 
-    post = posterior(model, pool)
+    post, kx = _posterior_and_cross(model, pool)
     scores = (  # in ACQUISITIONS order
         probability_of_improvement(post, tau),
         expected_improvement(post, tau),
         upper_confidence_bound(post, config.ucb_lambda),
     )
-    nominees = [pool[int(np.argmax(s))] for s in scores]
+    nominee_rows = [int(np.argmax(s)) for s in scores]
 
     chosen = hedge_select(hedge, rng)
-    new_hedge = hedge_update(hedge, posterior(model, np.asarray(nominees)).mean)
-    nominee = nominees[ACQUISITIONS.index(chosen)]
+    new_hedge = hedge_update(hedge, model.mean_offset + kx[nominee_rows] @ model.dual)
+    nominee = pool[nominee_rows[ACQUISITIONS.index(chosen)]]
     return decode(nominee, config.ratio_max), chosen, new_hedge
 
 

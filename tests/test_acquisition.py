@@ -14,6 +14,7 @@ from scipy.stats import norm
 from auxmix.acquisition import (
     ACQUISITIONS,
     HedgeState,
+    _normal_cdf,
     expected_improvement,
     hedge_probabilities,
     hedge_select,
@@ -194,6 +195,24 @@ def test_ucb_rejects_negative_lambda():
         upper_confidence_bound(Posterior(0.0, 1.0), -1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_ucb_rejects_a_lambda_that_is_not_finite(lam):
+    post = Posterior(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        upper_confidence_bound(post, lam)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4)])
+def test_normal_cdf_is_libm_erfc_elementwise(shape):
+    """The list form gives the bits of math.erfc at every entry, 0-d included."""
+    z = np.random.default_rng(sum(shape) + 3).normal(scale=10.0, size=shape)
+    z.flat[0] = -38.0  # subnormal Phi
+    got = _normal_cdf(z)
+    want = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.reshape(-1).tolist()]
+    assert got.shape == z.shape
+    assert got.reshape(-1).tolist() == want
+
+
 # ------------------------------------------------------------------- Hedge
 
 def test_hedge_state_validation():
@@ -203,6 +222,14 @@ def test_hedge_state_validation():
         HedgeState(eta=0.0)
     with pytest.raises(ValueError):
         HedgeState(eta=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hedge_state_rejects_gains_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="gains must be finite"):
+        HedgeState(gains=(bad, 0.0, 0.0))
+    with pytest.raises(ValueError, match="gains must be finite"):
+        hedge_update(HedgeState(), [0.0, bad, 0.0])
 
 
 def test_hedge_probabilities_uniform_at_init():
@@ -233,6 +260,20 @@ def test_hedge_select_names_and_determinism():
     picks = [hedge_select(state, np.random.default_rng(77)) for _ in range(5)]
     assert len(set(picks)) == 1
     assert picks[0] in ACQUISITIONS
+
+
+def test_hedge_select_draws_what_rng_choice_draws():
+    """The Python-float draw is Generator.choice with ``p``: the same index
+    and the same generator state afterwards, over random gains and ``eta``."""
+    rng = np.random.default_rng(2024)
+    for _ in range(10_000):
+        gains = rng.normal(size=3) * 10.0 ** rng.uniform(-4, 3, size=3)
+        state = HedgeState(gains=tuple(gains.tolist()), eta=float(10.0 ** rng.uniform(-3, 2)))
+        seed = int(rng.integers(2**63))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = ACQUISITIONS[int(theirs.choice(3, p=hedge_probabilities(state)))]
+        assert hedge_select(state, ours) == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_hedge_select_frequencies_match_probabilities():

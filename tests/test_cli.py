@@ -73,6 +73,16 @@ def test_importing_a_module_loads_no_package_it_does_not_use(module, package):
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    """Only ``run --seeds`` uses the process pool, so only it imports it."""
+    proc = _python(
+        "import sys, auxmix.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 BLOCK_SCIPY = """
 import sys
 

@@ -638,6 +638,96 @@ def test_fit_extending_a_base_is_bitwise_the_fit_from_scratch(d, nu, monkeypatch
     assert escalated > 0
 
 
+def _model_bytes(model):
+    """The bytes of every array a model shows."""
+    arrays = (model.points, model.observations, model.chol_inv, model.dual)
+    return [a.tobytes() for a in (*arrays, model.fold.chol_inv, model.fold.log_det)]
+
+
+def _fit_one_at_a_time(x, y, nu):
+    model = None
+    for n in range(1, len(y) + 1):
+        model = fit(x[:n], y[:n], nu=nu, base=model)
+    return model
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_two_extensions_of_one_base_are_each_the_fit_from_scratch(nu):
+    """The first extension of a base appends its row to the base's buffer
+    in place; the second, of the same base by another point, finds the
+    buffer claimed past the base and copies.  Each is the fit from scratch,
+    and neither changes the base or the other."""
+    rng = np.random.default_rng(61 if nu == 1.5 else 62)
+    for k in (5, 6, 9, 10, 12, 14):  # a one-at-a-time fit of k points has 2 spare rows
+        d = int(rng.integers(1, 5))
+        x, y = rng.random((k + 2, d)), rng.normal(size=k + 2)
+        base = _fit_one_at_a_time(x[:k], y[:k], nu)
+        before = _model_bytes(base)
+        first = fit(x[: k + 1], y[: k + 1], nu=nu, base=base)
+        assert first.fold.buffer is base.fold.buffer
+        first_bytes = _model_bytes(first)
+        other_x, other_y = np.vstack([x[:k], x[k + 1 :]]), np.append(y[:k], y[k + 1])
+        second = fit(other_x, other_y, nu=nu, base=base)
+        assert second.fold.buffer is not base.fold.buffer
+        after_first = fit(x, y, nu=nu, base=first)  # still the buffer's latest claim
+        assert after_first.fold.buffer is base.fold.buffer
+        _assert_same_model(first, fit(x[: k + 1], y[: k + 1], nu=nu))
+        _assert_same_model(second, fit(other_x, other_y, nu=nu))
+        _assert_same_model(after_first, fit(x, y, nu=nu))
+        assert _model_bytes(base) == before
+        assert _model_bytes(first) == first_bytes
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_a_fit_that_outgrows_its_buffer_is_the_fit_from_scratch(nu):
+    """Extending by one point at a time, a fit with room appends in place and
+    one without copies into a buffer of twice the capacity."""
+    rng = np.random.default_rng(63 if nu == 1.5 else 64)
+    x, y = rng.random((40, 3)), rng.normal(size=40)
+    model, grown, in_place = fit(x[:1], y[:1], nu=nu), [], 0
+    assert model.fold.buffer.stack.shape == (len(_fit_candidates(3)), 1, 1)
+    for n in range(2, 41):
+        capacity = model.fold.buffer.stack.shape[-1]
+        extended = fit(x[:n], y[:n], nu=nu, base=model)
+        if n > capacity:
+            assert extended.fold.buffer is not model.fold.buffer
+            grown.append(extended.fold.buffer.stack.shape[-1])
+        else:
+            assert extended.fold.buffer is model.fold.buffer
+            in_place += 1
+        _assert_same_model(extended, fit(x[:n], y[:n], nu=nu))
+        model = extended
+    assert grown == [2, 4, 8, 16, 32, 64]
+    assert in_place == 39 - len(grown)
+
+
+def test_an_extension_that_escalates_restarts_in_a_fresh_buffer(monkeypatch):
+    """A coincident point that the jitter-hungry candidate cannot factor
+    restarts the fold from the first point in a buffer of its own.  The rows
+    it wrote into the base's buffer lie past the base's claim, so the base
+    is unchanged and still extends in place to the fit from scratch."""
+    rows = np.vstack([_fit_candidates(2), _needs_jitter_row(2)])
+    monkeypatch.setattr(gp, "_fit_candidates", lambda width: rows)
+    rng = np.random.default_rng(65)
+    escalated = 0
+    for _ in range(20):
+        x, y = rng.random((8, 2)), rng.normal(size=9)
+        base = _fit_one_at_a_time(x[:7], y[:7], 2.5)  # 7 of 8 rows
+        before = _model_bytes(base)
+        repeat = fit(np.vstack([x[:7], x[3]]), y[:8], base=base)
+        if repeat.kernel.jitter > base.kernel.jitter:
+            escalated += 1
+            assert repeat.fold.buffer is not base.fold.buffer
+            assert base.fold.buffer.claimed == 7
+        _assert_same_model(repeat, fit(np.vstack([x[:7], x[3]]), y[:8]))
+        assert _model_bytes(base) == before
+        if base.fold.buffer.claimed == 7:
+            fresh_point = fit(x, np.append(y[:7], y[8]), base=base)
+            assert fresh_point.fold.buffer is base.fold.buffer
+            _assert_same_model(fresh_point, fit(x, np.append(y[:7], y[8])))
+    assert escalated > 0
+
+
 def test_fit_rejects_a_base_it_cannot_extend():
     rng = np.random.default_rng(41)
     x, y = rng.random((6, 2)), rng.normal(size=6)

@@ -20,11 +20,13 @@ from auxmix.acquisition import (
 from auxmix import gp
 from auxmix.bandit import TaskSelection
 from auxmix.environments import PlantedBanditEnv
-from auxmix.gp import fit, posterior, posterior_at
+from auxmix.gp import fit, gram_matrix, posterior, posterior_at
 from auxmix.mixing import (
+    MAX_RATIO_MAX,
     EvaluationRecord,
     MixingRatio,
     Stage2Config,
+    _grid_moves,
     _neighbor_points,
     decode,
     encode,
@@ -75,6 +77,18 @@ def test_decode_rejects_out_of_box():
         decode([0.5, 1.2], 20)
     with pytest.raises(ValueError):
         decode([-0.1], 20)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_decode_rejects_a_point_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match="unit box"):
+        decode([bad, 0.5], 20)
+
+
+def test_decode_gives_plain_ints_at_the_largest_ratio_max():
+    ratio = decode([1.0, 0.5, 0.0], MAX_RATIO_MAX)
+    assert ratio.counts == (MAX_RATIO_MAX, MAX_RATIO_MAX // 2, 0)
+    assert all(type(c) is int for c in ratio.counts)
 
 
 @given(
@@ -148,6 +162,17 @@ def test_neighbor_points_are_one_step_moves():
     got = {tuple(np.round(p, 10)) for p in pts}
     assert expected <= got
     assert all(0.0 <= v <= 1.0 for p in pts for v in p)
+
+
+def test_grid_moves_are_cached_per_width_and_grid_and_read_only():
+    moves = _grid_moves(3, 20)
+    assert _grid_moves(3, 20) is moves
+    assert not moves.flags.writeable
+    assert moves.tolist() == (np.eye(3)[:, None, :] * [[-0.05], [0.05]]).reshape(6, 3).tolist()
+    out = np.empty((6, 3))
+    x = np.array([0.5, 0.0, 1.0])
+    assert _neighbor_points(x, 20, out=out) is out
+    assert out.tobytes() == np.clip(x + moves, 0.0, 1.0).tobytes()
 
 
 def _toy_model(nu=2.5):
@@ -260,6 +285,24 @@ def test_propose_next_credits_the_bits_of_the_nominees_posterior_mean():
         ]
         means = posterior(model, np.array([pool[int(np.argmax(sc))] for sc in scores])).mean
         assert new_hedge.gains == tuple(g + float(m) for g, m in zip(hedge.gains, means))
+
+
+def test_propose_next_computes_one_pool_cross_covariance(monkeypatch):
+    """The pool's ``k(pool, X)`` is the only cross-covariance of a proposal:
+    the Hedge credit reads its nominee rows."""
+    calls = []
+
+    def counting_gram_matrix(x1, x2, params):
+        calls.append(np.shape(x1))
+        return gram_matrix(x1, x2, params)
+
+    monkeypatch.setattr(gp, "gram_matrix", counting_gram_matrix)
+    for d, pool_size in [(1, 16), (2, 64), (4, 256)]:
+        rng = np.random.default_rng(d)
+        model = fit(rng.random((6, d)), rng.random(6))
+        calls.clear()
+        propose_next(model, HedgeState(), Stage2Config(pool_size=pool_size), rng)
+        assert calls == [(pool_size + 2 * d, d)]
 
 
 def test_propose_next_credits_all_three_gains():
