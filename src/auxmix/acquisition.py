@@ -107,14 +107,22 @@ class HedgeState:
             raise ValueError(f"eta must be positive, got {self.eta}")
 
 
+# A huge eta overflows eta * gains; the overflow is caught below, not warned of.
+@np.errstate(over="ignore")
 def hedge_probabilities(state: HedgeState) -> np.ndarray:
     """Selection distribution ``softmax(eta * gains)``.
 
-    The max gain is subtracted before exponentiation, so the result is
-    finite for any gain magnitudes and invariant to a common shift.
+    The max is subtracted before exponentiation, so the result is finite
+    for any gain magnitudes and invariant to a common shift.  Where
+    ``eta * gains`` overflows, the max gain is subtracted before scaling
+    instead, so the top gain still scores 0 and the rest at most that.
     """
-    scaled = state.eta * np.asarray(state.gains, dtype=float)
-    scaled -= np.max(scaled)
+    gains = np.asarray(state.gains, dtype=float)
+    scaled = state.eta * gains
+    top = np.max(scaled)
+    if not math.isfinite(top):
+        scaled, top = state.eta * (gains - np.max(gains)), 0.0
+    scaled -= top
     w = np.exp(scaled)
     return w / np.sum(w)
 

@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import inspect
 import math
+import re
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -50,7 +51,14 @@ def _as_int(key: str, value: Any) -> int:
     return value
 
 
+# A YAML 1.2 float with an exponent, which PyYAML (YAML 1.1) leaves as a
+# string unless it has a dot and a signed exponent: 1e6, 1.5e6, -2E-3.
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
+
+
 def _as_float(key: str, value: Any) -> float:
+    if isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(key, f"expected a number, got {value!r}")
     out = float(value)

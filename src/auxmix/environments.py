@@ -33,6 +33,13 @@ MAX_DATA_FLOATS = 2**27
 # past it a block is one step of K * batch_size rows.
 _GATHER_ROWS = 3072
 
+# Row indices drawn per span of lockstep SGD steps: a span of K trainings
+# takes max(1, _DRAW_ROWS // (K * batch_size)) steps, one ``integers`` call
+# per training, and is gathered one block at a time.  Fewer, longer draws
+# save NumPy's per-call overhead; at 2^14 rows a run was no faster than at
+# 2^13 but peaked at more memory.  Neither constant is a setting.
+_DRAW_ROWS = 2**13
+
 # The largest mini-batch a shared-linear environment takes, so that one
 # training's mini-batch fits in one gather block.  A larger batch_size is
 # rejected; this bounds the rows a step gathers, it is not a setting.
@@ -271,25 +278,29 @@ class SharedParamMtlEnv:
         b, with row indices drawn from ``rngs[k]``.  One stacked ``matmul``
         per product advances all K at once; it applies the same kernel to
         each training as the 2-D product of one, so every row of ``w`` ends
-        bitwise where training it alone would.  Indices are drawn and rows
-        gathered a block of steps at a time, at most ``_GATHER_ROWS`` rows per
-        block: per training and block, one ``integers`` call with per-element
-        bounds consumes the generator exactly as one call per batch would.
+        bitwise where training it alone would.  Indices are drawn a span of
+        steps at a time, at most ``_DRAW_ROWS`` rows per span: per training
+        and span, one ``integers`` call with per-element bounds consumes the
+        generator exactly as one call per batch would.  Rows are gathered a
+        block of steps at a time, at most ``_GATHER_ROWS`` rows per block.
         """
-        block = max(1, _GATHER_ROWS // (max(len(rngs), 1) * self.batch_size))
+        bs = self.batch_size
+        rows = max(len(rngs), 1) * bs  # one step of every training
+        span, block = max(1, _DRAW_ROWS // rows), max(1, _GATHER_ROWS // rows)
         cols = w[:, :, None]  # each training's weights as a column, a view of w
-        for start in range(0, task_ids.shape[1], block):
-            self._sgd_block(task_ids[:, start : start + block], rngs, cols)
+        for start in range(0, task_ids.shape[1], span):
+            ids = task_ids[:, start : start + span]
+            idx = np.repeat(self._offsets[ids], bs, axis=1)
+            for row, rng, bound in zip(idx, rngs, np.repeat(self._sizes[ids], bs, axis=1)):
+                row += rng.integers(0, bound)
+            for b in range(0, idx.shape[1], block * bs):
+                self._sgd_block(idx[:, b : b + block * bs], cols)
 
-    def _sgd_block(
-        self, task_ids: np.ndarray, rngs: Sequence[np.random.Generator], cols: np.ndarray
-    ) -> None:
-        """One block of :meth:`_sgd`; its gathered rows are freed on return."""
+    def _sgd_block(self, idx: np.ndarray, cols: np.ndarray) -> None:
+        """One block of :meth:`_sgd`: the steps whose ``(K, steps * batch_size)``
+        row indices are ``idx``; its gathered rows are freed on return."""
         bs, lr = self.batch_size, self.learning_rate
-        idx = np.repeat(self._offsets[task_ids], bs, axis=1)
-        for row, rng, bound in zip(idx, rngs, np.repeat(self._sizes[task_ids], bs, axis=1)):
-            row += rng.integers(0, bound)
-        shape = (len(rngs), task_ids.shape[1], bs)
+        shape = (idx.shape[0], idx.shape[1] // bs, bs)
         xs = self._x[idx].reshape(*shape, self.dim).swapaxes(0, 1)
         ys = self._y[idx].reshape(*shape, 1).swapaxes(0, 1)
         for xb, xb_t, yb in zip(xs, xs.swapaxes(2, 3), ys):

@@ -264,6 +264,7 @@ def train_scores(
     seeds: Sequence[int],
     wheres: Sequence[str],
     log: RunLog,
+    isolate_first: bool = False,
 ) -> Iterator[float]:
     """Scores of one batch of full trainings, inside the abort boundary.
 
@@ -274,6 +275,10 @@ def train_scores(
     :class:`RunAborted` at the batch's first place; a score that is not
     finite ends it when it is reached, so the caller has logged every
     score before it.  Either way the exception carries ``{"stage2": log}``.
+
+    With ``isolate_first``, an exception from a batch of several ratios
+    retrains the first one alone: the run ends at its place if that fails
+    too, and at the second place otherwise.
     """
     env_ratios = [expand_to_tasks(ratio, task_ids, env.n_tasks) for ratio in ratios]
     partial = {"stage2": log}
@@ -282,7 +287,11 @@ def train_scores(
         if len(scores) != len(ratios):
             raise ValueError(f"train_full returned {len(scores)} scores for {len(ratios)} ratios")
     except Exception as exc:
-        raise RunAborted(f"environment failed {wheres[0]}: {exc}", partial) from exc
+        where = wheres[0]
+        if isolate_first and len(ratios) > 1:
+            list(train_scores(env, ratios[:1], task_ids, seeds[:1], wheres[:1], log))
+            where = wheres[1]
+        raise RunAborted(f"environment failed {where}: {exc}", partial) from exc
     for where, score in zip(wheres, scores):
         if not math.isfinite(score):
             raise RunAborted(f"environment failed {where}: train_full returned {score!r}", partial)
@@ -323,7 +332,12 @@ def run_stage2(
     tasks: TaskSelection,
     config: Stage2Config,
     proposals: Iterable[Sequence[Proposal]] | None = None,
-) -> tuple[EvaluationRecord, list[EvaluationRecord], RunLog]:
+    *,
+    baseline_seed: int | None = None,
+) -> (
+    tuple[EvaluationRecord, list[EvaluationRecord], RunLog]
+    | tuple[EvaluationRecord, list[EvaluationRecord], RunLog, float]
+):
     """Evaluate a budget of mixing ratios and return the best one found.
 
     ``proposals`` yields batches of ``(ratio, acquisition, posterior_mean,
@@ -336,6 +350,13 @@ def run_stage2(
     scratch under a fresh seed derived from ``(rng_seed, "eval", round)``,
     so a duplicate ratio is genuinely re-evaluated.  Best record ties break
     toward the earliest evaluation.
+
+    Given ``baseline_seed``, the primary-only baseline trains under it as
+    the first member of the first batch, outside the budget and the log,
+    and its score is returned after the log.  A non-finite baseline score
+    ends the run "on the baseline run".  If the batch raises, the baseline
+    is retrained alone: the run ends "on the baseline run" if that fails
+    too, and at the batch's first round otherwise.
 
     Raises
     ------
@@ -353,6 +374,8 @@ def run_stage2(
     if proposals is None:
         proposals = _gp_proposals(len(task_ids), config, records)
     best_score = -math.inf
+    lead = baseline_seed is not None  # the next batch leads with the baseline
+    baseline_score = None
     for batch in proposals:
         ratios = [ratio for ratio, *_ in batch]
         for ratio in ratios:
@@ -360,7 +383,13 @@ def run_stage2(
         rounds = range(len(records), len(records) + len(batch))
         seeds = [derive_seed(config.rng_seed, "eval", t) for t in rounds]
         wheres = [f"at stage-2 round {t}" for t in rounds]
-        scores = train_scores(env, ratios, task_ids, seeds, wheres, log)
+        if lead:
+            ratios.insert(0, MixingRatio((1,) + (0,) * (len(task_ids) - 1)))
+            seeds.insert(0, baseline_seed)
+            wheres.insert(0, "on the baseline run")
+        scores = train_scores(env, ratios, task_ids, seeds, wheres, log, isolate_first=lead)
+        if lead:
+            baseline_score, lead = next(scores), False
         for t, (ratio, acq, post_mean, post_std), score in zip(rounds, batch, scores):
             records.append(EvaluationRecord(ratio=ratio, score=score))
             best_score = max(best_score, score)
@@ -374,4 +403,6 @@ def run_stage2(
                 incumbent=best_score,
             )
     best = max(records, key=lambda r: r.score)  # max() keeps the earliest on ties
-    return best, records, log
+    if baseline_seed is None:
+        return best, records, log
+    return best, records, log, baseline_score

@@ -4,8 +4,8 @@ Mode ``full`` runs bandit task selection and then GP ratio search over the
 survivors.  Mode ``no_stage1`` skips selection and searches ratios over all
 tasks.  Mode ``no_stage2`` keeps selection but replaces the GP with a
 manually enumerated ratio grid of the same evaluation budget.  Every mode
-also trains the primary-only baseline, right after stage 1; it is the one
-evaluation outside the stage-2 budget.
+also trains the primary-only baseline, as the first member of stage 2's
+first batch; it is the one evaluation outside the stage-2 budget.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .mixing import (
     MixingRatio,
     Stage2Config,
     run_stage2,
-    train_scores,
 )
 from .runlog import RunAborted, RunLog, SettingError, derive_seed, make_header, require_work
 
@@ -120,9 +119,11 @@ def _all_task_selection(config: BanditConfig) -> TaskSelection:
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Execute one full run and return its report.
 
-    The baseline (primary-only ratio) is always trained, right after stage
-    1, under a seed derived from ``(stage2.rng_seed, "baseline")``, so
-    stage-2 scores and the baseline are comparable across modes and seeds.
+    The baseline (primary-only ratio) is always trained, in the first
+    ``train_full`` call of stage 2, under a seed derived from
+    ``(stage2.rng_seed, "baseline")``, so stage-2 scores and the baseline
+    are comparable across modes and seeds; ``no_stage2`` trains all of
+    stage 2 in that one call.
 
     Raises
     ------
@@ -137,20 +138,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         else:
             selection, stage1_log = run_stage1(env, config.bandit)
         task_ids = selection.selected_task_ids
-        (baseline_score,) = train_scores(
-            env,
-            [MixingRatio(tuple([1] + [0] * (len(task_ids) - 1)))],
-            task_ids,
-            [derive_seed(config.stage2.rng_seed, "baseline")],
-            ["on the baseline run"],
-            RunLog(),
-        )
         proposals = None
         if config.mode == "no_stage2":
             stage2 = config.stage2
             grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
             proposals = [[(ratio, "grid", None, None) for ratio in grid]]
-        best, records, stage2_log = run_stage2(env, selection, config.stage2, proposals)
+        best, records, stage2_log, baseline_score = run_stage2(
+            env, selection, config.stage2, proposals,
+            baseline_seed=derive_seed(config.stage2.rng_seed, "baseline"),
+        )
     except RunAborted as exc:  # the failing stage filled in its own log
         exc.stage_logs = {"stage1": stage1_log, "stage2": RunLog(), **exc.stage_logs}
         raise

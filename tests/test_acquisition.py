@@ -6,6 +6,7 @@ SciPy appears here only as an oracle; the package computes Phi itself.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,28 @@ def test_hedge_probabilities_huge_gains_stay_finite():
     p = hedge_probabilities(state)
     assert np.all(np.isfinite(p))
     assert p[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("gains", [(1.0, 2.0, 0.5), (-2.0, -3.0, -5.0), (0.0, -2.0, 3.0)])
+def test_hedge_probabilities_where_eta_times_gains_overflows(gains):
+    """The top gain keeps weight 1 and every other one underflows to 0,
+    without a warning on the way."""
+    assert not math.isfinite(max(1e308 * g for g in gains))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = hedge_probabilities(HedgeState(gains=gains, eta=1e308))
+    assert p.tolist() == [float(g == max(gains)) for g in gains]
+
+
+def test_hedge_probabilities_keep_their_bits_where_nothing_overflows():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        gains = rng.standard_normal(3) * 10.0 ** rng.integers(-5, 6)
+        eta = float(10.0 ** rng.uniform(-3, 3))
+        scaled = eta * gains
+        w = np.exp(scaled - np.max(scaled))
+        got = hedge_probabilities(HedgeState(gains=tuple(gains.tolist()), eta=eta))
+        assert got.tobytes() == (w / np.sum(w)).tobytes()
 
 
 def test_hedge_select_names_and_determinism():

@@ -278,104 +278,104 @@ _PIPELINE = functools.partial(
 _SHARED = functools.partial(SharedParamMtlEnv, dim=2, n_primary_train=4, n_aux=4)
 
 # One rejected value per check of each constructor, with the field it names.
-# A row's position is part of its test id, so a row whose check is gone
-# hands its slot to a new one rather than shifting the rows after it.
+# A row's number is part of its test id, so deleting a row renames no other;
+# a field row of a comprehension numbers its values from its own number.
 _REJECTIONS = [
-    (BanditConfig, {"n_tasks": 1}, "n_tasks"),
-    (BanditConfig, {"n_tasks": 3, "alpha0": 0.0}, "alpha0"),
-    (BanditConfig, {"n_tasks": 3, "beta0": float("inf")}, "beta0"),
-    (BanditConfig, {"n_tasks": 3, "gamma": 1.5}, "gamma"),
-    (BanditConfig, {"n_tasks": 3, "primary_prior_boost": -1.0}, "primary_prior_boost"),
+    (0, BanditConfig, {"n_tasks": 1}, "n_tasks"),
+    (1, BanditConfig, {"n_tasks": 3, "alpha0": 0.0}, "alpha0"),
+    (2, BanditConfig, {"n_tasks": 3, "beta0": float("inf")}, "beta0"),
+    (3, BanditConfig, {"n_tasks": 3, "gamma": 1.5}, "gamma"),
+    (4, BanditConfig, {"n_tasks": 3, "primary_prior_boost": -1.0}, "primary_prior_boost"),
     # Work over MAX_WORK_BATCHES, named by its larger factor.
-    (BanditConfig, {"n_tasks": 3, "batches_per_round": 10**12}, "batches_per_round"),
-    (BanditConfig, {"n_tasks": 3, "n_rounds": -1}, "n_rounds"),
-    (BanditConfig, {"n_tasks": 3, "batches_per_round": 0}, "batches_per_round"),
-    (Stage2Config, {"n_initial": 20}, "n_initial"),
-    (Stage2Config, {"ratio_max": 0}, "ratio_max"),
-    (Stage2Config, {"pool_size": 0}, "pool_size"),
-    (Stage2Config, {"nu": 0.5}, "nu"),
-    (Stage2Config, {"ucb_lambda": -1.0}, "ucb_lambda"),
-    (Stage2Config, {"hedge_eta": 0.0}, "hedge_eta"),
-    (_PIPELINE, {"mode": "both"}, "mode"),
-    (_PIPELINE, {"stage2": Stage2Config(n_samples=MAX_N_SAMPLES + 1)}, "stage2.n_samples"),
-    (PlantedBanditEnv, {"theta_star": []}, "theta_star"),
-    (PlantedBanditEnv, {"theta_star": [0.5, 1.5]}, "theta_star"),
-    (PlantedBanditEnv, {"score_noise": -0.1}, "score_noise"),
-    (_SHARED, {"task_profile": ["useful", "primary"]}, "task_profile"),
-    (_SHARED, {"task_profile": ["primary", "mystery"]}, "task_profile"),
-    (_SHARED, {"dim": 0}, "dim"),
-    (_SHARED, {"n_primary_train": 0}, "n_primary_train"),
-    (_SHARED, {"n_aux": 0}, "n_aux"),
-    (_SHARED, {"total_batches": 0}, "total_batches"),
-    (_SHARED, {"batch_size": 0}, "batch_size"),
-    (_SHARED, {"batches_per_round": 0}, "batches_per_round"),
-    (_SHARED, {"n_primary_heldout": 1}, "n_primary_heldout"),
-    (_SHARED, {"learning_rate": 0.0}, "learning_rate"),
+    (5, BanditConfig, {"n_tasks": 3, "batches_per_round": 10**12}, "batches_per_round"),
+    (6, BanditConfig, {"n_tasks": 3, "n_rounds": -1}, "n_rounds"),
+    (7, BanditConfig, {"n_tasks": 3, "batches_per_round": 0}, "batches_per_round"),
+    (8, Stage2Config, {"n_initial": 20}, "n_initial"),
+    (9, Stage2Config, {"ratio_max": 0}, "ratio_max"),
+    (10, Stage2Config, {"pool_size": 0}, "pool_size"),
+    (11, Stage2Config, {"nu": 0.5}, "nu"),
+    (12, Stage2Config, {"ucb_lambda": -1.0}, "ucb_lambda"),
+    (13, Stage2Config, {"hedge_eta": 0.0}, "hedge_eta"),
+    (14, _PIPELINE, {"mode": "both"}, "mode"),
+    (15, _PIPELINE, {"stage2": Stage2Config(n_samples=MAX_N_SAMPLES + 1)}, "stage2.n_samples"),
+    (16, PlantedBanditEnv, {"theta_star": []}, "theta_star"),
+    (17, PlantedBanditEnv, {"theta_star": [0.5, 1.5]}, "theta_star"),
+    (18, PlantedBanditEnv, {"score_noise": -0.1}, "score_noise"),
+    (19, _SHARED, {"task_profile": ["useful", "primary"]}, "task_profile"),
+    (20, _SHARED, {"task_profile": ["primary", "mystery"]}, "task_profile"),
+    (21, _SHARED, {"dim": 0}, "dim"),
+    (22, _SHARED, {"n_primary_train": 0}, "n_primary_train"),
+    (23, _SHARED, {"n_aux": 0}, "n_aux"),
+    (24, _SHARED, {"total_batches": 0}, "total_batches"),
+    (25, _SHARED, {"batch_size": 0}, "batch_size"),
+    (26, _SHARED, {"batches_per_round": 0}, "batches_per_round"),
+    (27, _SHARED, {"n_primary_heldout": 1}, "n_primary_heldout"),
+    (28, _SHARED, {"learning_rate": 0.0}, "learning_rate"),
 ] + [
     # A NaN or an infinity slips past a bare range comparison.
-    (make, {**base, field: value}, field)
-    for make, base, field in [
-        (BanditConfig, {"n_tasks": 3}, "primary_prior_boost"),
-        (Stage2Config, {}, "ucb_lambda"),
-        (PlantedBanditEnv, {}, "score_noise"),
-        (_SHARED, {}, "primary_label_noise"),
-        (_SHARED, {}, "aux_label_noise"),
-        (_SHARED, {}, "useful_shift"),
-        (_SHARED, {}, "harmful_scale"),
+    (n, make, {**base, field: value}, field)
+    for first, make, base, field in [
+        (29, BanditConfig, {"n_tasks": 3}, "primary_prior_boost"),
+        (31, Stage2Config, {}, "ucb_lambda"),
+        (33, PlantedBanditEnv, {}, "score_noise"),
+        (35, _SHARED, {}, "primary_label_noise"),
+        (37, _SHARED, {}, "aux_label_noise"),
+        (39, _SHARED, {}, "useful_shift"),
+        (41, _SHARED, {}, "harmful_scale"),
     ]
-    for value in (math.nan, math.inf)
+    for n, value in enumerate((math.nan, math.inf), first)
 ] + [
     # An integer setting rejects every float, NaN and infinity included.
-    (make, {**base, field: value}, field)
-    for make, base, field in [
-        (BanditConfig, {}, "n_tasks"),
-        (BanditConfig, {"n_tasks": 3}, "n_rounds"),
-        (BanditConfig, {"n_tasks": 3}, "batches_per_round"),
+    (n, make, {**base, field: value}, field)
+    for first, make, base, field in [
+        (43, BanditConfig, {}, "n_tasks"),
+        (46, BanditConfig, {"n_tasks": 3}, "n_rounds"),
+        (49, BanditConfig, {"n_tasks": 3}, "batches_per_round"),
     ]
-    for value in (math.nan, math.inf, 2.5)
+    for n, value in enumerate((math.nan, math.inf, 2.5), first)
 ] + [
     # The other float settings of BanditConfig reject NaN too.
-    (BanditConfig, {"n_tasks": 3, field: math.nan}, field)
-    for field in ("alpha0", "beta0", "gamma")
+    (n, BanditConfig, {"n_tasks": 3, field: math.nan}, field)
+    for n, field in [(52, "alpha0"), (53, "beta0"), (54, "gamma")]
 ] + [
     # The other integer settings, as above.
-    (make, {**base, field: value}, field)
-    for make, base, field in [
-        (Stage2Config, {}, "n_samples"),
-        (Stage2Config, {}, "n_initial"),
-        (Stage2Config, {}, "ratio_max"),
-        (Stage2Config, {}, "pool_size"),
-        (_SHARED, {}, "dim"),
-        (_SHARED, {}, "n_primary_train"),
-        (_SHARED, {}, "n_primary_heldout"),
-        (_SHARED, {}, "n_aux"),
-        (_SHARED, {}, "total_batches"),
-        (_SHARED, {}, "batch_size"),
-        (_SHARED, {}, "batches_per_round"),
+    (n, make, {**base, field: value}, field)
+    for first, make, base, field in [
+        (55, Stage2Config, {}, "n_samples"),
+        (58, Stage2Config, {}, "n_initial"),
+        (61, Stage2Config, {}, "ratio_max"),
+        (64, Stage2Config, {}, "pool_size"),
+        (67, _SHARED, {}, "dim"),
+        (70, _SHARED, {}, "n_primary_train"),
+        (73, _SHARED, {}, "n_primary_heldout"),
+        (76, _SHARED, {}, "n_aux"),
+        (79, _SHARED, {}, "total_batches"),
+        (82, _SHARED, {}, "batch_size"),
+        (85, _SHARED, {}, "batches_per_round"),
     ]
-    for value in (math.nan, math.inf, 2.5)
+    for n, value in enumerate((math.nan, math.inf, 2.5), first)
 ] + [
     # A seed may be any integer, but not a bool, a float, NaN or infinity.
-    (make, {**base, field: value}, field)
-    for make, base, field in [
-        (BanditConfig, {"n_tasks": 3}, "rng_seed"),
-        (Stage2Config, {}, "rng_seed"),
-        (_SHARED, {}, "data_seed"),
+    (n, make, {**base, field: value}, field)
+    for first, make, base, field in [
+        (88, BanditConfig, {"n_tasks": 3}, "rng_seed"),
+        (92, Stage2Config, {}, "rng_seed"),
+        (96, _SHARED, {}, "data_seed"),
     ]
-    for value in (True, math.nan, math.inf, 2.5)
+    for n, value in enumerate((True, math.nan, math.inf, 2.5), first)
 ] + [
-    (_PIPELINE, {"env": PlantedBanditEnv(theta_star=[0.9, 0.1])}, "bandit.n_tasks"),
+    (100, _PIPELINE, {"env": PlantedBanditEnv(theta_star=[0.9, 0.1])}, "bandit.n_tasks"),
     # Work over MAX_WORK_BATCHES, named by its larger factor.
-    (BanditConfig, {"n_tasks": 3, "n_rounds": 10**12}, "n_rounds"),
-    (_PIPELINE, {"env": _SHARED(total_batches=10**12)}, "environment.total_batches"),
+    (101, BanditConfig, {"n_tasks": 3, "n_rounds": 10**12}, "n_rounds"),
+    (102, _PIPELINE, {"env": _SHARED(total_batches=10**12)}, "environment.total_batches"),
     # A candidate pool over MAX_POOL_SIZE.
-    (Stage2Config, {"pool_size": MAX_POOL_SIZE + 1}, "pool_size"),
-    (Stage2Config, {"pool_size": 10**9}, "pool_size"),
+    (103, Stage2Config, {"pool_size": MAX_POOL_SIZE + 1}, "pool_size"),
+    (104, Stage2Config, {"pool_size": 10**9}, "pool_size"),
     # A mini-batch over MAX_BATCH_SIZE rows.
-    (_SHARED, {"batch_size": MAX_BATCH_SIZE + 1}, "batch_size"),
-    (_SHARED, {"batch_size": 10**8}, "batch_size"),
+    (105, _SHARED, {"batch_size": MAX_BATCH_SIZE + 1}, "batch_size"),
+    (106, _SHARED, {"batch_size": 10**8}, "batch_size"),
     # A grid over MAX_RATIO_MAX, whose counts would leave int64.
-    (Stage2Config, {"ratio_max": 10**30}, "ratio_max"),
+    (107, Stage2Config, {"ratio_max": 10**30}, "ratio_max"),
 ]
 
 
@@ -405,7 +405,18 @@ def test_seeds_take_every_integer_a_config_file_takes():
     assert cfg["stage2"]["rng_seed"] == 2**64
 
 
-@pytest.mark.parametrize("make, kwargs, field", _REJECTIONS)
+def _rejection_id(n, make, field):
+    """The id pytest gave row ``n`` when rows were named by their position."""
+    return f"{getattr(make, '__name__', f'make{n}')}-kwargs{n}-{field}"
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, field",
+    [
+        pytest.param(make, kwargs, field, id=_rejection_id(n, make, field))
+        for n, make, kwargs, field in _REJECTIONS
+    ],
+)
 def test_every_constructor_check_names_a_parameter(make, kwargs, field):
     """The config key comes from ``SettingError.field``, so a field that is
     not a constructor parameter would name a key that does not exist."""
@@ -640,6 +651,37 @@ def test_override_then_normalize_validates():
     out = apply_overrides({}, {"bandit.gamma": "2.0"})
     with pytest.raises(ConfigError, match="'bandit.gamma'"):
         normalize(out)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e6", 1e6), ("2E-3", 2e-3), ("+1.5e2", 150.0), (".5e1", 5.0), ("1.0e+308", 1e308)],
+)
+def test_a_float_key_takes_a_yaml_1_2_exponent_literal(tmp_path, text, value):
+    """PyYAML leaves an exponent without a dot or a sign as a string."""
+    p = tmp_path / "run.yaml"
+    p.write_text(f"stage2:\n  hedge_eta: {text}\n", encoding="utf-8")
+    stage2 = load_config(p, {"stage2.ucb_lambda": text})["stage2"]
+    assert (type(stage2["hedge_eta"]), stage2["hedge_eta"], stage2["ucb_lambda"]) == (
+        float, value, value
+    )
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("stage2.n_samples", "1e1"),  # an integer key takes no float literal
+        ("environment.family", "1e1"),  # nor does a string key
+        ("stage2.hedge_eta", '"1.5"'),  # a string without an exponent is no number
+        ("stage2.hedge_eta", "1e"),
+        ("stage2.hedge_eta", "e5"),
+        ("stage2.hedge_eta", "1_0e1"),
+        ("stage2.hedge_eta", "1e999"),  # not finite
+    ],
+)
+def test_only_a_float_key_takes_an_exponent_literal(key, text):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        normalize(apply_overrides({"environment": {"family": "planted"}}, {key: text}))
 
 
 # ------------------------------------------------------------ file loading

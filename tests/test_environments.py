@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from auxmix import environments
 from auxmix.environments import (
     PLANTED_METRIC_INCREMENT,
     ENVIRONMENT_CLASSES,
@@ -266,15 +267,20 @@ def _oracle_env():
     return env, np.split(env._x, cuts), np.split(env._y, cuts)
 
 
-def _reference_train_full(env, xs, ys, counts, seed):
-    """Final weights of one training, one ``_reference_batch`` at a time."""
+def _reference_run(env, xs, ys, counts, seed):
+    """Final weights and generator of one training, one ``_reference_batch`` at a time."""
     cycle = ratio_cycle(counts)
     rng = np.random.default_rng(seed)
     w = np.zeros(env.dim)
     for b in range(env.total_batches):
         k = cycle[b % len(cycle)]
         _reference_batch(xs[k], ys[k], env.batch_size, env.learning_rate, rng, w)
-    return w
+    return w, rng
+
+
+def _reference_train_full(env, xs, ys, counts, seed):
+    """Final weights of one training, one ``_reference_batch`` at a time."""
+    return _reference_run(env, xs, ys, counts, seed)[0]
 
 
 def _oracle_ratios():
@@ -325,6 +331,33 @@ def test_lockstep_train_full_equals_each_ratio_trained_alone(batch):
         w = _reference_train_full(env, xs, ys, counts, seed)
         assert got.tobytes() == w.tobytes()
         assert score == env._metric_of(w)
+
+
+@given(
+    batch=st.lists(
+        st.tuples(_oracle_counts, st.integers(0, 2**63 - 1)), min_size=1, max_size=25
+    ),
+    gather_rows=st.integers(1, 64),
+    draw_rows=st.integers(1, 256),
+)
+def test_lockstep_sgd_in_small_spans_and_blocks_equals_per_batch_reference(
+    batch, gather_rows, draw_rows
+):
+    """With both row constants small, spans of index draws and gather blocks
+    end mid-training, yet each training's weights and generator end bitwise
+    where a lone per-batch loop leaves them."""
+    env, xs, ys = _oracle_env()
+    task_ids = np.array([np.resize(ratio_cycle(counts), env.total_batches) for counts, _ in batch])
+    rngs = [np.random.default_rng(seed) for _, seed in batch]
+    w = np.zeros((len(batch), env.dim))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(environments, "_GATHER_ROWS", gather_rows)
+        mp.setattr(environments, "_DRAW_ROWS", draw_rows)
+        env._sgd(task_ids, rngs, w)
+    for (counts, seed), got, rng in zip(batch, w, rngs):
+        ref, ref_rng = _reference_run(env, xs, ys, counts, seed)
+        assert got.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -10,7 +10,7 @@ import pytest
 
 from auxmix.bandit import BanditConfig, thompson_draws
 from auxmix.config import normalize, to_pipeline_config
-from auxmix.environments import make_environment
+from auxmix.environments import PlantedBanditEnv, make_environment
 from auxmix.mixing import (
     MAX_RATIO_MAX,
     EvaluationRecord,
@@ -330,6 +330,76 @@ def test_no_stage2_exception_in_the_grid_batch_aborts_at_round_0(n):
             run_pipeline(make_config(mode="no_stage2"))
     assert len(info.value.stage_logs["stage1"].records) == 60
     assert info.value.stage_logs["stage2"].records == []
+
+
+class _CallLog(PlantedBanditEnv):
+    """Planted environment that records each ``train_full`` call's ratios
+    and seeds, and raises, or scores NaN, for the seeds in ``raise_for`` or
+    ``nan_for``."""
+
+    def __init__(self, raise_for=(), nan_for=()):
+        super().__init__(theta_star=PLANTED3["theta_star"])
+        self.calls, self.raise_for, self.nan_for = [], set(raise_for), set(nan_for)
+
+    def train_full(self, ratios, seeds):
+        self.calls.append(([r.counts for r in ratios], list(seeds)))
+        if self.raise_for & set(seeds):
+            raise Bomb("meltdown")
+        scores = super().train_full(ratios, seeds)
+        return [math.nan if seed in self.nan_for else s for s, seed in zip(scores, seeds)]
+
+
+def _logged_run(mode, env):
+    config = make_config(mode=mode)
+    return run_pipeline(PipelineConfig(config.bandit, config.stage2, env, mode))
+
+
+_BASELINE_SEED = derive_seed(0, "baseline")
+
+
+@pytest.mark.parametrize("mode", PIPELINE_MODES)
+def test_the_baseline_leads_stage_2s_first_batch(mode):
+    """``no_stage2`` trains the baseline and its grid in one call; the
+    search modes train the baseline with the initial design, then one
+    ratio per GP round."""
+    env = _CallLog()
+    report = _logged_run(mode, env)
+    n_samples, n_initial = 8, 3  # make_config's defaults
+    widths = [len(seeds) for _, seeds in env.calls]
+    if mode == "no_stage2":
+        assert widths == [n_samples + 1]
+    else:
+        assert widths == [n_initial + 1] + [1] * (n_samples - n_initial)
+    ratios, seeds = env.calls[0]
+    assert seeds[0] == _BASELINE_SEED
+    assert ratios[0] == (1, 0, 0)
+    stage2_seeds = [seed for _, call_seeds in env.calls for seed in call_seeds][1:]
+    assert stage2_seeds == [derive_seed(0, "eval", t) for t in range(n_samples)]
+    (alone,) = PlantedBanditEnv(PLANTED3["theta_star"]).train_full(
+        [MixingRatio((1, 0, 0))], [_BASELINE_SEED]
+    )
+    assert report.baseline_score == alone
+
+
+@pytest.mark.parametrize("mode", PIPELINE_MODES)
+@pytest.mark.parametrize(
+    "raise_for, nan_for, message, retrained",
+    [
+        ([_BASELINE_SEED], [], "on the baseline run: meltdown", True),
+        ([derive_seed(0, "eval", 1)], [], "at stage-2 round 0: meltdown", True),
+        ([], [_BASELINE_SEED], "on the baseline run: train_full returned nan", False),
+    ],
+    ids=["baseline-raises", "stage-2-ratio-raises", "baseline-nan"],
+)
+def test_a_failure_in_the_first_batch_names_its_place(mode, raise_for, nan_for, message, retrained):
+    """A raising first batch retrains the baseline alone to tell whose
+    failure it was; either way the stage-2 log is empty."""
+    env = _CallLog(raise_for, nan_for)
+    with pytest.raises(RunAborted, match=f"environment failed {message}$") as info:
+        _logged_run(mode, env)
+    assert info.value.stage_logs["stage2"].records == []
+    expected = ([(1, 0, 0)], [_BASELINE_SEED])
+    assert env.calls[1:] == ([expected] if retrained else [])
 
 
 _PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
