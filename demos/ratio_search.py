@@ -25,7 +25,7 @@ env = SharedParamMtlEnv(
 tasks = TaskSelection(selected_task_ids=(0, 1, 2, 3), expected_utilities=(1.0,) * 4)
 config = Stage2Config(n_samples=20, n_initial=5, rng_seed=7)
 
-best, records, log = run_stage2(env, tasks, config)
+best, records, log, _ = run_stage2(env, tasks, config)
 
 print("round  acq     ratio            score   incumbent")
 for rec in log.records:

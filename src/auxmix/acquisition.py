@@ -29,14 +29,10 @@ DEFAULT_UCB_LAMBDA = 2.0
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT2 = math.sqrt(2.0)
 
-# The normal CDF as Phi(z) = erfc(-z / sqrt 2) / 2, elementwise through libm's
-# erfc.  Against 50-digit mpmath values at 20 001 points of z in [-37, 9] its
-# worst relative error is 1.8e-13, SciPy's ndtr's 2.3e-13; both come from
-# rounding -z / sqrt 2, which the tail's slope amplifies.  On z in
-# [-38.5, -37.7], where Phi is subnormal, ndtr flushes to 0 and erfc does not.
-# Mapping math.erfc over a list costs about 20 us per 262-point pool, against
-# 31 us through np.frompyfunc (x86-64, glibc); it is the same function, so
-# the same bits.  ``ravel`` keeps a 0-d z (a float posterior) a list.
+# The normal CDF as Phi(z) = erfc(-z / sqrt 2) / 2 through libm's erfc, which,
+# unlike SciPy's ndtr, does not flush the subnormal tail to 0.  Accuracy:
+# CHANGES.md, "NumPy is the only numerical backend"; timing:
+# BENCH_stage2_round_cost.json.  ``ravel`` keeps a 0-d z (a float posterior) a list.
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
     u = -z / SQRT2
     return 0.5 * np.fromiter(map(math.erfc, u.ravel().tolist()), float, u.size).reshape(u.shape)
@@ -127,26 +123,17 @@ def hedge_probabilities(state: HedgeState) -> np.ndarray:
     return w / np.sum(w)
 
 
-# Generator.choice's tolerance on the sum of the probabilities.
-_P_SUM_ATOL = math.sqrt(np.finfo(float).eps)
-
-
 def hedge_select(state: HedgeState, rng: np.random.Generator) -> str:
     """Draw one acquisition name according to the portfolio distribution.
 
     Bitwise ``rng.choice(3, p=hedge_probabilities(state))``, in Python
     floats: one ``rng.random()`` draw ``u``, and the index is the number of
     cumulative sums, each divided by the last one, that are ``<= u``.  So
-    the name and the generator's state afterwards are choice's, as are its
-    checks of ``p``.
+    the name and the generator's state afterwards are choice's.  Choice's
+    checks of ``p`` cannot fail: for a valid :class:`HedgeState` the top
+    entry of ``exp(scaled)`` is exactly 1 and the rest lie in ``[0, 1]``.
     """
     p0, p1, p2 = hedge_probabilities(state).tolist()
-    if math.isnan(p0 + p1 + p2):
-        raise ValueError("Probabilities contain NaN")
-    if min(p0, p1, p2) < 0:
-        raise ValueError("Probabilities are not non-negative")
-    if abs(math.fsum((p0, p1, p2)) - 1.0) > _P_SUM_ATOL:
-        raise ValueError("Probabilities do not sum to 1")
     c0, c1 = p0, p0 + p1
     c2 = c1 + p2
     u = rng.random()

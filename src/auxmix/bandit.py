@@ -1,22 +1,18 @@
 """Stage-1 controller: non-stationary Beta-Bernoulli bandit over candidate tasks.
 
-Each candidate task is an arm.  The arm's Beta belief models the probability
-that one more mini-batch of that task improves (or at least maintains) the
-primary task's validation metric.  Thompson sampling picks the task to train
-each round; after the reward is observed every arm decays toward its prior,
-which lets the controller track utilities that drift as training progresses.
+Each candidate task is an arm whose Beta belief models the probability that
+one more mini-batch of it improves (or maintains) the primary task's
+validation metric.  Thompson sampling picks the task to train each round;
+then every arm decays toward its prior, so the controller tracks utilities
+that drift as training progresses.
 
-The beliefs of all arms are two float sequences, ``alpha`` and ``beta``,
-indexed by task id.  The public functions take and return arrays; inside
-:func:`run_stage1` they are Python lists, since on a handful of arms NumPy's
-fixed cost per call outweighs the arithmetic.  Each round draws every arm
-with a scalar ``rng.beta(a, b)`` in task order, the per-element sampler and
-order of the array draw ``rng.beta(alpha, beta)``, so the bits are the
-same; one list kernel does the decay and credit for the loop and for
-:func:`update_posterior` alike.  The log records each round's choice,
-reward and metric but neither the beliefs nor the draws: :func:`belief_path`
-recovers the beliefs from the config and the choices and rewards, and
-:func:`thompson_draws` redraws each round's utilities from those beliefs.
+The beliefs are two float sequences, ``alpha`` and ``beta``, indexed by task
+id: arrays in the public functions, Python lists inside :func:`run_stage1`,
+where NumPy's per-call cost outweighs a handful of arms.  A round draws each
+arm with a scalar ``rng.beta(a, b)`` in task order, bitwise the array draw
+``rng.beta(alpha, beta)``.  The log holds each round's choice, reward and
+metric; :func:`belief_path` recovers the beliefs and :func:`thompson_draws`
+the draws.
 """
 
 from __future__ import annotations
@@ -227,13 +223,9 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     ``n_rounds == 0`` the selection falls out of the priors alone.  The
     final beliefs ride out on the selection's ``final_arms``.  The log keeps
     each round's choice, reward and metric; :func:`thompson_draws` redraws
-    its utilities.
-
-    Raises
-    ------
-    RunAborted
-        If the environment raises or reports a non-finite metric, from
-        ``reset`` on; the partial log rides along as its ``"stage1"`` log.
+    its utilities.  If the environment raises or reports a non-finite
+    metric, from ``reset`` on, :class:`RunAborted` carries the partial log
+    as its ``"stage1"`` log.
     """
     alpha, beta = (arms.tolist() for arms in initial_arms(config))
     log = RunLog()
@@ -259,8 +251,8 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     return select_tasks(np.array(alpha), np.array(beta), config), log
 
 
-# The scalar density went through libm; NumPy's own log1p and exp differ from
-# it in the last ulp on about one density in ten, so the table keeps libm.
+# The table goes through libm, whose log1p and exp NumPy's own differ from in
+# the last ulp on about one density in ten.
 _log = np.frompyfunc(math.log, 1, 1)
 _log1p = np.frompyfunc(math.log1p, 1, 1)
 _exp = np.frompyfunc(math.exp, 1, 1)

@@ -30,6 +30,7 @@ from .runlog import (
     SCHEMA_VERSION,
     RunAborted,
     canonical_dumps,
+    check_header,
     loads_line,
     read_jsonl,
     split_log,
@@ -198,6 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_plot_utilities(args: argparse.Namespace) -> int:
     try:
         header, records = read_jsonl(args.runlog)
+        check_header(header, ("stage1",), 1, "plots")
         bandit = dict(header["config"]["bandit"])
         if bandit.pop("primary_task_id", 0) != 0:  # a key of logs before schema 5, always 0
             raise ValueError("the primary task must be task 0")
@@ -270,15 +272,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         raw = log.read_bytes().decode("utf-8")  # no newline translation
         header, _ = split_log(raw, log)
-        kind, version = header.get("kind"), header["schema_version"]
-        if kind not in ("stage1", "stage2"):
-            raise ValueError(f"log of kind {kind!r}")
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"log schema version {version!r}, this build replays version {SCHEMA_VERSION}"
-            )
-        if not isinstance(header.get("config"), dict):
-            raise ValueError("log header carries no config")
+        check_header(header, ("stage1", "stage2"), SCHEMA_VERSION, "replays")
+        kind = header["kind"]
         paths = {name: target / name for name in RUN_FILES} if whole else {f"{kind}.log.jsonl": log}
         found = {
             name: raw if path == log else path.read_bytes().decode("utf-8")

@@ -241,14 +241,9 @@ def _build(
 
 def to_pipeline_config(raw: dict | None) -> PipelineConfig:
     """The config loader: a raw or normalized config dict as a runnable
-    :class:`PipelineConfig`, with its normal form and its environment, built once.
-
-    Raises
-    ------
-    ConfigError
-        Naming the offending key, for any unknown key, type mismatch, or
-        invariant violation.
-    """
+    :class:`PipelineConfig`, with its normal form and its environment, built
+    once.  Raises :class:`ConfigError`, naming the offending key, for any
+    unknown key, type mismatch or invariant violation."""
     normalized = _normal_form(raw)
     bandit = _build(normalized, "bandit", BanditConfig, **normalized["bandit"])
     stage2 = _build(normalized, "stage2", Stage2Config, **normalized["stage2"])
@@ -298,13 +293,9 @@ def apply_overrides(raw: dict, overrides: dict[str, str]) -> dict:
 def read_config(path: str | Path, overrides: dict[str, str] | None = None) -> dict:
     """Read a YAML config file and apply overrides, without normalizing.
 
-    Raises
-    ------
-    ConfigFileError
-        For unreadable or non-UTF-8 files, YAML syntax errors, or a top level
-        that is not a mapping.
-    ConfigError
-        For bad overrides.
+    Raises :class:`ConfigFileError` for an unreadable or non-UTF-8 file, a
+    YAML syntax error or a top level that is not a mapping, and
+    :class:`ConfigError` for a bad override.
     """
     path = Path(path)
     try:

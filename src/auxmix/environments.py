@@ -21,28 +21,20 @@ from .runlog import SettingError, derive_seed, require_ints
 
 PLANTED_METRIC_INCREMENT = 1e-3
 
-# The most floats a shared-linear environment generates, 1 GiB of float64:
-# its data hold (n_primary_train + n_aux * n_aux_tasks + n_primary_heldout) * dim.
-# A larger setting is rejected before anything is allocated.  This bounds
-# memory; it is not a setting.
+# The most floats a shared-linear environment's data may hold, 1 GiB of
+# float64: (n_primary_train + n_aux * n_aux_tasks + n_primary_heldout) * dim.
+# A larger setting is rejected before anything is allocated.  A bound, not a setting.
 MAX_DATA_FLOATS = 2**27
 
-# Rows gathered per block of lockstep SGD steps: 384 KB at 16 features.  A
-# block of K trainings takes max(1, _GATHER_ROWS // (K * batch_size)) steps,
-# so it gathers at most _GATHER_ROWS rows while K * batch_size fits in that;
-# past it a block is one step of K * batch_size rows.
+# The most rows _sgd gathers per block, and draws indices for per span, of
+# lockstep steps: K trainings take max(1, ROWS // (K * batch_size)) steps per
+# block or span.  Sizes measured in CHANGES.md ("Stage-2 ratios train in
+# lockstep batches") and BENCH_sgd_spans.json; not settings.
 _GATHER_ROWS = 3072
-
-# Row indices drawn per span of lockstep SGD steps: a span of K trainings
-# takes max(1, _DRAW_ROWS // (K * batch_size)) steps, one ``integers`` call
-# per training, and is gathered one block at a time.  Fewer, longer draws
-# save NumPy's per-call overhead; at 2^14 rows a run was no faster than at
-# 2^13 but peaked at more memory.  Neither constant is a setting.
 _DRAW_ROWS = 2**13
 
-# The largest mini-batch a shared-linear environment takes, so that one
-# training's mini-batch fits in one gather block.  A larger batch_size is
-# rejected; this bounds the rows a step gathers, it is not a setting.
+# The largest batch_size, so that one training's mini-batch fits in one
+# gather block; a larger one is rejected.  A bound, not a setting.
 MAX_BATCH_SIZE = _GATHER_ROWS
 
 
@@ -275,14 +267,11 @@ class SharedParamMtlEnv:
         """Run K trainings in lockstep, updating the ``(K, dim)`` weight stack ``w``.
 
         Training k runs one mini-batch of task ``task_ids[k, b]`` at each step
-        b, with row indices drawn from ``rngs[k]``.  One stacked ``matmul``
-        per product advances all K at once; it applies the same kernel to
-        each training as the 2-D product of one, so every row of ``w`` ends
-        bitwise where training it alone would.  Indices are drawn a span of
-        steps at a time, at most ``_DRAW_ROWS`` rows per span: per training
-        and span, one ``integers`` call with per-element bounds consumes the
-        generator exactly as one call per batch would.  Rows are gathered a
-        block of steps at a time, at most ``_GATHER_ROWS`` rows per block.
+        b, with row indices drawn from ``rngs[k]``.  A stacked ``matmul``
+        applies the same kernel to each training as the 2-D product of one,
+        so every row of ``w`` ends bitwise where training it alone would.
+        Per training and span, one ``integers`` call with per-element bounds
+        consumes the generator exactly as one call per batch would.
         """
         bs = self.batch_size
         rows = max(len(rngs), 1) * bs  # one step of every training

@@ -32,6 +32,12 @@ NOISE_VARIANCE_BOUNDS = (1e-6, 1.0)
 N_SEARCH_STARTS = 32
 FIT_SEARCH_SEED = 1729
 
+# The largest evaluation budget a config may ask for; PipelineConfig rejects
+# more.  A fit over n points keeps a (N_SEARCH_STARTS + 1, n, n) stack of
+# inverse factors, 69 MB at n = 512, and a fold grows its buffer to at most
+# max(n, MAX_N_SAMPLES) rows.  A bound, not a setting.
+MAX_N_SAMPLES = 512
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -59,11 +65,8 @@ class KernelParams:
 
 
 class Posterior(NamedTuple):
-    """Predictive mean and standard deviation.
-
-    Floats at one point (:func:`posterior_at`), or arrays of shape ``(n,)``
-    over a block of query points (:func:`posterior`).
-    """
+    """Predictive mean and standard deviation: floats at one point
+    (:func:`posterior_at`), arrays of shape ``(n,)`` over a block (:func:`posterior`)."""
 
     mean: float | np.ndarray
     std: float | np.ndarray
@@ -105,11 +108,6 @@ def matern_kernel(x1: Sequence[float], x2: Sequence[float], params: KernelParams
     """
     a = np.asarray(x1, dtype=float).reshape(-1)
     b = np.asarray(x2, dtype=float).reshape(-1)
-    d = len(params.length_scales)
-    if a.shape != (d,) or b.shape != (d,):
-        raise ValueError(
-            f"points must match kernel dimension {d}, got shapes {a.shape} and {b.shape}"
-        )
     return float(gram_matrix(a, b, params)[0, 0])
 
 
@@ -127,14 +125,9 @@ def gram_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndar
 
 
 class FoldBuffer:
-    """Room for a ``(C, capacity, capacity)`` stack of inverse factors, and
-    the number of its leading rows that a fold has claimed.
-
-    A fold over exactly the claimed rows appends its new rows in place, if
-    they fit, and claims them; any other fold copies its rows into a fresh
-    buffer.  So rows are only ever written past every claim, and no fold's
-    rows change.
-    """
+    """A ``(C, capacity, capacity)`` stack of inverse factors, of which a
+    fold has claimed the leading ``claimed`` rows; only rows past every
+    claim are ever written, so no fold's rows change."""
 
     __slots__ = ("stack", "claimed")
 
@@ -146,11 +139,10 @@ class FoldBuffer:
 class Fold(NamedTuple):
     """Every candidate's inverse Cholesky factor over the points folded so far.
 
-    ``chol_inv[c]`` is ``L^-1`` for candidate ``c``, where ``L`` is the lower
-    factor of ``K + (noise + jitter) I``; ``log_det[c]`` is its
-    ``sum(log diag L)``.  The whole stack shares one jitter, the model's
-    ``kernel.jitter``.  ``chol_inv`` is the leading ``(C, n, n)`` block of
-    ``buffer.stack``.
+    ``chol_inv[c]`` is ``L^-1`` for candidate ``c``, ``L`` the lower factor
+    of ``K + (noise + jitter) I`` at the stack's one jitter, and
+    ``log_det[c]`` its ``sum(log diag L)``; ``chol_inv`` is the leading
+    ``(C, n, n)`` block of ``buffer.stack``.
     """
 
     chol_inv: np.ndarray
@@ -163,12 +155,10 @@ class GpModel:
     """Immutable fitted model: training data, kernel, and cached inverse factor.
 
     ``chol_inv`` is ``L^-1`` for the lower Cholesky factor ``L`` of
-    ``K + (noise + jitter) I``, where ``kernel.jitter`` is the jitter actually
-    used after any escalation.  ``dual`` is ``L^-T L^-1 (y - mean_offset)``.
-    ``fold`` holds every searched candidate's factor, which
-    ``fit(..., base=model)`` extends; ``chol_inv`` is the winner's row of it.
-    Both are views of ``fold.buffer``, whose later rows a later fit may
-    write; the rows a model shows never change.
+    ``K + (noise + jitter) I`` at ``kernel.jitter``, the jitter used after
+    any escalation, and ``dual`` is ``L^-T L^-1 (y - mean_offset)``.
+    ``fold``, which ``fit(..., base=model)`` extends, holds every searched
+    candidate's factor; ``chol_inv`` is the winner's view of it.
     """
 
     points: np.ndarray
@@ -190,21 +180,18 @@ def _fold(
     """Fold the points of ``x`` after the first ``base`` ones into every candidate of ``rows``.
 
     A row is ``d`` length scales, then signal and noise variance.  Returns
-    the jitter the stack ended at and the fold.
+    the jitter the stack ended at and the fold.  Adding ``x_i`` to the
+    factor of ``X`` (Rasmussen & Williams, *GPML*, App. A.3): with
+    ``l = L^-1 k(X, x_i)`` and ``delta^2 = k(x_i, x_i) + noise + jitter - |l|^2``,
+    the new row of ``L^-1`` is ``[-l^T L^-1 / delta, 1 / delta]``.  If any
+    ``delta^2 <= 0``, the stack's jitter goes up tenfold and the fold
+    restarts from the first point.  Each step reads only the points before
+    it, so extending ``base`` is bitwise folding from the first point.
 
-    Adding a point ``x_i`` to the factor of ``X``: ``l = L^-1 k(X, x_i)``,
-    ``delta^2 = k(x_i, x_i) + noise + jitter - |l|^2``, and the new row of
-    ``L^-1`` is ``[-l^T L^-1 / delta, 1 / delta]`` (Rasmussen & Williams,
-    *GPML*, App. A.3).  If any candidate's ``delta^2`` is not positive, the
-    whole stack's jitter goes up tenfold and the fold restarts from the
-    first point, in a fresh buffer.  Each step reads only the points before
-    it, so extending ``base`` gives bitwise the factor that folding every
-    point from the first does.
-
-    The new rows go into ``base``'s buffer in place when ``base`` holds its
-    latest claim and it has room; otherwise ``base``'s rows are copied into
-    a fresh buffer of at least twice the capacity.  A fold from the first
-    point gets a buffer of exactly ``n`` rows.
+    New rows go into ``base``'s buffer when ``base`` holds its latest claim
+    and it has room, else into a fresh one of ``max(n, min(2 * capacity,
+    MAX_N_SAMPLES))`` rows; a fold from the first point gets ``n`` rows.
+    Timings: BENCH_gp_fold.json.
     """
     n, d = x.shape
     length_scales, s2 = rows[:, None, :d], rows[:, d, None, None]
@@ -216,7 +203,7 @@ def _fold(
             start, log_det, buffer = base.chol_inv.shape[-1], base.log_det, base.buffer
             capacity = buffer.stack.shape[-1]
             if buffer.claimed != start or capacity < n:
-                buffer = FoldBuffer(rows.shape[0], max(n, 2 * capacity))
+                buffer = FoldBuffer(rows.shape[0], max(n, min(2 * capacity, MAX_N_SAMPLES)))
                 buffer.stack[:, :start, :start] = base.chol_inv
         chol_inv = buffer.stack
         pivot = rows[:, d] + rows[:, d + 1] + jitter  # k(x, x) + noise + jitter
@@ -319,12 +306,9 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
 
 
 def _posterior_and_cross(model: GpModel, x: np.ndarray) -> tuple[Posterior, np.ndarray]:
-    """:func:`posterior` and the cross-covariance ``k_x`` it was computed from.
-
-    ``model.mean_offset + k_x[rows] @ model.dual`` is bitwise
-    ``posterior(model, x[rows]).mean``, since a kernel entry does not
-    depend on the block it is computed in.
-    """
+    """:func:`posterior` and the cross-covariance ``k_x`` it was computed from;
+    a kernel entry does not depend on its block, so ``model.mean_offset +
+    k_x[rows] @ model.dual`` is bitwise ``posterior(model, x[rows]).mean``."""
     d = len(model.kernel.length_scales)
     q = np.asarray(x, dtype=float)
     if q.ndim != 2 or q.shape[1] != d:
@@ -366,15 +350,13 @@ def fit(
 ) -> GpModel:
     """Fit hyperparameters by random search over the log marginal likelihood.
 
-    Candidates are drawn log-uniformly from fixed boxes (length scales in
-    [1e-2, 10], signal variance in [1e-2, 1e2], noise variance in [1e-6, 1]);
-    the geometric midpoint of the box is always evaluated too, so the search
-    never does worse than that default.  The search seed is fixed, making
-    the whole fit a deterministic function of its inputs.  The points are
-    folded one at a time into every candidate's inverse factor at once,
-    and the stack escalates its jitter as a whole; the first candidate of
-    highest log marginal likelihood wins, and its factor from the stack
-    becomes the model's.
+    Candidates are drawn log-uniformly, under a fixed seed, from fixed boxes
+    (length scales in [1e-2, 10], signal variance in [1e-2, 1e2], noise
+    variance in [1e-6, 1]), plus the box's geometric midpoint, so the search
+    never does worse than that default and the fit is a deterministic
+    function of its inputs.  The points are folded into every candidate's
+    inverse factor at once, escalating the stack's jitter as a whole; the
+    first candidate of highest log marginal likelihood wins.
 
     ``base``, a model that ``fit`` returned for a prefix of ``points`` and
     ``observations`` with the same ``nu``, lets the fold start after that

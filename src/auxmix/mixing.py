@@ -27,21 +27,15 @@ from .acquisition import (
     upper_confidence_bound,
 )
 from .bandit import TaskSelection
-from .gp import GpModel, _posterior_and_cross, fit, posterior_at
+from .gp import MAX_N_SAMPLES, GpModel, _posterior_and_cross, fit, posterior_at
 from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_ints
 
-# The largest evaluation budget, candidate pool and grid a config may ask for.
-# A GP fit over n evaluations keeps a (gp.N_SEARCH_STARTS + 1, n, n) stack of
-# inverse factors, 69 MB at n = 512, in a buffer of at most 2n rows that the
-# round after it extends in place by one point, at O(33 n^2) work.  A proposal
-# scores its pool through a (pool_size, n) cross-covariance, 64 MiB at both
-# bounds.  A ratio_max of at most 2^31 keeps every count, and the sum of a
-# ratio's counts, inside int64, for rng.integers and the training schedule's
-# cumulative sum.  Stage2Config rejects a larger pool_size or ratio_max, and
-# PipelineConfig a larger n_samples, after the training work that n_samples
-# also multiplies.  These bound memory, run time and integer range; they are
+# The largest candidate pool and grid a config may ask for; Stage2Config
+# rejects more.  A proposal scores its pool through a (pool_size, n)
+# cross-covariance, 64 MiB at n = MAX_N_SAMPLES.  A ratio_max of at most 2^31
+# keeps every count, and the sum of a ratio's counts, inside int64, for
+# rng.integers and the training schedule's cumulative sum.  These are bounds,
 # not settings.
-MAX_N_SAMPLES = 512
 MAX_POOL_SIZE = 2**14
 MAX_RATIO_MAX = 2**31
 
@@ -134,15 +128,10 @@ class Stage2Environment(Protocol):
     def train_full(self, ratios: Sequence[MixingRatio], seeds: Sequence[int]) -> list[float]: ...
 
 
-def encode(ratio: MixingRatio, ratio_max: int) -> np.ndarray:
-    """Map integer counts to the unit box, ``x_k = count_k / ratio_max``."""
-    validate_ratio(ratio, ratio_max)
-    return _unit_box(ratio.counts, ratio_max)
-
-
-def _unit_box(counts, ratio_max: int) -> np.ndarray:
-    """``counts / ratio_max`` as floats, for one ratio's counts or a list of them."""
-    return np.asarray(counts, dtype=float) / float(ratio_max)
+def encode(counts, ratio_max: int) -> np.ndarray:
+    """Map integer counts to the unit box, ``x_k = count_k / ratio_max``, for
+    one ratio's counts or a list of them; :func:`validate_ratio` checks the bound."""
+    return np.asarray(counts, dtype=float) / ratio_max
 
 
 def decode(x: Sequence[float], ratio_max: int) -> MixingRatio:
@@ -221,16 +210,13 @@ def propose_next(
 ) -> tuple[MixingRatio, str, HedgeState]:
     """One round of portfolio-guided proposal under ``config``.
 
-    A candidate pool of ``config.pool_size`` uniform points in the unit box
-    is augmented with every grid neighbor of the incumbent (the best
-    observed point) on the ``config.ratio_max`` grid.  Each acquisition
-    nominates its pool argmax, UCB at ``config.ucb_lambda``, the portfolio
-    picks one nomination to evaluate, and all three gains are credited with
-    bitwise ``posterior(model, nominees).mean``.  The pool's cross-covariance
-    is computed once: a kernel entry does not depend on its block, so its
-    three nominee rows times ``model.dual`` give those means.  The pool
-    posterior's own means at the nominees, rows of a product over the whole
-    pool, may differ from them in their last bits.
+    A pool of ``config.pool_size`` uniform points in the unit box, plus
+    every grid neighbor of the incumbent (the best observed point), is
+    scored once.  Each acquisition nominates its pool argmax, UCB at
+    ``config.ucb_lambda``; the portfolio picks one nomination, and all three
+    gains are credited with bitwise ``posterior(model, nominees).mean``: the
+    nominees' rows of the pool's cross-covariance times ``model.dual``, not
+    the pool posterior's means, which may differ in their last bits.
 
     Returns the decoded ratio, the acquisition that won, and the updated
     portfolio state.
@@ -268,17 +254,15 @@ def train_scores(
 ) -> Iterator[float]:
     """Scores of one batch of full trainings, inside the abort boundary.
 
-    Each ratio covers ``task_ids`` and is spread onto the environment's
-    full task vector first; ``wheres[k]`` names ratio k's place in the run.
-    The whole batch trains in one ``train_full`` call, and the scores are
-    yielded in order.  An exception from the environment ends the run as
-    :class:`RunAborted` at the batch's first place; a score that is not
-    finite ends it when it is reached, so the caller has logged every
-    score before it.  Either way the exception carries ``{"stage2": log}``.
-
-    With ``isolate_first``, an exception from a batch of several ratios
-    retrains the first one alone: the run ends at its place if that fails
-    too, and at the second place otherwise.
+    Each ratio covers ``task_ids`` and is spread onto the environment's full
+    task vector; ``wheres[k]`` names ratio k's place in the run.  The batch
+    trains in one ``train_full`` call and the scores are yielded in order.
+    An exception from the environment ends the run as :class:`RunAborted`
+    at the batch's first place; with ``isolate_first`` and several ratios,
+    the first is retrained alone, and the run ends at the second place if
+    that succeeds.  A score that is not finite ends the run when reached,
+    so the caller has logged every score before it.  Either way the
+    exception carries ``{"stage2": log}``.
     """
     env_ratios = [expand_to_tasks(ratio, task_ids, env.n_tasks) for ratio in ratios]
     partial = {"stage2": log}
@@ -319,11 +303,10 @@ def _gp_proposals(
     ]
     hedge, model = HedgeState(eta=config.hedge_eta), None
     for _ in range(config.n_initial, config.n_samples):
-        # run_stage2 has validated every ratio, so encode()'s check is skipped.
-        xs = _unit_box([r.ratio.counts for r in records], config.ratio_max)
+        xs = encode([r.ratio.counts for r in records], config.ratio_max)
         model = fit(xs, np.array([r.score for r in records]), nu=config.nu, base=model)
         ratio, acq, hedge = propose_next(model, hedge, config, rng)
-        post = posterior_at(model, encode(ratio, config.ratio_max))
+        post = posterior_at(model, encode(ratio.counts, config.ratio_max))
         yield [(ratio, acq, post.mean, post.std)]
 
 
@@ -334,39 +317,19 @@ def run_stage2(
     proposals: Iterable[Sequence[Proposal]] | None = None,
     *,
     baseline_seed: int | None = None,
-) -> (
-    tuple[EvaluationRecord, list[EvaluationRecord], RunLog]
-    | tuple[EvaluationRecord, list[EvaluationRecord], RunLog, float]
-):
-    """Evaluate a budget of mixing ratios and return the best one found.
+) -> tuple[EvaluationRecord, list[EvaluationRecord], RunLog, float | None]:
+    """Evaluate a budget of mixing ratios; return the best record (ties go to
+    the earliest), every record, the log and the baseline's score.
 
     ``proposals`` yields batches of ``(ratio, acquisition, posterior_mean,
-    posterior_std)``, one per round, each ratio over the selected tasks;
-    every batch is validated, trained in one ``train_full`` call, and
-    logged round by round.  By default the first batch holds the
-    ``n_initial`` uniform random draws from the valid grid, and each later
-    one, up to ``n_samples`` rounds, holds one :func:`propose_next` ratio
-    from a GP refitted on the full history.  Every evaluation trains from
-    scratch under a fresh seed derived from ``(rng_seed, "eval", round)``,
-    so a duplicate ratio is genuinely re-evaluated.  Best record ties break
-    toward the earliest evaluation.
-
-    Given ``baseline_seed``, the primary-only baseline trains under it as
-    the first member of the first batch, outside the budget and the log,
-    and its score is returned after the log.  A non-finite baseline score
-    ends the run "on the baseline run".  If the batch raises, the baseline
-    is retrained alone: the run ends "on the baseline run" if that fails
-    too, and at the batch's first round otherwise.
-
-    Raises
-    ------
-    ValueError
-        For a proposed ratio above ``ratio_max`` or of the wrong width.
-    RunAborted
-        On environment failure or a non-finite score; the partial log rides
-        on the exception as its ``"stage2"`` log.  A non-finite score at
-        round t leaves rounds before t in the log; an exception inside a
-        batch leaves the rounds before the batch.
+    posterior_std)`` over the selected tasks, by default :func:`_gp_proposals`.
+    Each batch is checked (``ValueError`` for a ratio above ``ratio_max`` or
+    of the wrong width), trained through :func:`train_scores` and logged
+    round by round; round t trains from scratch under
+    ``derive_seed(rng_seed, "eval", t)``, so a duplicate ratio is re-evaluated.
+    Given ``baseline_seed``, the primary-only baseline trains under it first
+    in the first batch, outside the budget and the log, and its failures end
+    the run "on the baseline run"; without it the baseline score is ``None``.
     """
     task_ids = tasks.selected_task_ids
     records: list[EvaluationRecord] = []
@@ -403,6 +366,4 @@ def run_stage2(
                 incumbent=best_score,
             )
     best = max(records, key=lambda r: r.score)  # max() keeps the earliest on ties
-    if baseline_seed is None:
-        return best, records, log
     return best, records, log, baseline_score

@@ -119,17 +119,11 @@ def _all_task_selection(config: BanditConfig) -> TaskSelection:
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Execute one full run and return its report.
 
-    The baseline (primary-only ratio) is always trained, in the first
-    ``train_full`` call of stage 2, under a seed derived from
-    ``(stage2.rng_seed, "baseline")``, so stage-2 scores and the baseline
-    are comparable across modes and seeds; ``no_stage2`` trains all of
-    stage 2 in that one call.
-
-    Raises
-    ------
-    RunAborted
-        On environment failure, with ``stage_logs`` holding both stage logs
-        up to the failure (a stage that never started has an empty log).
+    The primary-only baseline always trains in stage 2's first
+    ``train_full`` call, under ``derive_seed(stage2.rng_seed, "baseline")``,
+    so it is comparable across modes and seeds.  An environment failure
+    raises :class:`RunAborted` with ``stage_logs`` holding both stage logs
+    up to the failure (a stage that never started has an empty log).
     """
     env, stage1_log = config.env, RunLog()
     try:

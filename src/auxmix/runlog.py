@@ -15,14 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-# Version 2 dropped each stage-1 record's beliefs, ``arms_after``, which the
-# config and the logged choices and rewards determine (``bandit.belief_path``).
-# Version 3 dropped its Thompson draws, ``sampled_thetas``, which the same
-# generator redraws from those beliefs (``bandit.thompson_draws``).
-# Version 4 dropped the stage-1 header's final beliefs, ``final_arms``, the
-# last of ``belief_path``; every header is ``schema_version``, ``kind`` and
-# ``config``, so finished and aborted runs write the same record.
-# Version 5 dropped the config's ``bandit.primary_task_id``; task 0 is the primary.
+# The log format this build writes and replays; plot-utilities reads stage-1
+# logs from version 1 on.  What each version dropped: README, "Run logs".
 SCHEMA_VERSION = 5
 
 # The most mini-batches a config may ask for, in each of stage 1
@@ -33,23 +27,10 @@ MAX_WORK_BATCHES = 2**26
 
 
 def derive_seed(*parts: object) -> int:
-    """Derive a stable 64-bit seed from an arbitrary sequence of labels.
-
-    The same parts give the same seed on every platform and build: the parts
-    are joined with ``:``, hashed with sha256, and the first eight bytes of
-    the digest are read as a little-endian unsigned integer.
-
-    Parameters
-    ----------
-    *parts : object
-        Labels identifying the consumer (seeds, stage names, round indices).
-        Each is converted with ``str``.
-
-    Returns
-    -------
-    int
-        Seed in ``[0, 2**64)`` suitable for ``numpy.random.default_rng``.
-    """
+    """A seed in ``[0, 2**64)`` for ``numpy.random.default_rng``, the same on
+    every platform and build: the first eight bytes, little-endian, of the
+    sha256 of the ``str`` of each label (seeds, stage names, round indices)
+    joined with ``:``."""
     if not parts:
         raise ValueError("derive_seed requires at least one part")
     data = ":".join(str(p) for p in parts).encode("utf-8")
@@ -66,8 +47,7 @@ def canonical_dumps(record: dict) -> str:
     always serialize to equal byte strings.  Records hold plain values
     built by their producers; a NumPy integer, bool or array raises
     ``TypeError`` here, while an ``np.float64`` (a ``float`` subclass)
-    serializes as the equal ``float``.  One module-level encoder serves
-    every call; ``json.dumps`` would build the same one for each record.
+    serializes as the equal ``float``.
     """
     return _CANONICAL_ENCODER.encode(record)
 
@@ -171,17 +151,12 @@ def loads_line(text: str, lineno: int, path: str | Path) -> Any:
 
 
 def split_log(raw: str, path: str | Path) -> tuple[dict, list[str]]:
-    """Parse and check a run log's header; return it with all non-blank lines.
+    """Parse and check a run log's header; return it with all non-blank lines,
+    the header's included.
 
     Only the first line is parsed, so callers that compare lines as text
-    (replay) never decode the records.  The returned lines include the
-    header line.
-
-    Raises
-    ------
-    ValueError
-        If the text holds no line, the first line is not valid JSON, or it
-        is not a header record.
+    (replay) never decode the records.  Raises ``ValueError`` if the text
+    holds no line or its first line is not a JSON header record.
     """
     lines = [ln for ln in raw.split("\n") if ln.strip()]
     if not lines:
@@ -192,14 +167,24 @@ def split_log(raw: str, path: str | Path) -> tuple[dict, list[str]]:
     return header, lines
 
 
-def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read a run log, returning ``(header, records)``.
+def check_header(header: dict, kinds: tuple[str, ...], oldest: int, verb: str) -> None:
+    """Raise ``ValueError`` unless a :func:`split_log` header is of one of
+    ``kinds``, at a schema version from ``oldest`` to :data:`SCHEMA_VERSION`,
+    and carries a config mapping; ``verb`` says what the caller does with it."""
+    kind, version = header["kind"], header["schema_version"]
+    if kind not in kinds:
+        raise ValueError(f"log of kind {kind!r}")
+    if version not in range(oldest, SCHEMA_VERSION + 1):
+        window = "version" if oldest == SCHEMA_VERSION else f"versions {oldest} to"
+        raise ValueError(
+            f"log schema version {version!r}, this build {verb} {window} {SCHEMA_VERSION}"
+        )
+    if not isinstance(header.get("config"), dict):
+        raise ValueError("log header carries no config")
 
-    Raises
-    ------
-    ValueError
-        If the file is empty, a line is not valid JSON, or the first line is
-        not a header record.
-    """
+
+def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
+    """Read a run log, returning ``(header, records)``; raises ``ValueError``
+    as :func:`split_log` does, or for a line that is not valid JSON."""
     header, lines = split_log(Path(path).read_text(encoding="utf-8"), path)
     return header, [loads_line(ln, i, path) for i, ln in enumerate(lines[1:], 2)]

@@ -215,7 +215,7 @@ def test_criterion_06_stage2_beats_random_search():
     n_pairs = 50
     for seed in range(n_pairs):
         cfg = Stage2Config(n_samples=20, n_initial=5, rng_seed=seed)
-        best, _, _ = run_stage2(env, sel, cfg)
+        best, _, _, _ = run_stage2(env, sel, cfg)
         rng = np.random.default_rng(derive_seed(seed, "random-search"))
         random_best = max(
             env.train_full(

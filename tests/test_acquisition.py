@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from auxmix.acquisition import (
@@ -276,6 +278,34 @@ def test_hedge_probabilities_keep_their_bits_where_nothing_overflows():
         w = np.exp(scaled - np.max(scaled))
         got = hedge_probabilities(HedgeState(gains=tuple(gains.tolist()), eta=eta))
         assert got.tobytes() == (w / np.sum(w)).tobytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500)
+@given(
+    gains=st.tuples(_FINITE, _FINITE, _FINITE),
+    eta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example(gains=(1.7976931348623157e308, -1.7976931348623157e308, 0.0), eta=1.7976931348623157e308)
+@example(gains=(5e-324, -5e-324, -0.0), eta=5e-324)
+@example(gains=(-1.7976931348623157e308,) * 3, eta=2.0)
+def test_hedge_probabilities_always_pass_the_checks_of_rng_choice(gains, eta):
+    """For every valid state the top weight is exactly ``exp(0) = 1`` and
+    the rest lie in [0, 1], so ``p`` is finite, non-negative, peaks at
+    exactly ``1 / sum(w)`` and sums to 1 within choice's ``sqrt(eps)``:
+    :func:`hedge_select` needs none of choice's checks of ``p``."""
+    state = HedgeState(gains=gains, eta=eta)
+    g = np.asarray(gains)
+    with np.errstate(over="ignore"):
+        scaled = eta * g
+        scaled = scaled - scaled.max() if np.isfinite(scaled.max()) else eta * (g - g.max())
+    w = np.exp(scaled)
+    p = hedge_probabilities(state)
+    assert np.all(np.isfinite(p)) and np.all(p >= 0)
+    assert p.max() == 1.0 / np.sum(w)
+    assert abs(math.fsum(p.tolist()) - 1.0) <= math.sqrt(np.finfo(float).eps)
 
 
 def test_hedge_select_names_and_determinism():

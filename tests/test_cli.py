@@ -1030,6 +1030,27 @@ def test_plot_utilities_reads_a_v4_log(finished_run, tmp_path, capsys):
     assert "task 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [0, 6, 99])
+def test_plot_utilities_refuses_a_stage1_log_outside_its_versions(
+    finished_run, tmp_path, capsys, version
+):
+    log = tmp_path / "future.log.jsonl"
+    log.write_bytes((finished_run / "stage1.log.jsonl").read_bytes())
+    _rewrite_header(log, lambda header: header.update(schema_version=version))
+    want = f"log schema version {version}, this build plots versions 1 to {SCHEMA_VERSION}"
+    assert run_cli("plot-utilities", log, "--out", tmp_path / "out.csv") == EXIT_USAGE
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_plot_utilities_refuses_a_stage2_log(finished_run, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    log = finished_run / "stage2.log.jsonl"
+    assert run_cli("plot-utilities", log, "--out", target) == EXIT_USAGE
+    assert "log of kind 'stage2'" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_plot_utilities_write_failure_is_not_a_malformed_log(finished_run, tmp_path, capsys):
     target = tmp_path / "taken"
     target.mkdir()  # a directory where the CSV file should go

@@ -701,6 +701,21 @@ def test_a_fit_that_outgrows_its_buffer_is_the_fit_from_scratch(nu):
     assert in_place == 39 - len(grown)
 
 
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_buffer_growth_stops_at_max_n_samples(nu, monkeypatch):
+    """A buffer doubles up to ``MAX_N_SAMPLES`` rows and past it grows only
+    to the points it must hold; every extension is the fit from scratch."""
+    monkeypatch.setattr(gp, "MAX_N_SAMPLES", 6)
+    rng = np.random.default_rng(66 if nu == 1.5 else 67)
+    x, y = rng.random((10, 2)), rng.normal(size=10)
+    model, capacities = fit(x[:2], y[:2], nu=nu), []
+    for n in range(3, 11):
+        model = fit(x[:n], y[:n], nu=nu, base=model)
+        capacities.append(model.fold.buffer.stack.shape[-1])
+        _assert_same_model(model, fit(x[:n], y[:n], nu=nu))
+    assert capacities == [4, 4, 6, 6, 7, 8, 9, 10]
+
+
 def test_an_extension_that_escalates_restarts_in_a_fresh_buffer(monkeypatch):
     """A coincident point that the jitter-hungry candidate cannot factor
     restarts the fold from the first point in a buffer of its own.  The rows

@@ -62,8 +62,8 @@ def test_validate_ratio_enforces_cap():
 
 
 def test_encode_examples():
-    assert np.allclose(encode(MixingRatio(counts=(10, 5, 0)), 20), [0.5, 0.25, 0.0])
-    assert np.allclose(encode(MixingRatio(counts=(1,)), 20), [0.05])
+    assert np.allclose(encode((10, 5, 0), 20), [0.5, 0.25, 0.0])
+    assert np.allclose(encode((1,), 20), [0.05])
 
 
 def test_decode_examples():
@@ -98,7 +98,7 @@ def test_decode_gives_plain_ints_at_the_largest_ratio_max():
 )
 def test_encode_decode_round_trip_on_grid(counts):
     ratio = MixingRatio(counts=counts)
-    assert decode(encode(ratio, 20), 20) == ratio
+    assert decode(encode(ratio.counts, 20), 20) == ratio
 
 
 def test_ratio_cycle_block_form():
@@ -361,7 +361,7 @@ class FailingEnv:
 def test_run_stage2_spends_exactly_the_budget():
     env = QuadraticEnv()
     cfg = Stage2Config(n_samples=9, n_initial=4, rng_seed=2)
-    best, records, log = run_stage2(env, PRIMARY_ONLY, cfg)
+    best, records, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     assert env.calls == 9
     assert len(records) == 9
     assert len(log.records) == 9
@@ -379,7 +379,7 @@ def test_run_stage2_folds_each_record_into_the_gp_exactly_once(monkeypatch):
 
     monkeypatch.setattr(gp, "_fold", counting_fold)
     cfg = Stage2Config(n_samples=20, n_initial=5, rng_seed=3)
-    _, records, _ = run_stage2(SeedEchoEnv(n_tasks=2), TaskSelection((0, 1), (1.0, 0.8)), cfg)
+    _, records, _, _ = run_stage2(SeedEchoEnv(n_tasks=2), TaskSelection((0, 1), (1.0, 0.8)), cfg)
     assert len(records) == 20
     assert folded == list(range(19))
 
@@ -387,7 +387,7 @@ def test_run_stage2_folds_each_record_into_the_gp_exactly_once(monkeypatch):
 def test_run_stage2_initial_rounds_are_random_then_gp_takes_over():
     env = QuadraticEnv()
     cfg = Stage2Config(n_samples=4, n_initial=3, rng_seed=0)
-    _, _, log = run_stage2(env, PRIMARY_ONLY, cfg)
+    _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     used = [r["acquisition_used"] for r in log.records]
     assert used[:3] == ["random", "random", "random"]
     assert used[3] in ACQUISITIONS
@@ -399,7 +399,7 @@ def test_run_stage2_initial_rounds_are_random_then_gp_takes_over():
 def test_run_stage2_incumbent_is_running_max():
     env = SeedEchoEnv(n_tasks=1)
     cfg = Stage2Config(n_samples=8, n_initial=3, rng_seed=5)
-    _, records, log = run_stage2(env, PRIMARY_ONLY, cfg)
+    _, records, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     running = -np.inf
     for rec, line in zip(records, log.records):
         running = max(running, rec.score)
@@ -410,7 +410,7 @@ def test_run_stage2_incumbent_is_running_max():
 def test_run_stage2_eval_seeds_follow_derivation():
     env = SeedEchoEnv(n_tasks=1)
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=77)
-    _, records, _ = run_stage2(env, PRIMARY_ONLY, cfg)
+    _, records, _, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     assert [s for _, s in env.seen] == [derive_seed(77, "eval", t) for t in range(len(records))]
 
 
@@ -418,7 +418,7 @@ def test_run_stage2_expands_ratio_to_environment_width():
     env = SeedEchoEnv(n_tasks=4)
     tasks = TaskSelection(selected_task_ids=(0, 2), expected_utilities=(1.0, 0.8))
     cfg = Stage2Config(n_samples=5, n_initial=2, rng_seed=1)
-    _, records, _ = run_stage2(env, tasks, cfg)
+    _, records, _, _ = run_stage2(env, tasks, cfg)
     for (env_ratio, _), rec in zip(env.seen, records):
         assert env_ratio.n_tasks == 4
         assert env_ratio.counts[1] == 0 and env_ratio.counts[3] == 0
@@ -434,7 +434,7 @@ def test_run_stage2_best_ties_break_earliest():
             return [0.25] * len(ratios)
 
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=9)
-    best, records, _ = run_stage2(ConstantEnv(), PRIMARY_ONLY, cfg)
+    best, records, _, _ = run_stage2(ConstantEnv(), PRIMARY_ONLY, cfg)
     assert best is records[0]
 
 
@@ -465,7 +465,7 @@ def _run_stage2_reference(env, tasks, config):
     rows = [(ratio, "random", None, None) for ratio in history]
     gains = (0.0, 0.0, 0.0)
     for t in range(config.n_initial, config.n_samples):
-        xs = np.array([encode(r, config.ratio_max) for r in history])
+        xs = np.array([encode(r.counts, config.ratio_max) for r in history])
         model = fit(xs, np.array(scores), nu=config.nu)
         best_idx = int(np.argmax(model.observations))
         tau = float(model.observations[best_idx])
@@ -482,7 +482,7 @@ def _run_stage2_reference(env, tasks, config):
         means = posterior(model, np.asarray(nominees, dtype=float)).mean
         gains = tuple(g + float(m) for g, m in zip(gains, means))
         ratio = decode(nominees[ACQUISITIONS.index(chosen)], config.ratio_max)
-        at = posterior_at(model, encode(ratio, config.ratio_max))
+        at = posterior_at(model, encode(ratio.counts, config.ratio_max))
         history.append(ratio)
         scores += train([ratio], [t])
         rows.append((ratio, chosen, at.mean, at.std))
@@ -514,7 +514,7 @@ def test_run_stage2_logs_bitwise_what_the_one_at_a_time_loop_logs(seed, nu):
         n_samples=14, n_initial=3, rng_seed=seed, nu=nu, ucb_lambda=0.5 + seed % 3,
         hedge_eta=(0.5, 1.0, 4.0)[seed % 3], ratio_max=(20, 7)[seed % 2], pool_size=64 + seed,
     )
-    _, _, log = run_stage2(env, tasks, config)
+    _, _, log, _ = run_stage2(env, tasks, config)
     assert log.records == _run_stage2_reference(env, tasks, config)
 
 
@@ -529,7 +529,7 @@ def test_run_stage2_evaluates_explicit_proposals_in_order():
         (MixingRatio((1, 3)), "grid", None, None),
     ]
     batches = [proposals[:1], proposals[1:3], proposals[3:]]
-    best, records, log = run_stage2(env, tasks, cfg, iter(batches))
+    best, records, log, _ = run_stage2(env, tasks, cfg, iter(batches))
     assert env.batch_sizes == [1, 2, 1]
     assert [r.ratio for r in records] == [p[0] for p in proposals]
     assert [s for _, s in env.seen] == [derive_seed(31, "eval", t) for t in range(4)]
@@ -569,7 +569,7 @@ def test_run_stage2_aborts_with_partial_history():
 def test_run_stage2_trains_the_initial_design_as_one_batch():
     env = SeedEchoEnv(n_tasks=1)
     cfg = Stage2Config(n_samples=7, n_initial=4, rng_seed=3)
-    _, records, log = run_stage2(env, PRIMARY_ONLY, cfg)
+    _, records, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     assert env.batch_sizes == [4, 1, 1, 1]
     rng = np.random.default_rng(derive_seed(3, "stage2"))
     assert [r.ratio for r in records[:4]] == [random_ratio(1, cfg.ratio_max, rng) for _ in range(4)]
@@ -627,7 +627,7 @@ def test_run_stage2_finds_quadratic_peak_on_most_seeds():
     hits = 0
     for seed in range(20):
         cfg = Stage2Config(n_samples=20, n_initial=5, rng_seed=seed)
-        best, _, _ = run_stage2(QuadraticEnv(), PRIMARY_ONLY, cfg)
+        best, _, _, _ = run_stage2(QuadraticEnv(), PRIMARY_ONLY, cfg)
         if abs(best.ratio.counts[0] / 20.0 - 0.6) <= 0.1:
             hits += 1
     assert hits >= 18
