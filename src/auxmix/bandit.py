@@ -24,7 +24,10 @@ from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .runlog import RunAborted, RunLog, SettingError, derive_seed, is_int, require_ints, require_work
+from .runlog import (
+    RunAborted, RunLog, SettingError, derive_seed, is_int, require_floats, require_ints,
+    require_work,
+)
 
 # Points of the theta grid in a utility density table, unless asked otherwise,
 # and the most the CLI takes: a run renders its table before writing any file.
@@ -60,17 +63,10 @@ class BanditConfig:
         require_ints(1, batches_per_round=self.batches_per_round)
         require_ints(None, rng_seed=self.rng_seed)
         require_work({"n_rounds": self.n_rounds, "batches_per_round": self.batches_per_round})
-        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
-            raise SettingError("alpha0", f"alpha0 must be positive, got {self.alpha0}")
-        if not (math.isfinite(self.beta0) and self.beta0 > 0):
-            raise SettingError("beta0", f"beta0 must be positive, got {self.beta0}")
+        require_floats("positive", alpha0=self.alpha0, beta0=self.beta0)
         if not (0.0 <= self.gamma <= 1.0):
             raise SettingError("gamma", f"gamma must lie in [0, 1], got {self.gamma}")
-        if not (math.isfinite(self.primary_prior_boost) and self.primary_prior_boost >= 0):
-            raise SettingError(
-                "primary_prior_boost",
-                f"primary_prior_boost must be >= 0, got {self.primary_prior_boost}",
-            )
+        require_floats(">= 0", primary_prior_boost=self.primary_prior_boost)
 
 
 @dataclass(frozen=True)

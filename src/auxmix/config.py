@@ -85,6 +85,15 @@ def _str_list(key: str, value: Any) -> list[str]:
     return [_as_str(f"{key}[{i}]", v) for i, v in enumerate(value)]
 
 
+def _mapping(key: str, raw: Any) -> dict:
+    """A section as given, or ``{}`` when absent; a non-mapping raises under ``key``."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(key, f"expected a mapping, got {raw!r}")
+    return raw
+
+
 # Each field: (default, coercer); key order is the canonical order of the
 # normalized form.  A default of None means the key is omitted unless given.
 Field = tuple[Any, Callable[[str, Any], Any]]
@@ -131,10 +140,7 @@ _DEFAULT_MODE = PipelineConfig.mode
 def _normalize_section(
     raw: Any, fields: dict[str, Field], prefix: str
 ) -> dict[str, Any]:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(prefix, f"expected a mapping, got {raw!r}")
+    raw = _mapping(prefix, raw)
     for key in raw:
         if key not in fields:
             raise ConfigError(f"{prefix}.{key}", "unknown key")
@@ -157,10 +163,7 @@ def _env_n_tasks(env: dict) -> int:
 
 def _normal_form(raw: dict | None) -> dict:
     """Fill defaults, check keys and types, and order keys canonically; idempotent."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", f"expected a mapping at top level, got {raw!r}")
+    raw = _mapping("<root>", raw)
     known_top = {"schema_version", "mode", "output_dir", "environment", "bandit", "stage2"}
     for key in raw:
         if key not in known_top:
@@ -178,11 +181,7 @@ def _normal_form(raw: dict | None) -> dict:
     if output_dir is not None:
         output_dir = _as_str("output_dir", output_dir)
 
-    env_raw = raw.get("environment")
-    if env_raw is None:
-        env_raw = {}
-    if not isinstance(env_raw, dict):
-        raise ConfigError("environment", f"expected a mapping, got {env_raw!r}")
+    env_raw = _mapping("environment", raw.get("environment"))
     family = _as_str("environment.family", env_raw.get("family", "planted"))
     if family not in _ENV_FIELDS:
         raise ConfigError(

@@ -11,13 +11,12 @@ contract further up the stack.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .mixing import MixingRatio
-from .runlog import SettingError, derive_seed, require_ints
+from .runlog import SettingError, derive_seed, require_floats, require_ints
 
 PLANTED_METRIC_INCREMENT = 1e-3
 
@@ -66,8 +65,7 @@ class PlantedBanditEnv:
             raise SettingError("theta_star", "theta_star must have at least one entry")
         if any(not (0.0 <= t <= 1.0) for t in theta):
             raise SettingError("theta_star", f"theta_star entries must lie in [0, 1], got {theta}")
-        if not (math.isfinite(score_noise) and score_noise >= 0):
-            raise SettingError("score_noise", f"score_noise must be >= 0, got {score_noise}")
+        require_floats(">= 0", score_noise=score_noise)
         self.theta_star = tuple(theta)
         self.score_noise = float(score_noise)
         self._rng = np.random.default_rng(0)
@@ -175,19 +173,11 @@ class SharedParamMtlEnv:
         # The metric divides by the held-out label variance, which is 0 for a single row.
         require_ints(2, n_primary_heldout=n_primary_heldout)
         require_ints(None, data_seed=data_seed)
-        if not (math.isfinite(learning_rate) and learning_rate > 0):
-            raise SettingError(
-                "learning_rate", f"learning_rate must be positive, got {learning_rate}"
-            )
-        finite = {
-            "primary_label_noise": primary_label_noise,
-            "aux_label_noise": aux_label_noise,
-            "useful_shift": useful_shift,
-            "harmful_scale": harmful_scale,
-        }
-        for name, value in finite.items():
-            if not math.isfinite(value):
-                raise SettingError(name, f"{name} must be finite, got {value}")
+        require_floats("positive", learning_rate=learning_rate)
+        require_floats(
+            None, primary_label_noise=primary_label_noise, aux_label_noise=aux_label_noise,
+            useful_shift=useful_shift, harmful_scale=harmful_scale,
+        )
         rows = {
             "n_primary_train": int(n_primary_train),
             "n_aux": int(n_aux) * (len(profile) - 1),

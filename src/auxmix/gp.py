@@ -32,7 +32,7 @@ NOISE_VARIANCE_BOUNDS = (1e-6, 1.0)
 N_SEARCH_STARTS = 32
 FIT_SEARCH_SEED = 1729
 
-# The largest evaluation budget a config may ask for; PipelineConfig rejects
+# The largest evaluation budget a config may ask for; Stage2Config rejects
 # more.  A fit over n points keeps a (N_SEARCH_STARTS + 1, n, n) stack of
 # inverse factors, 69 MB at n = 512, and a fold grows its buffer to at most
 # max(n, MAX_N_SAMPLES) rows.  A bound, not a setting.

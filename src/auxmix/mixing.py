@@ -28,7 +28,7 @@ from .acquisition import (
 )
 from .bandit import TaskSelection
 from .gp import MAX_N_SAMPLES, GpModel, _posterior_and_cross, fit, posterior_at
-from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_ints
+from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_floats, require_ints
 
 # The largest candidate pool and grid a config may ask for; Stage2Config
 # rejects more.  A proposal scores its pool through a (pool_size, n)
@@ -86,7 +86,9 @@ class Stage2Config:
         )
         require_ints(2, n_samples=self.n_samples)
         require_ints(None, rng_seed=self.rng_seed)
-        for key, bound in (("pool_size", MAX_POOL_SIZE), ("ratio_max", MAX_RATIO_MAX)):
+        for key, bound in (
+            ("n_samples", MAX_N_SAMPLES), ("pool_size", MAX_POOL_SIZE), ("ratio_max", MAX_RATIO_MAX)
+        ):
             if getattr(self, key) > bound:
                 raise SettingError(key, f"{key} must be at most {bound}, got {getattr(self, key)}")
         if self.n_initial >= self.n_samples:
@@ -97,10 +99,8 @@ class Stage2Config:
             )
         if self.nu not in (1.5, 2.5):
             raise SettingError("nu", f"nu must be 1.5 or 2.5, got {self.nu}")
-        if not (math.isfinite(self.ucb_lambda) and self.ucb_lambda >= 0):
-            raise SettingError("ucb_lambda", f"ucb_lambda must be >= 0, got {self.ucb_lambda}")
-        if not (math.isfinite(self.hedge_eta) and self.hedge_eta > 0):
-            raise SettingError("hedge_eta", f"hedge_eta must be positive, got {self.hedge_eta}")
+        require_floats(">= 0", ucb_lambda=self.ucb_lambda)
+        require_floats("positive", hedge_eta=self.hedge_eta)
 
 
 @dataclass(frozen=True)

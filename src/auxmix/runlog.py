@@ -83,6 +83,14 @@ def require_ints(low: int | None, **settings: Any) -> None:
             raise SettingError(name, f"{name} must be an integer{bound}, got {value!r}")
 
 
+def require_floats(bound: str | None, **settings: float) -> None:
+    """Raise :class:`SettingError` for the first setting that is not finite
+    and, for ``bound`` ``"positive"`` or ``">= 0"``, within it."""
+    for name, value in settings.items():
+        if not math.isfinite(value) or (value <= 0 if bound == "positive" else bound and value < 0):
+            raise SettingError(name, f"{name} must be {bound or 'finite'}, got {value}")
+
+
 def require_work(factors: dict[str, int]) -> None:
     """Raise :class:`SettingError`, naming the largest factor, when the
     product of ``factors`` exceeds :data:`MAX_WORK_BATCHES`."""
@@ -174,7 +182,7 @@ def check_header(header: dict, kinds: tuple[str, ...], oldest: int, verb: str) -
     kind, version = header["kind"], header["schema_version"]
     if kind not in kinds:
         raise ValueError(f"log of kind {kind!r}")
-    if version not in range(oldest, SCHEMA_VERSION + 1):
+    if not is_int(version) or version not in range(oldest, SCHEMA_VERSION + 1):
         window = "version" if oldest == SCHEMA_VERSION else f"versions {oldest} to"
         raise ValueError(
             f"log schema version {version!r}, this build {verb} {window} {SCHEMA_VERSION}"

@@ -1,0 +1,175 @@
+"""Byte-identity sweep: the sha256 of every file a fixed corpus of runs writes.
+
+Each run of the corpus is rendered in process, as ``auxmix run`` renders it
+(``pipeline.run_files`` at ``--grid-size 10``), and nothing is written to
+disk.  The sweep prints one ``run/file sha256`` line per file, then
+``corpus <sha256>`` over those lines.  The corpus covers:
+
+* CI's tiny planted and shared-linear configs, in all three modes;
+* CI's ``learning_rate: 50`` config in all three modes, which aborts in
+  stage 1 and, without stage 1, at the baseline;
+* the benchmark's planted-search config, seeds 1000-1039;
+* the criterion-07 environment in all three modes, seeds 1000-1039;
+* the criterion-06 environment (``no_stage1``, 20 evaluations), seeds 1000-1199;
+* a 512-evaluation planted ``no_stage1`` run with 510 random evaluations;
+* CI's ``hedge_eta: 1.0e+308`` and ``ratio_max: 10^9`` configs.
+
+The hashes depend on the machine's BLAS and libm, so compare them only
+between trees rendered on one machine::
+
+    PYTHONPATH=src python tests/identity.py
+    PYTHONPATH=src python tests/identity.py --against REV
+
+``--against REV`` also renders the corpus from ``git archive REV``, unpacked
+in a temporary directory, and exits 1 naming the first run and file whose
+text differs.  BLAS runs on one thread in both.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before NumPy is imported
+
+import argparse
+import hashlib
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Iterator
+
+GRID_SIZE = 10
+SEEDS = range(1000, 1040)
+MODES = ("full", "no_stage1", "no_stage2")
+
+_CI_BUDGETS = {
+    "bandit": {"n_rounds": 20},
+    "stage2": {"n_samples": 4, "n_initial": 2, "pool_size": 32},
+}
+_CI_TINY = {"environment": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]}, **_CI_BUDGETS}
+_CI_LINEAR = {
+    "environment": {
+        "family": "shared-linear",
+        "task_profile": ["primary", "useful", "harmful"],
+        "total_batches": 200,
+        "n_primary_train": 48,
+        "primary_label_noise": 0.8,
+    },
+    **_CI_BUDGETS,
+}
+_CI_ABORT = {
+    "environment": {
+        "family": "shared-linear",
+        "task_profile": ["primary", "useful", "harmful"],
+        "learning_rate": 50,
+        "total_batches": 2000,
+    },
+    "bandit": {"n_rounds": 20},
+    "stage2": {"n_samples": 4, "n_initial": 2},
+}
+_PLANTED_SEARCH = {"environment": {"family": "planted", "theta_star": [0.8, 0.9, 0.9, 0.1, 0.1]}}
+_NOISY_PRIMARY = {
+    "n_primary_train": 48,
+    "primary_label_noise": 0.8,
+    "n_aux": 256,
+    "useful_shift": 0.05,
+    "harmful_scale": 1.0,
+}
+_CRITERION_07 = {
+    "family": "shared-linear",
+    "task_profile": ["primary", "useful", "useful", "useful", "harmful", "harmful", "harmful"],
+    "total_batches": 500,
+    **_NOISY_PRIMARY,
+}
+_CRITERION_06 = {
+    "family": "shared-linear",
+    "task_profile": ["primary", "useful", "useful", "harmful"],
+    "total_batches": 400,
+    **_NOISY_PRIMARY,
+}
+
+
+def _section(raw: dict, section: str, **values) -> dict:
+    return {**raw, section: {**raw.get(section, {}), **values}}
+
+
+def _seeded(raw: dict, seed: int) -> dict:
+    """``raw`` with both stage seeds set to ``seed``, as ``auxmix run --seeds`` sets them."""
+    return _section(_section(raw, "bandit", rng_seed=seed), "stage2", rng_seed=seed)
+
+
+def corpus() -> Iterator[tuple[str, dict]]:
+    """Each run's name and raw config, in a fixed order."""
+    for name, raw in (("tiny", _CI_TINY), ("linear", _CI_LINEAR), ("abort", _CI_ABORT)):
+        for mode in MODES:
+            yield f"{name}-{mode}", {**raw, "mode": mode}
+    for seed in SEEDS:
+        yield f"planted-search-{seed}", _seeded(_PLANTED_SEARCH, seed)
+    for mode in MODES:
+        for seed in SEEDS:
+            yield f"c07-{mode}-{seed}", _seeded({"mode": mode, "environment": _CRITERION_07}, seed)
+    for seed in range(1000, 1200):
+        yield f"c06-{seed}", _seeded({"mode": "no_stage1", "environment": _CRITERION_06}, seed)
+    yield "longinit512", {
+        "mode": "no_stage1",
+        "environment": {"family": "planted", "theta_star": [0.9, 0.8, 0.5, 0.2, 0.1]},
+        "stage2": {"n_samples": 512, "n_initial": 510},
+    }
+    yield "hugeeta", _section(_CI_TINY, "stage2", hedge_eta=1.0e308, n_samples=20)
+    yield "bigratio", _section(_CI_LINEAR, "stage2", ratio_max=10**9)
+
+
+def render() -> list[str]:
+    """One ``run/file sha256`` line per file of every run of the corpus."""
+    from auxmix import cli, config, pipeline
+
+    lines = []
+    for name, raw in corpus():
+        cfg = config.to_pipeline_config(raw)
+        files = pipeline.run_files(cli._outcome(cfg), cfg.normalized, GRID_SIZE)
+        for file, text in sorted(files.items()):
+            lines.append(f"{name}/{file} {hashlib.sha256(text.encode('utf-8')).hexdigest()}")
+    return lines
+
+
+def render_at(rev: str) -> list[str]:
+    """:func:`render` run in a fresh interpreter on the ``src`` of ``git archive rev``."""
+    root = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(
+        ["git", "-C", str(root), "archive", "--format=tar", rev, "src"],
+        check=True, capture_output=True,
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        src = str(Path(tmp, "src"))
+        code = (
+            f"import runpy, sys; sys.path.insert(0, {src!r}); "
+            f"runpy.run_path({str(Path(__file__).resolve())!r}, run_name='__main__')"
+        )
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return out.stdout.splitlines()[:-1]  # less the corpus line
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--against", metavar="REV", help="also render REV and compare")
+    args = parser.parse_args(argv)
+    lines = render()
+    text = "".join(line + "\n" for line in lines)
+    print(text + f"corpus {hashlib.sha256(text.encode('utf-8')).hexdigest()}")
+    if args.against is None:
+        return 0
+    theirs = dict(line.split(" ") for line in render_at(args.against))
+    ours = dict(line.split(" ") for line in lines)
+    for file in [*ours, *(f for f in theirs if f not in ours)]:
+        if ours.get(file) != theirs.get(file):
+            print(f"differs from {args.against}: {file}", file=sys.stderr)
+            return 1
+    print(f"identical to {args.against}: {len(ours)} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

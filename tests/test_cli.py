@@ -162,6 +162,13 @@ def test_validate_config_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_config_of_an_empty_file_prints_the_defaults(tmp_path, capsys):
+    p = tmp_path / "empty.yaml"
+    p.write_text("", encoding="utf-8")
+    assert run_cli("validate-config", p) == EXIT_OK
+    assert yaml.safe_load(capsys.readouterr().out) == normalize({})
+
+
 # ----------------------------------------------------------------- run
 
 def test_run_writes_all_artifacts(config_file, tmp_path, capsys):
@@ -201,6 +208,27 @@ def test_run_bad_override_is_usage_error(config_file, tmp_path, capsys):
     rc = run_cli("run", config_file, "--out", tmp_path / "x", "--set", "bandit.gamma=2.0")
     assert rc == EXIT_USAGE
     assert "bandit.gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, says",
+    [
+        ("stage2.n_samples=[", "'stage2.n_samples': unparseable override value"),
+        ("bandit..gamma=0.1", "'bandit..gamma': override key must be non-empty"),
+        ("novalue", "expected KEY=VALUE, got 'novalue'"),  # argparse's own exit
+        ("=1", "empty key in override '=1'"),
+    ],
+)
+def test_run_override_that_cannot_be_applied_is_usage_error(
+    config_file, tmp_path, capsys, override, says
+):
+    try:
+        rc = run_cli("run", config_file, "--out", tmp_path / "x", "--set", override)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == EXIT_USAGE
+    assert says in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(
@@ -1040,6 +1068,22 @@ def test_plot_utilities_refuses_a_stage1_log_outside_its_versions(
     want = f"log schema version {version}, this build plots versions 1 to {SCHEMA_VERSION}"
     assert run_cli("plot-utilities", log, "--out", tmp_path / "out.csv") == EXIT_USAGE
     assert want in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("version", [True, 1.0, 5.0])
+@pytest.mark.parametrize("command", ["replay", "plot-utilities"])
+def test_a_schema_version_that_is_not_an_integer_is_refused(
+    finished_run, tmp_path, capsys, command, version
+):
+    """``True == 1`` and ``5.0 == 5``, but a header must say 1 or 5."""
+    log = finished_run / "stage1.log.jsonl"
+    _rewrite_header(log, lambda header: header.update(schema_version=version))
+    args = ("--out", tmp_path / "out.csv") if command == "plot-utilities" else ()
+    assert run_cli(command, log, *args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"log schema version {version!r}, this build" in err
+    assert "divergence" not in err
     assert not (tmp_path / "out.csv").exists()
 
 

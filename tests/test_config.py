@@ -297,7 +297,7 @@ _REJECTIONS = [
     (12, Stage2Config, {"ucb_lambda": -1.0}, "ucb_lambda"),
     (13, Stage2Config, {"hedge_eta": 0.0}, "hedge_eta"),
     (14, _PIPELINE, {"mode": "both"}, "mode"),
-    (15, _PIPELINE, {"stage2": Stage2Config(n_samples=MAX_N_SAMPLES + 1)}, "stage2.n_samples"),
+    (15, Stage2Config, {"n_samples": MAX_N_SAMPLES + 1}, "n_samples"),
     (16, PlantedBanditEnv, {"theta_star": []}, "theta_star"),
     (17, PlantedBanditEnv, {"theta_star": [0.5, 1.5]}, "theta_star"),
     (18, PlantedBanditEnv, {"score_noise": -0.1}, "score_noise"),
@@ -461,8 +461,8 @@ def test_a_value_error_without_a_field_names_its_section(monkeypatch, name, sect
         ({"bandit": {"n_rounds": 2, "batches_per_round": 10**12}}, "bandit.batches_per_round"),
         ({"environment": {"family": "shared-linear", "total_batches": 10**12}},
          "environment.total_batches"),
-        ({"environment": {"family": "shared-linear", "total_batches": 2},
-          "stage2": {"n_samples": 2**26}}, "stage2.n_samples"),
+        ({"environment": {"family": "shared-linear", "total_batches": 130817},
+          "stage2": {"n_samples": 512}}, "environment.total_batches"),
     ],
 )
 def test_work_over_the_budget_names_its_larger_factor(raw, key):

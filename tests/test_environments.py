@@ -39,6 +39,14 @@ def test_planted_step_rejects_bad_task_id():
         env.step(-1)
 
 
+def test_shared_linear_step_rejects_bad_task_id():
+    env = SharedParamMtlEnv(dim=2, n_primary_train=4, n_aux=4)
+    env.reset(0)
+    for task_id in (env.n_tasks, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            env.step(task_id)
+
+
 def test_planted_certain_success_always_improves():
     env = PlantedBanditEnv([1.0])
     env.reset(0)

@@ -125,6 +125,11 @@ def test_kernel_params_validation():
         KernelParams(length_scales=(1.0,), nu=0.5)
 
 
+def test_kernel_params_reject_a_jitter_that_is_not_positive():
+    with pytest.raises(ValueError, match="jitter must be positive"):
+        KernelParams(length_scales=(1.0,), jitter=0.0)
+
+
 # --------------------------------------------------------------- posterior
 
 def test_posterior_matches_dense_inverse_oracle():
@@ -250,6 +255,11 @@ def test_build_gp_rejects_bad_shapes_and_values():
         build_gp(np.zeros((4, 2)), np.zeros(4), unit_params(2.5, d=3))
     with pytest.raises(ValueError, match="at least one observation"):
         build_gp(np.empty((0, 1)), [], unit_params(2.5))
+
+
+def test_fit_rejects_points_that_are_not_a_matrix():
+    with pytest.raises(ValueError, match=r"shape \(n, d\)"):
+        fit(np.zeros((2, 1, 1)), [0.0, 1.0])
 
 
 def test_duplicate_points_with_zero_noise_still_factor():

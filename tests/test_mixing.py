@@ -79,6 +79,11 @@ def test_decode_rejects_out_of_box():
         decode([-0.1], 20)
 
 
+def test_decode_rejects_a_point_that_is_not_1d():
+    with pytest.raises(ValueError, match="1-D point"):
+        decode([[0.5, 0.5]], 20)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_decode_rejects_a_point_that_is_not_finite(bad):
     with pytest.raises(ValueError, match="unit box"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from auxmix.runlog import (
     SCHEMA_VERSION,
     RunAborted,
     RunLog,
+    SettingError,
     canonical_dumps,
     derive_seed,
     make_header,
     read_jsonl,
+    require_floats,
     split_log,
 )
 
@@ -168,3 +172,26 @@ def test_run_aborted_carries_partial_state():
     log.append(round=0)
     exc = RunAborted("boom", stage_logs={"stage1": log})
     assert exc.stage_logs["stage1"] is log
+
+
+@pytest.mark.parametrize(
+    "bound, value, says",
+    [
+        ("positive", 0.0, "x must be positive, got 0.0"),
+        ("positive", math.inf, "x must be positive, got inf"),
+        (">= 0", -1e-300, "x must be >= 0, got -1e-300"),
+        (">= 0", math.nan, "x must be >= 0, got nan"),
+        (None, -math.inf, "x must be finite, got -inf"),
+    ],
+)
+def test_require_floats_names_the_setting_and_its_bound(bound, value, says):
+    require_floats(bound, w=1.0)  # a setting within every bound passes
+    with pytest.raises(SettingError) as info:
+        require_floats(bound, w=1.0, x=value, y=value)
+    assert (info.value.field, str(info.value)) == ("x", says)
+
+
+def test_require_floats_admits_the_edges_of_its_bounds():
+    require_floats("positive", x=5e-324)
+    require_floats(">= 0", x=0.0, y=-0.0)
+    require_floats(None, x=-1.7976931348623157e308)
