@@ -122,17 +122,25 @@ def update_posterior(
         raise ValueError(f"arm must be an integer in [0, {len(alpha)}), got {arm!r}")
     if not (is_int(reward) and reward in (0, 1)):
         raise ValueError(f"reward must be 0 or 1, got {reward!r}")
-    alpha, beta = _decay_credit(alpha.tolist(), beta.tolist(), arm, reward, config)
+    rates = _decay_rates(config)
+    alpha, beta = _decay_credit(alpha.tolist(), beta.tolist(), arm, reward, rates)
     return np.array(alpha), np.array(beta)
 
 
+def _decay_rates(config: BanditConfig) -> tuple[float, float, float]:
+    """``(1 - g, g * alpha0, g * beta0)`` for ``gamma`` ``g``: the constants
+    :func:`_decay_credit` takes, so a caller computes them once."""
+    g = config.gamma
+    return 1.0 - g, g * config.alpha0, g * config.beta0
+
+
 def _decay_credit(
-    alpha: list[float], beta: list[float], arm: int, reward: int, config: BanditConfig
+    alpha: list[float], beta: list[float], arm: int, reward: int, rates: tuple[float, float, float]
 ) -> tuple[list[float], list[float]]:
     """:func:`update_posterior`'s arithmetic on float lists, unchecked: the
-    operations of ``(1 - g) * alpha + g * alpha0`` in the same order."""
-    keep, g = 1.0 - config.gamma, config.gamma
-    alpha0, beta0 = g * config.alpha0, g * config.beta0
+    operations of ``(1 - g) * alpha + g * alpha0`` in the same order, with
+    ``rates`` from :func:`_decay_rates`."""
+    keep, alpha0, beta0 = rates
     alpha = [keep * a + alpha0 for a in alpha]
     beta = [keep * b + beta0 for b in beta]
     alpha[arm] += reward
@@ -226,7 +234,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     alpha, beta = (arms.tolist() for arms in initial_arms(config))
     log = RunLog()
     partial = {"stage1": log}
-    rng = _thompson_rng(config)
+    rng, rates = _thompson_rng(config), _decay_rates(config)
     try:
         env.reset(derive_seed(config.rng_seed, "stage1-env"))
         metric_prev = _finite_metric(env)
@@ -241,7 +249,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
         except Exception as exc:
             raise RunAborted(f"environment failed at stage-1 round {t}: {exc}", partial) from exc
         reward = compute_reward(metric_now, metric_prev)
-        alpha, beta = _decay_credit(alpha, beta, k, reward, config)
+        alpha, beta = _decay_credit(alpha, beta, k, reward, rates)
         log.append(round=t, selected_arm=k, reward=reward, metric=metric_now)
         metric_prev = metric_now
     return select_tasks(np.array(alpha), np.array(beta), config), log

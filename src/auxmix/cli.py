@@ -282,9 +282,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
         }
         config = to_pipeline_config(header["config"])
         outcome = _outcome(config)
-        rows = found.get("utilities.csv", "").count("\n")  # a header, then a row per task and point
-        grid_size = max(1, (rows - 1) // config.bandit.n_tasks) if whole else None
-        expected = run_files(outcome, config.normalized, grid_size)
+        # A header, then a row per task and point; no run writes more points than the bound.
+        rows = found.get("utilities.csv", "").count("\n")
+        grid_size = min(max(1, (rows - 1) // config.bandit.n_tasks), MAX_DENSITY_GRID_SIZE)
+        expected = run_files(outcome, config.normalized, grid_size if whole else None)
         divergences = [
             _divergence(found.get(name), expected.get(name), path, name.endswith(".jsonl"))
             for name, path in paths.items()

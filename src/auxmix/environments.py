@@ -310,8 +310,8 @@ class SharedParamMtlEnv:
         one that training its ratio alone gives.  Episode state is untouched.
         """
         _check_batch(ratios, seeds, self.n_tasks)
-        # Batch b runs the task whose block of the cycle holds b mod sum(counts):
-        # bitwise np.resize(ratio_cycle(counts), total_batches), without the cycle.
+        # Batch b runs the task whose block of the cycle holds b mod sum(counts): counts[0]
+        # batches of task 0, then counts[1] of task 1, and so on, without building the cycle.
         ends = [np.cumsum(r.counts) for r in ratios]
         batches = np.arange(self.total_batches)
         task_ids = np.array(

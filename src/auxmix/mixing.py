@@ -150,21 +150,6 @@ def decode(x: Sequence[float], ratio_max: int) -> MixingRatio:
     return MixingRatio(counts=tuple(counts))
 
 
-def ratio_cycle(counts: Sequence[int]) -> list[int]:
-    """One pass of the cyclic schedule as a list of task positions.
-
-    ``counts[i]`` consecutive batches of task ``i``, in task order; repeat
-    the returned list to extend training.  Ratio (2, 1) yields [0, 0, 1],
-    i.e. primary, primary, auxiliary.
-    """
-    out: list[int] = []
-    for i, c in enumerate(counts):
-        out.extend([i] * int(c))
-    if not out:
-        raise ValueError("schedule is empty: all counts are zero")
-    return out
-
-
 def random_ratio(n_tasks: int, ratio_max: int, rng: np.random.Generator) -> MixingRatio:
     """Uniform draw from the valid grid: primary in [1, max], auxiliaries in [0, max]."""
     counts = [int(rng.integers(1, ratio_max + 1))]

@@ -165,14 +165,14 @@ def report_summary(report: PipelineReport) -> dict:
 def density_csv(table: tuple[np.ndarray, np.ndarray]) -> str:
     """A :func:`utility_density_table` as ``task_id,theta,density`` rows."""
     theta, density = table
-    thetas = list(map(repr, theta.tolist()))  # formatted once for every task's rows
     # The dialect csv.writer emits for ints and float reprs: no quoting, CRLF.
-    rows = (
-        f"{task_id},{t},{d!r}\r\n"
+    # Each theta is formatted once, as the ",theta," between a row's two cells.
+    columns = [f",{t!r}," for t in theta.tolist()]
+    rows = [
+        "\r\n".join(map("".join, zip(itertools.repeat(str(task_id)), columns, map(repr, row))))
         for task_id, row in enumerate(density.tolist())
-        for t, d in zip(thetas, row)
-    )
-    return "task_id,theta,density\r\n" + "".join(rows)
+    ]
+    return "\r\n".join(["task_id,theta,density", *rows, ""])
 
 
 # The files of a run directory.

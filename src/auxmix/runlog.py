@@ -138,11 +138,12 @@ class RunLog:
         the header to reconstruct the run configuration.
         """
         records = self.records if header is None else [header, *self.records]
-        return list(map(canonical_dumps, records))
+        return list(map(_CANONICAL_ENCODER.encode, records))  # canonical_dumps without a call per record
 
     def text(self, header: dict | None = None) -> str:
         """The exact file text: every line of :meth:`lines` ends with a newline."""
-        return "".join(line + "\n" for line in self.lines(header))
+        lines = self.lines(header)
+        return "\n".join([*lines, ""]) if lines else ""
 
 
 def make_header(kind: str, config: dict) -> dict:

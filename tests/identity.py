@@ -1,8 +1,8 @@
 """Byte-identity sweep: the sha256 of every file a fixed corpus of runs writes.
 
 Each run of the corpus is rendered in process, as ``auxmix run`` renders it
-(``pipeline.run_files`` at ``--grid-size 10``), and nothing is written to
-disk.  The sweep prints one ``run/file sha256`` line per file, then
+(``pipeline.run_files``, at ``--grid-size 10`` unless said otherwise), and
+nothing is written to disk.  The sweep prints one ``run/file sha256`` line per file, then
 ``corpus <sha256>`` over those lines.  The corpus covers:
 
 * CI's tiny planted and shared-linear configs, in all three modes;
@@ -12,7 +12,9 @@ disk.  The sweep prints one ``run/file sha256`` line per file, then
 * the criterion-07 environment in all three modes, seeds 1000-1039;
 * the criterion-06 environment (``no_stage1``, 20 evaluations), seeds 1000-1199;
 * a 512-evaluation planted ``no_stage1`` run with 510 random evaluations;
-* CI's ``hedge_eta: 1.0e+308`` and ``ratio_max: 10^9`` configs.
+* CI's ``hedge_eta: 1.0e+308`` and ``ratio_max: 10^9`` configs;
+* the benchmark's cli-replay config (10 planted tasks, 2000 stage-1 rounds),
+  seeds 1000-1009, at the CLI's default grid of 1000.
 
 The hashes depend on the machine's BLAS and libm, so compare them only
 between trees rendered on one machine::
@@ -41,6 +43,7 @@ from pathlib import Path
 from typing import Iterator
 
 GRID_SIZE = 10
+CLI_GRID_SIZE = 1000  # the CLI's default --grid-size
 SEEDS = range(1000, 1040)
 MODES = ("full", "no_stage1", "no_stage2")
 
@@ -70,6 +73,14 @@ _CI_ABORT = {
     "stage2": {"n_samples": 4, "n_initial": 2},
 }
 _PLANTED_SEARCH = {"environment": {"family": "planted", "theta_star": [0.8, 0.9, 0.9, 0.1, 0.1]}}
+_CLI_REPLAY = {
+    "environment": {
+        "family": "planted",
+        "theta_star": [0.8, 0.9, 0.85, 0.7, 0.6, 0.4, 0.3, 0.2, 0.1, 0.1],
+    },
+    "bandit": {"n_rounds": 2000},
+    "stage2": {"n_samples": 6, "n_initial": 5},
+}
 _NOISY_PRIMARY = {
     "n_primary_train": 48,
     "primary_label_noise": 0.8,
@@ -100,25 +111,29 @@ def _seeded(raw: dict, seed: int) -> dict:
     return _section(_section(raw, "bandit", rng_seed=seed), "stage2", rng_seed=seed)
 
 
-def corpus() -> Iterator[tuple[str, dict]]:
-    """Each run's name and raw config, in a fixed order."""
+def corpus() -> Iterator[tuple[str, dict, int]]:
+    """Each run's name, raw config and grid size, in a fixed order."""
     for name, raw in (("tiny", _CI_TINY), ("linear", _CI_LINEAR), ("abort", _CI_ABORT)):
         for mode in MODES:
-            yield f"{name}-{mode}", {**raw, "mode": mode}
+            yield f"{name}-{mode}", {**raw, "mode": mode}, GRID_SIZE
     for seed in SEEDS:
-        yield f"planted-search-{seed}", _seeded(_PLANTED_SEARCH, seed)
+        yield f"planted-search-{seed}", _seeded(_PLANTED_SEARCH, seed), GRID_SIZE
     for mode in MODES:
         for seed in SEEDS:
-            yield f"c07-{mode}-{seed}", _seeded({"mode": mode, "environment": _CRITERION_07}, seed)
+            raw = _seeded({"mode": mode, "environment": _CRITERION_07}, seed)
+            yield f"c07-{mode}-{seed}", raw, GRID_SIZE
     for seed in range(1000, 1200):
-        yield f"c06-{seed}", _seeded({"mode": "no_stage1", "environment": _CRITERION_06}, seed)
+        raw = _seeded({"mode": "no_stage1", "environment": _CRITERION_06}, seed)
+        yield f"c06-{seed}", raw, GRID_SIZE
     yield "longinit512", {
         "mode": "no_stage1",
         "environment": {"family": "planted", "theta_star": [0.9, 0.8, 0.5, 0.2, 0.1]},
         "stage2": {"n_samples": 512, "n_initial": 510},
-    }
-    yield "hugeeta", _section(_CI_TINY, "stage2", hedge_eta=1.0e308, n_samples=20)
-    yield "bigratio", _section(_CI_LINEAR, "stage2", ratio_max=10**9)
+    }, GRID_SIZE
+    yield "hugeeta", _section(_CI_TINY, "stage2", hedge_eta=1.0e308, n_samples=20), GRID_SIZE
+    yield "bigratio", _section(_CI_LINEAR, "stage2", ratio_max=10**9), GRID_SIZE
+    for seed in range(1000, 1010):
+        yield f"cli-replay-{seed}", _seeded(_CLI_REPLAY, seed), CLI_GRID_SIZE
 
 
 def render() -> list[str]:
@@ -126,9 +141,9 @@ def render() -> list[str]:
     from auxmix import cli, config, pipeline
 
     lines = []
-    for name, raw in corpus():
+    for name, raw, grid_size in corpus():
         cfg = config.to_pipeline_config(raw)
-        files = pipeline.run_files(cli._outcome(cfg), cfg.normalized, GRID_SIZE)
+        files = pipeline.run_files(cli._outcome(cfg), cfg.normalized, grid_size)
         for file, text in sorted(files.items()):
             lines.append(f"{name}/{file} {hashlib.sha256(text.encode('utf-8')).hexdigest()}")
     return lines

@@ -21,6 +21,7 @@ from auxmix.config import load_config, normalize, to_pipeline_config
 from auxmix.environments import PlantedBanditEnv
 from auxmix.pipeline import density_csv, run_pipeline
 from auxmix.bandit import MAX_DENSITY_GRID_SIZE, BanditConfig, belief_path, thompson_draws
+from auxmix.bandit import utility_density_table
 from auxmix.runlog import SCHEMA_VERSION, RunAborted, canonical_dumps, read_jsonl
 
 SMALL_CONFIG = """\
@@ -602,6 +603,27 @@ def test_replay_of_a_directory_reads_the_grid_size_from_the_csv(
     csv_path.write_bytes(b"\r\n".join(rows[:-2] + [b""]))  # one row short
     assert run_cli("replay", out_dir) == EXIT_RUNTIME
     assert f"of {csv_path}\n" in capsys.readouterr().err
+
+
+def test_replay_of_a_csv_padded_past_the_grid_bound_renders_no_larger_grid(
+    finished_run, capsys, monkeypatch
+):
+    """The grid replay infers from the CSV's line count is capped at the
+    bound ``run`` enforces, so padding the file cannot make replay render a
+    larger table; the padded file still diverges."""
+    grids = []
+
+    def recorded(arms, grid_size):
+        grids.append(grid_size)
+        return utility_density_table(arms, grid_size)
+
+    monkeypatch.setattr("auxmix.pipeline.utility_density_table", recorded)
+    csv_path = finished_run / "utilities.csv"
+    with csv_path.open("ab") as f:
+        f.write(b"\r\n" * (2 * MAX_DENSITY_GRID_SIZE + 10))
+    assert run_cli("replay", finished_run) == EXIT_RUNTIME
+    assert f"of {csv_path}\n" in capsys.readouterr().err
+    assert grids == [MAX_DENSITY_GRID_SIZE]
 
 
 def test_replay_detects_flipped_record(finished_run, capsys):

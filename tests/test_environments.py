@@ -17,7 +17,8 @@ from auxmix.environments import (
     SharedParamMtlEnv,
     make_environment,
 )
-from auxmix.mixing import MixingRatio, ratio_cycle
+from auxmix.mixing import MixingRatio
+from test_mixing import ratio_cycle
 
 # ----------------------------------------------------------------- planted
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from auxmix.mixing import (
     expand_to_tasks,
     propose_next,
     random_ratio,
-    ratio_cycle,
     run_stage2,
     validate_ratio,
 )
@@ -104,6 +104,22 @@ def test_decode_gives_plain_ints_at_the_largest_ratio_max():
 def test_encode_decode_round_trip_on_grid(counts):
     ratio = MixingRatio(counts=counts)
     assert decode(encode(ratio.counts, 20), 20) == ratio
+
+
+def ratio_cycle(counts: Sequence[int]) -> list[int]:
+    """One pass of the cyclic schedule as a list of task positions: the
+    oracle of ``train_full``'s task order (``tests/test_environments.py``).
+
+    ``counts[i]`` consecutive batches of task ``i``, in task order; repeat
+    the returned list to extend training.  Ratio (2, 1) yields [0, 0, 1],
+    i.e. primary, primary, auxiliary.
+    """
+    out: list[int] = []
+    for i, c in enumerate(counts):
+        out.extend([i] * int(c))
+    if not out:
+        raise ValueError("schedule is empty: all counts are zero")
+    return out
 
 
 def test_ratio_cycle_block_form():

@@ -126,6 +126,16 @@ def test_runlog_records_come_only_through_append():
         RunLog(records=[{"round": np.int64(0)}])
 
 
+@pytest.mark.parametrize("n_records", [0, 1, 3])
+@pytest.mark.parametrize("header", [None, make_header("stage1", {"rng_seed": 3})])
+def test_runlog_text_ends_every_line_with_a_newline(n_records, header):
+    log = RunLog()
+    for t in range(n_records):
+        log.append(round=t, metric=t / 3)
+    assert log.text(header) == "".join(line + "\n" for line in log.lines(header))
+    assert log.text(header).count("\n") == n_records + (header is not None)
+
+
 def test_runlog_write_and_read_roundtrip(tmp_path):
     log = RunLog()
     log.append(round=0, metric=0.5)
