@@ -25,7 +25,7 @@ env = SharedParamMtlEnv(
 tasks = TaskSelection(selected_task_ids=(0, 1, 2, 3), expected_utilities=(1.0,) * 4)
 config = Stage2Config(n_samples=20, n_initial=5, rng_seed=7)
 
-best, records, log, _ = run_stage2(env, tasks, config)
+best_ratio, best_score, log, _ = run_stage2(env, tasks, config)
 
 print("round  acq     ratio            score   incumbent")
 for rec in log.records:
@@ -33,7 +33,7 @@ for rec in log.records:
     print(f"{rec['round']:5d}  {rec['acquisition_used']:6s} {str(ratio):16s}"
           f" {rec['score']:.4f}  {rec['incumbent']:.4f}")
 
-print(f"\nbest ratio {best.ratio.counts} with score {best.score:.4f}")
+print(f"\nbest ratio {best_ratio.counts} with score {best_score:.4f}")
 print("note the harmful last entry: the search drives it to zero.")
 
 # Equal-budget random search on the same landscape for contrast.
@@ -45,4 +45,4 @@ random_best = max(
     )
 )
 print(f"\nrandom search, same budget: {random_best:.4f}")
-print(f"guided search advantage:    {best.score - random_best:+.4f}")
+print(f"guided search advantage:    {best_score - random_best:+.4f}")

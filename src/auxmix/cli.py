@@ -147,7 +147,10 @@ def _execute_run(config: PipelineConfig, run_dir: Path, force: bool, grid_size: 
         outcome = _outcome(config)
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into exit codes
         return EXIT_RUNTIME, f"run failed: {exc}"
-    paths = write_run_files(run_files(outcome, config.normalized, grid_size), run_dir)
+    try:
+        paths = write_run_files(run_files(outcome, config.normalized, grid_size), run_dir)
+    except OSError as exc:  # e.g. a directory where a run file goes
+        return EXIT_RUNTIME, f"error: cannot write {run_dir}: {exc}"
     if isinstance(outcome, RunAborted):  # the writer removed an earlier run's report and CSV
         return EXIT_RUNTIME, f"run aborted, partial logs kept in {run_dir}: {outcome}"
     return EXIT_OK, (

@@ -103,18 +103,6 @@ class Stage2Config:
         require_floats("positive", hedge_eta=self.hedge_eta)
 
 
-@dataclass(frozen=True)
-class EvaluationRecord:
-    """One completed full training: the ratio tried and its score."""
-
-    ratio: MixingRatio
-    score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValueError(f"score must be finite, got {self.score}")
-
-
 class Stage2Environment(Protocol):
     """What stage 2 needs of an environment.
 
@@ -273,13 +261,13 @@ Proposal = tuple[MixingRatio, str, float | None, float | None]
 
 
 def _gp_proposals(
-    n_tasks: int, config: Stage2Config, records: Sequence[EvaluationRecord]
+    n_tasks: int, config: Stage2Config, records: Sequence[dict]
 ) -> Iterator[list[Proposal]]:
     """One batch of ``n_initial`` uniform random ratios, then GP-Hedge proposals one at a time.
 
-    Each proposal comes from a GP refitted on ``records``, the evaluation
-    history that :func:`run_stage2` extends before asking for the next batch;
-    each fit extends the last one's fold by the records added since.
+    Each proposal comes from a GP refitted on ``records``, the stage-2 log
+    records that :func:`run_stage2` appends before asking for the next
+    batch; each fit extends the last one's fold by the records added since.
     """
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
     yield [
@@ -288,8 +276,8 @@ def _gp_proposals(
     ]
     hedge, model = HedgeState(eta=config.hedge_eta), None
     for _ in range(config.n_initial, config.n_samples):
-        xs = encode([r.ratio.counts for r in records], config.ratio_max)
-        model = fit(xs, np.array([r.score for r in records]), nu=config.nu, base=model)
+        xs = encode([r["proposed_ratio"] for r in records], config.ratio_max)
+        model = fit(xs, np.array([r["score"] for r in records]), nu=config.nu, base=model)
         ratio, acq, hedge = propose_next(model, hedge, config, rng)
         post = posterior_at(model, encode(ratio.counts, config.ratio_max))
         yield [(ratio, acq, post.mean, post.std)]
@@ -302,33 +290,34 @@ def run_stage2(
     proposals: Iterable[Sequence[Proposal]] | None = None,
     *,
     baseline_seed: int | None = None,
-) -> tuple[EvaluationRecord, list[EvaluationRecord], RunLog, float | None]:
-    """Evaluate a budget of mixing ratios; return the best record (ties go to
-    the earliest), every record, the log and the baseline's score.
+) -> tuple[MixingRatio, float, RunLog, float | None]:
+    """Evaluate a budget of mixing ratios; return the best ratio and its score
+    (ties go to the earliest), the log, the one record of every evaluation,
+    and the baseline's score.
 
     ``proposals`` yields batches of ``(ratio, acquisition, posterior_mean,
     posterior_std)`` over the selected tasks, by default :func:`_gp_proposals`.
     Each batch is checked (``ValueError`` for a ratio above ``ratio_max`` or
-    of the wrong width), trained through :func:`train_scores` and logged
-    round by round; round t trains from scratch under
-    ``derive_seed(rng_seed, "eval", t)``, so a duplicate ratio is re-evaluated.
+    of the wrong width, or when no batch holds a ratio), trained through
+    :func:`train_scores` and logged round by round; round t trains from
+    scratch under ``derive_seed(rng_seed, "eval", t)``, so a duplicate ratio
+    is re-evaluated.
     Given ``baseline_seed``, the primary-only baseline trains under it first
     in the first batch, outside the budget and the log, and its failures end
     the run "on the baseline run"; without it the baseline score is ``None``.
     """
     task_ids = tasks.selected_task_ids
-    records: list[EvaluationRecord] = []
     log = RunLog()
     if proposals is None:
-        proposals = _gp_proposals(len(task_ids), config, records)
-    best_score = -math.inf
+        proposals = _gp_proposals(len(task_ids), config, log.records)
+    best_ratio, best_score = None, -math.inf
     lead = baseline_seed is not None  # the next batch leads with the baseline
     baseline_score = None
     for batch in proposals:
         ratios = [ratio for ratio, *_ in batch]
         for ratio in ratios:
             validate_ratio(ratio, config.ratio_max)
-        rounds = range(len(records), len(records) + len(batch))
+        rounds = range(len(log), len(log) + len(batch))
         seeds = [derive_seed(config.rng_seed, "eval", t) for t in rounds]
         wheres = [f"at stage-2 round {t}" for t in rounds]
         if lead:
@@ -339,8 +328,8 @@ def run_stage2(
         if lead:
             baseline_score, lead = next(scores), False
         for t, (ratio, acq, post_mean, post_std), score in zip(rounds, batch, scores):
-            records.append(EvaluationRecord(ratio=ratio, score=score))
-            best_score = max(best_score, score)
+            if score > best_score:  # strict: ties keep the earliest
+                best_ratio, best_score = ratio, score
             log.append(
                 round=t,
                 proposed_ratio=list(ratio.counts),
@@ -350,5 +339,6 @@ def run_stage2(
                 score=score,
                 incumbent=best_score,
             )
-    best = max(records, key=lambda r: r.score)  # max() keeps the earliest on ties
-    return best, records, log, baseline_score
+    if best_ratio is None:
+        raise ValueError("proposals yielded no ratio")
+    return best_ratio, best_score, log, baseline_score

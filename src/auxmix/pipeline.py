@@ -27,7 +27,7 @@ from .bandit import (
     select_tasks,
     utility_density_table,
 )
-from .mixing import EvaluationRecord, MixingRatio, Stage2Config, run_stage2
+from .mixing import MixingRatio, Stage2Config, run_stage2
 from .runlog import RunAborted, RunLog, SettingError, derive_seed, make_header, require_work
 
 PIPELINE_MODES = ("full", "no_stage1", "no_stage2")
@@ -70,7 +70,6 @@ class PipelineReport:
     best_ratio: MixingRatio
     best_score: float
     baseline_score: float
-    evaluations: tuple[EvaluationRecord, ...]
     stage1_log: RunLog
     stage2_log: RunLog
     config: dict | None
@@ -126,7 +125,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             stage2 = config.stage2
             grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
             proposals = [[(ratio, "grid", None, None) for ratio in grid]]
-        best, records, stage2_log, baseline_score = run_stage2(
+        best_ratio, best_score, stage2_log, baseline_score = run_stage2(
             env, selection, config.stage2, proposals,
             baseline_seed=derive_seed(config.stage2.rng_seed, "baseline"),
         )
@@ -137,10 +136,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     return PipelineReport(
         mode=config.mode,
         selection=selection,
-        best_ratio=best.ratio,
-        best_score=best.score,
+        best_ratio=best_ratio,
+        best_score=best_score,
         baseline_score=baseline_score,
-        evaluations=tuple(records),
         stage1_log=stage1_log,
         stage2_log=stage2_log,
         config=config.normalized,
@@ -157,7 +155,7 @@ def report_summary(report: PipelineReport) -> dict:
         "best_ratio": list(report.best_ratio.counts),
         "best_score": report.best_score,
         "baseline_score": report.baseline_score,
-        "n_evaluations": len(report.evaluations),
+        "n_evaluations": len(report.stage2_log),
         "config": report.config,
     }
 

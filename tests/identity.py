@@ -8,6 +8,11 @@ nothing is written to disk.  The sweep prints one ``run/file sha256`` line per f
 * CI's tiny planted and shared-linear configs, in all three modes;
 * CI's ``learning_rate: 50`` config in all three modes, which aborts in
   stage 1 and, without stage 1, at the baseline;
+* aborts inside stage 2, which no shipped config reaches (a diverging
+  shared-linear run fails at the baseline first): CI's tiny config with
+  its environment wrapped by :class:`FailingRound`, in ``full`` mode with
+  NaN and with an exception at GP round 3, and in ``no_stage2`` mode with
+  NaN at round 2;
 * the benchmark's planted-search config, seeds 1000-1039;
 * the criterion-07 environment in all three modes, seeds 1000-1039;
 * the criterion-06 environment (``no_stage1``, 20 evaluations), seeds 1000-1199;
@@ -35,7 +40,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before NumPy is imported
 
 import argparse
+import dataclasses
 import hashlib
+import math
 import subprocess
 import sys
 import tempfile
@@ -102,6 +109,35 @@ _CRITERION_06 = {
 }
 
 
+class FailingRound:
+    """An environment whose stage-2 training under ``seed`` fails: its score
+    is NaN (``how="nan"``) or ``train_full`` raises (``how="raise"``).
+
+    Keyed on the seed, ``derive_seed(stage2.rng_seed, "eval", t)`` for round
+    ``t``, it keeps no state.  Everything else delegates to ``env``.
+    """
+
+    def __init__(self, env, seed: int, how: str):
+        self.env, self.seed, self.how = env, seed, how
+        self.n_tasks = env.n_tasks
+        self.total_batches = getattr(env, "total_batches", 0)
+
+    def reset(self, seed: int) -> None:
+        self.env.reset(seed)
+
+    def step(self, task_id: int) -> None:
+        self.env.step(task_id)
+
+    def validation_metric(self) -> float:
+        return self.env.validation_metric()
+
+    def train_full(self, ratios, seeds) -> list[float]:
+        if self.how == "raise" and self.seed in seeds:
+            raise RuntimeError("injected failure")
+        scores = self.env.train_full(ratios, seeds)
+        return [math.nan if s == self.seed else score for s, score in zip(seeds, scores)]
+
+
 def _section(raw: dict, section: str, **values) -> dict:
     return {**raw, section: {**raw.get(section, {}), **values}}
 
@@ -111,38 +147,46 @@ def _seeded(raw: dict, seed: int) -> dict:
     return _section(_section(raw, "bandit", rng_seed=seed), "stage2", rng_seed=seed)
 
 
-def corpus() -> Iterator[tuple[str, dict, int]]:
-    """Each run's name, raw config and grid size, in a fixed order."""
+def corpus() -> Iterator[tuple[str, dict, int, tuple[int, str] | None]]:
+    """Each run's name, raw config, grid size and stage-2 failure, in a fixed
+    order; the failure is ``(round, how)`` for :class:`FailingRound`, or None."""
     for name, raw in (("tiny", _CI_TINY), ("linear", _CI_LINEAR), ("abort", _CI_ABORT)):
         for mode in MODES:
-            yield f"{name}-{mode}", {**raw, "mode": mode}, GRID_SIZE
+            yield f"{name}-{mode}", {**raw, "mode": mode}, GRID_SIZE, None
+    for mode, t, how in (("full", 3, "nan"), ("full", 3, "raise"), ("no_stage2", 2, "nan")):
+        yield f"tiny-{mode}-{how}{t}", {**_CI_TINY, "mode": mode}, GRID_SIZE, (t, how)
     for seed in SEEDS:
-        yield f"planted-search-{seed}", _seeded(_PLANTED_SEARCH, seed), GRID_SIZE
+        yield f"planted-search-{seed}", _seeded(_PLANTED_SEARCH, seed), GRID_SIZE, None
     for mode in MODES:
         for seed in SEEDS:
             raw = _seeded({"mode": mode, "environment": _CRITERION_07}, seed)
-            yield f"c07-{mode}-{seed}", raw, GRID_SIZE
+            yield f"c07-{mode}-{seed}", raw, GRID_SIZE, None
     for seed in range(1000, 1200):
         raw = _seeded({"mode": "no_stage1", "environment": _CRITERION_06}, seed)
-        yield f"c06-{seed}", raw, GRID_SIZE
+        yield f"c06-{seed}", raw, GRID_SIZE, None
     yield "longinit512", {
         "mode": "no_stage1",
         "environment": {"family": "planted", "theta_star": [0.9, 0.8, 0.5, 0.2, 0.1]},
         "stage2": {"n_samples": 512, "n_initial": 510},
-    }, GRID_SIZE
-    yield "hugeeta", _section(_CI_TINY, "stage2", hedge_eta=1.0e308, n_samples=20), GRID_SIZE
-    yield "bigratio", _section(_CI_LINEAR, "stage2", ratio_max=10**9), GRID_SIZE
+    }, GRID_SIZE, None
+    hugeeta = _section(_CI_TINY, "stage2", hedge_eta=1.0e308, n_samples=20)
+    yield "hugeeta", hugeeta, GRID_SIZE, None
+    yield "bigratio", _section(_CI_LINEAR, "stage2", ratio_max=10**9), GRID_SIZE, None
     for seed in range(1000, 1010):
-        yield f"cli-replay-{seed}", _seeded(_CLI_REPLAY, seed), CLI_GRID_SIZE
+        yield f"cli-replay-{seed}", _seeded(_CLI_REPLAY, seed), CLI_GRID_SIZE, None
 
 
 def render() -> list[str]:
     """One ``run/file sha256`` line per file of every run of the corpus."""
     from auxmix import cli, config, pipeline
+    from auxmix.runlog import derive_seed
 
     lines = []
-    for name, raw, grid_size in corpus():
+    for name, raw, grid_size, fault in corpus():
         cfg = config.to_pipeline_config(raw)
+        if fault is not None:
+            seed = derive_seed(cfg.stage2.rng_seed, "eval", fault[0])
+            cfg = dataclasses.replace(cfg, env=FailingRound(cfg.env, seed, fault[1]))
         files = pipeline.run_files(cli._outcome(cfg), cfg.normalized, grid_size)
         for file, text in sorted(files.items()):
             lines.append(f"{name}/{file} {hashlib.sha256(text.encode('utf-8')).hexdigest()}")

@@ -215,7 +215,7 @@ def test_criterion_06_stage2_beats_random_search():
     n_pairs = 50
     for seed in range(n_pairs):
         cfg = Stage2Config(n_samples=20, n_initial=5, rng_seed=seed)
-        best, _, _, _ = run_stage2(env, sel, cfg)
+        _, best_score, _, _ = run_stage2(env, sel, cfg)
         rng = np.random.default_rng(derive_seed(seed, "random-search"))
         random_best = max(
             env.train_full(
@@ -223,7 +223,7 @@ def test_criterion_06_stage2_beats_random_search():
                 [derive_seed(seed, "rs-eval", t) for t in range(20)],
             )
         )
-        wins += best.score > random_best
+        wins += best_score > random_best
     elapsed = time.perf_counter() - start
     ok = wins >= math.ceil(0.7 * n_pairs) and elapsed < 300.0
     verdict(

@@ -290,6 +290,26 @@ def test_run_out_at_or_under_a_regular_file_is_usage_error(
     assert blocker.read_text(encoding="utf-8") == "data"
 
 
+def test_run_write_failure_is_runtime_error(config_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "stage2.log.jsonl").mkdir(parents=True)  # a directory where a run file goes
+    assert run_cli("run", config_file, "--out", out, "--force") == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}" in err
+    assert "Traceback" not in err
+
+
+def test_run_seeds_write_failure_keeps_the_other_seeds(config_file, tmp_path, capsys):
+    out = tmp_path / "seeds"
+    (out / "seed-0" / "stage2.log.jsonl").mkdir(parents=True)
+    assert run_cli("run", config_file, "--out", out, "--seeds", "0..1", "--force") == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert f"[seed 0] error: cannot write {out / 'seed-0'}" in captured.err
+    assert "[seed 1] mode=full" in captured.out
+    assert (out / "seed-1" / "report.json").is_file()
+    assert "Traceback" not in captured.err
+
+
 def test_run_output_dir_resolution(config_file, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("AUTOSEM_OUT", raising=False)

@@ -745,7 +745,7 @@ def test_to_pipeline_config_builds_and_runs():
     assert pc.normalized == cfg
     report = run_pipeline(pc)
     assert report.config == cfg
-    assert len(report.evaluations) == 5
+    assert len(report.stage2_log.records) == 5
 
 
 # ------------------------------------------------------------------ fuzzing

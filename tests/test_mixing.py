@@ -18,13 +18,12 @@ from auxmix.acquisition import (
     probability_of_improvement,
     upper_confidence_bound,
 )
-from auxmix import gp
+from auxmix import gp, mixing
 from auxmix.bandit import TaskSelection
 from auxmix.environments import PlantedBanditEnv
 from auxmix.gp import fit, gram_matrix, posterior, posterior_at
 from auxmix.mixing import (
     MAX_RATIO_MAX,
-    EvaluationRecord,
     MixingRatio,
     Stage2Config,
     _grid_moves,
@@ -166,11 +165,6 @@ def test_stage2_config_validation():
         Stage2Config(nu=2.0)
     with pytest.raises(ValueError):
         Stage2Config(ratio_max=0)
-
-
-def test_evaluation_record_rejects_nonfinite_score():
-    with pytest.raises(ValueError):
-        EvaluationRecord(ratio=MixingRatio(counts=(1,)), score=float("nan"))
 
 
 # ------------------------------------------------------------ propose_next
@@ -382,9 +376,8 @@ class FailingEnv:
 def test_run_stage2_spends_exactly_the_budget():
     env = QuadraticEnv()
     cfg = Stage2Config(n_samples=9, n_initial=4, rng_seed=2)
-    best, records, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
+    _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     assert env.calls == 9
-    assert len(records) == 9
     assert len(log.records) == 9
 
 
@@ -400,9 +393,35 @@ def test_run_stage2_folds_each_record_into_the_gp_exactly_once(monkeypatch):
 
     monkeypatch.setattr(gp, "_fold", counting_fold)
     cfg = Stage2Config(n_samples=20, n_initial=5, rng_seed=3)
-    _, records, _, _ = run_stage2(SeedEchoEnv(n_tasks=2), TaskSelection((0, 1), (1.0, 0.8)), cfg)
-    assert len(records) == 20
+    _, _, log, _ = run_stage2(SeedEchoEnv(n_tasks=2), TaskSelection((0, 1), (1.0, 0.8)), cfg)
+    assert len(log.records) == 20
     assert folded == list(range(19))
+
+
+def test_run_stage2_fits_each_gp_round_on_the_log_so_far(monkeypatch):
+    """The log is the one record of the evaluations: round t's GP is fitted
+    on the first t logged ratios and scores, bit for bit."""
+    fitted = []
+
+    def recording_fit(xs, ys, **kwargs):
+        fitted.append((xs.copy(), ys.copy()))
+        return fit(xs, ys, **kwargs)
+
+    monkeypatch.setattr(mixing, "fit", recording_fit)
+    env = PlantedBanditEnv(theta_star=[0.9, 0.2, 0.7, 0.4], score_noise=0.05)
+    cfg = Stage2Config(n_samples=12, n_initial=4, ratio_max=7, rng_seed=8, pool_size=32)
+    _, _, log, _ = run_stage2(env, TaskSelection((0, 1, 3), (1.0, 0.5, 0.5)), cfg)
+    assert len(fitted) == cfg.n_samples - cfg.n_initial
+    for t, (xs, ys) in enumerate(fitted, cfg.n_initial):
+        logged = log.records[:t]
+        assert xs.tobytes() == encode([r["proposed_ratio"] for r in logged], 7).tobytes()
+        assert ys.tobytes() == np.array([r["score"] for r in logged]).tobytes()
+
+
+@pytest.mark.parametrize("proposals", [[], [[]]], ids=["no-batch", "empty-batch"])
+def test_run_stage2_without_a_ratio_raises(proposals):
+    with pytest.raises(ValueError, match="no ratio"):
+        run_stage2(SeedEchoEnv(n_tasks=1), PRIMARY_ONLY, Stage2Config(), proposals)
 
 
 def test_run_stage2_initial_rounds_are_random_then_gp_takes_over():
@@ -420,31 +439,31 @@ def test_run_stage2_initial_rounds_are_random_then_gp_takes_over():
 def test_run_stage2_incumbent_is_running_max():
     env = SeedEchoEnv(n_tasks=1)
     cfg = Stage2Config(n_samples=8, n_initial=3, rng_seed=5)
-    _, records, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
+    _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     running = -np.inf
-    for rec, line in zip(records, log.records):
-        running = max(running, rec.score)
+    for (_, seed), line in zip(env.seen, log.records):
+        running = max(running, line["score"])
         assert line["incumbent"] == pytest.approx(running)
-        assert line["score"] == pytest.approx(rec.score)
+        assert line["score"] == pytest.approx((seed % 1000) / 1000.0)
 
 
 def test_run_stage2_eval_seeds_follow_derivation():
     env = SeedEchoEnv(n_tasks=1)
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=77)
-    _, records, _, _ = run_stage2(env, PRIMARY_ONLY, cfg)
-    assert [s for _, s in env.seen] == [derive_seed(77, "eval", t) for t in range(len(records))]
+    _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
+    assert [s for _, s in env.seen] == [derive_seed(77, "eval", t) for t in range(len(log))]
 
 
 def test_run_stage2_expands_ratio_to_environment_width():
     env = SeedEchoEnv(n_tasks=4)
     tasks = TaskSelection(selected_task_ids=(0, 2), expected_utilities=(1.0, 0.8))
     cfg = Stage2Config(n_samples=5, n_initial=2, rng_seed=1)
-    _, records, _, _ = run_stage2(env, tasks, cfg)
-    for (env_ratio, _), rec in zip(env.seen, records):
+    _, _, log, _ = run_stage2(env, tasks, cfg)
+    for (env_ratio, _), rec in zip(env.seen, log.records):
         assert env_ratio.n_tasks == 4
         assert env_ratio.counts[1] == 0 and env_ratio.counts[3] == 0
-        assert env_ratio.counts[0] == rec.ratio.counts[0]
-        assert env_ratio.counts[2] == rec.ratio.counts[1]
+        assert env_ratio.counts[0] == rec["proposed_ratio"][0]
+        assert env_ratio.counts[2] == rec["proposed_ratio"][1]
 
 
 def test_run_stage2_best_ties_break_earliest():
@@ -455,15 +474,17 @@ def test_run_stage2_best_ties_break_earliest():
             return [0.25] * len(ratios)
 
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=9)
-    best, records, _, _ = run_stage2(ConstantEnv(), PRIMARY_ONLY, cfg)
-    assert best is records[0]
+    best_ratio, best_score, log, _ = run_stage2(ConstantEnv(), PRIMARY_ONLY, cfg)
+    first = log.records[0]
+    assert log.records[1]["proposed_ratio"] != first["proposed_ratio"]
+    assert (list(best_ratio.counts), best_score) == (first["proposed_ratio"], first["score"])
 
 
 def test_run_stage2_is_deterministic():
     cfg = Stage2Config(n_samples=7, n_initial=3, rng_seed=13)
     out1 = run_stage2(SeedEchoEnv(n_tasks=1), PRIMARY_ONLY, cfg)
     out2 = run_stage2(SeedEchoEnv(n_tasks=1), PRIMARY_ONLY, cfg)
-    assert out1[1] == out2[1]
+    assert out1[:2] == out2[:2]
     lines1 = [canonical_dumps(r) for r in out1[2].records]
     lines2 = [canonical_dumps(r) for r in out2[2].records]
     assert lines1 == lines2
@@ -550,9 +571,10 @@ def test_run_stage2_evaluates_explicit_proposals_in_order():
         (MixingRatio((1, 3)), "grid", None, None),
     ]
     batches = [proposals[:1], proposals[1:3], proposals[3:]]
-    best, records, log, _ = run_stage2(env, tasks, cfg, iter(batches))
+    best_ratio, best_score, log, _ = run_stage2(env, tasks, cfg, iter(batches))
     assert env.batch_sizes == [1, 2, 1]
-    assert [r.ratio for r in records] == [p[0] for p in proposals]
+    logged = [line["proposed_ratio"] for line in log.records]
+    assert logged == [list(p[0].counts) for p in proposals]
     assert [s for _, s in env.seen] == [derive_seed(31, "eval", t) for t in range(4)]
     assert [r.counts for r, _ in env.seen] == [(2, 0, 0, 0), (6, 0, 0, 6)] + [(1, 0, 0, 3)] * 2
     assert [
@@ -560,7 +582,8 @@ def test_run_stage2_evaluates_explicit_proposals_in_order():
         for line in log.records
     ] == [p[1:] for p in proposals]
     assert [line["round"] for line in log.records] == [0, 1, 2, 3]
-    assert best is max(records, key=lambda r: r.score)
+    top = max(range(4), key=lambda t: log.records[t]["score"])  # the earliest on ties
+    assert best_ratio is proposals[top][0] and best_score == log.records[top]["score"]
 
 
 def test_run_stage2_rejects_a_proposal_above_ratio_max():
@@ -590,10 +613,11 @@ def test_run_stage2_aborts_with_partial_history():
 def test_run_stage2_trains_the_initial_design_as_one_batch():
     env = SeedEchoEnv(n_tasks=1)
     cfg = Stage2Config(n_samples=7, n_initial=4, rng_seed=3)
-    _, records, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
+    _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     assert env.batch_sizes == [4, 1, 1, 1]
     rng = np.random.default_rng(derive_seed(3, "stage2"))
-    assert [r.ratio for r in records[:4]] == [random_ratio(1, cfg.ratio_max, rng) for _ in range(4)]
+    initial = [list(random_ratio(1, cfg.ratio_max, rng).counts) for _ in range(4)]
+    assert [line["proposed_ratio"] for line in log.records[:4]] == initial
     assert [line["round"] for line in log.records] == list(range(7))
 
 
@@ -648,7 +672,7 @@ def test_run_stage2_finds_quadratic_peak_on_most_seeds():
     hits = 0
     for seed in range(20):
         cfg = Stage2Config(n_samples=20, n_initial=5, rng_seed=seed)
-        best, _, _, _ = run_stage2(QuadraticEnv(), PRIMARY_ONLY, cfg)
-        if abs(best.ratio.counts[0] / 20.0 - 0.6) <= 0.1:
+        best_ratio, _, _, _ = run_stage2(QuadraticEnv(), PRIMARY_ONLY, cfg)
+        if abs(best_ratio.counts[0] / 20.0 - 0.6) <= 0.1:
             hits += 1
     assert hits >= 18

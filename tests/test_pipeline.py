@@ -13,7 +13,6 @@ from auxmix.config import normalize, to_pipeline_config
 from auxmix.environments import PlantedBanditEnv, make_environment
 from auxmix.mixing import (
     MAX_RATIO_MAX,
-    EvaluationRecord,
     MixingRatio,
     Stage2Config,
     expand_to_tasks,
@@ -110,7 +109,6 @@ def test_full_mode_selects_and_optimizes():
     report = run_pipeline(make_config())
     assert report.mode == "full"
     assert report.selection.selected_task_ids[0] == 0
-    assert len(report.evaluations) == 8
     assert len(report.stage1_log.records) == 60
     assert len(report.stage2_log.records) == 8
     assert 0.0 <= report.best_score <= 1.0
@@ -125,7 +123,7 @@ def test_no_stage1_mode_keeps_every_task():
 
 def test_no_stage2_mode_runs_the_manual_grid():
     report = run_pipeline(make_config(mode="no_stage2"))
-    assert len(report.evaluations) == 8
+    assert len(report.stage2_log.records) == 8
     used = {r["acquisition_used"] for r in report.stage2_log.records}
     assert used == {"grid"}
     assert len(report.stage1_log.records) == 60
@@ -134,13 +132,14 @@ def test_no_stage2_mode_runs_the_manual_grid():
 def test_no_stage2_grid_matches_selection_width():
     report = run_pipeline(make_config(mode="no_stage2"))
     n_sel = len(report.selection.selected_task_ids)
-    for rec in report.evaluations:
-        assert rec.ratio.n_tasks == n_sel
+    for rec in report.stage2_log.records:
+        assert len(rec["proposed_ratio"]) == n_sel
 
 
 def _reference_grid_stage2(env, tasks, config):
     """The separate grid loop ``no_stage2`` ran before it became a proposal
-    list for ``run_stage2``; kept as the oracle for that path."""
+    list for ``run_stage2``; kept as the oracle for that path.  Returns the
+    best ``(ratio, score)``, the earliest on ties, and the log."""
     grid = manual_ratio_grid(len(tasks.selected_task_ids) - 1, config.n_samples, config.ratio_max)
     records = []
     log = RunLog()
@@ -150,7 +149,7 @@ def _reference_grid_stage2(env, tasks, config):
         seed = derive_seed(config.rng_seed, "eval", t)
         env_ratio = expand_to_tasks(ratio, tasks.selected_task_ids, env.n_tasks)
         (score,) = env.train_full([env_ratio], [seed])
-        records.append(EvaluationRecord(ratio=ratio, score=score))
+        records.append((ratio, score))
         best_score = max(best_score, score)
         log.append(
             round=t,
@@ -161,8 +160,8 @@ def _reference_grid_stage2(env, tasks, config):
             score=score,
             incumbent=best_score,
         )
-    best = max(records, key=lambda r: r.score)
-    return best, records, log
+    best = max(records, key=lambda r: r[1])
+    return best, log
 
 
 @pytest.mark.parametrize(
@@ -198,13 +197,12 @@ def test_no_stage2_matches_the_reference_grid_loop(env, ratio_max):
         )
         report = run_pipeline(cfg)
         widths.add(len(report.selection.selected_task_ids))
-        best, records, log = _reference_grid_stage2(
+        best, log = _reference_grid_stage2(
             make_environment(env, cfg.bandit.batches_per_round), report.selection, cfg.stage2
         )
-        assert list(report.evaluations) == records
         assert report.stage2_log.records == log.records
         assert report.stage2_log.lines() == log.lines()
-        assert (report.best_ratio, report.best_score) == (best.ratio, best.score)
+        assert (report.best_ratio, report.best_score) == best
     if len(env.get("theta_star", ())) == 6:
         assert len(widths) > 1  # the selection width varies with the seed
 
@@ -254,7 +252,7 @@ def test_pipeline_is_deterministic():
     r1 = run_pipeline(make_config(seed=5))
     r2 = run_pipeline(make_config(seed=5))
     assert report_summary(r1) == report_summary(r2)
-    assert r1.evaluations == r2.evaluations
+    assert r1.stage2_log.records == r2.stage2_log.records
     assert [x for x in r1.stage1_log.records] == [x for x in r2.stage1_log.records]
 
 
@@ -464,7 +462,7 @@ def test_one_built_config_runs_repeatedly(mode, family):
         header = make_header(kind, config.normalized)
         assert second.stage_logs[kind].text(header) == log.text(header)
     assert report_summary(second) == report_summary(first)
-    assert second.evaluations == first.evaluations
+    assert second.stage2_log.records == first.stage2_log.records
     assert second.selection == first.selection
 
 
@@ -475,9 +473,10 @@ def test_a_run_at_the_largest_ratio_max_finishes(family):
     stage2 = {**_TINY["stage2"], "ratio_max": MAX_RATIO_MAX}
     raw = {"environment": _FAMILIES[family], **_TINY, "stage2": stage2}
     report = run_pipeline(to_pipeline_config(raw))
-    assert len(report.evaluations) == 4
-    assert all(math.isfinite(r.score) for r in report.evaluations)
-    assert max(c for r in report.evaluations for c in r.ratio.counts) > 2**20
+    records = report.stage2_log.records
+    assert len(records) == 4
+    assert all(math.isfinite(r["score"]) for r in records)
+    assert max(c for r in records for c in r["proposed_ratio"]) > 2**20
 
 
 # -------------------------------------------------------------- artifacts
