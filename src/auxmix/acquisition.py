@@ -66,14 +66,20 @@ def probability_of_improvement(
     return _scores(np.where(std == 0.0, mean > best_so_far, _normal_cdf(z)))
 
 
-def expected_improvement(posterior: Posterior, best_so_far: float) -> float | np.ndarray:
+def expected_improvement(
+    posterior: Posterior, best_so_far: float, pi: float | np.ndarray | None = None
+) -> float | np.ndarray:
     """Expected gain over the incumbent, ``sigma (z Phi(z) + phi(z))``.
 
     With a deterministic posterior this collapses to ``max(mu - tau, 0)``.
+    ``pi``, the :func:`probability_of_improvement` scores of the same
+    posterior and incumbent, stands in for ``Phi(z)``: it is exactly
+    ``Phi(z)`` wherever ``sigma > 0``, and the other entries take the limit.
     """
     mean, std, z = _standardize(posterior, best_so_far)
+    cdf = _normal_cdf(z) if pi is None else np.asarray(pi, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        ei = std * (z * _normal_cdf(z) + np.exp(-(z**2) / 2.0) / SQRT_2PI)
+        ei = std * (z * cdf + np.exp(-(z**2) / 2.0) / SQRT_2PI)
     return _scores(np.where(std == 0.0, np.maximum(mean - best_so_far, 0.0), ei))
 
 
@@ -103,8 +109,6 @@ class HedgeState:
             raise ValueError(f"eta must be positive, got {self.eta}")
 
 
-# A huge eta overflows eta * gains; the overflow is caught below, not warned of.
-@np.errstate(over="ignore")
 def hedge_probabilities(state: HedgeState) -> np.ndarray:
     """Selection distribution ``softmax(eta * gains)``.
 
@@ -112,14 +116,16 @@ def hedge_probabilities(state: HedgeState) -> np.ndarray:
     for any gain magnitudes and invariant to a common shift.  Where
     ``eta * gains`` overflows, the max gain is subtracted before scaling
     instead, so the top gain still scores 0 and the rest at most that.
+    The three gains are scaled and shifted as Python floats, which
+    overflow to inf without a warning.
     """
-    gains = np.asarray(state.gains, dtype=float)
-    scaled = state.eta * gains
-    top = np.max(scaled)
+    eta, gains = state.eta, state.gains
+    scaled = [eta * g for g in gains]
+    top = max(scaled)
     if not math.isfinite(top):
-        scaled, top = state.eta * (gains - np.max(gains)), 0.0
-    scaled -= top
-    w = np.exp(scaled)
+        top_gain = max(gains)
+        scaled, top = [eta * (g - top_gain) for g in gains], 0.0
+    w = np.exp([s - top for s in scaled])
     return w / np.sum(w)
 
 

@@ -91,11 +91,22 @@ def _scaled_distances(x1: np.ndarray, x2: np.ndarray, length_scales: np.ndarray)
 
 
 def _matern_of_distance(d: np.ndarray, nu: float, signal_variance) -> np.ndarray:
+    """The Matern covariance of the distances ``d``, computed into ``d``, which
+    the call consumes: the closed form's operations in its order, so every
+    entry keeps its bits, with at most two more arrays of ``d``'s size."""
+    t = np.multiply(d, SQRT3 if nu == 1.5 else SQRT5, out=d)
+    e = np.negative(t)
+    np.exp(e, out=e)
     if nu == 1.5:
-        t = SQRT3 * d
-        return signal_variance * (1.0 + t) * np.exp(-t)
-    t = SQRT5 * d
-    return signal_variance * (1.0 + t + t**2 / 3.0) * np.exp(-t)
+        t += 1.0
+    else:
+        q = np.square(t)
+        q /= 3.0
+        t += 1.0
+        t += q
+    t *= signal_variance
+    t *= e
+    return t
 
 
 def matern_kernel(x1: Sequence[float], x2: Sequence[float], params: KernelParams) -> float:
@@ -226,9 +237,9 @@ def _fold(
     )
 
 
-def _whitened(fold: Fold, y: np.ndarray) -> np.ndarray:
-    """``w = L^-1 (y - mean(y))`` for every candidate of ``fold``, shape ``(C, n)``."""
-    return fold.chol_inv @ (y - np.mean(y))
+def _whitened(fold: Fold, y: np.ndarray, mean) -> np.ndarray:
+    """``w = L^-1 (y - mean)`` for every candidate of ``fold``, shape ``(C, n)``."""
+    return fold.chol_inv @ (y - mean)
 
 
 def _log_evidence(fold: Fold, w: np.ndarray) -> np.ndarray:
@@ -239,15 +250,16 @@ def _log_evidence(fold: Fold, w: np.ndarray) -> np.ndarray:
 
 
 def _model(
-    x: np.ndarray, y: np.ndarray, kernel: KernelParams, fold: Fold, best: int, w: np.ndarray
+    x: np.ndarray, y: np.ndarray, kernel: KernelParams, fold: Fold, best: int, w: np.ndarray, mean
 ) -> GpModel:
-    """The model of candidate ``best`` of ``fold``, whose whitened residual is ``w``."""
+    """The model of candidate ``best`` of ``fold``, whose whitened residual
+    is ``w``; ``mean`` is ``np.mean(y)``."""
     chol_inv = fold.chol_inv[best]
     return GpModel(
         points=x,
         observations=y,
         kernel=kernel,
-        mean_offset=float(np.mean(y)),
+        mean_offset=float(mean),
         chol_inv=chol_inv,
         dual=chol_inv.T @ w,
         fold=fold,
@@ -290,7 +302,8 @@ def build_gp(
         )
     rows = np.array([[*params.length_scales, params.signal_variance, params.noise_variance]])
     jitter, fold = _fold(x, rows, params.nu, params.jitter, None)
-    return _model(x, y, replace(params, jitter=jitter), fold, 0, _whitened(fold, y)[0])
+    mean = np.mean(y)
+    return _model(x, y, replace(params, jitter=jitter), fold, 0, _whitened(fold, y, mean)[0], mean)
 
 
 def posterior(model: GpModel, x: np.ndarray) -> Posterior:
@@ -378,7 +391,8 @@ def fit(
             raise ValueError("base must be fitted to a prefix of the points and observations")
         jitter, fold = base.kernel.jitter, base.fold
     jitter, fold = _fold(x, rows, nu, jitter, fold)
-    w = _whitened(fold, y)
+    mean = np.mean(y)
+    w = _whitened(fold, y, mean)
     best = int(np.argmax(_log_evidence(fold, w)))
     *length_scales, signal_variance, noise_variance = rows[best].tolist()
     params = KernelParams(
@@ -388,4 +402,4 @@ def fit(
         nu=nu,
         jitter=jitter,
     )
-    return _model(x, y, params, fold, best, w[best])
+    return _model(x, y, params, fold, best, w[best], mean)

@@ -32,7 +32,10 @@ from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_float
 
 # The largest candidate pool and grid a config may ask for; Stage2Config
 # rejects more.  A proposal scores its pool through a (pool_size, n)
-# cross-covariance, 64 MiB at n = MAX_N_SAMPLES.  A ratio_max of at most 2^31
+# cross-covariance, 64 MiB at n = MAX_N_SAMPLES, beside two kernel
+# temporaries of that size.  The largest such run, 512 evaluations of which
+# 510 are random (tests/memory_bound.py, run by CI with BLAS on one thread),
+# peaks below 350 MB RSS.  A ratio_max of at most 2^31
 # keeps every count, and the sum of a ratio's counts, inside int64, for
 # rng.integers and the training schedule's cumulative sum.  These are bounds,
 # not settings.
@@ -203,9 +206,10 @@ def propose_next(
     _neighbor_points(model.points[best_idx], config.ratio_max, out=pool[m:])
 
     post, kx = _posterior_and_cross(model, pool)
-    scores = (  # in ACQUISITIONS order
-        probability_of_improvement(post, tau),
-        expected_improvement(post, tau),
+    pi = probability_of_improvement(post, tau)
+    scores = (  # in ACQUISITIONS order; EI reuses PI's Phi(z)
+        pi,
+        expected_improvement(post, tau, pi),
         upper_confidence_bound(post, config.ucb_lambda),
     )
     nominee_rows = [int(np.argmax(s)) for s in scores]

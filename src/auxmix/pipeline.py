@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -201,13 +202,26 @@ def run_files(
 def write_run_files(files: dict[str, str], out_dir: str | Path) -> dict[str, Path]:
     """The one writer of run directories: write a :func:`run_files` render and
     remove each run file it lacks that an earlier run left (under ``--force``).
-    Other files stay.  Returns the path of each written file by name."""
+    Other files stay.  Returns the path of each written file by name.  Each
+    file goes to a temporary sibling, renamed into place once every write
+    succeeded, so a failure (a run file's path that is a directory fails
+    first) replaces nothing and leaves no temporary behind."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in RUN_FILES:
+        if (out / name).is_dir():
+            raise IsADirectoryError(f"{out / name} is a directory")
+    temps = {name: out / f".{name}.tmp" for name in files}
+    try:
+        for name, text in files.items():
+            temps[name].write_text(text, encoding="utf-8", newline="")
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
     for name in set(RUN_FILES) - set(files):
         (out / name).unlink(missing_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8", newline="")
     return {name: out / name for name in files}
 
 

@@ -28,8 +28,10 @@ between trees rendered on one machine::
     PYTHONPATH=src python tests/identity.py --against REV
 
 ``--against REV`` also renders the corpus from ``git archive REV``, unpacked
-in a temporary directory, and exits 1 naming the first run and file whose
-text differs.  BLAS runs on one thread in both.
+in a temporary directory, and exits 1 at the first run and file whose text
+differs, naming its first differing line and, in a log, field, as
+``auxmix replay`` does (``cli._divergence``; a file REV lacks is "not
+written by the rerun").  BLAS runs on one thread in both.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import dataclasses
 import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -176,25 +179,36 @@ def corpus() -> Iterator[tuple[str, dict, int, tuple[int, str] | None]]:
         yield f"cli-replay-{seed}", _seeded(_CLI_REPLAY, seed), CLI_GRID_SIZE, None
 
 
-def render() -> list[str]:
-    """One ``run/file sha256`` line per file of every run of the corpus."""
+def _files(raw: dict, grid_size: int, fault: tuple[int, str] | None) -> dict[str, str]:
+    """The text of each file one run of the corpus writes, by file name."""
     from auxmix import cli, config, pipeline
     from auxmix.runlog import derive_seed
 
+    cfg = config.to_pipeline_config(raw)
+    if fault is not None:
+        seed = derive_seed(cfg.stage2.rng_seed, "eval", fault[0])
+        cfg = dataclasses.replace(cfg, env=FailingRound(cfg.env, seed, fault[1]))
+    return pipeline.run_files(cli._outcome(cfg), cfg.normalized, grid_size)
+
+
+def files_of(run: str) -> dict[str, str]:
+    """:func:`_files` of the corpus run named ``run``."""
+    return next(_files(*rest) for name, *rest in corpus() if name == run)
+
+
+def render() -> list[str]:
+    """One ``run/file sha256`` line per file of every run of the corpus."""
     lines = []
-    for name, raw, grid_size, fault in corpus():
-        cfg = config.to_pipeline_config(raw)
-        if fault is not None:
-            seed = derive_seed(cfg.stage2.rng_seed, "eval", fault[0])
-            cfg = dataclasses.replace(cfg, env=FailingRound(cfg.env, seed, fault[1]))
-        files = pipeline.run_files(cli._outcome(cfg), cfg.normalized, grid_size)
-        for file, text in sorted(files.items()):
+    for name, *rest in corpus():
+        for file, text in sorted(_files(*rest).items()):
             lines.append(f"{name}/{file} {hashlib.sha256(text.encode('utf-8')).hexdigest()}")
     return lines
 
 
-def render_at(rev: str) -> list[str]:
-    """:func:`render` run in a fresh interpreter on the ``src`` of ``git archive rev``."""
+def call_at(rev: str, call: str):
+    """The value of ``call``, an expression over this script's names,
+    evaluated in a fresh interpreter on the ``src`` of ``git archive rev``
+    and passed back as JSON."""
     root = Path(__file__).resolve().parents[1]
     archive = subprocess.run(
         ["git", "-C", str(root), "archive", "--format=tar", rev, "src"],
@@ -204,11 +218,12 @@ def render_at(rev: str) -> list[str]:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         src = str(Path(tmp, "src"))
         code = (
-            f"import runpy, sys; sys.path.insert(0, {src!r}); "
-            f"runpy.run_path({str(Path(__file__).resolve())!r}, run_name='__main__')"
+            f"import json, runpy, sys; sys.path.insert(0, {src!r}); "
+            f"ns = runpy.run_path({str(Path(__file__).resolve())!r}); "
+            f"print(json.dumps(eval({call!r}, ns)))"
         )
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
-    return out.stdout.splitlines()[:-1]  # less the corpus line
+    return json.loads(out.stdout)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -220,11 +235,17 @@ def main(argv: list[str] | None = None) -> int:
     print(text + f"corpus {hashlib.sha256(text.encode('utf-8')).hexdigest()}")
     if args.against is None:
         return 0
-    theirs = dict(line.split(" ") for line in render_at(args.against))
+    theirs = dict(line.split(" ") for line in call_at(args.against, "render()"))
     ours = dict(line.split(" ") for line in lines)
-    for file in [*ours, *(f for f in theirs if f not in ours)]:
-        if ours.get(file) != theirs.get(file):
-            print(f"differs from {args.against}: {file}", file=sys.stderr)
+    for path in [*ours, *(f for f in theirs if f not in ours)]:
+        if ours.get(path) != theirs.get(path):
+            from auxmix.cli import _divergence
+
+            run, file = path.split("/")
+            found = files_of(run).get(file)
+            expected = call_at(args.against, f"files_of({run!r})").get(file)
+            where = _divergence(found, expected, Path(path), file.endswith(".jsonl"))
+            print(f"differs from {args.against}: {where}", file=sys.stderr)
             return 1
     print(f"identical to {args.against}: {len(ours)} files")
     return 0

@@ -130,6 +130,33 @@ def test_pi_and_ei_match_monte_carlo():
         assert abs(expected_improvement(post, tau) - ei_mc) < 3 * ei_se
 
 
+def _pools_for_ei():
+    """Pools with deterministic entries (above, at and below the incumbent),
+    standardized scores past +-30 and ordinary ones, then float posteriors."""
+    rng = np.random.default_rng(11)
+    mean = rng.normal(size=64)
+    std = rng.uniform(0.01, 2.0, size=64)
+    std[::7] = 0.0
+    mean[14] = 0.25  # at the incumbent with std 0
+    mean[:4], std[:4] = [0.25 + 40.0, 0.25 - 40.0, 0.25 + 31.0, 0.25 - 37.0], 1.0
+    yield Posterior(mean, std), 0.25
+    yield Posterior(np.array([1.0, 2.0, 3.0]), np.zeros(3)), 2.0
+    for m, s in [(0.4, 0.3), (0.25, 0.0), (1.0, 0.0), (-30.0, 1.0), (35.0, 1.0)]:
+        yield Posterior(m, s), 0.25
+
+
+def test_ei_given_pi_scores_is_bitwise_ei_alone():
+    """PI's scores are Phi(z) wherever std > 0, and EI takes its limit
+    wherever std == 0, so passing them changes no bit."""
+    for post, tau in _pools_for_ei():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi = probability_of_improvement(post, tau)
+            alone, given_pi = expected_improvement(post, tau), expected_improvement(post, tau, pi)
+        assert type(alone) is type(given_pi)
+        assert np.asarray(given_pi).tobytes() == np.asarray(alone).tobytes()
+
+
 # --------------------------------------------------------------------- UCB
 
 def _pi_reference(mean: float, std: float, tau: float) -> float:

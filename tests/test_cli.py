@@ -299,6 +299,48 @@ def test_run_write_failure_is_runtime_error(config_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_write_failure_leaves_the_earlier_run_whole(config_file, tmp_path, capsys):
+    """A rerun that cannot write one file replaces none of the earlier run's
+    files and leaves no temporary behind."""
+    out = tmp_path / "r"
+    assert run_cli("run", config_file, "--out", out) == EXIT_OK
+    kept = ("stage1.log.jsonl", "report.json", "utilities.csv")
+    before = {name: (out / name).read_bytes() for name in kept}
+    (out / "stage2.log.jsonl").unlink()
+    (out / "stage2.log.jsonl").mkdir()
+    rerun = ("run", config_file, "--out", out, "--force", "--set", "bandit.rng_seed=5")
+    assert run_cli(*rerun) == EXIT_RUNTIME
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in kept} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted([*kept, "stage2.log.jsonl"])
+    (out / "stage2.log.jsonl").rmdir()
+    assert run_cli(*rerun) == EXIT_OK
+    assert (out / "stage1.log.jsonl").read_bytes() != before["stage1.log.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*kept, "stage2.log.jsonl"])
+
+
+def test_run_write_failure_inside_a_write_removes_the_temporaries(tmp_path, monkeypatch):
+    """A write that fails part way replaces nothing and leaves no temporary."""
+    from auxmix import pipeline
+
+    out = tmp_path / "r"
+    out.mkdir()
+    (out / "report.json").write_text("old\n")
+    real = Path.write_text
+
+    def failing(self, text, **kwargs):
+        if self.name.startswith(".stage2"):
+            raise OSError("disk full")
+        return real(self, text, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    files = {name: name + "\n" for name in pipeline.RUN_FILES}
+    with pytest.raises(OSError, match="disk full"):
+        pipeline.write_run_files(files, out)
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    assert (out / "report.json").read_text() == "old\n"
+
+
 def test_run_seeds_write_failure_keeps_the_other_seeds(config_file, tmp_path, capsys):
     out = tmp_path / "seeds"
     (out / "seed-0" / "stage2.log.jsonl").mkdir(parents=True)

@@ -107,6 +107,43 @@ def test_gram_matrix_psd():
         assert eigvals.min() > -1e-9
 
 
+def _matern_out_of_place(d, nu, signal_variance):
+    """The kernel's closed form as one out-of-place expression."""
+    if nu == 1.5:
+        t = gp.SQRT3 * d
+        return signal_variance * (1.0 + t) * np.exp(-t)
+    t = gp.SQRT5 * d
+    return signal_variance * (1.0 + t + t**2 / 3.0) * np.exp(-t)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_in_place_matern_is_bitwise_the_out_of_place_formula(nu):
+    """The chain computed into ``d`` keeps every bit, for a scalar signal
+    variance (a Gram matrix) and a ``(C, 1, 1)`` stack (the fold)."""
+    rng = np.random.default_rng(17)
+    d = rng.uniform(0.0, 40.0, size=(3, 50, 7))
+    d[:, 0, 0] = 0.0
+    for s2 in (1.7, rng.uniform(0.01, 100.0, size=(3, 1, 1))):
+        want = _matern_out_of_place(d, nu, s2)
+        consumed = d.copy()
+        got = gp._matern_of_distance(consumed, nu, s2)
+        assert got is consumed
+        assert got.tobytes() == want.tobytes()
+
+
+def test_gram_matrix_and_posterior_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(19)
+    x, q = rng.random((12, 3)), rng.random((40, 3))
+    params = KernelParams(length_scales=(0.3, 0.7, 1.9), signal_variance=2.0, nu=2.5)
+    model = build_gp(x, rng.normal(size=12), params)
+    copies = [a.copy() for a in (x, q, model.points, model.chol_inv, model.dual)]
+    gram_matrix(x, q, params)
+    gram_matrix(q[0], x[0], params)
+    posterior(model, q)
+    for before, after in zip(copies, (x, q, model.points, model.chol_inv, model.dual)):
+        assert after.tobytes() == before.tobytes()
+
+
 def test_matern_dimension_mismatch():
     with pytest.raises(ValueError):
         matern_kernel([0.0, 1.0], [1.0], unit_params(1.5, d=1))
@@ -312,7 +349,7 @@ def log_marginal_likelihood(x, y, params: KernelParams) -> float:
         fold = build_gp(x, y, params).fold
     except LinAlgError:
         return -math.inf
-    return float(_log_evidence(fold, _whitened(fold, y))[0])
+    return float(_log_evidence(fold, _whitened(fold, y, np.mean(y)))[0])
 
 
 def test_log_marginal_likelihood_matches_dense_formula():
@@ -548,7 +585,7 @@ def test_stacked_lml_matches_per_candidate_lml(nu):
         rows = _random_rows(rng, d)
         jitter, fold = _fold(x, rows, nu, gp.JITTER_START, None)
         assert jitter == gp.JITTER_START
-        stacked = _log_evidence(fold, _whitened(fold, y))
+        stacked = _log_evidence(fold, _whitened(fold, y, np.mean(y)))
         loop = [log_marginal_likelihood(x, y, p) for p in _candidate_params(rows, nu)]
         np.testing.assert_allclose(stacked, loop, rtol=1e-10, atol=1e-10)
         for got, params in zip(stacked, _candidate_params(rows, nu)):
