@@ -37,15 +37,11 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     u = -z / SQRT2
     return 0.5 * np.fromiter(map(math.erfc, u.ravel().tolist()), float, u.size).reshape(u.shape)
 
-# Each acquisition works elementwise: a Posterior of floats gives a float, a
-# Posterior of arrays (from gp.posterior) scores a whole candidate pool in one
-# call.  Where the posterior is deterministic (std == 0) the closed forms
-# degenerate; those entries take the limit instead of the NaN of z = 0/0.
-
-
-def _scores(values: np.ndarray) -> float | np.ndarray:
-    return float(values) if values.ndim == 0 else values
-
+# Each acquisition works elementwise and returns an array of the posterior's
+# shape: a Posterior of arrays (from gp.posterior) scores a whole candidate
+# pool in one call, one of floats gives a 0-d array.  Where the posterior is
+# deterministic (std == 0) the closed forms degenerate; those entries take the
+# limit instead of the NaN of z = 0/0.
 
 def _standardize(posterior: Posterior, best_so_far: float):
     mean = np.asarray(posterior.mean, dtype=float)
@@ -55,20 +51,18 @@ def _standardize(posterior: Posterior, best_so_far: float):
     return mean, std, z
 
 
-def probability_of_improvement(
-    posterior: Posterior, best_so_far: float
-) -> float | np.ndarray:
+def probability_of_improvement(posterior: Posterior, best_so_far: float) -> np.ndarray:
     """Probability the candidate beats the incumbent, ``Phi((mu - tau) / sigma)``.
 
     Degenerates to an indicator where the posterior is deterministic.
     """
     mean, std, z = _standardize(posterior, best_so_far)
-    return _scores(np.where(std == 0.0, mean > best_so_far, _normal_cdf(z)))
+    return np.where(std == 0.0, mean > best_so_far, _normal_cdf(z))
 
 
 def expected_improvement(
-    posterior: Posterior, best_so_far: float, pi: float | np.ndarray | None = None
-) -> float | np.ndarray:
+    posterior: Posterior, best_so_far: float, pi: np.ndarray | None = None
+) -> np.ndarray:
     """Expected gain over the incumbent, ``sigma (z Phi(z) + phi(z))``.
 
     With a deterministic posterior this collapses to ``max(mu - tau, 0)``.
@@ -80,17 +74,15 @@ def expected_improvement(
     cdf = _normal_cdf(z) if pi is None else np.asarray(pi, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         ei = std * (z * cdf + np.exp(-(z**2) / 2.0) / SQRT_2PI)
-    return _scores(np.where(std == 0.0, np.maximum(mean - best_so_far, 0.0), ei))
+    return np.where(std == 0.0, np.maximum(mean - best_so_far, 0.0), ei)
 
 
-def upper_confidence_bound(
-    posterior: Posterior, lam: float = DEFAULT_UCB_LAMBDA
-) -> float | np.ndarray:
+def upper_confidence_bound(posterior: Posterior, lam: float = DEFAULT_UCB_LAMBDA) -> np.ndarray:
     """Optimistic score ``mu + lam * sigma``, for a finite ``lam >= 0``."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be >= 0 and finite, got {lam}")
     mean, std = np.asarray(posterior.mean, dtype=float), np.asarray(posterior.std, dtype=float)
-    return _scores(mean + lam * std)
+    return np.asarray(mean + lam * std)
 
 
 @dataclass(frozen=True)

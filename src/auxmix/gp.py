@@ -92,7 +92,7 @@ def _scaled_distances(x1: np.ndarray, x2: np.ndarray, length_scales: np.ndarray)
 
 def _matern_of_distance(d: np.ndarray, nu: float, signal_variance) -> np.ndarray:
     """The Matern covariance of the distances ``d``, computed into ``d``, which
-    the call consumes: the closed form's operations in its order, so every
+    the call consumes: :func:`gram_matrix`'s closed form in its order, so every
     entry keeps its bits, with at most two more arrays of ``d``'s size."""
     t = np.multiply(d, SQRT3 if nu == 1.5 else SQRT5, out=d)
     e = np.negative(t)
@@ -109,21 +109,13 @@ def _matern_of_distance(d: np.ndarray, nu: float, signal_variance) -> np.ndarray
     return t
 
 
-def matern_kernel(x1: Sequence[float], x2: Sequence[float], params: KernelParams) -> float:
-    """Matern covariance between two points.
-
-    With ``nu = 1.5`` this is ``s2 (1 + sqrt(3) d) exp(-sqrt(3) d)`` and with
-    ``nu = 2.5`` it is ``s2 (1 + sqrt(5) d + 5 d^2 / 3) exp(-sqrt(5) d)``
-    where ``d`` is the Euclidean distance after dividing each coordinate by
-    its length scale.
-    """
-    a = np.asarray(x1, dtype=float).reshape(-1)
-    b = np.asarray(x2, dtype=float).reshape(-1)
-    return float(gram_matrix(a, b, params)[0, 0])
-
-
 def gram_matrix(x1: np.ndarray, x2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Cross-covariance matrix between two point sets, shape (n1, n2)."""
+    """Matern cross-covariance matrix between two point sets, shape (n1, n2).
+
+    An entry is ``s2 (1 + sqrt(3) d) exp(-sqrt(3) d)`` at ``nu = 1.5`` and
+    ``s2 (1 + sqrt(5) d + 5 d^2 / 3) exp(-sqrt(5) d)`` at ``nu = 2.5``, ``d``
+    the Euclidean distance after dividing each coordinate by its length scale.
+    """
     ls = np.asarray(params.length_scales, dtype=float)
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
@@ -306,22 +298,18 @@ def build_gp(
     return _model(x, y, replace(params, jitter=jitter), fold, 0, _whitened(fold, y, mean)[0], mean)
 
 
-def posterior(model: GpModel, x: np.ndarray) -> Posterior:
-    """Exact posterior mean and standard deviation over a block of query points.
+def posterior(model: GpModel, x: np.ndarray) -> tuple[Posterior, np.ndarray]:
+    """Exact posterior mean and standard deviation over a block of query
+    points, and the cross-covariance ``k_x`` they were computed from.
 
     ``x`` has shape ``(n, d)``; mean and std come back with shape ``(n,)``.
     The block costs one cross-covariance matrix ``k_x`` and one product
     ``v = L^-1 k_x^T``, with ``var = s2 - sum(v^2)`` (Rasmussen & Williams,
     *GPML*, Alg. 2.1).  Round-off can push a variance slightly negative; it
-    is clamped at zero before the square root.
+    is clamped at zero before the square root.  A kernel entry does not
+    depend on its block, so ``model.mean_offset + k_x[rows] @ model.dual``
+    is bitwise the mean of a query of ``x[rows]`` alone.
     """
-    return _posterior_and_cross(model, x)[0]
-
-
-def _posterior_and_cross(model: GpModel, x: np.ndarray) -> tuple[Posterior, np.ndarray]:
-    """:func:`posterior` and the cross-covariance ``k_x`` it was computed from;
-    a kernel entry does not depend on its block, so ``model.mean_offset +
-    k_x[rows] @ model.dual`` is bitwise ``posterior(model, x[rows]).mean``."""
     d = len(model.kernel.length_scales)
     q = np.asarray(x, dtype=float)
     if q.ndim != 2 or q.shape[1] != d:
@@ -335,7 +323,7 @@ def _posterior_and_cross(model: GpModel, x: np.ndarray) -> tuple[Posterior, np.n
 
 def posterior_at(model: GpModel, x: Sequence[float]) -> Posterior:
     """Exact posterior mean and standard deviation at one query point."""
-    mean, std = posterior(model, np.asarray(x, dtype=float).reshape(1, -1))
+    (mean, std), _ = posterior(model, np.asarray(x, dtype=float).reshape(1, -1))
     return Posterior(mean=float(mean[0]), std=float(std[0]))
 
 

@@ -27,7 +27,7 @@ from .acquisition import (
     upper_confidence_bound,
 )
 from .bandit import TaskSelection
-from .gp import MAX_N_SAMPLES, GpModel, _posterior_and_cross, fit, posterior_at
+from .gp import MAX_N_SAMPLES, GpModel, fit, posterior, posterior_at
 from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_floats, require_ints
 
 # The largest candidate pool and grid a config may ask for; Stage2Config
@@ -142,11 +142,10 @@ def decode(x: Sequence[float], ratio_max: int) -> MixingRatio:
 
 
 def random_ratio(n_tasks: int, ratio_max: int, rng: np.random.Generator) -> MixingRatio:
-    """Uniform draw from the valid grid: primary in [1, max], auxiliaries in [0, max]."""
-    counts = [int(rng.integers(1, ratio_max + 1))]
-    for _ in range(n_tasks - 1):
-        counts.append(int(rng.integers(0, ratio_max + 1)))
-    return MixingRatio(counts=tuple(counts))
+    """Uniform draw from the valid grid: primary in [1, max], auxiliaries in [0, max],
+    in one ``integers`` call, which draws what one scalar call per count draws."""
+    counts = rng.integers([1] + [0] * (n_tasks - 1), ratio_max + 1)
+    return MixingRatio(counts=tuple(counts.tolist()))
 
 
 def expand_to_tasks(ratio: MixingRatio, task_ids: Sequence[int], n_tasks: int) -> MixingRatio:
@@ -190,7 +189,7 @@ def propose_next(
     every grid neighbor of the incumbent (the best observed point), is
     scored once.  Each acquisition nominates its pool argmax, UCB at
     ``config.ucb_lambda``; the portfolio picks one nomination, and all three
-    gains are credited with bitwise ``posterior(model, nominees).mean``: the
+    gains are credited with bitwise ``posterior(model, nominees)[0].mean``: the
     nominees' rows of the pool's cross-covariance times ``model.dual``, not
     the pool posterior's means, which may differ in their last bits.
 
@@ -205,7 +204,7 @@ def propose_next(
     rng.random(out=pool[:m])  # the stream of rng.random((m, d))
     _neighbor_points(model.points[best_idx], config.ratio_max, out=pool[m:])
 
-    post, kx = _posterior_and_cross(model, pool)
+    post, kx = posterior(model, pool)
     pi = probability_of_improvement(post, tau)
     scores = (  # in ACQUISITIONS order; EI reuses PI's Phi(z)
         pi,

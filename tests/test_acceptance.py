@@ -35,7 +35,6 @@ from auxmix.gp import (
     Posterior,
     build_gp,
     gram_matrix,
-    matern_kernel,
     posterior_at,
 )
 from auxmix.mixing import Stage2Config, expand_to_tasks, random_ratio, run_stage2
@@ -182,8 +181,8 @@ def test_criterion_04_acquisition_closed_forms_match_monte_carlo():
 def test_criterion_05_matern_unit_distance_values():
     params32 = KernelParams(length_scales=(1.0,), nu=1.5)
     params52 = KernelParams(length_scales=(1.0,), nu=2.5)
-    got32 = matern_kernel([0.0], [1.0], params32)
-    got52 = matern_kernel([0.0], [1.0], params52)
+    got32 = gram_matrix([0.0], [1.0], params32)[0, 0]
+    got52 = gram_matrix([0.0], [1.0], params52)[0, 0]
     want32 = (1.0 + math.sqrt(3.0)) * math.exp(-math.sqrt(3.0))
     want52 = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
     err = max(abs(got32 - want32), abs(got52 - want52))

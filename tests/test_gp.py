@@ -23,7 +23,6 @@ from auxmix.gp import (
     build_gp,
     fit,
     gram_matrix,
-    matern_kernel,
     posterior,
     posterior_at,
 )
@@ -54,17 +53,17 @@ def dense_posterior(model: GpModel, x) -> tuple[float, float]:
 # ------------------------------------------------------------------ kernel
 
 def test_matern_frozen_unit_distance_values():
-    assert matern_kernel([0.0], [1.0], unit_params(1.5)) == pytest.approx(
+    assert gram_matrix([0.0], [1.0], unit_params(1.5))[0, 0] == pytest.approx(
         MATERN32_AT_ONE, abs=1e-12
     )
-    assert matern_kernel([0.0], [1.0], unit_params(2.5)) == pytest.approx(
+    assert gram_matrix([0.0], [1.0], unit_params(2.5))[0, 0] == pytest.approx(
         MATERN52_AT_ONE, abs=1e-12
     )
 
 
 def test_matern_at_zero_distance_is_signal_variance():
     p = unit_params(2.5, signal_variance=2.5)
-    assert matern_kernel([0.3], [0.3], p) == pytest.approx(2.5, abs=1e-12)
+    assert gram_matrix([0.3], [0.3], p)[0, 0] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_matern_symmetry_and_positivity():
@@ -72,8 +71,8 @@ def test_matern_symmetry_and_positivity():
     p = KernelParams(length_scales=(0.7, 1.3, 2.0), signal_variance=1.7, nu=1.5)
     for _ in range(20):
         a, b = rng.normal(size=3), rng.normal(size=3)
-        kab = matern_kernel(a, b, p)
-        kba = matern_kernel(b, a, p)
+        kab = gram_matrix(a, b, p)[0, 0]
+        kba = gram_matrix(b, a, p)[0, 0]
         assert kab == pytest.approx(kba, rel=1e-15)
         assert 0 < kab <= p.signal_variance + 1e-15
 
@@ -85,15 +84,15 @@ def test_matern_ard_scaling_invariance():
     scaled = KernelParams(length_scales=(5.0, 1.0), nu=2.5)
     a, b = [0.2, 0.4], [0.9, 0.1]
     a_s, b_s = [1.0, 0.4], [4.5, 0.1]
-    assert matern_kernel(a_s, b_s, scaled) == pytest.approx(
-        matern_kernel(a, b, base), rel=1e-12
+    assert gram_matrix(a_s, b_s, scaled)[0, 0] == pytest.approx(
+        gram_matrix(a, b, base)[0, 0], rel=1e-12
     )
 
 
 def test_matern_longer_scale_means_slower_decay():
     near = KernelParams(length_scales=(0.5,), nu=2.5)
     far = KernelParams(length_scales=(5.0,), nu=2.5)
-    assert matern_kernel([0.0], [1.0], far) > matern_kernel([0.0], [1.0], near)
+    assert gram_matrix([0.0], [1.0], far)[0, 0] > gram_matrix([0.0], [1.0], near)[0, 0]
 
 
 def test_gram_matrix_psd():
@@ -146,7 +145,7 @@ def test_gram_matrix_and_posterior_leave_their_inputs_unchanged():
 
 def test_matern_dimension_mismatch():
     with pytest.raises(ValueError):
-        matern_kernel([0.0, 1.0], [1.0], unit_params(1.5, d=1))
+        gram_matrix([0.0, 1.0], [1.0], unit_params(1.5, d=1))
 
 
 def test_kernel_params_validation():
@@ -223,8 +222,9 @@ def test_block_posterior_matches_pointwise_posterior():
         )
         model = build_gp(rng.random((n, d)), rng.normal(size=n), params)
         queries = rng.random((int(rng.integers(1, 40)), d))
-        mean, std = posterior(model, queries)
+        (mean, std), kx = posterior(model, queries)
         assert mean.shape == std.shape == (queries.shape[0],)
+        assert kx.tobytes() == gram_matrix(queries, model.points, model.kernel).tobytes()
         for i, q in enumerate(queries):
             post = posterior_at(model, q)
             ref_mean, ref_std = _posterior_at_reference(model, q)
@@ -842,7 +842,7 @@ def test_fit_posterior_matches_the_cho_solve_oracle_on_duplicate_heavy_designs(n
         y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
         model = fit(x, y, nu=nu)
         queries = np.vstack([x[: min(n, 5)], rng.random((10, d))])
-        mean, std = posterior(model, queries)
+        (mean, std), _ = posterior(model, queries)
         for i, q in enumerate(queries):
             ref_mean, ref_std = _posterior_at_reference(model, q)
             assert mean[i] == pytest.approx(ref_mean, abs=1e-9)
@@ -922,7 +922,7 @@ def test_posterior_matches_the_exact_oracle_on_large_duplicate_heavy_designs(nu)
         )
         queries = np.vstack([x[:5], rng.random((10, d))])
         for model in (fit(x, y, nu=nu), build_gp(x, y, at_floor)):
-            mean, std = posterior(model, queries)
+            (mean, std), _ = posterior(model, queries)
             want_mean, want_std = _exact_posterior(model, queries)
             np.testing.assert_allclose(std, want_std, rtol=0, atol=1e-9)
             k = gram_matrix(x, x, model.kernel)

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from auxmix.acquisition import (
@@ -134,6 +134,24 @@ def test_random_ratio_stays_on_valid_grid():
         ratio = random_ratio(3, 20, rng)
         assert 1 <= ratio.counts[0] <= 20
         assert all(0 <= c <= 20 for c in ratio.counts[1:])
+
+
+@given(
+    n_tasks=st.integers(1, 10),
+    ratio_max=st.integers(1, MAX_RATIO_MAX),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_tasks=10, ratio_max=MAX_RATIO_MAX, seed=0)
+@example(n_tasks=1, ratio_max=1, seed=0)
+def test_random_ratio_draws_what_one_scalar_call_per_count_draws(n_tasks, ratio_max, seed):
+    """One ``integers`` call with a lower bound per count gives the counts,
+    and leaves the generator state, of one scalar call per count."""
+    rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        counts = [int(scalar_rng.integers(1, ratio_max + 1))]
+        counts += [int(scalar_rng.integers(0, ratio_max + 1)) for _ in range(n_tasks - 1)]
+        assert random_ratio(n_tasks, ratio_max, rng).counts == tuple(counts)
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 def test_random_ratio_reaches_grid_extremes():
@@ -279,7 +297,7 @@ def test_propose_next_matches_pointwise_reference():
 
 def test_propose_next_credits_the_bits_of_the_nominees_posterior_mean():
     """Hedge credit reads the mean alone, bitwise ``posterior(model,
-    nominees).mean``, not the pool posterior's entries at the nominees."""
+    nominees)[0].mean``, not the pool posterior's entries at the nominees."""
     for seed in range(30):
         rng = np.random.default_rng(seed)
         d, n = 1 + seed % 5, int(rng.integers(3, 20))
@@ -292,13 +310,13 @@ def test_propose_next_credits_the_bits_of_the_nominees_posterior_mean():
         pool_rng = np.random.default_rng(seed)
         best = int(np.argmax(model.observations))
         pool = np.vstack([pool_rng.random((256, d)), _neighbor_points(model.points[best], 20)])
-        post, tau = posterior(model, pool), float(model.observations[best])
+        post, tau = posterior(model, pool)[0], float(model.observations[best])
         scores = [
             probability_of_improvement(post, tau),
             expected_improvement(post, tau),
             upper_confidence_bound(post),
         ]
-        means = posterior(model, np.array([pool[int(np.argmax(sc))] for sc in scores])).mean
+        means = posterior(model, np.array([pool[int(np.argmax(sc))] for sc in scores]))[0].mean
         assert new_hedge.gains == tuple(g + float(m) for g, m in zip(hedge.gains, means))
 
 
@@ -513,7 +531,7 @@ def _run_stage2_reference(env, tasks, config):
         tau = float(model.observations[best_idx])
         pool = rng.random((config.pool_size, xs.shape[1]))
         pool = np.vstack([pool, _neighbor_points(model.points[best_idx], config.ratio_max)])
-        post = posterior(model, pool)
+        post, _ = posterior(model, pool)
         acquisition_scores = [
             probability_of_improvement(post, tau),
             expected_improvement(post, tau),
@@ -521,7 +539,7 @@ def _run_stage2_reference(env, tasks, config):
         ]
         nominees = [pool[int(np.argmax(sc))] for sc in acquisition_scores]
         chosen = hedge_select(HedgeState(gains=gains, eta=config.hedge_eta), rng)
-        means = posterior(model, np.asarray(nominees, dtype=float)).mean
+        means = posterior(model, np.asarray(nominees, dtype=float))[0].mean
         gains = tuple(g + float(m) for g, m in zip(gains, means))
         ratio = decode(nominees[ACQUISITIONS.index(chosen)], config.ratio_max)
         at = posterior_at(model, encode(ratio.counts, config.ratio_max))
