@@ -10,6 +10,14 @@ what replay across machines can promise:
 * ``CLOSE`` fields, and every score and metric of the shared-linear family,
   pass through BLAS, LAPACK or libm and are compared within ``RTOL``.
 
+Planted ``SCORES`` are compared exactly.  ``PlantedBanditEnv.train_full``
+sums a ratio's share-weighted utilities with ``math.fsum``, correctly
+rounded, so its scores, and the incumbents and best score taken from them,
+do not depend on the BLAS kernel.  A BLAS dot product, as the fixture was
+first generated with, rounds differently under different OpenBLAS kernels
+(``OPENBLAS_CORETYPE=Haswell`` moved the last bits), which is why CI reruns
+this test under more than one kernel.
+
 The stage-1 beliefs are projected too: the final arms, the last beliefs of
 ``belief_path`` over the stage-1 records under the header config's bandit
 section, and ``report.json``'s expected utilities are ``EXACT``, and the
