@@ -37,12 +37,12 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     u = -z / SQRT2
     return 0.5 * np.fromiter(map(math.erfc, u.ravel().tolist()), float, u.size).reshape(u.shape)
 
+
 # Each acquisition works elementwise and returns an array of the posterior's
 # shape: a Posterior of arrays (from gp.posterior) scores a whole candidate
 # pool in one call, one of floats gives a 0-d array.  Where the posterior is
 # deterministic (std == 0) the closed forms degenerate; those entries take the
 # limit instead of the NaN of z = 0/0.
-
 def _standardize(posterior: Posterior, best_so_far: float):
     mean = np.asarray(posterior.mean, dtype=float)
     std = np.asarray(posterior.std, dtype=float)
