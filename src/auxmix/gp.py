@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,8 +65,9 @@ class KernelParams:
 
 
 class Posterior(NamedTuple):
-    """Predictive mean and standard deviation: floats at one point
-    (:func:`posterior_at`), arrays of shape ``(n,)`` over a block (:func:`posterior`)."""
+    """Predictive mean and standard deviation, all that a query returns:
+    arrays of shape ``(n,)`` over a block (:func:`posterior`), floats at one
+    point (:func:`posterior_at`)."""
 
     mean: float | np.ndarray
     std: float | np.ndarray
@@ -229,23 +230,28 @@ def _fold(
     )
 
 
-def _whitened(fold: Fold, y: np.ndarray, mean) -> np.ndarray:
-    """``w = L^-1 (y - mean)`` for every candidate of ``fold``, shape ``(C, n)``."""
-    return fold.chol_inv @ (y - mean)
-
-
-def _log_evidence(fold: Fold, w: np.ndarray) -> np.ndarray:
-    """Log marginal likelihood of every candidate from its whitened residual ``w``:
-    ``-|w|^2 / 2 - sum(log diag L) - n log(2 pi) / 2``."""
-    n = w.shape[-1]
-    return -0.5 * np.sum(w**2, axis=-1) - fold.log_det - 0.5 * n * math.log(2.0 * math.pi)
-
-
-def _model(
-    x: np.ndarray, y: np.ndarray, kernel: KernelParams, fold: Fold, best: int, w: np.ndarray, mean
+def _best_model(
+    x: np.ndarray, y: np.ndarray, rows: np.ndarray, nu: float, jitter: float, base: Fold | None
 ) -> GpModel:
-    """The model of candidate ``best`` of ``fold``, whose whitened residual
-    is ``w``; ``mean`` is ``np.mean(y)``."""
+    """Fold ``x`` into every candidate of ``rows`` (see :func:`_fold`) and
+    return the model of the first candidate of highest log marginal likelihood.
+
+    With ``w = L^-1 (y - mean)``, ``mean = np.mean(y)``, a candidate's log
+    evidence is ``-|w|^2 / 2 - sum(log diag L) - n log(2 pi) / 2``.
+    """
+    jitter, fold = _fold(x, rows, nu, jitter, base)
+    mean = np.mean(y)
+    w = fold.chol_inv @ (y - mean)
+    lml = -0.5 * np.sum(w**2, axis=-1) - fold.log_det - 0.5 * len(y) * math.log(2.0 * math.pi)
+    best = int(np.argmax(lml))
+    *length_scales, signal_variance, noise_variance = rows[best].tolist()
+    kernel = KernelParams(
+        length_scales=tuple(length_scales),
+        signal_variance=signal_variance,
+        noise_variance=noise_variance,
+        nu=nu,
+        jitter=jitter,
+    )
     chol_inv = fold.chol_inv[best]
     return GpModel(
         points=x,
@@ -253,7 +259,7 @@ def _model(
         kernel=kernel,
         mean_offset=float(mean),
         chol_inv=chol_inv,
-        dual=chol_inv.T @ w,
+        dual=chol_inv.T @ w[best],
         fold=fold,
     )
 
@@ -285,7 +291,8 @@ def build_gp(
     The prior mean is the sample mean of the observations, of which there
     must be at least one, as for :func:`fit`.  The factor is folded as in
     :func:`fit`, over the one candidate ``params``, starting at
-    ``params.jitter``.
+    ``params.jitter``; the model's kernel is ``params`` at the jitter the
+    fold ended at.
     """
     x, y = _checked_data(points, observations)
     if x.shape[1] != len(params.length_scales):
@@ -293,22 +300,18 @@ def build_gp(
             f"points must match kernel dimension {len(params.length_scales)}, got {x.shape[1]}"
         )
     rows = np.array([[*params.length_scales, params.signal_variance, params.noise_variance]])
-    jitter, fold = _fold(x, rows, params.nu, params.jitter, None)
-    mean = np.mean(y)
-    return _model(x, y, replace(params, jitter=jitter), fold, 0, _whitened(fold, y, mean)[0], mean)
+    return _best_model(x, y, rows, params.nu, params.jitter, None)
 
 
-def posterior(model: GpModel, x: np.ndarray) -> tuple[Posterior, np.ndarray]:
-    """Exact posterior mean and standard deviation over a block of query
-    points, and the cross-covariance ``k_x`` they were computed from.
+def posterior(model: GpModel, x: np.ndarray) -> Posterior:
+    """Exact posterior mean and standard deviation over a block of query points.
 
     ``x`` has shape ``(n, d)``; mean and std come back with shape ``(n,)``.
     The block costs one cross-covariance matrix ``k_x`` and one product
-    ``v = L^-1 k_x^T``, with ``var = s2 - sum(v^2)`` (Rasmussen & Williams,
-    *GPML*, Alg. 2.1).  Round-off can push a variance slightly negative; it
-    is clamped at zero before the square root.  A kernel entry does not
-    depend on its block, so ``model.mean_offset + k_x[rows] @ model.dual``
-    is bitwise the mean of a query of ``x[rows]`` alone.
+    ``v = L^-1 k_x^T``, with ``mean = mean_offset + k_x dual`` and
+    ``var = s2 - sum(v^2)`` (Rasmussen & Williams, *GPML*, Alg. 2.1).
+    Round-off can push a variance slightly negative; it is clamped at zero
+    before the square root.
     """
     d = len(model.kernel.length_scales)
     q = np.asarray(x, dtype=float)
@@ -318,12 +321,12 @@ def posterior(model: GpModel, x: np.ndarray) -> tuple[Posterior, np.ndarray]:
     mean = model.mean_offset + kx @ model.dual
     v = model.chol_inv @ kx.T
     var = model.kernel.signal_variance - np.sum(v**2, axis=0)
-    return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0))), kx
+    return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
 
 
 def posterior_at(model: GpModel, x: Sequence[float]) -> Posterior:
     """Exact posterior mean and standard deviation at one query point."""
-    (mean, std), _ = posterior(model, np.asarray(x, dtype=float).reshape(1, -1))
+    mean, std = posterior(model, np.asarray(x, dtype=float).reshape(1, -1))
     return Posterior(mean=float(mean[0]), std=float(std[0]))
 
 
@@ -378,16 +381,4 @@ def fit(
         if not (prefix and np.array_equal(base.observations, y[:k])):
             raise ValueError("base must be fitted to a prefix of the points and observations")
         jitter, fold = base.kernel.jitter, base.fold
-    jitter, fold = _fold(x, rows, nu, jitter, fold)
-    mean = np.mean(y)
-    w = _whitened(fold, y, mean)
-    best = int(np.argmax(_log_evidence(fold, w)))
-    *length_scales, signal_variance, noise_variance = rows[best].tolist()
-    params = KernelParams(
-        length_scales=tuple(length_scales),
-        signal_variance=signal_variance,
-        noise_variance=noise_variance,
-        nu=nu,
-        jitter=jitter,
-    )
-    return _model(x, y, params, fold, best, w[best], mean)
+    return _best_model(x, y, rows, nu, jitter, fold)

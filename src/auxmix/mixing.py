@@ -189,9 +189,7 @@ def propose_next(
     every grid neighbor of the incumbent (the best observed point), is
     scored once.  Each acquisition nominates its pool argmax, UCB at
     ``config.ucb_lambda``; the portfolio picks one nomination, and all three
-    gains are credited with bitwise ``posterior(model, nominees)[0].mean``: the
-    nominees' rows of the pool's cross-covariance times ``model.dual``, not
-    the pool posterior's means, which may differ in their last bits.
+    gains are credited with the pool posterior's means at the nominees.
 
     Returns the decoded ratio, the acquisition that won, and the updated
     portfolio state.
@@ -204,7 +202,7 @@ def propose_next(
     rng.random(out=pool[:m])  # the stream of rng.random((m, d))
     _neighbor_points(model.points[best_idx], config.ratio_max, out=pool[m:])
 
-    post, kx = posterior(model, pool)
+    post = posterior(model, pool)
     pi = probability_of_improvement(post, tau)
     scores = (  # in ACQUISITIONS order; EI reuses PI's Phi(z)
         pi,
@@ -214,7 +212,7 @@ def propose_next(
     nominee_rows = [int(np.argmax(s)) for s in scores]
 
     chosen = hedge_select(hedge, rng)
-    new_hedge = hedge_update(hedge, model.mean_offset + kx[nominee_rows] @ model.dual)
+    new_hedge = hedge_update(hedge, post.mean[nominee_rows])
     nominee = pool[nominee_rows[ACQUISITIONS.index(chosen)]]
     return decode(nominee, config.ratio_max), chosen, new_hedge
 
@@ -291,9 +289,7 @@ def run_stage2(
     tasks: TaskSelection,
     config: Stage2Config,
     proposals: Iterable[Sequence[Proposal]] | None = None,
-    *,
-    baseline_seed: int | None = None,
-) -> tuple[MixingRatio, float, RunLog, float | None]:
+) -> tuple[MixingRatio, float, RunLog, float]:
     """Evaluate a budget of mixing ratios; return the best ratio and its score
     (ties go to the earliest), the log, the one record of every evaluation,
     and the baseline's score.
@@ -305,17 +301,16 @@ def run_stage2(
     :func:`train_scores` and logged round by round; round t trains from
     scratch under ``derive_seed(rng_seed, "eval", t)``, so a duplicate ratio
     is re-evaluated.
-    Given ``baseline_seed``, the primary-only baseline trains under it first
-    in the first batch, outside the budget and the log, and its failures end
-    the run "on the baseline run"; without it the baseline score is ``None``.
+    The primary-only baseline ``(1, 0, ...)`` trains first in the first
+    batch, under ``derive_seed(rng_seed, "baseline")``, outside the budget
+    and the log; its failures end the run "on the baseline run".
     """
     task_ids = tasks.selected_task_ids
     log = RunLog()
     if proposals is None:
         proposals = _gp_proposals(len(task_ids), config, log.records)
     best_ratio, best_score = None, -math.inf
-    lead = baseline_seed is not None  # the next batch leads with the baseline
-    baseline_score = None
+    baseline_score = None  # set by the first batch, which leads with the baseline
     for batch in proposals:
         ratios = [ratio for ratio, *_ in batch]
         for ratio in ratios:
@@ -323,13 +318,14 @@ def run_stage2(
         rounds = range(len(log), len(log) + len(batch))
         seeds = [derive_seed(config.rng_seed, "eval", t) for t in rounds]
         wheres = [f"at stage-2 round {t}" for t in rounds]
+        lead = baseline_score is None
         if lead:
             ratios.insert(0, MixingRatio((1,) + (0,) * (len(task_ids) - 1)))
-            seeds.insert(0, baseline_seed)
+            seeds.insert(0, derive_seed(config.rng_seed, "baseline"))
             wheres.insert(0, "on the baseline run")
         scores = train_scores(env, ratios, task_ids, seeds, wheres, log, isolate_first=lead)
         if lead:
-            baseline_score, lead = next(scores), False
+            baseline_score = next(scores)
         for t, (ratio, acq, post_mean, post_std), score in zip(rounds, batch, scores):
             if score > best_score:  # strict: ties keep the earliest
                 best_ratio, best_score = ratio, score

@@ -29,7 +29,7 @@ from .bandit import (
     utility_density_table,
 )
 from .mixing import MixingRatio, Stage2Config, run_stage2
-from .runlog import RunAborted, RunLog, SettingError, derive_seed, make_header, require_work
+from .runlog import RunAborted, RunLog, SettingError, make_header, require_work
 
 PIPELINE_MODES = ("full", "no_stage1", "no_stage2")
 
@@ -108,11 +108,12 @@ def _all_task_selection(config: BanditConfig) -> TaskSelection:
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Execute one full run and return its report.
 
-    The primary-only baseline always trains in stage 2's first
-    ``train_full`` call, under ``derive_seed(stage2.rng_seed, "baseline")``,
-    so it is comparable across modes and seeds.  An environment failure
-    raises :class:`RunAborted` with ``stage_logs`` holding both stage logs
-    up to the failure (a stage that never started has an empty log).
+    :func:`run_stage2` trains the primary-only baseline in its first
+    ``train_full`` call, under a seed that depends on ``stage2.rng_seed``
+    alone, so the baseline is comparable across modes.  An environment
+    failure raises :class:`RunAborted` with ``stage_logs`` holding both
+    stage logs up to the failure (a stage that never started has an empty
+    log).
     """
     env, stage1_log = config.env, RunLog()
     try:
@@ -127,8 +128,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
             proposals = [[(ratio, "grid", None, None) for ratio in grid]]
         best_ratio, best_score, stage2_log, baseline_score = run_stage2(
-            env, selection, config.stage2, proposals,
-            baseline_seed=derive_seed(config.stage2.rng_seed, "baseline"),
+            env, selection, config.stage2, proposals
         )
     except RunAborted as exc:  # the failing stage filled in its own log
         exc.stage_logs = {"stage1": stage1_log, "stage2": RunLog(), **exc.stage_logs}

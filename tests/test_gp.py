@@ -18,8 +18,6 @@ from auxmix.gp import (
     KernelParams,
     _fit_candidates,
     _fold,
-    _log_evidence,
-    _whitened,
     build_gp,
     fit,
     gram_matrix,
@@ -222,9 +220,8 @@ def test_block_posterior_matches_pointwise_posterior():
         )
         model = build_gp(rng.random((n, d)), rng.normal(size=n), params)
         queries = rng.random((int(rng.integers(1, 40)), d))
-        (mean, std), kx = posterior(model, queries)
+        mean, std = posterior(model, queries)
         assert mean.shape == std.shape == (queries.shape[0],)
-        assert kx.tobytes() == gram_matrix(queries, model.points, model.kernel).tobytes()
         for i, q in enumerate(queries):
             post = posterior_at(model, q)
             ref_mean, ref_std = _posterior_at_reference(model, q)
@@ -340,16 +337,24 @@ def dense_lml(x, y, params):
     return float(-0.5 * quad - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
 
 
-def log_marginal_likelihood(x, y, params: KernelParams) -> float:
-    """One candidate's log evidence, mean-centered, from its own fold: the
-    per-candidate form of what ``fit`` scores for its whole stack.
-    ``-inf`` when even the escalated jitter cannot factor the covariance."""
+def fold_lml(fold, y) -> np.ndarray:
+    """Every candidate's log evidence, mean-centered, from its inverse factor
+    and ``sum(log diag L)``: ``-|w|^2 / 2 - sum(log diag L) - n log(2 pi) / 2``
+    with ``w = L^-1 (y - mean)``."""
     y = np.asarray(y, dtype=float).reshape(-1)
+    w = fold.chol_inv @ (y - y.mean())
+    return -0.5 * np.sum(w**2, axis=-1) - fold.log_det - 0.5 * y.size * math.log(2 * math.pi)
+
+
+def log_marginal_likelihood(x, y, params: KernelParams) -> float:
+    """One candidate's log evidence from its own fold: the per-candidate
+    form of what ``fit`` scores for its whole stack.  ``-inf`` when even
+    the escalated jitter cannot factor the covariance."""
     try:
         fold = build_gp(x, y, params).fold
     except LinAlgError:
         return -math.inf
-    return float(_log_evidence(fold, _whitened(fold, y, np.mean(y)))[0])
+    return float(fold_lml(fold, y)[0])
 
 
 def test_log_marginal_likelihood_matches_dense_formula():
@@ -465,14 +470,14 @@ def test_fit_candidates_are_drawn_once_per_width_and_read_only(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_fit_searches_the_candidates_of_the_per_candidate_draws(d, monkeypatch):
-    """Let each candidate of the stack win in turn, by scoring it alone
-    above the rest, and read back the kernel ``fit`` builds: the winners are
-    the midpoint and then the per-candidate draws, in order."""
+    """Let each candidate of the stack win in turn, by searching it alone,
+    and read back the kernel ``fit`` builds: the winners are the midpoint
+    and then the per-candidate draws, in order."""
     x = np.linspace(0.0, 1.0, 4 * d).reshape(4, d)
     y = [0.1, 0.4, 0.3, 0.8]
     searched = []
-    for winner in range(gp.N_SEARCH_STARTS + 1):
-        monkeypatch.setattr(gp, "_log_evidence", lambda fold, w, i=winner: np.eye(w.shape[0])[i])
+    for row in _fit_candidates(d):
+        monkeypatch.setattr(gp, "_fit_candidates", lambda width, rows=row[None, :]: rows)
         searched.append(fit(x, y, nu=1.5).kernel)
     rng = np.random.default_rng(gp.FIT_SEARCH_SEED)
     rows = _per_candidate_draws(rng, d, gp.N_SEARCH_STARTS)
@@ -585,7 +590,7 @@ def test_stacked_lml_matches_per_candidate_lml(nu):
         rows = _random_rows(rng, d)
         jitter, fold = _fold(x, rows, nu, gp.JITTER_START, None)
         assert jitter == gp.JITTER_START
-        stacked = _log_evidence(fold, _whitened(fold, y, np.mean(y)))
+        stacked = fold_lml(fold, y)
         loop = [log_marginal_likelihood(x, y, p) for p in _candidate_params(rows, nu)]
         np.testing.assert_allclose(stacked, loop, rtol=1e-10, atol=1e-10)
         for got, params in zip(stacked, _candidate_params(rows, nu)):
@@ -842,7 +847,7 @@ def test_fit_posterior_matches_the_cho_solve_oracle_on_duplicate_heavy_designs(n
         y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
         model = fit(x, y, nu=nu)
         queries = np.vstack([x[: min(n, 5)], rng.random((10, d))])
-        (mean, std), _ = posterior(model, queries)
+        mean, std = posterior(model, queries)
         for i, q in enumerate(queries):
             ref_mean, ref_std = _posterior_at_reference(model, q)
             assert mean[i] == pytest.approx(ref_mean, abs=1e-9)
@@ -922,7 +927,7 @@ def test_posterior_matches_the_exact_oracle_on_large_duplicate_heavy_designs(nu)
         )
         queries = np.vstack([x[:5], rng.random((10, d))])
         for model in (fit(x, y, nu=nu), build_gp(x, y, at_floor)):
-            (mean, std), _ = posterior(model, queries)
+            mean, std = posterior(model, queries)
             want_mean, want_std = _exact_posterior(model, queries)
             np.testing.assert_allclose(std, want_std, rtol=0, atol=1e-9)
             k = gram_matrix(x, x, model.kernel)

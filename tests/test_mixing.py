@@ -296,8 +296,8 @@ def test_propose_next_matches_pointwise_reference():
 
 
 def test_propose_next_credits_the_bits_of_the_nominees_posterior_mean():
-    """Hedge credit reads the mean alone, bitwise ``posterior(model,
-    nominees)[0].mean``, not the pool posterior's entries at the nominees."""
+    """Each gain moves by exactly the pool posterior's mean at its
+    acquisition's nominee, bitwise ``posterior(model, pool).mean[nominee_rows]``."""
     for seed in range(30):
         rng = np.random.default_rng(seed)
         d, n = 1 + seed % 5, int(rng.integers(3, 20))
@@ -310,19 +310,19 @@ def test_propose_next_credits_the_bits_of_the_nominees_posterior_mean():
         pool_rng = np.random.default_rng(seed)
         best = int(np.argmax(model.observations))
         pool = np.vstack([pool_rng.random((256, d)), _neighbor_points(model.points[best], 20)])
-        post, tau = posterior(model, pool)[0], float(model.observations[best])
+        post, tau = posterior(model, pool), float(model.observations[best])
         scores = [
             probability_of_improvement(post, tau),
             expected_improvement(post, tau),
             upper_confidence_bound(post),
         ]
-        means = posterior(model, np.array([pool[int(np.argmax(sc))] for sc in scores]))[0].mean
+        means = post.mean[[int(np.argmax(sc)) for sc in scores]]
         assert new_hedge.gains == tuple(g + float(m) for g, m in zip(hedge.gains, means))
 
 
 def test_propose_next_computes_one_pool_cross_covariance(monkeypatch):
     """The pool's ``k(pool, X)`` is the only cross-covariance of a proposal:
-    the Hedge credit reads its nominee rows."""
+    the Hedge credit reads the pool posterior's means at the nominees."""
     calls = []
 
     def counting_gram_matrix(x1, x2, params):
@@ -376,7 +376,8 @@ class SeedEchoEnv:
 
 
 class FailingEnv:
-    """Raises in the batch that holds ratio ``fail_at``, counting ratios from 0."""
+    """Raises in the batch that holds ratio ``fail_at``, counting ratios from
+    0; under :func:`run_stage2`, ratio 0 is the baseline."""
 
     n_tasks = 1
 
@@ -395,7 +396,7 @@ def test_run_stage2_spends_exactly_the_budget():
     env = QuadraticEnv()
     cfg = Stage2Config(n_samples=9, n_initial=4, rng_seed=2)
     _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
-    assert env.calls == 9
+    assert env.calls == 9 + 1  # and the baseline
     assert len(log.records) == 9
 
 
@@ -459,7 +460,7 @@ def test_run_stage2_incumbent_is_running_max():
     cfg = Stage2Config(n_samples=8, n_initial=3, rng_seed=5)
     _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     running = -np.inf
-    for (_, seed), line in zip(env.seen, log.records):
+    for (_, seed), line in zip(env.seen[1:], log.records):  # after the baseline
         running = max(running, line["score"])
         assert line["incumbent"] == pytest.approx(running)
         assert line["score"] == pytest.approx((seed % 1000) / 1000.0)
@@ -469,7 +470,8 @@ def test_run_stage2_eval_seeds_follow_derivation():
     env = SeedEchoEnv(n_tasks=1)
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=77)
     _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
-    assert [s for _, s in env.seen] == [derive_seed(77, "eval", t) for t in range(len(log))]
+    evals = [derive_seed(77, "eval", t) for t in range(len(log))]
+    assert [s for _, s in env.seen] == [derive_seed(77, "baseline")] + evals
 
 
 def test_run_stage2_expands_ratio_to_environment_width():
@@ -477,7 +479,8 @@ def test_run_stage2_expands_ratio_to_environment_width():
     tasks = TaskSelection(selected_task_ids=(0, 2), expected_utilities=(1.0, 0.8))
     cfg = Stage2Config(n_samples=5, n_initial=2, rng_seed=1)
     _, _, log, _ = run_stage2(env, tasks, cfg)
-    for (env_ratio, _), rec in zip(env.seen, log.records):
+    assert env.seen[0][0].counts == (1, 0, 0, 0)  # the baseline
+    for (env_ratio, _), rec in zip(env.seen[1:], log.records):
         assert env_ratio.n_tasks == 4
         assert env_ratio.counts[1] == 0 and env_ratio.counts[3] == 0
         assert env_ratio.counts[0] == rec["proposed_ratio"][0]
@@ -512,7 +515,7 @@ def _run_stage2_reference(env, tasks, config):
     """The log records of the default stage-2 loop, one quantity at a time
     from public functions: the history encoded record by record, the pool
     posterior, the three acquisitions called one by one, and Hedge credit
-    from the full posterior at the nominees."""
+    from the pool posterior's means at the nominees."""
     task_ids = tasks.selected_task_ids
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
 
@@ -531,17 +534,16 @@ def _run_stage2_reference(env, tasks, config):
         tau = float(model.observations[best_idx])
         pool = rng.random((config.pool_size, xs.shape[1]))
         pool = np.vstack([pool, _neighbor_points(model.points[best_idx], config.ratio_max)])
-        post, _ = posterior(model, pool)
+        post = posterior(model, pool)
         acquisition_scores = [
             probability_of_improvement(post, tau),
             expected_improvement(post, tau),
             upper_confidence_bound(post, config.ucb_lambda),
         ]
-        nominees = [pool[int(np.argmax(sc))] for sc in acquisition_scores]
+        nominee_rows = [int(np.argmax(sc)) for sc in acquisition_scores]
         chosen = hedge_select(HedgeState(gains=gains, eta=config.hedge_eta), rng)
-        means = posterior(model, np.asarray(nominees, dtype=float))[0].mean
-        gains = tuple(g + float(m) for g, m in zip(gains, means))
-        ratio = decode(nominees[ACQUISITIONS.index(chosen)], config.ratio_max)
+        gains = tuple(g + float(post.mean[i]) for g, i in zip(gains, nominee_rows))
+        ratio = decode(pool[nominee_rows[ACQUISITIONS.index(chosen)]], config.ratio_max)
         at = posterior_at(model, encode(ratio.counts, config.ratio_max))
         history.append(ratio)
         scores += train([ratio], [t])
@@ -564,7 +566,8 @@ def _run_stage2_reference(env, tasks, config):
 @pytest.mark.parametrize("seed", range(10))
 def test_run_stage2_logs_bitwise_what_the_one_at_a_time_loop_logs(seed, nu):
     """Each GP quantity of a round computed once (cached fit candidates,
-    mean-only credit, the history as one array) changes no logged bit.  Widths 1 to 5 over tasks with gaps in their ids."""
+    one pool posterior, the history as one array) changes no logged bit.
+    Widths 1 to 5 over tasks with gaps in their ids."""
     width = 1 + seed % 5
     env = PlantedBanditEnv(theta_star=[0.9, 0.2, 0.7, 0.4, 0.8, 0.1, 0.6, 0.3, 0.5])
     tasks = TaskSelection(
@@ -590,11 +593,12 @@ def test_run_stage2_evaluates_explicit_proposals_in_order():
     ]
     batches = [proposals[:1], proposals[1:3], proposals[3:]]
     best_ratio, best_score, log, _ = run_stage2(env, tasks, cfg, iter(batches))
-    assert env.batch_sizes == [1, 2, 1]
+    assert env.batch_sizes == [1 + 1, 2, 1]  # the baseline leads the first batch
     logged = [line["proposed_ratio"] for line in log.records]
     assert logged == [list(p[0].counts) for p in proposals]
-    assert [s for _, s in env.seen] == [derive_seed(31, "eval", t) for t in range(4)]
-    assert [r.counts for r, _ in env.seen] == [(2, 0, 0, 0), (6, 0, 0, 6)] + [(1, 0, 0, 3)] * 2
+    seen = env.seen[1:]
+    assert [s for _, s in seen] == [derive_seed(31, "eval", t) for t in range(4)]
+    assert [r.counts for r, _ in seen] == [(2, 0, 0, 0), (6, 0, 0, 6)] + [(1, 0, 0, 3)] * 2
     assert [
         (line["acquisition_used"], line["posterior_mean"], line["posterior_std"])
         for line in log.records
@@ -614,17 +618,17 @@ def test_run_stage2_rejects_a_proposal_above_ratio_max():
     ]
     with pytest.raises(ValueError, match="exceeds ratio_max=5"):
         run_stage2(env, tasks, cfg, [proposals[:1], proposals[1:]])
-    assert [r.counts for r, _ in env.seen] == [(1, 5)]
-    # A batch is checked whole before any of it trains.
+    assert [r.counts for r, _ in env.seen] == [(1, 0), (1, 5)]
+    # A batch is checked whole before any of it, or the baseline, trains.
     with pytest.raises(ValueError, match="exceeds ratio_max=5"):
         run_stage2(env, tasks, cfg, [proposals])
-    assert [r.counts for r, _ in env.seen] == [(1, 5)]
+    assert [r.counts for r, _ in env.seen] == [(1, 0), (1, 5)]
 
 
 def test_run_stage2_aborts_with_partial_history():
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=0)
     with pytest.raises(RunAborted) as info:
-        run_stage2(FailingEnv(fail_at=2), PRIMARY_ONLY, cfg)
+        run_stage2(FailingEnv(fail_at=3), PRIMARY_ONLY, cfg)  # the first GP round
     assert len(info.value.stage_logs["stage2"].records) == 2
 
 
@@ -632,7 +636,7 @@ def test_run_stage2_trains_the_initial_design_as_one_batch():
     env = SeedEchoEnv(n_tasks=1)
     cfg = Stage2Config(n_samples=7, n_initial=4, rng_seed=3)
     _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
-    assert env.batch_sizes == [4, 1, 1, 1]
+    assert env.batch_sizes == [1 + 4, 1, 1, 1]  # the baseline leads the first batch
     rng = np.random.default_rng(derive_seed(3, "stage2"))
     initial = [list(random_ratio(1, cfg.ratio_max, rng).counts) for _ in range(4)]
     assert [line["proposed_ratio"] for line in log.records[:4]] == initial
@@ -648,7 +652,8 @@ def test_run_stage2_exception_in_a_batch_aborts_at_its_first_round():
 
 
 class NonFiniteAtEnv:
-    """Scores every ratio 0.5, except ratio ``at`` (counted from 0), which gets ``bad``."""
+    """Scores every ratio 0.5, except ratio ``at`` (counted from 0, which
+    under :func:`run_stage2` is the baseline), which gets ``bad``."""
 
     n_tasks = 1
 
@@ -668,11 +673,12 @@ def test_run_stage2_non_finite_score_in_a_batch_logs_the_rounds_before_it(at, ba
     cfg = Stage2Config(n_samples=9, n_initial=2, rng_seed=4)
     proposals = [[(MixingRatio((1,)), "grid", None, None)] * 5]
     with pytest.raises(RunAborted, match=f"at stage-2 round {at}: train_full returned") as info:
-        run_stage2(NonFiniteAtEnv(at, bad), PRIMARY_ONLY, cfg, proposals)
+        run_stage2(NonFiniteAtEnv(1 + at, bad), PRIMARY_ONLY, cfg, proposals)
     assert [line["round"] for line in info.value.stage_logs["stage2"].records] == list(range(at))
 
 
-@pytest.mark.parametrize("returned", [[0.5], [0.5, 0.5, 0.5], 0.5, ["x", 0.5]])
+# Malformed for the first batch (the baseline and two ratios) and for the baseline alone.
+@pytest.mark.parametrize("returned", [[0.5] * 2, [0.5] * 4, 0.5, ["x", 0.5]])
 def test_run_stage2_aborts_on_a_malformed_score_batch(returned):
     class Malformed:
         n_tasks = 1
@@ -681,9 +687,57 @@ def test_run_stage2_aborts_on_a_malformed_score_batch(returned):
             return returned
 
     cfg = Stage2Config(n_samples=9, n_initial=2, rng_seed=4)
-    with pytest.raises(RunAborted, match="at stage-2 round 0") as info:
+    with pytest.raises(RunAborted, match="on the baseline run") as info:
         run_stage2(Malformed(), PRIMARY_ONLY, cfg)
     assert info.value.stage_logs["stage2"].records == []
+
+
+class PlantedCallLog(PlantedBanditEnv):
+    """A noisy planted environment that records each ``train_full`` call,
+    raises in a call that trains counts of ``raise_for`` and scores counts
+    of ``nan_for`` NaN."""
+
+    def __init__(self, theta_star, raise_for=(), nan_for=()):
+        super().__init__(theta_star=theta_star, score_noise=0.05)
+        self.calls, self.raise_for, self.nan_for = [], set(raise_for), set(nan_for)
+
+    def train_full(self, ratios, seeds):
+        counts = [r.counts for r in ratios]
+        self.calls.append((counts, list(seeds)))
+        if self.raise_for & set(counts):
+            raise RuntimeError("meltdown")
+        scores = super().train_full(ratios, seeds)
+        return [math.nan if c in self.nan_for else s for s, c in zip(scores, counts)]
+
+
+def test_run_stage2_trains_the_baseline_first_under_its_seed():
+    """``(1, 0, ...)`` leads the first batch under ``derive_seed(rng_seed,
+    "baseline")``, outside the budget and the log; the returned baseline
+    score is that ratio trained alone, and a failure there ends the run
+    "on the baseline run" with an empty log."""
+    theta, baseline = [0.9, 0.2, 0.7, 0.4], (1, 0, 0, 0)
+    tasks = TaskSelection((0, 1, 3), (1.0, 0.5, 0.5))
+    cfg = Stage2Config(n_samples=6, n_initial=3, ratio_max=7, rng_seed=8, pool_size=32)
+    seed = derive_seed(8, "baseline")
+    env = PlantedCallLog(theta)
+    _, _, log, score = run_stage2(env, tasks, cfg)
+    first, first_seeds = env.calls[0]
+    assert (first[0], first_seeds[0]) == (baseline, seed)
+    assert [len(c) for c, _ in env.calls] == [1 + cfg.n_initial] + [1] * 3
+    assert [s for _, seeds in env.calls for s in seeds][1:] == [
+        derive_seed(8, "eval", t) for t in range(cfg.n_samples)
+    ]
+    assert len(log) == cfg.n_samples
+    (alone,) = PlantedBanditEnv(theta, score_noise=0.05).train_full([MixingRatio(baseline)], [seed])
+    assert type(score) is float and score == alone
+    for raise_for, nan_for, message in (
+        ([baseline], (), "meltdown"),
+        ((), [baseline], "train_full returned nan"),
+    ):
+        env = PlantedCallLog(theta, raise_for, nan_for)
+        with pytest.raises(RunAborted, match=f"failed on the baseline run: {message}$") as info:
+            run_stage2(env, tasks, cfg)
+        assert info.value.stage_logs["stage2"].records == []
 
 
 def test_run_stage2_finds_quadratic_peak_on_most_seeds():
