@@ -227,31 +227,30 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     ``n_rounds == 0`` the selection falls out of the priors alone.  The
     final beliefs ride out on the selection's ``final_arms``.  The log keeps
     each round's choice, reward and metric; :func:`thompson_draws` redraws
-    its utilities.  If the environment raises or reports a non-finite
-    metric, from ``reset`` on, :class:`RunAborted` carries the partial log
-    as its ``"stage1"`` log.
+    its utilities.  One block guards the environment, from ``reset``
+    through the last round: if it raises or reports a non-finite metric,
+    :class:`RunAborted` names the round, or "before stage-1 round 0", and
+    carries the partial log as its ``"stage1"`` log.
     """
     alpha, beta = (arms.tolist() for arms in initial_arms(config))
     log = RunLog()
-    partial = {"stage1": log}
     rng, rates = _thompson_rng(config), _decay_rates(config)
+    t = -1  # the round under way; -1 before round 0
     try:
         env.reset(derive_seed(config.rng_seed, "stage1-env"))
         metric_prev = _finite_metric(env)
-    except Exception as exc:
-        raise RunAborted(f"environment failed before stage-1 round 0: {exc}", partial) from exc
-    for t in range(config.n_rounds):
-        thetas = _draw(rng, alpha, beta)
-        k = thetas.index(max(thetas))
-        try:
+        for t in range(config.n_rounds):
+            thetas = _draw(rng, alpha, beta)
+            k = thetas.index(max(thetas))
             env.step(k)
             metric_now = _finite_metric(env)
-        except Exception as exc:
-            raise RunAborted(f"environment failed at stage-1 round {t}: {exc}", partial) from exc
-        reward = compute_reward(metric_now, metric_prev)
-        alpha, beta = _decay_credit(alpha, beta, k, reward, rates)
-        log.append(round=t, selected_arm=k, reward=reward, metric=metric_now)
-        metric_prev = metric_now
+            reward = compute_reward(metric_now, metric_prev)
+            alpha, beta = _decay_credit(alpha, beta, k, reward, rates)
+            log.append(round=t, selected_arm=k, reward=reward, metric=metric_now)
+            metric_prev = metric_now
+    except Exception as exc:
+        where = f"at stage-1 round {t}" if t >= 0 else "before stage-1 round 0"
+        raise RunAborted(f"environment failed {where}: {exc}", {"stage1": log}) from exc
     return select_tasks(np.array(alpha), np.array(beta), config), log
 
 

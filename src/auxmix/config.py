@@ -10,7 +10,7 @@ normalized form round-trips through serialization unchanged.
 from __future__ import annotations
 
 import copy
-import dataclasses
+import functools
 import inspect
 import math
 import re
@@ -73,16 +73,11 @@ def _as_str(key: str, value: Any) -> str:
     return value
 
 
-def _float_list(key: str, value: Any) -> list[float]:
+def _as_list(coerce: Callable[[str, Any], Any], items: str, key: str, value: Any) -> list:
+    """A non-empty list of ``items``, each through ``coerce``."""
     if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(key, f"expected a non-empty list of numbers, got {value!r}")
-    return [_as_float(f"{key}[{i}]", v) for i, v in enumerate(value)]
-
-
-def _str_list(key: str, value: Any) -> list[str]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(key, f"expected a non-empty list of strings, got {value!r}")
-    return [_as_str(f"{key}[{i}]", v) for i, v in enumerate(value)]
+        raise ConfigError(key, f"expected a non-empty list of {items}, got {value!r}")
+    return [coerce(f"{key}[{i}]", v) for i, v in enumerate(value)]
 
 
 def _mapping(key: str, raw: Any) -> dict:
@@ -103,37 +98,32 @@ Field = tuple[Any, Callable[[str, Any], Any]]
 _COERCERS: dict[str, Callable[[str, Any], Any]] = {
     "int": _as_int,
     "float": _as_float,
-    "Sequence[float]": _float_list,
-    "Sequence[str]": _str_list,
+    "Sequence[float]": functools.partial(_as_list, _as_float, "numbers"),
+    "Sequence[str]": functools.partial(_as_list, _as_str, "strings"),
 }
 
 
-def _field(owner: type, name: str, annotation: Any, default: Any) -> Field:
-    if annotation not in _COERCERS:
-        raise TypeError(f"{owner.__name__}.{name}: no config coercer for {annotation!r}")
-    return default, _COERCERS[annotation]
+def _fields(cls: type) -> dict[str, Field]:
+    """The parameters of ``cls``'s constructor, a dataclass's fields among them."""
+    fields = {}
+    for p in inspect.signature(cls).parameters.values():
+        if p.annotation not in _COERCERS:
+            raise TypeError(f"{cls.__name__}.{p.name}: no config coercer for {p.annotation!r}")
+        fields[p.name] = (None if p.default is p.empty else p.default, _COERCERS[p.annotation])
+    return fields
 
 
-def _dataclass_fields(cls: type) -> dict[str, Field]:
-    return {
-        f.name: _field(cls, f.name, f.type, None if f.default is dataclasses.MISSING else f.default)
-        for f in dataclasses.fields(cls)
+_BANDIT_FIELDS = _fields(BanditConfig)  # n_tasks: derived from the environment
+_STAGE2_FIELDS = _fields(Stage2Config)
+# Each family's table, less batches_per_round, which make_environment takes
+# from the bandit section.
+_ENV_FIELDS = {
+    family: {
+        "family": (family, _as_str),
+        **{k: f for k, f in _fields(cls).items() if k != "batches_per_round"},
     }
-
-
-def _constructor_fields(cls: type) -> dict[str, Field]:
-    """The constructor's parameters, less ``batches_per_round``, which
-    :func:`make_environment` takes from the bandit section."""
-    return {
-        p.name: _field(cls, p.name, p.annotation, None if p.default is p.empty else p.default)
-        for p in inspect.signature(cls).parameters.values()
-        if p.name != "batches_per_round"
-    }
-
-
-_BANDIT_FIELDS = _dataclass_fields(BanditConfig)  # n_tasks: derived from the environment
-_STAGE2_FIELDS = _dataclass_fields(Stage2Config)
-_ENV_FIELDS = {family: _constructor_fields(cls) for family, cls in ENVIRONMENT_CLASSES.items()}
+    for family, cls in ENVIRONMENT_CLASSES.items()
+}
 _DEFAULT_MODE = PipelineConfig.mode
 
 
@@ -188,9 +178,7 @@ def _normal_form(raw: dict | None) -> dict:
             "environment.family",
             f"must be one of {sorted(_ENV_FIELDS)}, got {family!r}",
         )
-    env_rest = {k: v for k, v in env_raw.items() if k != "family"}
-    environment = {"family": family}
-    environment.update(_normalize_section(env_rest, _ENV_FIELDS[family], "environment"))
+    environment = _normalize_section(env_raw, _ENV_FIELDS[family], "environment")
 
     # n_tasks, BanditConfig's first field, defaults to the environment's task count.
     bandit = {

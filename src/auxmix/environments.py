@@ -103,17 +103,18 @@ class PlantedBanditEnv:
     def train_full(self, ratios: Sequence[MixingRatio], seeds: Sequence[int]) -> list[float]:
         """Share-weighted utility score of each ratio, pure in (ratio, seed).
 
-        ``0.5 + sum_k share_k (theta_k - 0.5)``, summed by ``math.fsum`` so no
-        BLAS kernel moves it, plus small seeded Gaussian noise, clamped to
-        [0, 1]; ``share_k`` is task k's fraction of the cycle.  Maximized by
-        concentrating the ratio on high-utility tasks and zeroing low-utility ones.
+        ``0.5 + sum_k share_k (theta_k - 0.5)``, in Python floats summed by
+        ``math.fsum``, so no NumPy or BLAS kernel moves it, plus small seeded
+        Gaussian noise, clamped to [0, 1]; ``share_k`` is task k's fraction
+        of the cycle.  Maximized by concentrating the ratio on high-utility
+        tasks and zeroing low-utility ones.
         """
         _check_batch(ratios, seeds, self.n_tasks)
-        centered = np.asarray(self.theta_star) - 0.5
         scores = []
         for ratio, seed in zip(ratios, seeds):
-            counts = np.asarray(ratio.counts, dtype=float)
-            base = 0.5 + math.fsum((counts / counts.sum() * centered).tolist())
+            total = sum(ratio.counts)
+            shares = [c / total * (t - 0.5) for c, t in zip(ratio.counts, self.theta_star)]
+            base = 0.5 + math.fsum(shares)
             noise = self.score_noise * float(np.random.default_rng(seed).standard_normal())
             scores.append(float(min(max(base + noise, 0.0), 1.0)))
         return scores

@@ -10,9 +10,8 @@ nothing is written to disk.  The sweep prints one ``run/file sha256`` line per f
   stage 1 and, without stage 1, at the baseline;
 * aborts inside stage 2, which no shipped config reaches (a diverging
   shared-linear run fails at the baseline first): CI's tiny config with
-  its environment wrapped by :class:`FailingRound`, in ``full`` mode with
-  NaN and with an exception at GP round 3, and in ``no_stage2`` mode with
-  NaN at round 2;
+  a fault of ``faults.py`` on the training of GP round 3 in ``full`` mode,
+  NaN and an exception, and NaN on round 2 in ``no_stage2`` mode;
 * the benchmark's planted-search config, seeds 1000-1039;
 * the criterion-07 environment in all three modes, seeds 1000-1039;
 * the criterion-06 environment (``no_stage1``, 20 evaluations), seeds 1000-1199;
@@ -51,6 +50,8 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Iterator
+
+from faults import Faults
 
 GRID_SIZE = 10
 CLI_GRID_SIZE = 1000  # the CLI's default --grid-size
@@ -112,35 +113,6 @@ _CRITERION_06 = {
 }
 
 
-class FailingRound:
-    """An environment whose stage-2 training under ``seed`` fails: its score
-    is NaN (``how="nan"``) or ``train_full`` raises (``how="raise"``).
-
-    Keyed on the seed, ``derive_seed(stage2.rng_seed, "eval", t)`` for round
-    ``t``, it keeps no state.  Everything else delegates to ``env``.
-    """
-
-    def __init__(self, env, seed: int, how: str):
-        self.env, self.seed, self.how = env, seed, how
-        self.n_tasks = env.n_tasks
-        self.total_batches = getattr(env, "total_batches", 0)
-
-    def reset(self, seed: int) -> None:
-        self.env.reset(seed)
-
-    def step(self, task_id: int) -> None:
-        self.env.step(task_id)
-
-    def validation_metric(self) -> float:
-        return self.env.validation_metric()
-
-    def train_full(self, ratios, seeds) -> list[float]:
-        if self.how == "raise" and self.seed in seeds:
-            raise RuntimeError("injected failure")
-        scores = self.env.train_full(ratios, seeds)
-        return [math.nan if s == self.seed else score for s, score in zip(seeds, scores)]
-
-
 def _section(raw: dict, section: str, **values) -> dict:
     return {**raw, section: {**raw.get(section, {}), **values}}
 
@@ -150,14 +122,16 @@ def _seeded(raw: dict, seed: int) -> dict:
     return _section(_section(raw, "bandit", rng_seed=seed), "stage2", rng_seed=seed)
 
 
-def corpus() -> Iterator[tuple[str, dict, int, tuple[int, str] | None]]:
+def corpus() -> Iterator[tuple[str, dict, int, tuple[int, object] | None]]:
     """Each run's name, raw config, grid size and stage-2 failure, in a fixed
-    order; the failure is ``(round, how)`` for :class:`FailingRound`, or None."""
+    order; the failure is ``(round, fault)``, the fault on that round's
+    training, or None."""
     for name, raw in (("tiny", _CI_TINY), ("linear", _CI_LINEAR), ("abort", _CI_ABORT)):
         for mode in MODES:
             yield f"{name}-{mode}", {**raw, "mode": mode}, GRID_SIZE, None
     for mode, t, how in (("full", 3, "nan"), ("full", 3, "raise"), ("no_stage2", 2, "nan")):
-        yield f"tiny-{mode}-{how}{t}", {**_CI_TINY, "mode": mode}, GRID_SIZE, (t, how)
+        fault = (t, RuntimeError("injected failure") if how == "raise" else math.nan)
+        yield f"tiny-{mode}-{how}{t}", {**_CI_TINY, "mode": mode}, GRID_SIZE, fault
     for seed in SEEDS:
         yield f"planted-search-{seed}", _seeded(_PLANTED_SEARCH, seed), GRID_SIZE, None
     for mode in MODES:
@@ -179,15 +153,16 @@ def corpus() -> Iterator[tuple[str, dict, int, tuple[int, str] | None]]:
         yield f"cli-replay-{seed}", _seeded(_CLI_REPLAY, seed), CLI_GRID_SIZE, None
 
 
-def _files(raw: dict, grid_size: int, fault: tuple[int, str] | None) -> dict[str, str]:
+def _files(raw: dict, grid_size: int, fault: tuple[int, object] | None) -> dict[str, str]:
     """The text of each file one run of the corpus writes, by file name."""
     from auxmix import cli, config, pipeline
     from auxmix.runlog import derive_seed
 
     cfg = config.to_pipeline_config(raw)
     if fault is not None:
-        seed = derive_seed(cfg.stage2.rng_seed, "eval", fault[0])
-        cfg = dataclasses.replace(cfg, env=FailingRound(cfg.env, seed, fault[1]))
+        t, bad = fault
+        env = Faults(cfg.env, {derive_seed(cfg.stage2.rng_seed, "eval", t): bad})
+        cfg = dataclasses.replace(cfg, env=env)
     return pipeline.run_files(cli._outcome(cfg), cfg.normalized, grid_size)
 
 
@@ -207,9 +182,11 @@ def render() -> list[str]:
 
 def call_at(rev: str, call: str):
     """The value of ``call``, an expression over this script's names,
-    evaluated in a fresh interpreter on the ``src`` of ``git archive rev``
-    and passed back as JSON."""
-    root = Path(__file__).resolve().parents[1]
+    evaluated in a fresh interpreter on the ``src`` of ``git archive rev``,
+    with this script's directory on the path for :mod:`faults`, and passed
+    back as JSON."""
+    here = Path(__file__).resolve()
+    root = here.parents[1]
     archive = subprocess.run(
         ["git", "-C", str(root), "archive", "--format=tar", rev, "src"],
         check=True, capture_output=True,
@@ -218,8 +195,8 @@ def call_at(rev: str, call: str):
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         src = str(Path(tmp, "src"))
         code = (
-            f"import json, runpy, sys; sys.path.insert(0, {src!r}); "
-            f"ns = runpy.run_path({str(Path(__file__).resolve())!r}); "
+            f"import json, runpy, sys; sys.path[:0] = [{src!r}, {str(here.parent)!r}]; "
+            f"ns = runpy.run_path({str(here)!r}); "
             f"print(json.dumps(eval({call!r}, ns)))"
         )
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)

@@ -25,6 +25,7 @@ from auxmix.bandit import (
 from auxmix.environments import PlantedBanditEnv, SharedParamMtlEnv
 from auxmix.pipeline import density_csv
 from auxmix.runlog import RunAborted, RunLog, derive_seed
+from faults import Faults
 
 
 def make_config(**kw):
@@ -446,32 +447,33 @@ def test_thompson_draws_equal_array_draws_over_beliefs_on_both_sides_of_one():
     assert thompson_draws(log.records, cfg).tobytes() == want.tobytes()
 
 
-class FailingEnv:
-    """Steps fine until a planted round, then raises."""
-
-    def __init__(self, fail_at):
-        self.fail_at = fail_at
-        self.n_tasks = 3
-        self.calls = 0
-
-    def reset(self, seed):
-        pass
-
-    def step(self, task_id):
-        if self.calls >= self.fail_at:
-            raise RuntimeError("hardware on fire")
-        self.calls += 1
-
-    def validation_metric(self):
-        return 0.5
-
-
 def test_run_stage1_abort_preserves_partial_log():
     cfg = make_config(n_tasks=3, n_rounds=50, rng_seed=1)
+    env = Faults(PlantedBanditEnv([0.5] * 3), {("step", 7): RuntimeError("hardware on fire")})
     with pytest.raises(RunAborted) as info:
-        run_stage1(FailingEnv(fail_at=7), cfg)
+        run_stage1(env, cfg)
     assert len(info.value.stage_logs["stage1"]) == 7
     assert "round 7" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "where, bad, message, rounds",
+    [
+        (("reset", 0), RuntimeError("no device"), "before stage-1 round 0: no device", 0),
+        (("validation_metric", 0), math.nan, "before stage-1 round 0: validation_metric", 0),
+        (("step", 4), RuntimeError("lost device"), "at stage-1 round 4: lost device", 4),
+        (("validation_metric", 5), math.inf, "at stage-1 round 4: validation_metric", 4),
+    ],
+    ids=["reset", "first-metric", "step", "round-metric"],
+)
+def test_run_stage1_names_where_the_environment_failed(where, bad, message, rounds):
+    """One block guards the environment from ``reset`` on; the message
+    names the round under way, and the log holds the rounds before it."""
+    cfg = make_config(n_tasks=3, n_rounds=10, rng_seed=2)
+    clean = run_stage1(PlantedBanditEnv([0.9, 0.5, 0.1]), cfg)[1]
+    with pytest.raises(RunAborted, match=f"^environment failed {message}") as info:
+        run_stage1(Faults(PlantedBanditEnv([0.9, 0.5, 0.1]), {where: bad}), cfg)
+    assert info.value.stage_logs["stage1"].records == clean.records[:rounds]
 
 
 # ------------------------------------------------- utility_density_table

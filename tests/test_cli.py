@@ -22,7 +22,8 @@ from auxmix.environments import PlantedBanditEnv
 from auxmix.pipeline import density_csv, run_pipeline
 from auxmix.bandit import MAX_DENSITY_GRID_SIZE, BanditConfig, belief_path, thompson_draws
 from auxmix.bandit import utility_density_table
-from auxmix.runlog import SCHEMA_VERSION, RunAborted, canonical_dumps, read_jsonl
+from auxmix.runlog import SCHEMA_VERSION, RunAborted, canonical_dumps, derive_seed, read_jsonl
+from faults import patched
 
 SMALL_CONFIG = """\
 mode: full
@@ -425,52 +426,30 @@ def test_run_grid_size_guard(config_file, tmp_path, capsys):
 
 # --------------------------------------------------------- aborted runs
 
-def _fail_on_call(method: str, call: int, bad):
-    """Patch one PlantedBanditEnv method so its ``call``-th call (1-based)
-    raises ``bad`` when it is an exception, or returns it otherwise.
-
-    ``train_full`` counts ratios instead of calls: the batch holding the
-    ``call``-th ratio raises ``bad``, or returns ``bad`` as that ratio's
-    score and the true scores of the others."""
-    original = getattr(PlantedBanditEnv, method)
-    calls = {"n": 0}
-
-    def patched(self, *args):
-        width = len(args[0]) if method == "train_full" else 1
-        calls["n"] += width
-        pos = call - (calls["n"] - width) - 1  # the bad call's place in this batch
-        if not 0 <= pos < width:
-            return original(self, *args)
-        if isinstance(bad, Exception):
-            raise bad
-        if method != "train_full":
-            return bad
-        scores = original(self, *args)
-        scores[pos] = bad
-        return scores
-
-    return mock.patch.object(PlantedBanditEnv, method, patched)
-
-
 # SMALL_CONFIG runs 8 stage-1 rounds, then the baseline, then 4 stage-2
-# rounds (2 random, 2 GP or grid).  Stage-1 round r makes validation_metric
-# call r + 2 (the first follows reset); the baseline trains train_full's
-# ratio 1, and stage-2 round r trains ratio r + 2.
+# rounds (2 random, 2 GP or grid), under stage-2 seed 0.  The first
+# validation_metric call follows reset, before stage-1 round 0.
 ABORT_SITES = [
-    pytest.param("full", "reset", 1, RuntimeError("no device"), "stage1", 0, id="stage1-reset"),
-    pytest.param("full", "validation_metric", 1, math.nan, "stage1", 0, id="stage1-first-metric"),
-    pytest.param("full", "validation_metric", 5, math.inf, "stage1", 3, id="stage1-round-metric"),
-    pytest.param("full", "train_full", 5, math.nan, "stage2", 3, id="gp-loop-score"),
-    pytest.param("no_stage2", "train_full", 4, -math.inf, "stage2", 2, id="grid-loop-score"),
-    pytest.param("full", "train_full", 1, math.nan, "stage2", 0, id="baseline-score"),
+    pytest.param("full", ("reset", 0), RuntimeError("no device"), "stage1", 0, id="stage1-reset"),
+    pytest.param(
+        "full", ("validation_metric", 0), math.nan, "stage1", 0, id="stage1-first-metric"
+    ),
+    pytest.param(
+        "full", ("validation_metric", 4), math.inf, "stage1", 3, id="stage1-round-metric"
+    ),
+    pytest.param("full", derive_seed(0, "eval", 3), math.nan, "stage2", 3, id="gp-loop-score"),
+    pytest.param(
+        "no_stage2", derive_seed(0, "eval", 2), -math.inf, "stage2", 2, id="grid-loop-score"
+    ),
+    pytest.param("full", derive_seed(0, "baseline"), math.nan, "stage2", 0, id="baseline-score"),
 ]
 
 
-@pytest.mark.parametrize("mode, method, call, bad, stage, failing_round", ABORT_SITES)
+@pytest.mark.parametrize("mode, where, bad, stage, failing_round", ABORT_SITES)
 def test_environment_failure_aborts_with_partial_logs(
-    config_file, tmp_path, capsys, mode, method, call, bad, stage, failing_round
+    config_file, tmp_path, capsys, mode, where, bad, stage, failing_round
 ):
-    with _fail_on_call(method, call, bad):
+    with patched(PlantedBanditEnv, {where: bad}):
         with pytest.raises(RunAborted) as info:
             run_pipeline(to_pipeline_config(load_config(config_file, {"mode": mode})))
     assert len(info.value.stage_logs[stage]) == failing_round
@@ -478,7 +457,7 @@ def test_environment_failure_aborts_with_partial_logs(
         assert len(info.value.stage_logs["stage1"]) == 8
 
     out_dir = tmp_path / "aborted"
-    with _fail_on_call(method, call, bad):
+    with patched(PlantedBanditEnv, {where: bad}):
         assert run_cli("run", config_file, "--out", out_dir, "--mode", mode) == EXIT_RUNTIME
     assert "run aborted, partial logs kept" in capsys.readouterr().err
     _, records = read_jsonl(out_dir / f"{stage}.log.jsonl")
@@ -488,7 +467,7 @@ def test_environment_failure_aborts_with_partial_logs(
     # Under the same failure the rerun aborts where the run did and
     # regenerates both partial logs.
     for path in (out_dir / "stage1.log.jsonl", out_dir / "stage2.log.jsonl", out_dir):
-        with _fail_on_call(method, call, bad):
+        with patched(PlantedBanditEnv, {where: bad}):
             assert run_cli("replay", path) == EXIT_OK
         assert ", up to the abort: environment failed" in capsys.readouterr().out
     # Without it the rerun finishes, so the failing stage's log lacks its
@@ -1058,22 +1037,22 @@ def test_plot_utilities_rejects_header_without_bandit_config(finished_run, tmp_p
     _assert_rejected(log, tmp_path / "bad.csv", capsys)
 
 
-# (method, call, bad, rounds logged) of SMALL_CONFIG runs that abort in stage 1.
+# (call, bad, rounds logged) of SMALL_CONFIG runs that abort in stage 1.
 STAGE1_ABORTS = [
-    pytest.param("reset", 1, RuntimeError("no device"), 0, id="reset"),
-    pytest.param("validation_metric", 5, math.inf, 3, id="round-3-metric"),
-    pytest.param("step", 8, RuntimeError("lost device"), 7, id="round-7-step"),
+    pytest.param(("reset", 0), RuntimeError("no device"), 0, id="reset"),
+    pytest.param(("validation_metric", 4), math.inf, 3, id="round-3-metric"),
+    pytest.param(("step", 7), RuntimeError("lost device"), 7, id="round-7-step"),
 ]
 
 
-@pytest.mark.parametrize("method, call, bad, rounds", STAGE1_ABORTS)
+@pytest.mark.parametrize("where, bad, rounds", STAGE1_ABORTS)
 def test_plot_utilities_reads_the_partial_log_of_an_aborted_run(
-    config_file, tmp_path, capsys, method, call, bad, rounds
+    config_file, tmp_path, capsys, where, bad, rounds
 ):
     """The partial log's header has no final arms; folding its records gives
     the CSV of a clean run that stops where the aborted one failed."""
     aborted = tmp_path / "aborted"
-    with _fail_on_call(method, call, bad):
+    with patched(PlantedBanditEnv, {where: bad}):
         assert run_cli("run", config_file, "--out", aborted) == EXIT_RUNTIME
     header, records = read_jsonl(aborted / "stage1.log.jsonl")
     assert "final_arms" not in header and len(records) == rounds

@@ -145,7 +145,7 @@ def test_schema_refuses_an_annotation_without_a_coercer():
         table: dict = None
 
     with pytest.raises(TypeError, match="Knobs.table"):
-        config_module._dataclass_fields(Knobs)
+        config_module._fields(Knobs)
 
 
 def _readme_config_blocks() -> dict[str, dict]:

@@ -37,6 +37,7 @@ from auxmix.mixing import (
     validate_ratio,
 )
 from auxmix.runlog import RunAborted, canonical_dumps, derive_seed
+from faults import Faults
 
 PRIMARY_ONLY = TaskSelection(selected_task_ids=(0,), expected_utilities=(1.0,))
 
@@ -375,23 +376,6 @@ class SeedEchoEnv:
         return [(seed % 1000) / 1000.0 for seed in seeds]
 
 
-class FailingEnv:
-    """Raises in the batch that holds ratio ``fail_at``, counting ratios from
-    0; under :func:`run_stage2`, ratio 0 is the baseline."""
-
-    n_tasks = 1
-
-    def __init__(self, fail_at):
-        self.fail_at = fail_at
-        self.calls = 0
-
-    def train_full(self, ratios, seeds):
-        if self.calls <= self.fail_at < self.calls + len(ratios):
-            raise RuntimeError("solver exploded")
-        self.calls += len(ratios)
-        return [0.5] * len(ratios)
-
-
 def test_run_stage2_spends_exactly_the_budget():
     env = QuadraticEnv()
     cfg = Stage2Config(n_samples=9, n_initial=4, rng_seed=2)
@@ -627,8 +611,9 @@ def test_run_stage2_rejects_a_proposal_above_ratio_max():
 
 def test_run_stage2_aborts_with_partial_history():
     cfg = Stage2Config(n_samples=6, n_initial=2, rng_seed=0)
+    fault = {derive_seed(0, "eval", 2): RuntimeError("solver exploded")}  # the first GP round
     with pytest.raises(RunAborted) as info:
-        run_stage2(FailingEnv(fail_at=3), PRIMARY_ONLY, cfg)  # the first GP round
+        run_stage2(Faults(SeedEchoEnv(n_tasks=1), fault), PRIMARY_ONLY, cfg)
     assert len(info.value.stage_logs["stage2"].records) == 2
 
 
@@ -646,25 +631,10 @@ def test_run_stage2_trains_the_initial_design_as_one_batch():
 def test_run_stage2_exception_in_a_batch_aborts_at_its_first_round():
     cfg = Stage2Config(n_samples=9, n_initial=2, rng_seed=4)
     proposals = [[(MixingRatio((1,)), "grid", None, None)] * size for size in (2, 3, 1)]
+    fault = {derive_seed(4, "eval", 3): RuntimeError("solver exploded")}  # in rounds 2-4's batch
     with pytest.raises(RunAborted, match="at stage-2 round 2: solver exploded") as info:
-        run_stage2(FailingEnv(fail_at=3), PRIMARY_ONLY, cfg, proposals)
+        run_stage2(Faults(SeedEchoEnv(n_tasks=1), fault), PRIMARY_ONLY, cfg, proposals)
     assert [line["round"] for line in info.value.stage_logs["stage2"].records] == [0, 1]
-
-
-class NonFiniteAtEnv:
-    """Scores every ratio 0.5, except ratio ``at`` (counted from 0, which
-    under :func:`run_stage2` is the baseline), which gets ``bad``."""
-
-    n_tasks = 1
-
-    def __init__(self, at, bad):
-        self.at, self.bad = at, bad
-        self.done = 0
-
-    def train_full(self, ratios, seeds):
-        scores = [self.bad if self.done + i == self.at else 0.5 for i in range(len(ratios))]
-        self.done += len(ratios)
-        return scores
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -672,8 +642,9 @@ class NonFiniteAtEnv:
 def test_run_stage2_non_finite_score_in_a_batch_logs_the_rounds_before_it(at, bad):
     cfg = Stage2Config(n_samples=9, n_initial=2, rng_seed=4)
     proposals = [[(MixingRatio((1,)), "grid", None, None)] * 5]
+    fault = {derive_seed(4, "eval", at): bad}
     with pytest.raises(RunAborted, match=f"at stage-2 round {at}: train_full returned") as info:
-        run_stage2(NonFiniteAtEnv(1 + at, bad), PRIMARY_ONLY, cfg, proposals)
+        run_stage2(Faults(SeedEchoEnv(n_tasks=1), fault), PRIMARY_ONLY, cfg, proposals)
     assert [line["round"] for line in info.value.stage_logs["stage2"].records] == list(range(at))
 
 
@@ -692,24 +663,6 @@ def test_run_stage2_aborts_on_a_malformed_score_batch(returned):
     assert info.value.stage_logs["stage2"].records == []
 
 
-class PlantedCallLog(PlantedBanditEnv):
-    """A noisy planted environment that records each ``train_full`` call,
-    raises in a call that trains counts of ``raise_for`` and scores counts
-    of ``nan_for`` NaN."""
-
-    def __init__(self, theta_star, raise_for=(), nan_for=()):
-        super().__init__(theta_star=theta_star, score_noise=0.05)
-        self.calls, self.raise_for, self.nan_for = [], set(raise_for), set(nan_for)
-
-    def train_full(self, ratios, seeds):
-        counts = [r.counts for r in ratios]
-        self.calls.append((counts, list(seeds)))
-        if self.raise_for & set(counts):
-            raise RuntimeError("meltdown")
-        scores = super().train_full(ratios, seeds)
-        return [math.nan if c in self.nan_for else s for s, c in zip(scores, counts)]
-
-
 def test_run_stage2_trains_the_baseline_first_under_its_seed():
     """``(1, 0, ...)`` leads the first batch under ``derive_seed(rng_seed,
     "baseline")``, outside the budget and the log; the returned baseline
@@ -719,7 +672,8 @@ def test_run_stage2_trains_the_baseline_first_under_its_seed():
     tasks = TaskSelection((0, 1, 3), (1.0, 0.5, 0.5))
     cfg = Stage2Config(n_samples=6, n_initial=3, ratio_max=7, rng_seed=8, pool_size=32)
     seed = derive_seed(8, "baseline")
-    env = PlantedCallLog(theta)
+    planted = PlantedBanditEnv(theta, score_noise=0.05)
+    env = Faults(planted)
     _, _, log, score = run_stage2(env, tasks, cfg)
     first, first_seeds = env.calls[0]
     assert (first[0], first_seeds[0]) == (baseline, seed)
@@ -728,15 +682,13 @@ def test_run_stage2_trains_the_baseline_first_under_its_seed():
         derive_seed(8, "eval", t) for t in range(cfg.n_samples)
     ]
     assert len(log) == cfg.n_samples
-    (alone,) = PlantedBanditEnv(theta, score_noise=0.05).train_full([MixingRatio(baseline)], [seed])
+    (alone,) = planted.train_full([MixingRatio(baseline)], [seed])
     assert type(score) is float and score == alone
-    for raise_for, nan_for, message in (
-        ([baseline], (), "meltdown"),
-        ((), [baseline], "train_full returned nan"),
+    for fault, message in (
+        (RuntimeError("meltdown"), "meltdown"), (math.nan, "train_full returned nan")
     ):
-        env = PlantedCallLog(theta, raise_for, nan_for)
         with pytest.raises(RunAborted, match=f"failed on the baseline run: {message}$") as info:
-            run_stage2(env, tasks, cfg)
+            run_stage2(Faults(planted, {seed: fault}), tasks, cfg)
         assert info.value.stage_logs["stage2"].records == []
 
 

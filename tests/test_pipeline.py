@@ -29,6 +29,7 @@ from auxmix.pipeline import (
     write_outputs,
 )
 from auxmix.runlog import SCHEMA_VERSION, RunAborted, RunLog, derive_seed, make_header, read_jsonl
+from faults import Faults
 
 PLANTED2 = {"family": "planted", "theta_star": [0.9, 0.1]}
 PLANTED3 = {"family": "planted", "theta_star": [0.9, 0.8, 0.1]}
@@ -43,6 +44,12 @@ def make_config(mode="full", env=None, n_rounds=60, n_samples=8, n_initial=3, se
         env=make_environment(env),
         mode=mode,
     )
+
+
+def _run_with(env, mode="full"):
+    """:func:`run_pipeline` of ``make_config(mode=mode)`` on ``env``."""
+    config = make_config(mode=mode)
+    return run_pipeline(PipelineConfig(config.bandit, config.stage2, env, mode))
 
 
 # ----------------------------------------------------------- config guard
@@ -209,41 +216,20 @@ def test_no_stage2_matches_the_reference_grid_loop(env, ratio_max):
 
 # ------------------------------------------------------- budget accounting
 
-def test_budget_is_n_samples_plus_baseline(monkeypatch):
-    from auxmix import environments
-
-    counter = {"train_full": 0}
-    orig = environments.PlantedBanditEnv.train_full
-
-    def counting(self, ratios, seeds):
-        counter["train_full"] += len(ratios)
-        return orig(self, ratios, seeds)
-
-    monkeypatch.setattr(environments.PlantedBanditEnv, "train_full", counting)
-    run_pipeline(make_config(n_samples=8))
-    assert counter["train_full"] == 8 + 1
+def test_budget_is_n_samples_plus_baseline():
+    env = Faults(make_environment(PLANTED3))
+    _run_with(env)  # make_config's n_samples is 8
+    assert sum(len(seeds) for _, seeds in env.calls) == 8 + 1
 
 
 def test_baseline_is_primary_only_and_always_runs():
-    seen = []
-    from auxmix import environments
-
-    orig = environments.PlantedBanditEnv.train_full
-
-    class Spy(environments.PlantedBanditEnv):
-        def train_full(self, ratios, seeds):
-            seen.extend(ratio.counts for ratio in ratios)
-            return orig(self, ratios, seeds)
-
-    import unittest.mock as mock
-
-    with mock.patch.dict(environments.ENVIRONMENT_CLASSES, {"planted": Spy}):
-        for mode in PIPELINE_MODES:
-            seen.clear()
-            report = run_pipeline(make_config(mode=mode))
-            assert seen[0][0] == 1
-            assert all(c == 0 for c in seen[0][1:])
-            assert 0.0 <= report.baseline_score <= 1.0
+    for mode in PIPELINE_MODES:
+        env = Faults(make_environment(PLANTED3))
+        report = _run_with(env, mode)
+        counts = env.calls[0][0][0]
+        assert counts[0] == 1
+        assert all(c == 0 for c in counts[1:])
+        assert 0.0 <= report.baseline_score <= 1.0
 
 
 # ------------------------------------------------------------ determinism
@@ -276,45 +262,23 @@ def test_report_summary_fields():
     assert summary["config"] is None  # no normalized config attached here
 
 
-class Bomb(Exception):
-    pass
-
-
-def _bomb_at_ratio(n):
-    """Patch the planted ``train_full`` to raise in the batch holding its
-    ``n``-th ratio (1-based, counted over every batch)."""
-    from auxmix import environments
-
-    orig = environments.PlantedBanditEnv.train_full
-    done = {"n": 0}
-
-    def failing(self, ratios, seeds):
-        done["n"] += len(ratios)
-        if done["n"] - len(ratios) < n <= done["n"]:
-            raise Bomb("meltdown")
-        return orig(self, ratios, seeds)
-
-    import unittest.mock as mock
-
-    return mock.patch.object(environments.PlantedBanditEnv, "train_full", failing)
+def _failing(seed):
+    """The planted environment of :func:`make_config` with an exception in
+    the training under ``seed``."""
+    return Faults(make_environment(PLANTED3), {seed: RuntimeError("meltdown")})
 
 
 def test_run_aborted_carries_stage_logs():
-    # Ratio 1 is the baseline; ratio 4 is the last of the three-ratio initial batch.
-    with _bomb_at_ratio(4):
-        with pytest.raises(RunAborted) as info:
-            run_pipeline(make_config())
+    with pytest.raises(RunAborted) as info:  # the last round of the initial batch
+        _run_with(_failing(derive_seed(0, "eval", 2)))
     assert set(info.value.stage_logs) == {"stage1", "stage2"}
     assert len(info.value.stage_logs["stage1"].records) == 60
     assert len(info.value.stage_logs["stage2"].records) == 0
 
 
 def test_run_aborted_at_a_gp_round_keeps_the_earlier_records():
-    # Ratio 1 is the baseline and ratios 2-4 the initial batch; ratio 6 is GP
-    # round 4, alone in its batch.
-    with _bomb_at_ratio(6):
-        with pytest.raises(RunAborted, match="at stage-2 round 4: meltdown") as info:
-            run_pipeline(make_config())
+    with pytest.raises(RunAborted, match="at stage-2 round 4: meltdown") as info:
+        _run_with(_failing(derive_seed(0, "eval", 4)))
     assert len(info.value.stage_logs["stage1"].records) == 60
     assert [r["round"] for r in info.value.stage_logs["stage2"].records] == [0, 1, 2, 3]
 
@@ -323,33 +287,10 @@ def test_run_aborted_at_a_gp_round_keeps_the_earlier_records():
 def test_no_stage2_exception_in_the_grid_batch_aborts_at_round_0(n):
     """The whole grid is one batch, so an exception at its ``n``-th ratio, or
     anywhere else in it, names round 0 and leaves the stage-2 log empty."""
-    with _bomb_at_ratio(n + 1):  # ratio 1 is the baseline
-        with pytest.raises(RunAborted, match="at stage-2 round 0: meltdown") as info:
-            run_pipeline(make_config(mode="no_stage2"))
+    with pytest.raises(RunAborted, match="at stage-2 round 0: meltdown") as info:
+        _run_with(_failing(derive_seed(0, "eval", n - 1)), "no_stage2")
     assert len(info.value.stage_logs["stage1"].records) == 60
     assert info.value.stage_logs["stage2"].records == []
-
-
-class _CallLog(PlantedBanditEnv):
-    """Planted environment that records each ``train_full`` call's ratios
-    and seeds, and raises, or scores NaN, for the seeds in ``raise_for`` or
-    ``nan_for``."""
-
-    def __init__(self, raise_for=(), nan_for=()):
-        super().__init__(theta_star=PLANTED3["theta_star"])
-        self.calls, self.raise_for, self.nan_for = [], set(raise_for), set(nan_for)
-
-    def train_full(self, ratios, seeds):
-        self.calls.append(([r.counts for r in ratios], list(seeds)))
-        if self.raise_for & set(seeds):
-            raise Bomb("meltdown")
-        scores = super().train_full(ratios, seeds)
-        return [math.nan if seed in self.nan_for else s for s, seed in zip(scores, seeds)]
-
-
-def _logged_run(mode, env):
-    config = make_config(mode=mode)
-    return run_pipeline(PipelineConfig(config.bandit, config.stage2, env, mode))
 
 
 _BASELINE_SEED = derive_seed(0, "baseline")
@@ -360,8 +301,8 @@ def test_the_baseline_leads_stage_2s_first_batch(mode):
     """``no_stage2`` trains the baseline and its grid in one call; the
     search modes train the baseline with the initial design, then one
     ratio per GP round."""
-    env = _CallLog()
-    report = _logged_run(mode, env)
+    env = Faults(make_environment(PLANTED3))
+    report = _run_with(env, mode)
     n_samples, n_initial = 8, 3  # make_config's defaults
     widths = [len(seeds) for _, seeds in env.calls]
     if mode == "no_stage2":
@@ -381,20 +322,20 @@ def test_the_baseline_leads_stage_2s_first_batch(mode):
 
 @pytest.mark.parametrize("mode", PIPELINE_MODES)
 @pytest.mark.parametrize(
-    "raise_for, nan_for, message, retrained",
+    "seed, fault, message, retrained",
     [
-        ([_BASELINE_SEED], [], "on the baseline run: meltdown", True),
-        ([derive_seed(0, "eval", 1)], [], "at stage-2 round 0: meltdown", True),
-        ([], [_BASELINE_SEED], "on the baseline run: train_full returned nan", False),
+        (_BASELINE_SEED, RuntimeError("meltdown"), "on the baseline run: meltdown", True),
+        (derive_seed(0, "eval", 1), RuntimeError("meltdown"), "at stage-2 round 0: meltdown", True),
+        (_BASELINE_SEED, math.nan, "on the baseline run: train_full returned nan", False),
     ],
     ids=["baseline-raises", "stage-2-ratio-raises", "baseline-nan"],
 )
-def test_a_failure_in_the_first_batch_names_its_place(mode, raise_for, nan_for, message, retrained):
+def test_a_failure_in_the_first_batch_names_its_place(mode, seed, fault, message, retrained):
     """A raising first batch retrains the baseline alone to tell whose
     failure it was; either way the stage-2 log is empty."""
-    env = _CallLog(raise_for, nan_for)
+    env = Faults(make_environment(PLANTED3), {seed: fault})
     with pytest.raises(RunAborted, match=f"environment failed {message}$") as info:
-        _logged_run(mode, env)
+        _run_with(env, mode)
     assert info.value.stage_logs["stage2"].records == []
     expected = ([(1, 0, 0)], [_BASELINE_SEED])
     assert env.calls[1:] == ([expected] if retrained else [])
