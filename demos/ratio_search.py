@@ -10,7 +10,7 @@ import numpy as np
 
 from auxmix.bandit import TaskSelection
 from auxmix.environments import SharedParamMtlEnv
-from auxmix.mixing import Stage2Config, random_ratio, run_stage2
+from auxmix.mixing import Stage2Config, random_ratios, run_stage2
 from auxmix.runlog import derive_seed
 
 env = SharedParamMtlEnv(
@@ -40,7 +40,7 @@ print("note the harmful last entry: the search drives it to zero.")
 rng = np.random.default_rng(derive_seed(7, "random-search"))
 random_best = max(
     env.train_full(
-        [random_ratio(4, 20, rng) for _ in range(config.n_samples)],
+        random_ratios(config.n_samples, 4, 20, rng),
         [derive_seed(7, "rs-eval", t) for t in range(config.n_samples)],
     )
 )

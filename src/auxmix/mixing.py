@@ -141,11 +141,14 @@ def decode(x: Sequence[float], ratio_max: int) -> MixingRatio:
     return MixingRatio(counts=tuple(counts))
 
 
-def random_ratio(n_tasks: int, ratio_max: int, rng: np.random.Generator) -> MixingRatio:
-    """Uniform draw from the valid grid: primary in [1, max], auxiliaries in [0, max],
-    in one ``integers`` call, which draws what one scalar call per count draws."""
-    counts = rng.integers([1] + [0] * (n_tasks - 1), ratio_max + 1)
-    return MixingRatio(counts=tuple(counts.tolist()))
+def random_ratios(
+    n: int, n_tasks: int, ratio_max: int, rng: np.random.Generator
+) -> list[MixingRatio]:
+    """``n`` uniform draws from the valid grid: primary in [1, max], auxiliaries
+    in [0, max], in one ``integers`` call, which draws what one scalar call per
+    count draws, ratio by ratio."""
+    counts = rng.integers([1] + [0] * (n_tasks - 1), ratio_max + 1, size=(n, n_tasks))
+    return [MixingRatio(counts=tuple(row)) for row in counts.tolist()]
 
 
 def expand_to_tasks(ratio: MixingRatio, task_ids: Sequence[int], n_tasks: int) -> MixingRatio:
@@ -172,14 +175,6 @@ def _grid_moves(d: int, ratio_max: int) -> np.ndarray:
     return moves
 
 
-def _neighbor_points(
-    incumbent_x: np.ndarray, ratio_max: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """All one-grid-step moves from the incumbent, clipped to the unit box,
-    in :func:`_grid_moves` order; written to ``out`` when it is given."""
-    return np.clip(incumbent_x + _grid_moves(incumbent_x.size, ratio_max), 0.0, 1.0, out=out)
-
-
 def propose_next(
     model: GpModel, hedge: HedgeState, config: Stage2Config, rng: np.random.Generator
 ) -> tuple[MixingRatio, str, HedgeState]:
@@ -200,7 +195,7 @@ def propose_next(
     m, d = config.pool_size, model.points.shape[1]
     pool = np.empty((m + 2 * d, d))
     rng.random(out=pool[:m])  # the stream of rng.random((m, d))
-    _neighbor_points(model.points[best_idx], config.ratio_max, out=pool[m:])
+    np.clip(model.points[best_idx] + _grid_moves(d, config.ratio_max), 0.0, 1.0, out=pool[m:])
 
     post = posterior(model, pool)
     pi = probability_of_improvement(post, tau)
@@ -271,10 +266,8 @@ def _gp_proposals(
     batch; each fit extends the last one's fold by the records added since.
     """
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
-    yield [
-        (random_ratio(n_tasks, config.ratio_max, rng), "random", None, None)
-        for _ in range(config.n_initial)
-    ]
+    initial = random_ratios(config.n_initial, n_tasks, config.ratio_max, rng)
+    yield [(ratio, "random", None, None) for ratio in initial]
     hedge, model = HedgeState(eta=config.hedge_eta), None
     for _ in range(config.n_initial, config.n_samples):
         xs = encode([r["proposed_ratio"] for r in records], config.ratio_max)

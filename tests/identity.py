@@ -5,18 +5,19 @@ Each run of the corpus is rendered in process, as ``auxmix run`` renders it
 nothing is written to disk.  The sweep prints one ``run/file sha256`` line per file, then
 ``corpus <sha256>`` over those lines.  The corpus covers:
 
-* CI's tiny planted and shared-linear configs, in all three modes;
-* CI's ``learning_rate: 50`` config in all three modes, which aborts in
-  stage 1 and, without stage 1, at the baseline;
+* the tiny planted config of the CI console-script smoke and the tiny
+  shared-linear config of ``tests/test_cli.py``, in all three modes;
+* the smoke's ``learning_rate: 50`` config in all three modes, which aborts
+  in stage 1 and, without stage 1, at the baseline;
 * aborts inside stage 2, which no shipped config reaches (a diverging
-  shared-linear run fails at the baseline first): CI's tiny config with
+  shared-linear run fails at the baseline first): the tiny config with
   a fault of ``faults.py`` on the training of GP round 3 in ``full`` mode,
   NaN and an exception, and NaN on round 2 in ``no_stage2`` mode;
 * the benchmark's planted-search config, seeds 1000-1039;
 * the criterion-07 environment in all three modes, seeds 1000-1039;
 * the criterion-06 environment (``no_stage1``, 20 evaluations), seeds 1000-1199;
 * a 512-evaluation planted ``no_stage1`` run with 510 random evaluations;
-* CI's ``hedge_eta: 1.0e+308`` and ``ratio_max: 10^9`` configs;
+* the ``hedge_eta: 1.0e+308`` and ``ratio_max: 10^9`` runs of ``tests/test_cli.py``;
 * the benchmark's cli-replay config (10 planted tasks, 2000 stage-1 rounds),
   seeds 1000-1009, at the CLI's default grid of 1000.
 
@@ -58,12 +59,12 @@ CLI_GRID_SIZE = 1000  # the CLI's default --grid-size
 SEEDS = range(1000, 1040)
 MODES = ("full", "no_stage1", "no_stage2")
 
-_CI_BUDGETS = {
+_TINY_BUDGETS = {
     "bandit": {"n_rounds": 20},
     "stage2": {"n_samples": 4, "n_initial": 2, "pool_size": 32},
 }
-_CI_TINY = {"environment": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]}, **_CI_BUDGETS}
-_CI_LINEAR = {
+_TINY = {"environment": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]}, **_TINY_BUDGETS}
+_LINEAR = {
     "environment": {
         "family": "shared-linear",
         "task_profile": ["primary", "useful", "harmful"],
@@ -71,9 +72,9 @@ _CI_LINEAR = {
         "n_primary_train": 48,
         "primary_label_noise": 0.8,
     },
-    **_CI_BUDGETS,
+    **_TINY_BUDGETS,
 }
-_CI_ABORT = {
+_ABORT = {
     "environment": {
         "family": "shared-linear",
         "task_profile": ["primary", "useful", "harmful"],
@@ -126,12 +127,12 @@ def corpus() -> Iterator[tuple[str, dict, int, tuple[int, object] | None]]:
     """Each run's name, raw config, grid size and stage-2 failure, in a fixed
     order; the failure is ``(round, fault)``, the fault on that round's
     training, or None."""
-    for name, raw in (("tiny", _CI_TINY), ("linear", _CI_LINEAR), ("abort", _CI_ABORT)):
+    for name, raw in (("tiny", _TINY), ("linear", _LINEAR), ("abort", _ABORT)):
         for mode in MODES:
             yield f"{name}-{mode}", {**raw, "mode": mode}, GRID_SIZE, None
     for mode, t, how in (("full", 3, "nan"), ("full", 3, "raise"), ("no_stage2", 2, "nan")):
         fault = (t, RuntimeError("injected failure") if how == "raise" else math.nan)
-        yield f"tiny-{mode}-{how}{t}", {**_CI_TINY, "mode": mode}, GRID_SIZE, fault
+        yield f"tiny-{mode}-{how}{t}", {**_TINY, "mode": mode}, GRID_SIZE, fault
     for seed in SEEDS:
         yield f"planted-search-{seed}", _seeded(_PLANTED_SEARCH, seed), GRID_SIZE, None
     for mode in MODES:
@@ -146,9 +147,9 @@ def corpus() -> Iterator[tuple[str, dict, int, tuple[int, object] | None]]:
         "environment": {"family": "planted", "theta_star": [0.9, 0.8, 0.5, 0.2, 0.1]},
         "stage2": {"n_samples": 512, "n_initial": 510},
     }, GRID_SIZE, None
-    hugeeta = _section(_CI_TINY, "stage2", hedge_eta=1.0e308, n_samples=20)
+    hugeeta = _section(_TINY, "stage2", hedge_eta=1.0e308, n_samples=20)
     yield "hugeeta", hugeeta, GRID_SIZE, None
-    yield "bigratio", _section(_CI_LINEAR, "stage2", ratio_max=10**9), GRID_SIZE, None
+    yield "bigratio", _section(_LINEAR, "stage2", ratio_max=10**9), GRID_SIZE, None
     for seed in range(1000, 1010):
         yield f"cli-replay-{seed}", _seeded(_CLI_REPLAY, seed), CLI_GRID_SIZE, None
 

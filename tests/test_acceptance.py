@@ -37,7 +37,7 @@ from auxmix.gp import (
     gram_matrix,
     posterior_at,
 )
-from auxmix.mixing import Stage2Config, expand_to_tasks, random_ratio, run_stage2
+from auxmix.mixing import Stage2Config, expand_to_tasks, random_ratios, run_stage2
 from auxmix.pipeline import PipelineConfig, density_csv, run_pipeline
 from auxmix.runlog import derive_seed
 
@@ -218,7 +218,7 @@ def test_criterion_06_stage2_beats_random_search():
         rng = np.random.default_rng(derive_seed(seed, "random-search"))
         random_best = max(
             env.train_full(
-                [random_ratio(4, 20, rng) for _ in range(20)],
+                random_ratios(20, 4, 20, rng),
                 [derive_seed(seed, "rs-eval", t) for t in range(20)],
             )
         )

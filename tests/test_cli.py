@@ -128,11 +128,29 @@ def test_validate_config_prints_normalized_yaml(config_file, capsys):
     assert parsed["bandit"]["n_tasks"] == 2
 
 
-def test_validate_config_rejects_bad_key(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        (b"bandit:\n  gamma: 7\n", "config key 'bandit.gamma'"),
+        (b"environment: []\n", "config key 'environment'"),
+        (b"bandit:\n  primary_task_id: 0\n", "config key 'bandit.primary_task_id'"),
+        (b"bandit:\n  n_rounds: 1000000000000\n", "config key 'bandit.n_rounds'"),
+        (b"environment:\n  family: planted\nstage2:\n  n_samples: 10000000\n",
+         "config key 'stage2.n_samples'"),
+        (b"environment:\n  family: shared-linear\n  batch_size: 100000000\n",
+         "config key 'environment.batch_size'"),
+        (b"stage2:\n  ratio_max: 1" + b"0" * 30 + b"\n", "config key 'stage2.ratio_max'"),
+        (b"\xff\xfe\x00bad", "config file '{path}': cannot read it: "),
+    ],
+    ids=["gamma", "list-environment", "primary-task-id", "n-rounds", "n-samples", "batch-size",
+         "ratio-max", "non-utf8"],
+)
+def test_validate_config_rejects_bad_key(tmp_path, capsys, text, says):
+    """A config that cannot run is refused when loaded: exit 2, naming the key or file at fault."""
     p = tmp_path / "bad.yaml"
-    p.write_text("bandit:\n  gamma: 7\n", encoding="utf-8")
+    p.write_bytes(text)
     assert run_cli("validate-config", p) == EXIT_USAGE
-    assert "bandit.gamma" in capsys.readouterr().err
+    assert says.format(path=p) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -219,6 +237,7 @@ def test_run_bad_override_is_usage_error(config_file, tmp_path, capsys):
         ("bandit..gamma=0.1", "'bandit..gamma': override key must be non-empty"),
         ("novalue", "expected KEY=VALUE, got 'novalue'"),  # argparse's own exit
         ("=1", "empty key in override '=1'"),
+        ("stage2.n_samples=1e1", "'stage2.n_samples': expected an integer, got '1e1'"),
     ],
 )
 def test_run_override_that_cannot_be_applied_is_usage_error(
@@ -422,6 +441,75 @@ def test_run_grid_size_guard(config_file, tmp_path, capsys):
         assert rc == EXIT_USAGE
         assert "grid-size" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+
+
+# A tiny planted and a tiny shared-linear config; tests/identity.py hashes
+# the files of the same runs.
+TINY_CONFIG = """\
+environment:
+  family: planted
+  theta_star: [0.9, 0.5, 0.1]
+bandit:
+  n_rounds: 20
+stage2:
+  n_samples: 4
+  n_initial: 2
+  pool_size: 32
+"""
+LINEAR_CONFIG = """\
+environment:
+  family: shared-linear
+  task_profile: [primary, useful, harmful]
+  total_batches: 200
+  n_primary_train: 48
+  primary_label_noise: 0.8
+bandit:
+  n_rounds: 20
+stage2:
+  n_samples: 4
+  n_initial: 2
+  pool_size: 32
+"""
+
+
+@pytest.mark.parametrize(
+    "text, args, stage2",
+    [
+        pytest.param(text, ["--mode", mode], {}, id=f"{name}-{mode}")
+        for name, text in (("tiny", TINY_CONFIG), ("linear", LINEAR_CONFIG))
+        for mode in ("full", "no_stage1", "no_stage2")
+    ]
+    + [
+        pytest.param(
+            TINY_CONFIG + "  hedge_eta: 1.0e+308\n", ["--set", "stage2.n_samples=20"],
+            {"hedge_eta": 1.0e308, "n_samples": 20}, id="hugeeta",
+        ),
+        pytest.param(
+            LINEAR_CONFIG + "  ratio_max: 1000000000\n", [], {"ratio_max": 10**9}, id="bigratio"
+        ),
+        pytest.param(
+            TINY_CONFIG, ["--set", "stage2.ucb_lambda=1e-1", "--set", "stage2.hedge_eta=2E0"],
+            {"ucb_lambda": 0.1, "hedge_eta": 2.0}, id="exponent-literals",
+        ),
+    ],
+)
+def test_a_run_replays_and_replots_its_csv_with_warnings_as_errors(
+    tmp_path, text, args, stage2
+):
+    """The run and its replay exit 0, its stage-2 log header carries each
+    ``stage2`` setting, and ``plot-utilities`` re-renders its CSV byte for byte."""
+    config, out, replot = tmp_path / "run.yaml", tmp_path / "run", tmp_path / "replot.csv"
+    config.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("run", config, "--out", out, "--grid-size", 10, *args) == EXIT_OK
+        assert run_cli("replay", out) == EXIT_OK
+        plot = ["plot-utilities", out / "stage1.log.jsonl", "--grid-size", 10, "--out", replot]
+        assert run_cli(*plot) == EXIT_OK
+    assert replot.read_bytes() == (out / "utilities.csv").read_bytes()
+    header = (out / "stage2.log.jsonl").read_text(encoding="utf-8").split("\n", 1)[0]
+    for key, value in stage2.items():
+        assert f'"{key}":{json.dumps(value)}' in header
 
 
 # --------------------------------------------------------- aborted runs

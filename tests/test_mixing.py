@@ -27,12 +27,11 @@ from auxmix.mixing import (
     MixingRatio,
     Stage2Config,
     _grid_moves,
-    _neighbor_points,
     decode,
     encode,
     expand_to_tasks,
     propose_next,
-    random_ratio,
+    random_ratios,
     run_stage2,
     validate_ratio,
 )
@@ -130,34 +129,36 @@ def test_ratio_cycle_block_form():
 
 
 def test_random_ratio_stays_on_valid_grid():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        ratio = random_ratio(3, 20, rng)
+    for ratio in random_ratios(200, 3, 20, np.random.default_rng(3)):
         assert 1 <= ratio.counts[0] <= 20
         assert all(0 <= c <= 20 for c in ratio.counts[1:])
 
 
 @given(
+    n=st.integers(1, 5),
     n_tasks=st.integers(1, 10),
     ratio_max=st.integers(1, MAX_RATIO_MAX),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n_tasks=10, ratio_max=MAX_RATIO_MAX, seed=0)
-@example(n_tasks=1, ratio_max=1, seed=0)
-def test_random_ratio_draws_what_one_scalar_call_per_count_draws(n_tasks, ratio_max, seed):
+@example(n=3, n_tasks=10, ratio_max=MAX_RATIO_MAX, seed=0)
+@example(n=3, n_tasks=1, ratio_max=1, seed=0)
+def test_random_ratio_draws_what_one_scalar_call_per_count_draws(n, n_tasks, ratio_max, seed):
     """One ``integers`` call with a lower bound per count gives the counts,
-    and leaves the generator state, of one scalar call per count."""
+    and leaves the generator state, of one scalar call per count, ratio by ratio."""
     rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        counts = [int(scalar_rng.integers(1, ratio_max + 1))]
-        counts += [int(scalar_rng.integers(0, ratio_max + 1)) for _ in range(n_tasks - 1)]
-        assert random_ratio(n_tasks, ratio_max, rng).counts == tuple(counts)
+        expected = []
+        for _ in range(n):
+            counts = [int(scalar_rng.integers(1, ratio_max + 1))]
+            counts += [int(scalar_rng.integers(0, ratio_max + 1)) for _ in range(n_tasks - 1)]
+            expected.append(tuple(counts))
+        assert [r.counts for r in random_ratios(n, n_tasks, ratio_max, rng)] == expected
         assert rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 def test_random_ratio_reaches_grid_extremes():
     rng = np.random.default_rng(4)
-    draws = [random_ratio(2, 20, rng) for _ in range(2000)]
+    draws = random_ratios(2000, 2, 20, rng)
     assert any(r.counts[0] == 1 for r in draws)
     assert any(r.counts[0] == 20 for r in draws)
     assert any(r.counts[1] == 0 for r in draws)
@@ -188,14 +189,28 @@ def test_stage2_config_validation():
 
 # ------------------------------------------------------------ propose_next
 
-def test_neighbor_points_are_one_step_moves():
-    x = np.array([0.5, 0.0])
-    pts = _neighbor_points(x, 20)
-    assert pts.shape == (4, 2)
-    expected = {(0.45, 0.0), (0.55, 0.0), (0.5, 0.05)}
-    got = {tuple(np.round(p, 10)) for p in pts}
-    assert expected <= got
-    assert all(0.0 <= v <= 1.0 for p in pts for v in p)
+def _neighbors(incumbent_x, ratio_max):
+    """The incumbent's one-grid-step moves clipped to the unit box, the last
+    ``2 d`` rows of :func:`propose_next`'s pool."""
+    return np.clip(incumbent_x + _grid_moves(incumbent_x.size, ratio_max), 0.0, 1.0)
+
+
+def test_neighbor_points_are_one_step_moves(monkeypatch):
+    """The pool ends with the incumbent's grid neighbors, clipped to the box."""
+    pools = []
+
+    def recording_posterior(model, pool):
+        pools.append(pool.copy())
+        return posterior(model, pool)
+
+    monkeypatch.setattr(mixing, "posterior", recording_posterior)
+    for x in [(0.5, 0.0), (0.5, 0.0, 1.0)]:
+        model = fit(np.array([[0.1] * len(x), x]), np.array([0.2, 0.8]))
+        propose_next(model, HedgeState(), Stage2Config(pool_size=8), np.random.default_rng(0))
+        assert pools[-1].shape == (8 + 2 * len(x), len(x))
+        assert pools[-1][8:].tobytes() == _neighbors(np.array(x), 20).tobytes()
+    moves = [tuple(np.round(p, 10)) for p in pools[0][8:]]
+    assert moves == [(0.45, 0.0), (0.55, 0.0), (0.5, 0.0), (0.5, 0.05)]
 
 
 def test_grid_moves_are_cached_per_width_and_grid_and_read_only():
@@ -203,10 +218,6 @@ def test_grid_moves_are_cached_per_width_and_grid_and_read_only():
     assert _grid_moves(3, 20) is moves
     assert not moves.flags.writeable
     assert moves.tolist() == (np.eye(3)[:, None, :] * [[-0.05], [0.05]]).reshape(6, 3).tolist()
-    out = np.empty((6, 3))
-    x = np.array([0.5, 0.0, 1.0])
-    assert _neighbor_points(x, 20, out=out) is out
-    assert out.tobytes() == np.clip(x + moves, 0.0, 1.0).tobytes()
 
 
 def _toy_model(nu=2.5):
@@ -253,7 +264,7 @@ def test_ucb_lambda_zero_nominates_posterior_mean_argmax():
     relay = np.random.default_rng(21)
     pool = relay.random((64, 2))
     best_idx = int(np.argmax(model.observations))
-    pool = np.vstack([pool, _neighbor_points(model.points[best_idx], 20)])
+    pool = np.vstack([pool, _neighbors(model.points[best_idx], 20)])
     means = np.array([posterior_at(model, x).mean for x in pool])
     assert ratio == decode(pool[int(np.argmax(means))], 20)
 
@@ -264,7 +275,7 @@ def _propose_next_reference(model, hedge, pool_size, rng, ratio_max=20, ucb_lamb
     best_idx = int(np.argmax(model.observations))
     tau = float(model.observations[best_idx])
     pool = rng.random((pool_size, model.points.shape[1]))
-    pool = np.vstack([pool, _neighbor_points(model.points[best_idx], ratio_max)])
+    pool = np.vstack([pool, _neighbors(model.points[best_idx], ratio_max)])
     posts = [posterior_at(model, x) for x in pool]
     scores = [
         [probability_of_improvement(p, tau) for p in posts],
@@ -310,7 +321,7 @@ def test_propose_next_credits_the_bits_of_the_nominees_posterior_mean():
         )
         pool_rng = np.random.default_rng(seed)
         best = int(np.argmax(model.observations))
-        pool = np.vstack([pool_rng.random((256, d)), _neighbor_points(model.points[best], 20)])
+        pool = np.vstack([pool_rng.random((256, d)), _neighbors(model.points[best], 20)])
         post, tau = posterior(model, pool), float(model.observations[best])
         scores = [
             probability_of_improvement(post, tau),
@@ -507,7 +518,7 @@ def _run_stage2_reference(env, tasks, config):
         env_ratios = [expand_to_tasks(r, task_ids, env.n_tasks) for r in ratios]
         return env.train_full(env_ratios, [derive_seed(config.rng_seed, "eval", t) for t in rounds])
 
-    history = [random_ratio(len(task_ids), config.ratio_max, rng) for _ in range(config.n_initial)]
+    history = random_ratios(config.n_initial, len(task_ids), config.ratio_max, rng)
     scores = train(history, range(config.n_initial))
     rows = [(ratio, "random", None, None) for ratio in history]
     gains = (0.0, 0.0, 0.0)
@@ -517,7 +528,7 @@ def _run_stage2_reference(env, tasks, config):
         best_idx = int(np.argmax(model.observations))
         tau = float(model.observations[best_idx])
         pool = rng.random((config.pool_size, xs.shape[1]))
-        pool = np.vstack([pool, _neighbor_points(model.points[best_idx], config.ratio_max)])
+        pool = np.vstack([pool, _neighbors(model.points[best_idx], config.ratio_max)])
         post = posterior(model, pool)
         acquisition_scores = [
             probability_of_improvement(post, tau),
@@ -623,7 +634,7 @@ def test_run_stage2_trains_the_initial_design_as_one_batch():
     _, _, log, _ = run_stage2(env, PRIMARY_ONLY, cfg)
     assert env.batch_sizes == [1 + 4, 1, 1, 1]  # the baseline leads the first batch
     rng = np.random.default_rng(derive_seed(3, "stage2"))
-    initial = [list(random_ratio(1, cfg.ratio_max, rng).counts) for _ in range(4)]
+    initial = [list(ratio.counts) for ratio in random_ratios(4, 1, cfg.ratio_max, rng)]
     assert [line["proposed_ratio"] for line in log.records[:4]] == initial
     assert [line["round"] for line in log.records] == list(range(7))
 
