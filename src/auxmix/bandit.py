@@ -100,15 +100,6 @@ def initial_arms(config: BanditConfig) -> tuple[np.ndarray, np.ndarray]:
     return alpha, np.full(config.n_tasks, config.beta0, dtype=float)
 
 
-def compute_reward(metric_now: float, metric_prev: float) -> int:
-    """1 when the metric improved or held steady, else 0."""
-    if not (math.isfinite(metric_now) and math.isfinite(metric_prev)):
-        raise ValueError(
-            f"metrics must be finite, got now={metric_now!r} prev={metric_prev!r}"
-        )
-    return 1 if metric_now >= metric_prev else 0
-
-
 def update_posterior(
     alpha: np.ndarray, beta: np.ndarray, arm: int, reward: int, config: BanditConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +235,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
             k = thetas.index(max(thetas))
             env.step(k)
             metric_now = _finite_metric(env)
-            reward = compute_reward(metric_now, metric_prev)
+            reward = int(metric_now >= metric_prev)
             alpha, beta = _decay_credit(alpha, beta, k, reward, rates)
             log.append(round=t, selected_arm=k, reward=reward, metric=metric_now)
             metric_prev = metric_now

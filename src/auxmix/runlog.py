@@ -159,20 +159,22 @@ def loads_line(text: str, lineno: int, path: str | Path) -> Any:
         raise ValueError(f"malformed JSON on line {lineno} of {path}: {exc}") from exc
 
 
-def split_log(raw: str, path: str | Path) -> tuple[dict, list[str]]:
-    """Parse and check a run log's header; return it with all non-blank lines,
-    the header's included.
+def split_log(raw: str, path: str | Path) -> tuple[dict, list[tuple[int, str]]]:
+    """Parse and check a run log's header; return it with every non-blank
+    line, the header's included, as ``(lineno, text)``.
 
-    Only the first line is parsed, so callers that compare lines as text
-    (replay) never decode the records.  Raises ``ValueError`` if the text
-    holds no line or its first line is not a JSON header record.
+    ``lineno`` counts physical lines from 1, blank ones included, as replay
+    does.  Only the first non-blank line is parsed, so callers that compare
+    lines as text (replay) never decode the records.  Raises ``ValueError``
+    if the text holds no such line or it is not a JSON header record.
     """
-    lines = [ln for ln in raw.split("\n") if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(raw.split("\n"), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty run log: {path}")
-    header = loads_line(lines[0], 1, path)
+    lineno, first = lines[0]
+    header = loads_line(first, lineno, path)
     if not isinstance(header, dict) or "schema_version" not in header or "kind" not in header:
-        raise ValueError(f"missing log header on line 1 of {path}")
+        raise ValueError(f"missing log header on line {lineno} of {path}")
     return header, lines
 
 
@@ -196,4 +198,4 @@ def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
     """Read a run log, returning ``(header, records)``; raises ``ValueError``
     as :func:`split_log` does, or for a line that is not valid JSON."""
     header, lines = split_log(Path(path).read_text(encoding="utf-8"), path)
-    return header, [loads_line(ln, i, path) for i, ln in enumerate(lines[1:], 2)]
+    return header, [loads_line(ln, i, path) for i, ln in lines[1:]]

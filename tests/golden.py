@@ -1,8 +1,9 @@
 """Platform-independent projection of six tiny CLI runs, and its regeneration.
 
-The runs use CI's tiny budgets (20 stage-1 rounds, 4 stage-2 evaluations of
-which 2 are random, a 32-point pool, ``--grid-size 10``) in each of the three
-modes, for one planted and one shared-linear config.  The projection keeps
+The runs are ``TINY`` and ``TINY_SHARED_LINEAR`` of ``tests/configs.py``,
+on CI's tiny budgets (20 stage-1 rounds, 4 stage-2 evaluations of which 2
+are random, a 32-point pool), at ``--grid-size 10`` in each of the three
+modes.  The projection keeps
 what replay across machines can promise:
 
 * ``EXACT`` fields come from the seeded generators, scalar arithmetic and
@@ -42,23 +43,14 @@ import yaml
 from auxmix.bandit import BanditConfig, belief_path
 from auxmix.cli import EXIT_OK, main
 from auxmix.runlog import read_jsonl
+from configs import TINY, TINY_SHARED_LINEAR
 
 FIXTURE = Path(__file__).with_name("golden_projection.json")
 MODES = ("full", "no_stage1", "no_stage2")
 GRID_SIZE = 10
 RTOL = 1e-9
 
-_BUDGETS = {
-    "bandit": {"n_rounds": 20},
-    "stage2": {"n_samples": 4, "n_initial": 2, "pool_size": 32},
-}
-CONFIGS = {
-    "planted": {"environment": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]}, **_BUDGETS},
-    "shared-linear": {
-        "environment": {"family": "shared-linear", "total_batches": 200},
-        **_BUDGETS,
-    },
-}
+CONFIGS = {"planted": TINY, "shared-linear": TINY_SHARED_LINEAR}
 
 # Projected fields, as (source, field): "report" is report.json, "beliefs" the
 # final beliefs folded from the stage-1 log, "utilities" the density column of

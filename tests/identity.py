@@ -3,23 +3,23 @@
 Each run of the corpus is rendered in process, as ``auxmix run`` renders it
 (``pipeline.run_files``, at ``--grid-size 10`` unless said otherwise), and
 nothing is written to disk.  The sweep prints one ``run/file sha256`` line per file, then
-``corpus <sha256>`` over those lines.  The corpus covers:
+``corpus <sha256>`` over those lines.  The corpus runs these configs of
+``tests/configs.py``, which the tests and CI's smoke steps run too:
 
-* the tiny planted config of the CI console-script smoke and the tiny
-  shared-linear config of ``tests/test_cli.py``, in all three modes;
-* the smoke's ``learning_rate: 50`` config in all three modes, which aborts
-  in stage 1 and, without stage 1, at the baseline;
-* aborts inside stage 2, which no shipped config reaches (a diverging
-  shared-linear run fails at the baseline first): the tiny config with
-  a fault of ``faults.py`` on the training of GP round 3 in ``full`` mode,
-  NaN and an exception, and NaN on round 2 in ``no_stage2`` mode;
-* the benchmark's planted-search config, seeds 1000-1039;
-* the criterion-07 environment in all three modes, seeds 1000-1039;
-* the criterion-06 environment (``no_stage1``, 20 evaluations), seeds 1000-1199;
-* a 512-evaluation planted ``no_stage1`` run with 510 random evaluations;
+* ``TINY`` and ``LINEAR`` in all three modes;
+* ``DIVERGING`` in all three modes, which aborts in stage 1 and, without
+  stage 1, at the baseline;
+* aborts inside stage 2, which no shipped config reaches (``DIVERGING``
+  fails at the baseline first): ``TINY`` with a fault of ``faults.py`` on
+  the training of GP round 3 in ``full`` mode, NaN and an exception, and
+  NaN on round 2 in ``no_stage2`` mode;
+* ``PLANTED_SEARCH``, seeds 1000-1039;
+* ``CRITERION_07_ENVIRONMENT`` in all three modes, seeds 1000-1039;
+* ``CRITERION_06_ENVIRONMENT`` (``no_stage1``, 20 evaluations), seeds 1000-1199;
+* ``LONGINIT512``, 512 evaluations of which 510 are random;
 * the ``hedge_eta: 1.0e+308`` and ``ratio_max: 10^9`` runs of ``tests/test_cli.py``;
-* the benchmark's cli-replay config (10 planted tasks, 2000 stage-1 rounds),
-  seeds 1000-1009, at the CLI's default grid of 1000.
+* ``CLI_REPLAY`` (10 planted tasks, 2000 stage-1 rounds), seeds 1000-1009,
+  at the CLI's default grid of 1000.
 
 The hashes depend on the machine's BLAS and libm, so compare them only
 between trees rendered on one machine::
@@ -52,6 +52,17 @@ import tempfile
 from pathlib import Path
 from typing import Iterator
 
+from configs import (
+    CLI_REPLAY,
+    CRITERION_06_ENVIRONMENT,
+    CRITERION_07_ENVIRONMENT,
+    DIVERGING,
+    LINEAR,
+    LONGINIT512,
+    PLANTED_SEARCH,
+    TINY,
+    section,
+)
 from faults import Faults
 
 GRID_SIZE = 10
@@ -59,99 +70,37 @@ CLI_GRID_SIZE = 1000  # the CLI's default --grid-size
 SEEDS = range(1000, 1040)
 MODES = ("full", "no_stage1", "no_stage2")
 
-_TINY_BUDGETS = {
-    "bandit": {"n_rounds": 20},
-    "stage2": {"n_samples": 4, "n_initial": 2, "pool_size": 32},
-}
-_TINY = {"environment": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]}, **_TINY_BUDGETS}
-_LINEAR = {
-    "environment": {
-        "family": "shared-linear",
-        "task_profile": ["primary", "useful", "harmful"],
-        "total_batches": 200,
-        "n_primary_train": 48,
-        "primary_label_noise": 0.8,
-    },
-    **_TINY_BUDGETS,
-}
-_ABORT = {
-    "environment": {
-        "family": "shared-linear",
-        "task_profile": ["primary", "useful", "harmful"],
-        "learning_rate": 50,
-        "total_batches": 2000,
-    },
-    "bandit": {"n_rounds": 20},
-    "stage2": {"n_samples": 4, "n_initial": 2},
-}
-_PLANTED_SEARCH = {"environment": {"family": "planted", "theta_star": [0.8, 0.9, 0.9, 0.1, 0.1]}}
-_CLI_REPLAY = {
-    "environment": {
-        "family": "planted",
-        "theta_star": [0.8, 0.9, 0.85, 0.7, 0.6, 0.4, 0.3, 0.2, 0.1, 0.1],
-    },
-    "bandit": {"n_rounds": 2000},
-    "stage2": {"n_samples": 6, "n_initial": 5},
-}
-_NOISY_PRIMARY = {
-    "n_primary_train": 48,
-    "primary_label_noise": 0.8,
-    "n_aux": 256,
-    "useful_shift": 0.05,
-    "harmful_scale": 1.0,
-}
-_CRITERION_07 = {
-    "family": "shared-linear",
-    "task_profile": ["primary", "useful", "useful", "useful", "harmful", "harmful", "harmful"],
-    "total_batches": 500,
-    **_NOISY_PRIMARY,
-}
-_CRITERION_06 = {
-    "family": "shared-linear",
-    "task_profile": ["primary", "useful", "useful", "harmful"],
-    "total_batches": 400,
-    **_NOISY_PRIMARY,
-}
-
-
-def _section(raw: dict, section: str, **values) -> dict:
-    return {**raw, section: {**raw.get(section, {}), **values}}
-
 
 def _seeded(raw: dict, seed: int) -> dict:
     """``raw`` with both stage seeds set to ``seed``, as ``auxmix run --seeds`` sets them."""
-    return _section(_section(raw, "bandit", rng_seed=seed), "stage2", rng_seed=seed)
+    return section(section(raw, "bandit", rng_seed=seed), "stage2", rng_seed=seed)
 
 
 def corpus() -> Iterator[tuple[str, dict, int, tuple[int, object] | None]]:
     """Each run's name, raw config, grid size and stage-2 failure, in a fixed
     order; the failure is ``(round, fault)``, the fault on that round's
     training, or None."""
-    for name, raw in (("tiny", _TINY), ("linear", _LINEAR), ("abort", _ABORT)):
+    for name, raw in (("tiny", TINY), ("linear", LINEAR), ("abort", DIVERGING)):
         for mode in MODES:
             yield f"{name}-{mode}", {**raw, "mode": mode}, GRID_SIZE, None
     for mode, t, how in (("full", 3, "nan"), ("full", 3, "raise"), ("no_stage2", 2, "nan")):
         fault = (t, RuntimeError("injected failure") if how == "raise" else math.nan)
-        yield f"tiny-{mode}-{how}{t}", {**_TINY, "mode": mode}, GRID_SIZE, fault
+        yield f"tiny-{mode}-{how}{t}", {**TINY, "mode": mode}, GRID_SIZE, fault
     for seed in SEEDS:
-        yield f"planted-search-{seed}", _seeded(_PLANTED_SEARCH, seed), GRID_SIZE, None
+        yield f"planted-search-{seed}", _seeded(PLANTED_SEARCH, seed), GRID_SIZE, None
     for mode in MODES:
         for seed in SEEDS:
-            raw = _seeded({"mode": mode, "environment": _CRITERION_07}, seed)
+            raw = _seeded({"mode": mode, "environment": CRITERION_07_ENVIRONMENT}, seed)
             yield f"c07-{mode}-{seed}", raw, GRID_SIZE, None
     for seed in range(1000, 1200):
-        raw = _seeded({"mode": "no_stage1", "environment": _CRITERION_06}, seed)
+        raw = _seeded({"mode": "no_stage1", "environment": CRITERION_06_ENVIRONMENT}, seed)
         yield f"c06-{seed}", raw, GRID_SIZE, None
-    yield "longinit512", {
-        "mode": "no_stage1",
-        "environment": {"family": "planted", "theta_star": [0.9, 0.8, 0.5, 0.2, 0.1]},
-        "stage2": {"n_samples": 512, "n_initial": 510},
-    }, GRID_SIZE, None
-    hugeeta = _section(_TINY, "stage2", hedge_eta=1.0e308, n_samples=20)
+    yield "longinit512", LONGINIT512, GRID_SIZE, None
+    hugeeta = section(TINY, "stage2", hedge_eta=1.0e308, n_samples=20)
     yield "hugeeta", hugeeta, GRID_SIZE, None
-    yield "bigratio", _section(_LINEAR, "stage2", ratio_max=10**9), GRID_SIZE, None
+    yield "bigratio", section(LINEAR, "stage2", ratio_max=10**9), GRID_SIZE, None
     for seed in range(1000, 1010):
-        yield f"cli-replay-{seed}", _seeded(_CLI_REPLAY, seed), CLI_GRID_SIZE, None
+        yield f"cli-replay-{seed}", _seeded(CLI_REPLAY, seed), CLI_GRID_SIZE, None
 
 
 def _files(raw: dict, grid_size: int, fault: tuple[int, object] | None) -> dict[str, str]:
@@ -184,8 +133,8 @@ def render() -> list[str]:
 def call_at(rev: str, call: str):
     """The value of ``call``, an expression over this script's names,
     evaluated in a fresh interpreter on the ``src`` of ``git archive rev``,
-    with this script's directory on the path for :mod:`faults`, and passed
-    back as JSON."""
+    with this script's directory on the path for :mod:`configs` and
+    :mod:`faults`, and passed back as JSON."""
     here = Path(__file__).resolve()
     root = here.parents[1]
     archive = subprocess.run(

@@ -1,7 +1,7 @@
 """Peak memory of the largest stage-2 search a config may ask for, against its bound.
 
-Runs the planted theta* = (.9, .8, .5, .2, .1) config in ``no_stage1`` mode
-at ``n_samples`` = ``gp.MAX_N_SAMPLES`` (512), ``n_initial`` 510 and
+Runs ``LONGINIT512`` of ``tests/configs.py``, a planted ``no_stage1`` run
+at ``n_samples`` = ``gp.MAX_N_SAMPLES`` (512), 510 of them random, with
 ``pool_size`` = ``mixing.MAX_POOL_SIZE`` (2^14) in a fresh interpreter, BLAS
 on one thread, and reads the child's ``ru_maxrss`` (in MB of 2^20 bytes,
 as ``perfbench`` reports ``peak_rss_mb``).  The bound is the one the comment
@@ -20,16 +20,13 @@ import sys
 import time
 from pathlib import Path
 
+from configs import LONGINIT512, section
+
 MIXING = Path(__file__).resolve().parents[1] / "src" / "auxmix" / "mixing.py"
 
-RUN = """
+RUN = f"""
 from auxmix import cli, config
-raw = {
-    "mode": "no_stage1",
-    "environment": {"family": "planted", "theta_star": [0.9, 0.8, 0.5, 0.2, 0.1]},
-    "stage2": {"n_samples": 512, "n_initial": 510, "pool_size": 2**14},
-}
-cli._outcome(config.to_pipeline_config(raw))
+cli._outcome(config.to_pipeline_config({section(LONGINIT512, "stage2", pool_size=2**14)!r}))
 """
 
 

@@ -11,14 +11,11 @@ import pytest
 from auxmix import config, pipeline
 from auxmix.pipeline import PIPELINE_MODES
 from auxmix.runlog import RunAborted, derive_seed
+from configs import TINY, section
 from faults import Faults
 
-N_SAMPLES, N_INITIAL = 4, 2
-RAW = {
-    "environment": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]},
-    "bandit": {"n_rounds": 8},
-    "stage2": {"n_samples": N_SAMPLES, "n_initial": N_INITIAL, "pool_size": 32},
-}
+RAW = section(TINY, "bandit", n_rounds=8)
+N_SAMPLES, N_INITIAL = RAW["stage2"]["n_samples"], RAW["stage2"]["n_initial"]
 FAULTS = {"raise": RuntimeError("injected failure"), "nan": math.nan}
 
 

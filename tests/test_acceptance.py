@@ -29,7 +29,7 @@ from auxmix.bandit import (
     utility_density_table,
 )
 from auxmix.cli import EXIT_OK, main
-from auxmix.environments import PlantedBanditEnv, SharedParamMtlEnv, make_environment
+from auxmix.environments import PlantedBanditEnv, make_environment
 from auxmix.gp import (
     KernelParams,
     Posterior,
@@ -40,6 +40,7 @@ from auxmix.gp import (
 from auxmix.mixing import Stage2Config, expand_to_tasks, random_ratios, run_stage2
 from auxmix.pipeline import PipelineConfig, density_csv, run_pipeline
 from auxmix.runlog import derive_seed
+from configs import CRITERION_06_ENVIRONMENT, CRITERION_07_ENVIRONMENT
 
 
 def verdict(number: int, label: str, ok: bool, detail: str) -> None:
@@ -198,15 +199,7 @@ def test_criterion_05_matern_unit_distance_values():
 
 def test_criterion_06_stage2_beats_random_search():
     start = time.perf_counter()
-    env = SharedParamMtlEnv(
-        task_profile=("primary", "useful", "useful", "harmful"),
-        n_primary_train=48,
-        primary_label_noise=0.8,
-        n_aux=256,
-        useful_shift=0.05,
-        harmful_scale=1.0,
-        total_batches=400,
-    )
+    env = make_environment(CRITERION_06_ENVIRONMENT)
     from auxmix.bandit import TaskSelection
 
     sel = TaskSelection(selected_task_ids=(0, 1, 2, 3), expected_utilities=(1.0,) * 4)
@@ -235,25 +228,7 @@ def test_criterion_06_stage2_beats_random_search():
 
 def test_criterion_07_ablation_ordering():
     start = time.perf_counter()
-    environment = {
-        "family": "shared-linear",
-        "task_profile": [
-            "primary",
-            "useful",
-            "useful",
-            "useful",
-            "harmful",
-            "harmful",
-            "harmful",
-        ],
-        "n_primary_train": 48,
-        "primary_label_noise": 0.8,
-        "n_aux": 256,
-        "useful_shift": 0.05,
-        "harmful_scale": 1.0,
-        "total_batches": 500,
-    }
-    env = make_environment(environment)  # every run resets or does not read its state
+    env = make_environment(CRITERION_07_ENVIRONMENT)  # every run resets or does not read its state
     scores = {m: [] for m in ("full", "no_stage1", "no_stage2")}
     baselines = []
     for seed in range(20):

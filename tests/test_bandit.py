@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from auxmix.bandit import (
     BanditConfig,
     belief_path,
-    compute_reward,
     initial_arms,
     run_stage1,
     select_tasks,
@@ -171,21 +170,6 @@ def test_sample_utilities_extreme_arms():
         assert near(draws).mean() > 0.999 - 3 * math.sqrt(0.001 * 0.999 / n)
 
 
-# ----------------------------------------------------------- compute_reward
-
-def test_compute_reward_cases():
-    assert compute_reward(0.80, 0.78) == 1
-    assert compute_reward(0.78, 0.80) == 0
-    assert compute_reward(0.80, 0.80) == 1
-
-
-def test_compute_reward_nonfinite_is_error():
-    with pytest.raises(ValueError):
-        compute_reward(float("nan"), 0.5)
-    with pytest.raises(ValueError):
-        compute_reward(0.5, float("inf"))
-
-
 # --------------------------------------------------------- update_posterior
 
 def test_update_selected_arm_stationary():
@@ -335,6 +319,14 @@ def test_run_stage1_record_schema():
         assert rec["round"] == t
         assert rec["reward"] in (0, 1)
     assert thompson_draws(log.records, cfg).shape == (3, 3)
+
+
+def test_run_stage1_rewards_a_rise_or_a_hold_of_the_metric():
+    """A round's reward is 1 when its metric rose or held, 0 when it fell."""
+    metrics = [0.78, 0.80, 0.78, 0.78]  # the metric after reset, then after each round
+    faults = {("validation_metric", n): metric for n, metric in enumerate(metrics)}
+    _, log = run_stage1(Faults(PlantedBanditEnv([0.5] * 5), faults), make_config(n_rounds=3))
+    assert [(r["metric"], r["reward"]) for r in log.records] == [(0.80, 1), (0.78, 0), (0.78, 1)]
 
 
 def test_run_stage1_zero_rounds_selects_from_priors():

@@ -23,6 +23,7 @@ from auxmix.pipeline import density_csv, run_pipeline
 from auxmix.bandit import MAX_DENSITY_GRID_SIZE, BanditConfig, belief_path, thompson_draws
 from auxmix.bandit import utility_density_table
 from auxmix.runlog import SCHEMA_VERSION, RunAborted, canonical_dumps, derive_seed, read_jsonl
+from configs import DIVERGING, LINEAR, TINY, section
 from faults import patched
 
 SMALL_CONFIG = """\
@@ -443,33 +444,9 @@ def test_run_grid_size_guard(config_file, tmp_path, capsys):
         assert not (tmp_path / "g").exists()
 
 
-# A tiny planted and a tiny shared-linear config; tests/identity.py hashes
-# the files of the same runs.
-TINY_CONFIG = """\
-environment:
-  family: planted
-  theta_star: [0.9, 0.5, 0.1]
-bandit:
-  n_rounds: 20
-stage2:
-  n_samples: 4
-  n_initial: 2
-  pool_size: 32
-"""
-LINEAR_CONFIG = """\
-environment:
-  family: shared-linear
-  task_profile: [primary, useful, harmful]
-  total_batches: 200
-  n_primary_train: 48
-  primary_label_noise: 0.8
-bandit:
-  n_rounds: 20
-stage2:
-  n_samples: 4
-  n_initial: 2
-  pool_size: 32
-"""
+# The files of these runs are hashed by tests/identity.py too.  The dump
+# sorts its keys, so a line appended to it lands in the stage2 section.
+TINY_CONFIG, LINEAR_CONFIG = yaml.safe_dump(TINY), yaml.safe_dump(LINEAR)
 
 
 @pytest.mark.parametrize(
@@ -485,7 +462,8 @@ stage2:
             {"hedge_eta": 1.0e308, "n_samples": 20}, id="hugeeta",
         ),
         pytest.param(
-            LINEAR_CONFIG + "  ratio_max: 1000000000\n", [], {"ratio_max": 10**9}, id="bigratio"
+            yaml.safe_dump(section(LINEAR, "stage2", ratio_max=10**9)), [], {"ratio_max": 10**9},
+            id="bigratio",
         ),
         pytest.param(
             TINY_CONFIG, ["--set", "stage2.ucb_lambda=1e-1", "--set", "stage2.hedge_eta=2E0"],
@@ -569,26 +547,10 @@ def test_environment_failure_aborts_with_partial_logs(
     assert f"divergence: {out_dir / 'report.json'} is missing\n" in err
 
 
-# A shared-linear run whose learning rate makes SGD overflow, so it aborts
-# from its config alone: with 20 stage-1 rounds the metric is NaN at round 15,
-# and with none the baseline's score is NaN.
-DIVERGING_CONFIG = """\
-environment:
-  family: shared-linear
-  task_profile: [primary, useful, harmful]
-  learning_rate: 50
-  total_batches: 2000
-bandit:
-  n_rounds: 20
-stage2:
-  n_samples: 4
-  n_initial: 2
-"""
-
 @pytest.fixture()
 def diverging_config(tmp_path):
     p = tmp_path / "diverging.yaml"
-    p.write_text(DIVERGING_CONFIG, encoding="utf-8")
+    p.write_text(yaml.safe_dump(DIVERGING), encoding="utf-8")
     return p
 
 
@@ -753,20 +715,6 @@ def test_replay_of_a_csv_padded_past_the_grid_bound_renders_no_larger_grid(
     assert run_cli("replay", finished_run) == EXIT_RUNTIME
     assert f"of {csv_path}\n" in capsys.readouterr().err
     assert grids == [MAX_DENSITY_GRID_SIZE]
-
-
-def test_replay_detects_flipped_record(finished_run, capsys):
-    log = finished_run / "stage1.log.jsonl"
-    lines = log.read_text(encoding="utf-8").strip().split("\n")
-    record = json.loads(lines[3])
-    record["reward"] = 1 - record["reward"]
-    lines[3] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    assert run_cli("replay", log) == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert "divergence at round 2" in err
-    assert "line 4" in err
 
 
 def test_replay_names_malformed_first_divergent_line(finished_run, capsys):
@@ -966,56 +914,51 @@ def _rewrite_header(log: Path, edit) -> None:
     log.write_text("\n".join([canonical_dumps(header), *lines[1:]]) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["stage1.log.jsonl", "stage2.log.jsonl"])
-def test_replay_refuses_a_log_of_another_schema_version(finished_run, capsys, name):
-    log = finished_run / name
-    _rewrite_header(log, lambda header: header.update(schema_version=1))
-    assert run_cli("replay", log) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"log schema version 1, this build replays version {SCHEMA_VERSION}" in err
-    assert "divergence" not in err
-
-
-def test_replay_refuses_a_v2_log(finished_run, capsys):
-    """A current run relabelled as version 2 is refused before any regeneration."""
-    log = finished_run / "stage1.log.jsonl"
-    _rewrite_header(log, lambda header: header.update(schema_version=2))
-    assert run_cli("replay", log) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"log schema version 2, this build replays version {SCHEMA_VERSION}" in err
-    assert "divergence" not in err
-
-
-def test_replay_refuses_a_v3_log(finished_run, capsys):
-    """A version-3 stage-1 header also carried ``final_arms``; such a log,
-    with or without that field, is refused before any regeneration."""
-    log = finished_run / "stage1.log.jsonl"
-    header, records = read_jsonl(log)
-    *_, (alpha, beta) = belief_path(records, BanditConfig(**header["config"]["bandit"]))
-    for extra in ({}, {"final_arms": [list(arm) for arm in zip(alpha.tolist(), beta.tolist())]}):
-        _rewrite_header(log, lambda header: header.update(schema_version=3, **extra))
-        assert run_cli("replay", log) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert f"log schema version 3, this build replays version {SCHEMA_VERSION}" in err
-        assert "divergence" not in err
-
-
 def _as_v4(header: dict, **bandit) -> None:
     """Relabel a header as schema version 4, with ``bandit`` added to its bandit config."""
     header["schema_version"] = 4
     header["config"]["bandit"].update(bandit)
 
 
-def test_replay_refuses_a_v4_log(finished_run, capsys):
-    """A version-4 header's config also carried ``bandit.primary_task_id``;
-    such a log, with or without that key, is refused before any regeneration."""
-    log = finished_run / "stage1.log.jsonl"
-    for extra in ({}, {"primary_task_id": 0}):
-        _rewrite_header(log, lambda header: _as_v4(header, **extra))
-        assert run_cli("replay", log) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert f"log schema version 4, this build replays version {SCHEMA_VERSION}" in err
-        assert "divergence" not in err
+def _with_final_arms(header: dict, records: list[dict]) -> None:
+    """Add the ``final_arms`` that a version-3 stage-1 header carried."""
+    *_, (alpha, beta) = belief_path(records, BanditConfig(**header["config"]["bandit"]))
+    header["final_arms"] = [list(arm) for arm in zip(alpha.tolist(), beta.tolist())]
+
+
+@pytest.mark.parametrize(
+    "name, version, extra",
+    [
+        pytest.param("stage1.log.jsonl", 1, None, id="stage1.log.jsonl"),
+        pytest.param("stage2.log.jsonl", 1, None, id="stage2.log.jsonl"),
+        pytest.param("stage1.log.jsonl", 2, None, id="v2"),
+        pytest.param("stage1.log.jsonl", 3, None, id="v3"),
+        pytest.param("stage1.log.jsonl", 3, _with_final_arms, id="v3-final-arms"),
+        pytest.param("stage1.log.jsonl", 4, None, id="v4"),
+        pytest.param(
+            "stage1.log.jsonl", 4, lambda header, _: _as_v4(header, primary_task_id=0),
+            id="v4-primary-task-id",
+        ),
+    ],
+)
+def test_replay_refuses_a_log_of_another_schema_version(finished_run, capsys, name, version, extra):
+    """A current log relabelled as an older version is refused before any
+    regeneration, also with the header field that version carried: a
+    version-3 stage-1 header's ``final_arms``, a version-4 config's
+    ``bandit.primary_task_id``."""
+    log = finished_run / name
+    _, records = read_jsonl(log)
+
+    def relabel(header):
+        header["schema_version"] = version
+        if extra is not None:
+            extra(header, records)
+
+    _rewrite_header(log, relabel)
+    assert run_cli("replay", log) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"log schema version {version}, this build replays version {SCHEMA_VERSION}" in err
+    assert "divergence" not in err
 
 
 # ---------------------------------------------------------- plot-utilities

@@ -29,6 +29,7 @@ from auxmix.pipeline import (
     write_outputs,
 )
 from auxmix.runlog import SCHEMA_VERSION, RunAborted, RunLog, derive_seed, make_header, read_jsonl
+from configs import TINY, TINY_SHARED_LINEAR, section
 from faults import Faults
 
 PLANTED2 = {"family": "planted", "theta_star": [0.9, 0.1]}
@@ -342,11 +343,7 @@ def test_a_failure_in_the_first_batch_names_its_place(mode, seed, fault, message
 
 
 _PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
-_TINY = {"bandit": {"n_rounds": 20}, "stage2": {"n_samples": 4, "n_initial": 2, "pool_size": 32}}
-_FAMILIES = {
-    "planted": {"family": "planted", "theta_star": [0.9, 0.5, 0.1]},
-    "shared-linear": {"family": "shared-linear", "total_batches": 200},
-}
+_FAMILIES = {"planted": TINY, "shared-linear": TINY_SHARED_LINEAR}
 
 
 def _non_plain(value, path="$"):
@@ -366,7 +363,7 @@ def _non_plain(value, path="$"):
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 @pytest.mark.parametrize("mode", PIPELINE_MODES)
 def test_run_artifacts_hold_only_plain_values(mode, family):
-    raw = {"mode": mode, "environment": _FAMILIES[family], **_TINY}
+    raw = {**_FAMILIES[family], "mode": mode}
     report = run_pipeline(to_pipeline_config(normalize(raw)))
     payloads = {"report": report_summary(report)}
     for kind, log in report.stage_logs.items():
@@ -382,7 +379,7 @@ def test_run_artifacts_hold_only_plain_values(mode, family):
 def test_thompson_draws_explain_every_logged_choice(mode, family):
     """The draws redrawn from a run's stage-1 log have their first maximum,
     round by round, at the task the run trained."""
-    raw = {"mode": mode, "environment": _FAMILIES[family], **_TINY, "bandit": {"n_rounds": 150}}
+    raw = {**section(_FAMILIES[family], "bandit", n_rounds=150), "mode": mode}
     config = to_pipeline_config(normalize(raw))
     log = run_pipeline(config).stage1_log
     records = [json.loads(line) for line in log.lines()]  # as a reader of the file sees them
@@ -396,7 +393,7 @@ def test_thompson_draws_explain_every_logged_choice(mode, family):
 def test_one_built_config_runs_repeatedly(mode, family):
     """The config holds a stateful environment, yet its second run is its
     first: stage 1 resets the environment and train_full is pure."""
-    raw = {"mode": mode, "environment": _FAMILIES[family], **_TINY}
+    raw = {**_FAMILIES[family], "mode": mode}
     config = to_pipeline_config(raw)
     first, second = run_pipeline(config), run_pipeline(config)
     for kind, log in first.stage_logs.items():
@@ -411,8 +408,7 @@ def test_one_built_config_runs_repeatedly(mode, family):
 def test_a_run_at_the_largest_ratio_max_finishes(family):
     """Counts up to 2^31 are drawn, encoded and trained without building a
     cycle of their sum or leaving int64."""
-    stage2 = {**_TINY["stage2"], "ratio_max": MAX_RATIO_MAX}
-    raw = {"environment": _FAMILIES[family], **_TINY, "stage2": stage2}
+    raw = section(_FAMILIES[family], "stage2", ratio_max=MAX_RATIO_MAX)
     report = run_pipeline(to_pipeline_config(raw))
     records = report.stage2_log.records
     assert len(records) == 4

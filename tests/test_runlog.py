@@ -156,22 +156,25 @@ def test_read_jsonl_rejects_empty_and_malformed(tmp_path):
     with pytest.raises(ValueError):
         read_jsonl(empty)
 
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"schema_version":1,"kind":"stage1"}\nnot json\n')
-    with pytest.raises(ValueError, match="line 2"):
-        read_jsonl(bad)
-
-    headerless = tmp_path / "headerless.jsonl"
-    headerless.write_text('{"round":0}\n')
-    with pytest.raises(ValueError, match="header"):
-        read_jsonl(headerless)
+    # Lines are named by their physical number, blank lines counted.
+    header = '{"schema_version":1,"kind":"stage1"}'
+    for text, says in (
+        (f"{header}\nnot json\n", "malformed JSON on line 2 "),
+        (f'{header}\n{{"round":0}}\n\n{{"round":1}}\n{{"round":2\n', "malformed JSON on line 5 "),
+        ('\n\n{"round":0}\n', "missing log header on line 3 "),
+        ("\n{oops\n", "malformed JSON on line 2 "),
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=says):
+            read_jsonl(bad)
 
 
 def test_split_log_parses_only_the_header(tmp_path):
     text = '{"kind":"stage1","schema_version":1}\n\nnot json\n{"round":0}\n'
     header, lines = split_log(text, "log.jsonl")
     assert header == {"kind": "stage1", "schema_version": 1}
-    assert lines == ['{"kind":"stage1","schema_version":1}', "not json", '{"round":0}']
+    assert lines == [(1, '{"kind":"stage1","schema_version":1}'), (3, "not json"), (4, '{"round":0}')]
     for bad, match in (("", "empty"), ("{oops\n", "line 1"), ('{"round":0}\n', "header")):
         with pytest.raises(ValueError, match=match):
             split_log(bad, "log.jsonl")
