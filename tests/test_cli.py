@@ -770,6 +770,15 @@ def test_replay_names_the_first_differing_field(finished_run, capsys, edit, fiel
     assert f"divergence at round 2 (line 4 of {log}): field {field!r}\n" in err
 
 
+def test_replay_detects_flipped_record(finished_run, capsys):
+    log = finished_run / "stage1.log.jsonl"
+    _edit_record(log, 3, lambda rec: rec.update(reward=1 - rec["reward"]))
+    assert run_cli("replay", log) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "divergence at round 2" in err
+    assert "line 4" in err
+
+
 def test_replay_names_a_changed_header_field(finished_run, capsys):
     """A header config missing a defaulted key replays, but the regenerated
     header carries the normalized config, so the header diverges at it."""
