@@ -28,7 +28,9 @@ MAX_DATA_FLOATS = 2**27
 
 # The most rows _sgd gathers per block, and draws indices for per span, of
 # lockstep steps: K trainings take max(1, ROWS // (K * batch_size)) steps per
-# block or span.  Sizes measured in CHANGES.md ("Stage-2 ratios train in
+# block or span.  A stage-1 step draws and gathers in chunks of
+# max(1, min(_DRAW_ROWS, _GATHER_ROWS) // batch_size) mini-batches, so both
+# bound it too.  Sizes measured in CHANGES.md ("Stage-2 ratios train in
 # lockstep batches") and BENCH_sgd_spans.json; not settings.
 _GATHER_ROWS = 3072
 _DRAW_ROWS = 2**13
@@ -259,11 +261,10 @@ class SharedParamMtlEnv:
         """Run K trainings in lockstep, updating the ``(K, dim)`` weight stack ``w``.
 
         Training k runs one mini-batch of task ``task_ids[k, b]`` at each step
-        b, with row indices drawn from ``rngs[k]``.  A stacked ``matmul``
-        applies the same kernel to each training as the 2-D product of one,
-        so every row of ``w`` ends bitwise where training it alone would.
-        Per training and span, one ``integers`` call with per-element bounds
-        consumes the generator exactly as one call per batch would.
+        b, with row indices drawn from ``rngs[k]``.  Per training and span,
+        one ``integers`` call with per-element bounds consumes the generator
+        exactly as one call per batch would.  :meth:`_sgd_block` updates
+        every row of ``w`` bitwise where training it alone would leave it.
         """
         bs = self.batch_size
         rows = max(len(rngs), 1) * bs  # one step of every training
@@ -279,7 +280,15 @@ class SharedParamMtlEnv:
 
     def _sgd_block(self, idx: np.ndarray, cols: np.ndarray) -> None:
         """One block of :meth:`_sgd`: the steps whose ``(K, steps * batch_size)``
-        row indices are ``idx``; its gathered rows are freed on return."""
+        row indices are ``idx``; its gathered rows are freed on return.
+
+        K = 1 runs :meth:`_descend`'s 2-D ``dot``; K >= 2 runs stacked
+        ``matmul``, which reaches the same BLAS gemv for each training, so
+        both paths give the same bits.
+        """
+        if idx.shape[0] == 1:
+            self._descend(idx[0], cols[0])
+            return
         bs, lr = self.batch_size, self.learning_rate
         shape = (idx.shape[0], idx.shape[1] // bs, bs)
         xs = self._x[idx].reshape(*shape, self.dim).swapaxes(0, 1)
@@ -288,15 +297,47 @@ class SharedParamMtlEnv:
             grad = xb_t @ (xb @ cols - yb) / bs
             cols -= lr * grad
 
+    def _descend(self, idx: np.ndarray, col: np.ndarray) -> None:
+        """Update one training's ``(dim, 1)`` weight column ``col`` by the
+        mini-batches whose row indices are ``idx``, in order, with 2-D
+        ``ndarray.dot`` calls; the caller ignores overflow."""
+        bs, lr = self.batch_size, self.learning_rate
+        xs = self._x.take(idx, axis=0).reshape(-1, bs, self.dim)
+        ys = self._y.take(idx).reshape(-1, bs, 1)
+        bs = float(bs)  # the divisor as NumPy casts it, once rather than per batch
+        for xb, yb in zip(xs, ys):
+            r = xb.dot(col)
+            r -= yb
+            g = xb.T.dot(r)
+            g /= bs
+            g *= lr
+            col -= g
+
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, task_id: int) -> None:
-        """Train one round (``batches_per_round`` mini-batches) of one task."""
+        """Train one round (``batches_per_round`` mini-batches) of one task.
+
+        The round draws and gathers its rows in chunks of whole mini-batches,
+        at most ``min(_DRAW_ROWS, _GATHER_ROWS)`` rows or else one batch, with
+        one scalar-bound ``integers`` call per chunk, which consumes the
+        generator as one call per batch would; :meth:`_descend` trains on each.
+        """
         if not (0 <= task_id < self.n_tasks):
             raise ValueError(f"task_id {task_id} out of range for {self.n_tasks} tasks")
-        self._sgd(np.full((1, self.batches_per_round), task_id), [self._rng], self._w[None])
+        bs = self.batch_size
+        rows, chunk = self.batches_per_round * bs, max(1, min(_DRAW_ROWS, _GATHER_ROWS) // bs) * bs
+        col = self._w[:, None]
+        for start in range(0, rows, chunk):
+            idx = self._rng.integers(0, self._sizes[task_id], size=min(chunk, rows - start))
+            idx += self._offsets[task_id]
+            self._descend(idx, col)
 
     @np.errstate(over="ignore", invalid="ignore")
     def _metric_of(self, w: np.ndarray) -> float:
-        mse = float(np.mean((self._x_heldout @ w - self._y_heldout) ** 2))
+        r = self._x_heldout.dot(w)
+        r -= self._y_heldout
+        r *= r
+        mse = float(np.add.reduce(r) / r.size)  # np.mean's sum and division
         return float(min(max(1.0 - mse / self._heldout_var, 0.0), 1.0))
 
     def validation_metric(self) -> float:

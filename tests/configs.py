@@ -9,7 +9,10 @@ the package installed.
 
 ``PLANTED_SEARCH`` and ``CLI_REPLAY`` are copies of the ``perfbench``
 workloads of those names (``perfbench/workloads.py``), which cannot import
-``tests/``; keep each equal to its workload by hand.
+``tests/``, and ``CRITERION_07_ENVIRONMENT`` is the ``linear-grid``
+workload's environment; ``test_config.py``'s
+``test_shared_run_configs_equal_the_benchmark_workloads`` holds each equal
+to its workload.
 
 Run as a script, it writes the configs of CI's smoke steps into ``DIR``,
 one ``NAME.yaml`` each, as JSON, which is valid YAML::

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
 import inspect
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import configs
 from auxmix.runlog import RunAborted, SettingError
 from auxmix import config as config_module
 from auxmix.bandit import BanditConfig
@@ -746,6 +749,27 @@ def test_to_pipeline_config_builds_and_runs():
     report = run_pipeline(pc)
     assert report.config == cfg
     assert len(report.stage2_log.records) == 5
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, loaded from its file: ``tests/configs.py``
+    keeps copies of its configs, because ``perfbench`` cannot import ``tests/``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shared_run_configs_equal_the_benchmark_workloads():
+    """The identity corpus's ``planted-search-*``, ``cli-replay-*`` and
+    ``c07-*`` runs cover the configs the benchmark runs."""
+    workloads = _perfbench_workloads()
+    for name, raw in (("planted-search", configs.PLANTED_SEARCH), ("cli-replay", configs.CLI_REPLAY)):
+        assert normalize(raw) == normalize(workloads.WORKLOADS[name].raw_config), name
+    linear_grid = workloads.WORKLOADS["linear-grid"].raw_config["environment"]
+    assert configs.CRITERION_07_ENVIRONMENT == linear_grid
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -381,7 +382,71 @@ def test_step_sequence_equals_per_batch_reference(seed):
         for _ in range(env.batches_per_round):
             _reference_batch(xs[k], ys[k], env.batch_size, env.learning_rate, rng, w)
         assert env._w.tobytes() == w.tobytes()
+        assert env._rng.bit_generator.state == rng.bit_generator.state
     assert env.validation_metric() == env._metric_of(w)
+
+
+@given(
+    tasks=st.lists(st.integers(0, len(_ORACLE_KW["task_profile"]) - 1), min_size=1, max_size=12),
+    seed=st.integers(0, 2**63 - 1),
+    gather_rows=st.integers(1, 64),
+    draw_rows=st.integers(1, 64),
+)
+def test_step_in_small_chunks_equals_per_batch_reference(tasks, seed, gather_rows, draw_rows):
+    """With both row constants small, a round's draws and gathers split into
+    chunks that end mid-round, yet the weights and the generator end bitwise
+    where a per-batch loop leaves them."""
+    env, xs, ys = _oracle_env()
+    env.reset(seed)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(env.dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(environments, "_GATHER_ROWS", gather_rows)
+        mp.setattr(environments, "_DRAW_ROWS", draw_rows)
+        for k in tasks:
+            env.step(k)
+    for k in tasks:
+        for _ in range(env.batches_per_round):
+            _reference_batch(xs[k], ys[k], env.batch_size, env.learning_rate, rng, w)
+    assert env._w.tobytes() == w.tobytes()
+    assert env._rng.bit_generator.state == rng.bit_generator.state
+
+
+def _mean_formula_metric(env, w):
+    """The metric as ``np.mean`` of the squared held-out residuals, the oracle of ``_metric_of``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mse = float(np.mean((env._x_heldout @ w - env._y_heldout) ** 2))
+    return float(min(max(1.0 - mse / env._heldout_var, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_metric_equals_the_mean_formula_bit_for_bit(seed):
+    env = SharedParamMtlEnv()
+    rng = np.random.default_rng(seed)
+    # About 1 - shrink**2: far enough from 1 that every bit of the MSE shows.
+    shrink = rng.uniform(0.3, 0.9)
+    w = (1.0 - shrink) * env.w_star + 0.05 * rng.standard_normal(env.dim)
+    got = env._metric_of(w)
+    assert 0.0 < got < 0.95
+    assert got == _mean_formula_metric(env, w)
+
+
+def _non_finite_weights(dim):
+    inf_pair = np.zeros(dim)
+    inf_pair[:2] = np.inf, -np.inf
+    one_nan = np.ones(dim)
+    one_nan[3] = np.nan
+    return [np.full(dim, np.inf), inf_pair, one_nan, np.full(dim, np.nan), np.full(dim, 1e200)]
+
+
+@pytest.mark.parametrize("w", _non_finite_weights(16), ids=["inf", "inf-pair", "nan", "all-nan", "huge"])
+def test_metric_of_non_finite_weights_matches_the_mean_formula_silently(w):
+    env = SharedParamMtlEnv()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = env._metric_of(w)
+    want = _mean_formula_metric(env, w)
+    assert (math.isnan(got) and math.isnan(want)) or got == want
 
 
 @given(
