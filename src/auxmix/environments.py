@@ -282,13 +282,9 @@ class SharedParamMtlEnv:
         """One block of :meth:`_sgd`: the steps whose ``(K, steps * batch_size)``
         row indices are ``idx``; its gathered rows are freed on return.
 
-        K = 1 runs :meth:`_descend`'s 2-D ``dot``; K >= 2 runs stacked
-        ``matmul``, which reaches the same BLAS gemv for each training, so
-        both paths give the same bits.
+        A stacked ``matmul`` reaches the same BLAS gemv for each training as
+        the 2-D product of one, so every training gets the bits it would alone.
         """
-        if idx.shape[0] == 1:
-            self._descend(idx[0], cols[0])
-            return
         bs, lr = self.batch_size, self.learning_rate
         shape = (idx.shape[0], idx.shape[1] // bs, bs)
         xs = self._x[idx].reshape(*shape, self.dim).swapaxes(0, 1)
@@ -297,40 +293,36 @@ class SharedParamMtlEnv:
             grad = xb_t @ (xb @ cols - yb) / bs
             cols -= lr * grad
 
-    def _descend(self, idx: np.ndarray, col: np.ndarray) -> None:
-        """Update one training's ``(dim, 1)`` weight column ``col`` by the
-        mini-batches whose row indices are ``idx``, in order, with 2-D
-        ``ndarray.dot`` calls; the caller ignores overflow."""
-        bs, lr = self.batch_size, self.learning_rate
-        xs = self._x.take(idx, axis=0).reshape(-1, bs, self.dim)
-        ys = self._y.take(idx).reshape(-1, bs, 1)
-        bs = float(bs)  # the divisor as NumPy casts it, once rather than per batch
-        for xb, yb in zip(xs, ys):
-            r = xb.dot(col)
-            r -= yb
-            g = xb.T.dot(r)
-            g /= bs
-            g *= lr
-            col -= g
-
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, task_id: int) -> None:
         """Train one round (``batches_per_round`` mini-batches) of one task.
 
-        The round draws and gathers its rows in chunks of whole mini-batches,
-        at most ``min(_DRAW_ROWS, _GATHER_ROWS)`` rows or else one batch, with
-        one scalar-bound ``integers`` call per chunk, which consumes the
-        generator as one call per batch would; :meth:`_descend` trains on each.
+        One training needs no stacked ``matmul``: the weights, as a ``(dim, 1)``
+        column, take 2-D ``ndarray.dot`` calls, which reach the same BLAS gemv
+        as :meth:`_sgd_block` and so give the same bits.  The round draws and
+        gathers its rows in chunks of whole mini-batches, at most
+        ``min(_DRAW_ROWS, _GATHER_ROWS)`` rows or else one batch, with one
+        scalar-bound ``integers`` call per chunk, which consumes the generator
+        as one call per batch would.
         """
         if not (0 <= task_id < self.n_tasks):
             raise ValueError(f"task_id {task_id} out of range for {self.n_tasks} tasks")
-        bs = self.batch_size
+        bs, lr = self.batch_size, self.learning_rate
         rows, chunk = self.batches_per_round * bs, max(1, min(_DRAW_ROWS, _GATHER_ROWS) // bs) * bs
-        col = self._w[:, None]
+        div = float(bs)  # the divisor as NumPy casts it, once rather than per batch
+        col = self._w[:, None]  # a view of _w
         for start in range(0, rows, chunk):
             idx = self._rng.integers(0, self._sizes[task_id], size=min(chunk, rows - start))
             idx += self._offsets[task_id]
-            self._descend(idx, col)
+            xs = self._x.take(idx, axis=0).reshape(-1, bs, self.dim)
+            ys = self._y.take(idx).reshape(-1, bs, 1)
+            for xb, yb in zip(xs, ys):
+                r = xb.dot(col)
+                r -= yb
+                g = xb.T.dot(r)
+                g /= div
+                g *= lr
+                col -= g
 
     @np.errstate(over="ignore", invalid="ignore")
     def _metric_of(self, w: np.ndarray) -> float:
