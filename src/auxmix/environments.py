@@ -26,12 +26,14 @@ PLANTED_METRIC_INCREMENT = 1e-3
 # A larger setting is rejected before anything is allocated.  A bound, not a setting.
 MAX_DATA_FLOATS = 2**27
 
-# The most rows _sgd gathers per block, and draws indices for per span, of
-# lockstep steps: K trainings take max(1, ROWS // (K * batch_size)) steps per
-# block or span.  A stage-1 step draws and gathers in chunks of
-# max(1, min(_DRAW_ROWS, _GATHER_ROWS) // batch_size) mini-batches, so both
-# bound it too.  Sizes measured in CHANGES.md ("Stage-2 ratios train in
-# lockstep batches") and BENCH_sgd_spans.json; not settings.
+# The most rows _sgd gathers per block of lockstep steps, summed over all K
+# trainings: max(1, _GATHER_ROWS // (K * batch_size)) steps per block.  The most
+# rows each training draws indices for per span: max(1, _DRAW_ROWS // batch_size)
+# steps, whatever K is, so the draw calls grow linearly in K and a span holds
+# at most K * _DRAW_ROWS int32 indices (32 KiB per training).  A stage-1 step
+# draws and gathers in chunks of max(1, min(_DRAW_ROWS, _GATHER_ROWS) //
+# batch_size) mini-batches, so both bound it too.  Sizes measured in
+# BENCH_sgd_spans.json and BENCH_lockstep_draws.json; not settings.
 _GATHER_ROWS = 3072
 _DRAW_ROWS = 2**13
 
@@ -232,11 +234,14 @@ class SharedParamMtlEnv:
             xs.append(x)
             ys.append(y)
         # Every task's training set stacked into one array; task k owns rows
-        # _offsets[k] : _offsets[k] + _sizes[k].
+        # _offsets[k] : _offsets[k] + _sizes[k], which _parts[k] views.
         self._x = np.concatenate(xs)
         self._y = np.concatenate(ys)
-        self._sizes = np.array([len(y) for y in ys])
-        self._offsets = np.cumsum(self._sizes) - self._sizes
+        self._sizes = np.array([len(y) for y in ys], dtype=np.int32)
+        self._offsets = np.cumsum(self._sizes, dtype=np.int32) - self._sizes
+        self._parts = [
+            (self._x[o : o + n], self._y[o : o + n]) for o, n in zip(self._offsets, self._sizes)
+        ]
         self._x_heldout = data_rng.standard_normal((n_primary_heldout, dim))
         self._y_heldout = self._x_heldout @ self.w_star
         self._heldout_var = float(np.var(self._y_heldout))
@@ -261,37 +266,48 @@ class SharedParamMtlEnv:
         """Run K trainings in lockstep, updating the ``(K, dim)`` weight stack ``w``.
 
         Training k runs one mini-batch of task ``task_ids[k, b]`` at each step
-        b, with row indices drawn from ``rngs[k]``.  Per training and span,
-        one ``integers`` call with per-element bounds consumes the generator
-        exactly as one call per batch would.  :meth:`_sgd_block` updates
-        every row of ``w`` bitwise where training it alone would leave it.
+        b, with row indices drawn from ``rngs[k]``.  Each training draws a span
+        of steps, ``_DRAW_ROWS`` rows or else one batch, with one ``integers``
+        call with per-element bounds, which consumes its generator exactly as
+        one call per batch would; so the calls grow linearly in K.  Each block
+        of steps, at most ``_GATHER_ROWS`` rows of all K or else one step, goes
+        to :meth:`_sgd_block`.
         """
-        bs = self.batch_size
-        rows = max(len(rngs), 1) * bs  # one step of every training
-        span, block = max(1, _DRAW_ROWS // rows), max(1, _GATHER_ROWS // rows)
+        bs, k = self.batch_size, len(rngs)
+        span = max(1, _DRAW_ROWS // bs)  # steps per draw of one training
+        block = max(1, _GATHER_ROWS // (max(k, 1) * bs))  # steps per gather of all K
         cols = w[:, :, None]  # each training's weights as a column, a view of w
+        buffers = np.empty((k, bs, 1)), np.empty(cols.shape)
         for start in range(0, task_ids.shape[1], span):
             ids = task_ids[:, start : start + span]
-            idx = np.repeat(self._offsets[ids], bs, axis=1)
-            for row, rng, bound in zip(idx, rngs, np.repeat(self._sizes[ids], bs, axis=1)):
-                row += rng.integers(0, bound)
-            for b in range(0, idx.shape[1], block * bs):
-                self._sgd_block(idx[:, b : b + block * bs], cols)
+            idx = np.repeat(self._offsets[ids], bs, axis=1)  # int32: rows < MAX_DATA_FLOATS
+            for row, rng, ids_k in zip(idx, rngs, ids):
+                row += rng.integers(0, np.repeat(self._sizes[ids_k], bs))
+            idx = idx.reshape(k, ids.shape[1], bs).swapaxes(0, 1)  # (steps, K, batch_size)
+            for b in range(0, len(idx), block):
+                self._sgd_block(idx[b : b + block], cols, *buffers)
 
-    def _sgd_block(self, idx: np.ndarray, cols: np.ndarray) -> None:
-        """One block of :meth:`_sgd`: the steps whose ``(K, steps * batch_size)``
-        row indices are ``idx``; its gathered rows are freed on return.
+    def _sgd_block(self, idx: np.ndarray, cols: np.ndarray, r: np.ndarray, g: np.ndarray) -> None:
+        """One block of :meth:`_sgd`: the steps whose ``(steps, K, batch_size)``
+        row indices are ``idx``, gathered step-major by one ``take`` and freed
+        on return; ``r`` and ``g`` are the update's buffers.
 
         A stacked ``matmul`` reaches the same BLAS gemv for each training as
-        the 2-D product of one, so every training gets the bits it would alone.
+        the 2-D product of one, and the in-place update makes the operations
+        of ``cols -= lr * (xb_t @ (xb @ cols - yb) / bs)`` on the same
+        operands (a product commutes bitwise), so every training gets the
+        bits it would alone.
         """
         bs, lr = self.batch_size, self.learning_rate
-        shape = (idx.shape[0], idx.shape[1] // bs, bs)
-        xs = self._x[idx].reshape(*shape, self.dim).swapaxes(0, 1)
-        ys = self._y[idx].reshape(*shape, 1).swapaxes(0, 1)
+        xs = self._x.take(idx, axis=0)
+        ys = self._y.take(idx)[..., None]
         for xb, xb_t, yb in zip(xs, xs.swapaxes(2, 3), ys):
-            grad = xb_t @ (xb @ cols - yb) / bs
-            cols -= lr * grad
+            np.matmul(xb, cols, out=r)
+            r -= yb
+            np.matmul(xb_t, r, out=g)
+            g /= bs
+            g *= lr
+            cols -= g
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, task_id: int) -> None:
@@ -300,10 +316,10 @@ class SharedParamMtlEnv:
         One training needs no stacked ``matmul``: the weights, as a ``(dim, 1)``
         column, take 2-D ``ndarray.dot`` calls, which reach the same BLAS gemv
         as :meth:`_sgd_block` and so give the same bits.  The round draws and
-        gathers its rows in chunks of whole mini-batches, at most
-        ``min(_DRAW_ROWS, _GATHER_ROWS)`` rows or else one batch, with one
-        scalar-bound ``integers`` call per chunk, which consumes the generator
-        as one call per batch would.
+        gathers its rows from the task's own view in chunks of whole
+        mini-batches, at most ``min(_DRAW_ROWS, _GATHER_ROWS)`` rows or else
+        one batch, with one ``integers`` call per chunk whose bound is a
+        Python int, which consumes the generator as one call per batch would.
         """
         if not (0 <= task_id < self.n_tasks):
             raise ValueError(f"task_id {task_id} out of range for {self.n_tasks} tasks")
@@ -311,11 +327,11 @@ class SharedParamMtlEnv:
         rows, chunk = self.batches_per_round * bs, max(1, min(_DRAW_ROWS, _GATHER_ROWS) // bs) * bs
         div = float(bs)  # the divisor as NumPy casts it, once rather than per batch
         col = self._w[:, None]  # a view of _w
+        x, y = self._parts[task_id]
         for start in range(0, rows, chunk):
-            idx = self._rng.integers(0, self._sizes[task_id], size=min(chunk, rows - start))
-            idx += self._offsets[task_id]
-            xs = self._x.take(idx, axis=0).reshape(-1, bs, self.dim)
-            ys = self._y.take(idx).reshape(-1, bs, 1)
+            idx = self._rng.integers(0, len(y), size=min(chunk, rows - start))
+            xs = x.take(idx, axis=0).reshape(-1, bs, self.dim)
+            ys = y.take(idx).reshape(-1, bs, 1)
             for xb, yb in zip(xs, ys):
                 r = xb.dot(col)
                 r -= yb

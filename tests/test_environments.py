@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from auxmix import environments
@@ -19,6 +19,7 @@ from auxmix.environments import (
     make_environment,
 )
 from auxmix.mixing import MixingRatio
+from configs import CRITERION_07_ENVIRONMENT
 from test_mixing import ratio_cycle
 
 # ----------------------------------------------------------------- planted
@@ -329,6 +330,7 @@ _oracle_counts = st.one_of(
         st.tuples(_oracle_counts, st.integers(0, 2**63 - 1)), min_size=1, max_size=25
     )
 )
+@example(batch=[((1 + k % 20, k % 3, k % 41, k % 7), k) for k in range(64)])
 def test_lockstep_train_full_equals_each_ratio_trained_alone(batch):
     """Every training in a lockstep batch keeps its own generator, schedule
     and weights: its final weights are bitwise a lone per-batch loop's."""
@@ -345,7 +347,7 @@ def test_lockstep_train_full_equals_each_ratio_trained_alone(batch):
 
 @given(
     batch=st.lists(
-        st.tuples(_oracle_counts, st.integers(0, 2**63 - 1)), min_size=1, max_size=25
+        st.tuples(_oracle_counts, st.integers(0, 2**63 - 1)), min_size=1, max_size=64
     ),
     gather_rows=st.integers(1, 64),
     draw_rows=st.integers(1, 256),
@@ -368,6 +370,32 @@ def test_lockstep_sgd_in_small_spans_and_blocks_equals_per_batch_reference(
         ref, ref_rng = _reference_run(env, xs, ys, counts, seed)
         assert got.tobytes() == ref.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _CountingRng:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("draw_rows", [environments._DRAW_ROWS, 256])
+@pytest.mark.parametrize("k", [1, 21, 64])
+def test_lockstep_draw_calls_grow_linearly_in_k(k, draw_rows):
+    """Each training draws its span's indices with one call, whatever K is."""
+    env = make_environment(CRITERION_07_ENVIRONMENT)
+    task_ids = np.zeros((k, env.total_batches), dtype=np.intp)
+    rngs = [_CountingRng(seed) for seed in range(k)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(environments, "_DRAW_ROWS", draw_rows)
+        env._sgd(task_ids, rngs, np.zeros((k, env.dim)))
+    spans = math.ceil(env.total_batches * env.batch_size / draw_rows)
+    assert sum(rng.calls for rng in rngs) == k * spans
+    assert {rng.calls for rng in rngs} == {spans}
 
 
 @pytest.mark.parametrize("seed", range(5))
