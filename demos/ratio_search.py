@@ -8,7 +8,6 @@ GP search and an equal-budget random search side by side.
 
 import numpy as np
 
-from auxmix.bandit import TaskSelection
 from auxmix.environments import SharedParamMtlEnv
 from auxmix.mixing import Stage2Config, random_ratios, run_stage2
 from auxmix.runlog import derive_seed
@@ -22,10 +21,10 @@ env = SharedParamMtlEnv(
     harmful_scale=1.0,
     total_batches=400,
 )
-tasks = TaskSelection(selected_task_ids=(0, 1, 2, 3), expected_utilities=(1.0,) * 4)
+task_ids = (0, 1, 2, 3)
 config = Stage2Config(n_samples=20, n_initial=5, rng_seed=7)
 
-best_ratio, best_score, log, _ = run_stage2(env, tasks, config)
+best_ratio, best_score, log, _ = run_stage2(env, task_ids, config)
 
 print("round  acq     ratio            score   incumbent")
 for rec in log.records:
@@ -40,7 +39,7 @@ print("note the harmful last entry: the search drives it to zero.")
 rng = np.random.default_rng(derive_seed(7, "random-search"))
 random_best = max(
     env.train_full(
-        random_ratios(config.n_samples, 4, 20, rng),
+        random_ratios(config.n_samples, len(task_ids), config.ratio_max, rng),
         [derive_seed(7, "rs-eval", t) for t in range(config.n_samples)],
     )
 )

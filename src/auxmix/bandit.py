@@ -71,16 +71,16 @@ class BanditConfig:
 
 @dataclass(frozen=True)
 class TaskSelection:
-    """Outcome of stage 1: ordered task ids plus per-task expected utilities.
-
-    ``final_arms`` holds the ``(alpha, beta)`` belief of every task that the
-    utilities were read from; a selection made by hand may leave it empty,
-    since stage 2 reads only the ids.
-    """
+    """Outcome of stage 1: the selected task ids, primary 0 first, and the
+    final ``(alpha, beta)`` belief of every task, indexed by task id."""
 
     selected_task_ids: tuple[int, ...]
-    expected_utilities: tuple[float, ...]
-    final_arms: tuple[tuple[float, float], ...] = ()
+    final_arms: tuple[tuple[float, float], ...]
+
+    @property
+    def expected_utilities(self) -> tuple[float, ...]:
+        """``alpha / (alpha + beta)`` per task, the utilities the selection ranked."""
+        return tuple(a / (a + b) for a, b in self.final_arms)
 
 
 class Environment(Protocol):
@@ -179,7 +179,9 @@ def thompson_draws(records: Sequence[Mapping], config: BanditConfig) -> np.ndarr
     return np.array(draws).reshape(len(draws), config.n_tasks)
 
 
-def select_tasks(alpha: np.ndarray, beta: np.ndarray, config: BanditConfig) -> TaskSelection:
+def select_tasks(
+    alpha: Sequence[float], beta: Sequence[float], config: BanditConfig
+) -> TaskSelection:
     """Final task subset: primary plus the promising auxiliaries.
 
     Auxiliaries qualify by being in the top two by expected utility
@@ -189,17 +191,13 @@ def select_tasks(alpha: np.ndarray, beta: np.ndarray, config: BanditConfig) -> T
     """
     if not (len(alpha) == len(beta) == config.n_tasks):
         raise ValueError(f"expected {config.n_tasks} arms, got {len(alpha)} and {len(beta)}")
-    utils = (alpha / (alpha + beta)).tolist()
+    arms = tuple(zip(map(float, alpha), map(float, beta)))
+    utils = TaskSelection((), arms).expected_utilities
     aux_ids = range(1, config.n_tasks)
     ranked = sorted(aux_ids, key=lambda k: (-utils[k], k))
     chosen = set(ranked[:2])
     chosen.update(k for k in aux_ids if utils[k] > 0.5)
-    selected = [0] + sorted(chosen)
-    return TaskSelection(
-        selected_task_ids=tuple(selected),
-        expected_utilities=tuple(utils),
-        final_arms=tuple(zip(alpha.tolist(), beta.tolist())),
-    )
+    return TaskSelection((0, *sorted(chosen)), arms)
 
 
 def _finite_metric(env: Environment) -> float:
@@ -216,12 +214,13 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     task, score the primary validation metric, convert it to the binary
     improved-or-maintained reward, and update all arms.  With
     ``n_rounds == 0`` the selection falls out of the priors alone.  The
-    final beliefs ride out on the selection's ``final_arms``.  The log keeps
-    each round's choice, reward and metric; :func:`thompson_draws` redraws
-    its utilities.  One block guards the environment, from ``reset``
-    through the last round: if it raises or reports a non-finite metric,
-    :class:`RunAborted` names the round, or "before stage-1 round 0", and
-    carries the partial log as its ``"stage1"`` log.
+    final beliefs ride out on the selection's ``final_arms``, which give its
+    ``expected_utilities``.  The log keeps each round's choice, reward and
+    metric; :func:`thompson_draws` redraws its utilities.  One block guards
+    the environment, from ``reset`` through the last round: if it raises or
+    reports a non-finite metric, :class:`RunAborted` names the round, or
+    "before stage-1 round 0", and carries the partial log as its
+    ``"stage1"`` log.
     """
     alpha, beta = (arms.tolist() for arms in initial_arms(config))
     log = RunLog()
@@ -242,7 +241,7 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     except Exception as exc:
         where = f"at stage-1 round {t}" if t >= 0 else "before stage-1 round 0"
         raise RunAborted(f"environment failed {where}: {exc}", {"stage1": log}) from exc
-    return select_tasks(np.array(alpha), np.array(beta), config), log
+    return select_tasks(alpha, beta, config), log
 
 
 # The table goes through libm, whose log1p and exp NumPy's own differ from in

@@ -26,9 +26,10 @@ from .acquisition import (
     probability_of_improvement,
     upper_confidence_bound,
 )
-from .bandit import TaskSelection
 from .gp import MAX_N_SAMPLES, GpModel, fit, posterior, posterior_at
-from .runlog import RunAborted, RunLog, SettingError, derive_seed, require_floats, require_ints
+from .runlog import (
+    RunAborted, RunLog, SettingError, derive_seed, is_int, require_floats, require_ints,
+)
 
 # The largest candidate pool and grid a config may ask for; Stage2Config
 # rejects more.  A proposal scores its pool through a (pool_size, n)
@@ -155,14 +156,15 @@ def expand_to_tasks(ratio: MixingRatio, task_ids: Sequence[int], n_tasks: int) -
     """Spread a ratio over the stage-2 task subset onto the full task vector.
 
     Unselected tasks get count 0.  Assumes the environment's primary task is
-    id 0 so the expanded vector still opens with the primary count.
+    id 0 so the expanded vector still opens with the primary count.  Raises
+    ``ValueError`` unless the ids are distinct integers in ``[0, n_tasks)``.
     """
     if len(task_ids) != ratio.n_tasks:
         raise ValueError(f"ratio has {ratio.n_tasks} entries for {len(task_ids)} tasks")
-    counts = [0] * n_tasks
-    for pos, tid in enumerate(task_ids):
-        counts[tid] = ratio.counts[pos]
-    return MixingRatio(counts=tuple(counts))
+    by_id = dict(zip(task_ids, ratio.counts))
+    if len(by_id) < ratio.n_tasks or not all(is_int(k) and 0 <= k < n_tasks for k in by_id):
+        raise ValueError(f"task ids must be distinct integers in [0, {n_tasks}), got {task_ids}")
+    return MixingRatio(counts=tuple(by_id.get(k, 0) for k in range(n_tasks)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -279,16 +281,16 @@ def _gp_proposals(
 
 def run_stage2(
     env: Stage2Environment,
-    tasks: TaskSelection,
+    task_ids: Sequence[int],
     config: Stage2Config,
     proposals: Iterable[Sequence[Proposal]] | None = None,
 ) -> tuple[MixingRatio, float, RunLog, float]:
-    """Evaluate a budget of mixing ratios; return the best ratio and its score
-    (ties go to the earliest), the log, the one record of every evaluation,
-    and the baseline's score.
+    """Evaluate a budget of mixing ratios over the tasks ``task_ids``, primary
+    0 first; return the best ratio and its score (ties go to the earliest),
+    the log, the one record of every evaluation, and the baseline's score.
 
     ``proposals`` yields batches of ``(ratio, acquisition, posterior_mean,
-    posterior_std)`` over the selected tasks, by default :func:`_gp_proposals`.
+    posterior_std)`` over ``task_ids``, by default :func:`_gp_proposals`.
     Each batch is checked (``ValueError`` for a ratio above ``ratio_max`` or
     of the wrong width, or when no batch holds a ratio), trained through
     :func:`train_scores` and logged round by round; round t trains from
@@ -298,7 +300,6 @@ def run_stage2(
     batch, under ``derive_seed(rng_seed, "baseline")``, outside the budget
     and the log; its failures end the run "on the baseline run".
     """
-    task_ids = tasks.selected_task_ids
     log = RunLog()
     if proposals is None:
         proposals = _gp_proposals(len(task_ids), config, log.records)

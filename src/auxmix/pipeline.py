@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .bandit import (
     TaskSelection,
     initial_arms,
     run_stage1,
-    select_tasks,
     utility_density_table,
 )
 from .mixing import MixingRatio, Stage2Config, run_stage2
@@ -101,8 +100,8 @@ def manual_ratio_grid(n_aux: int, budget: int, ratio_max: int) -> list[MixingRat
 
 def _all_task_selection(config: BanditConfig) -> TaskSelection:
     """Selection covering every task (primary 0 first), beliefs from the priors."""
-    prior = select_tasks(*initial_arms(config), config)
-    return replace(prior, selected_task_ids=tuple(range(config.n_tasks)))
+    alpha, beta = initial_arms(config)
+    return TaskSelection(tuple(range(config.n_tasks)), tuple(zip(alpha.tolist(), beta.tolist())))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -128,7 +127,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             grid = manual_ratio_grid(len(task_ids) - 1, stage2.n_samples, stage2.ratio_max)
             proposals = [[(ratio, "grid", None, None) for ratio in grid]]
         best_ratio, best_score, stage2_log, baseline_score = run_stage2(
-            env, selection, config.stage2, proposals
+            env, task_ids, config.stage2, proposals
         )
     except RunAborted as exc:  # the failing stage filled in its own log
         exc.stage_logs = {"stage1": stage1_log, "stage2": RunLog(), **exc.stage_logs}

@@ -64,13 +64,17 @@ def _python(code: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("module, package", [("auxmix.cli", "scipy"), ("auxmix.runlog", "numpy")])
+@pytest.mark.parametrize(
+    "module, package",
+    [("auxmix.cli", "scipy"), ("auxmix.runlog", "numpy"), ("auxmix.mixing", "auxmix.bandit")],
+)
 def test_importing_a_module_loads_no_package_it_does_not_use(module, package):
     """SciPy is a test-only oracle; the package's numerics are NumPy's.  The
-    package root imports nothing, so the run-log layer loads no NumPy."""
+    package root imports nothing, so the run-log layer loads no NumPy.  Stage
+    2 takes task ids, not a stage-1 outcome, so it loads no stage 1."""
     proc = _python(
         f"import sys, {module}\n"
-        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -19,7 +19,6 @@ from auxmix.acquisition import (
     upper_confidence_bound,
 )
 from auxmix import gp, mixing
-from auxmix.bandit import TaskSelection
 from auxmix.environments import PlantedBanditEnv
 from auxmix.gp import fit, gram_matrix, posterior, posterior_at
 from auxmix.mixing import (
@@ -38,7 +37,7 @@ from auxmix.mixing import (
 from auxmix.runlog import RunAborted, canonical_dumps, derive_seed
 from faults import Faults
 
-PRIMARY_ONLY = TaskSelection(selected_task_ids=(0,), expected_utilities=(1.0,))
+PRIMARY_ONLY = (0,)
 
 
 # ------------------------------------------------------------ ratio basics
@@ -173,6 +172,20 @@ def test_expand_to_tasks_places_counts_by_id():
 def test_expand_to_tasks_rejects_width_mismatch():
     with pytest.raises(ValueError):
         expand_to_tasks(MixingRatio(counts=(10, 5)), [0, 2, 3], 4)
+
+
+# Ids over three tasks that no ratio may be spread over.
+BAD_TASK_IDS = pytest.mark.parametrize(
+    "task_ids", [(0, -1), (0, 1, 1), (0, 3)], ids=["negative", "repeated", "out-of-range"]
+)
+
+
+@BAD_TASK_IDS
+def test_expand_to_tasks_rejects_an_id_outside_the_tasks_or_repeated(task_ids):
+    """A negative id would wrap to the last task and a repeated one would
+    overwrite the count before it; neither may train a task it does not name."""
+    with pytest.raises(ValueError, match=r"distinct integers in \[0, 3\)"):
+        expand_to_tasks(MixingRatio((3, 5, 7)[: len(task_ids)]), task_ids, 3)
 
 
 def test_stage2_config_validation():
@@ -407,7 +420,7 @@ def test_run_stage2_folds_each_record_into_the_gp_exactly_once(monkeypatch):
 
     monkeypatch.setattr(gp, "_fold", counting_fold)
     cfg = Stage2Config(n_samples=20, n_initial=5, rng_seed=3)
-    _, _, log, _ = run_stage2(SeedEchoEnv(n_tasks=2), TaskSelection((0, 1), (1.0, 0.8)), cfg)
+    _, _, log, _ = run_stage2(SeedEchoEnv(n_tasks=2), (0, 1), cfg)
     assert len(log.records) == 20
     assert folded == list(range(19))
 
@@ -424,7 +437,7 @@ def test_run_stage2_fits_each_gp_round_on_the_log_so_far(monkeypatch):
     monkeypatch.setattr(mixing, "fit", recording_fit)
     env = PlantedBanditEnv(theta_star=[0.9, 0.2, 0.7, 0.4], score_noise=0.05)
     cfg = Stage2Config(n_samples=12, n_initial=4, ratio_max=7, rng_seed=8, pool_size=32)
-    _, _, log, _ = run_stage2(env, TaskSelection((0, 1, 3), (1.0, 0.5, 0.5)), cfg)
+    _, _, log, _ = run_stage2(env, (0, 1, 3), cfg)
     assert len(fitted) == cfg.n_samples - cfg.n_initial
     for t, (xs, ys) in enumerate(fitted, cfg.n_initial):
         logged = log.records[:t]
@@ -471,15 +484,22 @@ def test_run_stage2_eval_seeds_follow_derivation():
 
 def test_run_stage2_expands_ratio_to_environment_width():
     env = SeedEchoEnv(n_tasks=4)
-    tasks = TaskSelection(selected_task_ids=(0, 2), expected_utilities=(1.0, 0.8))
     cfg = Stage2Config(n_samples=5, n_initial=2, rng_seed=1)
-    _, _, log, _ = run_stage2(env, tasks, cfg)
+    _, _, log, _ = run_stage2(env, (0, 2), cfg)
     assert env.seen[0][0].counts == (1, 0, 0, 0)  # the baseline
     for (env_ratio, _), rec in zip(env.seen[1:], log.records):
         assert env_ratio.n_tasks == 4
         assert env_ratio.counts[1] == 0 and env_ratio.counts[3] == 0
         assert env_ratio.counts[0] == rec["proposed_ratio"][0]
         assert env_ratio.counts[2] == rec["proposed_ratio"][1]
+
+
+@BAD_TASK_IDS
+def test_run_stage2_rejects_bad_task_ids_before_training(task_ids):
+    env = Faults(SeedEchoEnv(n_tasks=3))
+    with pytest.raises(ValueError, match="distinct integers"):
+        run_stage2(env, task_ids, Stage2Config(n_samples=4, n_initial=2))
+    assert env.calls == []
 
 
 def test_run_stage2_best_ties_break_earliest():
@@ -506,12 +526,11 @@ def test_run_stage2_is_deterministic():
     assert lines1 == lines2
 
 
-def _run_stage2_reference(env, tasks, config):
+def _run_stage2_reference(env, task_ids, config):
     """The log records of the default stage-2 loop, one quantity at a time
     from public functions: the history encoded record by record, the pool
     posterior, the three acquisitions called one by one, and Hedge credit
     from the pool posterior's means at the nominees."""
-    task_ids = tasks.selected_task_ids
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
 
     def train(ratios, rounds):
@@ -565,20 +584,17 @@ def test_run_stage2_logs_bitwise_what_the_one_at_a_time_loop_logs(seed, nu):
     Widths 1 to 5 over tasks with gaps in their ids."""
     width = 1 + seed % 5
     env = PlantedBanditEnv(theta_star=[0.9, 0.2, 0.7, 0.4, 0.8, 0.1, 0.6, 0.3, 0.5])
-    tasks = TaskSelection(
-        selected_task_ids=tuple(range(0, 2 * width, 2)), expected_utilities=(0.5,) * width
-    )
+    task_ids = tuple(range(0, 2 * width, 2))
     config = Stage2Config(
         n_samples=14, n_initial=3, rng_seed=seed, nu=nu, ucb_lambda=0.5 + seed % 3,
         hedge_eta=(0.5, 1.0, 4.0)[seed % 3], ratio_max=(20, 7)[seed % 2], pool_size=64 + seed,
     )
-    _, _, log, _ = run_stage2(env, tasks, config)
-    assert log.records == _run_stage2_reference(env, tasks, config)
+    _, _, log, _ = run_stage2(env, task_ids, config)
+    assert log.records == _run_stage2_reference(env, task_ids, config)
 
 
 def test_run_stage2_evaluates_explicit_proposals_in_order():
     env = SeedEchoEnv(n_tasks=4)
-    tasks = TaskSelection(selected_task_ids=(0, 3), expected_utilities=(1.0, 0.6))
     cfg = Stage2Config(n_samples=20, n_initial=5, ratio_max=6, rng_seed=31)
     proposals = [
         (MixingRatio((2, 0)), "grid", None, None),
@@ -587,7 +603,7 @@ def test_run_stage2_evaluates_explicit_proposals_in_order():
         (MixingRatio((1, 3)), "grid", None, None),
     ]
     batches = [proposals[:1], proposals[1:3], proposals[3:]]
-    best_ratio, best_score, log, _ = run_stage2(env, tasks, cfg, iter(batches))
+    best_ratio, best_score, log, _ = run_stage2(env, (0, 3), cfg, iter(batches))
     assert env.batch_sizes == [1 + 1, 2, 1]  # the baseline leads the first batch
     logged = [line["proposed_ratio"] for line in log.records]
     assert logged == [list(p[0].counts) for p in proposals]
@@ -605,18 +621,18 @@ def test_run_stage2_evaluates_explicit_proposals_in_order():
 
 def test_run_stage2_rejects_a_proposal_above_ratio_max():
     env = SeedEchoEnv(n_tasks=2)
-    tasks = TaskSelection(selected_task_ids=(0, 1), expected_utilities=(1.0, 0.6))
+    task_ids = (0, 1)
     cfg = Stage2Config(n_samples=6, n_initial=2, ratio_max=5)
     proposals = [
         (MixingRatio((1, 5)), "grid", None, None),
         (MixingRatio((1, 6)), "grid", None, None),
     ]
     with pytest.raises(ValueError, match="exceeds ratio_max=5"):
-        run_stage2(env, tasks, cfg, [proposals[:1], proposals[1:]])
+        run_stage2(env, task_ids, cfg, [proposals[:1], proposals[1:]])
     assert [r.counts for r, _ in env.seen] == [(1, 0), (1, 5)]
     # A batch is checked whole before any of it, or the baseline, trains.
     with pytest.raises(ValueError, match="exceeds ratio_max=5"):
-        run_stage2(env, tasks, cfg, [proposals])
+        run_stage2(env, task_ids, cfg, [proposals])
     assert [r.counts for r, _ in env.seen] == [(1, 0), (1, 5)]
 
 
@@ -680,12 +696,12 @@ def test_run_stage2_trains_the_baseline_first_under_its_seed():
     score is that ratio trained alone, and a failure there ends the run
     "on the baseline run" with an empty log."""
     theta, baseline = [0.9, 0.2, 0.7, 0.4], (1, 0, 0, 0)
-    tasks = TaskSelection((0, 1, 3), (1.0, 0.5, 0.5))
+    task_ids = (0, 1, 3)
     cfg = Stage2Config(n_samples=6, n_initial=3, ratio_max=7, rng_seed=8, pool_size=32)
     seed = derive_seed(8, "baseline")
     planted = PlantedBanditEnv(theta, score_noise=0.05)
     env = Faults(planted)
-    _, _, log, score = run_stage2(env, tasks, cfg)
+    _, _, log, score = run_stage2(env, task_ids, cfg)
     first, first_seeds = env.calls[0]
     assert (first[0], first_seeds[0]) == (baseline, seed)
     assert [len(c) for c, _ in env.calls] == [1 + cfg.n_initial] + [1] * 3
@@ -699,7 +715,7 @@ def test_run_stage2_trains_the_baseline_first_under_its_seed():
         (RuntimeError("meltdown"), "meltdown"), (math.nan, "train_full returned nan")
     ):
         with pytest.raises(RunAborted, match=f"failed on the baseline run: {message}$") as info:
-            run_stage2(Faults(planted, {seed: fault}), tasks, cfg)
+            run_stage2(Faults(planted, {seed: fault}), task_ids, cfg)
         assert info.value.stage_logs["stage2"].records == []
 
 

@@ -144,18 +144,18 @@ def test_no_stage2_grid_matches_selection_width():
         assert len(rec["proposed_ratio"]) == n_sel
 
 
-def _reference_grid_stage2(env, tasks, config):
+def _reference_grid_stage2(env, task_ids, config):
     """The separate grid loop ``no_stage2`` ran before it became a proposal
     list for ``run_stage2``; kept as the oracle for that path.  Returns the
     best ``(ratio, score)``, the earliest on ties, and the log."""
-    grid = manual_ratio_grid(len(tasks.selected_task_ids) - 1, config.n_samples, config.ratio_max)
+    grid = manual_ratio_grid(len(task_ids) - 1, config.n_samples, config.ratio_max)
     records = []
     log = RunLog()
     best_score = -math.inf
     for t, ratio in enumerate(grid):
         validate_ratio(ratio, config.ratio_max)
         seed = derive_seed(config.rng_seed, "eval", t)
-        env_ratio = expand_to_tasks(ratio, tasks.selected_task_ids, env.n_tasks)
+        env_ratio = expand_to_tasks(ratio, task_ids, env.n_tasks)
         (score,) = env.train_full([env_ratio], [seed])
         records.append((ratio, score))
         best_score = max(best_score, score)
@@ -206,7 +206,9 @@ def test_no_stage2_matches_the_reference_grid_loop(env, ratio_max):
         report = run_pipeline(cfg)
         widths.add(len(report.selection.selected_task_ids))
         best, log = _reference_grid_stage2(
-            make_environment(env, cfg.bandit.batches_per_round), report.selection, cfg.stage2
+            make_environment(env, cfg.bandit.batches_per_round),
+            report.selection.selected_task_ids,
+            cfg.stage2,
         )
         assert report.stage2_log.records == log.records
         assert report.stage2_log.lines() == log.lines()
