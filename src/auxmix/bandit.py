@@ -7,7 +7,7 @@ then every arm decays toward its prior, so the controller tracks utilities
 that drift as training progresses.
 
 The beliefs are two float sequences, ``alpha`` and ``beta``, indexed by task
-id: arrays in the public functions, Python lists inside :func:`run_stage1`,
+id: arrays out of the public functions, lists inside :func:`run_stage1`,
 where NumPy's per-call cost outweighs a handful of arms.  A round draws each
 arm with a scalar ``rng.beta(a, b)`` in task order, bitwise the array draw
 ``rng.beta(alpha, beta)``.  The log holds each round's choice, reward and
@@ -69,6 +69,10 @@ class BanditConfig:
         require_floats(">= 0", primary_prior_boost=self.primary_prior_boost)
 
 
+def _utilities(arms: Sequence[tuple[float, float]]) -> tuple[float, ...]:
+    return tuple(a / (a + b) for a, b in arms)
+
+
 @dataclass(frozen=True)
 class TaskSelection:
     """Outcome of stage 1: the selected task ids, primary 0 first, and the
@@ -80,7 +84,7 @@ class TaskSelection:
     @property
     def expected_utilities(self) -> tuple[float, ...]:
         """``alpha / (alpha + beta)`` per task, the utilities the selection ranked."""
-        return tuple(a / (a + b) for a, b in self.final_arms)
+        return _utilities(self.final_arms)
 
 
 class Environment(Protocol):
@@ -179,9 +183,7 @@ def thompson_draws(records: Sequence[Mapping], config: BanditConfig) -> np.ndarr
     return np.array(draws).reshape(len(draws), config.n_tasks)
 
 
-def select_tasks(
-    alpha: Sequence[float], beta: Sequence[float], config: BanditConfig
-) -> TaskSelection:
+def select_tasks(alpha: Sequence[float], beta: Sequence[float], config: BanditConfig) -> TaskSelection:
     """Final task subset: primary plus the promising auxiliaries.
 
     Auxiliaries qualify by being in the top two by expected utility
@@ -192,11 +194,10 @@ def select_tasks(
     if not (len(alpha) == len(beta) == config.n_tasks):
         raise ValueError(f"expected {config.n_tasks} arms, got {len(alpha)} and {len(beta)}")
     arms = tuple(zip(map(float, alpha), map(float, beta)))
-    utils = TaskSelection((), arms).expected_utilities
+    utils = _utilities(arms)
     aux_ids = range(1, config.n_tasks)
     ranked = sorted(aux_ids, key=lambda k: (-utils[k], k))
-    chosen = set(ranked[:2])
-    chosen.update(k for k in aux_ids if utils[k] > 0.5)
+    chosen = {*ranked[:2], *(k for k in aux_ids if utils[k] > 0.5)}
     return TaskSelection((0, *sorted(chosen)), arms)
 
 
@@ -214,13 +215,12 @@ def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, R
     task, score the primary validation metric, convert it to the binary
     improved-or-maintained reward, and update all arms.  With
     ``n_rounds == 0`` the selection falls out of the priors alone.  The
-    final beliefs ride out on the selection's ``final_arms``, which give its
-    ``expected_utilities``.  The log keeps each round's choice, reward and
-    metric; :func:`thompson_draws` redraws its utilities.  One block guards
-    the environment, from ``reset`` through the last round: if it raises or
-    reports a non-finite metric, :class:`RunAborted` names the round, or
-    "before stage-1 round 0", and carries the partial log as its
-    ``"stage1"`` log.
+    final beliefs ride out on the selection's ``final_arms``.  The log keeps
+    each round's choice, reward and metric; :func:`thompson_draws` redraws
+    its utilities.  One block guards the environment, from ``reset``
+    through the last round: if it raises or reports a non-finite metric,
+    :class:`RunAborted` names the round, or "before stage-1 round 0", and
+    carries the partial log as its ``"stage1"`` log.
     """
     alpha, beta = (arms.tolist() for arms in initial_arms(config))
     log = RunLog()
