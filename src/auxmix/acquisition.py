@@ -118,7 +118,7 @@ def hedge_probabilities(state: HedgeState) -> np.ndarray:
         top_gain = max(gains)
         scaled, top = [eta * (g - top_gain) for g in gains], 0.0
     w = np.exp([s - top for s in scaled])
-    return w / np.sum(w)
+    return w / np.add.reduce(w)
 
 
 def hedge_select(state: HedgeState, rng: np.random.Generator) -> str:

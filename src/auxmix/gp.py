@@ -74,7 +74,8 @@ class Posterior(NamedTuple):
 
 
 def _scaled_distances(x1: np.ndarray, x2: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
-    """Pairwise length-scale-weighted Euclidean distances, shape (n1, n2).
+    """Pairwise length-scale-weighted Euclidean distances between the rows
+    of the 2-D ``x1`` and ``x2``, shape (n1, n2).
 
     ``length_scales`` of shape ``(C, 1, d)`` gives a ``(C, n1, n2)`` stack,
     one distance matrix per row of length scales.  Squared coordinate
@@ -82,8 +83,8 @@ def _scaled_distances(x1: np.ndarray, x2: np.ndarray, length_scales: np.ndarray)
     are exactly 0 apart and an entry does not depend on the blocks it was
     computed in: the fold's one column and a whole Gram matrix agree bitwise.
     """
-    a = np.atleast_2d(x1) / length_scales
-    b = np.atleast_2d(x2) / length_scales
+    a = x1 / length_scales
+    b = x2 / length_scales
     sq = np.square(a[..., :, 0, None] - b[..., None, :, 0])
     for k in range(1, a.shape[-1]):
         diff = a[..., :, k, None] - b[..., None, :, k]
@@ -212,10 +213,10 @@ def _fold(
         chol_inv = buffer.stack
         pivot = rows[:, d] + rows[:, d + 1] + jitter  # k(x, x) + noise + jitter
         for i in range(start, n):
-            dist = _scaled_distances(x[:i], x[i], length_scales)
+            dist = _scaled_distances(x[:i], x[i : i + 1], length_scales)
             l = (chol_inv[:, :i, :i] @ _matern_of_distance(dist, nu, s2))[..., 0]
-            delta_sq = pivot - np.sum(l**2, axis=-1)
-            if not np.all(delta_sq > 0):
+            delta_sq = pivot - np.add.reduce(np.square(l), axis=-1)
+            if not (delta_sq > 0).all():
                 break
             delta = np.sqrt(delta_sq)
             chol_inv[:, i, :i] = (l[:, None, :] @ chol_inv[:, :i, :i])[:, 0, :] / -delta[:, None]
@@ -236,14 +237,15 @@ def _best_model(
     """Fold ``x`` into every candidate of ``rows`` (see :func:`_fold`) and
     return the model of the first candidate of highest log marginal likelihood.
 
-    With ``w = L^-1 (y - mean)``, ``mean = np.mean(y)``, a candidate's log
+    With ``w = L^-1 (y - mean)``, ``mean`` the sample mean of ``y``, a candidate's log
     evidence is ``-|w|^2 / 2 - sum(log diag L) - n log(2 pi) / 2``.
     """
     jitter, fold = _fold(x, rows, nu, jitter, base)
-    mean = np.mean(y)
+    mean = np.add.reduce(y) / len(y)  # np.mean's sum and division
     w = fold.chol_inv @ (y - mean)
-    lml = -0.5 * np.sum(w**2, axis=-1) - fold.log_det - 0.5 * len(y) * math.log(2.0 * math.pi)
-    best = int(np.argmax(lml))
+    half_n_log_2pi = 0.5 * len(y) * math.log(2.0 * math.pi)
+    lml = -0.5 * np.add.reduce(np.square(w), axis=-1) - fold.log_det - half_n_log_2pi
+    best = int(lml.argmax())
     *length_scales, signal_variance, noise_variance = rows[best].tolist()
     kernel = KernelParams(
         length_scales=tuple(length_scales),
@@ -276,7 +278,7 @@ def _checked_data(points, observations) -> tuple[np.ndarray, ...]:
         raise ValueError(f"got {x.shape[0]} points but {y.shape[0]} observations")
     if y.size == 0:
         raise ValueError("a GP model requires at least one observation")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("points and observations must be finite")
     return x, y
 
@@ -320,7 +322,7 @@ def posterior(model: GpModel, x: np.ndarray) -> Posterior:
     kx = gram_matrix(q, model.points, model.kernel)
     mean = model.mean_offset + kx @ model.dual
     v = model.chol_inv @ kx.T
-    var = model.kernel.signal_variance - np.sum(v**2, axis=0)
+    var = model.kernel.signal_variance - np.add.reduce(np.square(v), axis=0)
     return Posterior(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
 
 

@@ -135,9 +135,11 @@ def decode(x: Sequence[float], ratio_max: int) -> MixingRatio:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a 1-D point, got shape {arr.shape}")
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
+    values = arr.tolist()
+    if not all(0.0 <= v <= 1.0 for v in values):  # NaN fails too
         raise ValueError(f"point must lie in the unit box, got {arr}")
-    counts = np.rint(arr * ratio_max).astype(np.int64).tolist()
+    # round() rounds half to even, as np.rint does, in the same float64 product.
+    counts = [round(v * ratio_max) for v in values]
     counts[0] = max(counts[0], 1)
     return MixingRatio(counts=tuple(counts))
 
@@ -191,13 +193,14 @@ def propose_next(
     Returns the decoded ratio, the acquisition that won, and the updated
     portfolio state.
     """
-    best_idx = int(np.argmax(model.observations))
+    best_idx = int(model.observations.argmax())
     tau = float(model.observations[best_idx])
 
     m, d = config.pool_size, model.points.shape[1]
     pool = np.empty((m + 2 * d, d))
     rng.random(out=pool[:m])  # the stream of rng.random((m, d))
-    np.clip(model.points[best_idx] + _grid_moves(d, config.ratio_max), 0.0, 1.0, out=pool[m:])
+    neighbors = np.add(model.points[best_idx], _grid_moves(d, config.ratio_max), out=pool[m:])
+    np.minimum(np.maximum(neighbors, 0.0, out=neighbors), 1.0, out=neighbors)
 
     post = posterior(model, pool)
     pi = probability_of_improvement(post, tau)
@@ -206,7 +209,7 @@ def propose_next(
         expected_improvement(post, tau, pi),
         upper_confidence_bound(post, config.ucb_lambda),
     )
-    nominee_rows = [int(np.argmax(s)) for s in scores]
+    nominee_rows = [int(s.argmax()) for s in scores]
 
     chosen = hedge_select(hedge, rng)
     new_hedge = hedge_update(hedge, post.mean[nominee_rows])
@@ -266,14 +269,19 @@ def _gp_proposals(
     Each proposal comes from a GP refitted on ``records``, the stage-2 log
     records that :func:`run_stage2` appends before asking for the next
     batch; each fit extends the last one's fold by the records added since.
+    Only those records are encoded, into rows of ``xs`` and ``ys`` past every
+    earlier fit's, so no model's ``points`` or ``observations`` change.
     """
     rng = np.random.default_rng(derive_seed(config.rng_seed, "stage2"))
     initial = random_ratios(config.n_initial, n_tasks, config.ratio_max, rng)
     yield [(ratio, "random", None, None) for ratio in initial]
     hedge, model = HedgeState(eta=config.hedge_eta), None
+    xs, ys = np.empty((config.n_samples, n_tasks)), np.empty(config.n_samples)
     for _ in range(config.n_initial, config.n_samples):
-        xs = encode([r["proposed_ratio"] for r in records], config.ratio_max)
-        model = fit(xs, np.array([r["score"] for r in records]), nu=config.nu, base=model)
+        k, n = 0 if model is None else model.n_observations, len(records)
+        xs[k:n] = encode([r["proposed_ratio"] for r in records[k:]], config.ratio_max)
+        ys[k:n] = [r["score"] for r in records[k:]]
+        model = fit(xs[:n], ys[:n], nu=config.nu, base=model)
         ratio, acq, hedge = propose_next(model, hedge, config, rng)
         post = posterior_at(model, encode(ratio.counts, config.ratio_max))
         yield [(ratio, acq, post.mean, post.std)]

@@ -934,3 +934,85 @@ def test_posterior_matches_the_exact_oracle_on_large_duplicate_heavy_designs(nu)
             k += (model.kernel.noise_variance + model.kernel.jitter) * np.eye(n)
             bound = np.finfo(float).eps * np.linalg.cond(k) * np.max(np.abs(y - y.mean()))
             np.testing.assert_allclose(mean, want_mean, rtol=0, atol=bound)
+
+
+# ------------------------------------------- the reductions of a GP round
+
+def _wrapper_distances(x1, x2, length_scales):
+    """The distances as ``_scaled_distances`` computed them through ``np.atleast_2d``."""
+    a = np.atleast_2d(x1) / length_scales
+    b = np.atleast_2d(x2) / length_scales
+    sq = np.square(a[..., :, 0, None] - b[..., None, :, 0])
+    for k in range(1, a.shape[-1]):
+        diff = a[..., :, k, None] - b[..., None, :, k]
+        sq += np.square(diff, out=diff)
+    return np.sqrt(sq, out=sq)
+
+
+def _wrapper_fit(x, y, rows, nu):
+    """A fold from the first point and the winning candidate, written with
+    NumPy's ``np.sum``, ``np.all``, ``np.mean`` and ``np.argmax`` wrappers:
+    the reference that the round path's ufunc and ndarray methods must
+    match bit for bit.  The fit's box never needs more than the starting
+    jitter.  Returns the stack of inverse factors, their log determinants,
+    the mean, the winner and its dual."""
+    n, d = x.shape
+    length_scales, s2 = rows[:, None, :d], rows[:, d, None, None]
+    chol_inv, log_det = np.zeros((rows.shape[0], n, n)), np.zeros(rows.shape[0])
+    pivot = rows[:, d] + rows[:, d + 1] + gp.JITTER_START
+    for i in range(n):
+        dist = _wrapper_distances(x[:i], x[i], length_scales)
+        l = (chol_inv[:, :i, :i] @ gp._matern_of_distance(dist, nu, s2))[..., 0]
+        delta_sq = pivot - np.sum(l**2, axis=-1)
+        assert np.all(delta_sq > 0)
+        delta = np.sqrt(delta_sq)
+        chol_inv[:, i, :i] = (l[:, None, :] @ chol_inv[:, :i, :i])[:, 0, :] / -delta[:, None]
+        chol_inv[:, i, i] = 1.0 / delta
+        log_det = log_det + np.log(delta)
+    mean = np.mean(y)
+    w = chol_inv @ (y - mean)
+    lml = -0.5 * np.sum(w**2, axis=-1) - log_det - 0.5 * len(y) * math.log(2.0 * math.pi)
+    best = int(np.argmax(lml))
+    return chol_inv, log_det, float(mean), best, chol_inv[best].T @ w[best]
+
+
+def _wrapper_posterior(model, q):
+    kx = gram_matrix(q, model.points, model.kernel)
+    mean = model.mean_offset + kx @ model.dual
+    v = model.chol_inv @ kx.T
+    var = model.kernel.signal_variance - np.sum(v**2, axis=0)
+    return mean, np.sqrt(np.maximum(var, 0.0))
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_the_round_path_reductions_are_bitwise_numpys_wrappers(d, nu):
+    """``fit``'s fold and winner and ``posterior``'s block, bit for bit
+    against the same steps through NumPy's wrappers, up to 40 points, so
+    that sums longer than NumPy's 8-element pairwise block are covered; about
+    a third of the points are copies of others."""
+    rng = np.random.default_rng(4000 + 10 * d + int(2 * nu))
+    rows = _fit_candidates(d)
+    for n in (1, 2, 8, 9, 17, 40):
+        x = rng.random((n, d))
+        repeats = rng.random(n) < 1 / 3
+        x[repeats] = x[rng.integers(0, n, size=n)][repeats]
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        chol_inv, log_det, mean, best, dual = _wrapper_fit(x, y, rows, nu)
+        model = fit(x, y, nu=nu)
+        assert model.kernel.jitter == gp.JITTER_START
+        assert model.fold.chol_inv.tobytes() == chol_inv.tobytes()
+        assert model.fold.log_det.tobytes() == log_det.tobytes()
+        assert model.mean_offset.hex() == mean.hex()
+        *length_scales, signal_variance, noise_variance = rows[best].tolist()
+        assert model.kernel.length_scales == tuple(length_scales)
+        assert (model.kernel.signal_variance, model.kernel.noise_variance) == (
+            signal_variance, noise_variance
+        )
+        assert model.dual.tobytes() == dual.tobytes()
+        for m in (1, 9, 300):
+            q = np.vstack([rng.random((m, d)), x[:2]])  # two queries on data points
+            want_mean, want_std = _wrapper_posterior(model, q)
+            got = posterior(model, q)
+            assert got.mean.tobytes() == want_mean.tobytes()
+            assert got.std.tobytes() == want_std.tobytes()

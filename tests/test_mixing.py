@@ -78,14 +78,40 @@ def test_decode_rejects_out_of_box():
 
 
 def test_decode_rejects_a_point_that_is_not_1d():
-    with pytest.raises(ValueError, match="1-D point"):
-        decode([[0.5, 0.5]], 20)
+    for point in ([[0.5, 0.5]], []):
+        with pytest.raises(ValueError, match="1-D point"):
+            decode(point, 20)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_decode_rejects_a_point_that_is_not_finite(bad):
     with pytest.raises(ValueError, match="unit box"):
         decode([bad, 0.5], 20)
+
+
+def _rint_counts(x, ratio_max: int) -> tuple[int, ...]:
+    """Counts as NumPy rounds the scaled point, half to even, primary at least 1."""
+    counts = np.rint(np.asarray(x, dtype=float) * ratio_max).astype(np.int64).tolist()
+    return (max(counts[0], 1), *counts[1:])
+
+
+@st.composite
+def unit_box_points(draw):
+    """A ratio_max and a point of the unit box, some coordinates at ``(k + 0.5) / ratio_max``."""
+    ratio_max = draw(st.one_of(st.integers(1, 64), st.integers(1, MAX_RATIO_MAX)))
+    half = st.integers(0, ratio_max - 1).map(lambda k: (k + 0.5) / ratio_max)
+    return draw(st.lists(st.floats(0.0, 1.0) | half, min_size=1, max_size=6)), ratio_max
+
+
+@given(unit_box_points())
+@example(([0.125, 0.375, 0.625, 0.875], 4))  # exact halves: 0.5, 1.5, 2.5, 3.5
+@example(([0.5 / MAX_RATIO_MAX, 1.0 - 0.5 / MAX_RATIO_MAX, 1.0], MAX_RATIO_MAX))
+def test_decode_rounds_as_numpy_rint(point_and_ratio_max):
+    point, ratio_max = point_and_ratio_max
+    for x in (point, np.array(point)):
+        counts = decode(x, ratio_max).counts
+        assert counts == _rint_counts(x, ratio_max)
+        assert all(type(c) is int for c in counts)
 
 
 def test_decode_gives_plain_ints_at_the_largest_ratio_max():
@@ -427,22 +453,26 @@ def test_run_stage2_folds_each_record_into_the_gp_exactly_once(monkeypatch):
 
 def test_run_stage2_fits_each_gp_round_on_the_log_so_far(monkeypatch):
     """The log is the one record of the evaluations: round t's GP is fitted
-    on the first t logged ratios and scores, bit for bit."""
+    on the first t logged ratios and scores, bit for bit.  Each model still
+    holds them when the run has ended, so no fit's history is rewritten."""
     fitted = []
 
     def recording_fit(xs, ys, **kwargs):
-        fitted.append((xs.copy(), ys.copy()))
-        return fit(xs, ys, **kwargs)
+        model = fit(xs, ys, **kwargs)
+        fitted.append((xs.copy(), ys.copy(), model))
+        return model
 
     monkeypatch.setattr(mixing, "fit", recording_fit)
     env = PlantedBanditEnv(theta_star=[0.9, 0.2, 0.7, 0.4], score_noise=0.05)
     cfg = Stage2Config(n_samples=12, n_initial=4, ratio_max=7, rng_seed=8, pool_size=32)
     _, _, log, _ = run_stage2(env, (0, 1, 3), cfg)
     assert len(fitted) == cfg.n_samples - cfg.n_initial
-    for t, (xs, ys) in enumerate(fitted, cfg.n_initial):
+    for t, (xs, ys, model) in enumerate(fitted, cfg.n_initial):
         logged = log.records[:t]
-        assert xs.tobytes() == encode([r["proposed_ratio"] for r in logged], 7).tobytes()
-        assert ys.tobytes() == np.array([r["score"] for r in logged]).tobytes()
+        want_xs = encode([r["proposed_ratio"] for r in logged], 7).tobytes()
+        want_ys = np.array([r["score"] for r in logged]).tobytes()
+        assert xs.tobytes() == model.points.tobytes() == want_xs
+        assert ys.tobytes() == model.observations.tobytes() == want_ys
 
 
 @pytest.mark.parametrize("proposals", [[], [[]]], ids=["no-batch", "empty-batch"])
