@@ -7,17 +7,15 @@ then every arm decays toward its prior, so the controller tracks utilities
 that drift as training progresses.
 
 The beliefs are two float sequences, ``alpha`` and ``beta``, indexed by task
-id: arrays out of the public functions, lists inside :func:`run_stage1`,
-where NumPy's per-call cost outweighs a handful of arms.  A round draws each
-arm with a scalar ``rng.beta(a, b)`` in task order, bitwise the array draw
-``rng.beta(alpha, beta)``.  The log holds each round's choice, reward and
-metric; :func:`belief_path` recovers the beliefs and :func:`thompson_draws`
-the draws.
+id: arrays out of the public functions, lists inside the fold, where NumPy's
+per-call cost outweighs a handful of arms.  The log holds each round's
+choice, reward and metric; one fold over the choices and rewards yields each
+round's beliefs and Thompson draws, to :func:`run_stage1` as it appends and
+to :func:`belief_path` and :func:`thompson_draws` after.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
@@ -113,18 +111,22 @@ def update_posterior(
     selected arm then absorbs the observation as ``(reward, 1 - reward)``
     pseudo-counts.  Unselected arms only decay, so long-unused arms forget.
     """
-    if not (is_int(arm) and 0 <= arm < len(alpha)):
-        raise ValueError(f"arm must be an integer in [0, {len(alpha)}), got {arm!r}")
-    if not (is_int(reward) and reward in (0, 1)):
-        raise ValueError(f"reward must be 0 or 1, got {reward!r}")
-    rates = _decay_rates(config)
-    alpha, beta = _decay_credit(alpha.tolist(), beta.tolist(), arm, reward, rates)
+    arm, reward = _outcome(arm, reward, len(alpha))
+    alpha, beta = _decay_credit(alpha.tolist(), beta.tolist(), arm, reward, _decay_rates(config))
     return np.array(alpha), np.array(beta)
 
 
+def _outcome(arm: object, reward: object, n_arms: int) -> tuple[int, int]:
+    """``(arm, reward)``; ``ValueError`` unless an integer in ``[0, n_arms)`` and 0 or 1."""
+    if not (is_int(arm) and 0 <= arm < n_arms):
+        raise ValueError(f"arm must be an integer in [0, {n_arms}), got {arm!r}")
+    if not (is_int(reward) and reward in (0, 1)):
+        raise ValueError(f"reward must be 0 or 1, got {reward!r}")
+    return arm, reward
+
+
 def _decay_rates(config: BanditConfig) -> tuple[float, float, float]:
-    """``(1 - g, g * alpha0, g * beta0)`` for ``gamma`` ``g``: the constants
-    :func:`_decay_credit` takes, so a caller computes them once."""
+    """``(1 - g, g * alpha0, g * beta0)`` for ``gamma`` ``g``, once per :func:`_decay_credit` caller."""
     g = config.gamma
     return 1.0 - g, g * config.alpha0, g * config.beta0
 
@@ -143,43 +145,44 @@ def _decay_credit(
     return alpha, beta
 
 
+def _rounds(outcomes: Iterable[tuple[int, int]], config: BanditConfig, draw: bool = True) -> Iterator:
+    """The stage-1 fold: ``(alpha, beta, thetas)`` at the prior, then after each outcome.
+
+    Reads each ``(selected_arm, reward)`` of ``outcomes``, unchecked, only when
+    the beliefs after it are asked for, so :func:`run_stage1` can read its
+    log as it grows.  ``thetas``: a draw per arm from the ``stage1-ts``
+    generator, bit for bit ``rng.beta(alpha, beta)``; None unless ``draw``.
+    """
+    alpha, beta = (arms.tolist() for arms in initial_arms(config))
+    rates = _decay_rates(config)
+    rng = np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts")) if draw else None
+    yield alpha, beta, rng and list(map(rng.beta, alpha, beta))
+    for arm, reward in outcomes:
+        alpha, beta = _decay_credit(alpha, beta, arm, reward, rates)
+        yield alpha, beta, rng and list(map(rng.beta, alpha, beta))
+
+
 def belief_path(
     records: Iterable[Mapping], config: BanditConfig
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The prior, then the ``(alpha, beta)`` beliefs after each logged round.
 
-    Folds :func:`update_posterior` over the records' ``selected_arm`` and
-    ``reward`` in log order, the calls :func:`run_stage1` made, so every
-    belief equals the run's bit for bit, for a whole log or a partial one.
+    :func:`run_stage1`'s own fold over the records' checked ``selected_arm``
+    and ``reward``, so each belief is the run's bit for bit, for any prefix.
     """
-    return itertools.accumulate(
-        records,
-        lambda arms, rec: update_posterior(*arms, rec["selected_arm"], rec["reward"], config),
-        initial=initial_arms(config),
-    )
+    checked = (_outcome(r["selected_arm"], r["reward"], config.n_tasks) for r in records)
+    return ((np.array(a), np.array(b)) for a, b, _ in _rounds(checked, config, draw=False))
 
 
-def _thompson_rng(config: BanditConfig) -> np.random.Generator:
-    """The generator of the run's Thompson draws, seeded from ``rng_seed`` alone."""
-    return np.random.default_rng(derive_seed(config.rng_seed, "stage1-ts"))
-
-
-def _draw(rng: np.random.Generator, alpha: Sequence[float], beta: Sequence[float]) -> list[float]:
-    """One utility per arm, in task order, bit for bit ``rng.beta(alpha, beta)``."""
-    return list(map(rng.beta, alpha, beta))
-
-
-def thompson_draws(records: Sequence[Mapping], config: BanditConfig) -> np.ndarray:
+def thompson_draws(records: Iterable[Mapping], config: BanditConfig) -> np.ndarray:
     """The utilities :func:`run_stage1` drew in each logged round, bit for bit.
 
-    The draws depend only on the generator, which :func:`_thompson_rng`
-    seeds from the config, and on the beliefs before each round, which
-    :func:`belief_path` folds from the records.  ``n`` records give an
+    From the run's own fold, reading ``records`` once: ``n`` records give an
     ``(n, n_tasks)`` array; for a log the run wrote, row ``t`` has its first
     maximum at record ``t``'s ``selected_arm``.
     """
-    rng = _thompson_rng(config)
-    draws = [_draw(rng, *arms) for _, arms in zip(records, belief_path(records, config))]
+    checked = (_outcome(r["selected_arm"], r["reward"], config.n_tasks) for r in records)
+    *draws, _ = (thetas for _, _, thetas in _rounds(checked, config))
     return np.array(draws).reshape(len(draws), config.n_tasks)
 
 
@@ -211,36 +214,33 @@ def _finite_metric(env: Environment) -> float:
 def run_stage1(env: Environment, config: BanditConfig) -> tuple[TaskSelection, RunLog]:
     """Run the Thompson-sampling loop and return the surviving task subset.
 
-    Each round: sample a utility per arm, train one round of the winning
-    task, score the primary validation metric, convert it to the binary
-    improved-or-maintained reward, and update all arms.  With
-    ``n_rounds == 0`` the selection falls out of the priors alone.  The
-    final beliefs ride out on the selection's ``final_arms``.  The log keeps
-    each round's choice, reward and metric; :func:`thompson_draws` redraws
-    its utilities.  One block guards the environment, from ``reset``
-    through the last round: if it raises or reports a non-finite metric,
-    :class:`RunAborted` names the round, or "before stage-1 round 0", and
-    carries the partial log as its ``"stage1"`` log.
+    Each round: train the task with the largest draw of the fold over the
+    log so far, score the primary validation metric, and log the round
+    with its binary improved-or-maintained reward.  With ``n_rounds == 0``
+    the selection falls out of the priors alone; the final beliefs ride
+    out on its ``final_arms``.  One block guards the environment, from
+    ``reset`` through the last round: if it raises or reports a non-finite
+    metric, :class:`RunAborted` names the round, or "before stage-1 round
+    0", and carries the partial log as its ``"stage1"`` log.
     """
-    alpha, beta = (arms.tolist() for arms in initial_arms(config))
     log = RunLog()
-    rng, rates = _thompson_rng(config), _decay_rates(config)
+    rounds = _rounds(((r["selected_arm"], r["reward"]) for r in log.records), config)
     t = -1  # the round under way; -1 before round 0
     try:
         env.reset(derive_seed(config.rng_seed, "stage1-env"))
         metric_prev = _finite_metric(env)
         for t in range(config.n_rounds):
-            thetas = _draw(rng, alpha, beta)
+            _, _, thetas = next(rounds)
             k = thetas.index(max(thetas))
             env.step(k)
             metric_now = _finite_metric(env)
             reward = int(metric_now >= metric_prev)
-            alpha, beta = _decay_credit(alpha, beta, k, reward, rates)
             log.append(round=t, selected_arm=k, reward=reward, metric=metric_now)
             metric_prev = metric_now
     except Exception as exc:
         where = f"at stage-1 round {t}" if t >= 0 else "before stage-1 round 0"
         raise RunAborted(f"environment failed {where}: {exc}", {"stage1": log}) from exc
+    alpha, beta, _ = next(rounds)
     return select_tasks(alpha, beta, config), log
 
 

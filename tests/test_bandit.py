@@ -425,6 +425,36 @@ def test_run_stage1_matches_reference_loop_with_a_prior_below_one(family, n_task
     test_run_stage1_matches_reference_loop(family, n_tasks, 300, gamma, 2.0, prior=(0.5, 0.7))
 
 
+def _finished_run(family, n_tasks, n_rounds=60):
+    cfg = make_config(n_tasks=n_tasks, n_rounds=n_rounds, batches_per_round=2, rng_seed=n_tasks)
+    return run_stage1(_oracle_env(family, n_tasks), cfg)[1].records, cfg
+
+
+@pytest.mark.parametrize("family", ["planted", "shared-linear"])
+@pytest.mark.parametrize("n_tasks", [2, 10])
+def test_belief_path_and_thompson_draws_of_a_prefix_are_the_whole_logs_prefix(family, n_tasks):
+    """The fold of a log's first m records gives the whole log's first m + 1
+    beliefs and first m draws, bit for bit: the run decides from its log so
+    far, and a partial log reads as the run read it."""
+    records, cfg = _finished_run(family, n_tasks)
+    path = [pairs(alpha, beta) for alpha, beta in belief_path(records, cfg)]
+    draws = thompson_draws(records, cfg)
+    for m in range(len(records) + 1):
+        assert [pairs(alpha, beta) for alpha, beta in belief_path(records[:m], cfg)] == path[: m + 1]
+        assert thompson_draws(records[:m], cfg).tobytes() == draws[:m].tobytes()
+
+
+def test_thompson_draws_read_a_one_shot_iterable_once():
+    """An iterator of records gives the draws its list gives, bit for bit,
+    each row paired with the beliefs before its own record."""
+    records, cfg = _finished_run("planted", 5, n_rounds=12)
+    want = thompson_draws(records, cfg)
+    got = thompson_draws(iter(records), cfg)
+    assert got.shape == want.shape == (12, 5)
+    assert got.tobytes() == want.tobytes()
+    assert np.argmax(got, axis=1).tolist() == [rec["selected_arm"] for rec in records]
+
+
 def test_thompson_draws_equal_array_draws_over_beliefs_on_both_sides_of_one():
     """Each round's arm-by-arm draws are the bits of one ``rng.beta(alpha,
     beta)`` array draw from the same generator state, the call that logs
